@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the workspace. Fully offline: no network access required.
 #
-#   ./ci.sh            # format check, clippy, build, tests, fig1 smoke
+#   ./ci.sh            # format check, clippy, build, tests, fig1 + hetbench smokes
 #
 # Mirrors .github/workflows/ci.yml so the same gate runs locally.
 set -euo pipefail
@@ -262,6 +262,17 @@ echo "== ingress contract suite + transport tests (named rerun) =="
 cargo test --release --offline --test ingress_contract
 cargo test --release --offline -p ingress
 cargo test --release --offline -p telemetry stalled_client_does_not_block_other_scrapers
+
+echo "== modeled-clock golden (named rerun) =="
+# Host-side speed-ups must not move one modeled nanosecond: the fig1
+# ladder rungs and one dedup / one hashsearch batch, pinned as integers.
+cargo test --release --offline --test modeled_golden
+
+echo "== hetbench smoke + the benchmark package's own tests =="
+# The repo's benchmark (BENCHMARK.json): all five workloads for about a
+# second each, every output checked against its sequential reference.
+benchmark/run.sh --smoke
+(cd benchmark && CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-../target}" cargo test -q --offline)
 
 echo "== bench.sh smoke (writes BENCH_pr3/pr5/pr7/pr8/pr9/pr10.json) =="
 BENCH_SMOKE=1 ./bench.sh

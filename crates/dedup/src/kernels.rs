@@ -22,6 +22,10 @@ const SHA1_CYCLES_PER_BYTE: f64 = 18.0;
 /// Cycles per window probe of the match search.
 const LZSS_CYCLES_PER_PROBE: f64 = 3.0;
 
+/// Lanes whose work units are gathered on the stack before one
+/// `record_span` (a multiple of the warp size).
+const TILE: usize = 256;
+
 /// SHA-1 of every block in a batch; lane `b` hashes block `b` (§IV-B
 /// stage 2: "each GPU thread calculates the SHA-1 of one block").
 pub struct Sha1Kernel {
@@ -115,8 +119,9 @@ impl KernelFn for Sha1BlockKernel {
 }
 
 /// Listing 3: the batched `FindMatchKernel`. One lane per byte of the
-/// batch; each lane scans `startPoss` linearly to find its block, then
-/// searches its block-bounded window for the longest match.
+/// batch; each lane scans `startPoss` linearly to find its block (and is
+/// charged for that scan), then searches its block-bounded window for the
+/// longest match.
 pub struct FindMatchKernel {
     /// Batch bytes on device (`input`).
     pub data: DevicePtr<u8>,
@@ -149,31 +154,40 @@ impl KernelFn for FindMatchKernel {
         let starts = mem.borrow(self.starts);
         let mut m_len = mem.borrow_mut(self.matches_len);
         let mut m_off = mem.borrow_mut(self.matches_off);
-        for lane in dims.lanes() {
-            let idx = lane as usize; // idX
-            if idx >= self.data_len {
-                meter.record(lane, 1);
-                continue;
-            }
-            // Lines 4-10: locate the block containing idx (linear scan).
-            let mut block = 0usize;
-            for k in 0..self.n_blocks {
-                if (starts[k] as usize) < idx + 1 {
-                    block = k;
+        // Lines 4-10 have every lane scan all of `startPoss` for the last
+        // block starting at or before it. Lanes ascend, so on ascending
+        // starts that block only ever moves forward: one cursor finds the
+        // same block for every lane. Checked once per launch, not per lane.
+        assert!(
+            starts[..self.n_blocks].windows(2).all(|w| w[0] <= w[1]),
+            "FindMatchKernel: startPos must be ascending"
+        );
+        // Work per lane: the startPos scan it stands for plus its probes.
+        let scan_units = self.n_blocks as u64 / 4 + 1;
+        let active = self.data_len.min(dims.total_threads() as usize);
+        let mut units = [0u64; TILE];
+        let mut block = 0usize;
+        for base in (0..active).step_by(TILE) {
+            let units = &mut units[..TILE.min(active - base)];
+            for (idx, lane_units) in (base..).zip(units.iter_mut()) {
+                while block + 1 < self.n_blocks && starts[block + 1] as usize <= idx {
+                    block += 1;
                 }
+                let start = starts[block] as usize;
+                let last = if block + 1 < self.n_blocks {
+                    starts[block + 1] as usize
+                } else {
+                    self.data_len
+                };
+                let (m, probes) = find_match(&data, start, last, idx, &self.cfg);
+                m_len[idx] = m.len;
+                m_off[idx] = m.dist;
+                *lane_units = probes + scan_units;
             }
-            let start = starts[block] as usize;
-            let last = if block + 1 < self.n_blocks {
-                starts[block + 1] as usize
-            } else {
-                self.data_len
-            };
-            let (m, probes) = find_match(&data, start, last, idx, &self.cfg);
-            m_len[idx] = m.len;
-            m_off[idx] = m.dist;
-            // Work: the startPos scan plus the window probes.
-            meter.record(lane, probes + (self.n_blocks as u64) / 4 + 1);
+            meter.record_span(base as u64, units);
         }
+        // Lanes past the batch only pay their bounds check.
+        meter.record_fill(active as u64..dims.total_threads(), 1);
     }
 }
 

@@ -556,7 +556,7 @@ mod tests {
             "busy"
         }
         fn run(&self, dims: &LaunchDims, _mem: &DeviceMemory, meter: &mut WorkMeter) {
-            meter.record_uniform(dims.total_threads(), self.units);
+            meter.record_fill(dims.lanes(), self.units);
         }
     }
 

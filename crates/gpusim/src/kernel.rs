@@ -87,11 +87,18 @@ impl LaunchDims {
 
 /// A device kernel: functional body plus its cost-model metadata.
 ///
-/// The body receives the whole launch and iterates lanes itself (the host
-/// executes it eagerly and sequentially — results must be identical to any
-/// parallel schedule, which the memory system's borrow discipline enforces),
-/// reporting per-lane work units to the meter for the divergence-aware
-/// timing model.
+/// The body receives the whole launch. *How* it walks the lanes on the
+/// host is its own business — one at a time, in spans of contiguous
+/// lanes through host SIMD, block by block — because none of that is
+/// observable: the functional-execution contract is that, for the same
+/// launch, every strategy leaves **identical device memory** and reports
+/// **identical per-lane work units** to the meter (in any grain, see
+/// [`WorkMeter`]). Host wall time is the only thing a body may change;
+/// the modeled clock is computed from the metered units, the launch
+/// geometry and the metadata below, so it cannot move.
+///
+/// Results must also be identical to any parallel schedule of the lanes,
+/// which the memory system's borrow discipline enforces.
 pub trait KernelFn: Send + Sync {
     /// Kernel name for reports (the `__global__` function name).
     fn name(&self) -> &'static str;

@@ -130,7 +130,7 @@ mod tests {
             self.cycles
         }
         fn run(&self, dims: &LaunchDims, _mem: &DeviceMemory, meter: &mut WorkMeter) {
-            meter.record_uniform(dims.total_threads(), self.units);
+            meter.record_fill(dims.lanes(), self.units);
         }
     }
 
@@ -191,7 +191,7 @@ mod tests {
         // Convergent: every lane 100k units (big enough that compute, not
         // launch overhead, dominates).
         let mut conv = WorkMeter::new(dims.total_threads(), 32);
-        conv.record_uniform(dims.total_threads(), 100_000);
+        conv.record_fill(dims.lanes(), 100_000);
         // Divergent: same *total* work concentrated in one lane per warp.
         let mut div = WorkMeter::new(dims.total_threads(), 32);
         for lane in dims.lanes() {

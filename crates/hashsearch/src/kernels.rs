@@ -6,8 +6,10 @@
 //! hashes the header once; only the per-nonce tail runs on the device —
 //! the midstate trick every real SHA-1 search kernel uses.
 
-use dedup::sha1::Sha1;
 use gpusim::{DeviceMemory, DevicePtr, KernelFn, LaunchDims, WorkMeter};
+
+use crate::simd::hash_nonces;
+use crate::DIGEST_BYTES;
 
 /// Device cycles one SHA-1 compression costs a warp: 80 rounds of ~4
 /// dependent 32-bit ALU ops per lane. Integer-heavy and branch-free, so
@@ -46,16 +48,17 @@ impl KernelFn for NonceSearchKernel {
     }
     fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
         let mut out = mem.borrow_mut(self.out);
-        for lane in dims.lanes() {
-            let i = lane as usize;
-            if i < self.n_nonces {
-                let mut h = Sha1::resume(self.midstate, self.header_len);
-                h.update(&(self.start_nonce + i as u64).to_be_bytes());
-                out[i * 20..(i + 1) * 20].copy_from_slice(&h.finalize().0);
-            }
-            // 8-byte suffix plus padding fits one block: exactly one
-            // compression per lane, bounds-check lanes included.
-            meter.record(lane, 1);
-        }
+        // Lanes are consecutive nonces: hash them eight to a SIMD pass.
+        let n = self.n_nonces.min(dims.total_threads() as usize);
+        hash_nonces(
+            self.midstate,
+            self.header_len,
+            self.start_nonce,
+            n,
+            &mut out[..n * DIGEST_BYTES],
+        );
+        // 8-byte suffix plus padding fits one block: exactly one
+        // compression per lane, bounds-check lanes included.
+        meter.record_fill(dims.lanes(), 1);
     }
 }

@@ -102,6 +102,36 @@ pub fn compute_line(params: &FractalParams, row: usize) -> Line {
     Line { row, pixels, iters }
 }
 
+/// Pixels per stack tile of work units (1 KiB; a multiple of the SIMD
+/// group and of the warp size, so full tiles fold whole warps).
+const TILE: usize = 256;
+
+/// Shade the columns `first_col..first_col + out.len()` of image row `row`
+/// into `out`, handing each tile of per-pixel work units — iterations, at
+/// least one: the escape test itself — to `units` together with its offset
+/// in the span (the device kernels meter them, the host rung ignores
+/// them). No heap use.
+pub(crate) fn shade_span(
+    p: &FractalParams,
+    row: usize,
+    first_col: usize,
+    out: &mut [u8],
+    mut units: impl FnMut(usize, &[u32]),
+) {
+    let step = p.step();
+    let ci = p.init_b + step * row as f64;
+    let mut tile = [0u32; TILE];
+    for (t, pixels) in out.chunks_mut(TILE).enumerate() {
+        let tile = &mut tile[..pixels.len()];
+        crate::simd::iterate_span(p.init_a, step, first_col + t * TILE, ci, p.niter, tile);
+        for (px, k) in pixels.iter_mut().zip(tile.iter_mut()) {
+            *px = color(*k, p.niter);
+            *k = (*k).max(1);
+        }
+        units(t * TILE, tile);
+    }
+}
+
 /// A whole grayscale fractal image, assembled from lines.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Image {

@@ -36,7 +36,7 @@ pub use gpusim::{CudaOffload, OclOffload, Offload, OffloadApi};
 use telemetry::Recorder;
 use workload::{arm_gpu_traces, drain_gpu_traces, Done, Workload, WorkloadDriver, WorkloadFault};
 
-use crate::core::{compute_line, FractalParams, Image};
+use crate::core::{shade_span, FractalParams, Image};
 use crate::kernels::{BatchKernel, RowSpanKernel};
 
 const BLOCK_1D: u32 = 256;
@@ -150,17 +150,19 @@ impl<O: Offload> BatchCompute<O> {
     }
 }
 
-/// Host implementation of one batch, row by row — byte-identical to the
-/// GPU kernels, so a fallen-back batch leaves no trace in the image.
+/// Host implementation of one batch, row by row through the routine the
+/// device kernels execute with (`shade_span`) — so a fallen-back batch
+/// is byte-identical by construction and leaves no trace in the image.
 /// Padding rows past the image edge stay zero (the sink ignores them).
-/// Writes into a caller-supplied (typically recycled) vector.
+/// Writes into a caller-supplied (typically recycled) vector and
+/// allocates nothing beyond growing it.
 fn cpu_batch(params: &FractalParams, batch: usize, batch_size: usize, out: &mut Vec<u8>) {
     out.clear();
     out.resize(batch_size * params.dim, 0);
     let first = batch * batch_size;
-    for r in 0..batch_size.min(params.dim.saturating_sub(first)) {
-        let line = compute_line(params, first + r);
-        out[r * params.dim..(r + 1) * params.dim].copy_from_slice(&line.pixels);
+    let rows = batch_size.min(params.dim.saturating_sub(first));
+    for (r, line) in out.chunks_mut(params.dim).take(rows).enumerate() {
+        shade_span(params, first + r, 0, line, |_, _| {});
     }
 }
 

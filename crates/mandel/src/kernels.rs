@@ -15,10 +15,17 @@
 //! Per-lane work units are Mandelbrot iterations; warp time is the max over
 //! lanes, so the set-interior/exterior divergence §IV-A worries about falls
 //! straight out of the meter.
+//!
+//! The kernels differ only in which lanes hold which pixels. Every one of
+//! them executes on the host through `core::shade_span` — a run of
+//! contiguous lanes is a run of contiguous columns of one row, pushed
+//! through [`crate::simd`] a tile at a time — and so does the CPU-fallback
+//! rung in [`crate::hybrid`], which makes the two byte-identical by
+//! construction.
 
 use gpusim::{DeviceMemory, DevicePtr, KernelFn, LaunchDims, WorkMeter};
 
-use crate::core::{color, iterate, FractalParams};
+use crate::core::{shade_span, FractalParams};
 
 /// Device cycles one Mandelbrot iteration costs a warp.
 ///
@@ -35,6 +42,33 @@ pub const CYCLES_PER_ITER: f64 = 160.0;
 /// Registers `nvcc` reports for the paper's kernel (§IV-A: "uses only 18
 /// registers").
 pub const MANDEL_REGS: u32 = 18;
+
+/// The body of every one-thread-per-pixel launch: lane `r * dim + j`
+/// computes pixel `(first_row + r, j)` into `img[r * dim + j]` for the
+/// rows of `first_row..first_row + rows` inside the image (Listing 2's
+/// `i < dim` guard); every other lane — tail-batch padding, `cover()`
+/// slack — only pays its bounds check.
+fn shade_rows(
+    p: &FractalParams,
+    first_row: usize,
+    rows: usize,
+    img: DevicePtr<u8>,
+    dims: &LaunchDims,
+    mem: &DeviceMemory,
+    meter: &mut WorkMeter,
+) {
+    let mut img = mem.borrow_mut(img);
+    let rows = rows.min(p.dim.saturating_sub(first_row));
+    // A launch narrower than its rows computes only the lanes it has.
+    let lanes = (rows * p.dim).min(dims.total_threads() as usize);
+    for (r, line) in img[..lanes].chunks_mut(p.dim).enumerate() {
+        let first_lane = (r * p.dim) as u64;
+        shade_span(p, first_row + r, 0, line, |at, units| {
+            meter.record_span(first_lane + at as u64, units)
+        });
+    }
+    meter.record_fill(lanes as u64..dims.total_threads(), 1);
+}
 
 /// One kernel invocation per fractal line; thread `j` computes column `j`.
 pub struct LineKernel {
@@ -57,21 +91,7 @@ impl KernelFn for LineKernel {
         CYCLES_PER_ITER
     }
     fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
-        let p = &self.params;
-        let step = p.step();
-        let ci = p.init_b + step * self.row as f64;
-        let mut img = mem.borrow_mut(self.img);
-        for lane in dims.lanes() {
-            let j = lane as usize; // blockIdx.x * blockDim.x + threadIdx.x
-            if j < p.dim {
-                let cr = p.init_a + step * j as f64;
-                let k = iterate(cr, ci, p.niter);
-                img[j] = color(k, p.niter);
-                meter.record(lane, k.max(1) as u64);
-            } else {
-                meter.record(lane, 1); // bounds-check-and-exit lane
-            }
-        }
+        shade_rows(&self.params, self.row, 1, self.img, dims, mem, meter);
     }
 }
 
@@ -101,28 +121,21 @@ impl KernelFn for Line2DKernel {
     }
     fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
         let p = &self.params;
-        let step = p.step();
-        let ci = p.init_b + step * self.row as f64;
         let mut img = mem.borrow_mut(self.img);
-        let bx = dims.block.x as u64;
-        let by = dims.block.y as u64;
-        let block_threads = bx * by;
-        for lane in dims.lanes() {
-            let block = lane / block_threads;
-            let tid = lane % block_threads;
-            let tx = tid % bx;
-            let ty = tid / bx;
-            // j = blockIdx.x * blockDim.x + threadIdx.x; threads with
-            // threadIdx.y != 0 have no pixel to compute.
-            let j = (block * bx + tx) as usize;
-            if ty == 0 && j < p.dim {
-                let cr = p.init_a + step * j as f64;
-                let k = iterate(cr, ci, p.niter);
-                img[j] = color(k, p.niter);
-                meter.record(lane, k.max(1) as u64);
-            } else {
-                meter.record(lane, 1);
-            }
+        let bx = dims.block.x as usize;
+        let block_threads = dims.block_threads() as u64;
+        // j = blockIdx.x * blockDim.x + threadIdx.x, and threads with
+        // threadIdx.y != 0 have no pixel to compute: the first `bx` lanes
+        // of each block are `bx` consecutive columns, the rest idle.
+        for block in 0..dims.total_blocks() {
+            let first_lane = block * block_threads;
+            let first_col = (block as usize * bx).min(p.dim);
+            let cols = bx.min(p.dim - first_col);
+            let pixels = &mut img[first_col..first_col + cols];
+            shade_span(p, self.row, first_col, pixels, |at, units| {
+                meter.record_span(first_lane + at as u64, units)
+            });
+            meter.record_fill(first_lane + cols as u64..first_lane + block_threads, 1);
         }
     }
 }
@@ -151,25 +164,11 @@ impl KernelFn for BatchKernel {
         CYCLES_PER_ITER
     }
     fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
+        // Listing 2 lines 2-5: i = batch * batch_size + tid / dim,
+        // j = tid % dim, guarded by i < dim.
         let p = &self.params;
-        let step = p.step();
-        let mut img = mem.borrow_mut(self.img);
-        for lane in dims.lanes() {
-            // Listing 2 lines 2-5.
-            let tid = lane as usize;
-            let i_batch = tid / p.dim;
-            let i = self.batch * self.batch_size + i_batch;
-            let j = tid - i_batch * p.dim;
-            if i < p.dim && j < p.dim && i_batch < self.batch_size {
-                let ci = p.init_b + step * i as f64;
-                let cr = p.init_a + step * j as f64;
-                let k = iterate(cr, ci, p.niter);
-                img[i_batch * p.dim + j] = color(k, p.niter);
-                meter.record(lane, k.max(1) as u64);
-            } else {
-                meter.record(lane, 1);
-            }
-        }
+        let first_row = self.batch * self.batch_size;
+        shade_rows(p, first_row, self.batch_size, self.img, dims, mem, meter);
     }
 }
 
@@ -199,23 +198,7 @@ impl KernelFn for RowSpanKernel {
     }
     fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
         let p = &self.params;
-        let step = p.step();
-        let mut img = mem.borrow_mut(self.img);
-        for lane in dims.lanes() {
-            let tid = lane as usize;
-            let r = tid / p.dim;
-            let i = self.first_row + r;
-            let j = tid - r * p.dim;
-            if r < self.rows && i < p.dim && j < p.dim {
-                let ci = p.init_b + step * i as f64;
-                let cr = p.init_a + step * j as f64;
-                let k = iterate(cr, ci, p.niter);
-                img[r * p.dim + j] = color(k, p.niter);
-                meter.record(lane, k.max(1) as u64);
-            } else {
-                meter.record(lane, 1);
-            }
-        }
+        shade_rows(p, self.first_row, self.rows, self.img, dims, mem, meter);
     }
 }
 

@@ -8,7 +8,7 @@
 //! iterating on dead values but stop counting, mirroring the scalar
 //! `break`. The AVX2 path is runtime-detected
 //! (`is_x86_feature_detected!`); every other target — and the remainder
-//! pixels of a row whose width is not a multiple of 4 — takes the
+//! pixels of a span whose width is not a multiple of 4 — takes the
 //! scalar reference path, so results are identical everywhere.
 
 use crate::core::iterate;
@@ -29,28 +29,63 @@ pub fn simd_active() -> bool {
 /// `iterate(init_a + step*j, ci, niter)`. Vectorized when AVX2 is
 /// available; always bit-identical to [`iterate_line_scalar`].
 pub fn iterate_line(init_a: f64, step: f64, ci: f64, niter: u32, out: &mut [u32]) {
+    iterate_span(init_a, step, 0, ci, niter, out);
+}
+
+/// Iteration counts for the columns `first_col..first_col + out.len()` of
+/// one row. Every `cr` is `init_a + step * j` for the **absolute** column
+/// `j` — never a shifted origin plus a relative column, which rounds
+/// differently — so any tiling of a row yields the counts
+/// [`iterate_line`] would, bit for bit.
+pub fn iterate_span(
+    init_a: f64,
+    step: f64,
+    first_col: usize,
+    ci: f64,
+    niter: u32,
+    out: &mut [u32],
+) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { iterate_line_avx2(init_a, step, ci, niter, out) };
+        unsafe { iterate_span_avx2(init_a, step, first_col, ci, niter, out) };
         return;
     }
-    iterate_line_scalar(init_a, step, ci, niter, out);
+    iterate_span_scalar(init_a, step, first_col, ci, niter, out);
 }
 
-/// Scalar reference for [`iterate_line`] (also the non-x86 fallback and
-/// the benchmark baseline).
+/// Scalar reference for [`iterate_line`] (also the benchmark baseline).
 pub fn iterate_line_scalar(init_a: f64, step: f64, ci: f64, niter: u32, out: &mut [u32]) {
-    for (j, slot) in out.iter_mut().enumerate() {
-        *slot = iterate(init_a + step * j as f64, ci, niter);
+    iterate_span_scalar(init_a, step, 0, ci, niter, out);
+}
+
+/// Scalar reference for [`iterate_span`] (also the non-x86 fallback).
+fn iterate_span_scalar(
+    init_a: f64,
+    step: f64,
+    first_col: usize,
+    ci: f64,
+    niter: u32,
+    out: &mut [u32],
+) {
+    for (i, slot) in out.iter_mut().enumerate() {
+        *slot = iterate(init_a + step * (first_col + i) as f64, ci, niter);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn iterate_line_avx2(init_a: f64, step: f64, ci: f64, niter: u32, out: &mut [u32]) {
-    let mut j = 0;
-    while j + 4 <= out.len() {
+unsafe fn iterate_span_avx2(
+    init_a: f64,
+    step: f64,
+    first_col: usize,
+    ci: f64,
+    niter: u32,
+    out: &mut [u32],
+) {
+    let mut groups = out.chunks_exact_mut(4);
+    let mut j = first_col;
+    for group in &mut groups {
         // The per-pixel coordinates are computed with the exact scalar
         // expression (init_a + step * j), not an incremental vector add,
         // so each lane sees the same cr the scalar loop would.
@@ -60,13 +95,10 @@ unsafe fn iterate_line_avx2(init_a: f64, step: f64, ci: f64, niter: u32, out: &m
             init_a + step * (j + 2) as f64,
             init_a + step * (j + 3) as f64,
         ];
-        let counts = iterate4(&cr, ci, niter);
-        out[j..j + 4].copy_from_slice(&counts);
+        group.copy_from_slice(&iterate4(&cr, ci, niter));
         j += 4;
     }
-    for (jj, slot) in out.iter_mut().enumerate().skip(j) {
-        *slot = iterate(init_a + step * jj as f64, ci, niter);
-    }
+    iterate_span_scalar(init_a, step, j, ci, niter, groups.into_remainder());
 }
 
 /// Four escape iterations in parallel. Per-lane arithmetic mirrors

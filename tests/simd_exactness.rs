@@ -5,14 +5,32 @@
 //! items, and deterministic pseudo-random sweeps. On machines without
 //! AVX2 the dispatchers fall back to the references themselves and the
 //! suite degenerates to a tautology, which is exactly the contract.
+//!
+//! The second half holds the simulated kernels to gpusim's
+//! functional-execution contract: a kernel body may walk its lanes any
+//! way it likes on the host (spans through SIMD, a block cursor), as long
+//! as device memory **and** the four meter observables the timing model
+//! reads come out exactly as the lane-at-a-time reference
+//! (`lane_reference/`) leaves them.
 
+mod lane_reference;
+
+use hetstream::dedup::kernels::FindMatchKernel;
 use hetstream::dedup::rabin::{chunk_starts, chunk_starts_reference};
 use hetstream::dedup::sha1::{compress_block, Sha1};
 use hetstream::dedup::sha1mb::compress8;
-use hetstream::dedup::RabinParams;
+use hetstream::dedup::{LzssConfig, RabinParams};
+use hetstream::gpusim::{DeviceMemory, DevicePtr, Dim3, KernelFn, LaunchDims, WorkMeter};
+use hetstream::hashsearch::kernels::NonceSearchKernel;
 use hetstream::hashsearch::simd::{hash_nonces, hash_nonces_scalar};
 use hetstream::hashsearch::DIGEST_BYTES;
-use hetstream::mandel::simd::{iterate_line, iterate_line_scalar};
+use hetstream::mandel::core::FractalParams;
+use hetstream::mandel::kernels::{
+    BatchKernel, Line2DKernel, LineKernel, RowSpanKernel, BLOCK_EDGE_2D,
+};
+use hetstream::mandel::simd::{iterate_line, iterate_line_scalar, iterate_span};
+
+use lane_reference::{BatchRef, FindMatchRef, Line2DRef, LineRef, NonceSearchRef, RowSpanRef};
 
 /// xorshift64* byte stream — deterministic test data, no external crates.
 fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
@@ -42,6 +60,24 @@ fn mandel_iterate_line_matches_scalar_at_every_width() {
             iterate_line_scalar(init_a, step, ci, niter, &mut slow);
             assert_eq!(fast, slow, "width {width} row {row}");
         }
+    }
+}
+
+#[test]
+fn mandel_iterate_span_tiles_a_row_exactly() {
+    // Any tiling of a row — odd offsets, widths off the 4-lane group —
+    // must reproduce the whole-row counts: `cr` comes from the absolute
+    // column, so where a tile starts cannot show in the arithmetic.
+    let p = FractalParams::view(101, 300);
+    let ci = p.init_b + p.step() * 37.0;
+    let mut whole = vec![0u32; p.dim];
+    iterate_line_scalar(p.init_a, p.step(), ci, p.niter, &mut whole);
+    for tile in [1usize, 3, 4, 7, 16, 50, 101] {
+        let mut tiled = vec![0u32; p.dim];
+        for (t, out) in tiled.chunks_mut(tile).enumerate() {
+            iterate_span(p.init_a, p.step(), t * tile, ci, p.niter, out);
+        }
+        assert_eq!(tiled, whole, "tile {tile}");
     }
 }
 
@@ -116,4 +152,349 @@ fn rabin_fast_scan_matches_reference_across_params_and_lengths() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Simulated kernels vs the lane-at-a-time reference.
+// ---------------------------------------------------------------------
+
+const WARP: u32 = 32;
+
+/// What the timing model and the reports read off a launch's meter.
+#[derive(Debug, PartialEq)]
+struct Metered {
+    warp_units: u64,
+    max_warp_units: u64,
+    total_units: u64,
+    lanes_recorded: u64,
+}
+
+fn launch(kernel: &dyn KernelFn, dims: LaunchDims, mem: &DeviceMemory) -> Metered {
+    let mut meter = WorkMeter::new(dims.total_threads(), WARP);
+    kernel.run(&dims, mem, &mut meter);
+    Metered {
+        warp_units: meter.warp_units(),
+        max_warp_units: meter.max_warp_units(),
+        total_units: meter.total_units(),
+        lanes_recorded: meter.lanes_recorded(),
+    }
+}
+
+fn contents<T: Clone + Default + 'static>(mem: &DeviceMemory, ptr: DevicePtr<T>) -> Vec<T> {
+    let mut out = vec![T::default(); ptr.len()];
+    mem.read(ptr, 0, &mut out);
+    out
+}
+
+/// Run a shipped Mandelbrot kernel and its reference over the same launch
+/// into two fresh `len`-pixel buffers; bytes and meter must agree.
+fn assert_mandel_kernel_exact<K: KernelFn, R: KernelFn>(
+    what: &str,
+    len: usize,
+    dims: LaunchDims,
+    fast: impl Fn(DevicePtr<u8>) -> K,
+    reference: impl Fn(DevicePtr<u8>) -> R,
+) {
+    let mut mem = DeviceMemory::new(0, 1 << 24);
+    let got = mem.alloc::<u8>(len).expect("fits");
+    let want = mem.alloc::<u8>(len).expect("fits");
+    let got_meter = launch(&fast(got), dims, &mem);
+    let want_meter = launch(&reference(want), dims, &mem);
+    assert_eq!(contents(&mem, got), contents(&mem, want), "{what}: pixels");
+    assert_eq!(got_meter, want_meter, "{what}: meter");
+    assert_eq!(
+        got_meter.lanes_recorded,
+        dims.total_threads(),
+        "{what}: every lane of the launch is metered exactly once"
+    );
+}
+
+#[test]
+fn mandel_kernels_match_the_lane_reference_at_every_width() {
+    // 50 and 101 leave `cover()` slack in the last 256-thread block and a
+    // partial 16-column block in the 2-D grid; 257 spills one pixel into
+    // a second tile; 512 is tile- and block-aligned.
+    for dim in [50usize, 101, 257, 512] {
+        let params = FractalParams::view(dim, 150);
+        for row in [0, dim / 3, dim / 2, dim - 1] {
+            assert_mandel_kernel_exact(
+                &format!("line dim {dim} row {row}"),
+                dim,
+                LaunchDims::cover(dim as u64, 256),
+                |img| LineKernel { row, params, img },
+                |img| LineRef { row, params, img },
+            );
+            assert_mandel_kernel_exact(
+                &format!("line2d dim {dim} row {row}"),
+                dim,
+                LaunchDims {
+                    grid: Dim3::x((dim as u32).div_ceil(BLOCK_EDGE_2D)),
+                    block: Dim3::xy(BLOCK_EDGE_2D, BLOCK_EDGE_2D),
+                },
+                |img| Line2DKernel { row, params, img },
+                |img| Line2DRef { row, params, img },
+            );
+        }
+        // A full batch from the middle of the image and the partial tail
+        // batch whose last rows fall off the image edge.
+        let batch_size = 8;
+        for batch in [dim / batch_size / 2, (dim - 1) / batch_size] {
+            assert_mandel_kernel_exact(
+                &format!("batch dim {dim} batch {batch}"),
+                batch_size * dim,
+                LaunchDims::cover((batch_size * dim) as u64, 256),
+                |img| BatchKernel {
+                    batch,
+                    batch_size,
+                    params,
+                    img,
+                },
+                |img| BatchRef {
+                    batch,
+                    batch_size,
+                    params,
+                    img,
+                },
+            );
+        }
+        // Row spans at odd offsets: mid-image, and one running off the
+        // bottom edge (the halving rung of a tail batch).
+        for (first_row, rows) in [(21, 3), (dim - 2, 5)] {
+            assert_mandel_kernel_exact(
+                &format!("rows dim {dim} first {first_row}"),
+                rows * dim,
+                LaunchDims::cover((rows * dim) as u64, 256),
+                |img| RowSpanKernel {
+                    first_row,
+                    rows,
+                    params,
+                    img,
+                },
+                |img| RowSpanRef {
+                    first_row,
+                    rows,
+                    params,
+                    img,
+                },
+            );
+        }
+    }
+}
+
+#[test]
+fn mandel_kernels_match_the_lane_reference_on_short_launches() {
+    // A launch narrower than its pixels computes only the lanes it has.
+    let params = FractalParams::view(101, 150);
+    assert_mandel_kernel_exact(
+        "batch under a 3.5-row launch",
+        8 * 101,
+        LaunchDims::linear(11, 32),
+        |img| BatchKernel {
+            batch: 5,
+            batch_size: 8,
+            params,
+            img,
+        },
+        |img| BatchRef {
+            batch: 5,
+            batch_size: 8,
+            params,
+            img,
+        },
+    );
+    assert_mandel_kernel_exact(
+        "line under a 64-lane launch",
+        101,
+        LaunchDims::linear(2, 32),
+        |img| LineKernel {
+            row: 50,
+            params,
+            img,
+        },
+        |img| LineRef {
+            row: 50,
+            params,
+            img,
+        },
+    );
+}
+
+#[test]
+fn nonce_search_kernel_matches_the_lane_reference() {
+    let mut h = Sha1::new();
+    h.update(&pseudo_random(128, 5));
+    let midstate = h.midstate().expect("128 bytes is a block boundary");
+    // Counts off the 8-lane group and off the block size, so the SIMD
+    // remainder and the `cover()` slack lanes are both exercised.
+    for n_nonces in [1usize, 7, 8, 100, 257, 1000] {
+        for block in [64u32, 256] {
+            let dims = LaunchDims::cover(n_nonces as u64, block);
+            let mut mem = DeviceMemory::new(0, 1 << 20);
+            let got = mem.alloc::<u8>(n_nonces * DIGEST_BYTES).expect("fits");
+            let want = mem.alloc::<u8>(n_nonces * DIGEST_BYTES).expect("fits");
+            let start_nonce = u32::MAX as u64 - 3;
+            let got_meter = launch(
+                &NonceSearchKernel {
+                    midstate,
+                    header_len: 128,
+                    start_nonce,
+                    n_nonces,
+                    out: got,
+                },
+                dims,
+                &mem,
+            );
+            let want_meter = launch(
+                &NonceSearchRef {
+                    midstate,
+                    header_len: 128,
+                    start_nonce,
+                    n_nonces,
+                    out: want,
+                },
+                dims,
+                &mem,
+            );
+            let what = format!("{n_nonces} nonces, block {block}");
+            assert_eq!(contents(&mem, got), contents(&mem, want), "{what}");
+            assert_eq!(got_meter, want_meter, "{what}: meter");
+        }
+    }
+}
+
+/// Run `FindMatchKernel` and its reference over `data` cut into blocks at
+/// `starts`, launched with `dims`.
+fn assert_find_match_exact(what: &str, data: &[u8], starts: &[u32], dims: LaunchDims) {
+    let cfg = LzssConfig {
+        window: 64,
+        min_coded: 3,
+    };
+    let mut mem = DeviceMemory::new(0, 1 << 22);
+    // Device buffers are grow-only in the backends: longer than the batch.
+    let d_data = mem.alloc::<u8>(data.len() + 100).expect("fits");
+    let d_starts = mem.alloc::<u32>(starts.len() + 4).expect("fits");
+    mem.write(d_data, 0, data);
+    mem.write(d_starts, 0, starts);
+    let mut outputs = || {
+        (
+            mem.alloc::<u32>(data.len() + 100).expect("fits"),
+            mem.alloc::<u32>(data.len() + 100).expect("fits"),
+        )
+    };
+    let (got_len, got_off) = outputs();
+    let (want_len, want_off) = outputs();
+    let got_meter = launch(
+        &FindMatchKernel {
+            data: d_data,
+            data_len: data.len(),
+            starts: d_starts,
+            n_blocks: starts.len(),
+            matches_len: got_len,
+            matches_off: got_off,
+            cfg,
+        },
+        dims,
+        &mem,
+    );
+    let want_meter = launch(
+        &FindMatchRef {
+            data: d_data,
+            data_len: data.len(),
+            starts: d_starts,
+            n_blocks: starts.len(),
+            matches_len: want_len,
+            matches_off: want_off,
+            cfg,
+        },
+        dims,
+        &mem,
+    );
+    assert_eq!(
+        contents(&mem, got_len),
+        contents(&mem, want_len),
+        "{what}: lengths"
+    );
+    assert_eq!(
+        contents(&mem, got_off),
+        contents(&mem, want_off),
+        "{what}: offsets"
+    );
+    assert_eq!(got_meter, want_meter, "{what}: meter");
+}
+
+/// Bytes with matches to find: a short phrase over a sprinkle of noise.
+fn compressible(len: usize, seed: u64) -> Vec<u8> {
+    let noise = pseudo_random(len, seed);
+    (0..len)
+        .map(|i| {
+            if noise[i] < 40 {
+                noise[i]
+            } else {
+                b"find the longest match "[i % 23]
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn find_match_kernel_matches_the_lane_reference() {
+    for len in [50usize, 101, 257, 512] {
+        let data = compressible(len, len as u64);
+        // One block spanning the whole batch.
+        assert_find_match_exact(
+            &format!("{len} B, single block"),
+            &data,
+            &[0],
+            LaunchDims::cover(len as u64, 256),
+        );
+        // Many blocks: uneven cuts, an empty block (a repeated start) and
+        // a one-byte tail block.
+        let cuts: Vec<u32> = [0, 0, 13, 14, 40, 40, 41, 97, 200, 256, 300, 511]
+            .into_iter()
+            .filter(|&c| (c as usize) < len)
+            .chain([len as u32 - 1])
+            .collect();
+        assert_find_match_exact(
+            &format!("{len} B, {} blocks", cuts.len()),
+            &data,
+            &cuts,
+            LaunchDims::cover(len as u64, 64),
+        );
+        // A launch shorter than the batch leaves the tail bytes untouched.
+        assert_find_match_exact(
+            &format!("{len} B under a 32-lane launch"),
+            &data,
+            &cuts,
+            LaunchDims::linear(1, 32),
+        );
+    }
+    // A batch-sized case cut by the real chunker.
+    let data = compressible(6000, 99);
+    let params = RabinParams {
+        window: 16,
+        mask: (1 << 6) - 1,
+        magic: 0x15,
+        min_chunk: 32,
+        max_chunk: 512,
+    };
+    let starts: Vec<u32> = chunk_starts(&data, &params)
+        .into_iter()
+        .map(|s| s as u32)
+        .collect();
+    assert!(starts.len() > 8, "fixture must span many blocks");
+    assert_find_match_exact(
+        "6000 B, rabin-chunked",
+        &data,
+        &starts,
+        LaunchDims::cover(6000, 256),
+    );
+}
+
+#[test]
+#[should_panic(expected = "startPos must be ascending")]
+fn find_match_kernel_rejects_descending_starts() {
+    // The block cursor is only the per-lane scan on ascending starts; the
+    // kernel checks that once per launch instead of trusting the caller.
+    let data = compressible(64, 3);
+    assert_find_match_exact("descending", &data, &[0, 40, 20], LaunchDims::linear(1, 64));
 }

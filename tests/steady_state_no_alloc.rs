@@ -4,7 +4,8 @@
 //! and the Dedup hash stage on the offload backend — must run without
 //! touching the heap. Staging comes from the host rings, digests from the
 //! shared pool, device buffers from the device-side allocation cache, and
-//! kernel launches reuse the device's work meter.
+//! kernel launches reuse the device's work meter. The same holds for the
+//! Mandelbrot CPU-fallback rung, which shares the kernels' row routine.
 //!
 //! Same harness as `hotpath_no_alloc.rs`: a counting global allocator,
 //! one test per binary (so no concurrent test thread allocates), baseline
@@ -20,8 +21,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use hetstream::dedup::backend::{BackendCtx, DedupBackend, OffloadBackend};
 use hetstream::dedup::{make_batches, Batch, LzssConfig, RabinParams};
 use hetstream::gpusim::{CudaOffload, DeviceProps, GpuSystem, OclOffload, Offload};
-use hetstream::mandel::hybrid::BatchCompute;
+use hetstream::mandel::hybrid::{BatchCompute, MandelWork};
 use hetstream::mandel::FractalParams;
+use hetstream::workload::WorkloadDriver;
 
 struct CountingAlloc;
 
@@ -89,12 +91,36 @@ fn mandel_sweep<O: Offload>(label: &str) {
     assert!(!out.is_empty(), "{label}: the sweep must produce pixels");
 }
 
+/// The CPU-fallback rung with the device forced out of the picture: the
+/// same batches down the driver's host-only path, pixel buffers cycling
+/// through the workload's recycler as the sink would cycle them.
+fn mandel_fallback_sweep(label: &str) {
+    let system = GpuSystem::new(1, DeviceProps::titan_xp());
+    let params = FractalParams::view(32, 100);
+    let batch_size = 8;
+    let n_batches = params.dim.div_ceil(batch_size);
+    let work = MandelWork::<CudaOffload>::new(&system, &params, batch_size, 1, 1);
+    let recycle = work.recycler().clone();
+    let driver = WorkloadDriver::new(work);
+    let mut pixels = 0;
+    assert_steady_state(label, || {
+        for b in 0..n_batches {
+            let batch = driver.process_host(&b);
+            pixels += batch.len();
+            recycle.give(batch);
+        }
+    });
+    assert!(pixels > 0, "{label}: the sweep must produce pixels");
+}
+
 #[test]
 fn steady_state_batches_do_not_allocate() {
     // Fig. 1 shape: Mandelbrot batches through the CUDA front end.
     mandel_sweep::<CudaOffload>("mandel/cuda");
     // Fig. 4 shape: the same batches through the OpenCL front end.
     mandel_sweep::<OclOffload>("mandel/opencl");
+    // The rung a faulted batch degrades to: same batches on the host.
+    mandel_fallback_sweep("mandel/cpu-fallback");
 
     // Dedup hash stage (the stage-2 data path: stage, upload, launch,
     // read back, pooled digests) on the offload backend. Batches are
