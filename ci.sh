@@ -268,10 +268,41 @@ echo "== modeled-clock golden (named rerun) =="
 # ladder rungs and one dedup / one hashsearch batch, pinned as integers.
 cargo test --release --offline --test modeled_golden
 
-echo "== hetbench smoke + the benchmark package's own tests =="
+echo "== fused farm matrix + lost-wakeup stress (release, serial, under a deadline) =="
+# Every output arity x ordering x queue shape x wait strategy against the
+# sequential model, the thread census (source + N workers, nothing else)
+# and the one-slot-ring wakeup stress. A deadlock or a lost wakeup shows
+# as a hang, so the deadline turns it into a failure (exit 124).
+timeout 900 cargo test --release --offline -p fastflow \
+    --test farm_fused --test farm_threads --test wakeup -- --test-threads=1
+
+echo "== hetbench smoke (both modes) + the benchmark package's own tests =="
 # The repo's benchmark (BENCHMARK.json): all five workloads for about a
-# second each, every output checked against its sequential reference.
-benchmark/run.sh --smoke
+# second each, end to end and traced, every output checked against its
+# sequential reference.
+benchout=$(mktemp)
+benchmark/run.sh --smoke --traced --out "$benchout"
+metric() { # workload, trace, name
+    grep -o "\"workload\": \"$1\", \"trace\": $2.*" "$benchout" |
+        grep -o "\"$3\": {\"value\": [0-9.e+-]*" | head -n 1 | grep -o '[0-9.e+-]*$'
+}
+# A count, so a hard gate: an item crossing the farm allocates nothing
+# (1.0 before the worker messages carried their outputs inline).
+allocs=$(metric farm-finegrain 1 bench.allocs_per_item)
+awk -v a="$allocs" 'BEGIN { exit !(a != "" && a < 0.01) }' || {
+    echo "FAIL: farm-finegrain bench.allocs_per_item = '$allocs', want < 0.01" >&2
+    exit 1
+}
+# Not a speed gate: three orders of magnitude below any real reading. The
+# benchmark's serial reference is a pure loop; inlined next to set-up's
+# identical call the compiler reuses that result, the reference "runs" in
+# 44 ns and the speed-up reads 0.000002 (EXPERIMENTS.md, fused farm).
+speedup=$(metric farm-finegrain 0 speedup_vs_serial)
+awk -v s="$speedup" 'BEGIN { exit !(s != "" && s > 0.001) }' || {
+    echo "FAIL: farm-finegrain speedup_vs_serial = '$speedup': its serial reference was optimised away" >&2
+    exit 1
+}
+rm -f "$benchout"
 (cd benchmark && CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-../target}" cargo test -q --offline)
 
 echo "== bench.sh smoke (writes BENCH_pr3/pr5/pr7/pr8/pr9/pr10.json) =="

@@ -31,7 +31,7 @@ struct Shared {
     /// Receiver waits here; sender notifies after each push (Block mode).
     items: Arc<Signal>,
     /// Sender waits here; receiver notifies after each pop (Block mode).
-    space: Signal,
+    space: Arc<Signal>,
 }
 
 /// Sending half of a channel. Single producer: not cloneable.
@@ -50,22 +50,43 @@ pub struct Receiver<T> {
 
 /// Create a bounded channel with the given capacity and wait strategy.
 pub fn channel<T: Send>(capacity: usize, wait: WaitStrategy) -> (Sender<T>, Receiver<T>) {
-    channel_with_recv_signal(capacity, wait, Arc::new(Signal::new()))
+    with_signals(capacity, wait, Arc::default(), Arc::default())
 }
 
 /// Like [`channel`], but the receive-side signal is supplied by the caller so
-/// that one consumer can block on several channels at once (the farm
-/// collector does this: every worker's sender notifies the same signal).
+/// that one consumer can block on several channels at once (a farm's
+/// fan-in does this: every worker's sender notifies the same signal).
 pub fn channel_with_recv_signal<T: Send>(
     capacity: usize,
     wait: WaitStrategy,
     items_signal: Arc<Signal>,
 ) -> (Sender<T>, Receiver<T>) {
+    with_signals(capacity, wait, items_signal, Arc::default())
+}
+
+/// The mirror of [`channel_with_recv_signal`]: the send-side signal is
+/// supplied by the caller so that one producer can block on "any of these
+/// channels has room" (a farm's fan-out does this: every worker's
+/// receiver notifies the same signal after a pop).
+pub(crate) fn channel_with_send_signal<T: Send>(
+    capacity: usize,
+    wait: WaitStrategy,
+    space_signal: Arc<Signal>,
+) -> (Sender<T>, Receiver<T>) {
+    with_signals(capacity, wait, Arc::default(), space_signal)
+}
+
+fn with_signals<T: Send>(
+    capacity: usize,
+    wait: WaitStrategy,
+    items: Arc<Signal>,
+    space: Arc<Signal>,
+) -> (Sender<T>, Receiver<T>) {
     let (prod, cons) = spsc::ring(capacity);
     let shared = Arc::new(Shared {
         closed: AtomicBool::new(false),
-        items: items_signal,
-        space: Signal::new(),
+        items,
+        space,
     });
     (
         Sender {
@@ -168,6 +189,11 @@ impl<T: Send> Sender<T> {
     /// Advisory free-slot count.
     pub fn free_slots(&self) -> usize {
         self.prod.free_slots()
+    }
+
+    /// True when the receiver has been dropped.
+    pub(crate) fn is_disconnected(&self) -> bool {
+        self.prod.consumer_gone()
     }
 
     /// Ring capacity.

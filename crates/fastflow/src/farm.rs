@@ -1,24 +1,26 @@
-//! The farm skeleton: emitter → N worker replicas → collector.
+//! The farm skeleton: N worker replicas and nothing else.
 //!
-//! Reproduces FastFlow's `ff_farm`/`ff_ofarm`: an emitter thread distributes
-//! stream items to worker replicas (round-robin or on-demand), each worker
-//! runs its own [`Node`] instance, and a collector merges results —
-//! optionally restoring the input order (the *ordered farm* the paper's
-//! last pipeline stages rely on for Mandelbrot lines and Dedup batches).
+//! FastFlow's `ff_farm`/`ff_ofarm` without emitter or collector threads:
+//! the stage *upstream* distributes its own outputs straight into the
+//! worker rings (`FanOut`: round-robin, on-demand or routed), each worker
+//! runs its own [`Node`] instance, and the stage *downstream* merges the
+//! worker rings itself ([`FanIn`]), optionally restoring the input order
+//! (the *ordered farm* behind Mandelbrot lines and Dedup batches). DESIGN.md
+//! (`fastflow`, farm) has the liveness argument.
 
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
 use telemetry::{Recorder, StageHandle};
 
-use crate::channel::{channel, channel_with_recv_signal, Receiver, Sender};
+use crate::channel::{channel_with_recv_signal, channel_with_send_signal, Receiver, Sender};
 use crate::node::{Emitter, Node};
 use crate::pipeline::{send_batch_accounted, traced_recv_batch};
 use crate::stamp::Stamped;
 use crate::wait::{Signal, WaitStrategy};
 
-/// How the emitter assigns items to workers.
+/// How a farm's feeder assigns items to workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
     /// Cyclic assignment — FastFlow's default. Predictable and fair for
@@ -37,9 +39,9 @@ pub struct FarmConfig {
     pub capacity: usize,
     /// Wait strategy for every internal queue.
     pub wait: WaitStrategy,
-    /// Emitter scheduling policy.
+    /// Feeder scheduling policy.
     pub policy: SchedPolicy,
-    /// Restore input order at the collector.
+    /// Restore input order at the fan-in.
     pub ordered: bool,
     /// Maximum batched-transfer run length on every internal queue (see
     /// [`crate::PipeConfig::burst`]). `1` disables batching.
@@ -58,279 +60,190 @@ impl Default for FarmConfig {
     }
 }
 
+/// A worker-selection function for a routed farm: given an item's farm
+/// sequence number (assigned serially by the feeder, 0, 1, 2, …) and the
+/// item itself, returns the worker replica that must run it (modulo the
+/// replica count). With one replica pinned per device, routing an item
+/// *is* placing its batch; the single upstream thread calls the router
+/// serially in stream order, so the decisions form a deterministic log.
+pub type Router<I> = Box<dyn FnMut(u64, &I) -> usize + Send>;
+
+/// What one `svc` call emitted — inline for 0 and 1 outputs, so a 1:1 or
+/// filtering worker allocates nothing per item.
+enum Outs<O> {
+    None,
+    One(O),
+    Many(Vec<O>),
+}
+
+impl<O> Outs<O> {
+    fn push(&mut self, v: O) {
+        *self = match std::mem::replace(self, Outs::None) {
+            Outs::None => Outs::One(v),
+            Outs::One(first) => Outs::Many(vec![first, v]),
+            Outs::Many(mut all) => {
+                all.push(v);
+                Outs::Many(all)
+            }
+        };
+    }
+
+    fn len(&self) -> u64 {
+        match self {
+            Outs::None => 0,
+            Outs::One(_) => 1,
+            Outs::Many(all) => all.len() as u64,
+        }
+    }
+}
+
 enum WorkerMsg<O> {
-    /// Outputs produced for the input with this sequence number, plus the
-    /// input's emit stamp (forwarded to the outputs).
-    Item(u64, u64, Vec<O>),
+    /// Sequence number, emit stamp (forwarded to the outputs) and outputs
+    /// of one input; sent even when empty — the ordered merge advances on it.
+    Item(u64, u64, Outs<O>),
     /// Outputs flushed by `on_eos` (untimed).
     Final(Vec<O>),
 }
 
-struct OrderedEntry<O> {
-    seq: u64,
-    emit_ns: u64,
-    outs: Vec<O>,
-}
-
-impl<O> PartialEq for OrderedEntry<O> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl<O> Eq for OrderedEntry<O> {}
-impl<O> PartialOrd for OrderedEntry<O> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<O> Ord for OrderedEntry<O> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.seq.cmp(&self.seq) // min-heap by seq
-    }
-}
-
-/// Spawn a farm consuming `rx`; returns the merged output receiver plus the
-/// handles of all spawned threads (emitter + workers + collector).
-pub fn spawn_farm<N, F>(
-    rx: Receiver<Stamped<N::In>>,
-    replicas: usize,
-    factory: F,
-    cfg: FarmConfig,
-) -> (Receiver<Stamped<N::Out>>, Vec<JoinHandle<()>>)
-where
-    N: Node,
-    F: FnMut(usize) -> N,
-{
-    spawn_farm_traced(rx, replicas, factory, cfg, &Recorder::default(), "farm")
-}
-
-/// [`spawn_farm`] with telemetry: every worker replica registers a
-/// [`telemetry::StageMetrics`] named `stage_name` under `rec`. With a
-/// disabled recorder this is exactly `spawn_farm`.
-pub fn spawn_farm_traced<N, F>(
-    rx: Receiver<Stamped<N::In>>,
-    replicas: usize,
-    factory: F,
-    cfg: FarmConfig,
-    rec: &Recorder,
-    stage_name: &str,
-) -> (Receiver<Stamped<N::Out>>, Vec<JoinHandle<()>>)
-where
-    N: Node,
-    F: FnMut(usize) -> N,
-{
-    spawn_farm_inner(rx, replicas, factory, cfg, rec, stage_name, None)
-}
-
-/// A worker-selection function for [`spawn_farm_routed`]: given an
-/// item's farm sequence number (assigned serially by the emitter, 0, 1,
-/// 2, …) and the item itself, returns the worker replica that must run
-/// it. Values `>= replicas` wrap modulo the replica count.
-pub type Router<I> = Box<dyn FnMut(u64, &I) -> usize + Send>;
-
-/// [`spawn_farm_traced`] with explicit worker selection: the emitter
-/// asks `router` — not a fixed policy — which replica gets each item.
-/// This is the graph-node adapter a placement scheduler drives: with
-/// one replica pinned per device, routing an item *is* placing its
-/// batch on a device, and because the emitter calls the router serially
-/// in stream order, placement decisions form a deterministic log even
-/// though the workers themselves run concurrently.
-pub fn spawn_farm_routed<N, F>(
-    rx: Receiver<Stamped<N::In>>,
-    replicas: usize,
-    factory: F,
-    mut router: Router<N::In>,
-    cfg: FarmConfig,
-    rec: &Recorder,
-    stage_name: &str,
-) -> (Receiver<Stamped<N::Out>>, Vec<JoinHandle<()>>)
-where
-    N: Node,
-    F: FnMut(usize) -> N,
-{
-    let route: Router<Stamped<N::In>> = Box::new(move |seq, s| router(seq, &s.item));
-    spawn_farm_inner(rx, replicas, factory, cfg, rec, stage_name, Some(route))
-}
-
-fn spawn_farm_inner<N, F>(
-    rx: Receiver<Stamped<N::In>>,
+/// Spawn the worker replicas of one farm (thread handles go to `handles`)
+/// and hand back the [`FanOut`] the upstream stage pushes into and the
+/// [`FanIn`] the downstream stage (or terminal op) pulls from. `route`
+/// overrides `cfg.policy`.
+pub(crate) fn spawn_workers<N, F>(
     replicas: usize,
     mut factory: F,
     cfg: FarmConfig,
+    route: Option<Router<N::In>>,
     rec: &Recorder,
     stage_name: &str,
-    route: Option<Router<Stamped<N::In>>>,
-) -> (Receiver<Stamped<N::Out>>, Vec<JoinHandle<()>>)
+    handles: &mut Vec<JoinHandle<()>>,
+) -> (FanOut<N::In>, FanIn<N::Out>)
 where
     N: Node,
     F: FnMut(usize) -> N,
 {
     assert!(replicas > 0, "farm needs at least one worker replica");
-    let mut handles = Vec::with_capacity(replicas + 2);
-
-    // Emitter -> workers.
+    // The input rings share a space signal, the output rings an item signal:
+    // the feeder parks on "any worker has room", the merge on "any produced".
+    let space = Arc::new(Signal::new());
+    let items = Arc::new(Signal::new());
     let mut to_workers = Vec::with_capacity(replicas);
-    let mut worker_rxs = Vec::with_capacity(replicas);
-    for _ in 0..replicas {
-        let (tx, rx) = channel::<(u64, Stamped<N::In>)>(cfg.capacity, cfg.wait);
-        to_workers.push(tx);
-        worker_rxs.push(rx);
-    }
-
-    // Workers -> collector, sharing one item-arrival signal so the collector
-    // can block on "any worker produced something".
-    let collector_signal = Arc::new(Signal::new());
-    let mut from_workers = Vec::with_capacity(replicas);
-    let mut worker_txs = Vec::with_capacity(replicas);
-    for _ in 0..replicas {
-        let (tx, rx) = channel_with_recv_signal::<WorkerMsg<N::Out>>(
-            cfg.capacity,
-            cfg.wait,
-            Arc::clone(&collector_signal),
-        );
-        worker_txs.push(tx);
-        from_workers.push(rx);
-    }
-
-    // Emitter thread.
-    {
-        let policy = cfg.policy;
-        let burst = cfg.burst;
-        handles.push(
-            thread::Builder::new()
-                .name("ff-emitter".into())
-                .spawn(move || match route {
-                    Some(router) => run_emitter_routed(rx, to_workers, router, burst),
-                    None => run_emitter(rx, to_workers, policy, burst),
-                })
-                .expect("spawn emitter"),
-        );
-    }
-
-    // Worker threads.
-    for (idx, (w_rx, w_tx)) in worker_rxs.into_iter().zip(worker_txs).enumerate() {
+    let mut lanes = Vec::with_capacity(replicas);
+    for idx in 0..replicas {
+        let (in_tx, in_rx) = channel_with_send_signal(cfg.capacity, cfg.wait, Arc::clone(&space));
+        let (out_tx, out_rx) = channel_with_recv_signal(cfg.capacity, cfg.wait, Arc::clone(&items));
+        to_workers.push(in_tx);
+        lanes.push(Lane {
+            rx: out_rx,
+            staged: Vec::with_capacity(cfg.burst),
+            pos: 0,
+            done: false,
+        });
         let mut node = factory(idx);
         let stage = rec.stage(stage_name, idx);
-        let burst = cfg.burst;
         handles.push(
             thread::Builder::new()
                 .name(format!("ff-worker-{idx}"))
-                .spawn(move || run_worker(&mut node, w_rx, w_tx, stage, burst))
+                .spawn(move || run_worker(&mut node, in_rx, out_tx, stage, cfg.burst))
                 .expect("spawn worker"),
         );
     }
-
-    // Collector thread.
-    let (out_tx, out_rx) = channel::<Stamped<N::Out>>(cfg.capacity, cfg.wait);
-    {
-        let wait = cfg.wait;
-        let ordered = cfg.ordered;
-        let burst = cfg.burst;
-        handles.push(
-            thread::Builder::new()
-                .name("ff-collector".into())
-                .spawn(move || {
-                    run_collector(from_workers, out_tx, collector_signal, wait, ordered, burst)
-                })
-                .expect("spawn collector"),
-        );
-    }
-
-    (out_rx, handles)
+    let scratch = (0..replicas).map(|_| VecDeque::with_capacity(cfg.burst));
+    let fan_out = FanOut {
+        scratch: scratch.collect(),
+        to_workers,
+        route,
+        seq: 0,
+        buffered: 0,
+        space,
+        cfg,
+    };
+    let fan_in = FanIn(Inlet::Farm(Merge {
+        lanes,
+        signal: items,
+        cfg,
+        next_seq: 0,
+        finals: Vec::new(),
+        spill: VecDeque::new(),
+    }));
+    (fan_out, fan_in)
 }
 
-fn run_emitter<I: Send + 'static>(
-    rx: Receiver<I>,
-    to_workers: Vec<Sender<(u64, I)>>,
-    policy: SchedPolicy,
-    burst: usize,
-) {
-    let n = to_workers.len();
-    let mut seq: u64 = 0;
-    let mut in_buf: Vec<I> = Vec::with_capacity(burst);
-    // Per-worker scratch for the round-robin multi-push: one input burst is
-    // partitioned by destination, then delivered with one `send_batch` per
-    // worker touched.
-    let mut scratch: Vec<Vec<(u64, I)>> = (0..n).map(|_| Vec::with_capacity(burst)).collect();
-    'stream: while rx.recv_batch(&mut in_buf, burst) > 0 {
-        match policy {
-            SchedPolicy::RoundRobin => {
-                for item in in_buf.drain(..) {
-                    scratch[(seq as usize) % n].push((seq, item));
-                    seq += 1;
-                }
-                for (w, buf) in scratch.iter_mut().enumerate() {
-                    if !buf.is_empty() && to_workers[w].send_batch(buf.drain(..)).is_err() {
-                        break 'stream; // worker died; stop the stream
-                    }
-                }
-            }
-            SchedPolicy::OnDemand => {
-                for item in in_buf.drain(..) {
-                    let mut msg = Some((seq, item));
-                    let mut spins = 0u32;
-                    loop {
-                        let mut all_dead = true;
-                        for tx in &to_workers {
-                            match tx.try_send(msg.take().expect("message present")) {
-                                Ok(()) => break,
-                                Err(crate::channel::TrySendError::Full(m)) => {
-                                    all_dead = false;
-                                    msg = Some(m);
-                                }
-                                Err(crate::channel::TrySendError::Disconnected(m)) => {
-                                    msg = Some(m);
-                                }
-                            }
-                        }
-                        if msg.is_none() {
-                            break; // placed on some worker
-                        }
-                        if all_dead {
-                            break 'stream;
-                        }
-                        spins += 1;
-                        if spins < 64 {
-                            std::hint::spin_loop();
-                        } else {
-                            thread::yield_now();
-                        }
-                    }
-                    seq += 1;
-                }
-            }
-        }
-    }
-    // Senders drop here => EOS to every worker.
+/// The output side of the stage feeding a farm: numbers items in stream
+/// order, partitions each burst by destination and delivers it straight
+/// into the worker rings. Delivery never blocks on one ring while holding
+/// items for another (the ordered merge's liveness rests on that): a flush
+/// offers every pending run without waiting, and waits only when no ring
+/// took anything, on the space signal all the worker rings share.
+pub(crate) struct FanOut<T: Send> {
+    to_workers: Vec<Sender<(u64, Stamped<T>)>>,
+    /// Per-worker runs awaiting delivery, in sequence order.
+    scratch: Vec<VecDeque<(u64, Stamped<T>)>>,
+    route: Option<Router<T>>,
+    seq: u64,
+    /// Items across all of `scratch`.
+    buffered: usize,
+    space: Arc<Signal>,
+    cfg: FarmConfig,
 }
 
-fn run_emitter_routed<I: Send + 'static>(
-    rx: Receiver<I>,
-    to_workers: Vec<Sender<(u64, I)>>,
-    mut router: Router<I>,
-    burst: usize,
-) {
-    let n = to_workers.len();
-    let mut seq: u64 = 0;
-    let mut in_buf: Vec<I> = Vec::with_capacity(burst);
-    // Same burst-partitioned delivery as the round-robin emitter, with
-    // the destination chosen per item by the router. The router runs on
-    // this single emitter thread, in seq order — the property placement
-    // determinism rests on.
-    let mut scratch: Vec<Vec<(u64, I)>> = (0..n).map(|_| Vec::with_capacity(burst)).collect();
-    'stream: while rx.recv_batch(&mut in_buf, burst) > 0 {
-        for item in in_buf.drain(..) {
-            let w = router(seq, &item) % n;
-            scratch[w].push((seq, item));
-            seq += 1;
-        }
-        for (w, buf) in scratch.iter_mut().enumerate() {
-            if !buf.is_empty() && to_workers[w].send_batch(buf.drain(..)).is_err() {
-                break 'stream; // worker died; stop the stream
+impl<T: Send> FanOut<T> {
+    /// Queue one item for its worker; auto-flushes at the burst size.
+    /// Returns false once a worker is gone. A router runs here, on the
+    /// upstream stage's thread, serially and in sequence order.
+    #[inline]
+    pub(crate) fn push(&mut self, item: Stamped<T>, stage: &StageHandle) -> bool {
+        let n = self.to_workers.len();
+        let w = match (&mut self.route, self.cfg.policy) {
+            (Some(router), _) => router(self.seq, &item.item) % n,
+            (None, SchedPolicy::OnDemand) => 0,
+            (None, SchedPolicy::RoundRobin) => self.seq as usize % n,
+        };
+        self.scratch[w].push_back((self.seq, item));
+        self.seq += 1;
+        self.buffered += 1;
+        self.buffered < self.cfg.burst || self.flush(stage)
+    }
+
+    /// Deliver everything queued, recording `items_out` as runs are handed
+    /// off; a flush that has to wait for room counts one push stall.
+    /// Returns false once a worker is gone: the stream stops.
+    pub(crate) fn flush(&mut self, stage: &StageHandle) -> bool {
+        // On demand, items are placed now: everything queued up on
+        // `scratch[0]` and is offered to every worker in turn.
+        let on_demand = self.route.is_none() && self.cfg.policy == SchedPolicy::OnDemand;
+        let mut stalled = false;
+        while self.buffered > 0 {
+            let mut placed = 0;
+            for (w, tx) in self.to_workers.iter().enumerate() {
+                let run = &mut self.scratch[if on_demand { 0 } else { w }];
+                if run.is_empty() {
+                    continue;
+                }
+                // The ring pulls only as many items as it has room for.
+                match tx.try_send_batch(&mut std::iter::from_fn(|| run.pop_front())) {
+                    Ok(n) => placed += n,
+                    Err(_) => return false,
+                }
+            }
+            stage.items_out(placed as u64);
+            self.buffered -= placed;
+            if placed == 0 {
+                if !stalled {
+                    stage.push_stall();
+                    stalled = true;
+                }
+                let (txs, scratch) = (&self.to_workers, &self.scratch);
+                self.cfg.wait.wait_until(&self.space, || {
+                    txs.iter().enumerate().any(|(w, tx)| {
+                        !scratch[if on_demand { 0 } else { w }].is_empty()
+                            && (tx.free_slots() > 0 || tx.is_disconnected())
+                    })
+                });
             }
         }
+        true
     }
-    // Senders drop here => EOS to every worker.
 }
 
 fn run_worker<N: Node>(
@@ -345,8 +258,10 @@ fn run_worker<N: Node>(
     let mut msg_buf: Vec<WorkerMsg<N::Out>> = Vec::with_capacity(burst);
     while traced_recv_batch(&rx, &stage, &mut in_buf, burst) > 0 {
         for (seq, Stamped { item, emit_ns }) in in_buf.drain(..) {
-            stage.item_in(rx.len());
-            let mut outs = Vec::new();
+            if stage.enabled() {
+                stage.item_in(rx.len());
+            }
+            let mut outs = Outs::None;
             {
                 let mut sink = |v: N::Out| {
                     outs.push(v);
@@ -359,15 +274,14 @@ fn run_worker<N: Node>(
             }
             msg_buf.push(WorkerMsg::Item(seq, emit_ns, outs));
         }
-        // One batched hand-off per input burst, flushed before the recv
-        // above can block again. `items_out` is recorded at hand-off, not
-        // at svc time (see `send_batch_accounted`).
+        // One batched hand-off per input burst, before the recv above can
+        // block again; `items_out` is recorded at hand-off, not at svc time.
         let delivered = send_batch_accounted(&tx, &mut msg_buf, &stage, |m| match m {
-            WorkerMsg::Item(_, _, outs) => outs.len() as u64,
+            WorkerMsg::Item(_, _, outs) => outs.len(),
             WorkerMsg::Final(_) => 0,
         });
         if !delivered {
-            return; // collector gone
+            return; // consumer gone
         }
     }
     let mut finals = Vec::new();
@@ -384,128 +298,203 @@ fn run_worker<N: Node>(
     }
 }
 
-/// Deliver everything in `buf` downstream; `Err` means the consumer is gone.
-fn flush_out<O: Send + 'static>(
-    out_tx: &Sender<Stamped<O>>,
-    buf: &mut Vec<Stamped<O>>,
-) -> Result<(), ()> {
-    if buf.is_empty() {
-        return Ok(());
+/// One worker's output ring as the merge sees it.
+struct Lane<O> {
+    rx: Receiver<WorkerMsg<O>>,
+    /// One run drained from `rx`; the message at `pos` is this lane's head.
+    staged: Vec<WorkerMsg<O>>,
+    pos: usize,
+    /// Ring closed and drained (the staged tail may still hold messages).
+    done: bool,
+}
+
+impl<O: Send> Lane<O> {
+    fn exhausted(&self) -> bool {
+        self.pos == self.staged.len()
     }
-    match out_tx.send_batch(buf.drain(..)) {
-        Ok(_) => Ok(()),
-        Err(_) => Err(()),
+
+    /// Could a refill make progress right now?
+    fn ready(&self) -> bool {
+        !self.done && self.exhausted() && (!self.rx.is_empty() || self.rx.is_closed())
     }
 }
 
-fn run_collector<O: Send + 'static>(
-    from_workers: Vec<Receiver<WorkerMsg<O>>>,
-    out_tx: Sender<Stamped<O>>,
+/// The merge over a farm's worker output rings.
+struct Merge<O> {
+    lanes: Vec<Lane<O>>,
     signal: Arc<Signal>,
-    wait: WaitStrategy,
-    ordered: bool,
-    burst: usize,
-) {
-    let n = from_workers.len();
-    let mut eos = vec![false; n];
-    let mut eos_count = 0usize;
-    let mut heap: BinaryHeap<OrderedEntry<O>> = BinaryHeap::new();
-    let mut next_seq: u64 = 0;
-    let mut finals: Vec<O> = Vec::new();
-    let mut msg_buf: Vec<WorkerMsg<O>> = Vec::with_capacity(burst);
-    // Outputs accumulate here and leave via one `send_batch` per run —
-    // flushed at the burst size and always before blocking, so downstream
-    // never waits on items the collector already holds.
-    let mut out_buf: Vec<Stamped<O>> = Vec::with_capacity(burst);
+    cfg: FarmConfig,
+    /// Ordered mode: the sequence number due next.
+    next_seq: u64,
+    /// `on_eos` outputs, released after everything else.
+    finals: Vec<O>,
+    /// Items [`FanIn::recv`] merged but has not handed out yet.
+    spill: VecDeque<Stamped<O>>,
+}
 
-    'outer: while eos_count < n {
-        let mut progressed = false;
-        for (i, rx) in from_workers.iter().enumerate() {
-            if eos[i] {
-                continue;
-            }
-            while rx.try_recv_batch(&mut msg_buf, burst) > 0 {
-                progressed = true;
-                for msg in msg_buf.drain(..) {
-                    match msg {
-                        WorkerMsg::Item(seq, emit_ns, outs) => {
-                            if ordered {
-                                heap.push(OrderedEntry { seq, emit_ns, outs });
-                                while heap.peek().is_some_and(|e| e.seq == next_seq) {
-                                    let entry = heap.pop().expect("peeked");
-                                    next_seq += 1;
-                                    for v in entry.outs {
-                                        out_buf.push(Stamped::at(v, entry.emit_ns));
-                                    }
-                                    if out_buf.len() >= burst
-                                        && flush_out(&out_tx, &mut out_buf).is_err()
-                                    {
-                                        break 'outer;
-                                    }
-                                }
-                            } else {
-                                for v in outs {
-                                    out_buf.push(Stamped::at(v, emit_ns));
-                                }
-                                if out_buf.len() >= burst
-                                    && flush_out(&out_tx, &mut out_buf).is_err()
-                                {
-                                    break 'outer;
-                                }
+impl<O: Send> Merge<O> {
+    /// Merge what is available now into `out`, in passes over the lanes until
+    /// `max` items were appended (a pass is never cut short: the count may
+    /// overshoot) or a pass finds nothing. `None` is EOS, `Some(0)` "not yet".
+    fn try_merge<E: Extend<Stamped<O>>>(&mut self, out: &mut E, max: usize) -> Option<usize> {
+        let mut got = 0;
+        let mut progressed = true;
+        while progressed && got < max {
+            progressed = false;
+            for lane in &mut self.lanes {
+                if lane.exhausted() && !lane.done {
+                    lane.staged.clear();
+                    lane.pos = 0;
+                    let n = lane.rx.try_recv_batch(&mut lane.staged, self.cfg.burst);
+                    lane.done = n == 0 && lane.rx.is_eos();
+                }
+                while !lane.exhausted() {
+                    if let WorkerMsg::Item(seq, ..) = lane.staged[lane.pos] {
+                        if self.cfg.ordered && seq != self.next_seq {
+                            break;
+                        }
+                    }
+                    // Moving the head out leaves an empty (unallocated) `Final`.
+                    let taken = WorkerMsg::Final(Vec::new());
+                    match std::mem::replace(&mut lane.staged[lane.pos], taken) {
+                        WorkerMsg::Item(_, emit_ns, outs) => {
+                            self.next_seq += 1;
+                            got += outs.len() as usize;
+                            let stamp = |v| Stamped::at(v, emit_ns);
+                            match outs {
+                                Outs::None => {}
+                                Outs::One(v) => out.extend(Some(stamp(v))),
+                                Outs::Many(all) => out.extend(all.into_iter().map(stamp)),
                             }
                         }
-                        WorkerMsg::Final(outs) => finals.extend(outs),
+                        WorkerMsg::Final(outs) => self.finals.extend(outs),
                     }
+                    lane.pos += 1;
+                    progressed = true;
                 }
             }
-            if rx.is_eos() {
-                eos[i] = true;
-                eos_count += 1;
-                progressed = true;
-            }
-        }
-        if eos_count >= n {
-            break;
-        }
-        if !progressed {
-            if flush_out(&out_tx, &mut out_buf).is_err() {
-                return;
-            }
-            let epoch = signal.epoch();
-            let any_ready = from_workers
-                .iter()
-                .enumerate()
-                .any(|(i, rx)| !eos[i] && (!rx.is_empty() || rx.is_eos()));
-            if !any_ready {
-                match wait {
-                    WaitStrategy::Block => signal.wait_if(epoch),
-                    WaitStrategy::Spin => std::hint::spin_loop(),
-                    WaitStrategy::Yield => thread::yield_now(),
+            // Every live lane shows a later head and a lane's numbers only
+            // grow: the one due died with its worker. Skip to the smallest
+            // head so the survivors drain and the panic surfaces at the join.
+            if !progressed && self.lanes.iter().all(|l| l.done || !l.exhausted()) {
+                let heads = self.lanes.iter().filter(|l| !l.exhausted());
+                let seqs = heads.filter_map(|l| match l.staged[l.pos] {
+                    WorkerMsg::Item(seq, ..) => Some(seq),
+                    WorkerMsg::Final(_) => None,
+                });
+                if let Some(seq) = seqs.min() {
+                    self.next_seq = seq;
+                    progressed = true;
                 }
+            }
+        }
+        if got == 0 && self.lanes.iter().all(|l| l.done && l.exhausted()) {
+            // Everything ordered is out; the `on_eos` flushes follow.
+            got = self.finals.len();
+            out.extend(self.finals.drain(..).map(Stamped::bare));
+            return (got > 0).then_some(got);
+        }
+        Some(got)
+    }
+
+    /// Blocking [`Merge::try_merge`]: at least one item, or 0 at EOS.
+    fn recv_batch<E: Extend<Stamped<O>>>(
+        &mut self,
+        stage: &StageHandle,
+        out: &mut E,
+        max: usize,
+    ) -> usize {
+        let mut waited = false;
+        loop {
+            match self.try_merge(out, max) {
+                None => return 0,
+                Some(0) => {}
+                Some(n) => return n,
+            }
+            if !waited {
+                stage.pop_wait();
+                waited = true;
+            }
+            let lanes = &self.lanes;
+            let ready = || lanes.iter().any(Lane::ready);
+            self.cfg.wait.wait_until(&self.signal, ready);
+        }
+    }
+}
+
+enum Inlet<T> {
+    /// One ring from a sequential stage.
+    Single(Receiver<Stamped<T>>),
+    /// A farm's worker rings, merged on the consuming thread.
+    Farm(Merge<T>),
+}
+
+/// The receive endpoint of a running graph: the input side of every
+/// sequential stage and terminal op, and what
+/// [`PipelineBuilder::into_receiver`](crate::PipelineBuilder::into_receiver)
+/// hands back. Behind it is one ring, or a farm's worker rings drained and
+/// merged on the calling thread. An ordered farm restores stream order
+/// here as a k-way merge on the ring heads: each worker emits in increasing
+/// sequence number over a FIFO ring, so the item due next is always some
+/// ring's head, and nothing is buffered beyond the rings and one staged
+/// burst per worker. `on_eos` outputs follow all ordered items.
+pub struct FanIn<T>(Inlet<T>);
+
+impl<T: Send> FanIn<T> {
+    pub(crate) fn single(rx: Receiver<Stamped<T>>) -> Self {
+        FanIn(Inlet::Single(rx))
+    }
+
+    /// The plain ring behind this endpoint, or the endpoint back if it
+    /// merges a farm.
+    pub(crate) fn into_single(self) -> Result<Receiver<Stamped<T>>, Self> {
+        match self.0 {
+            Inlet::Single(rx) => Ok(rx),
+            farm => Err(FanIn(farm)),
+        }
+    }
+
+    /// Dequeue the next item, blocking per the wait strategy while none is
+    /// available. `None` once every producer is done and drained.
+    pub fn recv(&mut self) -> Option<Stamped<T>> {
+        match &mut self.0 {
+            Inlet::Single(rx) => rx.recv(),
+            Inlet::Farm(merge) => {
+                if merge.spill.is_empty() {
+                    let mut spill = std::mem::take(&mut merge.spill);
+                    merge.recv_batch(&StageHandle::noop(), &mut spill, merge.cfg.burst);
+                    merge.spill = spill;
+                }
+                merge.spill.pop_front()
             }
         }
     }
 
-    // In-order items buffered above must leave before the stragglers.
-    if flush_out(&out_tx, &mut out_buf).is_err() {
-        return;
-    }
-    // Drain any ordered stragglers (all workers done, heap must be complete).
-    while let Some(entry) = heap.pop() {
-        debug_assert_eq!(entry.seq, next_seq, "ordered farm missing sequence");
-        next_seq += 1;
-        for v in entry.outs {
-            out_buf.push(Stamped::at(v, entry.emit_ns));
+    /// The stage loops' batched dequeue (never mixed with [`FanIn::recv`]):
+    /// wait for at least one item, append about `max` and return how many;
+    /// `0` is end-of-stream. An empty first look counts a pop wait on `stage`.
+    pub(crate) fn recv_batch(
+        &mut self,
+        stage: &StageHandle,
+        out: &mut Vec<Stamped<T>>,
+        max: usize,
+    ) -> usize {
+        match &mut self.0 {
+            Inlet::Single(rx) => traced_recv_batch(rx, stage, out, max),
+            Inlet::Farm(merge) => merge.recv_batch(stage, out, max),
         }
-        if out_buf.len() >= burst && flush_out(&out_tx, &mut out_buf).is_err() {
-            return;
+    }
+
+    /// Advisory count of items queued behind this endpoint.
+    pub(crate) fn depth(&self) -> usize {
+        match &self.0 {
+            Inlet::Single(rx) => rx.len(),
+            Inlet::Farm(merge) => {
+                let staged = |l: &Lane<T>| l.rx.len() + l.staged.len() - l.pos;
+                merge.lanes.iter().map(staged).sum()
+            }
         }
     }
-    for v in finals {
-        out_buf.push(Stamped::bare(v));
-    }
-    let _ = flush_out(&out_tx, &mut out_buf);
-    // out_tx drops here => EOS downstream.
 }
 
 #[cfg(test)]
@@ -513,21 +502,48 @@ mod tests {
     use super::*;
     use crate::node;
 
-    fn feed(values: Vec<u64>, cfg: FarmConfig, replicas: usize) -> Vec<u64> {
-        let (tx, rx) = channel::<Stamped<u64>>(cfg.capacity, cfg.wait);
-        let producer = thread::spawn(move || {
+    /// Drive a farm's two endpoints by hand: a feeder thread pushes
+    /// `values` into the fan-out, the caller drains the fan-in.
+    fn run<N, F>(
+        values: Vec<N::In>,
+        replicas: usize,
+        factory: F,
+        cfg: FarmConfig,
+        route: Option<Router<N::In>>,
+    ) -> Vec<N::Out>
+    where
+        N: Node,
+        F: FnMut(usize) -> N,
+    {
+        let mut handles = Vec::new();
+        let rec = Recorder::default();
+        let (mut fan_out, fan_in) =
+            spawn_workers(replicas, factory, cfg, route, &rec, "farm", &mut handles);
+        let feeder = thread::spawn(move || {
+            let stage = StageHandle::noop();
             for v in values {
-                tx.send(Stamped::bare(v)).unwrap();
+                assert!(fan_out.push(Stamped::bare(v), &stage));
             }
+            assert!(fan_out.flush(&stage));
         });
-        let (out_rx, handles) =
-            spawn_farm::<_, _>(rx, replicas, |_| node::map(|x: u64| x * 10), cfg);
-        let collected: Vec<u64> = out_rx.into_iter().map(Stamped::into_inner).collect();
-        producer.join().unwrap();
+        let mut fan_in = fan_in;
+        let collected: Vec<N::Out> = std::iter::from_fn(|| fan_in.recv().map(|s| s.item)).collect();
+        feeder.join().unwrap();
         for h in handles {
             h.join().unwrap();
         }
         collected
+    }
+
+    fn feed(values: Vec<u64>, cfg: FarmConfig, replicas: usize) -> Vec<u64> {
+        run(values, replicas, |_| node::map(|x: u64| x * 10), cfg, None)
+    }
+
+    fn ordered() -> FarmConfig {
+        FarmConfig {
+            ordered: true,
+            ..FarmConfig::default()
+        }
     }
 
     #[test]
@@ -541,11 +557,7 @@ mod tests {
 
     #[test]
     fn ordered_farm_preserves_input_order() {
-        let cfg = FarmConfig {
-            ordered: true,
-            ..FarmConfig::default()
-        };
-        let got = feed((0..500).collect(), cfg, 4);
+        let got = feed((0..500).collect(), ordered(), 4);
         let expected: Vec<u64> = (0..500).map(|x| x * 10).collect();
         assert_eq!(got, expected);
     }
@@ -553,10 +565,9 @@ mod tests {
     #[test]
     fn ordered_farm_on_demand_preserves_order() {
         let cfg = FarmConfig {
-            ordered: true,
             policy: SchedPolicy::OnDemand,
             capacity: 4,
-            ..FarmConfig::default()
+            ..ordered()
         };
         let got = feed((0..300).collect(), cfg, 3);
         let expected: Vec<u64> = (0..300).map(|x| x * 10).collect();
@@ -565,11 +576,7 @@ mod tests {
 
     #[test]
     fn single_replica_farm_is_a_pipeline_stage() {
-        let cfg = FarmConfig {
-            ordered: true,
-            ..FarmConfig::default()
-        };
-        let got = feed(vec![5, 6, 7], cfg, 1);
+        let got = feed(vec![5, 6, 7], ordered(), 1);
         assert_eq!(got, vec![50, 60, 70]);
     }
 
@@ -589,22 +596,13 @@ mod tests {
                 out.send(1_000_000 + self.seen);
             }
         }
-        let cfg = FarmConfig {
-            ordered: true,
-            ..FarmConfig::default()
-        };
-        let (tx, rx) = channel::<Stamped<u64>>(16, cfg.wait);
-        let producer = thread::spawn(move || {
-            for v in 0..10u64 {
-                tx.send(Stamped::bare(v)).unwrap();
-            }
-        });
-        let (out_rx, handles) = spawn_farm::<_, _>(rx, 2, |_| Counting { seen: 0 }, cfg);
-        let got: Vec<u64> = out_rx.into_iter().map(Stamped::into_inner).collect();
-        producer.join().unwrap();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let got = run(
+            (0..10).collect(),
+            2,
+            |_| Counting { seen: 0 },
+            ordered(),
+            None,
+        );
         // First 10 items in order, then 2 per-worker flush totals (5 each).
         assert_eq!(&got[..10], &(0..10).collect::<Vec<u64>>()[..]);
         let mut tails: Vec<u64> = got[10..].to_vec();
@@ -614,27 +612,8 @@ mod tests {
 
     #[test]
     fn multi_output_nodes_keep_group_order_when_ordered() {
-        let cfg = FarmConfig {
-            ordered: true,
-            ..FarmConfig::default()
-        };
-        let (tx, rx) = channel::<Stamped<u64>>(16, cfg.wait);
-        let producer = thread::spawn(move || {
-            for v in 0..20u64 {
-                tx.send(Stamped::bare(v)).unwrap();
-            }
-        });
-        let (out_rx, handles) = spawn_farm::<_, _>(
-            rx,
-            3,
-            |_| node::flat_map(|x: u64| vec![x * 2, x * 2 + 1]),
-            cfg,
-        );
-        let got: Vec<u64> = out_rx.into_iter().map(Stamped::into_inner).collect();
-        producer.join().unwrap();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let factory = |_| node::flat_map(|x: u64| vec![x * 2, x * 2 + 1]);
+        let got = run((0..20).collect(), 3, factory, ordered(), None);
         assert_eq!(got, (0..40).collect::<Vec<u64>>());
     }
 
@@ -650,35 +629,13 @@ mod tests {
                 out.send((self.replica, input));
             }
         }
-        use crate::node::Emitter;
-        let cfg = FarmConfig {
-            ordered: true,
-            ..FarmConfig::default()
+        let factory = |idx| Tagged {
+            replica: idx as u64,
         };
-        let (tx, rx) = channel::<Stamped<u64>>(cfg.capacity, cfg.wait);
-        let producer = thread::spawn(move || {
-            for v in 0..200u64 {
-                tx.send(Stamped::bare(v)).unwrap();
-            }
-        });
-        let (out_rx, handles) = spawn_farm_routed::<Tagged, _>(
-            rx,
-            3,
-            |idx| Tagged {
-                replica: idx as u64,
-            },
-            Box::new(|_seq, item: &u64| (*item % 3) as usize),
-            cfg,
-            &Recorder::default(),
-            "routed",
-        );
-        let got: Vec<(u64, u64)> = out_rx.into_iter().map(Stamped::into_inner).collect();
-        producer.join().unwrap();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let router: Router<u64> = Box::new(|_seq, item: &u64| (*item % 3) as usize);
+        let got = run((0..200).collect(), 3, factory, ordered(), Some(router));
         // Every item ran on the replica the router named, and the
-        // ordered collector restored stream order.
+        // ordered merge restored stream order.
         assert_eq!(got.len(), 200);
         for (i, (replica, item)) in got.iter().enumerate() {
             assert_eq!(*item, i as u64);
@@ -687,10 +644,31 @@ mod tests {
     }
 
     #[test]
+    fn single_item_recv_hands_out_multi_output_messages_one_by_one() {
+        let factory = |_| node::flat_map(|x: u64| vec![x; x as usize]);
+        let mut handles = Vec::new();
+        let rec = Recorder::default();
+        let (mut fan_out, mut fan_in) =
+            spawn_workers(2, factory, ordered(), None, &rec, "farm", &mut handles);
+        let stage = StageHandle::noop();
+        for v in 0..4 {
+            assert!(fan_out.push(Stamped::bare(v), &stage));
+        }
+        assert!(fan_out.flush(&stage));
+        drop(fan_out);
+        let got: Vec<u64> = std::iter::from_fn(|| fan_in.recv())
+            .map(|s| s.item)
+            .collect();
+        assert_eq!(got, vec![1, 2, 2, 3, 3, 3]);
+        assert!(fan_in.recv().is_none());
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_replicas_panics() {
-        let cfg = FarmConfig::default();
-        let (_tx, rx) = channel::<Stamped<u64>>(4, cfg.wait);
-        let _ = spawn_farm::<_, _>(rx, 0, |_| node::map(|x: u64| x), cfg);
+        let _ = feed(vec![], FarmConfig::default(), 0);
     }
 }

@@ -11,7 +11,8 @@
 //! * [`wait`] — spin / yield / block wait strategies ([`WaitStrategy`]);
 //! * [`mod@channel`] — SPSC ring + wait strategy + end-of-stream propagation;
 //! * [`node`] — the [`Node`] processing abstraction (`ff_node` analogue);
-//! * [`farm`] — emitter → replicated workers → (ordered) collector;
+//! * [`farm`] — replicated workers between a fan-out and an (ordered) fan-in
+//!   endpoint, fused into the neighbouring stages;
 //! * [`feedback`] — the wrap-around farm: items circulate until done;
 //! * [`pipeline`] — typed thread-per-stage pipeline builder;
 //! * [`pool`] — size-classed buffer pool + recycle channel (zero-copy
@@ -44,7 +45,7 @@ pub mod wait;
 pub use channel::{channel, Receiver, SendError, Sender, TrySendError};
 pub use combinators::{gather, par_map_ordered, par_map_unordered, scatter};
 pub use error::{try_map, try_map_with, FaultPolicy, RunReport, StageError, TryMapNode};
-pub use farm::{spawn_farm, spawn_farm_routed, spawn_farm_traced, FarmConfig, Router, SchedPolicy};
+pub use farm::{FanIn, FarmConfig, Router, SchedPolicy};
 pub use feedback::{spawn_feedback_farm, spawn_feedback_farm_traced, Loop};
 pub use node::{Emitter, Node};
 pub use pipeline::{PipeConfig, Pipeline, PipelineBuilder, PipelineStart, PipelineThreads};

@@ -2,77 +2,58 @@
 //!
 //! `Pipeline::builder().source(..).node(..).farm(..).for_each(..)` spawns one
 //! thread per sequential stage, SPSC-connected, exactly like a FastFlow
-//! `ff_pipeline`; `farm(..)` nests a [farm](crate::farm) as a stage. Every
-//! stage sees EOS when its upstream channel closes and propagates it by
-//! dropping its own sender.
+//! `ff_pipeline`; `farm(..)` nests a [farm](crate::farm) as a stage, fed
+//! and merged by its neighbours. Every stage sees EOS when its upstream
+//! channel closes and propagates it by dropping its own sender.
 
 use std::thread::{self, JoinHandle};
 
 use telemetry::{Recorder, StageHandle};
 
 use crate::channel::{channel, Receiver, Sender};
-use crate::farm::{spawn_farm_routed, spawn_farm_traced, FarmConfig, Router, SchedPolicy};
+use crate::farm::{spawn_workers, FanIn, FanOut, FarmConfig, Router, SchedPolicy};
 use crate::node::{map, Emitter, Node};
 use crate::stamp::Stamped;
 use crate::wait::WaitStrategy;
 
-/// Batching output sink shared by every stage loop: outputs accumulate in a
-/// local buffer and are delivered with [`Sender::send_batch`] — one index
-/// publication and one wakeup per run instead of one per item.
-///
-/// Two flush points keep the pipe live and the memory bounded: the buffer
-/// flushes itself when it reaches `burst` items, and every stage loop
-/// flushes explicitly before blocking for more input (so no item can sit
-/// buffered while the stage sleeps — the batched path never adds a
-/// deadlock or an unbounded latency tail).
-pub(crate) struct BatchSink<T: Send> {
-    tx: Sender<Stamped<T>>,
-    buf: Vec<Stamped<T>>,
-    burst: usize,
-    stage: StageHandle,
-    alive: bool,
+/// Where a stage's outputs go — decided by whatever is appended after it.
+/// Two flush points keep the pipe live and the memory bounded: an outlet
+/// flushes itself when it holds `burst` items, and every stage loop
+/// flushes explicitly before blocking for more input, so no item sits
+/// buffered while the stage sleeps.
+pub(crate) enum Outlet<T: Send> {
+    /// One ring to the next sequential stage or terminal op; a run leaves
+    /// with one index publication and one wakeup ([`Sender::send_batch`]).
+    Next {
+        tx: Sender<Stamped<T>>,
+        buf: Vec<Stamped<T>>,
+        burst: usize,
+    },
+    /// Straight into the worker rings of the farm that follows.
+    Workers(FanOut<T>),
 }
 
-impl<T: Send> BatchSink<T> {
-    pub(crate) fn new(tx: Sender<Stamped<T>>, stage: StageHandle, burst: usize) -> Self {
-        BatchSink {
-            tx,
-            buf: Vec::with_capacity(burst),
-            burst,
-            stage,
-            alive: true,
-        }
-    }
-
+impl<T: Send> Outlet<T> {
     /// Buffer one output carrying `emit_ns`; auto-flushes at the burst
     /// size. Returns false once downstream is gone.
     #[inline]
-    pub(crate) fn push(&mut self, item: T, emit_ns: u64) -> bool {
-        if !self.alive {
-            return false;
+    fn push(&mut self, item: T, emit_ns: u64, stage: &StageHandle) -> bool {
+        let item = Stamped::at(item, emit_ns);
+        match self {
+            Outlet::Next { tx, buf, burst } => {
+                buf.push(item);
+                buf.len() < *burst || send_batch_accounted(tx, buf, stage, |_| 1)
+            }
+            Outlet::Workers(fan) => fan.push(item, stage),
         }
-        self.buf.push(Stamped::at(item, emit_ns));
-        if self.buf.len() >= self.burst {
-            self.flush();
-        }
-        self.alive
     }
 
-    /// Buffer one *fresh* output stamped now (source stages).
-    #[inline]
-    pub(crate) fn push_fresh(&mut self, item: T) -> bool {
-        let ns = self.stage.stamp_ns();
-        self.push(item, ns)
-    }
-
-    /// Deliver everything buffered. Each item still counts individually in
-    /// `items_out`; a run that cannot be placed without waiting counts one
-    /// push stall. Returns false once downstream is gone.
-    pub(crate) fn flush(&mut self) -> bool {
-        if self.alive && !send_batch_accounted(&self.tx, &mut self.buf, &self.stage, |_| 1) {
-            self.alive = false;
+    /// Deliver everything buffered; false once downstream is gone.
+    fn flush(&mut self, stage: &StageHandle) -> bool {
+        match self {
+            Outlet::Next { tx, buf, .. } => send_batch_accounted(tx, buf, stage, |_| 1),
+            Outlet::Workers(fan) => fan.flush(stage),
         }
-        self.alive
     }
 }
 
@@ -81,11 +62,10 @@ impl<T: Send> BatchSink<T> {
 /// blames a stage by comparing its progress against its upstream's) can
 /// neither see phantom undelivered items during a long `svc` call nor lose
 /// sight of progress while a full ring blocks the rest of the run: delivery
-/// happens in sub-runs with incremental accounting. `count` maps one queued
-/// message to the number of stream items it carries (1 for plain items;
-/// farm worker messages carry a whole `svc` output set). A run that cannot
-/// be placed without waiting counts one push stall. Returns false once the
-/// consumer is gone (the undeliverable remainder is discarded).
+/// happens in sub-runs, each accounted as it lands. `count` maps a message
+/// to the stream items it carries (1, or a farm worker's whole `svc` output
+/// set). A run that cannot be placed without waiting counts one push stall.
+/// Returns false once the consumer is gone (the remainder is discarded).
 pub(crate) fn send_batch_accounted<T: Send>(
     tx: &Sender<T>,
     buf: &mut Vec<T>,
@@ -101,42 +81,26 @@ pub(crate) fn send_batch_accounted<T: Send>(
     if tx.free_slots() < buf.len() {
         stage.push_stall();
     }
-    let counts: Vec<u64> = buf.iter().map(&count).collect();
-    let mut delivered = 0usize;
-    let mut ok = true;
     let mut iter = buf.drain(..);
     loop {
-        match tx.try_send_batch(&mut iter) {
-            Ok(n) => {
-                if n > 0 {
-                    stage.items_out(counts[delivered..delivered + n].iter().sum());
-                    delivered += n;
-                }
-                match iter.next() {
-                    None => break,
-                    Some(msg) => {
-                        let c = counts[delivered];
-                        match tx.send(msg) {
-                            Ok(()) => {
-                                stage.items_out(c);
-                                delivered += 1;
-                            }
-                            Err(_) => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            Err(_) => {
-                ok = false;
-                break;
-            }
+        // The ring pulls only the messages it has room for: the tally is
+        // exactly what was handed off.
+        let mut carried = 0;
+        let sent = tx.try_send_batch(&mut iter.by_ref().inspect(|m| carried += count(m)));
+        stage.items_out(carried);
+        if sent.is_err() {
+            return false;
         }
+        // Ring full or run complete: block on one message, then burst again.
+        let Some(msg) = iter.next() else {
+            return true;
+        };
+        let carried = count(&msg);
+        if tx.send(msg).is_err() {
+            return false;
+        }
+        stage.items_out(carried);
     }
-    drop(iter); // discards the remainder once downstream is gone
-    ok
 }
 
 /// Burst-drain up to `max` items into `out`, counting a pop wait when the
@@ -193,30 +157,29 @@ pub struct Pipeline;
 impl Pipeline {
     /// Start building with default configuration.
     pub fn builder() -> PipelineStart {
-        PipelineStart {
+        PipelineStart(Graph {
             cfg: PipeConfig::default(),
             rec: Recorder::default(),
-        }
+            stage_no: 0,
+            handles: Vec::new(),
+        })
     }
 }
 
 /// Builder state before the source is attached.
-pub struct PipelineStart {
-    cfg: PipeConfig,
-    rec: Recorder,
-}
+pub struct PipelineStart(Graph);
 
 impl PipelineStart {
     /// Set the inter-stage queue capacity.
     pub fn capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be >= 1");
-        self.cfg.capacity = capacity;
+        self.0.cfg.capacity = capacity;
         self
     }
 
     /// Set the wait strategy for all queues.
     pub fn wait(mut self, wait: WaitStrategy) -> Self {
-        self.cfg.wait = wait;
+        self.0.cfg.wait = wait;
         self
     }
 
@@ -224,7 +187,7 @@ impl PipelineStart {
     /// [`PipeConfig::burst`]). `1` disables batching.
     pub fn burst(mut self, burst: usize) -> Self {
         assert!(burst > 0, "burst must be >= 1");
-        self.cfg.burst = burst;
+        self.0.cfg.burst = burst;
         self
     }
 
@@ -232,7 +195,7 @@ impl PipelineStart {
     /// pipeline registers a [`telemetry::StageMetrics`] under it. A
     /// disabled recorder (the default) makes every probe a no-op branch.
     pub fn recorder(mut self, rec: Recorder) -> Self {
-        self.rec = rec;
+        self.0.rec = rec;
         self
     }
 
@@ -243,27 +206,16 @@ impl PipelineStart {
         T: Send + 'static,
         F: FnOnce(&mut Emitter<'_, T>) + Send + 'static,
     {
-        let (tx, rx) = channel::<Stamped<T>>(self.cfg.capacity, self.cfg.wait);
-        let stage = self.rec.stage("source", 0);
-        let burst = self.cfg.burst;
-        let handle = thread::Builder::new()
-            .name("ff-source".into())
-            .spawn(move || {
-                let mut bsink = BatchSink::new(tx, stage, burst);
-                {
-                    let mut push = |item: T| bsink.push_fresh(item);
-                    let mut em = Emitter::new(&mut push);
-                    f(&mut em);
-                }
-                bsink.flush();
-            })
-            .expect("spawn source");
+        let stage = self.0.rec.stage("source", 0);
+        let body: Body<T> = Box::new(move |mut out| {
+            // Fresh items are stamped as they leave the source.
+            let mut push = |item: T| out.push(item, stage.stamp_ns(), &stage);
+            f(&mut Emitter::new(&mut push));
+            out.flush(&stage);
+        });
         PipelineBuilder {
-            cfg: self.cfg,
-            rec: self.rec,
-            stage_no: 0,
-            rx,
-            handles: vec![handle],
+            graph: self.0,
+            tail: Tail::Pending("ff-source", body),
         }
     }
 
@@ -283,81 +235,135 @@ impl PipelineStart {
     }
 }
 
+/// The body of a sequential stage's thread, run once its outlet is known.
+type Body<T> = Box<dyn FnOnce(Outlet<T>) + Send>;
+
+/// The output end of the graph built so far.
+enum Tail<T: Send> {
+    /// The last sequential stage (thread name, body), un-spawned until
+    /// whatever is appended next picks its outlet: a plain ring, or the
+    /// worker rings of a farm it then feeds directly.
+    Pending(&'static str, Body<T>),
+    /// Producers already running (farm workers, a feedback farm) behind
+    /// their receive endpoint.
+    Running(FanIn<T>),
+}
+
+/// The thread body of a sequential stage running `node` on `inlet`.
+fn stage_body<N: Node>(
+    mut node: N,
+    mut inlet: FanIn<N::In>,
+    stage: StageHandle,
+    burst: usize,
+) -> Body<N::Out> {
+    Box::new(move |mut out| {
+        node.on_init();
+        let mut in_buf: Vec<Stamped<N::In>> = Vec::with_capacity(burst);
+        while inlet.recv_batch(&stage, &mut in_buf, burst) > 0 {
+            // Outputs inherit the emit stamp of the input being
+            // serviced; `on_eos` flushes are untimed.
+            for Stamped { item, emit_ns } in in_buf.drain(..) {
+                if stage.enabled() {
+                    stage.item_in(inlet.depth());
+                }
+                let mut push = |o: N::Out| out.push(o, emit_ns, &stage);
+                let mut em = Emitter::new(&mut push);
+                let span = stage.begin();
+                node.svc(item, &mut em);
+                stage.end(span);
+                if !em.is_open() {
+                    return;
+                }
+            }
+            // Flush before the recv above can block again.
+            if !out.flush(&stage) {
+                return;
+            }
+        }
+        let mut push = |o: N::Out| out.push(o, 0, &stage);
+        node.on_eos(&mut Emitter::new(&mut push));
+        out.flush(&stage);
+    })
+}
+
+/// What every builder state carries besides its tail.
+struct Graph {
+    cfg: PipeConfig,
+    rec: Recorder,
+    /// Stages appended so far (for auto-generated stage names).
+    stage_no: usize,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Graph {
+    fn next_stage_name(&mut self) -> String {
+        self.stage_no += 1;
+        format!("stage{}", self.stage_no)
+    }
+
+    /// Start the pending tail stage with `to` as its outlet. Two running
+    /// endpoints back to back (farm → farm) get one relay thread, an
+    /// uninstrumented identity stage, in between.
+    fn connect<T: Send + 'static>(&mut self, tail: Tail<T>, to: Outlet<T>) {
+        let (name, body) = match tail {
+            Tail::Pending(name, body) => (name, body),
+            Tail::Running(inlet) => {
+                let relay = stage_body(map(|x| x), inlet, StageHandle::noop(), self.cfg.burst);
+                ("ff-stage", relay)
+            }
+        };
+        let thread = thread::Builder::new().name(name.into());
+        self.handles
+            .push(thread.spawn(move || body(to)).expect("spawn stage"));
+    }
+
+    /// The graph's output as one plain ring.
+    fn receiver<T: Send + 'static>(&mut self, tail: Tail<T>) -> Receiver<Stamped<T>> {
+        let tail = match tail {
+            Tail::Running(inlet) => match inlet.into_single() {
+                Ok(rx) => return rx,
+                Err(farm) => Tail::Running(farm),
+            },
+            pending => pending,
+        };
+        let (tx, rx) = channel(self.cfg.capacity, self.cfg.wait);
+        let burst = self.cfg.burst;
+        let buf = Vec::with_capacity(burst);
+        self.connect(tail, Outlet::Next { tx, buf, burst });
+        rx
+    }
+
+    /// The graph's output as the next stage's (or terminal op's) input side.
+    fn inlet<T: Send + 'static>(&mut self, tail: Tail<T>) -> FanIn<T> {
+        match tail {
+            Tail::Running(inlet) => inlet,
+            pending => FanIn::single(self.receiver(pending)),
+        }
+    }
+}
+
 /// Builder state carrying the output end of the graph built so far.
 ///
 /// Internally every inter-stage channel transports [`Stamped<T>`] so the
 /// emit instant travels with each item; the public stage closures only
 /// ever see the bare `T`.
 pub struct PipelineBuilder<T: Send + 'static> {
-    cfg: PipeConfig,
-    rec: Recorder,
-    /// Stages appended so far (for auto-generated stage names).
-    stage_no: usize,
-    rx: Receiver<Stamped<T>>,
-    handles: Vec<JoinHandle<()>>,
+    graph: Graph,
+    tail: Tail<T>,
 }
 
 impl<T: Send + 'static> PipelineBuilder<T> {
-    fn next_stage_name(&mut self) -> String {
-        self.stage_no += 1;
-        format!("stage{}", self.stage_no)
-    }
-
     /// Append a sequential stage running `node` on its own thread.
-    pub fn node<N>(mut self, mut node: N) -> PipelineBuilder<N::Out>
+    pub fn node<N>(self, node: N) -> PipelineBuilder<N::Out>
     where
         N: Node<In = T>,
     {
-        let (tx, out_rx) = channel::<Stamped<N::Out>>(self.cfg.capacity, self.cfg.wait);
-        let name = self.next_stage_name();
-        let stage = self.rec.stage(&name, 0);
-        let rx = self.rx;
-        let burst = self.cfg.burst;
-        let handle = thread::Builder::new()
-            .name("ff-stage".into())
-            .spawn(move || {
-                node.on_init();
-                let mut bsink = BatchSink::new(tx, stage.clone(), burst);
-                let mut in_buf: Vec<Stamped<T>> = Vec::with_capacity(burst);
-                loop {
-                    let n = traced_recv_batch(&rx, &stage, &mut in_buf, burst);
-                    if n == 0 {
-                        break;
-                    }
-                    // Outputs inherit the emit stamp of the input being
-                    // serviced; `on_eos` flushes are untimed.
-                    for Stamped { item, emit_ns } in in_buf.drain(..) {
-                        stage.item_in(rx.len());
-                        let mut push = |out: N::Out| bsink.push(out, emit_ns);
-                        let mut em = Emitter::new(&mut push);
-                        let span = stage.begin();
-                        node.svc(item, &mut em);
-                        stage.end(span);
-                        if !em.is_open() {
-                            return;
-                        }
-                    }
-                    // Flush before the recv above can block again.
-                    if !bsink.flush() {
-                        return;
-                    }
-                }
-                {
-                    let mut push = |out: N::Out| bsink.push(out, 0);
-                    let mut em = Emitter::new(&mut push);
-                    node.on_eos(&mut em);
-                }
-                bsink.flush();
-            })
-            .expect("spawn stage");
-        self.handles.push(handle);
-        PipelineBuilder {
-            cfg: self.cfg,
-            rec: self.rec,
-            stage_no: self.stage_no,
-            rx: out_rx,
-            handles: self.handles,
-        }
+        let PipelineBuilder { mut graph, tail } = self;
+        let inlet = graph.inlet(tail);
+        let name = graph.next_stage_name();
+        let stage = graph.rec.stage(name, 0);
+        let tail = Tail::Pending("ff-stage", stage_body(node, inlet, stage, graph.cfg.burst));
+        PipelineBuilder { graph, tail }
     }
 
     /// Append a sequential 1:1 mapping stage.
@@ -389,12 +395,15 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     }
 
     /// Append an order-preserving farm whose worker selection is driven
-    /// by `router` instead of a fixed policy (see
-    /// [`spawn_farm_routed`]). The router runs serially on the emitter
-    /// thread in stream order — the hook a placement scheduler uses to
-    /// pin each item to a device-owning replica deterministically.
+    /// by `router` instead of a fixed policy (see [`Router`]). The router
+    /// runs serially in stream order on the thread of the stage feeding
+    /// the farm — the hook a placement scheduler uses to pin each item to
+    /// a device-owning replica deterministically. Each item is delivered
+    /// before the next is routed: a policy may block a decision on
+    /// feedback from items it already routed (a scheduler's lookahead
+    /// window), which an item still buffered unsent would never produce.
     pub fn farm_routed<N, F>(
-        mut self,
+        self,
         replicas: usize,
         factory: F,
         router: Router<T>,
@@ -403,34 +412,18 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         N: Node<In = T>,
         F: FnMut(usize) -> N,
     {
-        let cfg = FarmConfig {
-            capacity: self.cfg.capacity,
-            wait: self.cfg.wait,
-            policy: SchedPolicy::RoundRobin,
-            ordered: true,
-            // burst 1: deliver each item before routing the next. A
-            // routing policy may block a decision on feedback from items
-            // it already routed (a placement scheduler's lookahead
-            // window); with a larger burst those items could still sit
-            // unsent in emitter scratch — a deadlock.
-            burst: 1,
-        };
-        let name = self.next_stage_name();
-        let (out_rx, mut farm_handles) =
-            spawn_farm_routed::<N, F>(self.rx, replicas, factory, router, cfg, &self.rec, &name);
-        self.handles.append(&mut farm_handles);
-        PipelineBuilder {
-            cfg: self.cfg,
-            rec: self.rec,
-            stage_no: self.stage_no,
-            rx: out_rx,
-            handles: self.handles,
-        }
+        self.farm_stage(
+            replicas,
+            factory,
+            SchedPolicy::RoundRobin,
+            true,
+            Some(router),
+        )
     }
 
     /// Append a farm stage with full control over scheduling and ordering.
     pub fn farm_with<N, F>(
-        mut self,
+        self,
         replicas: usize,
         factory: F,
         policy: SchedPolicy,
@@ -440,54 +433,83 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         N: Node<In = T>,
         F: FnMut(usize) -> N,
     {
+        self.farm_stage(replicas, factory, policy, ordered, None)
+    }
+
+    /// The tail stage gets the workers' rings as its outlet, the next
+    /// stage their merge as its inlet.
+    fn farm_stage<N, F>(
+        self,
+        replicas: usize,
+        factory: F,
+        policy: SchedPolicy,
+        ordered: bool,
+        route: Option<Router<T>>,
+    ) -> PipelineBuilder<N::Out>
+    where
+        N: Node<In = T>,
+        F: FnMut(usize) -> N,
+    {
+        let PipelineBuilder { mut graph, tail } = self;
         let cfg = FarmConfig {
-            capacity: self.cfg.capacity,
-            wait: self.cfg.wait,
+            capacity: graph.cfg.capacity,
+            wait: graph.cfg.wait,
             policy,
             ordered,
-            burst: self.cfg.burst,
+            // Routed: deliver each item before routing the next.
+            burst: if route.is_some() { 1 } else { graph.cfg.burst },
         };
-        let name = self.next_stage_name();
-        let (out_rx, mut farm_handles) =
-            spawn_farm_traced::<N, F>(self.rx, replicas, factory, cfg, &self.rec, &name);
-        self.handles.append(&mut farm_handles);
-        PipelineBuilder {
-            cfg: self.cfg,
-            rec: self.rec,
-            stage_no: self.stage_no,
-            rx: out_rx,
-            handles: self.handles,
-        }
+        let name = graph.next_stage_name();
+        let (rec, handles) = (&graph.rec, &mut graph.handles);
+        let (fan_out, fan_in) = spawn_workers(replicas, factory, cfg, route, rec, &name, handles);
+        graph.connect(tail, Outlet::Workers(fan_out));
+        let tail = Tail::Running(fan_in);
+        PipelineBuilder { graph, tail }
     }
 
     /// Append a feedback (wrap-around) farm stage: each item circulates
     /// through the workers until one returns
     /// [`Loop::Emit`](crate::feedback::Loop). Results are unordered.
-    pub fn feedback_farm<O, W, G>(mut self, replicas: usize, factory: G) -> PipelineBuilder<O>
+    pub fn feedback_farm<O, W, G>(self, replicas: usize, factory: G) -> PipelineBuilder<O>
     where
         O: Send + 'static,
         W: FnMut(T) -> crate::feedback::Loop<T, O> + Send + 'static,
         G: FnMut(usize) -> W,
     {
-        let name = self.next_stage_name();
+        let PipelineBuilder { mut graph, tail } = self;
+        let name = graph.next_stage_name();
         let (out_rx, mut fb_handles) = crate::feedback::spawn_feedback_farm_traced(
-            self.rx,
+            graph.receiver(tail),
             replicas,
             factory,
-            self.cfg.capacity,
-            self.cfg.wait,
-            self.cfg.burst,
-            &self.rec,
+            graph.cfg.capacity,
+            graph.cfg.wait,
+            graph.cfg.burst,
+            &graph.rec,
             &name,
         );
-        self.handles.append(&mut fb_handles);
-        PipelineBuilder {
-            cfg: self.cfg,
-            rec: self.rec,
-            stage_no: self.stage_no,
-            rx: out_rx,
-            handles: self.handles,
+        graph.handles.append(&mut fb_handles);
+        let tail = Tail::Running(FanIn::single(out_rx));
+        PipelineBuilder { graph, tail }
+    }
+
+    /// Run the sink loop on the calling thread, then join every stage.
+    #[inline(always)] // item loop in the caller; see EXPERIMENTS.md, "reference loop"
+    fn sink(self, mut each: impl FnMut(&StageHandle, T)) {
+        let PipelineBuilder { mut graph, tail } = self;
+        let mut inlet = graph.inlet(tail);
+        let stage = graph.rec.stage("sink", 0);
+        let mut buf: Vec<Stamped<T>> = Vec::with_capacity(graph.cfg.burst);
+        while inlet.recv_batch(&stage, &mut buf, graph.cfg.burst) > 0 {
+            for Stamped { item, emit_ns } in buf.drain(..) {
+                if stage.enabled() {
+                    stage.item_in(inlet.depth());
+                }
+                each(&stage, item);
+                graph.rec.record_e2e(emit_ns);
+            }
         }
+        join_all(graph.handles);
     }
 
     /// Terminate with a sink run on the *calling* thread; returns when the
@@ -499,42 +521,28 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     where
         F: FnMut(T),
     {
-        let stage = self.rec.stage("sink", 0);
-        let mut buf: Vec<Stamped<T>> = Vec::with_capacity(self.cfg.burst);
-        while traced_recv_batch(&self.rx, &stage, &mut buf, self.cfg.burst) > 0 {
-            for Stamped { item, emit_ns } in buf.drain(..) {
-                stage.item_in(self.rx.len());
-                let span = stage.begin();
-                f(item);
-                stage.end(span);
-                self.rec.record_e2e(emit_ns);
-            }
-        }
-        join_all(self.handles);
+        self.sink(|stage, item| {
+            let span = stage.begin();
+            f(item);
+            stage.end(span);
+        });
     }
 
     /// Terminate by collecting all items into a `Vec` (joins all threads).
     pub fn collect(self) -> Vec<T> {
-        let stage = self.rec.stage("sink", 0);
         let mut out = Vec::new();
-        let mut buf: Vec<Stamped<T>> = Vec::with_capacity(self.cfg.burst);
-        while traced_recv_batch(&self.rx, &stage, &mut buf, self.cfg.burst) > 0 {
-            for Stamped { item, emit_ns } in buf.drain(..) {
-                stage.item_in(self.rx.len());
-                self.rec.record_e2e(emit_ns);
-                out.push(item);
-            }
-        }
-        join_all(self.handles);
+        self.sink(|_, item| out.push(item));
         out
     }
 
     /// Hand the output stream to the caller; the returned guard joins the
-    /// stage threads when dropped (after the receiver is drained). Items
+    /// stage threads when dropped (after the endpoint is drained). Items
     /// arrive wrapped in [`Stamped`] — the caller owns the sink, so it
     /// also owns end-to-end accounting (`Recorder::record_e2e`).
-    pub fn into_receiver(self) -> (Receiver<Stamped<T>>, PipelineThreads) {
-        (self.rx, PipelineThreads(self.handles))
+    pub fn into_receiver(self) -> (FanIn<T>, PipelineThreads) {
+        let PipelineBuilder { mut graph, tail } = self;
+        let inlet = graph.inlet(tail);
+        (inlet, PipelineThreads(graph.handles))
     }
 }
 
@@ -672,7 +680,7 @@ mod tests {
     #[test]
     fn early_sink_drop_stops_the_stream() {
         // Receiver dropped after 5 items; upstream must terminate cleanly.
-        let (rx, threads) = Pipeline::builder()
+        let (mut rx, threads) = Pipeline::builder()
             .capacity(2)
             .from_iter(0..1_000_000u64)
             .map(|x| x)

@@ -4,7 +4,7 @@
 //! bare `T`: the source stamps each fresh item with
 //! `StageHandle::stamp_ns()` (0 when telemetry is disabled) and every
 //! downstream stage forwards the stamp alongside its outputs, so the
-//! collector can record the item's full source→sink journey with
+//! sink can record the item's full source→sink journey with
 //! `Recorder::record_e2e`. The envelope is two machine words; with
 //! telemetry disabled the stamp is the constant 0 and no clock is read.
 

@@ -32,9 +32,31 @@ const YIELD_LIMIT: u32 = 128;
 /// snapshots the epoch, re-checks its condition, and only parks if the epoch
 /// is unchanged — any notification between snapshot and park bumps the epoch
 /// and the park is skipped.
+///
+/// `notify` is on every channel operation's path, parked peer or not, so
+/// it takes the mutex and issues the futex wake only when `parked` says
+/// somebody may be asleep. That is Dekker's protocol over two `SeqCst`
+/// locations: the waiter *writes `parked`, then reads `epoch`*; the
+/// notifier *writes `epoch`, then reads `parked`*. In the single total
+/// order of those four operations one of the reads comes after the other
+/// side's write:
+///
+/// * the notifier's read of `parked` follows the waiter's increment — it
+///   sees a waiter and takes the slow path, where the mutex orders it
+///   against the waiter's epoch check: either the check comes after the
+///   notifier's lock/unlock and sees the new epoch, or the waiter is
+///   already inside `Condvar::wait` and `notify_all` reaches it;
+/// * or the notifier read `parked == 0` before the increment — then its
+///   epoch bump, earlier still, precedes the waiter's epoch read, which
+///   sees it and does not park.
+///
+/// With anything weaker than `SeqCst` both reads may see the old values
+/// (store buffering) and the wakeup is lost.
 #[derive(Default)]
 pub struct Signal {
     epoch: AtomicUsize,
+    /// Threads inside [`Signal::wait_if`].
+    parked: AtomicUsize,
     lock: Mutex<()>,
     cond: Condvar,
 }
@@ -48,26 +70,37 @@ impl Signal {
     /// Snapshot the current epoch (pair with [`Signal::wait_if`]).
     #[inline]
     pub fn epoch(&self) -> usize {
-        self.epoch.load(Ordering::Acquire)
+        self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Wake all current waiters.
+    /// Wake all current waiters. Two atomic operations when nobody is
+    /// parked.
     #[inline]
     pub fn notify(&self) {
-        self.epoch.fetch_add(1, Ordering::Release);
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) != 0 {
+            self.wake();
+        }
+    }
+
+    #[cold]
+    fn wake(&self) {
         // Lock/unlock orders the epoch bump before any waiter's re-check
         // under the same mutex, then wake everyone.
-        drop(self.lock.lock().unwrap());
+        drop(self.lock.lock().expect("signal mutex guards no data"));
         self.cond.notify_all();
     }
 
     /// Park until the epoch moves past `observed` (returns immediately if it
     /// already has).
     pub fn wait_if(&self, observed: usize) {
-        let mut guard = self.lock.lock().unwrap();
-        while self.epoch.load(Ordering::Acquire) == observed {
-            guard = self.cond.wait(guard).unwrap();
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        let mut guard = self.lock.lock().expect("signal mutex guards no data");
+        while self.epoch.load(Ordering::SeqCst) == observed {
+            guard = self.cond.wait(guard).expect("signal mutex guards no data");
         }
+        drop(guard);
+        self.parked.fetch_sub(1, Ordering::SeqCst);
     }
 }
 

@@ -156,7 +156,7 @@ fn feedback_farm_is_burst_invariant() {
 /// every stage thread (no deadlock, no panic).
 #[test]
 fn early_receiver_drop_with_batching_terminates() {
-    let (rx, threads) = Pipeline::builder()
+    let (mut rx, threads) = Pipeline::builder()
         .capacity(4)
         .burst(64)
         .from_iter(0..1_000_000u64)

@@ -15,7 +15,7 @@ use telemetry::Recorder;
 /// the whole graph must drain and join cleanly — no unwinding, no hang.
 #[test]
 fn typed_stage_errors_drain_full_bounded_queues_and_join() {
-    let (rx, threads) = Pipeline::builder()
+    let (mut rx, threads) = Pipeline::builder()
         .capacity(2)
         .from_iter(0..500u64)
         .map(Ok::<u64, StageError>)
@@ -90,7 +90,7 @@ fn retries_with_backoff_do_not_trip_the_stall_watchdog() {
 /// joined.
 #[test]
 fn join_report_absorbs_stage_panics_without_reraising() {
-    let (rx, threads) = Pipeline::builder()
+    let (mut rx, threads) = Pipeline::builder()
         .capacity(8)
         .from_iter(0..4u64)
         .map(|x: u64| {

@@ -22,8 +22,9 @@
 //! independent of thread timing:
 //!
 //! 1. **Serial decisions.** Causal batch ids are drawn serially at feed
-//!    time and [`Placement::place`] runs serially on the farm emitter in
-//!    batch-id order ([`WorkloadDriver::run_placed`]'s contract).
+//!    time and [`Placement::place`] runs serially on the same feeder
+//!    thread, in batch-id order ([`WorkloadDriver::run_placed`]'s
+//!    contract: the stage upstream of the farm routes its own outputs).
 //! 2. **Deterministic cost samples.** A batch's measured cost is the
 //!    *delta of the device's modeled busy time* around the batch. Busy
 //!    time is additive and independent of wall-clock interleaving, and
@@ -34,7 +35,7 @@
 //!    order, which is *not* deterministic — so the scheduler folds them
 //!    into the model strictly in batch-id order, and only up to a
 //!    lookahead window behind the batch being decided. The decision for
-//!    batch *i* waits (blocks the emitter) until every observation for
+//!    batch *i* waits (blocks the feeder) until every observation for
 //!    ids `<= i - lookahead` is applied and never reads anything newer.
 //!
 //! The routed farm delivers each item before routing the next (burst 1),

@@ -454,14 +454,17 @@ impl<W: Workload> WorkloadDriver<W> {
     ///
     /// * Causal batch ids are drawn **serially in the feeder thread**, so
     ///   id order is stream order regardless of placement.
-    /// * [`Placement::place`] runs serially on the farm's emitter thread
-    ///   in batch-id order, and every decision is logged as a
-    ///   [`FlightKind::Placement`] event keyed by the batch id.
+    /// * [`Placement::place`] runs serially on that same feeder thread —
+    ///   the source stage feeds the farm's worker rings itself — in
+    ///   batch-id order, each batch delivered before the next is placed,
+    ///   and every decision is logged as a [`FlightKind::Placement`]
+    ///   event keyed by the batch id.
     /// * [`Placement::observe`] runs on the device-owning worker right
     ///   after the batch's ladder walk finishes; one replica per device
     ///   serializes the observations a device produces.
-    /// * The collector restores submission order, so `sink` sees outputs
-    ///   bit-identically and in the same order under *any* placement.
+    /// * The sink's merge over the worker rings restores submission order,
+    ///   so `sink` sees outputs bit-identically and in the same order
+    ///   under *any* placement.
     ///
     /// `key_of` extracts the stream key residency is tracked by (shard,
     /// lane, …).
@@ -534,10 +537,11 @@ pub struct Decision {
 
 /// A device-placement policy driving [`WorkloadDriver::run_placed`].
 ///
-/// `place` is invoked serially on the farm's emitter thread in causal
-/// batch-id order; `observe` is invoked from the device-owning worker
-/// thread right after a batch finishes (per-device serialized, since one
-/// replica owns each device). Implementations use interior mutability;
+/// `place` is invoked serially on the feeder thread (the stage upstream
+/// of the farm, which routes its own outputs) in causal batch-id order;
+/// `observe` is invoked from the device-owning worker thread right after
+/// a batch finishes (per-device serialized, since one replica owns each
+/// device). Implementations use interior mutability;
 /// the driver guarantees the deterministic call order, the policy must
 /// keep its *decisions* a pure function of that order.
 pub trait Placement: Send + Sync + 'static {

@@ -1,8 +1,10 @@
 //! Acceptance check: the hot-path probes — histogram recording, queue
-//! sampling, service spans, end-to-end stamping — must allocate nothing.
-//! A counting global allocator wraps the system one; the single test in
-//! this binary (kept alone so no concurrent test thread allocates) takes a
-//! baseline, hammers the probes, and demands a zero delta.
+//! sampling, service spans, end-to-end stamping — must allocate nothing,
+//! and neither may an item crossing a farm. A counting global allocator
+//! wraps the system one; the single test in this binary (kept alone so no
+//! concurrent test thread allocates) takes a baseline, hammers the probes,
+//! and demands a zero delta, then runs the farm at two stream lengths and
+//! demands that the longer one allocates no more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,8 +55,49 @@ fn hammer(rec: &Recorder, handle: &telemetry::StageHandle, noop: &telemetry::Sta
     }
 }
 
+/// Allocations of one `from_iter → farm_ordered(2, map) → for_each` run
+/// over `n` items — set-up (threads, rings, burst buffers) included.
+fn farm_run_allocations(n: u64, rec: Recorder) -> usize {
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let mut sum = 0u64;
+    Pipeline::builder()
+        .recorder(rec)
+        .from_iter(0..n)
+        .farm_ordered(2, |_| fastflow::node::map(|x: u64| x ^ (x << 7)))
+        .for_each(|x| sum = sum.rotate_left(5) ^ x);
+    std::hint::black_box(sum);
+    ALLOCATIONS.load(Ordering::SeqCst) - before
+}
+
+/// Steady state is what the longer of two runs adds to the shorter: the
+/// worker messages carry their outputs inline and the accounting keeps no
+/// per-flush scratch, so 200 000 more items must cost (next to) nothing.
+/// The allowance covers what is not per item: with the recorder on, each
+/// stage's span list (capped at 4 096 coalesced entries) grows by
+/// doubling, a dozen reallocations per stage at most.
+fn farm_items_never_allocate() {
+    const SHORT: u64 = 20_000;
+    const LONG: u64 = 220_000;
+    const ALLOWANCE: usize = 64;
+    for (mode, rec) in [
+        ("off", Recorder::disabled as fn() -> Recorder),
+        ("on", Recorder::enabled),
+    ] {
+        farm_run_allocations(SHORT, rec()); // lazy one-time initialisation
+        let short = farm_run_allocations(SHORT, rec());
+        let long = farm_run_allocations(LONG, rec());
+        assert!(
+            long <= short + ALLOWANCE,
+            "recorder {mode}: {} more items cost {long} - {short} allocations",
+            LONG - SHORT
+        );
+    }
+}
+
 #[test]
 fn recording_probes_never_allocate() {
+    farm_items_never_allocate();
+
     // Setup allocates (stage registration interns the name, the flow
     // buffer is preallocated); everything after the baseline must not.
     let rec = Recorder::enabled();

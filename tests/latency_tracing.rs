@@ -52,8 +52,8 @@ fn fastflow_pipeline_records_e2e_latency() {
     assert!(stage1.p50_ns <= e2e.max_ns);
 }
 
-/// Farms preserve the emitter stamp across the emitter→worker→collector
-/// hop, including the ordered (min-heap) collector path.
+/// Farms preserve the emit stamp across the fan-out→worker→merge hops,
+/// including the ordered merge.
 #[test]
 fn fastflow_farm_preserves_stamps_through_workers() {
     for ordered in [false, true] {
