@@ -43,17 +43,15 @@
 //! producing the bit-exact image — the exactly-once demo driven by
 //! `ci.sh`.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use bench::{
-    arg, emit_telemetry, figures_dir, flag, live_observability, secs, Report, ShapeChecks,
+    arg, decode_span, emit_telemetry, flag, live_observability, mandel_ingress_demo, secs,
+    span_payload, Report, ShapeChecks,
 };
 use gpusim::{CudaOffload, DeviceProps, GpuSystem};
-use ingress::filelog::{read_all, GroupOffsets};
 use ingress::{
-    spawn_pump, FileLogSink, FileLogSource, IngressStats, PumpConfig, ShardId, Sink, StreamKey,
-    TcpIngressServer, TcpSink,
+    spawn_pump, IngressStats, PumpConfig, ShardId, Sink, StreamKey, TcpIngressServer, TcpSink,
 };
 use mandel::core::FractalParams;
 use mandel::cpu::run_sequential;
@@ -63,7 +61,7 @@ use perfmodel::machine::{CpuModel, CpuRuntime};
 use perfmodel::mandelmodel::{self, characterize};
 use simtime::SimDuration;
 use taskgraph::{AutoTuner, CostModelScheduler, EpochMeasure, SchedConfig};
-use telemetry::{FlightKind, Recorder};
+use telemetry::Recorder;
 use workload::{Placement, RoundRobinPlacement, WorkloadDriver};
 
 /// A GPU driver entry point from `mandel::gpu`.
@@ -101,7 +99,7 @@ fn main() {
     // optimization ladder is not the subject there, so it is skipped.
     let source_mode: String = arg("--source", String::new());
     if !source_mode.is_empty() {
-        ingress_demo(&source_mode, &params, &seq_img, batch);
+        source_demo(&source_mode, &params, &seq_img, batch);
         return;
     }
 
@@ -467,34 +465,33 @@ fn placed_fleet_demo(params: &FractalParams, seq_img: &mandel::Image, rec: &Reco
 // Ingress demo (`--source file|tcp`)
 // ---------------------------------------------------------------------
 
-/// One ingress record: the row span `[y0, y0 + rows)` as `[u32 y0][u32 rows]` LE.
-fn span_payload(y0: u32, rows: u32) -> [u8; 8] {
-    let mut p = [0u8; 8];
-    p[..4].copy_from_slice(&y0.to_le_bytes());
-    p[4..].copy_from_slice(&rows.to_le_bytes());
-    p
-}
-
-fn decode_span(payload: &[u8]) -> (u32, u32) {
-    assert_eq!(payload.len(), 8, "fig1 row-span payload is 8 bytes");
-    (
-        u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")),
-        u32::from_le_bytes(payload[4..].try_into().expect("4 bytes")),
-    )
-}
-
 /// Pipeline item decoded from an ingress [`ingress::Message`]:
 /// `(shard, seq, y0, rows)`.
 type SpanItem = (u32, u64, u32, u32);
 
-fn ingress_demo(mode: &str, params: &FractalParams, seq_img: &mandel::Image, batch: usize) {
-    let shards: u32 = arg("--shards", 2u32);
-    assert!(shards >= 1, "--shards must be at least 1");
+fn source_demo(mode: &str, params: &FractalParams, seq_img: &mandel::Image, batch: usize) {
     let rec = Recorder::enabled();
     let live = live_observability("fig1", &rec);
     match mode {
-        "file" => file_source_demo(params, seq_img, batch, shards, &rec),
-        "tcp" => tcp_source_demo(params, seq_img, batch, shards, &rec),
+        "file" => {
+            // Round-robin over the shards; `--kill-after N` exits between
+            // "egress record durable" and "input offset committed".
+            let outcome = mandel_ingress_demo::<CudaOffload>(
+                "fig1",
+                &rec,
+                params,
+                seq_img,
+                batch,
+                |y0, shards| y0 / batch as u32 % shards,
+            );
+            if outcome.resumed > 0 {
+                assert!(
+                    outcome.skipped >= 1,
+                    "a resumed run must skip the emitted-but-uncommitted record"
+                );
+            }
+        }
+        "tcp" => tcp_source_demo(params, seq_img, batch, &rec),
         other => panic!("--source {other}: expected 'file' or 'tcp'"),
     }
     emit_telemetry("fig1", &rec.report());
@@ -502,232 +499,15 @@ fn ingress_demo(mode: &str, params: &FractalParams, seq_img: &mandel::Image, bat
     live.finish();
 }
 
-/// The durable path: produce the input stream once into a segmented file
-/// log, consume it as group `fig1` with resumable offsets, render each
-/// span through the full `WorkloadDriver` ladder, and emit the pixels to
-/// a second log with fsync-on-ack per record. `--kill-after N` exits in
-/// the window between "egress record durable" and "input offset
-/// committed" — the crash the exactly-once rule exists for.
-fn file_source_demo(
-    params: &FractalParams,
-    seq_img: &mandel::Image,
-    batch: usize,
-    shards: u32,
-    rec: &Recorder,
-) {
-    let dim = params.dim;
-    let n_batches = dim.div_ceil(batch);
-    let kill_after: u64 = arg("--kill-after", 0u64);
-    let root = PathBuf::from(arg(
-        "--ingress-dir",
-        figures_dir()
-            .join("fig1_ingress")
-            .to_string_lossy()
-            .into_owned(),
-    ));
-    let in_key = StreamKey::new("fig1-rows").expect("valid key");
-    let out_key = StreamKey::new("fig1-pixels").expect("valid key");
-
-    // Produce the input stream exactly once: a restarted run finds the
-    // records already durable and goes straight to consuming.
-    {
-        let mut sink = FileLogSink::open(&root, &in_key, shards).expect("open input log");
-        let durable: u64 = (0..shards)
-            .map(|s| sink.next_seq(ShardId(s)).expect("next_seq"))
-            .sum();
-        if durable == 0 {
-            for b in 0..n_batches {
-                let y0 = (b * batch) as u32;
-                let rows = batch.min(dim - b * batch) as u32;
-                sink.send(ShardId(b as u32 % shards), &span_payload(y0, rows))
-                    .expect("send row span");
-            }
-            sink.flush().expect("flush input log");
-            println!(
-                "ingress(file): produced {n_batches} row-span records across \
-                 {shards} shards under {}",
-                root.display()
-            );
-        } else {
-            println!("ingress(file): found {durable} durable input records (restart)");
-        }
-    }
-
-    // Where does each shard restart? The consumer group's committed
-    // offsets decide; the source below loads the same store.
-    let offsets = GroupOffsets::open(&root, &in_key, "fig1").expect("open group offsets");
-    let mut total_per_shard = vec![0u64; shards as usize];
-    for b in 0..n_batches {
-        total_per_shard[b % shards as usize] += 1;
-    }
-    let mut remaining = 0u64;
-    let mut resumed = 0u32;
-    for s in 0..shards {
-        let committed = offsets.load(ShardId(s)).expect("load offset").unwrap_or(0);
-        if committed > 0 {
-            println!("resumed shard {s} at seq {committed}");
-            resumed += 1;
-        }
-        remaining += total_per_shard[s as usize].saturating_sub(committed);
-    }
-
-    // Pump: file log → pinned pooled buffers → batched fastflow channel.
-    // The delta-scoped ledger covers the pump thread, so "external bytes
-    // land pinned with no extra copy" is asserted, not assumed.
-    let ledger = telemetry::copy::CopyLedger::new();
-    let stats = IngressStats::new(rec, "fig1-rows");
-    let src = FileLogSource::open_resume(&root, &in_key, "fig1", workload::pinned_pool::<u8>())
-        .expect("open resumable source");
-    let (tx, rx) = fastflow::channel::<SpanItem>(32, fastflow::WaitStrategy::Block);
-    let pump = spawn_pump(
-        Box::new(src),
-        tx,
-        |m| {
-            assert!(
-                gpusim::pinned::is_pinned(&m.payload[..]),
-                "ingress payload must land in a pinned slab"
-            );
-            let (y0, rows) = decode_span(&m.payload);
-            (m.shard.0, m.seq, y0, rows)
-        },
-        PumpConfig {
-            ledger: Some(ledger.clone()),
-            ..PumpConfig::default()
-        },
-        rec,
-        Arc::clone(&stats),
-    );
-
-    // Consumer: full recovery-ladder driver, one egress record per input
-    // record, committed only after the egress write is fsynced.
-    let tsys = GpuSystem::new(2, DeviceProps::titan_xp());
-    let work = MandelWork::<CudaOffload>::new(&tsys, params, batch, 1, 1);
-    let driver = WorkloadDriver::new(work).with_recorder(rec.clone());
-    let mut gpu = driver.attach(0);
-    let mut egress = FileLogSink::open(&root, &out_key, shards)
-        .expect("open egress log")
-        .with_max_in_flight(1); // fsync-on-ack per record
-    let ack_flight = rec.flight_handle("ingress:fig1-pixels");
-    let stage_handles: Vec<telemetry::StageHandle> = (0..shards)
-        .map(|s| rec.stage(format!("ingress.s{s}"), s as usize))
-        .collect();
-
-    let mut emitted = 0u64;
-    let mut skipped = 0u64;
-    let mut items: Vec<SpanItem> = Vec::new();
-    while remaining > 0 {
-        items.clear();
-        if rx.recv_batch(&mut items, 16) == 0 {
-            panic!("ingress pump hung up with {remaining} records outstanding");
-        }
-        let depth = items.len();
-        for (s, seq, y0, rows) in items.drain(..) {
-            let h = &stage_handles[s as usize];
-            h.item_in(depth);
-            let next_out = egress.next_seq(ShardId(s)).expect("egress next_seq");
-            if seq < next_out {
-                // Emitted by a previous incarnation that died before
-                // committing: skip the re-emit, commit the offset.
-                skipped += 1;
-            } else {
-                assert_eq!(
-                    seq, next_out,
-                    "shard {s}: input seq {seq} vs egress watermark {next_out}"
-                );
-                let b = y0 as usize / batch;
-                let pixels = h.service(|| driver.process(&mut gpu, &b));
-                let mut payload = Vec::with_capacity(8 + rows as usize * dim);
-                payload.extend_from_slice(&span_payload(y0, rows));
-                payload.extend_from_slice(&pixels[..rows as usize * dim]);
-                let receipt = egress.send(ShardId(s), &payload).expect("egress send");
-                assert!(receipt.is_acked(), "max_in_flight(1) acks every send");
-                stats.counters(s).add_acks(1);
-                ack_flight.emit(
-                    FlightKind::IngressAck,
-                    u64::from(s),
-                    1,
-                    payload.len() as u64,
-                );
-                emitted += 1;
-                if kill_after > 0 && emitted == kill_after {
-                    println!(
-                        "killed after {kill_after} batches \
-                         (egress record durable, input offset uncommitted)"
-                    );
-                    std::process::exit(0);
-                }
-            }
-            offsets.commit(ShardId(s), seq + 1).expect("commit offset");
-            stats.counters(s).committed_to(seq + 1);
-            h.items_out(1);
-            remaining -= 1;
-        }
-    }
-    drop(rx);
-    let pumped = pump.join().expect("pump result");
-
-    let copies = ledger.stats();
-    assert_eq!(
-        copies.bytes_copied(),
-        0,
-        "pooled pinned ingress path must not copy: {copies:?}"
-    );
-    println!(
-        "ingress copy ledger: 0 staging bytes/batch across {pumped} pumped records \
-         ({} staging ops, {} bounce ops)",
-        copies.staging_ops, copies.bounce_ops
-    );
-
-    // Replay the egress log from disk and rebuild the image: every span
-    // exactly once, bit-identical to the sequential render.
-    let out = read_all(&root, &out_key).expect("replay egress log");
-    let mut img = mandel::Image::new(dim);
-    let mut seen = vec![false; n_batches];
-    for records in out.values() {
-        for bytes in records {
-            let (y0, rows) = decode_span(&bytes[..8]);
-            let (y0, rows) = (y0 as usize, rows as usize);
-            assert_eq!(bytes.len(), 8 + rows * dim, "egress record framing");
-            let bi = y0 / batch;
-            assert!(!seen[bi], "row span at y0={y0} emitted twice");
-            seen[bi] = true;
-            img.data[y0 * dim..y0 * dim + rows * dim].copy_from_slice(&bytes[8..]);
-        }
-    }
-    assert!(
-        seen.iter().all(|&s| s),
-        "egress log is missing row spans: {seen:?}"
-    );
-    assert_eq!(
-        img.digest(),
-        seq_img.digest(),
-        "ingress-assembled image differs from the sequential render"
-    );
-    if resumed > 0 {
-        assert!(
-            skipped >= 1,
-            "a resumed run must skip the emitted-but-uncommitted record"
-        );
-    }
-    println!(
-        "ingress image bit-identical ({emitted} spans rendered this run, \
-         {skipped} skipped re-emits — exactly-once egress)"
-    );
-}
-
 /// The live path: an in-process TCP ingress server fed by a producer
 /// thread over a real socket, consumed in real time. No durable egress —
 /// the point here is the wire transport, windowed acks and the pinned
 /// zero-copy landing.
-fn tcp_source_demo(
-    params: &FractalParams,
-    seq_img: &mandel::Image,
-    batch: usize,
-    shards: u32,
-    rec: &Recorder,
-) {
+fn tcp_source_demo(params: &FractalParams, seq_img: &mandel::Image, batch: usize, rec: &Recorder) {
     let dim = params.dim;
     let n_batches = dim.div_ceil(batch);
+    let shards: u32 = arg("--shards", 2u32);
+    assert!(shards >= 1, "--shards must be at least 1");
     let key = StreamKey::new("fig1-rows").expect("valid key");
     let server = TcpIngressServer::bind("127.0.0.1:0", &key, workload::pinned_pool::<u8>(), 64)
         .expect("bind ingress server");

@@ -25,25 +25,19 @@
 //! recovery-ladder driver, and leave through a durable egress log that a
 //! restart resumes without re-emitting.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use bench::{
-    arg, emit_telemetry, figures_dir, flag, live_observability, secs, shard_of, Report, ShapeChecks,
+    arg, emit_telemetry, flag, live_observability, mandel_ingress_demo, secs, shard_of, Report,
+    ShapeChecks,
 };
 use gpusim::{DeviceProps, GpuSystem, OclOffload};
-use ingress::filelog::{read_all, GroupOffsets};
-use ingress::{
-    spawn_pump, FileLogSink, FileLogSource, IngressStats, PumpConfig, ShardId, Sink, StreamKey,
-};
 use mandel::core::FractalParams;
 use mandel::gpu;
-use mandel::hybrid::MandelWork;
 use perfmodel::machine::{CpuModel, CpuRuntime};
 use perfmodel::mandelmodel::{self, characterize};
 use simtime::SimDuration;
-use telemetry::{FlightKind, Recorder};
-use workload::WorkloadDriver;
+use telemetry::Recorder;
 
 fn main() {
     let tiny = flag("--tiny");
@@ -269,198 +263,16 @@ fn main() {
 // Sharded ingress demo (`--source file`)
 // ---------------------------------------------------------------------
 
-/// One ingress record: the row span `[y0, y0 + rows)` as `[u32 y0][u32 rows]` LE.
-fn span_payload(y0: u32, rows: u32) -> [u8; 8] {
-    let mut p = [0u8; 8];
-    p[..4].copy_from_slice(&y0.to_le_bytes());
-    p[4..].copy_from_slice(&rows.to_le_bytes());
-    p
-}
-
-fn decode_span(payload: &[u8]) -> (u32, u32) {
-    assert_eq!(payload.len(), 8, "fig4 row-span payload is 8 bytes");
-    (
-        u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")),
-        u32::from_le_bytes(payload[4..].try_into().expect("4 bytes")),
-    )
-}
-
 /// The durable path for fig4's combination (FastFlow + OpenCL): same
 /// exactly-once contract as fig1's, but records are sharded **per key**
 /// — `shard_of(y0)` — so one row span's key always rides one shard.
 fn file_source_demo(params: &FractalParams, batch: usize) {
-    let dim = params.dim;
-    let n_batches = dim.div_ceil(batch);
-    let shards: u32 = arg("--shards", 2u32);
-    assert!(shards >= 1, "--shards must be at least 1");
     let (seq_img, _) = mandel::cpu::run_sequential(params);
     let rec = Recorder::enabled();
     let live = live_observability("fig4", &rec);
-    let root = PathBuf::from(arg(
-        "--ingress-dir",
-        figures_dir()
-            .join("fig4_ingress")
-            .to_string_lossy()
-            .into_owned(),
-    ));
-    let in_key = StreamKey::new("fig4-rows").expect("valid key");
-    let out_key = StreamKey::new("fig4-pixels").expect("valid key");
-
-    // Produce once; a restart finds the records durable and consumes.
-    {
-        let mut sink = FileLogSink::open(&root, &in_key, shards).expect("open input log");
-        let durable: u64 = (0..shards)
-            .map(|s| sink.next_seq(ShardId(s)).expect("next_seq"))
-            .sum();
-        if durable == 0 {
-            for b in 0..n_batches {
-                let y0 = (b * batch) as u32;
-                let rows = batch.min(dim - b * batch) as u32;
-                sink.send(
-                    ShardId(shard_of(u64::from(y0), shards)),
-                    &span_payload(y0, rows),
-                )
-                .expect("send row span");
-            }
-            sink.flush().expect("flush input log");
-            println!(
-                "ingress(file): produced {n_batches} row-span records, per-key \
-                 sharded over {shards} shards under {}",
-                root.display()
-            );
-        } else {
-            println!("ingress(file): found {durable} durable input records (restart)");
-        }
-    }
-
-    let offsets = GroupOffsets::open(&root, &in_key, "fig4").expect("open group offsets");
-    let mut total_per_shard = vec![0u64; shards as usize];
-    for b in 0..n_batches {
-        total_per_shard[shard_of((b * batch) as u64, shards) as usize] += 1;
-    }
-    let mut remaining = 0u64;
-    for s in 0..shards {
-        let committed = offsets.load(ShardId(s)).expect("load offset").unwrap_or(0);
-        if committed > 0 {
-            println!("resumed shard {s} at seq {committed}");
-        }
-        remaining += total_per_shard[s as usize].saturating_sub(committed);
-    }
-
-    let ledger = telemetry::copy::CopyLedger::new();
-    let stats = IngressStats::new(&rec, "fig4-rows");
-    let src = FileLogSource::open_resume(&root, &in_key, "fig4", workload::pinned_pool::<u8>())
-        .expect("open resumable source");
-    let (tx, rx) = fastflow::channel::<(u32, u64, u32, u32)>(32, fastflow::WaitStrategy::Block);
-    let pump = spawn_pump(
-        Box::new(src),
-        tx,
-        |m| {
-            assert!(
-                gpusim::pinned::is_pinned(&m.payload[..]),
-                "ingress payload must land in a pinned slab"
-            );
-            let (y0, rows) = decode_span(&m.payload);
-            (m.shard.0, m.seq, y0, rows)
-        },
-        PumpConfig {
-            ledger: Some(ledger.clone()),
-            ..PumpConfig::default()
-        },
-        &rec,
-        Arc::clone(&stats),
-    );
-
-    // Consumer: the fig4 flavor — OpenCL offload under the full ladder.
-    let tsys = GpuSystem::new(2, DeviceProps::titan_xp());
-    let work = MandelWork::<OclOffload>::new(&tsys, params, batch, 1, 1);
-    let driver = WorkloadDriver::new(work).with_recorder(rec.clone());
-    let mut gpu_state = driver.attach(0);
-    let mut egress = FileLogSink::open(&root, &out_key, shards)
-        .expect("open egress log")
-        .with_max_in_flight(1);
-    let ack_flight = rec.flight_handle("ingress:fig4-pixels");
-
-    let mut emitted = 0u64;
-    let mut skipped = 0u64;
-    let mut items: Vec<(u32, u64, u32, u32)> = Vec::new();
-    while remaining > 0 {
-        items.clear();
-        if rx.recv_batch(&mut items, 16) == 0 {
-            panic!("ingress pump hung up with {remaining} records outstanding");
-        }
-        for (s, seq, y0, rows) in items.drain(..) {
-            let next_out = egress.next_seq(ShardId(s)).expect("egress next_seq");
-            if seq < next_out {
-                skipped += 1;
-            } else {
-                assert_eq!(
-                    seq, next_out,
-                    "shard {s}: input seq {seq} vs egress watermark {next_out}"
-                );
-                let b = y0 as usize / batch;
-                let pixels = driver.process(&mut gpu_state, &b);
-                let mut payload = Vec::with_capacity(8 + rows as usize * dim);
-                payload.extend_from_slice(&span_payload(y0, rows));
-                payload.extend_from_slice(&pixels[..rows as usize * dim]);
-                let receipt = egress.send(ShardId(s), &payload).expect("egress send");
-                assert!(receipt.is_acked(), "max_in_flight(1) acks every send");
-                stats.counters(s).add_acks(1);
-                ack_flight.emit(
-                    FlightKind::IngressAck,
-                    u64::from(s),
-                    1,
-                    payload.len() as u64,
-                );
-                emitted += 1;
-            }
-            offsets.commit(ShardId(s), seq + 1).expect("commit offset");
-            stats.counters(s).committed_to(seq + 1);
-            remaining -= 1;
-        }
-    }
-    drop(rx);
-    let pumped = pump.join().expect("pump result");
-
-    let copies = ledger.stats();
-    assert_eq!(
-        copies.bytes_copied(),
-        0,
-        "pooled pinned ingress path must not copy: {copies:?}"
-    );
-    println!("ingress copy ledger: 0 staging bytes/batch across {pumped} pumped records");
-
-    // Replay the egress log and rebuild the image: every span exactly
-    // once, bit-identical to the sequential render, per-key shard-stable.
-    let out = read_all(&root, &out_key).expect("replay egress log");
-    let mut img = mandel::Image::new(dim);
-    let mut seen = vec![false; n_batches];
-    for (shard, records) in &out {
-        for bytes in records {
-            let (y0, rows) = decode_span(&bytes[..8]);
-            assert_eq!(
-                *shard,
-                shard_of(u64::from(y0), shards),
-                "egress record on the wrong shard for its key"
-            );
-            let (y0, rows) = (y0 as usize, rows as usize);
-            assert_eq!(bytes.len(), 8 + rows * dim, "egress record framing");
-            let bi = y0 / batch;
-            assert!(!seen[bi], "row span at y0={y0} emitted twice");
-            seen[bi] = true;
-            img.data[y0 * dim..y0 * dim + rows * dim].copy_from_slice(&bytes[8..]);
-        }
-    }
-    assert!(seen.iter().all(|&s| s), "egress log is missing row spans");
-    assert_eq!(
-        img.digest(),
-        seq_img.digest(),
-        "ingress-assembled image differs from the sequential render"
-    );
-    println!(
-        "ingress image bit-identical ({emitted} spans rendered this run, \
-         {skipped} skipped re-emits — exactly-once, per-key sharded egress)"
-    );
+    mandel_ingress_demo::<OclOffload>("fig4", &rec, params, &seq_img, batch, |y0, shards| {
+        shard_of(u64::from(y0), shards)
+    });
     emit_telemetry("fig4", &rec.report());
     println!("{}", rec.health().describe());
     live.finish();

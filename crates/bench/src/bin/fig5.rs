@@ -27,18 +27,11 @@
 //! is consumed with resumable group offsets, and the reassembled stream
 //! must round-trip bit-exactly through the GPU dedup pipeline.
 
-use std::path::PathBuf;
-use std::sync::Arc;
-
-use bench::{arg, emit_telemetry, figures_dir, live_observability, shard_of, Report, ShapeChecks};
+use bench::{arg, emit_telemetry, ingress_demo, live_observability, shard_of, Report, ShapeChecks};
 use dedup::datasets;
 use dedup::single::{run_single_cuda, run_single_ocl};
 use dedup::{BackendCtx, DedupConfig, HostCosts, LzssConfig, OffloadBackend, RabinParams};
 use gpusim::{CudaOffload, DeviceProps, GpuSystem};
-use ingress::filelog::{read_all, GroupOffsets};
-use ingress::{
-    spawn_pump, FileLogSink, FileLogSource, IngressStats, PumpConfig, ShardId, Sink, StreamKey,
-};
 use perfmodel::dedupmodel::{self, GpuApi};
 use perfmodel::machine::CpuModel;
 use telemetry::Recorder;
@@ -272,154 +265,50 @@ fn main() {
 // Sharded ingress demo (`--source file`)
 // ---------------------------------------------------------------------
 
-/// One ingress record: `[u32 segment-idx][segment bytes]` LE.
-fn segment_payload(idx: u32, bytes: &[u8]) -> Vec<u8> {
-    let mut p = Vec::with_capacity(4 + bytes.len());
-    p.extend_from_slice(&idx.to_le_bytes());
-    p.extend_from_slice(bytes);
-    p
-}
-
 /// The durable path for fig5: the dataset enters as per-key-sharded
-/// segment records, the consumer resumes from committed group offsets,
-/// and the reassembled stream feeds the real GPU dedup pipeline.
+/// `[u32 segment-idx][segment bytes]` records and leaves, echoed, through
+/// the exactly-once egress log; the stream reassembled from that log
+/// feeds the real GPU dedup pipeline.
 fn file_source_demo(size: usize, cfg: &DedupConfig) {
     let shards: u32 = arg("--shards", 2u32);
     assert!(shards >= 1, "--shards must be at least 1");
     let rec = Recorder::enabled();
     let live = live_observability("fig5", &rec);
-    let root = PathBuf::from(arg(
-        "--ingress-dir",
-        figures_dir()
-            .join("fig5_ingress")
-            .to_string_lossy()
-            .into_owned(),
-    ));
-    let in_key = StreamKey::new("fig5-segments").expect("valid key");
     let ds = datasets::parsec_like(size.min(400_000), 42);
-    let seg = cfg.batch_size.max(1);
-    let n_segments = ds.data.len().div_ceil(seg);
+    let records: Vec<(u32, Vec<u8>)> = ds
+        .data
+        .chunks(cfg.batch_size.max(1))
+        .enumerate()
+        .map(|(i, chunk)| {
+            let mut p = Vec::with_capacity(4 + chunk.len());
+            p.extend_from_slice(&(i as u32).to_le_bytes());
+            p.extend_from_slice(chunk);
+            (shard_of(i as u64, shards), p)
+        })
+        .collect();
+    let n_segments = records.len();
 
-    // Produce once; a restart finds the records durable and consumes.
-    {
-        let mut sink = FileLogSink::open(&root, &in_key, shards).expect("open input log");
-        let durable: u64 = (0..shards)
-            .map(|s| sink.next_seq(ShardId(s)).expect("next_seq"))
-            .sum();
-        if durable == 0 {
-            for (i, chunk) in ds.data.chunks(seg).enumerate() {
-                sink.send(
-                    ShardId(shard_of(i as u64, shards)),
-                    &segment_payload(i as u32, chunk),
-                )
-                .expect("send segment");
-            }
-            sink.flush().expect("flush input log");
-            println!(
-                "ingress(file): produced {n_segments} segment records, per-key \
-                 sharded over {shards} shards under {}",
-                root.display()
-            );
-        } else {
-            println!("ingress(file): found {durable} durable input records (restart)");
-        }
-    }
+    let outcome = ingress_demo("fig5", &rec, shards, &records, |segment| segment.to_vec());
 
-    // Resumable consumption: only the uncommitted suffix flows through
-    // the pump (a fully-committed restart pumps nothing); landing is
-    // pinned + zero-copy either way.
-    let offsets = GroupOffsets::open(&root, &in_key, "fig5").expect("open group offsets");
-    let mut total_per_shard = vec![0u64; shards as usize];
-    for i in 0..n_segments {
-        total_per_shard[shard_of(i as u64, shards) as usize] += 1;
-    }
-    let mut remaining = 0u64;
-    for s in 0..shards {
-        let committed = offsets.load(ShardId(s)).expect("load offset").unwrap_or(0);
-        if committed > 0 {
-            println!("resumed shard {s} at seq {committed}");
-        }
-        remaining += total_per_shard[s as usize].saturating_sub(committed);
-    }
-
-    let ledger = telemetry::copy::CopyLedger::new();
-    let stats = IngressStats::new(&rec, "fig5-segments");
-    let src = FileLogSource::open_resume(&root, &in_key, "fig5", workload::pinned_pool::<u8>())
-        .expect("open resumable source");
-    let (tx, rx) = fastflow::channel::<(u32, u64, u32, usize)>(32, fastflow::WaitStrategy::Block);
-    let pump = spawn_pump(
-        Box::new(src),
-        tx,
-        |m| {
-            assert!(
-                gpusim::pinned::is_pinned(&m.payload[..]),
-                "ingress payload must land in a pinned slab"
-            );
-            let idx = u32::from_le_bytes(m.payload[..4].try_into().expect("4 bytes"));
-            (m.shard.0, m.seq, idx, m.payload.len() - 4)
-        },
-        PumpConfig {
-            ledger: Some(ledger.clone()),
-            ..PumpConfig::default()
-        },
-        &rec,
-        Arc::clone(&stats),
-    );
-
-    let mut pumped_bytes = 0usize;
-    let mut seen_segments = vec![false; n_segments];
-    let mut items: Vec<(u32, u64, u32, usize)> = Vec::new();
-    while remaining > 0 {
-        items.clear();
-        if rx.recv_batch(&mut items, 16) == 0 {
-            panic!("ingress pump hung up with {remaining} records outstanding");
-        }
-        for (s, seq, idx, len) in items.drain(..) {
-            assert_eq!(
-                s,
-                shard_of(u64::from(idx), shards),
-                "segment {idx} arrived on the wrong shard for its key"
-            );
-            assert!(!seen_segments[idx as usize], "segment {idx} pumped twice");
-            seen_segments[idx as usize] = true;
-            pumped_bytes += len;
-            offsets.commit(ShardId(s), seq + 1).expect("commit offset");
-            stats.counters(s).add_acks(1);
-            stats.counters(s).committed_to(seq + 1);
-            remaining -= 1;
-        }
-    }
-    drop(rx);
-    let pumped = pump.join().expect("pump result");
-    let copies = ledger.stats();
-    assert_eq!(
-        copies.bytes_copied(),
-        0,
-        "pooled pinned ingress path must not copy: {copies:?}"
-    );
-    println!(
-        "ingress copy ledger: 0 staging bytes/batch across {pumped} pumped \
-         records ({pumped_bytes} payload bytes this run)"
-    );
-
-    // Reassemble the full stream from the durable log (covers both the
-    // fresh run and the fully-committed restart) and push it through the
-    // real GPU dedup pipeline: bit-exact round-trip required.
-    let mut segments: Vec<Option<Vec<u8>>> = vec![None; n_segments];
-    for (shard, records) in &read_all(&root, &in_key).expect("replay input log") {
+    // Covers both the fresh run and the fully-committed restart: every
+    // segment exactly once, on its key's shard, bit-exact round-trip
+    // through the pipeline required.
+    let mut segments: Vec<Option<&[u8]>> = vec![None; n_segments];
+    for (shard, records) in &outcome.egress {
         for bytes in records {
             let idx = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-            assert_eq!(*shard, shard_of(idx as u64, shards));
-            assert!(
-                segments[idx].is_none(),
-                "segment {idx} duplicated in the log"
+            assert_eq!(
+                *shard,
+                shard_of(idx as u64, shards),
+                "segment {idx} on the wrong shard for its key"
             );
-            segments[idx] = Some(bytes[4..].to_vec());
+            assert!(segments[idx].is_none(), "segment {idx} emitted twice");
+            segments[idx] = Some(&bytes[4..]);
         }
     }
     let mut data = Vec::with_capacity(ds.data.len());
     for (i, segment) in segments.into_iter().enumerate() {
-        data.extend_from_slice(&segment.unwrap_or_else(|| panic!("segment {i} missing")));
+        data.extend_from_slice(segment.unwrap_or_else(|| panic!("segment {i} missing")));
     }
     assert_eq!(data, ds.data, "reassembled stream differs from the dataset");
 

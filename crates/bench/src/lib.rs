@@ -12,11 +12,23 @@
 //!
 //! Each binary prints an aligned table, writes a CSV under
 //! `target/figures/`, and checks the paper's qualitative *shape* claims,
-//! exiting non-zero if one fails. Criterion micro-benchmarks for the
-//! substrates live in `benches/`.
+//! exiting non-zero if one fails. The repo's benchmark is a package of
+//! its own (`benchmark/run.sh`).
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
+
+use gpusim::{DeviceProps, GpuSystem, Offload};
+use ingress::filelog::{read_all, GroupOffsets};
+use ingress::{
+    spawn_pump, FileLogSink, FileLogSource, IngressStats, PumpConfig, ShardId, Sink, StreamKey,
+};
+use mandel::core::FractalParams;
+use mandel::hybrid::MandelWork;
+use telemetry::{FlightKind, Recorder};
+use workload::WorkloadDriver;
 
 /// A simple table accumulator that renders aligned text and CSV.
 pub struct Report {
@@ -341,6 +353,287 @@ pub fn shard_of(key: u64, shards: u32) -> u32 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     (h % u64::from(shards)) as u32
+}
+
+/// A Mandelbrot ingress record: the row span `[y0, y0 + rows)` as
+/// `[u32 y0][u32 rows]` LE.
+pub fn span_payload(y0: u32, rows: u32) -> [u8; 8] {
+    let mut p = [0u8; 8];
+    p[..4].copy_from_slice(&y0.to_le_bytes());
+    p[4..].copy_from_slice(&rows.to_le_bytes());
+    p
+}
+
+/// Inverse of [`span_payload`].
+pub fn decode_span(payload: &[u8]) -> (u32, u32) {
+    assert_eq!(payload.len(), 8, "row-span payload is 8 bytes");
+    (
+        u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")),
+        u32::from_le_bytes(payload[4..].try_into().expect("4 bytes")),
+    )
+}
+
+/// What one [`ingress_demo`] run did, plus its egress log as replayed
+/// from disk.
+pub struct IngressOutcome {
+    /// The egress log read back: shard → record payloads in sequence order.
+    pub egress: HashMap<u32, Vec<Vec<u8>>>,
+    /// Records processed and emitted by this run.
+    pub emitted: u64,
+    /// Records a previous incarnation had emitted but not committed:
+    /// skipped instead of re-emitted.
+    pub skipped: u64,
+    /// Shards that resumed from a committed offset.
+    pub resumed: u32,
+}
+
+/// The durable `--source file` path of every figure harness. `records`
+/// (each with the shard it rides) are produced once into a segmented file
+/// log under `--ingress-dir` (default `target/figures/<name>_ingress`),
+/// consumed as group `name` with resumable offsets through the pinned
+/// pooled pump, turned by `process` into one egress record each, and
+/// appended to a second log with fsync-on-ack per record; an input offset
+/// commits only after its egress record is durable. `--kill-after N`
+/// exits in the window between the two — the crash the exactly-once rule
+/// exists for: the rerun is re-delivered that record, finds its sequence
+/// number below the egress watermark and skips the re-emit.
+pub fn ingress_demo(
+    name: &str,
+    rec: &Recorder,
+    shards: u32,
+    records: &[(u32, Vec<u8>)],
+    mut process: impl FnMut(&[u8]) -> Vec<u8>,
+) -> IngressOutcome {
+    let kill_after: u64 = arg("--kill-after", 0u64);
+    let root = PathBuf::from(arg(
+        "--ingress-dir",
+        figures_dir()
+            .join(format!("{name}_ingress"))
+            .to_string_lossy()
+            .into_owned(),
+    ));
+    let in_key = StreamKey::new(format!("{name}-in")).expect("valid key");
+    let out_key = StreamKey::new(format!("{name}-out")).expect("valid key");
+
+    // Produce the input stream exactly once: a restarted run finds the
+    // records already durable and goes straight to consuming.
+    {
+        let mut sink = FileLogSink::open(&root, &in_key, shards).expect("open input log");
+        let durable: u64 = (0..shards)
+            .map(|s| sink.next_seq(ShardId(s)).expect("next_seq"))
+            .sum();
+        if durable == 0 {
+            for (shard, payload) in records {
+                sink.send(ShardId(*shard), payload).expect("send record");
+            }
+            sink.flush().expect("flush input log");
+            println!(
+                "ingress(file): produced {} records across {shards} shards under {}",
+                records.len(),
+                root.display()
+            );
+        } else {
+            println!("ingress(file): found {durable} durable input records (restart)");
+        }
+    }
+
+    // Where does each shard restart? The consumer group's committed
+    // offsets decide; the source below loads the same store.
+    let offsets = GroupOffsets::open(&root, &in_key, name).expect("open group offsets");
+    let mut total_per_shard = vec![0u64; shards as usize];
+    for (shard, _) in records {
+        total_per_shard[*shard as usize] += 1;
+    }
+    let mut remaining = 0u64;
+    let mut resumed = 0u32;
+    for s in 0..shards {
+        let committed = offsets.load(ShardId(s)).expect("load offset").unwrap_or(0);
+        if committed > 0 {
+            println!("resumed shard {s} at seq {committed}");
+            resumed += 1;
+        }
+        remaining += total_per_shard[s as usize].saturating_sub(committed);
+    }
+
+    // Pump: file log → pinned pooled buffers → batched fastflow channel.
+    // The delta-scoped ledger covers the pump thread, so "external bytes
+    // land pinned with no extra copy" is asserted, not assumed.
+    let ledger = telemetry::copy::CopyLedger::new();
+    let stats = IngressStats::new(rec, in_key.as_str());
+    let src = FileLogSource::open_resume(&root, &in_key, name, workload::pinned_pool::<u8>())
+        .expect("open resumable source");
+    let (tx, rx) = fastflow::channel::<ingress::Message>(32, fastflow::WaitStrategy::Block);
+    let pump = spawn_pump(
+        Box::new(src),
+        tx,
+        |m| {
+            assert!(
+                gpusim::pinned::is_pinned(&m.payload[..]),
+                "ingress payload must land in a pinned slab"
+            );
+            m
+        },
+        PumpConfig {
+            ledger: Some(ledger.clone()),
+            ..PumpConfig::default()
+        },
+        rec,
+        Arc::clone(&stats),
+    );
+
+    // Consumer: one egress record per input record, committed only after
+    // the egress write is fsynced.
+    let mut egress = FileLogSink::open(&root, &out_key, shards)
+        .expect("open egress log")
+        .with_max_in_flight(1); // fsync-on-ack per record
+    let ack_flight = rec.flight_handle(&format!("ingress:{out_key}"));
+    let stage_handles: Vec<telemetry::StageHandle> = (0..shards)
+        .map(|s| rec.stage(format!("ingress.s{s}"), s as usize))
+        .collect();
+
+    let mut emitted = 0u64;
+    let mut skipped = 0u64;
+    let mut items: Vec<ingress::Message> = Vec::new();
+    while remaining > 0 {
+        items.clear();
+        if rx.recv_batch(&mut items, 16) == 0 {
+            panic!("ingress pump hung up with {remaining} records outstanding");
+        }
+        let depth = items.len();
+        for m in items.drain(..) {
+            let (s, seq) = (m.shard.0, m.seq);
+            let h = &stage_handles[s as usize];
+            h.item_in(depth);
+            let next_out = egress.next_seq(m.shard).expect("egress next_seq");
+            if seq < next_out {
+                // Emitted by a previous incarnation that died before
+                // committing: skip the re-emit, commit the offset.
+                skipped += 1;
+            } else {
+                assert_eq!(
+                    seq, next_out,
+                    "shard {s}: input seq {seq} vs egress watermark {next_out}"
+                );
+                let payload = h.service(|| process(&m.payload));
+                let receipt = egress.send(m.shard, &payload).expect("egress send");
+                assert!(receipt.is_acked(), "max_in_flight(1) acks every send");
+                stats.counters(s).add_acks(1);
+                ack_flight.emit(
+                    FlightKind::IngressAck,
+                    u64::from(s),
+                    1,
+                    payload.len() as u64,
+                );
+                emitted += 1;
+                if kill_after > 0 && emitted == kill_after {
+                    println!(
+                        "killed after {kill_after} batches \
+                         (egress record durable, input offset uncommitted)"
+                    );
+                    std::process::exit(0);
+                }
+            }
+            offsets.commit(m.shard, seq + 1).expect("commit offset");
+            stats.counters(s).committed_to(seq + 1);
+            h.items_out(1);
+            remaining -= 1;
+        }
+    }
+    drop(rx);
+    let pumped = pump.join().expect("pump result");
+
+    let copies = ledger.stats();
+    assert_eq!(
+        copies.bytes_copied(),
+        0,
+        "pooled pinned ingress path must not copy: {copies:?}"
+    );
+    println!(
+        "ingress copy ledger: 0 staging bytes/batch across {pumped} pumped records \
+         ({} staging ops, {} bounce ops)",
+        copies.staging_ops, copies.bounce_ops
+    );
+
+    IngressOutcome {
+        egress: read_all(&root, &out_key).expect("replay egress log"),
+        emitted,
+        skipped,
+        resumed,
+    }
+}
+
+/// [`ingress_demo`] for the Mandelbrot harnesses: one row-span record per
+/// batch on shard `shard_for(y0, shards)`, each rendered through the full
+/// `WorkloadDriver` ladder on offload `O` and emitted as
+/// `[span][pixels]`; the image rebuilt from the replayed egress log must
+/// hold every span exactly once, on its shard, and be bit-identical to
+/// `seq_img`.
+pub fn mandel_ingress_demo<O: Offload>(
+    name: &str,
+    rec: &Recorder,
+    params: &FractalParams,
+    seq_img: &mandel::Image,
+    batch: usize,
+    shard_for: impl Fn(u32, u32) -> u32,
+) -> IngressOutcome {
+    let dim = params.dim;
+    let n_batches = dim.div_ceil(batch);
+    let shards: u32 = arg("--shards", 2u32);
+    assert!(shards >= 1, "--shards must be at least 1");
+    let records: Vec<(u32, Vec<u8>)> = (0..n_batches)
+        .map(|b| {
+            let y0 = (b * batch) as u32;
+            let rows = batch.min(dim - b * batch) as u32;
+            (shard_for(y0, shards), span_payload(y0, rows).to_vec())
+        })
+        .collect();
+
+    let tsys = GpuSystem::new(2, DeviceProps::titan_xp());
+    let work = MandelWork::<O>::new(&tsys, params, batch, 1, 1);
+    let driver = WorkloadDriver::new(work).with_recorder(rec.clone());
+    let mut gpu = driver.attach(0);
+    let outcome = ingress_demo(name, rec, shards, &records, |span| {
+        let (y0, rows) = decode_span(span);
+        let pixels = driver.process(&mut gpu, &(y0 as usize / batch));
+        let mut payload = Vec::with_capacity(8 + rows as usize * dim);
+        payload.extend_from_slice(span);
+        payload.extend_from_slice(&pixels[..rows as usize * dim]);
+        payload
+    });
+
+    let mut img = mandel::Image::new(dim);
+    let mut seen = vec![false; n_batches];
+    for (shard, records) in &outcome.egress {
+        for bytes in records {
+            let (y0, rows) = decode_span(&bytes[..8]);
+            assert_eq!(
+                *shard,
+                shard_for(y0, shards),
+                "egress record on the wrong shard for its key"
+            );
+            let (y0, rows) = (y0 as usize, rows as usize);
+            assert_eq!(bytes.len(), 8 + rows * dim, "egress record framing");
+            let bi = y0 / batch;
+            assert!(!seen[bi], "row span at y0={y0} emitted twice");
+            seen[bi] = true;
+            img.data[y0 * dim..y0 * dim + rows * dim].copy_from_slice(&bytes[8..]);
+        }
+    }
+    assert!(
+        seen.iter().all(|&s| s),
+        "egress log is missing row spans: {seen:?}"
+    );
+    assert_eq!(
+        img.digest(),
+        seq_img.digest(),
+        "ingress-assembled image differs from the sequential render"
+    );
+    println!(
+        "ingress image bit-identical ({} spans rendered this run, \
+         {} skipped re-emits — exactly-once egress)",
+        outcome.emitted, outcome.skipped
+    );
+    outcome
 }
 
 /// Parse `--key value` style arguments with a default.

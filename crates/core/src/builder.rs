@@ -51,10 +51,6 @@ pub struct ToStream {
     rec: Recorder,
 }
 
-/// Alias once used by the prelude and examples.
-#[deprecated(since = "0.1.0", note = "use `ToStream`")]
-pub type StreamBuilder = ToStream;
-
 impl ToStream {
     /// Open a stream region with default configuration (ordered, blocking
     /// queues of capacity 64).

@@ -34,8 +34,6 @@
 pub mod builder;
 pub mod macros;
 
-#[allow(deprecated)]
-pub use builder::StreamBuilder;
 pub use builder::{SparConfig, StreamStage, ToStream};
 // Re-exports the macro expansion relies on.
 pub use fastflow::{Emitter, Node, SchedPolicy, WaitStrategy};

@@ -1,36 +1,37 @@
-//! Stage backends: CPU, CUDA and OpenCL implementations of the hashing
-//! (stage 2) and compression (stage 4) work.
+//! Stage backends: the CPU implementation of the hashing (stage 2) and
+//! compression (stage 4) work, and one GPU implementation written against
+//! the unified [`Offload`] trait and instantiated per front end.
 //!
-//! GPU backends keep the batch resident on the device between stages by
-//! attaching the device buffers to the stream item ("this stage reuses
+//! The GPU backend keeps the batch resident on the device between stages
+//! by attaching the device buffers to the stream item ("this stage reuses
 //! data already on GPU to prevent unnecessary data transfers", §IV-B) —
 //! stage 4 targets whatever device stage 2 uploaded to. Buffer ownership
 //! is encoded in the stream item *type* ([`DedupBackend::Gpu`]): a CUDA
-//! stage 4 can only ever receive CUDA buffers, so the old "wrong buffer
-//! flavour" panics are unrepresentable.
+//! stage 4 can only ever receive CUDA buffers, so a "wrong buffer
+//! flavour" handoff is unrepresentable.
 //!
-//! Every GPU path fails soft. For the trait-generic [`OffloadBackend`],
-//! the recovery ladder (retry per [`FaultPolicy`], OOM halving, CPU
-//! fallback) is *not implemented here*: the stages are declared as
-//! [`Workload`] impls ([`HashWork`], [`CompressWork`]) and the generic
-//! [`workload::WorkloadDriver`] owns every rung. The raw [`CudaBackend`]
-//! and [`OclBackend`] keep their single-shot CPU fallback — faithful to
-//! the paper's hand-written integrations, which had no retry machinery.
-//! Either way the fallback is byte-identical, so a faulty run still
+//! Every GPU path fails soft, and the recovery ladder (retry per
+//! [`FaultPolicy`], OOM halving, CPU fallback) is *not implemented here*:
+//! the stages are declared as [`Workload`] impls ([`HashWork`],
+//! [`CompressWork`]) and the generic [`workload::WorkloadDriver`] owns
+//! every rung. The fallback is byte-identical, so a faulty run still
 //! produces the exact sequential archive. `gpu: None` on a stream item
 //! means "this batch is not device-resident; compress it on the host".
 //!
 //! `batched = false` reproduces the paper's first, slow integration: one
-//! kernel launch per block instead of per batch.
+//! kernel launch per block instead of per batch — "the GPU kernel function
+//! has been invoked too many times without using efficiently the GPU
+//! resources" (§IV-B). Only the launches differ: uploads, the bulk
+//! read-back after the launch loop (n tiny D2H transfers would cost n
+//! fixed latencies for the same bytes) and the recovery ladder are shared
+//! with the batched path.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use fastflow::{BufPool, FaultPolicy, PooledBuf};
-use gpusim::cuda::{Cuda, CudaBuffer};
-use gpusim::opencl::{ClBuffer, ClKernel, CommandQueue, Context, Platform};
 use gpusim::{GpuSystem, Offload, OutOfMemory, PinnedSlab};
-use telemetry::{FaultKind, Recorder};
+use telemetry::Recorder;
 use workload::{Workload, WorkloadDriver, WorkloadFault};
 
 use crate::archive::BlockEntry;
@@ -170,16 +171,15 @@ pub trait DedupBackend: Send + 'static {
     fn compress_stage(&mut self, item: ClassifiedBatch<Self::Gpu>) -> CompressedBatch;
 }
 
-/// Host implementation of stage 2 (also the GPU backends' fallback path).
-fn cpu_digests(pool: &BufPool<Digest>, batch: &Batch) -> PooledBuf<Digest> {
-    let mut out = pool.acquire(batch.block_count());
+/// Host implementation of stage 2 (also the GPU backend's fallback rung):
+/// `out[b]` is the digest of block `b`.
+fn cpu_digests(batch: &Batch, out: &mut [Digest]) {
     for (b, slot) in out.iter_mut().enumerate() {
         *slot = sha1(batch.block(b));
     }
-    out
 }
 
-/// Host implementation of stage 4 (also the GPU backends' fallback path).
+/// Host implementation of stage 4 (also the GPU backend's fallback rung).
 /// Byte-identical to the GPU match-kernel encoding, so a fallen-back batch
 /// still reproduces the sequential archive exactly.
 fn cpu_entries(batch: &Batch, classes: &[BlockClass], lzss: &LzssConfig) -> Vec<BlockEntry> {
@@ -210,7 +210,8 @@ impl DedupBackend for CpuBackend {
     }
 
     fn hash_stage(&mut self, batch: Batch) -> HashedBatch {
-        let digests = cpu_digests(&self.pool, &batch);
+        let mut digests = self.pool.acquire(batch.block_count());
+        cpu_digests(&batch, &mut digests);
         HashedBatch {
             batch,
             digests,
@@ -225,10 +226,6 @@ impl DedupBackend for CpuBackend {
             entries,
         }
     }
-}
-
-fn starts_u32(batch: &Batch) -> Vec<u32> {
-    batch.starts.iter().map(|&s| s as u32).collect()
 }
 
 /// Walk the classes and encode unique blocks from per-position matches.
@@ -260,230 +257,9 @@ fn entries_from_matches(
         .collect()
 }
 
-/// Device-resident batch data produced by [`CudaBackend`]'s stage 2.
-pub struct CudaResident {
-    device: usize,
-    d_data: CudaBuffer<u8>,
-    d_starts: CudaBuffer<u32>,
-}
-
-/// CUDA backend. Host buffers are *pageable* (Dedup `realloc`s its buffers,
-/// §V-B), so all copies are synchronous — faithful to the paper's CUDA
-/// behaviour. On any device fault the failing batch degrades straight to
-/// the host implementation (the raw façade exposes no retry machinery —
-/// the paper's hand-written integrations did not have any either).
-pub struct CudaBackend {
-    cuda: Cuda,
-    device: usize,
-    batched: bool,
-    lzss: LzssConfig,
-    rec: Recorder,
-    pool: BufPool<Digest>,
-}
-
-impl CudaBackend {
-    fn hash_on_device(
-        &mut self,
-        batch: &Batch,
-    ) -> Result<(PooledBuf<Digest>, CudaResident), WorkloadFault> {
-        self.cuda.set_device(self.device);
-        let stream = self.cuda.stream_create();
-        let n = batch.block_count();
-        let d_data: CudaBuffer<u8> = self.cuda.malloc(batch.data.len())?;
-        let d_starts: CudaBuffer<u32> = self.cuda.malloc(n.max(1))?;
-        let d_out: CudaBuffer<u8> = self.cuda.malloc(n * 20)?;
-        self.cuda
-            .memcpy_h2d_pageable(&d_data, 0, &batch.data, &stream);
-        self.cuda
-            .memcpy_h2d_pageable(&d_starts, 0, &starts_u32(batch), &stream);
-        let mut raw: Vec<u8>;
-        if self.batched {
-            let k = Sha1Kernel {
-                data: d_data.ptr(),
-                starts: d_starts.ptr(),
-                data_len: batch.data.len(),
-                n_blocks: n,
-                out: d_out.ptr(),
-            };
-            let blocks = (n as u64).div_ceil(64) as u32;
-            self.cuda.try_launch(&k, blocks.max(1), 64u32, &stream)?;
-            // One read for the whole digest array.
-            let mut all = vec![0u8; n * 20];
-            self.cuda.memcpy_d2h_pageable(&mut all, &d_out, 0, &stream);
-            self.cuda.stream_synchronize(&stream);
-            raw = all;
-        } else {
-            // The naive integration: one launch per block — "the GPU
-            // kernel function has been invoked too many times without
-            // using efficiently the GPU resources" (§IV-B). The read-back
-            // is still coalesced into one bulk copy after the launch loop
-            // and sliced on the host: n tiny D2H transfers cost n fixed
-            // latencies for the same bytes.
-            raw = vec![0u8; n * 20];
-            for b in 0..n {
-                let r = batch.block_range(b);
-                let k = Sha1BlockKernel {
-                    data: d_data.ptr(),
-                    start: r.start,
-                    end: r.end,
-                    out: d_out.ptr(),
-                    slot: b,
-                };
-                self.cuda.try_launch(&k, 1u32, 32u32, &stream)?;
-            }
-            self.cuda.memcpy_d2h_pageable(&mut raw, &d_out, 0, &stream);
-            self.cuda.stream_synchronize(&stream);
-        }
-        let mut digests = self.pool.acquire(n);
-        for (slot, c) in digests.iter_mut().zip(raw.chunks_exact(20)) {
-            *slot = Digest(c.try_into().expect("20 bytes"));
-        }
-        Ok((
-            digests,
-            CudaResident {
-                device: self.device,
-                d_data,
-                d_starts,
-            },
-        ))
-    }
-
-    fn compress_on_device(
-        &mut self,
-        batch: &Batch,
-        classes: &[BlockClass],
-        res: &CudaResident,
-    ) -> Result<(Vec<u32>, Vec<u32>), WorkloadFault> {
-        // The data lives on whatever device stage 2 used.
-        self.cuda.set_device(res.device);
-        let stream = self.cuda.stream_create();
-        let len = batch.data.len();
-        let d_len: CudaBuffer<u32> = self.cuda.malloc(len)?;
-        let d_off: CudaBuffer<u32> = self.cuda.malloc(len)?;
-        let mut lens = vec![0u32; len];
-        let mut offs = vec![0u32; len];
-        if self.batched {
-            let k = FindMatchKernel {
-                data: res.d_data.ptr(),
-                data_len: len,
-                starts: res.d_starts.ptr(),
-                n_blocks: batch.block_count(),
-                matches_len: d_len.ptr(),
-                matches_off: d_off.ptr(),
-                cfg: self.lzss,
-            };
-            let blocks = (len as u64).div_ceil(BLOCK_1D as u64) as u32;
-            self.cuda.try_launch(&k, blocks.max(1), BLOCK_1D, &stream)?;
-            self.cuda.memcpy_d2h_pageable(&mut lens, &d_len, 0, &stream);
-            self.cuda.memcpy_d2h_pageable(&mut offs, &d_off, 0, &stream);
-        } else {
-            // Naive integration: launch per block, but read back once.
-            // The skipped Dup ranges stay zero on both sides (device
-            // buffers are allocated zeroed), so the bulk copy is
-            // bit-identical to the old per-range reads.
-            for (b, class) in classes.iter().enumerate() {
-                if matches!(class, BlockClass::Dup { .. }) {
-                    continue; // per-block mode can skip duplicate blocks
-                }
-                let r = batch.block_range(b);
-                let k = FindMatchBlockKernel {
-                    data: res.d_data.ptr(),
-                    start: r.start,
-                    end: r.end,
-                    matches_len: d_len.ptr(),
-                    matches_off: d_off.ptr(),
-                    cfg: self.lzss,
-                };
-                let lanes = (r.end - r.start) as u64;
-                let blocks = lanes.div_ceil(BLOCK_1D as u64) as u32;
-                self.cuda.try_launch(&k, blocks.max(1), BLOCK_1D, &stream)?;
-            }
-            self.cuda.memcpy_d2h_pageable(&mut lens, &d_len, 0, &stream);
-            self.cuda.memcpy_d2h_pageable(&mut offs, &d_off, 0, &stream);
-        }
-        self.cuda.stream_synchronize(&stream);
-        Ok((lens, offs))
-    }
-}
-
-impl DedupBackend for CudaBackend {
-    type Gpu = CudaResident;
-
-    fn new(ctx: &BackendCtx, replica: usize) -> Self {
-        let system = ctx.system.as_ref().expect("CUDA backend needs a GpuSystem");
-        let cuda = Cuda::new(Arc::clone(system));
-        let device = replica % ctx.n_gpus;
-        cuda.set_device(device); // per-thread, as §IV-A requires
-        CudaBackend {
-            cuda,
-            device,
-            batched: ctx.batched,
-            lzss: ctx.lzss,
-            rec: ctx.rec.clone(),
-            pool: ctx.digests.clone(),
-        }
-    }
-
-    fn hash_stage(&mut self, batch: Batch) -> HashedBatch<CudaResident> {
-        match self.hash_on_device(&batch) {
-            Ok((digests, res)) => HashedBatch {
-                batch,
-                digests,
-                gpu: Some(res),
-            },
-            Err(fail) => {
-                self.rec.fault(HASH_STAGE, fail.kind(), fail.to_string());
-                self.rec.fault(
-                    HASH_STAGE,
-                    FaultKind::CpuFallback,
-                    format!("batch {}: hashing on the host", batch.index),
-                );
-                let digests = cpu_digests(&self.pool, &batch);
-                HashedBatch {
-                    batch,
-                    digests,
-                    gpu: None,
-                }
-            }
-        }
-    }
-
-    fn compress_stage(&mut self, item: ClassifiedBatch<CudaResident>) -> CompressedBatch {
-        let ClassifiedBatch {
-            batch,
-            classes,
-            gpu,
-        } = item;
-        let entries = match &gpu {
-            Some(res) => match self.compress_on_device(&batch, &classes, res) {
-                Ok((lens, offs)) => {
-                    entries_from_matches(&batch, &classes, &lens, &offs, &self.lzss)
-                }
-                Err(fail) => {
-                    self.rec
-                        .fault(COMPRESS_STAGE, fail.kind(), fail.to_string());
-                    self.rec.fault(
-                        COMPRESS_STAGE,
-                        FaultKind::CpuFallback,
-                        format!("batch {}: compressing on the host", batch.index),
-                    );
-                    cpu_entries(&batch, &classes, &self.lzss)
-                }
-            },
-            // Stage 2 already fell back: the batch never reached a device.
-            None => cpu_entries(&batch, &classes, &self.lzss),
-        };
-        CompressedBatch {
-            index: batch.index,
-            entries,
-        }
-    }
-}
-
 /// Device-resident batch data produced by [`OffloadBackend`]'s stage 2.
-/// Owning the concrete `O::Buffer` types (instead of the old type-erased
-/// `Box<dyn Any>`) means stage 4 cannot receive buffers from a different
-/// offload implementation — the downcast-and-panic path is gone.
+/// Owning the concrete `O::Buffer` types means stage 4 cannot receive
+/// buffers from a different offload implementation.
 pub struct OffloadResident<O: Offload> {
     device: usize,
     d_data: O::Buffer<u8>,
@@ -495,10 +271,8 @@ pub struct OffloadResident<O: Offload> {
 /// `OffloadBackend<OclOffload>`), or selected by value through
 /// `gpusim::OffloadApi` in a harness.
 ///
-/// Always uses the batched kernels: the deliberately-naive per-block
-/// integration (§IV-B's first attempt) needs offset reads the common
-/// surface does not expose, so that ladder rung stays raw-façade-only
-/// ([`CudaBackend`] / [`OclBackend`] with `batched = false`).
+/// [`BackendCtx::batched`] picks the batched kernels or the per-block
+/// launches of §IV-B's first attempt (see the module docs).
 ///
 /// No recovery ladder is written here: both GPU stages are declared as
 /// [`Workload`] impls ([`HashWork`], [`CompressWork`]) and the generic
@@ -526,10 +300,9 @@ pub struct DedupGpu<O: Offload> {
 }
 
 /// Per-device state an [`OffloadBackend`] replica keeps across batches:
-/// the offloader plus the recycled device scratch. The host-side staging
-/// rings the lanes used to carry are gone — the zero-copy handoff pins
-/// the source/destination memory itself (the batch's vectors, the pooled
-/// digest/match arrays) and transfers straight from/into it.
+/// the offloader plus the recycled device scratch. There is no host-side
+/// staging: the source/destination memory itself (the batch's vectors,
+/// the pooled digest/match arrays) is pinned and transferred from/into.
 struct Lane<O: Offload> {
     off: O,
     /// Recycled device scratch for stage outputs. Unlike `d_data` /
@@ -597,6 +370,7 @@ fn ensure_dev<O: Offload, T: Default + Clone + Send + 'static>(
 pub struct HashWork<O: Offload> {
     system: Arc<GpuSystem>,
     n_gpus: usize,
+    batched: bool,
     /// Shared digest pool (see [`BackendCtx::digests`]).
     pool: BufPool<Digest>,
     policy: FaultPolicy,
@@ -608,6 +382,7 @@ impl<O: Offload> Clone for HashWork<O> {
         HashWork {
             system: Arc::clone(&self.system),
             n_gpus: self.n_gpus,
+            batched: self.batched,
             pool: self.pool.clone(),
             policy: self.policy,
             _off: PhantomData,
@@ -625,69 +400,21 @@ impl<O: Offload> HashWork<O> {
         HashWork {
             system: Arc::clone(system),
             n_gpus: ctx.n_gpus,
+            batched: ctx.batched,
             pool: ctx.digests.clone(),
             policy: ctx.policy,
             _off: PhantomData,
         }
     }
 
-    /// One full-batch hashing attempt that keeps the batch device-resident
-    /// for stage 4. Zero-copy on both directions: the batch bytes and the
+    /// Upload blocks `lo..hi` as a standalone device batch and hash them
+    /// into `out`. Zero-copy in both directions: the source bytes and the
     /// starts scratch are page-locked in place and uploaded as-is, and the
-    /// digest stream DMAs straight into the pooled (already-pinned) digest
-    /// array — no staging ring, no memcpy. Only `d_data` / `d_starts` are
-    /// per-batch device allocations (they travel downstream in the stream
-    /// item), and those are device-cache hits after warmup.
-    fn hash_full(
-        &self,
-        gpu: &mut DedupGpu<O>,
-        batch: &Batch,
-        digests: &mut [Digest],
-    ) -> Result<OffloadResident<O>, WorkloadFault> {
-        let device = gpu.device;
-        let n = batch.block_count();
-        let data_len = batch.data.len();
-        gpu.starts_scratch.clear();
-        gpu.starts_scratch
-            .extend(batch.starts.iter().map(|&s| s as u32));
-        // Per-batch pins for the two host sources (the pooled digest
-        // destination is pinned for its whole pooled lifetime already).
-        let _pin_data = PinnedSlab::register(&batch.data[..]);
-        let _pin_starts = PinnedSlab::register(&gpu.starts_scratch[..]);
-        let lane = lane_mut(&mut gpu.lanes, &gpu.system, device);
-        let d_data: O::Buffer<u8> = lane.off.try_alloc(data_len)?;
-        let d_starts: O::Buffer<u32> = lane.off.try_alloc(n.max(1))?;
-        ensure_dev(&mut lane.off, &mut lane.d_out, n * 20)?;
-        lane.off.h2d_pinned(&d_data, &batch.data, data_len);
-        lane.off.h2d_pinned(&d_starts, &gpu.starts_scratch, n);
-        lane.off.try_launch(
-            Sha1Kernel {
-                data: O::buffer_ptr(&d_data),
-                starts: O::buffer_ptr(&d_starts),
-                data_len,
-                n_blocks: n,
-                out: O::buffer_ptr(lane.d_out.as_ref().expect("ensured above")),
-            },
-            n as u64,
-            64,
-        )?;
-        lane.off.d2h_pinned(
-            lane.d_out.as_ref().expect("ensured above"),
-            digest_bytes_mut(digests),
-            n * 20,
-        );
-        lane.off.sync();
-        Ok(OffloadResident {
-            device,
-            d_data,
-            d_starts,
-        })
-    }
-
-    /// Hash blocks `lo..hi` as a standalone sub-batch (own upload, no
-    /// residency), writing the digests into `out`: the smaller-allocation
-    /// rung after an OOM. Writing into a shared slice lets the whole
-    /// halving recursion fill one pooled digest buffer.
+    /// digest stream DMAs straight into `out` — a window of the pooled
+    /// (already-pinned) digest array, so the whole halving recursion fills
+    /// one buffer. Only `d_data` / `d_starts` are per-batch device
+    /// allocations, device-cache hits after warmup; they are returned so a
+    /// full-batch caller can keep the batch resident for stage 4.
     fn hash_range(
         &self,
         gpu: &mut DedupGpu<O>,
@@ -695,7 +422,8 @@ impl<O: Offload> HashWork<O> {
         lo: usize,
         hi: usize,
         out: &mut [Digest],
-    ) -> Result<(), WorkloadFault> {
+    ) -> Result<OffloadResident<O>, WorkloadFault> {
+        let device = gpu.device;
         let base = batch.block_range(lo).start;
         let end = batch.block_range(hi - 1).end;
         let data = &batch.data[base..end];
@@ -703,35 +431,51 @@ impl<O: Offload> HashWork<O> {
         gpu.starts_scratch.clear();
         gpu.starts_scratch
             .extend(batch.starts[lo..hi].iter().map(|&s| (s - base) as u32));
-        // Pin the sub-range's source bytes in place; the digest slice is
-        // a window into the pooled (pinned) array, so the read-back DMAs
-        // straight into the caller's positions.
+        // Per-batch pins for the two host sources.
         let _pin_data = PinnedSlab::register(data);
         let _pin_starts = PinnedSlab::register(&gpu.starts_scratch[..]);
-        let lane = lane_mut(&mut gpu.lanes, &gpu.system, gpu.device);
+        let lane = lane_mut(&mut gpu.lanes, &gpu.system, device);
         let d_data: O::Buffer<u8> = lane.off.try_alloc(data.len())?;
         let d_starts: O::Buffer<u32> = lane.off.try_alloc(n)?;
         ensure_dev(&mut lane.off, &mut lane.d_out, n * 20)?;
-        lane.off.h2d_pinned(&d_data, data, data.len());
-        lane.off.h2d_pinned(&d_starts, &gpu.starts_scratch, n);
-        lane.off.try_launch(
-            Sha1Kernel {
-                data: O::buffer_ptr(&d_data),
-                starts: O::buffer_ptr(&d_starts),
-                data_len: data.len(),
-                n_blocks: n,
-                out: O::buffer_ptr(lane.d_out.as_ref().expect("ensured above")),
-            },
-            n as u64,
-            64,
-        )?;
-        lane.off.d2h_pinned(
-            lane.d_out.as_ref().expect("ensured above"),
-            digest_bytes_mut(out),
-            n * 20,
-        );
+        let d_out = lane.d_out.as_ref().expect("ensured above");
+        lane.off.h2d(&d_data, data);
+        lane.off.h2d(&d_starts, &gpu.starts_scratch);
+        if self.batched {
+            lane.off.try_launch(
+                Sha1Kernel {
+                    data: O::buffer_ptr(&d_data),
+                    starts: O::buffer_ptr(&d_starts),
+                    data_len: data.len(),
+                    n_blocks: n,
+                    out: O::buffer_ptr(d_out),
+                },
+                n as u64,
+                64,
+            )?;
+        } else {
+            for b in lo..hi {
+                let r = batch.block_range(b);
+                lane.off.try_launch(
+                    Sha1BlockKernel {
+                        data: O::buffer_ptr(&d_data),
+                        start: r.start - base,
+                        end: r.end - base,
+                        out: O::buffer_ptr(d_out),
+                        slot: b - lo,
+                    },
+                    32,
+                    32,
+                )?;
+            }
+        }
+        lane.off.d2h(d_out, digest_bytes_mut(out));
         lane.off.sync();
-        Ok(())
+        Ok(OffloadResident {
+            device,
+            d_data,
+            d_starts,
+        })
     }
 }
 
@@ -773,7 +517,7 @@ impl<O: Offload> Workload for HashWork<O> {
         item: &Batch,
         out: &mut Self::Batch,
     ) -> Result<(), WorkloadFault> {
-        out.1 = Some(self.hash_full(gpu, item, &mut out.0)?);
+        out.1 = Some(self.hash_range(gpu, item, 0, item.block_count(), &mut out.0)?);
         Ok(())
     }
 
@@ -791,14 +535,13 @@ impl<O: Offload> Workload for HashWork<O> {
     ) -> Result<(), WorkloadFault> {
         // Residency is lost on the split path: stage 4 goes host-side.
         out.1 = None;
-        self.hash_range(gpu, item, lo, hi, &mut out.0[lo..hi])
+        self.hash_range(gpu, item, lo, hi, &mut out.0[lo..hi])?;
+        Ok(())
     }
 
     fn cpu_batch(&self, item: &Batch, out: &mut Self::Batch) {
         out.1 = None;
-        for (b, slot) in out.0.iter_mut().enumerate() {
-            *slot = sha1(item.block(b));
-        }
+        cpu_digests(item, &mut out.0);
     }
 
     fn register_telemetry(&self, rec: &Recorder) {
@@ -815,6 +558,7 @@ impl<O: Offload> Workload for HashWork<O> {
 pub struct CompressWork<O: Offload> {
     system: Arc<GpuSystem>,
     n_gpus: usize,
+    batched: bool,
     lzss: LzssConfig,
     policy: FaultPolicy,
     /// Shared pinned pool for the per-position match arrays (see
@@ -828,6 +572,7 @@ impl<O: Offload> Clone for CompressWork<O> {
         CompressWork {
             system: Arc::clone(&self.system),
             n_gpus: self.n_gpus,
+            batched: self.batched,
             lzss: self.lzss,
             policy: self.policy,
             pool: self.pool.clone(),
@@ -846,6 +591,7 @@ impl<O: Offload> CompressWork<O> {
         CompressWork {
             system: Arc::clone(system),
             n_gpus: ctx.n_gpus,
+            batched: ctx.batched,
             lzss: ctx.lzss,
             policy: ctx.policy,
             pool: ctx.matches.clone(),
@@ -855,41 +601,63 @@ impl<O: Offload> CompressWork<O> {
 
     /// Stage-4 match kernel over a device-resident batch. The
     /// per-position match arrays come from the shared pinned pool and
-    /// the kernel's results DMA straight into them — no staging ring;
-    /// the device scratch is recycled via [`ensure_dev`]. The batched
-    /// kernel writes every position below `data_len`, so recycled
-    /// (non-zeroed) buffers cannot leak stale matches.
+    /// the kernel's results DMA straight into them; the device scratch is
+    /// recycled via [`ensure_dev`]. Neither is zeroed, and neither needs
+    /// to be: the batched kernel writes every position below `data_len`,
+    /// and the per-block launches skip only duplicate blocks, whose
+    /// positions [`entries_from_matches`] never reads.
     fn compress_on_device(
         &self,
         gpu: &mut DedupGpu<O>,
         batch: &Batch,
+        classes: &[BlockClass],
         res: &OffloadResident<O>,
     ) -> Result<(PooledBuf<u32>, PooledBuf<u32>), WorkloadFault> {
         let len = batch.data.len();
-        let lzss = self.lzss;
         let mut lens = self.pool.acquire(len);
         let mut offs = self.pool.acquire(len);
         // The data lives on whatever device stage 2 used.
         let lane = lane_mut(&mut gpu.lanes, &gpu.system, res.device);
         ensure_dev(&mut lane.off, &mut lane.d_len, len)?;
         ensure_dev(&mut lane.off, &mut lane.d_off, len)?;
-        lane.off.try_launch(
-            FindMatchKernel {
-                data: O::buffer_ptr(&res.d_data),
-                data_len: len,
-                starts: O::buffer_ptr(&res.d_starts),
-                n_blocks: batch.block_count(),
-                matches_len: O::buffer_ptr(lane.d_len.as_ref().expect("ensured above")),
-                matches_off: O::buffer_ptr(lane.d_off.as_ref().expect("ensured above")),
-                cfg: lzss,
-            },
-            len as u64,
-            BLOCK_1D,
-        )?;
-        lane.off
-            .d2h_pinned(lane.d_len.as_ref().expect("ensured above"), &mut lens, len);
-        lane.off
-            .d2h_pinned(lane.d_off.as_ref().expect("ensured above"), &mut offs, len);
+        let d_len = lane.d_len.as_ref().expect("ensured above");
+        let d_off = lane.d_off.as_ref().expect("ensured above");
+        if self.batched {
+            lane.off.try_launch(
+                FindMatchKernel {
+                    data: O::buffer_ptr(&res.d_data),
+                    data_len: len,
+                    starts: O::buffer_ptr(&res.d_starts),
+                    n_blocks: batch.block_count(),
+                    matches_len: O::buffer_ptr(d_len),
+                    matches_off: O::buffer_ptr(d_off),
+                    cfg: self.lzss,
+                },
+                len as u64,
+                BLOCK_1D,
+            )?;
+        } else {
+            for (b, class) in classes.iter().enumerate() {
+                if matches!(class, BlockClass::Dup { .. }) {
+                    continue;
+                }
+                let r = batch.block_range(b);
+                lane.off.try_launch(
+                    FindMatchBlockKernel {
+                        data: O::buffer_ptr(&res.d_data),
+                        start: r.start,
+                        end: r.end,
+                        matches_len: O::buffer_ptr(d_len),
+                        matches_off: O::buffer_ptr(d_off),
+                        cfg: self.lzss,
+                    },
+                    (r.end - r.start) as u64,
+                    BLOCK_1D,
+                )?;
+            }
+        }
+        lane.off.d2h(d_len, &mut lens);
+        lane.off.d2h(d_off, &mut offs);
         lane.off.sync();
         Ok((lens, offs))
     }
@@ -935,7 +703,7 @@ impl<O: Offload> Workload for CompressWork<O> {
             .gpu
             .as_ref()
             .expect("driver runs only device-resident batches (see compress_stage)");
-        let (lens, offs) = self.compress_on_device(gpu, &item.batch, res)?;
+        let (lens, offs) = self.compress_on_device(gpu, &item.batch, &item.classes, res)?;
         *out = entries_from_matches(&item.batch, &item.classes, &lens, &offs, &self.lzss);
         Ok(())
     }
@@ -978,242 +746,6 @@ impl<O: Offload> DedupBackend for OffloadBackend<O> {
         };
         CompressedBatch {
             index: item.batch.index,
-            entries,
-        }
-    }
-}
-
-/// Device-resident batch data produced by [`OclBackend`]'s stage 2.
-pub struct OclResident {
-    device: usize,
-    d_data: ClBuffer<u8>,
-    d_starts: ClBuffer<u32>,
-}
-
-/// OpenCL backend. Queues and kernel objects are per replica (they are not
-/// thread-safe); events order the enqueues. Like [`CudaBackend`], any
-/// device fault degrades the batch straight to the host implementation.
-pub struct OclBackend {
-    ctx: Context,
-    queues: Vec<CommandQueue>, // one per device, created lazily
-    device: usize,
-    batched: bool,
-    lzss: LzssConfig,
-    rec: Recorder,
-    pool: BufPool<Digest>,
-}
-
-impl OclBackend {
-    fn queue(&self, device: usize) -> &CommandQueue {
-        &self.queues[device]
-    }
-
-    fn hash_on_device(
-        &mut self,
-        batch: &Batch,
-    ) -> Result<(PooledBuf<Digest>, OclResident), WorkloadFault> {
-        let dev = self.ctx.devices()[self.device];
-        let n = batch.block_count();
-        let d_data: ClBuffer<u8> = self.ctx.create_buffer(dev, batch.data.len())?;
-        let d_starts: ClBuffer<u32> = self.ctx.create_buffer(dev, n.max(1))?;
-        let d_out: ClBuffer<u8> = self.ctx.create_buffer(dev, n * 20)?;
-        let q = self.queue(self.device);
-        let w1 = q.enqueue_write_buffer(&d_data, false, 0, &batch.data, &[]);
-        let w2 = q.enqueue_write_buffer(&d_starts, false, 0, &starts_u32(batch), &[]);
-        let mut raw = vec![0u8; n * 20];
-        if self.batched {
-            let kernel = ClKernel::create(Sha1Kernel {
-                data: d_data.ptr(),
-                starts: d_starts.ptr(),
-                data_len: batch.data.len(),
-                n_blocks: n,
-                out: d_out.ptr(),
-            });
-            let k_ev = q.try_enqueue_nd_range(
-                &kernel,
-                (n as u64).next_multiple_of(64).max(64),
-                64,
-                &[w1, w2],
-            )?;
-            let r_ev = q.enqueue_read_buffer(&d_out, false, 0, &mut raw, &[k_ev]);
-            self.ctx.wait_for_events(&[r_ev]);
-        } else {
-            // Naive integration: one launch per block. The read-back is
-            // coalesced into a single blocking read after the launch loop
-            // (the in-order queue means waiting on the last kernel event
-            // covers every earlier one) and sliced on the host.
-            let mut last = None;
-            for b in 0..n {
-                let r = batch.block_range(b);
-                let kernel = ClKernel::create(Sha1BlockKernel {
-                    data: d_data.ptr(),
-                    start: r.start,
-                    end: r.end,
-                    out: d_out.ptr(),
-                    slot: b,
-                });
-                last = Some(q.try_enqueue_nd_range(&kernel, 32, 32, &[w1, w2])?);
-            }
-            if let Some(k_ev) = last {
-                q.enqueue_read_buffer(&d_out, true, 0, &mut raw, &[k_ev]);
-            }
-        }
-        let mut digests = self.pool.acquire(n);
-        for (slot, c) in digests.iter_mut().zip(raw.chunks_exact(20)) {
-            *slot = Digest(c.try_into().expect("20 bytes"));
-        }
-        Ok((
-            digests,
-            OclResident {
-                device: self.device,
-                d_data,
-                d_starts,
-            },
-        ))
-    }
-
-    fn compress_on_device(
-        &mut self,
-        batch: &Batch,
-        classes: &[BlockClass],
-        res: &OclResident,
-    ) -> Result<(Vec<u32>, Vec<u32>), WorkloadFault> {
-        let dev = self.ctx.devices()[res.device];
-        let len = batch.data.len();
-        let d_len: ClBuffer<u32> = self.ctx.create_buffer(dev, len)?;
-        let d_off: ClBuffer<u32> = self.ctx.create_buffer(dev, len)?;
-        let q = self.queue(res.device);
-        let mut lens = vec![0u32; len];
-        let mut offs = vec![0u32; len];
-        if self.batched {
-            let kernel = ClKernel::create(FindMatchKernel {
-                data: res.d_data.ptr(),
-                data_len: len,
-                starts: res.d_starts.ptr(),
-                n_blocks: batch.block_count(),
-                matches_len: d_len.ptr(),
-                matches_off: d_off.ptr(),
-                cfg: self.lzss,
-            });
-            let global = (len as u64)
-                .next_multiple_of(BLOCK_1D as u64)
-                .max(BLOCK_1D as u64);
-            let k_ev = q.try_enqueue_nd_range(&kernel, global, BLOCK_1D, &[])?;
-            let r1 = q.enqueue_read_buffer(&d_len, false, 0, &mut lens, &[k_ev]);
-            let r2 = q.enqueue_read_buffer(&d_off, false, 0, &mut offs, &[k_ev]);
-            self.ctx.wait_for_events(&[r1, r2]);
-        } else {
-            // Naive integration: launch per block, one coalesced read pair
-            // after the loop. Skipped Dup ranges are zero on both sides
-            // (buffers are created zeroed), so the bulk reads are
-            // bit-identical to the old per-range ones.
-            let mut last = None;
-            for (b, class) in classes.iter().enumerate() {
-                if matches!(class, BlockClass::Dup { .. }) {
-                    continue;
-                }
-                let r = batch.block_range(b);
-                let kernel = ClKernel::create(FindMatchBlockKernel {
-                    data: res.d_data.ptr(),
-                    start: r.start,
-                    end: r.end,
-                    matches_len: d_len.ptr(),
-                    matches_off: d_off.ptr(),
-                    cfg: self.lzss,
-                });
-                let lanes = ((r.end - r.start) as u64)
-                    .next_multiple_of(BLOCK_1D as u64)
-                    .max(BLOCK_1D as u64);
-                last = Some(q.try_enqueue_nd_range(&kernel, lanes, BLOCK_1D, &[])?);
-            }
-            if let Some(k_ev) = last {
-                let r1 = q.enqueue_read_buffer(&d_len, false, 0, &mut lens, &[k_ev]);
-                let r2 = q.enqueue_read_buffer(&d_off, false, 0, &mut offs, &[k_ev]);
-                self.ctx.wait_for_events(&[r1, r2]);
-            }
-        }
-        Ok((lens, offs))
-    }
-}
-
-impl DedupBackend for OclBackend {
-    type Gpu = OclResident;
-
-    fn new(ctx: &BackendCtx, replica: usize) -> Self {
-        let system = ctx
-            .system
-            .as_ref()
-            .expect("OpenCL backend needs a GpuSystem");
-        let platform = Platform::new(Arc::clone(system));
-        let ids = platform.device_ids();
-        let cl_ctx = Context::create(&platform, &ids[..ctx.n_gpus]);
-        let queues = cl_ctx
-            .devices()
-            .iter()
-            .map(|&d| cl_ctx.create_queue(d))
-            .collect();
-        OclBackend {
-            ctx: cl_ctx,
-            queues,
-            device: replica % ctx.n_gpus,
-            batched: ctx.batched,
-            lzss: ctx.lzss,
-            rec: ctx.rec.clone(),
-            pool: ctx.digests.clone(),
-        }
-    }
-
-    fn hash_stage(&mut self, batch: Batch) -> HashedBatch<OclResident> {
-        match self.hash_on_device(&batch) {
-            Ok((digests, res)) => HashedBatch {
-                batch,
-                digests,
-                gpu: Some(res),
-            },
-            Err(fail) => {
-                self.rec.fault(HASH_STAGE, fail.kind(), fail.to_string());
-                self.rec.fault(
-                    HASH_STAGE,
-                    FaultKind::CpuFallback,
-                    format!("batch {}: hashing on the host", batch.index),
-                );
-                let digests = cpu_digests(&self.pool, &batch);
-                HashedBatch {
-                    batch,
-                    digests,
-                    gpu: None,
-                }
-            }
-        }
-    }
-
-    fn compress_stage(&mut self, item: ClassifiedBatch<OclResident>) -> CompressedBatch {
-        let ClassifiedBatch {
-            batch,
-            classes,
-            gpu,
-        } = item;
-        let entries = match &gpu {
-            Some(res) => match self.compress_on_device(&batch, &classes, res) {
-                Ok((lens, offs)) => {
-                    entries_from_matches(&batch, &classes, &lens, &offs, &self.lzss)
-                }
-                Err(fail) => {
-                    self.rec
-                        .fault(COMPRESS_STAGE, fail.kind(), fail.to_string());
-                    self.rec.fault(
-                        COMPRESS_STAGE,
-                        FaultKind::CpuFallback,
-                        format!("batch {}: compressing on the host", batch.index),
-                    );
-                    cpu_entries(&batch, &classes, &self.lzss)
-                }
-            },
-            // Stage 2 already fell back: the batch never reached a device.
-            None => cpu_entries(&batch, &classes, &self.lzss),
-        };
-        CompressedBatch {
-            index: batch.index,
             entries,
         }
     }

@@ -44,7 +44,7 @@ pub mod single;
 pub mod stats;
 
 pub use archive::{Archive, ArchiveError, BlockEntry};
-pub use backend::{BackendCtx, CpuBackend, CudaBackend, DedupBackend, OclBackend, OffloadBackend};
+pub use backend::{BackendCtx, CpuBackend, DedupBackend, OffloadBackend};
 pub use batch::{make_batches, Batch, DEFAULT_BATCH_SIZE};
 pub use costs::HostCosts;
 pub use dedupe::{BlockClass, DedupCache};

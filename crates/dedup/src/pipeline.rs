@@ -206,9 +206,9 @@ pub fn run_pipeline_rec<B: DedupBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CpuBackend, CudaBackend, OclBackend};
+    use crate::backend::{CpuBackend, OffloadBackend};
     use crate::datasets;
-    use gpusim::{DeviceProps, GpuSystem};
+    use gpusim::{CudaOffload, DeviceProps, GpuSystem, OclOffload, Offload};
 
     fn small_cfg() -> DedupConfig {
         DedupConfig {
@@ -253,47 +253,15 @@ mod tests {
     }
 
     #[test]
-    fn spar_cuda_pipeline_matches_sequential() {
-        let cfg = small_cfg();
-        let data = input();
-        let seq = run_sequential(&data, &cfg);
-        let sys = GpuSystem::new(2, DeviceProps::titan_xp());
-        let ctx = BackendCtx::gpu(sys, 2, true, cfg.lzss);
-        let par = run_pipeline::<CudaBackend>(ctx, data.clone(), &cfg, 3);
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn spar_opencl_pipeline_matches_sequential() {
-        let cfg = small_cfg();
-        let data = input();
-        let seq = run_sequential(&data, &cfg);
-        let sys = GpuSystem::new(2, DeviceProps::titan_xp());
-        let ctx = BackendCtx::gpu(sys, 2, true, cfg.lzss);
-        let par = run_pipeline::<OclBackend>(ctx, data.clone(), &cfg, 3);
-        assert_eq!(par, seq);
-    }
-
-    #[test]
     fn offload_backends_match_sequential() {
         let cfg = small_cfg();
         let data = input();
         let seq = run_sequential(&data, &cfg);
         let sys = GpuSystem::new(2, DeviceProps::titan_xp());
         let ctx = BackendCtx::gpu(sys.clone(), 2, true, cfg.lzss);
-        let cuda = run_pipeline::<crate::backend::OffloadBackend<gpusim::CudaOffload>>(
-            ctx.clone(),
-            data.clone(),
-            &cfg,
-            3,
-        );
+        let cuda = run_pipeline::<OffloadBackend<CudaOffload>>(ctx.clone(), data.clone(), &cfg, 3);
         assert_eq!(cuda, seq);
-        let ocl = run_pipeline::<crate::backend::OffloadBackend<gpusim::OclOffload>>(
-            ctx,
-            data.clone(),
-            &cfg,
-            3,
-        );
+        let ocl = run_pipeline::<OffloadBackend<OclOffload>>(ctx, data.clone(), &cfg, 3);
         assert_eq!(ocl, seq);
     }
 
@@ -304,7 +272,7 @@ mod tests {
         let sys = GpuSystem::new(2, DeviceProps::titan_xp());
         let ctx = BackendCtx::gpu(sys, 2, true, cfg.lzss);
         let rec = telemetry::Recorder::enabled();
-        let archive = run_pipeline_rec::<crate::backend::OffloadBackend<gpusim::CudaOffload>>(
+        let archive = run_pipeline_rec::<OffloadBackend<CudaOffload>>(
             ctx,
             data.clone(),
             &cfg,
@@ -328,26 +296,34 @@ mod tests {
         assert!(report.gpu.iter().any(|s| s.engine == "h2d"));
     }
 
-    #[test]
-    fn injected_faults_degrade_to_cpu_and_preserve_output() {
+    /// A pipeline run over `n_gpus` devices armed with the deterministic
+    /// fault storm `FaultSpec::demo(seed)`: the first allocations OOM and
+    /// the first kernel launches fail on every device, then the devices
+    /// heal. The archive must still be the sequential one.
+    fn faulty_run<O: Offload>(
+        n_gpus: usize,
+        seed: u64,
+        workers: usize,
+    ) -> telemetry::TelemetryReport {
         let cfg = small_cfg();
         let data = input();
         let seq = run_sequential(&data, &cfg);
-        let sys = GpuSystem::new(2, DeviceProps::titan_xp());
-        // Deterministic fault storm: the first allocations OOM and the
-        // first kernel launches fail on every device, then the devices heal.
-        sys.inject_faults(&gpusim::FaultSpec::demo(42));
-        let ctx = BackendCtx::gpu(sys, 2, true, cfg.lzss);
+        let sys = GpuSystem::new(n_gpus, DeviceProps::titan_xp());
+        sys.inject_faults(&gpusim::FaultSpec::demo(seed));
+        let ctx = BackendCtx::gpu(sys, n_gpus, true, cfg.lzss);
         let rec = telemetry::Recorder::enabled();
-        let par = run_pipeline_rec::<crate::backend::OffloadBackend<gpusim::CudaOffload>>(
-            ctx,
-            data.clone(),
-            &cfg,
-            3,
-            rec.clone(),
+        let par = run_pipeline_rec::<OffloadBackend<O>>(ctx, data, &cfg, workers, rec.clone());
+        assert_eq!(
+            par,
+            seq,
+            "{}: faulty run must still be byte-identical",
+            O::API
         );
-        assert_eq!(par, seq, "faulty run must still be byte-identical");
-        let report = rec.report();
+        rec.report()
+    }
+
+    fn injected_faults_degrade_to_cpu_and_preserve_output<O: Offload>() {
+        let report = faulty_run::<O>(2, 42, 3);
         assert!(
             report.retry_count() >= 1,
             "expected at least one retry event, got {} fault events",
@@ -358,23 +334,17 @@ mod tests {
             "expected at least one CPU fallback event, got {} fault events",
             report.faults.len()
         );
+        faulty_run::<O>(1, 7, 2);
     }
 
     #[test]
-    fn raw_backends_survive_injected_faults() {
-        let cfg = small_cfg();
-        let data = input();
-        let seq = run_sequential(&data, &cfg);
-        let sys = GpuSystem::new(1, DeviceProps::titan_xp());
-        sys.inject_faults(&gpusim::FaultSpec::demo(7));
-        let ctx = BackendCtx::gpu(sys, 1, true, cfg.lzss);
-        let cuda = run_pipeline::<CudaBackend>(ctx, data.clone(), &cfg, 2);
-        assert_eq!(cuda, seq);
-        let sys = GpuSystem::new(1, DeviceProps::titan_xp());
-        sys.inject_faults(&gpusim::FaultSpec::demo(7));
-        let ctx = BackendCtx::gpu(sys, 1, true, cfg.lzss);
-        let ocl = run_pipeline::<OclBackend>(ctx, data.clone(), &cfg, 2);
-        assert_eq!(ocl, seq);
+    fn cuda_survives_injected_faults() {
+        injected_faults_degrade_to_cpu_and_preserve_output::<CudaOffload>();
+    }
+
+    #[test]
+    fn opencl_survives_injected_faults() {
+        injected_faults_degrade_to_cpu_and_preserve_output::<OclOffload>();
     }
 
     #[test]
@@ -384,8 +354,10 @@ mod tests {
         let seq = run_sequential(&data, &cfg);
         let sys = GpuSystem::new(1, DeviceProps::titan_xp());
         let ctx = BackendCtx::gpu(sys, 1, false, cfg.lzss);
-        let par = run_pipeline::<CudaBackend>(ctx, data.clone(), &cfg, 2);
-        assert_eq!(par, seq);
+        let cuda = run_pipeline::<OffloadBackend<CudaOffload>>(ctx.clone(), data.clone(), &cfg, 2);
+        assert_eq!(cuda, seq);
+        let ocl = run_pipeline::<OffloadBackend<OclOffload>>(ctx, data, &cfg, 2);
+        assert_eq!(ocl, seq);
     }
 
     #[test]

@@ -52,10 +52,3 @@ pub use pipeline::{PipeConfig, Pipeline, PipelineBuilder, PipelineStart, Pipelin
 pub use pool::{recycler, BufPool, PooledBuf, Recycler, SlabRegistrar};
 pub use stamp::Stamped;
 pub use wait::{Signal, WaitStrategy};
-
-/// Alias kept for prelude ergonomics: a farm is configured via [`FarmConfig`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FarmConfig` (or the `par_map_*` combinators)"
-)]
-pub type Farm = FarmConfig;

@@ -174,7 +174,7 @@ fn class_for_capacity(capacity: usize) -> usize {
 /// The motivating implementor lives in the `workload` crate: it registers
 /// every slab the pool allocates with the GPU simulator's pinned-memory
 /// registry, so pooled buffers are page-locked for their whole cached
-/// lifetime and `h2d_pinned`/`d2h_pinned` transfers touching them never
+/// lifetime and `Offload::h2d`/`d2h` transfers touching them never
 /// bounce through staging memory. `register` fires once per allocator
 /// miss; `unregister` fires when a slab permanently leaves the pool
 /// (shed, [`PooledBuf::detach`], or pool drop) — never on the recycle

@@ -37,7 +37,7 @@ pub struct Cuda {
     system: Arc<GpuSystem>,
 }
 
-/// Page-locked host memory (`cudaMallocHost`). Transfers from/to it run at
+/// Page-locked host memory (`cudaHostAlloc`). Transfers from/to it run at
 /// full PCIe bandwidth and may be truly asynchronous. The backing range is
 /// registered in the [`crate::pinned`] registry for its lifetime, so the
 /// pinned-aware slice verbs recognize it too.
@@ -179,8 +179,8 @@ impl Cuda {
         })
     }
 
-    /// Allocate page-locked host memory (`cudaMallocHost`).
-    pub fn malloc_host<T: Default + Clone>(&self, len: usize) -> PinnedBuf<T> {
+    /// Allocate page-locked host memory (`cudaHostAlloc`).
+    pub fn host_alloc<T: Default + Clone>(&self, len: usize) -> PinnedBuf<T> {
         self.api_cost(self.current_device());
         let data = vec![T::default(); len];
         let _slab = crate::pinned::PinnedSlab::register(&data);
@@ -219,29 +219,6 @@ impl Cuda {
         self.system
             .device(stream.device)
             .copy_h2d(stream.id, src, dst.ptr, dst_offset, true, now);
-    }
-
-    /// [`memcpy_h2d_async`](Self::memcpy_h2d_async) of only the first `n`
-    /// elements of `src` — the staging-ring case where the pinned buffer
-    /// is a recycled slab larger than this batch's payload.
-    pub fn memcpy_h2d_async_prefix<T: Clone + Send + 'static>(
-        &self,
-        dst: &CudaBuffer<T>,
-        dst_offset: usize,
-        src: &PinnedBuf<T>,
-        n: usize,
-        stream: &CudaStream,
-    ) {
-        self.check_binding(dst.device, stream);
-        let now = self.api_cost(stream.device);
-        self.system.device(stream.device).copy_h2d(
-            stream.id,
-            &src[..n],
-            dst.ptr,
-            dst_offset,
-            true,
-            now,
-        );
     }
 
     /// `cudaMemcpyAsync` from **pageable** memory: per CUDA semantics this
@@ -304,28 +281,6 @@ impl Cuda {
             src.ptr,
             src_offset,
             &mut dst.data,
-            true,
-            now,
-        );
-    }
-
-    /// [`memcpy_d2h_async`](Self::memcpy_d2h_async) into only the first
-    /// `n` elements of `dst` — the recycled-slab counterpart for reads.
-    pub fn memcpy_d2h_async_prefix<T: Clone + Send + 'static>(
-        &self,
-        dst: &mut PinnedBuf<T>,
-        n: usize,
-        src: &CudaBuffer<T>,
-        src_offset: usize,
-        stream: &CudaStream,
-    ) {
-        self.check_binding(src.device, stream);
-        let now = self.api_cost(stream.device);
-        self.system.device(stream.device).copy_d2h(
-            stream.id,
-            src.ptr,
-            src_offset,
-            &mut dst.data[..n],
             true,
             now,
         );
@@ -537,10 +492,10 @@ mod tests {
         let cuda = cuda(1);
         let buf = cuda.malloc::<u8>(64).unwrap();
         let stream = cuda.stream_create();
-        let mut src = cuda.malloc_host::<u8>(64);
+        let mut src = cuda.host_alloc::<u8>(64);
         src.as_mut_slice().copy_from_slice(&[7u8; 64]);
         cuda.memcpy_h2d_async(&buf, 0, &src, &stream);
-        let mut dst = cuda.malloc_host::<u8>(64);
+        let mut dst = cuda.host_alloc::<u8>(64);
         cuda.memcpy_d2h_async(&mut dst, &buf, 0, &stream);
         cuda.stream_synchronize(&stream);
         assert_eq!(&dst[..], &[7u8; 64][..]);
@@ -551,7 +506,7 @@ mod tests {
         let cuda = cuda(1);
         let buf = cuda.malloc::<u8>(1 << 20).unwrap();
         let stream = cuda.stream_create();
-        let pinned = cuda.malloc_host::<u8>(1 << 20);
+        let pinned = cuda.host_alloc::<u8>(1 << 20);
         let t0 = cuda.system().host_now();
         cuda.memcpy_h2d_async(&buf, 0, &pinned, &stream);
         let t_async = cuda.system().host_now().since(t0);

@@ -41,7 +41,7 @@ pub use fault::{DeviceFault, FaultClass, FaultSpec};
 pub use kernel::{Dim3, KernelFn, LaunchDims};
 pub use mem::{DeviceMemory, DevicePtr, OutOfMemory};
 pub use meter::WorkMeter;
-pub use offload::{CudaOffload, HostRing, OclOffload, Offload, OffloadApi};
+pub use offload::{CudaOffload, OclOffload, Offload, OffloadApi};
 pub use pinned::PinnedSlab;
 pub use props::DeviceProps;
 pub use trace::{feed_recorder, overlap_fraction, render_timeline, CommandRecord, TraceEngine};

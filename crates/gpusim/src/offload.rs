@@ -21,10 +21,9 @@
 //! hardest-to-find bug class); for OpenCL the per-launch `ClKernel` objects
 //! stay thread-local because they are deliberately `!Sync`.
 
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use crate::cuda::{Cuda, CudaBuffer, CudaStream, PinnedBuf};
+use crate::cuda::{Cuda, CudaBuffer, CudaStream};
 use crate::mem::{DevicePtr, OutOfMemory};
 use crate::opencl::ClKernel;
 use crate::opencl::{ClBuffer, ClDeviceId, CommandQueue, Context, Platform};
@@ -69,20 +68,23 @@ impl std::fmt::Display for OffloadApi {
 ///
 /// Ordering model: all operations issued through one offloader execute in
 /// FIFO order on its private queue (a CUDA stream / an in-order OpenCL
-/// command queue). `h2d`, `launch` and `d2h` are asynchronous enqueues;
-/// host-side buffers passed to `d2h` hold defined contents only after
-/// [`sync`](Offload::sync) returns.
+/// command queue). `h2d`, `try_launch` and `d2h` are asynchronous
+/// enqueues; host-side slices passed to `d2h` hold defined contents only
+/// after [`sync`](Offload::sync) returns.
+///
+/// Copies take plain slices: the slice's length is the element count
+/// (pass `&buf[..n]` for a prefix of a larger host buffer; it must not
+/// exceed the device buffer), and the slice's *memory* decides how the
+/// copy runs. A range registered in the [`crate::pinned`] registry — a
+/// [`PinnedBuf`](crate::cuda::PinnedBuf), a pooled buffer from a pinned
+/// pool, a per-batch [`PinnedSlab`](crate::PinnedSlab) guard — moves by
+/// true async DMA with no staging memcpy; anything else is allowed to
+/// degrade to a synchronous driver bounce (charged to `telemetry::copy`),
+/// which is what CUDA does with pageable memory.
 pub trait Offload: Send + 'static {
     /// Device-resident buffer handle (`'static` so callers may attach it
-    /// to stream items, type-erased, for cross-stage buffer reuse).
+    /// to stream items for cross-stage buffer reuse).
     type Buffer<T: Default + Clone + Send + 'static>: Send + 'static;
-
-    /// Host-side staging buffer eligible for asynchronous transfers
-    /// (page-locked memory under CUDA, a plain vector under OpenCL).
-    type HostBuf<T: Default + Clone + Send + 'static>: Send
-        + 'static
-        + Deref<Target = [T]>
-        + DerefMut;
 
     /// Which front end this implementation drives.
     const API: OffloadApi;
@@ -100,27 +102,6 @@ pub trait Offload: Send + 'static {
         len: usize,
     ) -> Result<Self::Buffer<T>, OutOfMemory>;
 
-    /// [`try_alloc`](Offload::try_alloc), panicking on device OOM.
-    #[deprecated(
-        since = "0.1.0",
-        note = "panics on device OOM; use `try_alloc` and run the recovery ladder (see `workload::WorkloadDriver`)"
-    )]
-    fn alloc<T: Default + Clone + Send + 'static>(&mut self, len: usize) -> Self::Buffer<T> {
-        match self.try_alloc(len) {
-            Ok(buf) => buf,
-            Err(e) => panic!(
-                "{} device {} out of memory: requested {} B, {} B free",
-                Self::API,
-                self.device(),
-                e.requested,
-                e.available
-            ),
-        }
-    }
-
-    /// Allocate a host staging buffer of `len` default-valued elements.
-    fn alloc_host<T: Default + Clone + Send + 'static>(&mut self, len: usize) -> Self::HostBuf<T>;
-
     /// Raw device pointer for embedding into kernel structs.
     fn buffer_ptr<T: Default + Clone + Send + 'static>(buf: &Self::Buffer<T>) -> DevicePtr<T>;
 
@@ -129,57 +110,13 @@ pub trait Offload: Send + 'static {
         Self::buffer_ptr(buf).len()
     }
 
-    /// Enqueue a host→device copy from an arbitrary slice. Truly
-    /// asynchronous when the slice's memory is registered as pinned
-    /// ([`crate::pinned`]); otherwise the backend is allowed to degrade
-    /// it to a synchronous driver bounce (charged to `telemetry::copy`).
-    fn h2d<T: Default + Clone + Send + 'static>(&mut self, dst: &Self::Buffer<T>, src: &[T]) {
-        self.h2d_pinned(dst, src, src.len());
-    }
-
-    /// Pinned-aware host→device copy of the first `n` elements of `src` —
-    /// the zero-copy verb: a [`fastflow`-pooled] buffer whose slab is
-    /// registered in the pinned registry travels pool→device with no
-    /// intermediate staging memcpy.
-    ///
-    /// [`fastflow`-pooled]: crate::pinned
-    fn h2d_pinned<T: Default + Clone + Send + 'static>(
-        &mut self,
-        dst: &Self::Buffer<T>,
-        src: &[T],
-        n: usize,
-    );
-
-    /// Enqueue an asynchronous host→device copy of the first `n` elements
-    /// of a backend staging buffer — for recycled staging slabs sized to
-    /// their class, not to this batch (`n <= src.len()` and `n <=` the
-    /// buffer length).
-    fn h2d_n<T: Default + Clone + Send + 'static>(
-        &mut self,
-        dst: &Self::Buffer<T>,
-        src: &Self::HostBuf<T>,
-        n: usize,
-    );
+    /// Enqueue a host→device copy of `src` to the start of `dst`.
+    fn h2d<T: Default + Clone + Send + 'static>(&mut self, dst: &Self::Buffer<T>, src: &[T]);
 
     /// Enqueue a kernel over at least `global_threads` lanes in blocks /
-    /// work-groups of `block` threads.
-    ///
-    /// # Panics
-    /// Panics if the device fails the launch (fault injection); recovery
-    /// paths use [`try_launch`](Offload::try_launch) instead.
-    #[deprecated(
-        since = "0.1.0",
-        note = "panics on a refused launch; use `try_launch` and run the recovery ladder (see `workload::WorkloadDriver`)"
-    )]
-    fn launch<K: KernelFn>(&mut self, kernel: K, global_threads: u64, block: u32) {
-        if let Err(e) = self.try_launch(kernel, global_threads, block) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`launch`](Offload::launch): a failed launch is reported,
+    /// work-groups of `block` threads. A failed launch is reported,
     /// enqueues nothing and leaves device memory untouched, so the caller
-    /// may retry or degrade to a CPU path.
+    /// may retry or degrade to a CPU path (see `workload::WorkloadDriver`).
     fn try_launch<K: KernelFn>(
         &mut self,
         kernel: K,
@@ -187,92 +124,17 @@ pub trait Offload: Send + 'static {
         block: u32,
     ) -> Result<(), crate::fault::DeviceFault>;
 
-    /// Enqueue a device→host copy into an arbitrary slice. `dst` holds
-    /// defined contents only after [`sync`](Offload::sync). Pinned-aware
-    /// like [`h2d`](Offload::h2d).
-    fn d2h<T: Default + Clone + Send + 'static>(&mut self, src: &Self::Buffer<T>, dst: &mut [T]) {
-        let n = dst.len();
-        self.d2h_pinned(src, dst, n);
-    }
-
-    /// Pinned-aware device→host copy into the first `n` elements of
-    /// `dst` — the read-side zero-copy verb: results land directly in a
-    /// registered pooled buffer, no staging slab in between.
-    fn d2h_pinned<T: Default + Clone + Send + 'static>(
-        &mut self,
-        src: &Self::Buffer<T>,
-        dst: &mut [T],
-        n: usize,
-    );
-
-    /// Enqueue an asynchronous device→host copy of the first `n` elements
-    /// into a backend staging buffer — the read-side counterpart of
-    /// [`h2d_n`](Offload::h2d_n).
-    fn d2h_n<T: Default + Clone + Send + 'static>(
-        &mut self,
-        src: &Self::Buffer<T>,
-        dst: &mut Self::HostBuf<T>,
-        n: usize,
-    );
+    /// Enqueue a device→host copy of the first `dst.len()` elements of
+    /// `src` into `dst`.
+    fn d2h<T: Default + Clone + Send + 'static>(&mut self, src: &Self::Buffer<T>, dst: &mut [T]);
 
     /// Block the host until every operation issued through this offloader
     /// has completed.
     fn sync(&mut self);
 }
 
-/// Round-robin ring of recycled host staging buffers — the paper's "2×
-/// memory spaces" idiom (4× with overlap) as a reusable component.
-///
-/// Each [`next`](HostRing::next) call advances the cursor and returns a
-/// staging buffer of at least `len` elements, reallocating a slot only
-/// when it must grow (to the next power of two, so slot sizes stabilize
-/// after warmup and the steady state never touches the allocator).
-/// [`current`](HostRing::current) re-borrows the buffer `next` returned
-/// last, letting a later pipeline step read back what an earlier step
-/// staged without re-advancing the ring.
-pub struct HostRing<O: Offload, T: Default + Clone + Send + 'static> {
-    slots: Vec<Option<O::HostBuf<T>>>,
-    cursor: usize,
-}
-
-impl<O: Offload, T: Default + Clone + Send + 'static> HostRing<O, T> {
-    /// An empty ring of `n_slots` lazily-allocated staging buffers.
-    pub fn new(n_slots: usize) -> Self {
-        assert!(n_slots > 0, "a staging ring needs at least one slot");
-        HostRing {
-            slots: (0..n_slots).map(|_| None).collect(),
-            cursor: 0,
-        }
-    }
-
-    /// Advance to the next slot and return its buffer, grown to hold at
-    /// least `len` elements.
-    pub fn next(&mut self, off: &mut O, len: usize) -> &mut O::HostBuf<T> {
-        self.cursor = (self.cursor + 1) % self.slots.len();
-        let slot = &mut self.slots[self.cursor];
-        let needs_alloc = match slot {
-            Some(buf) => buf.len() < len,
-            None => true,
-        };
-        if needs_alloc {
-            *slot = Some(off.alloc_host(len.max(1).next_power_of_two()));
-        }
-        slot.as_mut().expect("slot allocated above")
-    }
-
-    /// The buffer the last [`next`](HostRing::next) returned.
-    ///
-    /// # Panics
-    /// Panics if `next` has never been called.
-    pub fn current(&self) -> &O::HostBuf<T> {
-        self.slots[self.cursor]
-            .as_ref()
-            .expect("HostRing::current before first next()")
-    }
-}
-
-/// [`Offload`] over the CUDA front end: one private stream plus pinned
-/// staging, built where `cudaSetDevice` ran.
+/// [`Offload`] over the CUDA front end: one private stream, built where
+/// `cudaSetDevice` ran.
 pub struct CudaOffload {
     cuda: Cuda,
     device: usize,
@@ -281,7 +143,6 @@ pub struct CudaOffload {
 
 impl Offload for CudaOffload {
     type Buffer<T: Default + Clone + Send + 'static> = CudaBuffer<T>;
-    type HostBuf<T: Default + Clone + Send + 'static> = PinnedBuf<T>;
 
     const API: OffloadApi = OffloadApi::Cuda;
 
@@ -309,36 +170,16 @@ impl Offload for CudaOffload {
         self.cuda.malloc(len)
     }
 
-    fn alloc_host<T: Default + Clone + Send + 'static>(&mut self, len: usize) -> PinnedBuf<T> {
-        self.cuda.malloc_host(len)
-    }
-
     fn buffer_ptr<T: Default + Clone + Send + 'static>(buf: &CudaBuffer<T>) -> DevicePtr<T> {
         buf.ptr()
     }
 
-    fn h2d_pinned<T: Default + Clone + Send + 'static>(
-        &mut self,
-        dst: &CudaBuffer<T>,
-        src: &[T],
-        n: usize,
-    ) {
+    fn h2d<T: Default + Clone + Send + 'static>(&mut self, dst: &CudaBuffer<T>, src: &[T]) {
         // Re-bind before every operation: the raw integrations must remember
         // this themselves (the paper's bug class); the façade encapsulates it
         // so several offloaders can share one thread.
         self.cuda.set_device(self.device);
-        self.cuda.memcpy_h2d_auto(dst, 0, &src[..n], &self.stream);
-    }
-
-    fn h2d_n<T: Default + Clone + Send + 'static>(
-        &mut self,
-        dst: &CudaBuffer<T>,
-        src: &PinnedBuf<T>,
-        n: usize,
-    ) {
-        self.cuda.set_device(self.device);
-        self.cuda
-            .memcpy_h2d_async_prefix(dst, 0, src, n, &self.stream);
+        self.cuda.memcpy_h2d_auto(dst, 0, src, &self.stream);
     }
 
     fn try_launch<K: KernelFn>(
@@ -352,26 +193,9 @@ impl Offload for CudaOffload {
         self.cuda.try_launch(&kernel, blocks, block, &self.stream)
     }
 
-    fn d2h_pinned<T: Default + Clone + Send + 'static>(
-        &mut self,
-        src: &CudaBuffer<T>,
-        dst: &mut [T],
-        n: usize,
-    ) {
+    fn d2h<T: Default + Clone + Send + 'static>(&mut self, src: &CudaBuffer<T>, dst: &mut [T]) {
         self.cuda.set_device(self.device);
-        self.cuda
-            .memcpy_d2h_auto(&mut dst[..n], src, 0, &self.stream);
-    }
-
-    fn d2h_n<T: Default + Clone + Send + 'static>(
-        &mut self,
-        src: &CudaBuffer<T>,
-        dst: &mut PinnedBuf<T>,
-        n: usize,
-    ) {
-        self.cuda.set_device(self.device);
-        self.cuda
-            .memcpy_d2h_async_prefix(dst, n, src, 0, &self.stream);
+        self.cuda.memcpy_d2h_auto(dst, src, 0, &self.stream);
     }
 
     fn sync(&mut self) {
@@ -389,7 +213,6 @@ pub struct OclOffload {
 
 impl Offload for OclOffload {
     type Buffer<T: Default + Clone + Send + 'static> = ClBuffer<T>;
-    type HostBuf<T: Default + Clone + Send + 'static> = Vec<T>;
 
     const API: OffloadApi = OffloadApi::OpenCl;
 
@@ -416,32 +239,12 @@ impl Offload for OclOffload {
         self.ctx.create_buffer(self.device, len)
     }
 
-    fn alloc_host<T: Default + Clone + Send + 'static>(&mut self, len: usize) -> Vec<T> {
-        vec![T::default(); len]
-    }
-
     fn buffer_ptr<T: Default + Clone + Send + 'static>(buf: &ClBuffer<T>) -> DevicePtr<T> {
         buf.ptr()
     }
 
-    fn h2d_pinned<T: Default + Clone + Send + 'static>(
-        &mut self,
-        dst: &ClBuffer<T>,
-        src: &[T],
-        n: usize,
-    ) {
-        self.queue
-            .enqueue_write_buffer(dst, false, 0, &src[..n], &[]);
-    }
-
-    fn h2d_n<T: Default + Clone + Send + 'static>(
-        &mut self,
-        dst: &ClBuffer<T>,
-        src: &Vec<T>,
-        n: usize,
-    ) {
-        self.queue
-            .enqueue_write_buffer(dst, false, 0, &src[..n], &[]);
+    fn h2d<T: Default + Clone + Send + 'static>(&mut self, dst: &ClBuffer<T>, src: &[T]) {
+        self.queue.enqueue_write_buffer(dst, false, 0, src, &[]);
     }
 
     fn try_launch<K: KernelFn>(
@@ -461,24 +264,8 @@ impl Offload for OclOffload {
             .map(|_| ())
     }
 
-    fn d2h_pinned<T: Default + Clone + Send + 'static>(
-        &mut self,
-        src: &ClBuffer<T>,
-        dst: &mut [T],
-        n: usize,
-    ) {
-        self.queue
-            .enqueue_read_buffer(src, false, 0, &mut dst[..n], &[]);
-    }
-
-    fn d2h_n<T: Default + Clone + Send + 'static>(
-        &mut self,
-        src: &ClBuffer<T>,
-        dst: &mut Vec<T>,
-        n: usize,
-    ) {
-        self.queue
-            .enqueue_read_buffer(src, false, 0, &mut dst[..n], &[]);
+    fn d2h<T: Default + Clone + Send + 'static>(&mut self, src: &ClBuffer<T>, dst: &mut [T]) {
+        self.queue.enqueue_read_buffer(src, false, 0, dst, &[]);
     }
 
     fn sync(&mut self) {
@@ -518,34 +305,48 @@ mod tests {
         }
     }
 
+    /// Every verb, over the three kinds of host memory a caller can pass:
+    /// a registered slice (async DMA), an unregistered one (allowed to
+    /// bounce), and a prefix — `n` elements into a larger device buffer
+    /// and back out into the first `n` of a larger host slice.
     fn roundtrip<O: Offload>() {
         let system = GpuSystem::new(2, DeviceProps::titan_xp());
         let mut off = O::attach(&system, 1);
         assert_eq!(off.device(), 1);
-        let n = 1000;
-        let src: O::Buffer<u32> = off.try_alloc(n).expect("healthy device");
-        let dst: O::Buffer<u32> = off.try_alloc(n).expect("healthy device");
-        assert_eq!(O::buffer_len(&src), n);
-        let mut host = off.alloc_host::<u32>(n);
-        for (i, v) in host.iter_mut().enumerate() {
-            *v = i as u32;
-        }
-        off.h2d_n(&src, &host, n);
-        off.try_launch(
-            IncKernel {
-                src: O::buffer_ptr(&src),
-                dst: O::buffer_ptr(&dst),
-                n,
-            },
-            n as u64,
-            256,
-        )
-        .expect("healthy device");
-        let mut out = off.alloc_host::<u32>(n);
-        off.d2h_n(&dst, &mut out, n);
-        off.sync();
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, i as u32 + 1);
+        let (cap, n) = (1024, 1000);
+        let src: O::Buffer<u32> = off.try_alloc(cap).expect("healthy device");
+        let dst: O::Buffer<u32> = off.try_alloc(cap).expect("healthy device");
+        assert_eq!(O::buffer_len(&src), cap);
+        let host: Vec<u32> = (0..cap as u32).collect();
+        let mut out = vec![u32::MAX; cap];
+        for registered in [true, false] {
+            let _pins = registered.then(|| {
+                (
+                    crate::pinned::PinnedSlab::register(&host),
+                    crate::pinned::PinnedSlab::register(&out),
+                )
+            });
+            out.fill(u32::MAX);
+            off.h2d(&src, &host[..n]);
+            off.try_launch(
+                IncKernel {
+                    src: O::buffer_ptr(&src),
+                    dst: O::buffer_ptr(&dst),
+                    n,
+                },
+                n as u64,
+                256,
+            )
+            .expect("healthy device");
+            off.d2h(&dst, &mut out[..n]);
+            off.sync();
+            for (i, &v) in out[..n].iter().enumerate() {
+                assert_eq!(v, i as u32 + 1, "registered={registered}");
+            }
+            assert!(
+                out[n..].iter().all(|&v| v == u32::MAX),
+                "a prefix read must leave the host tail untouched"
+            );
         }
     }
 
@@ -568,77 +369,6 @@ mod tests {
         assert_eq!(OffloadApi::parse("vulkan"), None);
     }
 
-    fn prefix_roundtrip<O: Offload>() {
-        let system = GpuSystem::new(1, DeviceProps::titan_xp());
-        let mut off = O::attach(&system, 0);
-        let n = 100;
-        let dev: O::Buffer<u32> = off.try_alloc(n).expect("healthy device");
-        let mut ring: HostRing<O, u32> = HostRing::new(2);
-        // Slot sized to the class (128), payload only n elements.
-        let host = ring.next(&mut off, n);
-        assert!(host.len() >= n);
-        for (i, v) in host[..n].iter_mut().enumerate() {
-            *v = i as u32 * 3;
-        }
-        off.h2d_n(&dev, ring.current(), n);
-        let out = ring.next(&mut off, n);
-        out.iter_mut().for_each(|v| *v = u32::MAX);
-        off.d2h_n(&dev, out, n);
-        off.sync();
-        for (i, &v) in ring.current()[..n].iter().enumerate() {
-            assert_eq!(v, i as u32 * 3);
-        }
-        // Same lengths again: the ring must not reallocate.
-        let p0 = ring.next(&mut off, n).as_ptr();
-        let p1 = ring.next(&mut off, n).as_ptr();
-        assert_eq!(ring.next(&mut off, n).as_ptr(), p0);
-        assert_eq!(ring.next(&mut off, n).as_ptr(), p1);
-    }
-
-    #[test]
-    fn cuda_prefix_copies_roundtrip() {
-        prefix_roundtrip::<CudaOffload>();
-    }
-
-    #[test]
-    fn opencl_prefix_copies_roundtrip() {
-        prefix_roundtrip::<OclOffload>();
-    }
-
-    fn pinned_slice_roundtrip<O: Offload>() {
-        let system = GpuSystem::new(1, DeviceProps::titan_xp());
-        let mut off = O::attach(&system, 0);
-        let n = 300;
-        let dev: O::Buffer<u32> = off.try_alloc(n).expect("healthy device");
-        let data: Vec<u32> = (0..n as u32).map(|i| i * 7).collect();
-        let mut out = vec![0u32; n];
-        let _pin_in = crate::pinned::PinnedSlab::register(&data);
-        let _pin_out = crate::pinned::PinnedSlab::register(&out);
-        off.h2d_pinned(&dev, &data, n);
-        off.d2h_pinned(&dev, &mut out, n);
-        off.sync();
-        assert_eq!(out, data);
-        // Prefix form: only the first 10 elements are overwritten.
-        let mut tail = vec![u32::MAX; n];
-        {
-            let _pin = crate::pinned::PinnedSlab::register(&tail);
-            off.d2h_pinned(&dev, &mut tail, 10);
-            off.sync();
-        }
-        assert_eq!(&tail[..10], &data[..10]);
-        assert!(tail[10..].iter().all(|&v| v == u32::MAX));
-    }
-
-    #[test]
-    fn cuda_pinned_slice_verbs_roundtrip() {
-        pinned_slice_roundtrip::<CudaOffload>();
-    }
-
-    #[test]
-    fn opencl_pinned_slice_verbs_roundtrip() {
-        pinned_slice_roundtrip::<OclOffload>();
-    }
-
     #[test]
     fn unregistered_slices_bounce_and_block_under_cuda() {
         let system = GpuSystem::new(1, DeviceProps::titan_xp());
@@ -649,13 +379,13 @@ mod tests {
         let t0 = system.host_now();
         {
             let _pin = crate::pinned::PinnedSlab::register(&src);
-            off.h2d_pinned(&dev, &src, n);
+            off.h2d(&dev, &src);
         }
         let t_pinned = system.host_now().since(t0);
         system.reset_clock();
         let before = telemetry::copy::snapshot();
         let t1 = system.host_now();
-        off.h2d_pinned(&dev, &src, n); // guard dropped: pageable now
+        off.h2d(&dev, &src); // guard dropped: pageable now
         let t_bounce = system.host_now().since(t1);
         let delta = telemetry::copy::snapshot().since(&before);
         assert!(
@@ -683,10 +413,9 @@ mod tests {
         system.device(0).enable_trace();
         let mut off = OclOffload::attach(&system, 0);
         let buf: ClBuffer<u32> = off.try_alloc(256).expect("healthy device");
-        let host = off.alloc_host::<u32>(256);
-        off.h2d_n(&buf, &host, 256);
-        let mut out = off.alloc_host::<u32>(256);
-        off.d2h_n(&buf, &mut out, 256);
+        let mut host = vec![0u32; 256];
+        off.h2d(&buf, &host);
+        off.d2h(&buf, &mut host);
         off.sync();
         let trace = system.device(0).take_trace();
         assert!(trace.iter().any(|r| r.engine == crate::TraceEngine::H2D));

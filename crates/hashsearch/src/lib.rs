@@ -216,7 +216,7 @@ impl<O: Offload> SearchCompute<O> {
         )?;
         // Idempotent for pool-backed buffers; covers recycled Vecs too.
         let _pin = gpusim::PinnedSlab::register(&out[..len]);
-        self.off.d2h_pinned(dev, &mut out[..len], len);
+        self.off.d2h(dev, &mut out[..len]);
         self.off.sync();
         Ok(())
     }

@@ -167,7 +167,7 @@ pub fn cuda_overlap(
                 device,
                 stream: cuda.stream_create(),
                 dev_buf: cuda.malloc(batch_size * params.dim).unwrap(),
-                pinned: cuda.malloc_host(batch_size * params.dim),
+                pinned: cuda.host_alloc(batch_size * params.dim),
                 in_flight: None,
             }
         })

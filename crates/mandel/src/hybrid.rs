@@ -91,7 +91,7 @@ impl<O: Offload> BatchCompute<O> {
         // Idempotent for pool-backed buffers (already registered); this
         // per-use guard covers recycler-cycled Vec<u8> batches too.
         let _pin = gpusim::PinnedSlab::register(&out[..len]);
-        self.off.d2h_pinned(dev, &mut out[..len], len);
+        self.off.d2h(dev, &mut out[..len]);
         self.off.sync();
         Ok(())
     }

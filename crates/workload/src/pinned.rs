@@ -3,8 +3,8 @@
 //!
 //! The zero-copy handoff (DESIGN.md §"Zero-copy handoff") needs pooled
 //! batch buffers to be DMA-able for their whole cached lifetime, so a
-//! `PooledBuf` can be handed to [`gpusim::Offload::h2d_pinned`] /
-//! [`gpusim::Offload::d2h_pinned`] with no staging copy in between. This
+//! `PooledBuf` can be handed to [`gpusim::Offload::h2d`] /
+//! [`gpusim::Offload::d2h`] with no staging copy in between. This
 //! module is the glue: [`GpuPinnedRegistrar`] implements
 //! [`fastflow::SlabRegistrar`] on top of [`gpusim::PinnedSlab`] guards,
 //! and [`pinned_pool`] builds a [`fastflow::BufPool`] wired to it.

@@ -10,9 +10,9 @@
 //! ```
 //!
 //! The GPU paths go through the unified `Offload` surface
-//! (`OffloadBackend<CudaOffload>` / `OffloadBackend<OclOffload>`); the
-//! raw-façade backends remain available as `dedup::{CudaBackend,
-//! OclBackend}` for the deliberately-naive per-block integration.
+//! (`OffloadBackend<CudaOffload>` / `OffloadBackend<OclOffload>`), here
+//! with the batched kernels; `BackendCtx::gpu(.., batched = false, ..)`
+//! selects the paper's first, per-block integration on the same backend.
 
 use hetstream::dedup::{
     self, BackendCtx, CpuBackend, DedupConfig, LzssConfig, OffloadBackend, RabinParams,

@@ -69,7 +69,7 @@ fn main() {
     let n = 1 << 20;
     let input_buf = cuda.malloc::<f32>(n).expect("device memory");
     let output_buf = cuda.malloc::<f32>(n).expect("device memory");
-    let mut pinned_in = cuda.malloc_host::<f32>(n);
+    let mut pinned_in = cuda.host_alloc::<f32>(n);
     for (i, v) in pinned_in.as_mut_slice().iter_mut().enumerate() {
         *v = i as f32;
     }
@@ -82,7 +82,7 @@ fn main() {
         output: output_buf.ptr(),
     };
     cuda.launch(&kernel, (n as u32).div_ceil(256), 256u32, &stream);
-    let mut pinned_out = cuda.malloc_host::<f32>(n);
+    let mut pinned_out = cuda.host_alloc::<f32>(n);
     cuda.memcpy_d2h_async(&mut pinned_out, &output_buf, 0, &stream);
     let done = cuda.event_record(&stream);
     cuda.event_synchronize(&done);

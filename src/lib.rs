@@ -81,7 +81,7 @@ pub mod prelude {
         gather, par_map_ordered, par_map_unordered, recycler, scatter, BufPool, FaultPolicy,
         Pipeline, PooledBuf, Recycler, WaitStrategy,
     };
-    pub use gpusim::{CudaOffload, GpuSystem, HostRing, OclOffload, Offload, OffloadApi};
+    pub use gpusim::{CudaOffload, GpuSystem, OclOffload, Offload, OffloadApi};
     pub use spar::{to_stream, SparConfig, ToStream};
     pub use telemetry::{
         FlightEvent, FlightHandle, FlightKind, HealthSnapshot, HealthStatus, MetricsServer,
@@ -91,15 +91,4 @@ pub mod prelude {
         arm_gpu_traces, drain_gpu_traces, Done, Workload, WorkloadDriver, WorkloadFault,
         WorkloadNode,
     };
-
-    /// Alias kept for source compatibility with pre-SDK code.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `FarmConfig` (or the `par_map_*` combinators)"
-    )]
-    pub type Farm = fastflow::FarmConfig;
-
-    /// Alias kept for source compatibility with pre-SDK code.
-    #[deprecated(since = "0.1.0", note = "use `ToStream`")]
-    pub type StreamBuilder = spar::ToStream;
 }

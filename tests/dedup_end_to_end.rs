@@ -4,10 +4,10 @@
 
 use hetstream::dedup::single::{run_single_cuda, run_single_ocl};
 use hetstream::dedup::{
-    datasets, run_pipeline, run_sequential, BackendCtx, CpuBackend, CudaBackend, DedupConfig,
-    LzssConfig, OclBackend, RabinParams,
+    datasets, run_pipeline, run_sequential, BackendCtx, CpuBackend, DedupConfig, LzssConfig,
+    OffloadBackend, RabinParams,
 };
-use hetstream::gpusim::{DeviceProps, GpuSystem};
+use hetstream::gpusim::{CudaOffload, DeviceProps, GpuSystem, OclOffload, Offload};
 
 fn cfg() -> DedupConfig {
     DedupConfig {
@@ -43,11 +43,11 @@ fn all_backends_produce_identical_archives_on_all_datasets() {
         assert_eq!(cpu, reference, "{}: cpu pipeline", ds.name);
 
         let cuda_ctx = BackendCtx::gpu(system.clone(), 2, true, cfg.lzss);
-        let cuda = run_pipeline::<CudaBackend>(cuda_ctx, ds.data.clone(), &cfg, 2);
+        let cuda = run_pipeline::<OffloadBackend<CudaOffload>>(cuda_ctx, ds.data.clone(), &cfg, 2);
         assert_eq!(cuda, reference, "{}: cuda pipeline", ds.name);
 
         let ocl_ctx = BackendCtx::gpu(system.clone(), 2, true, cfg.lzss);
-        let ocl = run_pipeline::<OclBackend>(ocl_ctx, ds.data.clone(), &cfg, 2);
+        let ocl = run_pipeline::<OffloadBackend<OclOffload>>(ocl_ctx, ds.data.clone(), &cfg, 2);
         assert_eq!(ocl, reference, "{}: opencl pipeline", ds.name);
 
         let (single_c, _) = run_single_cuda(&system, &ds.data, &cfg, 2);
@@ -85,25 +85,43 @@ fn duplicated_input_dedups_across_batch_boundaries() {
     assert_eq!(archive.decompress().unwrap(), data);
 }
 
-#[test]
-fn unbatched_and_batched_kernels_agree() {
+/// `batched = false` is the paper's first integration: the same archive,
+/// from one kernel launch per block instead of one per batch.
+fn unbatched_and_batched_kernels_agree<O: Offload>() {
     let cfg = cfg();
     let data = datasets::parsec_like(40_000, 6).data;
-    let system = GpuSystem::new(1, DeviceProps::titan_xp());
-    let batched = run_pipeline::<CudaBackend>(
-        BackendCtx::gpu(system.clone(), 1, true, cfg.lzss),
-        data.clone(),
-        &cfg,
-        2,
-    );
-    let unbatched = run_pipeline::<CudaBackend>(
-        BackendCtx::gpu(system, 1, false, cfg.lzss),
-        data.clone(),
-        &cfg,
-        2,
-    );
-    assert_eq!(batched, unbatched);
+    let reference = run_sequential(&data, &cfg);
+    let run = |batched: bool| {
+        let system = GpuSystem::new(1, DeviceProps::titan_xp());
+        let ctx = BackendCtx::gpu(system.clone(), 1, batched, cfg.lzss);
+        let archive = run_pipeline::<OffloadBackend<O>>(ctx, data.clone(), &cfg, 2);
+        (archive, system.device(0).stats().kernels)
+    };
+    let (batched, batched_kernels) = run(true);
+    let (unbatched, unbatched_kernels) = run(false);
+    assert_eq!(batched, unbatched, "{}", O::API);
+    assert_eq!(unbatched, reference, "{}", O::API);
     assert_eq!(batched.decompress().unwrap(), data);
+    // Stage 2 hashes every block, stage 4 compresses the unique ones.
+    let (unique, dups) = reference.block_counts();
+    let batches = data.len().div_ceil(cfg.batch_size);
+    assert_eq!(batched_kernels, 2 * batches as u64, "{}", O::API);
+    assert_eq!(
+        unbatched_kernels,
+        (2 * unique + dups) as u64,
+        "{}: one launch per block",
+        O::API
+    );
+}
+
+#[test]
+fn unbatched_and_batched_kernels_agree_under_cuda() {
+    unbatched_and_batched_kernels_agree::<CudaOffload>();
+}
+
+#[test]
+fn unbatched_and_batched_kernels_agree_under_opencl() {
+    unbatched_and_batched_kernels_agree::<OclOffload>();
 }
 
 #[test]

@@ -71,11 +71,22 @@ fn placed_render(
     (img.digest(), log)
 }
 
-fn cost_model_render() -> (u64, Vec<(u64, u64, u64)>) {
+fn cost_model_render_on(sys: &Arc<GpuSystem>) -> (u64, Vec<(u64, u64, u64)>) {
     let rec = Recorder::enabled();
-    let sys = mixed_fleet();
-    let sched = CostModelScheduler::new(&sys, SchedConfig::for_devices(N_DEV), &rec, "test.graph");
-    placed_render(Arc::clone(&sched) as Arc<dyn Placement>, &sys, &rec)
+    let sched = CostModelScheduler::new(sys, SchedConfig::for_devices(N_DEV), &rec, "test.graph");
+    placed_render(Arc::clone(&sched) as Arc<dyn Placement>, sys, &rec)
+}
+
+fn cost_model_render() -> (u64, Vec<(u64, u64, u64)>) {
+    cost_model_render_on(&mixed_fleet())
+}
+
+/// The modeled makespan proxy: total engine time of the busiest device.
+fn max_device_busy_ns(sys: &GpuSystem) -> u64 {
+    (0..N_DEV)
+        .map(|d| sys.device(d).stats().total_busy().as_nanos())
+        .max()
+        .expect("a fleet has devices")
 }
 
 #[test]
@@ -138,5 +149,25 @@ fn output_is_bit_exact_under_any_placement() {
         cm_devs, rr_devs,
         "fleets are heterogeneous: the cost model should diverge from \
          static round-robin somewhere in the stream"
+    );
+}
+
+#[test]
+fn cost_model_lowers_the_busiest_device_below_round_robin() {
+    // Modeled device time only, so deterministic: static round-robin
+    // hands the half-rate devices a full share and they set the makespan;
+    // the cost model learns their rate and shifts work off them.
+    let sys = mixed_fleet();
+    cost_model_render_on(&sys);
+    let cm_busy = max_device_busy_ns(&sys);
+
+    let sys = mixed_fleet();
+    placed_render(RoundRobinPlacement::new(N_DEV), &sys, &Recorder::enabled());
+    let rr_busy = max_device_busy_ns(&sys);
+
+    assert!(
+        cm_busy > 0 && cm_busy < rr_busy,
+        "cost-model placement must beat round-robin on the mixed fleet: \
+         {cm_busy} ns vs {rr_busy} ns"
     );
 }
