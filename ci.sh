@@ -257,7 +257,8 @@ echo "== ingress contract suite + transport tests (named rerun) =="
 # The ingress layer's guarantees on their own CI lines: resume
 # bit-exactness after a mid-stream kill, group-rebalance exactly-once,
 # seek/rewind determinism, pump backpressure, pinned zero-copy landing —
-# plus the crate's own torn-tail / CRC / wire-framing tests and the
+# plus the crate's own torn-tail / block-boundary / sealed-segment-corrupt
+# / on-disk-format / CRC-vs-bitwise / wire-framing tests and the
 # metrics-endpoint stalled-client regression.
 cargo test --release --offline --test ingress_contract
 cargo test --release --offline -p ingress
@@ -318,6 +319,16 @@ for row in ingress.pump.staging_bytes_per_record gpusim.copied_bytes_per_item; d
         exit 1
     }
 done
+# One more count: the file log reads a block of segment bytes per pool
+# slab and hands records out as views, so a replayed record costs a
+# fraction of an allocation (one `Arc` per ~16 KiB block; 0.32–0.91 when
+# every 128-byte record took its own pool buffer and a third of those
+# missed the pool's 32-deep class ring).
+allocs=$(metric ingress-replay 1 bench.allocs_per_item)
+awk -v a="$allocs" 'BEGIN { exit !(a != "" && a < 0.05) }' || {
+    echo "FAIL: ingress-replay bench.allocs_per_item = '$allocs', want < 0.05" >&2
+    exit 1
+}
 (cd benchmark && CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-../target}" cargo test -q --offline)
 
 echo

@@ -31,11 +31,15 @@
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use fastflow::{BufPool, PooledBuf};
 
 use crate::{
-    GroupMembership, IngressError, Message, Receipt, SeqPos, SequenceNo, ShardId, Sink, Source,
-    StreamKey,
+    GroupMembership, IngressError, Message, Payload, Receipt, SeqPos, SequenceNo, ShardId, Sink,
+    Source, StreamKey,
 };
 
 /// Byte size a segment may reach before the next record starts a new one.
@@ -51,6 +55,11 @@ const IDX_ENTRY: usize = 8 + 8;
 /// corrupt tail, never a real record — checked *before* any allocation
 /// so garbage bytes cannot demand gigabytes (mirrors `tcp::MAX_FRAME`).
 const MAX_RECORD: usize = 64 << 20;
+
+/// Segment bytes read per pool slab: the unit the reader pays a `read`,
+/// a pool lease and a cross-thread release for. A record larger than
+/// this gets a slab of its own size.
+const BLOCK: usize = 16 << 10;
 
 fn shard_dir(stream_dir: &Path, shard: ShardId) -> PathBuf {
     stream_dir.join(format!("shard-{}", shard.0))
@@ -79,58 +88,171 @@ fn list_segments(dir: &Path) -> Result<Vec<SequenceNo>, IngressError> {
     Ok(bases)
 }
 
+/// What the front of a byte run decodes to.
+enum Decoded {
+    /// A whole record: its header fields; the payload follows the header.
+    Record {
+        len: usize,
+        crc: u32,
+        seq: SequenceNo,
+    },
+    /// The record needs this many bytes in all; fewer are here.
+    NeedMore(usize),
+    /// A length no writer produces.
+    Garbage,
+}
+
+/// Decode, in place, the `[len][crc][seq]` header at the front of `bytes`.
+fn decode_record(bytes: &[u8]) -> Decoded {
+    let Some(head) = bytes.get(..REC_HEADER) else {
+        return Decoded::NeedMore(REC_HEADER);
+    };
+    let len = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes")) as usize;
+    if len > MAX_RECORD {
+        return Decoded::Garbage; // before anything is sized from it
+    }
+    if bytes.len() < REC_HEADER + len {
+        return Decoded::NeedMore(REC_HEADER + len);
+    }
+    Decoded::Record {
+        len,
+        crc: u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")),
+        seq: u64::from_le_bytes(head[8..16].try_into().expect("8 bytes")),
+    }
+}
+
+/// Where a [`BlockWalker`] step ended.
+enum Step {
+    /// The expected record, intact: its payload bytes within `block`.
+    Record(Range<usize>),
+    /// The file ends here: cleanly, or inside a record (a torn or
+    /// partially flushed tail).
+    End,
+    /// Bytes that are not the expected record: wrong sequence number,
+    /// CRC mismatch or an impossible length.
+    Bad,
+}
+
+/// Walks the records of one segment file a block at a time: the file is
+/// `read` straight into a pool slab, headers are validated in place, and
+/// a record straddling the slab's end is carried to the front of the
+/// next slab — the only bytes ever copied.
+struct BlockWalker {
+    file: File,
+    /// The slab being walked. Record views share it, so it is replaced,
+    /// never rewritten.
+    block: Arc<PooledBuf<u8>>,
+    /// `block[at..filled]` is read but not yet walked.
+    at: usize,
+    filled: usize,
+    /// File offset of `block[at]`: where the next record starts.
+    pos: u64,
+}
+
+/// A fresh slab of at least `need` bytes: `carry` at its front, the rest
+/// read from `file`. Returns it with how many of its bytes are valid.
+fn read_block(
+    file: &mut File,
+    carry: &[u8],
+    need: usize,
+    pool: &BufPool<u8>,
+) -> Result<(Arc<PooledBuf<u8>>, usize), IngressError> {
+    let mut block = pool.acquire(need.max(BLOCK));
+    block[..carry.len()].copy_from_slice(carry);
+    let mut filled = carry.len();
+    while filled < block.len() {
+        match file.read(&mut block[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok((Arc::new(block), filled))
+}
+
+impl BlockWalker {
+    fn open(path: &Path, pos: u64, pool: &BufPool<u8>) -> Result<BlockWalker, IngressError> {
+        let mut file = File::open(path)?;
+        file.seek(SeekFrom::Start(pos))?;
+        let (block, filled) = read_block(&mut file, &[], 0, pool)?;
+        Ok(BlockWalker {
+            file,
+            block,
+            at: 0,
+            filled,
+            pos,
+        })
+    }
+
+    /// Carry the unwalked tail into a fresh slab and read on until
+    /// `need` bytes are there. False when the file ends first.
+    fn refill(&mut self, need: usize, pool: &BufPool<u8>) -> Result<bool, IngressError> {
+        let tail = &self.block[self.at..self.filled];
+        let (block, filled) = read_block(&mut self.file, tail, need, pool)?;
+        (self.block, self.at, self.filled) = (block, 0, filled);
+        Ok(filled >= need)
+    }
+
+    /// Advance over the next record, which must carry sequence `expect`.
+    fn step(&mut self, expect: SequenceNo, pool: &BufPool<u8>) -> Result<Step, IngressError> {
+        loop {
+            match decode_record(&self.block[self.at..self.filled]) {
+                Decoded::Record { len, crc, seq } => {
+                    let payload = self.at + REC_HEADER..self.at + REC_HEADER + len;
+                    if seq != expect || crate::crc32(&self.block[payload.clone()]) != crc {
+                        return Ok(Step::Bad);
+                    }
+                    self.at = payload.end;
+                    self.pos += (REC_HEADER + len) as u64;
+                    return Ok(Step::Record(payload));
+                }
+                Decoded::NeedMore(need) => {
+                    if !self.refill(need, pool)? {
+                        return Ok(Step::End);
+                    }
+                }
+                Decoded::Garbage => return Ok(Step::Bad),
+            }
+        }
+    }
+}
+
 /// Scan one segment from the front, validating records. Returns
 /// `(next_seq, good_bytes, positions)`: the sequence after the last
 /// intact record, the byte length of the intact prefix, and the byte
 /// offset of each intact record — everything a correct offset index
 /// must contain, so recovery can rebuild one.
 fn scan_segment(dir: &Path, base: SequenceNo) -> Result<(SequenceNo, u64, Vec<u64>), IngressError> {
-    let mut f = BufReader::new(File::open(seg_path(dir, base, "log"))?);
+    let pool = BufPool::with_capacity(2); // the block being walked + the next
+    let mut walker = BlockWalker::open(&seg_path(dir, base, "log"), 0, &pool)?;
     let mut next = base;
-    let mut good = 0u64;
     let mut positions = Vec::new();
-    let mut payload = Vec::new();
     loop {
-        let mut head = [0u8; REC_HEADER];
-        match f.read_exact(&mut head) {
-            Ok(()) => {}
-            Err(_) => break, // clean EOF or torn header: prefix ends here
+        let pos = walker.pos;
+        match walker.step(next, &pool)? {
+            Step::Record(_) => positions.push(pos),
+            // Torn, wrong seq chain or corrupt: the prefix ends here.
+            Step::End | Step::Bad => return Ok((next, pos, positions)),
         }
-        let len = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-        let seq = u64::from_le_bytes(head[8..16].try_into().expect("8 bytes"));
-        if len > MAX_RECORD {
-            break; // garbage header: don't even allocate for it
-        }
-        payload.clear();
-        payload.resize(len, 0);
-        if f.read_exact(&mut payload).is_err() {
-            break; // torn payload
-        }
-        if seq != next || crate::crc32(&payload) != crc {
-            break; // wrong seq chain or corrupt payload: stop trusting
-        }
-        positions.push(good);
         next += 1;
-        good += (REC_HEADER + len) as u64;
     }
-    Ok((next, good, positions))
-}
-
-/// The durable watermark of one shard directory: `(tail_base, next_seq)`
-/// of the newest segment, or `None` when the shard has no segments.
-fn shard_tail(dir: &Path) -> Result<Option<(SequenceNo, SequenceNo)>, IngressError> {
-    let bases = list_segments(dir)?;
-    let Some(&base) = bases.last() else {
-        return Ok(None);
-    };
-    let (next, _, _) = scan_segment(dir, base)?;
-    Ok(Some((base, next)))
 }
 
 // ---------------------------------------------------------------------
 // Producer
 // ---------------------------------------------------------------------
+
+/// Open a segment file for the writer, creating it if absent and never
+/// truncating: recovery keeps the intact prefix.
+fn open_in_place(path: &Path) -> std::io::Result<File> {
+    OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .read(true)
+        .write(true)
+        .open(path)
+}
 
 struct ShardWriter {
     dir: PathBuf,
@@ -146,22 +268,12 @@ struct ShardWriter {
 impl ShardWriter {
     fn open(dir: PathBuf) -> Result<ShardWriter, IngressError> {
         fs::create_dir_all(&dir)?;
-        let (base, next_seq) = shard_tail(&dir)?.unwrap_or_default();
-        let (good, positions) = if next_seq > base {
-            let (_, good, positions) = scan_segment(&dir, base)?;
-            (good, positions)
-        } else {
-            (0, Vec::new())
+        let (base, (next_seq, good, positions)) = match list_segments(&dir)?.last() {
+            Some(&base) => (base, scan_segment(&dir, base)?),
+            None => (0, (0, 0, Vec::new())),
         };
-        let log_path = seg_path(&dir, base, "log");
-        let idx_path = seg_path(&dir, base, "idx");
-        // `truncate(false)`: keep the intact prefix; the explicit
-        // `set_len` below trims exactly the torn tail.
-        let log = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(&log_path)?;
+        let log = open_in_place(&seg_path(&dir, base, "log"))?;
+        // Trims exactly the torn tail.
         log.set_len(good)?;
         // The log and idx can be torn *independently* (the log buffer
         // flushes to the OS far more often than the 16-byte-per-record
@@ -171,12 +283,7 @@ impl ShardWriter {
         // never wrote — is rebuilt from the scanned record positions;
         // zero-extending here would plant seq=0/pos=0 entries that later
         // seeks read as hard corruption.
-        let idx = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(&idx_path)?;
+        let idx = open_in_place(&seg_path(&dir, base, "idx"))?;
         let mut valid = 0usize;
         {
             let mut rdr = BufReader::new(&idx);
@@ -220,18 +327,8 @@ impl ShardWriter {
     fn roll(&mut self) -> Result<(), IngressError> {
         self.sync()?;
         self.base = self.next_seq;
-        let log = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(seg_path(&self.dir, self.base, "log"))?;
-        let idx = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(seg_path(&self.dir, self.base, "idx"))?;
-        self.log = BufWriter::new(log);
-        self.idx = BufWriter::new(idx);
+        self.log = BufWriter::new(open_in_place(&seg_path(&self.dir, self.base, "log"))?);
+        self.idx = BufWriter::new(open_in_place(&seg_path(&self.dir, self.base, "idx"))?);
         self.seg_bytes = 0;
         Ok(())
     }
@@ -360,52 +457,15 @@ impl Drop for FileLogSink {
 // Consumer-group offsets
 // ---------------------------------------------------------------------
 
-/// Durable per-(group, shard) consumer offsets.
-struct OffsetStore {
-    dir: PathBuf,
-}
-
-impl OffsetStore {
-    fn open(stream_dir: &Path, group: &str) -> Result<OffsetStore, IngressError> {
-        let dir = stream_dir.join("groups").join(group);
-        fs::create_dir_all(&dir)?;
-        Ok(OffsetStore { dir })
-    }
-
-    fn path(&self, shard: ShardId) -> PathBuf {
-        self.dir.join(format!("shard-{}.off", shard.0))
-    }
-
-    fn load(&self, shard: ShardId) -> Result<Option<SequenceNo>, IngressError> {
-        match fs::read(self.path(shard)) {
-            Ok(bytes) if bytes.len() == 8 => Ok(Some(u64::from_le_bytes(
-                bytes[..8].try_into().expect("8 bytes"),
-            ))),
-            Ok(_) => Ok(None), // torn offset file: start from the beginning
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn commit(&self, shard: ShardId, next_seq: SequenceNo) -> Result<(), IngressError> {
-        let tmp = self.dir.join(format!("shard-{}.off.tmp", shard.0));
-        let mut f = File::create(&tmp)?;
-        f.write_all(&next_seq.to_le_bytes())?;
-        f.sync_data()?;
-        fs::rename(&tmp, self.path(shard))?;
-        Ok(())
-    }
-}
-
-/// Standalone handle to one consumer group's durable offsets.
+/// One consumer group's durable per-shard offsets.
 ///
-/// A [`FileLogSource`] opened with [`FileLogSource::open_resume`] owns
-/// the same store internally, but the source is usually moved into a
-/// pump thread — this handle lets the *consumer* end of the pipeline
-/// commit a shard's progress (after its downstream effect is durable)
-/// without sharing the source.
+/// A [`FileLogSource`] opened with [`FileLogSource::open_resume`] holds
+/// one internally, but the source is usually moved into a pump thread —
+/// a standalone handle lets the *consumer* end of the pipeline commit a
+/// shard's progress (after its downstream effect is durable) without
+/// sharing the source.
 pub struct GroupOffsets {
-    store: OffsetStore,
+    dir: PathBuf,
 }
 
 impl GroupOffsets {
@@ -416,19 +476,35 @@ impl GroupOffsets {
         key: &StreamKey,
         group: &str,
     ) -> Result<GroupOffsets, IngressError> {
-        Ok(GroupOffsets {
-            store: OffsetStore::open(&root.as_ref().join(key.as_str()), group)?,
-        })
+        let dir = root.as_ref().join(key.as_str()).join("groups").join(group);
+        fs::create_dir_all(&dir)?;
+        Ok(GroupOffsets { dir })
+    }
+
+    fn path(&self, shard: ShardId) -> PathBuf {
+        self.dir.join(format!("shard-{}.off", shard.0))
     }
 
     /// The committed next-sequence for `shard` (`None` = never committed).
     pub fn load(&self, shard: ShardId) -> Result<Option<SequenceNo>, IngressError> {
-        self.store.load(shard)
+        match fs::read(self.path(shard)) {
+            Ok(bytes) if bytes.len() == 8 => Ok(Some(u64::from_le_bytes(
+                bytes[..8].try_into().expect("8 bytes"),
+            ))),
+            Ok(_) => Ok(None), // torn offset file: start from the beginning
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Durably record that `shard` is fully consumed below `next_seq`.
     pub fn commit(&self, shard: ShardId, next_seq: SequenceNo) -> Result<(), IngressError> {
-        self.store.commit(shard, next_seq)
+        let tmp = self.dir.join(format!("shard-{}.off.tmp", shard.0));
+        let mut f = File::create(&tmp)?;
+        f.write_all(&next_seq.to_le_bytes())?;
+        f.sync_data()?;
+        fs::rename(&tmp, self.path(shard))?;
+        Ok(())
     }
 }
 
@@ -440,8 +516,16 @@ struct ShardReader {
     id: ShardId,
     dir: PathBuf,
     next_seq: SequenceNo,
-    /// Open segment: `(base, log reader)`. Dropped on seek / roll.
-    open: Option<(SequenceNo, BufReader<File>)>,
+    /// The segment being read. Dropped on seek, roll and any failed read.
+    open: Option<OpenSegment>,
+}
+
+struct OpenSegment {
+    base: SequenceNo,
+    /// A newer segment existed when this one was opened: the writer has
+    /// rolled past it, its bytes are final and none of them is a torn tail.
+    sealed: bool,
+    walker: BlockWalker,
 }
 
 impl ShardReader {
@@ -454,39 +538,25 @@ impl ShardReader {
         }
     }
 
-    /// Position a reader at `self.next_seq`, using the offset index.
-    /// `Ok(false)` = that record does not exist (yet).
-    fn ensure_open(&mut self) -> Result<bool, IngressError> {
-        if let Some((base, _)) = &self.open {
-            // A roll may have moved the live tail past this segment; the
-            // read path handles that by reopening on clean EOF.
-            let _ = base;
-            return Ok(true);
-        }
+    /// Open the segment holding `self.next_seq`, positioned on that
+    /// record through the offset index. `Ok(false)` = that record does
+    /// not exist (yet).
+    fn open_segment(&mut self, pool: &BufPool<u8>) -> Result<bool, IngressError> {
         let bases = list_segments(&self.dir)?;
-        if bases.is_empty() {
+        let Some(&oldest) = bases.first() else {
             return Ok(false);
-        }
-        // The segment that would hold next_seq: greatest base <= next_seq
-        // (clamped up to the oldest segment for pre-retention seeks).
-        let base = match bases.iter().rev().find(|&&b| b <= self.next_seq) {
-            Some(&b) => b,
-            None => {
-                self.next_seq = bases[0];
-                bases[0]
-            }
         };
-        let mut idx = File::open(seg_path(&self.dir, base, "idx"))?;
+        // A pre-retention seek clamps up to the oldest retained record.
+        self.next_seq = self.next_seq.max(oldest);
+        let base = *bases
+            .iter()
+            .rfind(|&&b| b <= self.next_seq)
+            .expect("the oldest base is at or below next_seq");
+        let idx_path = seg_path(&self.dir, base, "idx");
+        let mut idx = File::open(&idx_path)?;
         let entry = self.next_seq - base;
         if idx.metadata()?.len() < (entry + 1) * IDX_ENTRY as u64 {
-            // Not indexed yet: either not written, or the tail segment
-            // rolled and next_seq lives in the next one.
-            if bases.iter().any(|&b| b > base && b <= self.next_seq) {
-                self.open = None;
-                // Recurse once via loop: simplest is to retry directly.
-                return self.retry_later_segment(&bases);
-            }
-            return Ok(false);
+            return Ok(false); // not indexed yet
         }
         idx.seek(SeekFrom::Start(entry * IDX_ENTRY as u64))?;
         let mut e = [0u8; IDX_ENTRY];
@@ -496,87 +566,68 @@ impl ShardReader {
         if seq != self.next_seq {
             return Err(IngressError::Corrupt(format!(
                 "index {}: entry {entry} holds seq {seq}, expected {}",
-                seg_path(&self.dir, base, "idx").display(),
+                idx_path.display(),
                 self.next_seq
             )));
         }
-        let mut log = BufReader::new(File::open(seg_path(&self.dir, base, "log"))?);
-        log.seek(SeekFrom::Start(pos))?;
-        self.open = Some((base, log));
+        self.open = Some(OpenSegment {
+            base,
+            sealed: bases.last() != Some(&base),
+            walker: BlockWalker::open(&seg_path(&self.dir, base, "log"), pos, pool)?,
+        });
         Ok(true)
     }
 
-    fn retry_later_segment(&mut self, bases: &[SequenceNo]) -> Result<bool, IngressError> {
-        let base = match bases.iter().rev().find(|&&b| b <= self.next_seq) {
-            Some(&b) => b,
-            None => return Ok(false),
-        };
-        // Only called when a later segment covers next_seq; open it at
-        // the indexed position.
-        let mut idx = File::open(seg_path(&self.dir, base, "idx"))?;
-        let entry = self.next_seq - base;
-        if idx.metadata()?.len() < (entry + 1) * IDX_ENTRY as u64 {
-            return Ok(false);
-        }
-        idx.seek(SeekFrom::Start(entry * IDX_ENTRY as u64))?;
-        let mut e = [0u8; IDX_ENTRY];
-        idx.read_exact(&mut e)?;
-        let pos = u64::from_le_bytes(e[8..16].try_into().expect("8 bytes"));
-        let mut log = BufReader::new(File::open(seg_path(&self.dir, base, "log"))?);
-        log.seek(SeekFrom::Start(pos))?;
-        self.open = Some((base, log));
-        Ok(true)
-    }
-
-    /// Read the record at `next_seq` into a pool buffer. `Ok(None)` =
-    /// nothing (durable) there yet.
-    fn read_next(&mut self, pool: &fastflow::BufPool<u8>) -> Result<Option<Message>, IngressError> {
-        if !self.ensure_open()? {
-            return Ok(None);
-        }
-        let (base, log) = self.open.as_mut().expect("ensure_open established");
-        let mut head = [0u8; REC_HEADER];
-        match log.read_exact(&mut head) {
-            Ok(()) => {}
-            Err(_) => {
-                // Clean EOF or torn tail. If the writer rolled, the next
-                // record lives in a newer segment — reopen there.
-                let rolled = list_segments(&self.dir)?
-                    .iter()
-                    .any(|&b| b > *base && b <= self.next_seq);
-                self.open = None;
-                if rolled {
-                    return self.read_next(pool);
-                }
+    /// The record at `next_seq`, as a view of the block slab it was read
+    /// into. `Ok(None)` = nothing (durable) there yet.
+    fn read_next(&mut self, pool: &BufPool<u8>) -> Result<Option<Message>, IngressError> {
+        loop {
+            if self.open.is_none() && !self.open_segment(pool)? {
                 return Ok(None);
             }
+            let seg = self.open.as_mut().expect("a segment is open");
+            match seg.walker.step(self.next_seq, pool)? {
+                Step::Record(range) => {
+                    let seq = self.next_seq;
+                    self.next_seq += 1;
+                    return Ok(Some(Message {
+                        shard: self.id,
+                        seq,
+                        payload: Payload::view(&seg.walker.block, range),
+                    }));
+                }
+                Step::End => {
+                    // Clean EOF or a torn / partially flushed tail: start
+                    // over from the index next time. If the writer
+                    // rolled, the record lives in a newer segment —
+                    // go there now.
+                    let base = seg.base;
+                    self.open = None;
+                    let rolled = list_segments(&self.dir)?
+                        .iter()
+                        .any(|&b| b > base && b <= self.next_seq);
+                    if !rolled {
+                        return Ok(None);
+                    }
+                }
+                Step::Bad => {
+                    // On the live tail this is what a crash leaves behind
+                    // (the writer's reopen truncates it): no data yet. In
+                    // a sealed segment it can only be damage, and
+                    // re-reading it every poll would hide that forever.
+                    let (base, sealed, pos) = (seg.base, seg.sealed, seg.walker.pos);
+                    self.open = None;
+                    if sealed {
+                        return Err(IngressError::Corrupt(format!(
+                            "sealed segment {}: no valid record seq {} at byte {pos}",
+                            seg_path(&self.dir, base, "log").display(),
+                            self.next_seq
+                        )));
+                    }
+                    return Ok(None);
+                }
+            }
         }
-        let len = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-        let seq = u64::from_le_bytes(head[8..16].try_into().expect("8 bytes"));
-        if len > MAX_RECORD {
-            // A garbage header could claim ~4 GiB; treat it as a torn
-            // tail (the writer-side reopen truncates it) rather than
-            // letting corrupt bytes size an allocation.
-            self.open = None;
-            return Ok(None);
-        }
-        let mut payload = pool.acquire(len);
-        if log.read_exact(&mut payload[..]).is_err() {
-            // Torn / partially flushed: rewind by reopening next time.
-            self.open = None;
-            return Ok(None);
-        }
-        if seq != self.next_seq || crate::crc32(&payload[..]) != crc {
-            self.open = None;
-            return Ok(None);
-        }
-        self.next_seq += 1;
-        Ok(Some(Message {
-            shard: self.id,
-            seq,
-            payload,
-        }))
     }
 
     fn seek(&mut self, pos: SeqPos) -> Result<(), IngressError> {
@@ -584,8 +635,10 @@ impl ShardReader {
         self.next_seq = match pos {
             SeqPos::At(seq) => seq,
             SeqPos::Beginning => list_segments(&self.dir)?.first().copied().unwrap_or(0),
-            SeqPos::End => match shard_tail(&self.dir)? {
-                Some((_, next)) => next,
+            // The durable watermark: past the newest segment's last
+            // intact record.
+            SeqPos::End => match list_segments(&self.dir)?.last() {
+                Some(&base) => scan_segment(&self.dir, base)?.0,
                 None => 0,
             },
         };
@@ -599,9 +652,9 @@ impl ShardReader {
 pub struct FileLogSource {
     key: StreamKey,
     stream_dir: PathBuf,
-    pool: fastflow::BufPool<u8>,
+    pool: BufPool<u8>,
     readers: Vec<ShardReader>,
-    offsets: Option<OffsetStore>,
+    offsets: Option<GroupOffsets>,
     membership: Option<GroupMembership>,
     generation: u64,
     rr: usize,
@@ -634,49 +687,58 @@ impl FileLogSource {
         start: SeqPos,
         group: Option<&str>,
         membership: Option<GroupMembership>,
-        pool: fastflow::BufPool<u8>,
+        pool: BufPool<u8>,
     ) -> Result<FileLogSource, IngressError> {
         let stream_dir = root.as_ref().join(key.as_str());
         let all = Self::discover_shards(&stream_dir)?;
         let offsets = match group {
-            Some(g) => Some(OffsetStore::open(&stream_dir, g)?),
+            Some(g) => Some(GroupOffsets::open(root, key, g)?),
             None => None,
         };
         let assigned: Vec<ShardId> = match &membership {
             Some(m) => m.assigned(&all),
             None => all,
         };
-        let mut readers = Vec::new();
-        for id in assigned {
-            let dir = shard_dir(&stream_dir, id);
-            let mut r = ShardReader::new(id, dir, 0);
-            match (&offsets, start) {
-                (Some(store), _) => match store.load(id)? {
-                    Some(next) => r.next_seq = next,
-                    None => r.seek(start)?,
-                },
-                (None, pos) => r.seek(pos)?,
-            }
-            readers.push(r);
-        }
         let generation = membership.as_ref().map_or(0, |m| m.generation());
-        Ok(FileLogSource {
+        let mut source = FileLogSource {
             key: key.clone(),
             stream_dir,
             pool,
-            readers,
+            readers: Vec::new(),
             offsets,
             membership,
             generation,
             rr: 0,
-        })
+        };
+        source.start_readers(assigned, start)?;
+        Ok(source)
+    }
+
+    /// Start reading every shard of `ids` this source does not read yet:
+    /// at the group's committed offset when it has one, else at `start`.
+    /// True when a shard was added.
+    fn start_readers(&mut self, ids: Vec<ShardId>, start: SeqPos) -> Result<bool, IngressError> {
+        let before = self.readers.len();
+        for id in ids {
+            if self.readers.iter().any(|r| r.id == id) {
+                continue;
+            }
+            let mut r = ShardReader::new(id, shard_dir(&self.stream_dir, id), 0);
+            match self.committed(id)? {
+                Some(next) => r.next_seq = next,
+                None => r.seek(start)?,
+            }
+            self.readers.push(r);
+        }
+        self.readers.sort_unstable_by_key(|r| r.id);
+        Ok(self.readers.len() > before)
     }
 
     /// Real-time mode: start at each shard's end, see only new records.
     pub fn open_realtime(
         root: impl AsRef<Path>,
         key: &StreamKey,
-        pool: fastflow::BufPool<u8>,
+        pool: BufPool<u8>,
     ) -> Result<FileLogSource, IngressError> {
         Self::open_with(root, key, SeqPos::End, None, None, pool)
     }
@@ -685,7 +747,7 @@ impl FileLogSource {
     pub fn open_replay(
         root: impl AsRef<Path>,
         key: &StreamKey,
-        pool: fastflow::BufPool<u8>,
+        pool: BufPool<u8>,
     ) -> Result<FileLogSource, IngressError> {
         Self::open_with(root, key, SeqPos::Beginning, None, None, pool)
     }
@@ -696,7 +758,7 @@ impl FileLogSource {
         root: impl AsRef<Path>,
         key: &StreamKey,
         group: &str,
-        pool: fastflow::BufPool<u8>,
+        pool: BufPool<u8>,
     ) -> Result<FileLogSource, IngressError> {
         Self::open_with(root, key, SeqPos::Beginning, Some(group), None, pool)
     }
@@ -709,7 +771,7 @@ impl FileLogSource {
         key: &StreamKey,
         group: &str,
         membership: GroupMembership,
-        pool: fastflow::BufPool<u8>,
+        pool: BufPool<u8>,
     ) -> Result<FileLogSource, IngressError> {
         Self::open_with(
             root,
@@ -751,22 +813,7 @@ impl FileLogSource {
         let all = Self::discover_shards(&self.stream_dir)?;
         let assigned = m.assigned(&all);
         self.readers.retain(|r| assigned.contains(&r.id));
-        for id in assigned {
-            if self.readers.iter().any(|r| r.id == id) {
-                continue;
-            }
-            let dir = shard_dir(&self.stream_dir, id);
-            let mut r = ShardReader::new(id, dir, 0);
-            match &self.offsets {
-                Some(store) => match store.load(id)? {
-                    Some(next) => r.next_seq = next,
-                    None => r.seek(SeqPos::Beginning)?,
-                },
-                None => r.seek(SeqPos::Beginning)?,
-            }
-            self.readers.push(r);
-        }
-        self.readers.sort_unstable_by_key(|r| r.id);
+        self.start_readers(assigned, SeqPos::Beginning)?;
         self.rr = 0;
         self.generation = gen;
         Ok(())
@@ -781,25 +828,9 @@ impl FileLogSource {
     /// whatever mode it was opened in. Returns true when a shard was
     /// added.
     fn refresh_shards(&mut self) -> Result<bool, IngressError> {
-        let mut added = false;
-        for id in Self::discover_shards(&self.stream_dir)? {
-            if self.readers.iter().any(|r| r.id == id) {
-                continue;
-            }
-            let dir = shard_dir(&self.stream_dir, id);
-            let mut r = ShardReader::new(id, dir, 0);
-            match &self.offsets {
-                Some(store) => match store.load(id)? {
-                    Some(next) => r.next_seq = next,
-                    None => r.seek(SeqPos::Beginning)?,
-                },
-                None => r.seek(SeqPos::Beginning)?,
-            }
-            self.readers.push(r);
-            added = true;
-        }
+        let all = Self::discover_shards(&self.stream_dir)?;
+        let added = self.start_readers(all, SeqPos::Beginning)?;
         if added {
-            self.readers.sort_unstable_by_key(|r| r.id);
             self.rr = 0;
         }
         Ok(added)
@@ -815,13 +846,16 @@ impl FileLogSource {
         while got < max && dry < self.readers.len() {
             let i = self.rr % self.readers.len();
             self.rr += 1;
-            match self.readers[i].read_next(&self.pool)? {
-                Some(msg) => {
+            match self.readers[i].read_next(&self.pool) {
+                Ok(Some(msg)) => {
                     out.push(msg);
                     got += 1;
                     dry = 0;
                 }
-                None => dry += 1,
+                Ok(None) => dry += 1,
+                // Deliver what precedes the failure; it recurs next call.
+                Err(_) if got > 0 => break,
+                Err(e) => return Err(e),
             }
         }
         Ok(got)
@@ -879,8 +913,7 @@ pub fn read_all(
     root: impl AsRef<Path>,
     key: &StreamKey,
 ) -> Result<HashMap<u32, Vec<Vec<u8>>>, IngressError> {
-    let pool = fastflow::BufPool::<u8>::new();
-    let mut src = FileLogSource::open_replay(root, key, pool)?;
+    let mut src = FileLogSource::open_replay(root, key, BufPool::new())?;
     let mut out = HashMap::new();
     let mut batch = Vec::new();
     loop {
@@ -907,6 +940,7 @@ pub fn read_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -921,6 +955,28 @@ mod tests {
 
     fn key() -> StreamKey {
         StreamKey::new("t").expect("valid key")
+    }
+
+    /// Records the largest slab a pool ever allocated.
+    #[derive(Default)]
+    struct LargestSlab(AtomicUsize);
+
+    impl fastflow::SlabRegistrar for LargestSlab {
+        fn register(&self, _ptr: usize, bytes: usize) {
+            self.0.fetch_max(bytes, Ordering::Relaxed);
+        }
+        fn unregister(&self, _ptr: usize, _bytes: usize) {}
+    }
+
+    /// Everything `src` has right now, in delivery order.
+    fn drain(src: &mut FileLogSource, max: usize) -> Vec<Message> {
+        let mut msgs = Vec::new();
+        while src.next_batch(&mut msgs, max).expect("read") > 0 {}
+        msgs
+    }
+
+    fn log_path(root: &Path, base: SequenceNo) -> PathBuf {
+        seg_path(&shard_dir(&root.join("t"), ShardId(0)), base, "log")
     }
 
     #[test]
@@ -1112,8 +1168,10 @@ mod tests {
         garbage.extend_from_slice(&1u64.to_le_bytes()); // seq (would chain)
         f.write_all(&garbage).expect("append garbage header");
         drop(f);
-        let mut src =
-            FileLogSource::open_replay(&root, &key(), fastflow::BufPool::new()).expect("open");
+        let largest = Arc::new(LargestSlab::default());
+        let pool =
+            BufPool::with_registrar(Arc::clone(&largest) as Arc<dyn fastflow::SlabRegistrar>);
+        let mut src = FileLogSource::open_replay(&root, &key(), pool).expect("open");
         let mut msgs = Vec::new();
         while src
             .next_batch(&mut msgs, 8)
@@ -1121,6 +1179,11 @@ mod tests {
             > 0
         {}
         assert_eq!(msgs.len(), 1, "only the intact record is delivered");
+        assert_eq!(
+            largest.0.load(Ordering::Relaxed),
+            BLOCK,
+            "the garbage length sized no lease: the pool saw block slabs only"
+        );
         let mut sink = FileLogSink::open(&root, &key(), 1).expect("reopen");
         assert_eq!(sink.next_seq(ShardId(0)).expect("seq"), 1);
         assert_eq!(
@@ -1246,5 +1309,281 @@ mod tests {
         assert_eq!(msgs.len(), 1);
         assert_eq!(&msgs[0].payload[..], b"pending");
         let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A record of a size that puts every boundary case in play: empty,
+    /// a few bytes (so a 16-byte header lands across a block edge),
+    /// mid-sized (so a payload does), about a block, three blocks.
+    fn draw_record(rng: &mut simtime::XorShift64) -> Vec<u8> {
+        let len = match rng.below(64) {
+            0..=15 => 0,
+            16..=47 => rng.range_usize(1, 64),
+            48..=58 => rng.range_usize(BLOCK / 16, BLOCK / 3),
+            59..=62 => rng.range_usize(BLOCK - 64, BLOCK + 64),
+            _ => 3 * BLOCK,
+        };
+        rng.bytes(len)
+    }
+
+    /// How many records of one shard start with their header, and how
+    /// many with their payload, across a reader block's end: a block
+    /// begins where the carried record does and is `BLOCK` long, or the
+    /// record's length if that is more.
+    fn straddles(lens: &[usize]) -> (usize, usize) {
+        let (mut room, mut header, mut payload) = (BLOCK, 0, 0);
+        for len in lens {
+            let n = REC_HEADER + len;
+            if n > room {
+                match room {
+                    0 => {}
+                    1..REC_HEADER => header += 1,
+                    _ => payload += 1,
+                }
+                room = n.max(BLOCK);
+            }
+            room -= n;
+        }
+        (header, payload)
+    }
+
+    #[test]
+    fn records_straddling_block_edges_replay_and_rewind_exactly() {
+        const SHARDS: u32 = 3;
+        let root = tmpdir("straddle");
+        let mut rng = simtime::XorShift64::new(0xB10C_ED6E);
+        let mut sink = FileLogSink::open(&root, &key(), SHARDS)
+            .expect("open")
+            .with_segment_bytes(40 * BLOCK as u64);
+        let mut sent: Vec<Vec<Vec<u8>>> = vec![Vec::new(); SHARDS as usize];
+        for i in 0..3000 {
+            let payload = draw_record(&mut rng);
+            sink.send(ShardId(i % SHARDS), &payload).expect("send");
+            sent[(i % SHARDS) as usize].push(payload);
+        }
+        sink.flush().expect("flush");
+        for rows in &sent {
+            let lens: Vec<usize> = rows.iter().map(Vec::len).collect();
+            let (header, payload) = straddles(&lens);
+            assert!(
+                header > 0 && payload > 0,
+                "the draw must straddle both ways"
+            );
+            assert!(lens.contains(&0) && lens.contains(&(3 * BLOCK)));
+        }
+        let dir = shard_dir(&root.join("t"), ShardId(0));
+        assert!(list_segments(&dir).expect("list").len() > 1, "and roll");
+
+        let mut src = FileLogSource::open_replay(&root, &key(), BufPool::new()).expect("open");
+        let first = drain(&mut src, 7);
+        assert_eq!(first.len(), 3000);
+        let mut next = [0u64; SHARDS as usize];
+        for m in &first {
+            let s = m.shard.0 as usize;
+            assert_eq!(m.seq, next[s], "dense per shard");
+            assert_eq!(&m.payload[..], &sent[s][m.seq as usize][..]);
+            next[s] += 1;
+        }
+        // A rewound replay interleaves exactly like the first pass,
+        // whatever the batch size and wherever the blocks fall.
+        src.rewind().expect("rewind");
+        let again = drain(&mut src, 64);
+        assert!(first
+            .iter()
+            .zip(&again)
+            .all(|(a, b)| (a.shard, a.seq, &a.payload[..]) == (b.shard, b.seq, &b.payload[..])));
+        assert_eq!(again.len(), first.len());
+        src.seek(ShardId(1), SeqPos::At(600)).expect("seek");
+        let tail = drain(&mut src, 5);
+        assert_eq!(tail.len(), 400, "only the re-positioned shard has data");
+        assert_eq!(&tail[0].payload[..], &sent[1][600][..]);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn tail_torn_at_a_block_edge_resumes_without_duplicate_or_gap() {
+        // Record 1 starts `lead` bytes into the log, so byte BLOCK — where
+        // the reader's first block ends and the file is cut — falls inside
+        // its header (lead = BLOCK - 8) or its payload (BLOCK - 66).
+        for lead in [BLOCK - 8, BLOCK - 66] {
+            let root = tmpdir("tornedge");
+            let mut rng = simtime::XorShift64::new(lead as u64);
+            let records = [rng.bytes(lead - REC_HEADER), rng.bytes(100), rng.bytes(30)];
+            let mut sink = FileLogSink::open(&root, &key(), 1).expect("open");
+            for r in &records {
+                sink.send(ShardId(0), r).expect("send");
+            }
+            sink.flush().expect("flush");
+            let log = log_path(&root, 0);
+            let full = fs::read(&log).expect("read log");
+            let f = OpenOptions::new().write(true).open(&log).expect("open");
+            f.set_len(BLOCK as u64).expect("tear at the block edge");
+
+            let mut src = FileLogSource::open_replay(&root, &key(), BufPool::new()).expect("open");
+            let mut msgs = drain(&mut src, 8);
+            assert_eq!(msgs.len(), 1, "the torn record is no data yet");
+            assert_eq!(src.next_batch(&mut msgs, 8).expect("still no error"), 0);
+            // The rest of the flush lands.
+            let mut f = OpenOptions::new().append(true).open(&log).expect("open");
+            f.write_all(&full[BLOCK..]).expect("complete the tail");
+            msgs.extend(drain(&mut src, 8));
+            assert_eq!(msgs.iter().map(|m| m.seq).collect::<Vec<_>>(), [0, 1, 2]);
+            for (m, r) in msgs.iter().zip(&records) {
+                assert_eq!(&m.payload[..], &r[..]);
+            }
+            let _ = fs::remove_dir_all(&root);
+        }
+    }
+
+    /// 60 records of 100 bytes over shard 0, rolling after each 30, with
+    /// one payload bit of record `victim` flipped on disk.
+    fn log_with_flipped_bit(root: &Path, victim: u64) {
+        let mut sink = FileLogSink::open(root, &key(), 1)
+            .expect("open")
+            .with_segment_bytes(30 * 116);
+        for i in 0..60u8 {
+            sink.send(ShardId(0), &[i; 100]).expect("send");
+        }
+        sink.flush().expect("flush");
+        let base = victim / 30 * 30;
+        let mut f = OpenOptions::new()
+            .write(true)
+            .open(log_path(root, base))
+            .expect("open log");
+        f.seek(SeekFrom::Start(
+            (victim - base) * 116 + REC_HEADER as u64 + 50,
+        ))
+        .expect("seek");
+        f.write_all(&[victim as u8 ^ 0x10]).expect("flip a bit");
+    }
+
+    #[test]
+    fn bad_record_on_the_live_tail_is_no_data_yet() {
+        let root = tmpdir("flip-tail");
+        log_with_flipped_bit(&root, 45);
+        let mut src = FileLogSource::open_replay(&root, &key(), BufPool::new()).expect("open");
+        let mut msgs = drain(&mut src, 8);
+        // Every record ahead of it in its block, nothing after it.
+        assert_eq!(
+            msgs.iter().map(|m| m.seq).collect::<Vec<_>>(),
+            (0..45).collect::<Vec<_>>()
+        );
+        assert_eq!(src.next_batch(&mut msgs, 8).expect("not an error"), 0);
+        assert_eq!(src.position(ShardId(0)), Some(45));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn bad_record_in_a_sealed_segment_is_corrupt() {
+        let root = tmpdir("flip-sealed");
+        log_with_flipped_bit(&root, 20);
+        let mut src = FileLogSource::open_replay(&root, &key(), BufPool::new()).expect("open");
+        let mut msgs = Vec::new();
+        let err = loop {
+            match src.next_batch(&mut msgs, 8) {
+                Ok(n) => assert!(n > 0, "a sealed segment never reads as 'no data yet'"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(
+            msgs.iter().map(|m| m.seq).collect::<Vec<_>>(),
+            (0..20).collect::<Vec<_>>(),
+            "every record ahead of the damage is delivered first"
+        );
+        let IngressError::Corrupt(what) = err else {
+            panic!("expected Corrupt, got {err}");
+        };
+        let file = log_path(&root, 0).display().to_string();
+        assert!(
+            what.contains(&file) && what.contains("seq 20") && what.contains("byte 2320"),
+            "names file, seq and offset: {what}"
+        );
+        assert!(
+            matches!(src.next_batch(&mut msgs, 8), Err(IngressError::Corrupt(_))),
+            "and keeps saying so"
+        );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn views_outlive_reader_and_source_and_return_their_slab() {
+        let root = tmpdir("outlive");
+        let mut sink = FileLogSink::open(&root, &key(), 1).expect("open");
+        for i in 0..=255u8 {
+            sink.send(ShardId(0), &[i; 200]).expect("send");
+        }
+        sink.flush().expect("flush");
+        drop(sink);
+        let pool = BufPool::new();
+        let mut src = FileLogSource::open_replay(&root, &key(), pool.clone()).expect("open");
+        let mut msgs = drain(&mut src, 64);
+        drop(src);
+        let _ = fs::remove_dir_all(&root);
+        assert_eq!(msgs.len(), 256);
+        assert_eq!(pool.stats().outstanding, 4, "256 x 216 bytes = 4 blocks");
+        for (i, m) in msgs.iter().enumerate() {
+            assert_eq!(&m.payload[..], &[i as u8; 200][..]);
+        }
+        // One parked record retains its whole block, and only that one.
+        let parked = msgs.swap_remove(100);
+        drop(msgs);
+        assert_eq!(pool.stats().outstanding, 1);
+        assert_eq!(&parked.payload[..], &[100u8; 200][..]);
+        drop(parked);
+        assert_eq!(pool.stats().outstanding, 0);
+    }
+
+    #[test]
+    fn on_disk_format_is_the_parent_commits() {
+        // An independent writer of the documented layout — bitwise CRC,
+        // no code shared with the sink — must produce the sink's files
+        // byte for byte (this reader's logs replay under the old code)
+        // and its files must replay here (and the old code's under this).
+        let mut rng = simtime::XorShift64::new(0xD15C);
+        let records: Vec<Vec<u8>> = (0..40)
+            .map(|_| {
+                let len = rng.range_usize(0, 300);
+                rng.bytes(len)
+            })
+            .collect();
+        let threshold = 3000u64;
+        let mut segments: Vec<(SequenceNo, Vec<u8>, Vec<u8>)> = Vec::new();
+        for (seq, payload) in records.iter().enumerate() {
+            if segments
+                .last()
+                .is_none_or(|(_, log, _)| log.len() as u64 >= threshold)
+            {
+                segments.push((seq as u64, Vec::new(), Vec::new()));
+            }
+            let (_, log, idx) = segments.last_mut().expect("just pushed");
+            idx.extend_from_slice(&(seq as u64).to_le_bytes());
+            idx.extend_from_slice(&(log.len() as u64).to_le_bytes());
+            log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            log.extend_from_slice(&crate::crc::bitwise(payload).to_le_bytes());
+            log.extend_from_slice(&(seq as u64).to_le_bytes());
+            log.extend_from_slice(payload);
+        }
+        assert!(segments.len() >= 2);
+
+        let ours = tmpdir("format-ours");
+        let mut sink = FileLogSink::open(&ours, &key(), 1)
+            .expect("open")
+            .with_segment_bytes(threshold);
+        for r in &records {
+            sink.send(ShardId(0), r).expect("send");
+        }
+        sink.flush().expect("flush");
+        let theirs = tmpdir("format-theirs");
+        let dir = shard_dir(&theirs.join("t"), ShardId(0));
+        fs::create_dir_all(&dir).expect("shard dir");
+        for (base, log, idx) in &segments {
+            assert_eq!(&fs::read(log_path(&ours, *base)).expect("log"), log);
+            let ours_idx = seg_path(&shard_dir(&ours.join("t"), ShardId(0)), *base, "idx");
+            assert_eq!(&fs::read(ours_idx).expect("idx"), idx);
+            fs::write(seg_path(&dir, *base, "log"), log).expect("write log");
+            fs::write(seg_path(&dir, *base, "idx"), idx).expect("write idx");
+        }
+        assert_eq!(read_all(&theirs, &key()).expect("replay")[&0], records);
+        let _ = fs::remove_dir_all(&ours);
+        let _ = fs::remove_dir_all(&theirs);
     }
 }

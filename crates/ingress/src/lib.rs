@@ -17,24 +17,32 @@
 //! * [`tcp`] — a length-prefixed TCP transport with windowed in-flight
 //!   sends and ack frames, for live feeds.
 //!
-//! Payloads land in [`fastflow::PooledBuf`]s acquired from the pool the
-//! caller supplies — hand a `workload::pinned_pool()` and external bytes
-//! are read straight into page-locked slabs, so the downstream offload
-//! path keeps its zero-copy guarantee (the copy ledger stays at
-//! 0 bytes/batch). [`pump`] routes a source's shards into the batched
-//! `fastflow` channels that feed existing `Workload` pipelines.
+//! Payloads are [`Payload`] views of [`fastflow::PooledBuf`] slabs
+//! acquired from the pool the caller supplies — hand a
+//! `workload::pinned_pool()` and external bytes are read straight into
+//! page-locked slabs, so the downstream offload path keeps its zero-copy
+//! guarantee (the copy ledger stays at 0 bytes/batch). The file log
+//! reads a block of segment bytes per slab and its records share it; a
+//! slab returns to the pool when its last view drops. [`pump`] routes a
+//! source's shards into the batched `fastflow` channels that feed
+//! existing `Workload` pipelines.
 
 #![deny(missing_docs)]
 
 use std::fmt;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use fastflow::PooledBuf;
+
+mod crc;
 pub mod filelog;
 pub mod group;
 pub mod pump;
 pub mod tcp;
 
+pub use crc::crc32;
 pub use filelog::{FileLogSink, FileLogSource, GroupOffsets};
 pub use group::{GroupCoordinator, GroupMembership};
 pub use pump::{spawn_pump, IngressStats, PumpConfig, PumpHandle};
@@ -99,7 +107,7 @@ pub enum SeqPos {
 }
 
 /// One record delivered by a [`Source`]: its shard address plus the
-/// payload in a pooled buffer (pinned, when the pool is a
+/// payload in pool memory (pinned, when the pool is a
 /// `workload::pinned_pool()`).
 #[derive(Debug)]
 pub struct Message {
@@ -107,8 +115,52 @@ pub struct Message {
     pub shard: ShardId,
     /// Its position within the shard.
     pub seq: SequenceNo,
-    /// The record payload, in a pool-acquired buffer.
-    pub payload: fastflow::PooledBuf<u8>,
+    /// The record payload, in a pool-acquired slab.
+    pub payload: Payload,
+}
+
+/// A record's bytes: a range of a pool slab, read as `[u8]`.
+///
+/// Either a whole slab of its own (one record per buffer, as the TCP
+/// transport reads them) or a view of a block slab it shares with its
+/// neighbours in the segment. A shared slab lives until its last view
+/// drops, on whichever thread that happens — parking one record retains
+/// its whole block.
+pub struct Payload(Repr);
+
+enum Repr {
+    Whole(PooledBuf<u8>),
+    View(Arc<PooledBuf<u8>>, Range<usize>),
+}
+
+impl Payload {
+    /// The bytes `range` of `slab`, keeping the slab alive.
+    pub(crate) fn view(slab: &Arc<PooledBuf<u8>>, range: Range<usize>) -> Payload {
+        Payload(Repr::View(Arc::clone(slab), range))
+    }
+}
+
+impl From<PooledBuf<u8>> for Payload {
+    /// The whole of `slab`, unshared: no allocation.
+    fn from(slab: PooledBuf<u8>) -> Payload {
+        Payload(Repr::Whole(slab))
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Whole(slab) => slab,
+            Repr::View(slab, range) => &slab[range.clone()],
+        }
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Errors from ingress transports.
@@ -242,35 +294,6 @@ pub trait Sink: Send {
     fn flush(&mut self) -> Result<(), IngressError>;
 }
 
-/// CRC32 (IEEE, reflected) over `bytes` — the record checksum both
-/// transports use. Table-driven, table built at compile time.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
-    let mut c = !0u32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,13 +306,6 @@ mod tests {
         assert!(StreamKey::new("has space").is_err());
         assert!(StreamKey::new("a/b").is_err());
         assert!(StreamKey::new("x".repeat(65)).is_err());
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC32 check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -79,6 +79,15 @@ impl IngressStats {
     }
 }
 
+/// One shard's share of the batch in hand, beside its counters.
+struct ShardTally {
+    shard: u32,
+    counters: Arc<IngressCounters>,
+    records: u64,
+    bytes: u64,
+    hi: u64,
+}
+
 /// Handle to a running pump thread.
 pub struct PumpHandle {
     stop: Arc<AtomicBool>,
@@ -134,6 +143,9 @@ where
         .spawn(move || {
             let _scope = cfg.ledger.as_ref().map(|l| l.enter());
             let mut raw: Vec<Message> = Vec::with_capacity(cfg.max_batch);
+            // One entry per shard seen, kept for the thread's life: its
+            // counters (looked up once) and the current batch's tally.
+            let mut shards: Vec<ShardTally> = Vec::new();
             let mut pumped = 0u64;
             while !stop2.load(Ordering::Relaxed) {
                 raw.clear();
@@ -143,18 +155,35 @@ where
                     continue;
                 }
                 // Account per shard before the buffers move on.
-                let mut per_shard: HashMap<u32, (u64, u64, u64)> = HashMap::new();
                 for m in &raw {
-                    let e = per_shard.entry(m.shard.0).or_default();
-                    e.0 += 1;
-                    e.1 += m.payload.len() as u64;
-                    e.2 = e.2.max(m.seq + 1);
+                    let i = match shards.iter().position(|t| t.shard == m.shard.0) {
+                        Some(i) => i,
+                        None => {
+                            shards.push(ShardTally {
+                                shard: m.shard.0,
+                                counters: stats.counters(m.shard.0),
+                                records: 0,
+                                bytes: 0,
+                                hi: 0,
+                            });
+                            shards.len() - 1
+                        }
+                    };
+                    let t = &mut shards[i];
+                    t.records += 1;
+                    t.bytes += m.payload.len() as u64;
+                    t.hi = t.hi.max(m.seq + 1);
                 }
-                for (shard, (records, bytes, hi)) in per_shard {
-                    let c = stats.counters(shard);
-                    c.add_records(records, bytes);
-                    c.produced_to(hi);
-                    flight.emit(FlightKind::IngressBatch, shard as u64, records, bytes);
+                for t in shards.iter_mut().filter(|t| t.records > 0) {
+                    t.counters.add_records(t.records, t.bytes);
+                    t.counters.produced_to(t.hi);
+                    flight.emit(
+                        FlightKind::IngressBatch,
+                        u64::from(t.shard),
+                        t.records,
+                        t.bytes,
+                    );
+                    (t.records, t.bytes, t.hi) = (0, 0, 0);
                 }
                 pumped += n as u64;
                 if tx.send_batch(raw.drain(..).map(&mut decode)).is_err() {

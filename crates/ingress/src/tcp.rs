@@ -276,7 +276,7 @@ fn serve_producer(
                 let msg = Message {
                     shard: ShardId(shard),
                     seq,
-                    payload,
+                    payload: payload.into(), // the slab, whole and unshared
                 };
                 if !queue.push(msg) {
                     return; // server stopping
