@@ -706,8 +706,39 @@ mod tests {
     use super::*;
     use crate::Recorder;
 
+    /// The `# TYPE` lines and the sample lines of an exposition, each
+    /// sorted. Values that are not a function of the scenario are masked:
+    /// uptime and service time are wall-clock, and the copy ledger is
+    /// process-wide, so the other tests of this binary charge it too.
+    fn golden_view(text: &str) -> (Vec<String>, Vec<String>) {
+        const MASKED: [&str; 4] = [
+            "hetstream_uptime_seconds",
+            "hetstream_stage_service_ns_total",
+            "hetstream_stage_service_latency_ns{",
+            "hetstream_copy_",
+        ];
+        let mut types = Vec::new();
+        let mut samples = Vec::new();
+        for line in text.lines() {
+            if line.starts_with("# TYPE") {
+                types.push(line.to_string());
+            } else if !line.starts_with('#') {
+                let (series, value) = line.rsplit_once(' ').expect("name value");
+                assert!(value.parse::<f64>().is_ok(), "bad value in {line:?}");
+                if MASKED.iter().any(|m| series.starts_with(m)) {
+                    samples.push(format!("{series} *"));
+                } else {
+                    samples.push(line.to_string());
+                }
+            }
+        }
+        types.sort();
+        samples.sort();
+        (types, samples)
+    }
+
     #[test]
-    fn exposition_has_expected_families() {
+    fn exposition_matches_the_golden() {
         let rec = Recorder::enabled();
         let h = rec.stage("work", 0);
         h.item_in(3);
@@ -735,51 +766,120 @@ mod tests {
             start_ns: 0,
             end_ns: 100,
         });
+        let (types, samples) = golden_view(&rec.prometheus());
+        assert_eq!(types, GOLDEN_TYPES, "# TYPE lines moved");
+        assert_eq!(samples, GOLDEN_SAMPLES, "sample lines moved");
+    }
+
+    const GOLDEN_TYPES: &[&str] = &[
+        "# TYPE hetstream_copy_batches_total counter",
+        "# TYPE hetstream_copy_bytes_total counter",
+        "# TYPE hetstream_copy_ops_total counter",
+        "# TYPE hetstream_e2e_latency_ns summary",
+        "# TYPE hetstream_faults_total counter",
+        "# TYPE hetstream_flight_events_total counter",
+        "# TYPE hetstream_flight_lap_dropped_total counter",
+        "# TYPE hetstream_gpu_engine_busy_ns_total counter",
+        "# TYPE hetstream_gpu_engine_busy_ratio gauge",
+        "# TYPE hetstream_ingress_acks_total counter",
+        "# TYPE hetstream_ingress_bytes_total counter",
+        "# TYPE hetstream_ingress_lag_total gauge",
+        "# TYPE hetstream_ingress_records_total counter",
+        "# TYPE hetstream_pool_hit_rate gauge",
+        "# TYPE hetstream_pool_hits_total counter",
+        "# TYPE hetstream_pool_misses_total counter",
+        "# TYPE hetstream_pool_outstanding gauge",
+        "# TYPE hetstream_pool_shed_total counter",
+        "# TYPE hetstream_sched_decisions_total counter",
+        "# TYPE hetstream_sched_migrations_total counter",
+        "# TYPE hetstream_sched_overhead_ns_total counter",
+        "# TYPE hetstream_sched_residency_hits_total counter",
+        "# TYPE hetstream_sched_retunes_total counter",
+        "# TYPE hetstream_stage_items_in_total counter",
+        "# TYPE hetstream_stage_items_out_total counter",
+        "# TYPE hetstream_stage_pop_waits_total counter",
+        "# TYPE hetstream_stage_push_stalls_total counter",
+        "# TYPE hetstream_stage_queue_depth gauge",
+        "# TYPE hetstream_stage_queue_hwm gauge",
+        "# TYPE hetstream_stage_service_latency_ns summary",
+        "# TYPE hetstream_stage_service_ns_total counter",
+        "# TYPE hetstream_stalls_total counter",
+        "# TYPE hetstream_up gauge",
+        "# TYPE hetstream_uptime_seconds gauge",
+    ];
+
+    const GOLDEN_SAMPLES: &[&str] = &[
+        "hetstream_copy_batches_total *",
+        "hetstream_copy_bytes_total{path=\"bounce\"} *",
+        "hetstream_copy_bytes_total{path=\"staging\"} *",
+        "hetstream_copy_ops_total{path=\"bounce\"} *",
+        "hetstream_copy_ops_total{path=\"staging\"} *",
+        "hetstream_e2e_latency_ns_count 0",
+        "hetstream_e2e_latency_ns{quantile=\"0.5\"} 0",
+        "hetstream_e2e_latency_ns{quantile=\"0.9\"} 0",
+        "hetstream_e2e_latency_ns{quantile=\"0.95\"} 0",
+        "hetstream_e2e_latency_ns{quantile=\"0.99\"} 0",
+        "hetstream_faults_total{kind=\"cpu_fallback\"} 0",
+        "hetstream_faults_total{kind=\"device_oom\"} 0",
+        "hetstream_faults_total{kind=\"kernel_fault\"} 0",
+        "hetstream_faults_total{kind=\"retry\"} 1",
+        "hetstream_faults_total{kind=\"stage_error\"} 0",
+        "hetstream_flight_events_total 3",
+        "hetstream_flight_lap_dropped_total 0",
+        "hetstream_gpu_engine_busy_ns_total{device=\"0\",engine=\"compute\"} 100",
+        "hetstream_gpu_engine_busy_ratio{device=\"0\",engine=\"compute\"} 1.0000",
+        "hetstream_ingress_acks_total{stream=\"test.stream\",shard=\"1\"} 3",
+        "hetstream_ingress_bytes_total{stream=\"test.stream\",shard=\"1\"} 300",
+        "hetstream_ingress_lag_total{stream=\"test.stream\",shard=\"1\"} 2",
+        "hetstream_ingress_records_total{stream=\"test.stream\",shard=\"1\"} 3",
+        "hetstream_pool_hit_rate{pool=\"test.pool\"} 1.0000",
+        "hetstream_pool_hits_total{pool=\"test.pool\"} 1",
+        "hetstream_pool_misses_total{pool=\"test.pool\"} 0",
+        "hetstream_pool_outstanding{pool=\"test.pool\"} 0",
+        "hetstream_pool_shed_total{pool=\"test.pool\"} 0",
+        "hetstream_sched_decisions_total{sched=\"test.graph\"} 1",
+        "hetstream_sched_migrations_total{sched=\"test.graph\"} 0",
+        "hetstream_sched_overhead_ns_total{sched=\"test.graph\"} 250",
+        "hetstream_sched_residency_hits_total{sched=\"test.graph\"} 1",
+        "hetstream_sched_retunes_total{sched=\"test.graph\"} 0",
+        "hetstream_stage_items_in_total{stage=\"work\",replica=\"0\"} 1",
+        "hetstream_stage_items_out_total{stage=\"work\",replica=\"0\"} 1",
+        "hetstream_stage_pop_waits_total{stage=\"work\",replica=\"0\"} 0",
+        "hetstream_stage_push_stalls_total{stage=\"work\",replica=\"0\"} 0",
+        "hetstream_stage_queue_depth{stage=\"work\",replica=\"0\"} 3",
+        "hetstream_stage_queue_hwm{stage=\"work\",replica=\"0\"} 3",
+        "hetstream_stage_service_latency_ns_count{stage=\"work\"} 1",
+        "hetstream_stage_service_latency_ns{stage=\"work\",quantile=\"0.5\"} *",
+        "hetstream_stage_service_latency_ns{stage=\"work\",quantile=\"0.9\"} *",
+        "hetstream_stage_service_latency_ns{stage=\"work\",quantile=\"0.95\"} *",
+        "hetstream_stage_service_latency_ns{stage=\"work\",quantile=\"0.99\"} *",
+        "hetstream_stage_service_ns_total{stage=\"work\",replica=\"0\"} *",
+        "hetstream_stalls_total 0",
+        "hetstream_up 1",
+        "hetstream_uptime_seconds *",
+    ];
+
+    #[test]
+    fn registering_the_same_labels_again_replaces_the_series() {
+        let rec = Recorder::enabled();
+        let (first, second) = (crate::PoolCounters::new(), crate::PoolCounters::new());
+        first.hit();
+        second.miss();
+        rec.register_pool("test.pool", &first);
+        rec.register_pool("test.pool", &second);
         let text = rec.prometheus();
-        for family in [
-            "hetstream_up 1",
-            "hetstream_stage_items_in_total{stage=\"work\",replica=\"0\"} 1",
-            "hetstream_stage_items_out_total",
-            "hetstream_stage_queue_depth{stage=\"work\",replica=\"0\"} 3",
-            "hetstream_stage_service_latency_ns{stage=\"work\",quantile=\"0.99\"}",
-            "hetstream_faults_total{kind=\"retry\"} 1",
-            "hetstream_faults_total{kind=\"cpu_fallback\"} 0",
-            "hetstream_pool_hits_total{pool=\"test.pool\"} 1",
-            "hetstream_pool_hit_rate{pool=\"test.pool\"} 1.0000",
-            "# TYPE hetstream_copy_bytes_total counter",
-            "hetstream_copy_bytes_total{path=\"staging\"}",
-            "hetstream_copy_bytes_total{path=\"bounce\"}",
-            "hetstream_copy_ops_total{path=\"staging\"}",
-            "hetstream_copy_batches_total",
-            "hetstream_ingress_records_total{stream=\"test.stream\",shard=\"1\"} 3",
-            "hetstream_ingress_bytes_total{stream=\"test.stream\",shard=\"1\"} 300",
-            "hetstream_ingress_acks_total{stream=\"test.stream\",shard=\"1\"} 3",
-            "hetstream_ingress_lag_total{stream=\"test.stream\",shard=\"1\"} 2",
-            "hetstream_gpu_engine_busy_ns_total{device=\"0\",engine=\"compute\"} 100",
-            "hetstream_gpu_engine_busy_ratio{device=\"0\",engine=\"compute\"} 1.0000",
-            "hetstream_sched_decisions_total{sched=\"test.graph\"} 1",
-            "hetstream_sched_residency_hits_total{sched=\"test.graph\"} 1",
-            "hetstream_sched_migrations_total{sched=\"test.graph\"} 0",
-            "hetstream_sched_overhead_ns_total{sched=\"test.graph\"} 250",
-            "hetstream_sched_retunes_total{sched=\"test.graph\"} 0",
-            "hetstream_flight_events_total",
-        ] {
-            assert!(text.contains(family), "missing {family:?} in:\n{text}");
-        }
-        // Every non-comment line is `name{labels} value` — one space.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let mut parts = line.rsplitn(2, ' ');
-            let value = parts.next().unwrap();
-            assert!(value.parse::<f64>().is_ok(), "bad value in {line:?}");
-            assert!(parts.next().is_some(), "bad line {line:?}");
-        }
+        assert_eq!(text.matches("hetstream_pool_hits_total{").count(), 1);
+        assert!(text.contains("hetstream_pool_hits_total{pool=\"test.pool\"} 0"));
+        assert!(text.contains("hetstream_pool_misses_total{pool=\"test.pool\"} 1"));
     }
 
     #[test]
     fn disabled_recorder_reports_down() {
-        let text = Recorder::disabled().prometheus();
-        assert!(text.contains("hetstream_up 0"));
-        assert!(!text.contains("hetstream_stage_items_in_total"));
+        assert_eq!(
+            Recorder::disabled().prometheus(),
+            "# HELP hetstream_up 1 while the recorder is live.\n\
+             # TYPE hetstream_up gauge\nhetstream_up 0\n"
+        );
     }
 
     #[test]
