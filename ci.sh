@@ -160,8 +160,9 @@ grep -q '"fault_counts"' "$figdir/hashsearch_telemetry.json"
 
 echo "== live observability smoke (flight dump + Prometheus endpoint mid-run) =="
 # fig1 under injected faults with the live plane armed: scrape /metrics
-# twice mid-run over raw /dev/tcp (no curl in the image), then validate
-# the exposition families, counter monotonicity across scrapes, and the
+# twice and /health once mid-run over raw /dev/tcp (no curl in the
+# image), then validate the exposition families, counter monotonicity
+# across scrapes, that /health names the pools /metrics does, and the
 # flight dump the CPU-fallback escalation must have produced.
 rm -f "$figdir/fig1.flight.json" "$figdir/fig1.prom"
 LIVE_PORT=9187
@@ -172,11 +173,11 @@ LIVE_PID=$!
 scrape() {
     # Subshell so the /dev/tcp fd (and the stderr silencing for refused
     # connects while the server is still coming up) never leak out.
-    local out="$1" tries=0
+    local path="$1" out="$2" tries=0
     while (( tries < 100 )); do
         if (
             exec 3<>"/dev/tcp/127.0.0.1/$LIVE_PORT"
-            printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
+            printf 'GET %s HTTP/1.0\r\n\r\n' "$path" >&3
             cat <&3
         ) >"$out" 2>/dev/null && [[ -s "$out" ]]; then
             return 0
@@ -186,9 +187,10 @@ scrape() {
     done
     return 1
 }
-scrape scrape1.prom || { echo "FAIL: live /metrics never came up" >&2; cat fig1_live.log >&2; exit 1; }
+scrape /metrics scrape1.prom || { echo "FAIL: live /metrics never came up" >&2; cat fig1_live.log >&2; exit 1; }
 sleep 0.5
-scrape scrape2.prom || { echo "FAIL: second live /metrics scrape failed" >&2; exit 1; }
+scrape /metrics scrape2.prom || { echo "FAIL: second live /metrics scrape failed" >&2; exit 1; }
+scrape /health health.json || { echo "FAIL: live /health scrape failed" >&2; exit 1; }
 wait "$LIVE_PID" || { echo "FAIL: live fig1 run exited non-zero" >&2; cat fig1_live.log >&2; exit 1; }
 for fam in hetstream_up hetstream_stage_items_out_total hetstream_faults_total \
            hetstream_flight_events_total hetstream_copy_bytes_total; do
@@ -203,13 +205,29 @@ if (( ev2 < ev1 )); then
     echo "FAIL: flight event counter went backwards across scrapes ($ev1 -> $ev2)" >&2
     exit 1
 fi
+# /metrics and /health render the same counter registry: the health
+# document is well-shaped and names every pool the exposition does.
+for want in '"hetstream.health.v1"' '"status"'; do
+    grep -q "$want" health.json || {
+        echo "FAIL: live /health document is missing $want" >&2
+        exit 1
+    }
+done
+pools=$(grep -o 'pool="[^"]*"' scrape2.prom | sort -u | sed 's/^pool=//')
+[[ -n "$pools" ]] || { echo "FAIL: live exposition names no pool" >&2; exit 1; }
+for pool in $pools; do
+    grep -q "\"pool\": $pool" health.json || {
+        echo "FAIL: /health has no \"pool\" entry for $pool (in /metrics)" >&2
+        exit 1
+    }
+done
 test -s "$figdir/fig1.prom"
 grep -q '# TYPE hetstream_up gauge' "$figdir/fig1.prom"
 test -s "$figdir/fig1.flight.json"
 grep -q '"hetstream.flight.v1"' "$figdir/fig1.flight.json"
 grep -q '"cpu_fallback"' "$figdir/fig1.flight.json"
 grep -q '"batch_id": 1' "$figdir/fig1.flight.json"
-rm -f scrape1.prom scrape2.prom fig1_live.log
+rm -f scrape1.prom scrape2.prom health.json fig1_live.log
 
 echo "== flight recorder suite (named rerun) =="
 # Torn-write/wrap-around stress, stall-triggered dump, fault-storm and

@@ -326,8 +326,8 @@ fn auto_tune_demo(params: &FractalParams, seq_img: &mandel::Image, tiny: bool) {
     // Climb from the naive corner on modeled throughput/p99 probes.
     // Every probe also bit-checks its render, so the controller can
     // never tune its way into a wrong image.
-    let tuner_counters = telemetry::SchedCounters::new();
-    rec.register_sched("fig1.autotune", &tuner_counters);
+    let tuner_counters = Arc::new(telemetry::Counters::new());
+    rec.register(&["fig1.autotune"], &tuner_counters);
     let outcome = AutoTuner::new()
         .with_counters(Arc::clone(&tuner_counters))
         .run(|b, s| {

@@ -130,7 +130,8 @@ fn main() {
     // Pool-registration parity with the figure binaries: the digest
     // recycle pool must surface in the report (and hence in /metrics).
     assert!(
-        trep.pools.iter().any(|p| p.name == "hashsearch.digests"),
+        trep.family("pools")
+            .any(|p| p.labels == ["hashsearch.digests"]),
         "hashsearch.digests pool missing from the telemetry report"
     );
     if fault_seed != 0 {

@@ -153,19 +153,20 @@ pub fn emit_telemetry(name: &str, report: &telemetry::TelemetryReport) {
             report.fallback_count()
         );
     }
-    if !report.pools.is_empty() {
-        println!("\n== buffer pools ({name}) ==");
-        for p in &report.pools {
-            println!(
-                "  {:<24} hit rate {:>5.1}%  ({} hits / {} misses, {} outstanding, {} shed)",
-                p.name,
-                p.stats.hit_rate() * 100.0,
-                p.stats.hits,
-                p.stats.misses,
-                p.stats.outstanding,
-                p.stats.shed
-            );
+    for (i, p) in report.family("pools").enumerate() {
+        if i == 0 {
+            println!("\n== buffer pools ({name}) ==");
         }
+        let stats = telemetry::PoolStats::from(p.values);
+        println!(
+            "  {:<24} hit rate {:>5.1}%  ({} hits / {} misses, {} outstanding, {} shed)",
+            p.labels[0],
+            stats.hit_rate() * 100.0,
+            stats.hits,
+            stats.misses,
+            stats.outstanding,
+            stats.shed
+        );
     }
     let dir = figures_dir();
     if std::fs::create_dir_all(&dir).is_ok() {

@@ -108,8 +108,8 @@ impl BackendCtx {
 
     /// Attach a telemetry recorder for fault events and pool gauges.
     pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        rec.register_pool("dedup.digests", self.digests.counters());
-        rec.register_pool("dedup.matches", self.matches.counters());
+        rec.register(&["dedup.digests"], self.digests.counters());
+        rec.register(&["dedup.matches"], self.matches.counters());
         self.rec = rec;
         self
     }
@@ -545,7 +545,7 @@ impl<O: Offload> Workload for HashWork<O> {
     }
 
     fn register_telemetry(&self, rec: &Recorder) {
-        rec.register_pool("dedup.digests", self.pool.counters());
+        rec.register(&["dedup.digests"], self.pool.counters());
     }
 }
 

@@ -22,7 +22,7 @@
 //!   than stream items.
 //!
 //! Both report hit/miss/outstanding gauges through
-//! [`telemetry::PoolCounters`] so a run's report shows whether the steady
+//! [`telemetry::Counters<Pool>`](telemetry::Counters) so a run's report shows whether the steady
 //! state actually recycles (hit rate ≈ 1 after warmup).
 //!
 //! The rings are bounded Vyukov-style MPMC queues (sequence number per
@@ -37,7 +37,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use telemetry::{PoolCounters, PoolStats};
+use telemetry::{Counters, Pool, PoolStats};
 
 /// One slot of the MPMC ring: a sequence ticket plus uninitialised value
 /// storage. See Vyukov's bounded MPMC queue: a slot whose sequence equals
@@ -189,7 +189,7 @@ pub trait SlabRegistrar: Send + Sync {
 
 struct PoolCore<T> {
     classes: Box<[MpmcRing<Vec<T>>]>,
-    counters: Arc<PoolCounters>,
+    counters: Arc<Counters<Pool>>,
     registrar: Option<Arc<dyn SlabRegistrar>>,
 }
 
@@ -283,7 +283,7 @@ impl<T: Default + Clone + Send + 'static> BufPool<T> {
         BufPool {
             core: Arc::new(PoolCore {
                 classes,
-                counters: PoolCounters::new(),
+                counters: Arc::default(),
                 registrar,
             }),
         }
@@ -322,8 +322,8 @@ impl<T: Default + Clone + Send + 'static> BufPool<T> {
         }
     }
 
-    /// Shared gauges, for [`telemetry::Recorder::register_pool`].
-    pub fn counters(&self) -> &Arc<PoolCounters> {
+    /// Shared gauges, for [`telemetry::Recorder::register`].
+    pub fn counters(&self) -> &Arc<Counters<Pool>> {
         &self.core.counters
     }
 
@@ -384,7 +384,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for PooledBuf<T> {
 /// the sink must never stall behind its own recycling.
 pub struct Recycler<T> {
     ring: Arc<MpmcRing<T>>,
-    counters: Arc<PoolCounters>,
+    counters: Arc<Counters<Pool>>,
 }
 
 impl<T> Clone for Recycler<T> {
@@ -400,7 +400,7 @@ impl<T> Clone for Recycler<T> {
 pub fn recycler<T: Send + 'static>(capacity: usize) -> Recycler<T> {
     Recycler {
         ring: Arc::new(MpmcRing::new(capacity)),
-        counters: PoolCounters::new(),
+        counters: Arc::default(),
     }
 }
 
@@ -426,8 +426,8 @@ impl<T: Send + 'static> Recycler<T> {
         }
     }
 
-    /// Shared gauges, for [`telemetry::Recorder::register_pool`].
-    pub fn counters(&self) -> &Arc<PoolCounters> {
+    /// Shared gauges, for [`telemetry::Recorder::register`].
+    pub fn counters(&self) -> &Arc<Counters<Pool>> {
         &self.counters
     }
 

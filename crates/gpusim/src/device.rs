@@ -229,8 +229,8 @@ impl Device {
     }
 
     /// Gauges of this device's allocation cache, for
-    /// `telemetry::Recorder::register_pool`.
-    pub fn cache_counters(&self) -> std::sync::Arc<telemetry::PoolCounters> {
+    /// `telemetry::Recorder::register`.
+    pub fn cache_counters(&self) -> std::sync::Arc<telemetry::Counters<telemetry::Pool>> {
         self.lock().mem.cache_counters()
     }
 

@@ -14,7 +14,7 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use telemetry::PoolCounters;
+use telemetry::{Counters, Pool};
 
 /// Error raised when an allocation exceeds device memory — the failure the
 /// paper hit with 10 MB OpenCL batches ("out of memory error", §V-B).
@@ -105,7 +105,7 @@ pub struct DeviceMemory {
     next_id: u64,
     buffers: HashMap<u64, RefCell<Box<dyn Any + Send>>>,
     cache: HashMap<(TypeId, u32), Vec<Box<dyn Any + Send>>>,
-    counters: Arc<PoolCounters>,
+    counters: Arc<Counters<Pool>>,
 }
 
 impl DeviceMemory {
@@ -118,7 +118,7 @@ impl DeviceMemory {
             next_id: 1,
             buffers: HashMap::new(),
             cache: HashMap::new(),
-            counters: PoolCounters::new(),
+            counters: Arc::default(),
         }
     }
 
@@ -200,7 +200,7 @@ impl DeviceMemory {
 
     /// Gauges of the allocation cache (hits/misses/outstanding), shareable
     /// with a `telemetry::Recorder`.
-    pub fn cache_counters(&self) -> Arc<PoolCounters> {
+    pub fn cache_counters(&self) -> Arc<Counters<Pool>> {
         Arc::clone(&self.counters)
     }
 

@@ -339,7 +339,7 @@ impl<O: Offload> Workload for SearchWork<O> {
     }
 
     fn register_telemetry(&self, rec: &Recorder) {
-        rec.register_pool("hashsearch.digests", self.recycle.counters());
+        rec.register(&["hashsearch.digests"], self.recycle.counters());
     }
 }
 

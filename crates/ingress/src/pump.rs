@@ -4,8 +4,8 @@
 //! A pump thread loops `source.next_batch` → decode → `send_batch`,
 //! backing off when the source is dry and blocking on the channel when
 //! the pipeline is full (backpressure flows transport ← channel). Per
-//! shard it registers [`IngressCounters`] with the recorder (Prometheus
-//! families `hetstream_ingress_*`) and emits
+//! shard it registers a [`Counters<Ingress>`](telemetry::Counters) block
+//! with the recorder (Prometheus families `hetstream_ingress_*`) and emits
 //! [`FlightKind::IngressBatch`] events whose `batch_id` carries the
 //! shard id, so replay and lag are visible on the live plane.
 //!
@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use telemetry::{FlightKind, IngressCounters, Recorder};
+use telemetry::{Counters, FlightKind, Ingress, Recorder};
 
 use crate::{IngressError, Message, Source};
 
@@ -54,7 +54,7 @@ impl Default for PumpConfig {
 pub struct IngressStats {
     rec: Recorder,
     stream: String,
-    shards: Mutex<HashMap<u32, Arc<IngressCounters>>>,
+    shards: Mutex<HashMap<u32, Arc<Counters<Ingress>>>>,
 }
 
 impl IngressStats {
@@ -69,11 +69,11 @@ impl IngressStats {
     }
 
     /// The counters for `shard`, creating and registering on first use.
-    pub fn counters(&self, shard: u32) -> Arc<IngressCounters> {
+    pub fn counters(&self, shard: u32) -> Arc<Counters<Ingress>> {
         let mut shards = self.shards.lock().expect("ingress stats");
         Arc::clone(shards.entry(shard).or_insert_with(|| {
-            let c = Arc::new(IngressCounters::new());
-            self.rec.register_ingress(self.stream.clone(), shard, &c);
+            let c = Arc::new(Counters::new());
+            self.rec.register(&[&self.stream, &shard.to_string()], &c);
             c
         }))
     }
@@ -82,7 +82,7 @@ impl IngressStats {
 /// One shard's share of the batch in hand, beside its counters.
 struct ShardTally {
     shard: u32,
-    counters: Arc<IngressCounters>,
+    counters: Arc<Counters<Ingress>>,
     records: u64,
     bytes: u64,
     hi: u64,
@@ -241,9 +241,9 @@ mod tests {
         assert_eq!(got.len(), 12);
         assert!(got.iter().all(|&(_, _, len)| len == 8));
         assert_eq!(pump.join().expect("pump result"), 12);
-        assert_eq!(stats.counters(0).records(), 6);
-        assert_eq!(stats.counters(1).records(), 6);
-        assert_eq!(stats.counters(0).bytes(), 48);
+        assert_eq!(stats.counters(0).snapshot().records, 6);
+        assert_eq!(stats.counters(1).snapshot().records, 6);
+        assert_eq!(stats.counters(0).snapshot().bytes, 48);
         let prom = rec.prometheus();
         assert!(
             prom.contains("hetstream_ingress_records_total{stream=\"pumped\",shard=\"0\"} 6"),

@@ -285,7 +285,7 @@ impl<O: Offload> Workload for MandelWork<O> {
     }
 
     fn register_telemetry(&self, rec: &Recorder) {
-        rec.register_pool("mandel.pixels", self.recycle.counters());
+        rec.register(&["mandel.pixels"], self.recycle.counters());
     }
 }
 

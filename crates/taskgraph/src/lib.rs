@@ -52,7 +52,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use gpusim::GpuSystem;
-use telemetry::{Recorder, SchedCounters};
+use telemetry::{Counters, Recorder, Sched};
 use workload::{Decision, Placement};
 
 mod tune;
@@ -150,7 +150,7 @@ struct SchedState {
 pub struct CostModelScheduler {
     system: Arc<GpuSystem>,
     cfg: SchedConfig,
-    counters: Arc<SchedCounters>,
+    counters: Arc<Counters<Sched>>,
     state: Mutex<SchedState>,
     obs_ready: Condvar,
 }
@@ -160,8 +160,8 @@ impl CostModelScheduler {
     /// under `name` so its decision counters are scrape-visible.
     pub fn new(system: &Arc<GpuSystem>, cfg: SchedConfig, rec: &Recorder, name: &str) -> Arc<Self> {
         let n = system.device_count();
-        let counters = SchedCounters::new();
-        rec.register_sched(name, &counters);
+        let counters = Arc::new(Counters::new());
+        rec.register(&[name], &counters);
         let devs = (0..n)
             .map(|d| {
                 // Baseline busy so deltas attribute only what this
@@ -194,7 +194,7 @@ impl CostModelScheduler {
 
     /// The decision counters this scheduler bumps (shared with the
     /// recorder it registered under).
-    pub fn counters(&self) -> &Arc<SchedCounters> {
+    pub fn counters(&self) -> &Arc<Counters<Sched>> {
         &self.counters
     }
 

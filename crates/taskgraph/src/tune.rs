@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use telemetry::SchedCounters;
+use telemetry::{Counters, Sched};
 
 /// What one measurement epoch observed at a candidate configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -66,7 +66,7 @@ pub struct AutoTuner {
     start: (usize, usize),
     min_gain: f64,
     max_epochs: usize,
-    counters: Option<Arc<SchedCounters>>,
+    counters: Option<Arc<Counters<Sched>>>,
 }
 
 impl AutoTuner {
@@ -119,7 +119,7 @@ impl AutoTuner {
 
     /// Count accepted moves as retunes on `counters` (the scheduler's
     /// counter block, so `hetstream_sched_retunes_total` tracks them).
-    pub fn with_counters(mut self, counters: Arc<SchedCounters>) -> Self {
+    pub fn with_counters(mut self, counters: Arc<Counters<Sched>>) -> Self {
         self.counters = Some(counters);
         self
     }
@@ -296,7 +296,7 @@ mod tests {
 
     #[test]
     fn counts_retunes() {
-        let counters = SchedCounters::new();
+        let counters = Arc::new(Counters::<Sched>::new());
         let _ = AutoTuner::new()
             .with_counters(Arc::clone(&counters))
             .run(fig1_like);

@@ -10,15 +10,11 @@
 
 use std::fmt::Write as _;
 
-use crate::TelemetryReport;
+use crate::{esc, TelemetryReport};
 
 /// Timestamp conversion: trace-event `ts`/`dur` are in microseconds.
 fn us(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1_000.0)
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 const CPU_PID: u32 = 1;

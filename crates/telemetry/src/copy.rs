@@ -30,32 +30,49 @@
 //! [`enter`]: CopyLedger::enter
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-static STAGING_BYTES: AtomicU64 = AtomicU64::new(0);
-static STAGING_OPS: AtomicU64 = AtomicU64::new(0);
-static BOUNCE_BYTES: AtomicU64 = AtomicU64::new(0);
-static BOUNCE_OPS: AtomicU64 = AtomicU64::new(0);
-static BATCHES: AtomicU64 = AtomicU64::new(0);
+use crate::counters::{family, ratio, Counters};
 
-/// The ledger cells a [`CopyLedger`] accumulates into. Separate from
-/// `CopyStats` so the handle can be cloned across threads while all
-/// clones share one set of counters.
-#[derive(Debug, Default)]
-struct LedgerCells {
-    staging_bytes: AtomicU64,
-    staging_ops: AtomicU64,
-    bounce_bytes: AtomicU64,
-    bounce_ops: AtomicU64,
-    batches: AtomicU64,
+family! {
+    /// The copy-accounting family: the process-wide block and every
+    /// [`CopyLedger`] are blocks of it. Both paths are always present in
+    /// `/metrics`, so the families exist even on a fully zero-copy run.
+    HostCopy => CopyStats, "copy", [], report [];
+    cells {
+        /// Bytes moved by explicit host→host staging memcpys.
+        staging_bytes: counter "hetstream_copy_bytes_total" ["path=\"staging\""],
+        /// Explicit staging memcpy operations.
+        staging_ops: counter "hetstream_copy_ops_total" ["path=\"staging\""],
+        /// Bytes the simulated driver bounced because the host side of a
+        /// transfer was not registered as pinned.
+        bounce_bytes: counter "hetstream_copy_bytes_total" ["path=\"bounce\""],
+        /// Driver bounce operations.
+        bounce_ops: counter "hetstream_copy_ops_total" ["path=\"bounce\""],
+        /// Workload batches processed (see [`record_batch`]).
+        batches: counter "hetstream_copy_batches_total",
+    }
+    derived {
+        /// All host-side copied bytes, both paths.
+        bytes_copied: 0 "",
+        /// All host-side copy operations, both paths.
+        copy_ops: 0 "",
+        /// Copy operations per processed batch (0.0 before any batch).
+        copies_per_batch: 4 "",
+        /// Copied bytes per processed batch (0.0 before any batch).
+        bytes_per_batch: 2 "",
+    }
 }
+
+/// The process-wide totals, which every recorder reports.
+pub(crate) static GLOBAL: Counters<HostCopy> = Counters::new();
 
 thread_local! {
     /// Stack of ledgers active on this thread. A stack, not a slot:
     /// nested scopes (a test ledger around a pipeline that also carries
     /// its own ingress ledger) each see the traffic, outermost included.
-    static ACTIVE: RefCell<Vec<Arc<LedgerCells>>> = const { RefCell::new(Vec::new()) };
+    static ACTIVE: RefCell<Vec<Arc<Counters<HostCopy>>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A delta-scoped copy ledger: charges land here only while (and on the
@@ -65,14 +82,14 @@ thread_local! {
 /// each worker thread of one pipeline to get that pipeline's total.
 #[derive(Debug, Clone, Default)]
 pub struct CopyLedger {
-    cells: Arc<LedgerCells>,
+    cells: Arc<Counters<HostCopy>>,
 }
 
 /// RAII scope for a [`CopyLedger`] on the current thread; created by
 /// [`CopyLedger::enter`], deactivates the ledger on drop.
 #[derive(Debug)]
 pub struct LedgerScope {
-    cells: Arc<LedgerCells>,
+    cells: Arc<Counters<HostCopy>>,
 }
 
 impl CopyLedger {
@@ -94,13 +111,7 @@ impl CopyLedger {
 
     /// Point-in-time totals recorded by this ledger.
     pub fn stats(&self) -> CopyStats {
-        CopyStats {
-            staging_bytes: self.cells.staging_bytes.load(Ordering::Relaxed),
-            staging_ops: self.cells.staging_ops.load(Ordering::Relaxed),
-            bounce_bytes: self.cells.bounce_bytes.load(Ordering::Relaxed),
-            bounce_ops: self.cells.bounce_ops.load(Ordering::Relaxed),
-            batches: self.cells.batches.load(Ordering::Relaxed),
-        }
+        self.cells.snapshot()
     }
 }
 
@@ -116,27 +127,20 @@ impl Drop for LedgerScope {
     }
 }
 
-/// Apply `f` to every ledger active on this thread.
+/// Apply `f` to the process-wide block and to every ledger active on
+/// this thread.
 #[inline]
-fn charge_active(f: impl Fn(&LedgerCells)) {
-    ACTIVE.with(|stack| {
-        let s = stack.borrow();
-        if !s.is_empty() {
-            for cells in s.iter() {
-                f(cells);
-            }
-        }
-    });
+fn charge(f: impl Fn(&Counters<HostCopy>)) {
+    f(&GLOBAL);
+    ACTIVE.with(|stack| stack.borrow().iter().for_each(|c| f(c)));
 }
 
 /// Charge one explicit host→host staging memcpy of `bytes`.
 #[inline]
 pub fn count_staging(bytes: usize) {
-    STAGING_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    STAGING_OPS.fetch_add(1, Ordering::Relaxed);
-    charge_active(|c| {
-        c.staging_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        c.staging_ops.fetch_add(1, Ordering::Relaxed);
+    charge(|c| {
+        c.staging_bytes().fetch_add(bytes as u64, Ordering::Relaxed);
+        c.staging_ops().fetch_add(1, Ordering::Relaxed);
     });
 }
 
@@ -144,11 +148,9 @@ pub fn count_staging(bytes: usize) {
 /// that was not registered as pinned).
 #[inline]
 pub fn count_bounce(bytes: usize) {
-    BOUNCE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    BOUNCE_OPS.fetch_add(1, Ordering::Relaxed);
-    charge_active(|c| {
-        c.bounce_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        c.bounce_ops.fetch_add(1, Ordering::Relaxed);
+    charge(|c| {
+        c.bounce_bytes().fetch_add(bytes as u64, Ordering::Relaxed);
+        c.bounce_ops().fetch_add(1, Ordering::Relaxed);
     });
 }
 
@@ -156,26 +158,9 @@ pub fn count_bounce(bytes: usize) {
 /// denominator of [`CopyStats::copies_per_batch`].
 #[inline]
 pub fn record_batch() {
-    BATCHES.fetch_add(1, Ordering::Relaxed);
-    charge_active(|c| {
-        c.batches.fetch_add(1, Ordering::Relaxed);
+    charge(|c| {
+        c.batches().fetch_add(1, Ordering::Relaxed);
     });
-}
-
-/// Point-in-time copy totals since process start.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CopyStats {
-    /// Bytes moved by explicit host→host staging memcpys.
-    pub staging_bytes: u64,
-    /// Explicit staging memcpy operations.
-    pub staging_ops: u64,
-    /// Bytes the simulated driver bounced because the host side of a
-    /// transfer was not registered as pinned.
-    pub bounce_bytes: u64,
-    /// Driver bounce operations.
-    pub bounce_ops: u64,
-    /// Workload batches processed (see [`record_batch`]).
-    pub batches: u64,
 }
 
 impl CopyStats {
@@ -191,20 +176,12 @@ impl CopyStats {
 
     /// Copy operations per processed batch (0.0 before any batch).
     pub fn copies_per_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.copy_ops() as f64 / self.batches as f64
-        }
+        ratio(self.copy_ops(), self.batches, 0.0)
     }
 
     /// Copied bytes per processed batch (0.0 before any batch).
     pub fn bytes_per_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.bytes_copied() as f64 / self.batches as f64
-        }
+        ratio(self.bytes_copied(), self.batches, 0.0)
     }
 
     /// Per-field difference `self - earlier` (saturating; counters are
@@ -222,13 +199,7 @@ impl CopyStats {
 
 /// Read the global counters.
 pub fn snapshot() -> CopyStats {
-    CopyStats {
-        staging_bytes: STAGING_BYTES.load(Ordering::Relaxed),
-        staging_ops: STAGING_OPS.load(Ordering::Relaxed),
-        bounce_bytes: BOUNCE_BYTES.load(Ordering::Relaxed),
-        bounce_ops: BOUNCE_OPS.load(Ordering::Relaxed),
-        batches: BATCHES.load(Ordering::Relaxed),
-    }
+    GLOBAL.snapshot()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //!
 //! The render path reads the same wait-free atomics the runtimes bump on
 //! their hot paths ([`StageMetrics`](crate::StageMetrics) counters,
-//! [`PoolCounters`](crate::PoolCounters) gauges, the latency histograms),
+//! registered [`Counters`](crate::Counters) blocks, the latency histograms),
 //! so scraping adds zero cost to the stream itself: a scrape is a walk
 //! over relaxed loads plus string formatting on the scraper's thread.
 //!
@@ -17,24 +17,43 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::histo::HistoCounts;
-use crate::{FaultKind, Inner, Recorder};
+use crate::monitor::Background;
+use crate::{counters, FaultKind, Inner, LatencySnapshot, Recorder};
 
 /// Escape a Prometheus label value (`\`, `"`, newline).
-fn esc_label(s: &str) -> String {
+pub(crate) fn esc_label(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
 }
 
 /// Append one `# HELP` + `# TYPE` header pair.
-fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+pub(crate) fn family(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+}
+
+/// Append one summary's quantile samples and its `_count`, under the
+/// already-rendered `label` (`stage="x"`, or empty).
+fn summary(out: &mut String, name: &str, label: &str, snap: &LatencySnapshot) {
+    let sep = if label.is_empty() { "" } else { "," };
+    for (q, v) in [
+        ("0.5", snap.p50_ns),
+        ("0.9", snap.p90_ns),
+        ("0.95", snap.p95_ns),
+        ("0.99", snap.p99_ns),
+    ] {
+        out.push_str(&format!("{name}{{{label}{sep}quantile=\"{q}\"}} {v}\n"));
+    }
+    let braced = if label.is_empty() {
+        String::new()
+    } else {
+        format!("{{{label}}}")
+    };
+    out.push_str(&format!("{name}_count{braced} {}\n", snap.count));
 }
 
 /// Render the full exposition document from a live recorder's state.
@@ -64,37 +83,53 @@ pub(crate) fn render_prometheus(inner: &Inner) -> String {
 
     // Per-replica stage counters and gauges.
     type StageGet = fn(&crate::StageMetrics) -> u64;
-    type PoolGet = fn(&crate::PoolStats) -> u64;
     let stages = inner.stages.lock().unwrap().clone();
-    let stage_counters: [(&str, &str, StageGet); 5] = [
+    let stage_families: [(&str, &str, &str, StageGet); 7] = [
         (
             "hetstream_stage_items_in_total",
+            "counter",
             "Items popped from the stage input queue.",
             |m| m.items_in_now(),
         ),
         (
             "hetstream_stage_items_out_total",
+            "counter",
             "Items pushed downstream by the stage.",
             |m| m.items_out_now(),
         ),
         (
             "hetstream_stage_service_ns_total",
+            "counter",
             "Accumulated busy (service) time, wall ns.",
             |m| m.service_ns_now(),
         ),
         (
             "hetstream_stage_push_stalls_total",
+            "counter",
             "Blocked-on-full-output-queue occurrences.",
             |m| m.push_stalls_now(),
         ),
         (
             "hetstream_stage_pop_waits_total",
+            "counter",
             "Blocked-on-empty-input-queue occurrences.",
             |m| m.pop_waits_now(),
         ),
+        (
+            "hetstream_stage_queue_depth",
+            "gauge",
+            "Input-queue depth the replica last observed.",
+            |m| m.queue_depth_now(),
+        ),
+        (
+            "hetstream_stage_queue_hwm",
+            "gauge",
+            "Input queue-depth high-water mark.",
+            |m| m.queue_hwm_now(),
+        ),
     ];
-    for (name, help, get) in stage_counters {
-        family(&mut out, name, "counter", help);
+    for (name, kind, help, get) in stage_families {
+        family(&mut out, name, kind, help);
         for m in &stages {
             out.push_str(&format!(
                 "{name}{{stage=\"{}\",replica=\"{}\"}} {}\n",
@@ -103,34 +138,6 @@ pub(crate) fn render_prometheus(inner: &Inner) -> String {
                 get(m)
             ));
         }
-    }
-    family(
-        &mut out,
-        "hetstream_stage_queue_depth",
-        "gauge",
-        "Input-queue depth the replica last observed.",
-    );
-    for m in &stages {
-        out.push_str(&format!(
-            "hetstream_stage_queue_depth{{stage=\"{}\",replica=\"{}\"}} {}\n",
-            esc_label(m.name()),
-            m.replica(),
-            m.queue_depth_now()
-        ));
-    }
-    family(
-        &mut out,
-        "hetstream_stage_queue_hwm",
-        "gauge",
-        "Input queue-depth high-water mark.",
-    );
-    for m in &stages {
-        out.push_str(&format!(
-            "hetstream_stage_queue_hwm{{stage=\"{}\",replica=\"{}\"}} {}\n",
-            esc_label(m.name()),
-            m.replica(),
-            m.queue_hwm_now()
-        ));
     }
 
     // Service latency quantiles, replicas merged per stage name at the
@@ -141,51 +148,27 @@ pub(crate) fn render_prometheus(inner: &Inner) -> String {
         "summary",
         "Service-latency quantiles per stage (replica histograms merged).",
     );
-    let mut names: Vec<&str> = stages.iter().map(|m| m.name()).collect();
-    names.dedup();
-    for name in names {
-        let mut counts = HistoCounts::new();
-        for m in stages.iter().filter(|m| m.name() == name) {
-            counts.add(m.latency());
-        }
-        let snap = counts.snapshot();
-        for (q, v) in [
-            ("0.5", snap.p50_ns),
-            ("0.9", snap.p90_ns),
-            ("0.95", snap.p95_ns),
-            ("0.99", snap.p99_ns),
-        ] {
-            out.push_str(&format!(
-                "hetstream_stage_service_latency_ns{{stage=\"{}\",quantile=\"{q}\"}} {v}\n",
-                esc_label(name)
-            ));
-        }
-        out.push_str(&format!(
-            "hetstream_stage_service_latency_ns_count{{stage=\"{}\"}} {}\n",
-            esc_label(name),
-            snap.count
-        ));
+    for (name, snap) in inner.stage_latency() {
+        let stage = format!("stage=\"{}\"", esc_label(&name));
+        summary(
+            &mut out,
+            "hetstream_stage_service_latency_ns",
+            &stage,
+            &snap,
+        );
     }
-
-    // End-to-end latency.
-    let e2e = inner.e2e.snapshot();
     family(
         &mut out,
         "hetstream_e2e_latency_ns",
         "summary",
         "End-to-end (source emit to collector) latency quantiles.",
     );
-    for (q, v) in [
-        ("0.5", e2e.p50_ns),
-        ("0.9", e2e.p90_ns),
-        ("0.95", e2e.p95_ns),
-        ("0.99", e2e.p99_ns),
-    ] {
-        out.push_str(&format!(
-            "hetstream_e2e_latency_ns{{quantile=\"{q}\"}} {v}\n"
-        ));
-    }
-    out.push_str(&format!("hetstream_e2e_latency_ns_count {}\n", e2e.count));
+    summary(
+        &mut out,
+        "hetstream_e2e_latency_ns",
+        "",
+        &inner.e2e.snapshot(),
+    );
 
     // Fault-path events, every kind always present so scrapers can rely
     // on the family existing (and on monotone per-kind counters).
@@ -222,134 +205,9 @@ pub(crate) fn render_prometheus(inner: &Inner) -> String {
         inner.stalls.lock().unwrap().len()
     ));
 
-    // Pool gauges.
-    let pools = inner.pools.lock().unwrap().clone();
-    let pool_counters: [(&str, &str, &str, PoolGet); 4] = [
-        (
-            "hetstream_pool_hits_total",
-            "counter",
-            "Acquires served by recycling a cached buffer.",
-            |s| s.hits,
-        ),
-        (
-            "hetstream_pool_misses_total",
-            "counter",
-            "Acquires that allocated fresh storage.",
-            |s| s.misses,
-        ),
-        (
-            "hetstream_pool_shed_total",
-            "counter",
-            "Returns dropped because the pool was at capacity.",
-            |s| s.shed,
-        ),
-        (
-            "hetstream_pool_outstanding",
-            "gauge",
-            "Buffers currently leased out.",
-            |s| s.outstanding,
-        ),
-    ];
-    for (name, kind, help, get) in pool_counters {
-        family(&mut out, name, kind, help);
-        for (pname, c) in &pools {
-            out.push_str(&format!(
-                "{name}{{pool=\"{}\"}} {}\n",
-                esc_label(pname),
-                get(&c.snapshot())
-            ));
-        }
-    }
-    family(
-        &mut out,
-        "hetstream_pool_hit_rate",
-        "gauge",
-        "Fraction of acquires served from the pool (1.0 when idle).",
-    );
-    for (pname, c) in &pools {
-        out.push_str(&format!(
-            "hetstream_pool_hit_rate{{pool=\"{}\"}} {:.4}\n",
-            esc_label(pname),
-            c.snapshot().hit_rate()
-        ));
-    }
-
-    // Host-side copy accounting (process-wide cumulative atomics — see
-    // `crate::copy`). Both paths always present so the family exists even
-    // on a fully zero-copy run.
-    let cp = crate::copy::snapshot();
-    family(
-        &mut out,
-        "hetstream_copy_bytes_total",
-        "counter",
-        "Host-side copied bytes by path (staging memcpys, driver bounces).",
-    );
-    for (path, v) in [("staging", cp.staging_bytes), ("bounce", cp.bounce_bytes)] {
-        out.push_str(&format!(
-            "hetstream_copy_bytes_total{{path=\"{path}\"}} {v}\n"
-        ));
-    }
-    family(
-        &mut out,
-        "hetstream_copy_ops_total",
-        "counter",
-        "Host-side copy operations by path.",
-    );
-    for (path, v) in [("staging", cp.staging_ops), ("bounce", cp.bounce_ops)] {
-        out.push_str(&format!(
-            "hetstream_copy_ops_total{{path=\"{path}\"}} {v}\n"
-        ));
-    }
-    family(
-        &mut out,
-        "hetstream_copy_batches_total",
-        "counter",
-        "Workload batches processed (denominator of copies-per-batch).",
-    );
-    out.push_str(&format!("hetstream_copy_batches_total {}\n", cp.batches));
-
-    // Ingress shards, one series per (stream, shard). The families are
-    // emitted whenever rows are registered; `lag` is a derived gauge
-    // (produced watermark minus committed watermark), the others are
-    // cumulative counters.
-    let ingress = inner.ingress.lock().unwrap().clone();
-    type IngGet = fn(&crate::IngressCounters) -> u64;
-    let ingress_families: [(&str, &str, &str, IngGet); 4] = [
-        (
-            "hetstream_ingress_records_total",
-            "counter",
-            "Records delivered from ingress sources into pipelines.",
-            |c| c.records(),
-        ),
-        (
-            "hetstream_ingress_bytes_total",
-            "counter",
-            "Payload bytes delivered from ingress sources.",
-            |c| c.bytes(),
-        ),
-        (
-            "hetstream_ingress_acks_total",
-            "counter",
-            "Producer receipts acknowledged durable.",
-            |c| c.acks(),
-        ),
-        (
-            "hetstream_ingress_lag_total",
-            "gauge",
-            "Consumer lag in records (produced minus committed watermark).",
-            |c| c.lag(),
-        ),
-    ];
-    for (name, kind, help, get) in ingress_families {
-        family(&mut out, name, kind, help);
-        for (stream, shard, c) in &ingress {
-            out.push_str(&format!(
-                "{name}{{stream=\"{}\",shard=\"{shard}\"}} {}\n",
-                esc_label(stream),
-                get(c)
-            ));
-        }
-    }
+    // Pools, the copy ledger, schedulers and ingress shards: whatever is
+    // registered, as its family's descriptor names it.
+    counters::render_prometheus(&mut out, &inner.counter_rows());
 
     // GPU engine busy time (modeled ns), one series per device × engine,
     // plus the derived utilization ratio the auto-tuner scrapes: busy
@@ -393,52 +251,6 @@ pub(crate) fn render_prometheus(inner: &Inner) -> String {
         "GPU engine utilization: busy time over the modeled run makespan.",
     );
     out.push_str(&ratios);
-
-    // Task-graph scheduler decision counters, one series per scheduler.
-    let sched = inner.sched.lock().unwrap().clone();
-    type SchedGet = fn(&crate::SchedStats) -> u64;
-    let sched_families: [(&str, &str, &str, SchedGet); 5] = [
-        (
-            "hetstream_sched_decisions_total",
-            "counter",
-            "Placement decisions made by the task-graph scheduler.",
-            |s| s.decisions,
-        ),
-        (
-            "hetstream_sched_residency_hits_total",
-            "counter",
-            "Decisions that kept a key on the device holding its state.",
-            |s| s.residency_hits,
-        ),
-        (
-            "hetstream_sched_migrations_total",
-            "counter",
-            "Decisions that moved a key off its resident device.",
-            |s| s.migrations,
-        ),
-        (
-            "hetstream_sched_overhead_ns_total",
-            "counter",
-            "Wall time spent inside the placement decision, ns.",
-            |s| s.overhead_ns,
-        ),
-        (
-            "hetstream_sched_retunes_total",
-            "counter",
-            "Auto-tuner operating-point changes (batch / space count).",
-            |s| s.retunes,
-        ),
-    ];
-    for (name, kind, help, get) in sched_families {
-        family(&mut out, name, kind, help);
-        for (sname, c) in &sched {
-            out.push_str(&format!(
-                "{name}{{sched=\"{}\"}} {}\n",
-                esc_label(sname),
-                get(&c.snapshot())
-            ));
-        }
-    }
 
     // Flight-recorder throughput.
     family(
@@ -486,8 +298,7 @@ pub(crate) fn render_disabled() -> String {
 #[derive(Debug)]
 pub struct MetricsServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    thread: Background,
 }
 
 impl MetricsServer {
@@ -495,38 +306,29 @@ impl MetricsServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("hetstream-metrics".into())
-            .spawn(move || {
-                // Connections are serviced on detached helper threads so a
-                // wedged client burning its head-read deadline cannot stall
-                // other scrapers; the count is bounded so a connection flood
-                // degrades to inline (serial) service, not thread exhaustion.
-                let in_flight = Arc::new(AtomicUsize::new(0));
-                while !stop2.load(Ordering::Relaxed) {
-                    // Drain *every* queued connection before sleeping — the
-                    // old one-accept-per-5ms-wake loop let a backlog build
-                    // behind a single slow client. The drain itself re-checks
-                    // stop: under a sustained connection stream the accept
-                    // loop never goes dry, and shutdown (stop/Drop joins this
-                    // thread) must stay bounded anyway.
-                    while let Ok((stream, _)) = listener.accept() {
-                        if stop2.load(Ordering::Relaxed) {
-                            return; // drop the stream unserved; we're closing
-                        }
-                        serve_conn(&rec, stream, &in_flight);
+        let thread = Background::spawn("hetstream-metrics", move |stop| {
+            // Connections are serviced on detached helper threads so a
+            // wedged client burning its head-read deadline cannot stall
+            // other scrapers; the count is bounded so a connection flood
+            // degrades to inline (serial) service, not thread exhaustion.
+            let in_flight = Arc::new(AtomicUsize::new(0));
+            while !stop.raised() {
+                // Drain *every* queued connection before sleeping — the
+                // old one-accept-per-5ms-wake loop let a backlog build
+                // behind a single slow client. The drain itself re-checks
+                // stop: under a sustained connection stream the accept
+                // loop never goes dry, and shutdown (stop/Drop joins this
+                // thread) must stay bounded anyway.
+                while let Ok((stream, _)) = listener.accept() {
+                    if stop.raised() {
+                        return; // drop the stream unserved; we're closing
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    serve_conn(&rec, stream, &in_flight);
                 }
-            })
-            .expect("spawn metrics server thread");
-        Ok(MetricsServer {
-            addr,
-            stop,
-            thread: Some(thread),
-        })
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        Ok(MetricsServer { addr, thread })
     }
 
     /// The bound address (useful when the caller asked for port 0).
@@ -536,20 +338,7 @@ impl MetricsServer {
 
     /// Stop serving and join the background thread.
     pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.halt();
+        self.thread.halt();
     }
 }
 
@@ -640,71 +429,35 @@ fn handle_conn(rec: &Recorder, mut stream: TcpStream) -> std::io::Result<()> {
 /// more at [`stop`](PromWriter::stop) (or drop), so even a run shorter
 /// than one interval leaves a final snapshot behind.
 #[derive(Debug)]
-pub struct PromWriter {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
+pub struct PromWriter(Background);
 
 impl PromWriter {
     pub(crate) fn start(rec: Recorder, path: PathBuf, every: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("hetstream-prom".into())
-            .spawn(move || {
-                loop {
-                    // Sliced sleep: stop() returns promptly even for long
-                    // intervals.
-                    let mut slept = Duration::ZERO;
-                    while slept < every && !stop2.load(Ordering::Relaxed) {
-                        let step = (every - slept).min(Duration::from_millis(10));
-                        std::thread::sleep(step);
-                        slept += step;
-                    }
-                    let _ = std::fs::write(&path, rec.prometheus());
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                }
-            })
-            .expect("spawn prom writer thread");
-        PromWriter {
-            stop,
-            thread: Some(thread),
-        }
+        PromWriter(Background::spawn("hetstream-prom", move |stop| loop {
+            let stopped = stop.sleep(every);
+            let _ = std::fs::write(&path, rec.prometheus());
+            if stopped {
+                break;
+            }
+        }))
     }
 
     /// An inert writer (what a disabled recorder returns).
     pub(crate) fn inert() -> Self {
-        PromWriter {
-            stop: Arc::new(AtomicBool::new(true)),
-            thread: None,
-        }
+        PromWriter(Background::inert())
     }
 
     /// Write one final snapshot and join the background thread.
     pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for PromWriter {
-    fn drop(&mut self) {
-        self.halt();
+        self.0.halt();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Recorder;
+    use crate::{Counters, Recorder};
+    use std::sync::atomic::AtomicBool;
 
     /// The `# TYPE` lines and the sample lines of an exposition, each
     /// sorted. Values that are not a function of the scenario are masked:
@@ -745,19 +498,19 @@ mod tests {
         h.service(|| std::hint::black_box(0));
         h.items_out(1);
         rec.fault("work", FaultKind::Retry, "attempt 2");
-        let pool = crate::PoolCounters::new();
+        let pool = Arc::new(Counters::<crate::Pool>::new());
         pool.hit();
-        rec.register_pool("test.pool", &pool);
-        let ing = Arc::new(crate::IngressCounters::new());
+        rec.register(&["test.pool"], &pool);
+        let ing = Arc::new(Counters::<crate::Ingress>::new());
         ing.add_records(3, 300);
         ing.add_acks(3);
         ing.produced_to(5);
         ing.committed_to(3);
-        rec.register_ingress("test.stream", 1, &ing);
-        let sched = crate::SchedCounters::new();
+        rec.register(&["test.stream", "1"], &ing);
+        let sched = Arc::new(Counters::<crate::Sched>::new());
         sched.decision(250);
         sched.residency_hit();
-        rec.register_sched("test.graph", &sched);
+        rec.register(&["test.graph"], &sched);
         rec.gpu_span(crate::EngineSpan {
             device: 0,
             engine: "compute",
@@ -862,11 +615,12 @@ mod tests {
     #[test]
     fn registering_the_same_labels_again_replaces_the_series() {
         let rec = Recorder::enabled();
-        let (first, second) = (crate::PoolCounters::new(), crate::PoolCounters::new());
+        let first = Arc::new(Counters::<crate::Pool>::new());
+        let second = Arc::new(Counters::<crate::Pool>::new());
         first.hit();
         second.miss();
-        rec.register_pool("test.pool", &first);
-        rec.register_pool("test.pool", &second);
+        rec.register(&["test.pool"], &first);
+        rec.register(&["test.pool"], &second);
         let text = rec.prometheus();
         assert_eq!(text.matches("hetstream_pool_hits_total{").count(), 1);
         assert!(text.contains("hetstream_pool_hits_total{pool=\"test.pool\"} 0"));

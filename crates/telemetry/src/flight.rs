@@ -38,6 +38,8 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::esc;
+
 /// Default ring capacity (slots). Power of two; ~192 KiB of atomics.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
@@ -344,7 +346,7 @@ pub struct FlightHandle {
 
 impl FlightHandle {
     /// A handle that records nothing — what disabled recorders hand out.
-    pub fn noop() -> Self {
+    pub const fn noop() -> Self {
         FlightHandle { ring: None, src: 0 }
     }
 
@@ -385,9 +387,6 @@ pub(crate) fn dump_json(
     events: &[FlightEvent],
     resolve: impl Fn(u32) -> Option<String>,
 ) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"hetstream.flight.v1\",\n");
     out.push_str(&format!("  \"reason\": \"{}\",\n", esc(reason)));

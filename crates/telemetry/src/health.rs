@@ -8,13 +8,13 @@
 //! queues grow and faults spike, widen it when the plane is green. The
 //! JSON rendering is what the live endpoint's `/health` route serves.
 
-use crate::histo::HistoCounts;
-use crate::{FaultKind, Inner};
+use crate::{counters, esc, CounterRow, FaultKind, Inner};
 
 /// Traffic-light summary of the whole plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum HealthStatus {
     /// Progress everywhere, no fault-path activity.
+    #[default]
     Ok,
     /// The run is progressing but the recovery ladder has been active
     /// (faults observed, retries or CPU fallbacks taken).
@@ -55,22 +55,10 @@ pub struct StageHealth {
     pub pop_waits: u64,
 }
 
-/// Health of one registered buffer pool.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolHealth {
-    /// Name under which the pool registered.
-    pub pool: String,
-    /// Fraction of acquires served from the pool.
-    pub hit_rate: f64,
-    /// Buffers currently leased out.
-    pub outstanding: u64,
-    /// Returns dropped because the pool was full.
-    pub shed: u64,
-}
-
 /// Point-in-time health of the whole run — everything an admission
-/// controller needs, computed from wait-free atomics in one pass.
-#[derive(Debug, Clone, PartialEq)]
+/// controller needs, computed from wait-free atomics in one pass. The
+/// default is what a disabled recorder reports: an empty, green plane.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HealthSnapshot {
     /// Snapshot time, ns since the recorder epoch.
     pub t_ns: u64,
@@ -94,24 +82,29 @@ pub struct HealthSnapshot {
     pub fallback_rate_per_s: f64,
     /// Stall episodes the watchdog has reported so far.
     pub stalls: u64,
-    /// Per-pool health.
-    pub pools: Vec<PoolHealth>,
+    /// Every counter block (pools, the process-wide copy ledger,
+    /// schedulers, ingress shards) — see [`crate::counters`].
+    pub counters: Vec<CounterRow>,
     /// Events emitted into the flight ring so far.
     pub flight_events: u64,
-    /// Host-side copied bytes so far (staging + driver bounces;
-    /// process-wide cumulative — see [`crate::copy`]).
-    pub copy_bytes: u64,
-    /// Host-side copy operations per processed batch.
-    pub copies_per_batch: f64,
 }
 
 impl HealthSnapshot {
     /// One-line rendering for logs.
     pub fn describe(&self) -> String {
         let depth: u64 = self.stages.iter().map(|s| s.queue_depth).sum();
+        // The derived values of process-wide families (no labels) fit on
+        // the line: what the copy ledger adds up to.
+        let singles = self.counters.iter().filter(|r| r.labels.is_empty());
+        let singles: String = singles
+            .flat_map(|r| {
+                let derived = r.fields().filter(|(f, _)| f.derive.is_some());
+                derived.map(|(f, v)| format!(" {}.{}={v}", r.family, f.key))
+            })
+            .collect();
         format!(
             "health: {} at t={}ns (stages={} queued={} faults={} retries={} \
-             fallbacks={} stalls={} copied={}B copies/batch={:.2})",
+             fallbacks={} stalls={}{singles})",
             self.status.label(),
             self.t_ns,
             self.stages.len(),
@@ -120,17 +113,12 @@ impl HealthSnapshot {
             self.retries,
             self.cpu_fallbacks,
             self.stalls,
-            self.copy_bytes,
-            self.copies_per_batch
         )
     }
 
     /// JSON document (hand-rolled like the rest of the crate; served by
     /// the live endpoint's `/health` route).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut out = String::from("{\n");
         out.push_str("  \"schema\": \"hetstream.health.v1\",\n");
         out.push_str(&format!("  \"t_ns\": {},\n", self.t_ns));
@@ -166,49 +154,10 @@ impl HealthSnapshot {
             self.fallback_rate_per_s
         ));
         out.push_str(&format!("  \"stalls\": {},\n", self.stalls));
-        out.push_str("  \"pools\": [\n");
-        for (i, p) in self.pools.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"pool\": \"{}\", \"hit_rate\": {:.4}, \"outstanding\": {}, \
-                 \"shed\": {}}}{}\n",
-                esc(&p.pool),
-                p.hit_rate,
-                p.outstanding,
-                p.shed,
-                if i + 1 < self.pools.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"copy\": {{\"bytes_copied\": {}, \"copies_per_batch\": {:.4}}},\n",
-            self.copy_bytes, self.copies_per_batch
-        ));
+        counters::render_json(&mut out, &self.counters, true);
         out.push_str(&format!("  \"flight_events\": {}\n", self.flight_events));
         out.push_str("}\n");
         out
-    }
-}
-
-impl Default for HealthSnapshot {
-    /// What a disabled recorder reports: an empty, green plane.
-    fn default() -> Self {
-        HealthSnapshot {
-            t_ns: 0,
-            status: HealthStatus::Ok,
-            stages: Vec::new(),
-            e2e_p99_ns: 0,
-            fault_causes: 0,
-            retries: 0,
-            cpu_fallbacks: 0,
-            fault_rate_per_s: 0.0,
-            retry_rate_per_s: 0.0,
-            fallback_rate_per_s: 0.0,
-            stalls: 0,
-            pools: Vec::new(),
-            flight_events: 0,
-            copy_bytes: 0,
-            copies_per_batch: 0.0,
-        }
     }
 }
 
@@ -219,32 +168,28 @@ pub(crate) fn snapshot(inner: &Inner) -> HealthSnapshot {
     let t_ns = inner.epoch.elapsed().as_nanos() as u64;
     let uptime_s = (t_ns as f64 / 1e9).max(1e-9);
     let metrics = inner.stages.lock().unwrap().clone();
-    let mut names: Vec<&str> = metrics.iter().map(|m| m.name()).collect();
-    names.dedup();
-    let stages: Vec<StageHealth> = names
+    let stages: Vec<StageHealth> = inner
+        .stage_latency()
         .into_iter()
-        .map(|name| {
-            let mut counts = HistoCounts::new();
+        .map(|(stage, latency)| {
             let mut s = StageHealth {
-                stage: name.to_string(),
+                stage,
                 replicas: 0,
                 items_in: 0,
                 items_out: 0,
                 queue_depth: 0,
-                p99_service_ns: 0,
+                p99_service_ns: latency.p99_ns,
                 push_stalls: 0,
                 pop_waits: 0,
             };
-            for m in metrics.iter().filter(|m| m.name() == name) {
+            for m in metrics.iter().filter(|m| m.name() == s.stage) {
                 s.replicas += 1;
                 s.items_in += m.items_in_now();
                 s.items_out += m.items_out_now();
                 s.queue_depth += m.queue_depth_now();
                 s.push_stalls += m.push_stalls_now();
                 s.pop_waits += m.pop_waits_now();
-                counts.add(m.latency());
             }
-            s.p99_service_ns = counts.snapshot().p99_ns;
             s
         })
         .collect();
@@ -257,7 +202,6 @@ pub(crate) fn snapshot(inner: &Inner) -> HealthSnapshot {
         }
     }
     let stalls = inner.stalls.lock().unwrap().len() as u64;
-    let cp = crate::copy::snapshot();
     let status = if stalls > 0 {
         HealthStatus::Stalled
     } else if causes + retries + fallbacks > 0 {
@@ -277,24 +221,8 @@ pub(crate) fn snapshot(inner: &Inner) -> HealthSnapshot {
         retry_rate_per_s: retries as f64 / uptime_s,
         fallback_rate_per_s: fallbacks as f64 / uptime_s,
         stalls,
-        pools: inner
-            .pools
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, c)| {
-                let s = c.snapshot();
-                PoolHealth {
-                    pool: name.clone(),
-                    hit_rate: s.hit_rate(),
-                    outstanding: s.outstanding,
-                    shed: s.shed,
-                }
-            })
-            .collect(),
+        counters: inner.counter_rows(),
         flight_events: inner.flight.emitted(),
-        copy_bytes: cp.bytes_copied(),
-        copies_per_batch: cp.copies_per_batch(),
     }
 }
 

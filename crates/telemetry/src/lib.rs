@@ -38,27 +38,58 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 mod chrome;
 pub mod copy;
+pub mod counters;
 mod export;
 mod flight;
 mod health;
 mod histo;
-pub mod ingress;
 mod monitor;
 
 pub use copy::CopyStats;
+pub use counters::{
+    CounterRow, Counters, Ingress, IngressTotals, Pool, PoolStats, Sched, SchedTotals,
+};
 pub use export::{MetricsServer, PromWriter};
 pub use flight::{
     FlightEvent, FlightHandle, FlightKind, FlightRing, DEFAULT_FLIGHT_CAPACITY, NO_BATCH,
 };
-pub use health::{HealthSnapshot, HealthStatus, PoolHealth, StageHealth};
+pub use health::{HealthSnapshot, HealthStatus, StageHealth};
 pub use histo::{LatencyHisto, LatencySnapshot};
-pub use ingress::IngressCounters;
 pub use monitor::{ThroughputWindow, Watchdog};
+
+/// Escape `s` for a JSON string literal: `\` and `"`, and every control
+/// character (stage names and fault details are caller-supplied).
+pub(crate) fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// `items` one per line, indented and comma-separated: the lines between
+/// the brackets of a JSON array in this crate's hand-rolled documents.
+pub(crate) fn json_lines(items: impl Iterator<Item = String>) -> String {
+    let lines: Vec<String> = items.map(|item| format!("    {item}")).collect();
+    if lines.is_empty() {
+        String::new()
+    } else {
+        lines.join(",\n") + "\n"
+    }
+}
 
 /// Maximum busy spans retained per stage before coalescing everything new
 /// into the last span. Bounds memory on long runs; the Gantt resolution
@@ -161,9 +192,6 @@ impl StageMetrics {
     }
     pub(crate) fn pop_waits_now(&self) -> u64 {
         self.pop_waits.load(Ordering::Relaxed)
-    }
-    pub(crate) fn latency(&self) -> &LatencyHisto {
-        &self.latency
     }
     pub(crate) fn flight_emit(&self, kind: FlightKind, batch_id: u64, a: u64, b: u64) {
         self.flight.emit(kind, batch_id, a, b);
@@ -369,204 +397,6 @@ impl FlowBuf {
     }
 }
 
-/// Wait-free hit/miss/outstanding gauges for a buffer pool or allocation
-/// cache. Pools bump these on their own hot paths (one relaxed atomic op
-/// per event); telemetry only ever reads them, so registering a pool with
-/// a [`Recorder`] adds zero cost to acquire/release.
-#[derive(Debug, Default)]
-pub struct PoolCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    outstanding: AtomicU64,
-    shed: AtomicU64,
-    // Armed by `Recorder::register_pool`; sheds are rare enough that a
-    // flight event per shed is free, and they are exactly the events a
-    // post-mortem wants (a shedding pool is a backpressure symptom).
-    flight: OnceLock<FlightHandle>,
-}
-
-impl PoolCounters {
-    /// A fresh counter set, shareable between the pool and the recorder.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// An acquire was served from the pool.
-    #[inline]
-    pub fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An acquire fell through to a fresh allocation.
-    #[inline]
-    pub fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A buffer left the pool (hit or miss).
-    #[inline]
-    pub fn lease(&self) {
-        self.outstanding.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A buffer came back.
-    #[inline]
-    pub fn release(&self) {
-        // Saturating: a release without a matching lease (foreign buffer
-        // given to the pool) must not wrap the gauge.
-        let _ = self
-            .outstanding
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
-    }
-
-    /// A returned buffer was dropped because the pool was full.
-    #[inline]
-    pub fn shed_one(&self) {
-        let total = self.shed.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(f) = self.flight.get() {
-            f.emit(FlightKind::PoolShed, NO_BATCH, total, 0);
-        }
-    }
-
-    /// Point-in-time snapshot of the gauges.
-    pub fn snapshot(&self) -> PoolStats {
-        PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            outstanding: self.outstanding.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Snapshot of one pool's gauges.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Acquires served by recycling a cached buffer.
-    pub hits: u64,
-    /// Acquires that allocated fresh storage.
-    pub misses: u64,
-    /// Buffers currently leased out.
-    pub outstanding: u64,
-    /// Returns dropped because the pool was at capacity.
-    pub shed: u64,
-}
-
-impl PoolStats {
-    /// Fraction of acquires served from the pool (1.0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// One registered pool's stats in a [`TelemetryReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolReport {
-    /// Name under which the pool registered.
-    pub name: String,
-    /// Gauges at report time.
-    pub stats: PoolStats,
-}
-
-/// Wait-free decision counters for a task-graph scheduler. The scheduler
-/// bumps these on its placement path (one relaxed atomic op per event);
-/// telemetry only reads them at report/scrape time, so registering a
-/// scheduler with a [`Recorder`] adds zero cost to placement itself.
-#[derive(Debug, Default)]
-pub struct SchedCounters {
-    decisions: AtomicU64,
-    residency_hits: AtomicU64,
-    migrations: AtomicU64,
-    overhead_ns: AtomicU64,
-    retunes: AtomicU64,
-}
-
-impl SchedCounters {
-    /// A fresh counter set, shareable between scheduler and recorder.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// One placement decision was made; `overhead_ns` is the wall time
-    /// the decision itself took (the figure the <1 µs/batch gate reads).
-    #[inline]
-    pub fn decision(&self, overhead_ns: u64) {
-        self.decisions.fetch_add(1, Ordering::Relaxed);
-        self.overhead_ns.fetch_add(overhead_ns, Ordering::Relaxed);
-    }
-
-    /// The decision kept the batch on the device holding its lane state.
-    #[inline]
-    pub fn residency_hit(&self) {
-        self.residency_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The decision moved a key away from its resident device.
-    #[inline]
-    pub fn migration(&self) {
-        self.migrations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The auto-tuner changed an operating point (batch / space count).
-    #[inline]
-    pub fn retune(&self) {
-        self.retunes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time snapshot of the counters.
-    pub fn snapshot(&self) -> SchedStats {
-        SchedStats {
-            decisions: self.decisions.load(Ordering::Relaxed),
-            residency_hits: self.residency_hits.load(Ordering::Relaxed),
-            migrations: self.migrations.load(Ordering::Relaxed),
-            overhead_ns: self.overhead_ns.load(Ordering::Relaxed),
-            retunes: self.retunes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Snapshot of one scheduler's decision counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Placement decisions made.
-    pub decisions: u64,
-    /// Decisions that kept a key on its resident device.
-    pub residency_hits: u64,
-    /// Decisions that moved a key off its resident device.
-    pub migrations: u64,
-    /// Accumulated wall time spent inside the placement decision, ns.
-    pub overhead_ns: u64,
-    /// Auto-tuner operating-point changes.
-    pub retunes: u64,
-}
-
-impl SchedStats {
-    /// Mean placement overhead per decision, ns (0 when idle).
-    pub fn overhead_per_decision_ns(&self) -> f64 {
-        if self.decisions == 0 {
-            0.0
-        } else {
-            self.overhead_ns as f64 / self.decisions as f64
-        }
-    }
-}
-
-/// One registered scheduler's stats in a [`TelemetryReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedReport {
-    /// Name under which the scheduler registered.
-    pub name: String,
-    /// Counters at report time.
-    pub stats: SchedStats,
-}
-
 /// Auto-dump configuration armed by [`Recorder::arm_flight_dump`].
 #[derive(Debug, Default)]
 struct DumpCfg {
@@ -586,11 +416,8 @@ pub(crate) struct Inner {
     pub(crate) windows: Mutex<Vec<WindowSample>>,
     pub(crate) stalls: Mutex<Vec<StallEvent>>,
     pub(crate) faults: Mutex<Vec<FaultEvent>>,
-    pub(crate) pools: Mutex<Vec<(String, Arc<PoolCounters>)>>,
-    /// `(stream, shard, counters)` rows registered by ingress pumps.
-    pub(crate) ingress: Mutex<Vec<(String, u32, Arc<IngressCounters>)>>,
-    /// `(name, counters)` rows registered by task-graph schedulers.
-    pub(crate) sched: Mutex<Vec<(String, Arc<SchedCounters>)>>,
+    /// One entry per [`Recorder::register`] call.
+    registry: Mutex<Vec<counters::Registered>>,
     pub(crate) flight: Arc<FlightRing>,
     // Interned flight source labels; a FlightEvent's `src` indexes here.
     flight_srcs: Mutex<Vec<String>>,
@@ -626,21 +453,26 @@ impl Inner {
         )
     }
 
-    /// Write the armed dump file if one is armed and has not fired yet.
-    /// First trigger wins — the window closest to the incident is the
-    /// one worth keeping.
-    pub(crate) fn maybe_dump(&self, reason: &str) -> Option<PathBuf> {
+    /// Write the armed dump file if one is armed and this trigger has not
+    /// fired yet. First trigger wins — the window closest to the incident
+    /// is the one worth keeping — except that an `escalate` trigger (the
+    /// ladder bottoming out on the host, the most severe automatic one)
+    /// fires even when a stall or storm dump already did: the later
+    /// window subsumes it and includes the fallback itself. It too fires
+    /// only once — a fallback-heavy run must not re-serialize the ring
+    /// per item.
+    pub(crate) fn dump(&self, reason: &str, escalate: bool) -> Option<PathBuf> {
         let path = {
             let mut cfg = self.dump.lock().unwrap();
-            if cfg.fired {
+            if cfg.escalated || (cfg.fired && !escalate) {
                 return None;
             }
             let path = cfg.path.clone()?;
             cfg.fired = true;
+            cfg.escalated |= escalate;
             path
         };
-        let doc = self.flight_json(reason);
-        match std::fs::write(&path, doc) {
+        match std::fs::write(&path, self.flight_json(reason)) {
             Ok(()) => {
                 eprintln!(
                     "[flight] dumped recorder window to {} ({reason})",
@@ -661,40 +493,35 @@ impl Inner {
         let seen = self.fault_seen.fetch_add(1, Ordering::Relaxed) + 1;
         let threshold = self.dump.lock().unwrap().storm_threshold;
         if threshold > 0 && seen >= threshold {
-            self.maybe_dump(&format!("fault storm: {seen} fault events"));
+            self.dump(&format!("fault storm: {seen} fault events"), false);
         }
     }
 
-    /// The ladder bottoming out on the host is the most severe automatic
-    /// trigger: it fires even when a storm dump already did (the later
-    /// window subsumes it and includes the fallback itself), but only
-    /// once — a fallback-heavy run must not re-serialize the ring per
-    /// item.
-    pub(crate) fn dump_escalate(&self, reason: &str) {
-        let path = {
-            let mut cfg = self.dump.lock().unwrap();
-            if cfg.escalated {
-                return;
-            }
-            let Some(path) = cfg.path.clone() else {
-                return;
-            };
-            cfg.escalated = true;
-            cfg.fired = true;
-            path
-        };
-        let doc = self.flight_json(reason);
-        match std::fs::write(&path, doc) {
-            Ok(()) => {
-                eprintln!(
-                    "[flight] dumped recorder window to {} ({reason})",
-                    path.display()
-                );
-            }
-            Err(e) => {
-                eprintln!("[flight] failed to write dump {}: {e}", path.display());
-            }
+    /// Every counter block this recorder reports: the process-wide copy
+    /// ledger, then the registered blocks in registration order.
+    pub(crate) fn counter_rows(&self) -> Vec<CounterRow> {
+        let registry = self.registry.lock().unwrap();
+        let registered = registry.iter().map(|(l, b)| CounterRow::read(l, &**b));
+        std::iter::once(CounterRow::read(&[], &copy::GLOBAL))
+            .chain(registered)
+            .collect()
+    }
+
+    /// Service-latency percentiles per stage name, in first-registered
+    /// order. Replicas' histograms merge at the bucket level — percentiles
+    /// over per-replica percentiles would be statistically wrong.
+    pub(crate) fn stage_latency(&self) -> Vec<(String, LatencySnapshot)> {
+        let stages = self.stages.lock().unwrap();
+        let mut merged: Vec<(String, histo::HistoCounts)> = Vec::new();
+        for m in stages.iter() {
+            let i = merged.iter().position(|(n, _)| *n == m.name);
+            let i = i.unwrap_or_else(|| {
+                merged.push((m.name.clone(), histo::HistoCounts::new()));
+                merged.len() - 1
+            });
+            merged[i].1.add(&m.latency);
         }
+        merged.into_iter().map(|(n, c)| (n, c.snapshot())).collect()
     }
 }
 
@@ -721,9 +548,7 @@ impl Recorder {
                 windows: Mutex::new(Vec::new()),
                 stalls: Mutex::new(Vec::new()),
                 faults: Mutex::new(Vec::new()),
-                pools: Mutex::new(Vec::new()),
-                ingress: Mutex::new(Vec::new()),
-                sched: Mutex::new(Vec::new()),
+                registry: Mutex::new(Vec::new()),
                 flight: Arc::new(FlightRing::new(epoch)),
                 flight_srcs: Mutex::new(Vec::new()),
                 fault_seen: AtomicU64::new(0),
@@ -822,70 +647,39 @@ impl Recorder {
             inner.faults.lock().unwrap().push(ev);
             inner.storm_tick();
             if kind == FaultKind::CpuFallback {
-                inner.dump_escalate(&format!("cpu fallback: {stage} (batch {batch_id})"));
+                inner.dump(&format!("cpu fallback: {stage} (batch {batch_id})"), true);
             }
         }
     }
 
-    /// Register a buffer pool's gauges under `name`. The recorder reads
-    /// the shared counters at report time; registering twice under the
-    /// same name replaces the earlier registration (a run rebuilds its
-    /// backends freely).
-    pub fn register_pool(&self, name: impl Into<String>, counters: &Arc<PoolCounters>) {
+    /// Register a counter block under its family's label values (a pool
+    /// or scheduler name, an ingress `[stream, shard]`, …). The recorder
+    /// only reads the shared cells, at report and scrape time; registering
+    /// the same labels again replaces the earlier block (a run rebuilds
+    /// its backends, pumps and schedulers freely). The block's rare
+    /// events (pool sheds) go to this recorder's flight ring from now on.
+    ///
+    /// # Panics
+    /// If `labels` does not have one value per label key of the family.
+    pub fn register<F: counters::Family>(&self, labels: &[&str], block: &Arc<Counters<F>>) {
         if let Some(inner) = &self.inner {
-            let name = name.into();
-            // Arm the pool's shed events into the flight ring (first
-            // registration wins; OnceLock keeps shed_one branch-cheap).
-            let _ = counters
-                .flight
-                .set(inner.flight_handle(&format!("pool:{name}")));
-            let mut pools = inner.pools.lock().unwrap();
-            if let Some(slot) = pools.iter_mut().find(|(n, _)| *n == name) {
-                slot.1 = Arc::clone(counters);
-            } else {
-                pools.push((name, Arc::clone(counters)));
-            }
-        }
-    }
-
-    /// Register one ingress shard's counters under `(stream, shard)`.
-    /// Like [`register_pool`](Recorder::register_pool), the recorder only
-    /// reads the shared atomics at scrape time; re-registering the same
-    /// `(stream, shard)` replaces the earlier row (a resumed consumer
-    /// rebuilds its pumps freely).
-    pub fn register_ingress(
-        &self,
-        stream: impl Into<String>,
-        shard: u32,
-        counters: &Arc<IngressCounters>,
-    ) {
-        if let Some(inner) = &self.inner {
-            let stream = stream.into();
-            let mut rows = inner.ingress.lock().unwrap();
-            if let Some(slot) = rows
-                .iter_mut()
-                .find(|(s, sh, _)| *s == stream && *sh == shard)
-            {
-                slot.2 = Arc::clone(counters);
-            } else {
-                rows.push((stream, shard, Arc::clone(counters)));
-            }
-        }
-    }
-
-    /// Register a task-graph scheduler's decision counters under `name`.
-    /// Like [`register_pool`](Recorder::register_pool), the recorder only
-    /// reads the shared atomics at scrape time; re-registering the same
-    /// name replaces the earlier row (a run rebuilds its scheduler
-    /// freely, e.g. per auto-tune epoch).
-    pub fn register_sched(&self, name: impl Into<String>, counters: &Arc<SchedCounters>) {
-        if let Some(inner) = &self.inner {
-            let name = name.into();
-            let mut rows = inner.sched.lock().unwrap();
-            if let Some(slot) = rows.iter_mut().find(|(n, _)| *n == name) {
-                slot.1 = Arc::clone(counters);
-            } else {
-                rows.push((name, Arc::clone(counters)));
+            let keys = F::DESC.labels;
+            assert_eq!(labels.len(), keys.len(), "{} takes {keys:?}", F::DESC.key);
+            let block: Arc<dyn counters::Block> = Arc::clone(block) as _;
+            let src = format!(
+                "{}:{}",
+                keys.first().unwrap_or(&F::DESC.key),
+                labels.join("/")
+            );
+            block.arm(inner.flight_handle(&src));
+            let labels: Vec<String> = labels.iter().map(|l| l.to_string()).collect();
+            let mut registry = inner.registry.lock().unwrap();
+            let at = registry
+                .iter()
+                .position(|(l, b)| *l == labels && b.desc().key == F::DESC.key);
+            match at {
+                Some(at) => registry[at].1 = block,
+                None => registry.push((labels, block)),
             }
         }
     }
@@ -981,7 +775,7 @@ impl Recorder {
     /// test); returns the written path. `None` when disabled, unarmed,
     /// or already fired.
     pub fn dump_flight_now(&self, reason: &str) -> Option<PathBuf> {
-        self.inner.as_ref().and_then(|i| i.maybe_dump(reason))
+        self.inner.as_ref().and_then(|i| i.dump(reason, false))
     }
 
     /// Render the live Prometheus text exposition (format 0.0.4). A
@@ -1033,21 +827,8 @@ impl Recorder {
                 stages.sort_by(|a, b| a.name.cmp(&b.name).then(a.replica.cmp(&b.replica)));
                 let mut gpu = inner.gpu.lock().unwrap().clone();
                 gpu.sort_by_key(|s| (s.device, s.engine, s.start_ns));
-                // Merge replicas' histograms per stage name so percentiles
-                // aggregate over raw buckets, not over per-replica
-                // percentiles (which would be statistically wrong).
-                let mut names: Vec<String> = stages.iter().map(|s| s.name.clone()).collect();
-                names.dedup();
-                let stage_latency = names
-                    .into_iter()
-                    .map(|name| {
-                        let mut counts = histo::HistoCounts::new();
-                        for m in metrics.iter().filter(|m| m.name == name) {
-                            counts.add(&m.latency);
-                        }
-                        (name, counts.snapshot())
-                    })
-                    .collect();
+                let mut stage_latency = inner.stage_latency();
+                stage_latency.sort_by(|a, b| a.0.cmp(&b.0));
                 TelemetryReport {
                     stages,
                     gpu,
@@ -1061,27 +842,7 @@ impl Recorder {
                         f.sort_by_key(|e| e.t_ns);
                         f
                     },
-                    pools: inner
-                        .pools
-                        .lock()
-                        .unwrap()
-                        .iter()
-                        .map(|(name, c)| PoolReport {
-                            name: name.clone(),
-                            stats: c.snapshot(),
-                        })
-                        .collect(),
-                    sched: inner
-                        .sched
-                        .lock()
-                        .unwrap()
-                        .iter()
-                        .map(|(name, c)| SchedReport {
-                            name: name.clone(),
-                            stats: c.snapshot(),
-                        })
-                        .collect(),
-                    copy: copy::snapshot(),
+                    counters: inner.counter_rows(),
                 }
             }
         }
@@ -1272,13 +1033,10 @@ pub struct TelemetryReport {
     /// Fault-path events (injected faults, retries, CPU fallbacks), in
     /// time order.
     pub faults: Vec<FaultEvent>,
-    /// Registered buffer-pool gauges at report time.
-    pub pools: Vec<PoolReport>,
-    /// Registered task-graph scheduler counters at report time.
-    pub sched: Vec<SchedReport>,
-    /// Host-side copy accounting (process-wide cumulative totals; see
-    /// [`copy`]).
-    pub copy: CopyStats,
+    /// Every counter block at report time: the process-wide copy ledger
+    /// (see [`copy`]) and each registered pool, scheduler and ingress
+    /// shard (see [`counters`]).
+    pub counters: Vec<CounterRow>,
 }
 
 impl TelemetryReport {
@@ -1306,6 +1064,12 @@ impl TelemetryReport {
     /// Total items out of all replicas of `stage`.
     pub fn items_out(&self, stage: &str) -> u64 {
         self.replicas_of(stage).map(|s| s.items_out).sum()
+    }
+
+    /// The counter blocks of one family (`"pools"`, `"sched"`,
+    /// `"ingress"`, `"copy"`), in registration order.
+    pub fn family<'a>(&'a self, key: &'a str) -> impl Iterator<Item = &'a CounterRow> {
+        self.counters.iter().filter(move |r| r.family == key)
     }
 
     /// Fault events of one kind.
@@ -1461,9 +1225,6 @@ impl TelemetryReport {
 
     /// JSON document (hand-rolled; the schema is small and stable).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         fn latency_json(l: &LatencySnapshot) -> String {
             format!(
                 "{{\"count\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \
@@ -1471,17 +1232,16 @@ impl TelemetryReport {
                 l.count, l.mean_ns, l.p50_ns, l.p90_ns, l.p95_ns, l.p99_ns, l.max_ns
             )
         }
-        let mut out = String::from("{\n  \"stages\": [\n");
-        for (i, s) in self.stages.iter().enumerate() {
+        let stages = self.stages.iter().map(|s| {
             let first = if s.first_ns == u64::MAX {
                 0
             } else {
                 s.first_ns
             };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"replica\": {}, \"items_in\": {}, \"items_out\": {}, \
+            format!(
+                "{{\"name\": \"{}\", \"replica\": {}, \"items_in\": {}, \"items_out\": {}, \
                  \"service_ns\": {}, \"push_stalls\": {}, \"pop_waits\": {}, \"queue_hwm\": {}, \
-                 \"first_ns\": {}, \"last_ns\": {}, \"latency\": {}}}{}\n",
+                 \"first_ns\": {}, \"last_ns\": {}, \"latency\": {}}}",
                 esc(&s.name),
                 s.replica,
                 s.items_in,
@@ -1493,44 +1253,35 @@ impl TelemetryReport {
                 first,
                 s.last_ns,
                 latency_json(&s.latency),
-                if i + 1 < self.stages.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"gpu\": [\n");
-        for (i, g) in self.gpu.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"device\": {}, \"engine\": \"{}\", \"name\": \"{}\", \"stream\": {}, \
-                 \"start_ns\": {}, \"end_ns\": {}}}{}\n",
+            )
+        });
+        let mut out = format!("{{\n  \"stages\": [\n{}  ],\n", json_lines(stages));
+        let gpu = self.gpu.iter().map(|g| {
+            format!(
+                "{{\"device\": {}, \"engine\": \"{}\", \"name\": \"{}\", \"stream\": {}, \
+                 \"start_ns\": {}, \"end_ns\": {}}}",
                 g.device,
                 g.engine,
                 esc(&g.name),
                 g.stream,
                 g.start_ns,
                 g.end_ns,
-                if i + 1 < self.gpu.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"stage_latency\": {");
-        for (i, (name, l)) in self.stage_latency.iter().enumerate() {
-            out.push_str(&format!(
-                "\"{}\": {}{}",
-                esc(name),
-                latency_json(l),
-                if i + 1 < self.stage_latency.len() {
-                    ", "
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("},\n");
+            )
+        });
+        out.push_str(&format!("  \"gpu\": [\n{}  ],\n", json_lines(gpu)));
+        let stage_latency = self.stage_latency.iter();
+        let stage_latency: Vec<String> = stage_latency
+            .map(|(name, l)| format!("\"{}\": {}", esc(name), latency_json(l)))
+            .collect();
+        out.push_str(&format!(
+            "  \"stage_latency\": {{{}}},\n",
+            stage_latency.join(", ")
+        ));
         out.push_str(&format!("  \"e2e\": {},\n", latency_json(&self.e2e)));
-        out.push_str("  \"stalls\": [\n");
-        for (i, e) in self.stalls.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"t_ns\": {}, \"stage\": \"{}\", \"replica\": {}, \"ticks_stalled\": {}, \
-                 \"items_in\": {}, \"items_out\": {}, \"upstream_out\": {}, \"queue_depth\": {}}}{}\n",
+        let stalls = self.stalls.iter().map(|e| {
+            format!(
+                "{{\"t_ns\": {}, \"stage\": \"{}\", \"replica\": {}, \"ticks_stalled\": {}, \
+                 \"items_in\": {}, \"items_out\": {}, \"upstream_out\": {}, \"queue_depth\": {}}}",
                 e.t_ns,
                 esc(&e.stage),
                 e.replica,
@@ -1539,85 +1290,52 @@ impl TelemetryReport {
                 e.items_out,
                 e.upstream_out,
                 e.queue_depth,
-                if i + 1 < self.stalls.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"faults\": [\n");
-        for (i, e) in self.faults.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"t_ns\": {}, \"stage\": \"{}\", \"kind\": \"{}\", \"detail\": \"{}\"}}{}\n",
+            )
+        });
+        out.push_str(&format!("  \"stalls\": [\n{}  ],\n", json_lines(stalls)));
+        let faults = self.faults.iter().map(|e| {
+            format!(
+                "{{\"t_ns\": {}, \"stage\": \"{}\", \"kind\": \"{}\", \"detail\": \"{}\"}}",
                 e.t_ns,
                 esc(&e.stage),
                 e.kind.label(),
                 esc(&e.detail),
-                if i + 1 < self.faults.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
+            )
+        });
+        out.push_str(&format!("  \"faults\": [\n{}  ],\n", json_lines(faults)));
         out.push_str(&format!(
             "  \"fault_counts\": {{\"retries\": {}, \"cpu_fallbacks\": {}}},\n",
             self.retry_count(),
             self.fallback_count()
         ));
-        out.push_str("  \"pools\": [\n");
-        for (i, p) in self.pools.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"hits\": {}, \"misses\": {}, \"outstanding\": {}, \"shed\": {}, \"hit_rate\": {:.4}}}{}\n",
-                esc(&p.name),
-                p.stats.hits,
-                p.stats.misses,
-                p.stats.outstanding,
-                p.stats.shed,
-                p.stats.hit_rate(),
-                if i + 1 < self.pools.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"copy\": {{\"bytes_copied\": {}, \"copy_ops\": {}, \"staging_bytes\": {}, \
-             \"staging_ops\": {}, \"bounce_bytes\": {}, \"bounce_ops\": {}, \"batches\": {}, \
-             \"copies_per_batch\": {:.4}, \"bytes_per_batch\": {:.2}}},\n",
-            self.copy.bytes_copied(),
-            self.copy.copy_ops(),
-            self.copy.staging_bytes,
-            self.copy.staging_ops,
-            self.copy.bounce_bytes,
-            self.copy.bounce_ops,
-            self.copy.batches,
-            self.copy.copies_per_batch(),
-            self.copy.bytes_per_batch(),
-        ));
-        out.push_str("  \"windows\": [\n");
-        for (i, wdw) in self.windows.iter().enumerate() {
-            out.push_str(&format!("    {{\"t_ns\": {}, \"stages\": [", wdw.t_ns));
-            for (j, s) in wdw.stages.iter().enumerate() {
-                out.push_str(&format!(
-                    "{{\"name\": \"{}\", \"replica\": {}, \"items_out\": {}, \"queue_depth\": {}}}{}",
+        counters::render_json(&mut out, &self.counters, false);
+        let windows = self.windows.iter().map(|wdw| {
+            let stages: Vec<String> = wdw
+                .stages
+                .iter()
+                .map(|s| {
+                    format!(
+                    "{{\"name\": \"{}\", \"replica\": {}, \"items_out\": {}, \"queue_depth\": {}}}",
                     esc(&s.name),
                     s.replica,
                     s.items_out,
                     s.queue_depth,
-                    if j + 1 < wdw.stages.len() { ", " } else { "" }
-                ));
-            }
-            out.push_str(&format!(
-                "]}}{}\n",
-                if i + 1 < self.windows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"utilization\": {");
+                )
+                })
+                .collect();
+            format!(
+                "{{\"t_ns\": {}, \"stages\": [{}]}}",
+                wdw.t_ns,
+                stages.join(", ")
+            )
+        });
+        out.push_str(&format!("  \"windows\": [\n{}  ],\n", json_lines(windows)));
         let util = self.stage_utilization();
-        for (i, (name, u)) in util.iter().enumerate() {
-            out.push_str(&format!(
-                "\"{}\": {:.6}{}",
-                esc(name),
-                u,
-                if i + 1 < util.len() { ", " } else { "" }
-            ));
-        }
-        out.push_str("}\n}\n");
+        let util: Vec<String> = util
+            .iter()
+            .map(|(name, u)| format!("\"{}\": {u:.6}", esc(name)))
+            .collect();
+        out.push_str(&format!("  \"utilization\": {{{}}}\n}}\n", util.join(", ")));
         out
     }
 

@@ -9,6 +9,74 @@ use std::time::Duration;
 
 use crate::{Inner, StageWindow, StallEvent, WindowSample};
 
+/// The stop flag a [`Background`] thread's body polls.
+pub(crate) struct StopFlag(Arc<AtomicBool>);
+
+impl StopFlag {
+    pub(crate) fn raised(&self) -> bool {
+        self.0.load(Ordering::Acquire)
+    }
+
+    /// Sleep `tick` in ≤10 ms slices, returning early (true) once the
+    /// flag is raised — so stopping joins promptly however long the tick,
+    /// and a final pass can run *after* the flag instead of being slept
+    /// away.
+    pub(crate) fn sleep(&self, tick: Duration) -> bool {
+        let mut slept = Duration::ZERO;
+        while slept < tick && !self.raised() {
+            let step = (tick - slept).min(Duration::from_millis(10));
+            std::thread::sleep(step);
+            slept += step;
+        }
+        self.raised()
+    }
+}
+
+/// One background thread with its stop flag: raised and joined by
+/// [`halt`](Background::halt) or on drop. Every monitor, the metrics
+/// endpoint and the snapshot writer are this guard plus a thread body.
+#[derive(Debug)]
+pub(crate) struct Background {
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Background {
+    /// A guard over no thread — what disabled recorders hand out.
+    pub(crate) fn inert() -> Self {
+        Background {
+            stop: Arc::new(AtomicBool::new(true)),
+            thread: None,
+        }
+    }
+
+    pub(crate) fn spawn(name: &str, body: impl FnOnce(StopFlag) + Send + 'static) -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = StopFlag(Arc::clone(&stop));
+        let thread = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || body(flag))
+            .unwrap_or_else(|e| panic!("spawn {name} thread: {e}"));
+        Background {
+            stop,
+            thread: Some(thread),
+        }
+    }
+
+    pub(crate) fn halt(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+impl Drop for Background {
+    fn drop(&mut self) {
+        self.halt();
+    }
+}
+
 /// Guard over the background thread started by
 /// [`Recorder::sample_windows`](crate::Recorder::sample_windows).
 ///
@@ -18,74 +86,30 @@ use crate::{Inner, StageWindow, StallEvent, WindowSample};
 /// carries the run's ramp-up/backpressure time-series. Stop it (or drop
 /// it) before taking the report you intend to keep.
 #[derive(Debug)]
-pub struct ThroughputWindow {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
+pub struct ThroughputWindow(Background);
 
 impl ThroughputWindow {
     pub(crate) fn inert() -> Self {
-        ThroughputWindow {
-            stop: Arc::new(AtomicBool::new(true)),
-            thread: None,
-        }
+        ThroughputWindow(Background::inert())
     }
 
     pub(crate) fn start(inner: Arc<Inner>, tick: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("telemetry-window".into())
-            .spawn(move || {
-                let cap = crate::Recorder::window_sample_cap();
-                while !sliced_sleep(tick, &stop2) {
-                    let sample = take_sample(&inner);
-                    let mut windows = inner.windows.lock().unwrap();
-                    if windows.len() < cap {
-                        windows.push(sample);
-                    }
+        ThroughputWindow(Background::spawn("telemetry-window", move |stop| {
+            let cap = crate::Recorder::window_sample_cap();
+            while !stop.sleep(tick) {
+                let sample = take_sample(&inner);
+                let mut windows = inner.windows.lock().unwrap();
+                if windows.len() < cap {
+                    windows.push(sample);
                 }
-            })
-            .expect("spawn window sampler");
-        ThroughputWindow {
-            stop,
-            thread: Some(thread),
-        }
+            }
+        }))
     }
 
     /// Stop sampling and join the sampler thread.
     pub fn stop(mut self) {
-        self.halt();
+        self.0.halt();
     }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ThroughputWindow {
-    fn drop(&mut self) {
-        self.halt();
-    }
-}
-
-/// Sleep `tick` in ≤10 ms slices, returning early (true) once `stop` is
-/// raised — so `stop()`/`drop` join promptly however long the tick, and
-/// a final scan can run *after* the flag instead of being slept away.
-fn sliced_sleep(tick: Duration, stop: &AtomicBool) -> bool {
-    let mut slept = Duration::ZERO;
-    while slept < tick {
-        if stop.load(Ordering::Acquire) {
-            return true;
-        }
-        let step = (tick - slept).min(Duration::from_millis(10));
-        std::thread::sleep(step);
-        slept += step;
-    }
-    stop.load(Ordering::Acquire)
 }
 
 fn take_sample(inner: &Inner) -> WindowSample {
@@ -126,67 +150,46 @@ struct Tracked {
 /// deadlock/livelock detector for those topologies.
 #[derive(Debug)]
 pub struct Watchdog {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    thread: Background,
     inner: Option<Arc<Inner>>,
 }
 
 impl Watchdog {
     pub(crate) fn inert() -> Self {
         Watchdog {
-            stop: Arc::new(AtomicBool::new(true)),
-            thread: None,
+            thread: Background::inert(),
             inner: None,
         }
     }
 
     pub(crate) fn start(inner: Arc<Inner>, tick: Duration, stall_ticks: u32) -> Self {
         let stall_ticks = stall_ticks.max(1);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
         let inner2 = Arc::clone(&inner);
-        let thread = std::thread::Builder::new()
-            .name("telemetry-watchdog".into())
-            .spawn(move || {
-                let mut tracked: Vec<Tracked> = Vec::new();
-                while !sliced_sleep(tick, &stop2) {
-                    scan(&inner2, &mut tracked, stall_ticks);
-                }
-                // A stall episode can mature during the final sleep; one
-                // last scan flushes it as a StallEvent instead of
-                // silently dropping it at stop(). (Sub-threshold
-                // episodes still end unreported — a run's natural tail
-                // is not a stall.)
+        let thread = Background::spawn("telemetry-watchdog", move |stop| {
+            let mut tracked: Vec<Tracked> = Vec::new();
+            while !stop.sleep(tick) {
                 scan(&inner2, &mut tracked, stall_ticks);
-            })
-            .expect("spawn watchdog");
+            }
+            // A stall episode can mature during the final sleep; one
+            // last scan flushes it as a StallEvent instead of
+            // silently dropping it at stop(). (Sub-threshold
+            // episodes still end unreported — a run's natural tail
+            // is not a stall.)
+            scan(&inner2, &mut tracked, stall_ticks);
+        });
         Watchdog {
-            stop,
-            thread: Some(thread),
+            thread,
             inner: Some(inner),
         }
     }
 
     /// Stop the watchdog and return every stall event it reported.
     pub fn stop(mut self) -> Vec<StallEvent> {
-        self.halt();
+        self.thread.halt();
         match &self.inner {
             None => Vec::new(),
             Some(inner) => inner.stalls.lock().unwrap().clone(),
         }
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.halt();
     }
 }
 
@@ -263,12 +266,11 @@ fn scan(inner: &Arc<Inner>, tracked: &mut Vec<Tracked>, stall_ticks: u32) {
             });
             // A stall is the flight recorder's marquee trigger: dump the
             // window while the evidence is still in the ring.
-            inner.maybe_dump(&format!(
-                "watchdog stall: {}/{} ({} ticks, queue={queue_depth})",
-                m.name(),
-                m.replica(),
-                t.stalled_ticks
-            ));
+            let (name, replica, ticks) = (m.name(), m.replica(), t.stalled_ticks);
+            inner.dump(
+                &format!("watchdog stall: {name}/{replica} ({ticks} ticks, queue={queue_depth})"),
+                false,
+            );
         }
     }
 }

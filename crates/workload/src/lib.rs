@@ -667,7 +667,10 @@ pub fn arm_gpu_traces(system: &Arc<GpuSystem>, rec: &Recorder) {
             system
                 .device(d)
                 .attach_flight(rec.flight_handle(&format!("gpu{d}")));
-            rec.register_pool(format!("gpu{d}.cache"), &system.device(d).cache_counters());
+            rec.register(
+                &[&format!("gpu{d}.cache")],
+                &system.device(d).cache_counters(),
+            );
         }
     }
 }

@@ -28,6 +28,31 @@ fn count_of(json: &str, needle: &str) -> usize {
     json.matches(needle).count()
 }
 
+/// Walk a JSON document tracking string state: braces and brackets
+/// balance outside strings, every string closes, escapes are JSON's own,
+/// and no raw control character sits inside a string.
+fn assert_well_formed(json: &str) {
+    let (mut open, mut in_string, mut escaped) = (Vec::new(), false, false);
+    for c in json.chars() {
+        if escaped {
+            assert!("\"\\/bfnrtu".contains(c), "bad escape \\{c} in:\n{json}");
+            escaped = false;
+        } else if in_string {
+            assert!(c >= ' ', "raw control character {c:?} in:\n{json}");
+            (in_string, escaped) = (c != '"', c == '\\');
+        } else {
+            match c {
+                '"' => in_string = true,
+                '{' | '[' => open.push(c),
+                '}' => assert_eq!(open.pop(), Some('{'), "unbalanced in:\n{json}"),
+                ']' => assert_eq!(open.pop(), Some('['), "unbalanced in:\n{json}"),
+                _ => {}
+            }
+        }
+    }
+    assert!(!in_string && open.is_empty(), "unterminated:\n{json}");
+}
+
 #[test]
 fn chrome_trace_of_a_real_run_is_viewer_loadable() {
     let params = FractalParams::view(96, 64);
@@ -43,13 +68,11 @@ fn chrome_trace_of_a_real_run_is_viewer_loadable() {
     let json = rec.report().to_chrome_trace();
 
     // Document shape: one traceEvents array, a display unit, balanced
-    // braces/brackets (the exporter writes flat events, so raw counts
-    // balance — there are no braces inside strings).
+    // braces/brackets.
     assert!(json.trim_start().starts_with('{'));
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("\"displayTimeUnit\""));
-    assert_eq!(count_of(&json, "{"), count_of(&json, "}"));
-    assert_eq!(count_of(&json, "["), count_of(&json, "]"));
+    assert_well_formed(&json);
 
     // Both clock domains present: CPU stage process and GPU engine process
     // metadata, plus at least one complete (X) span in each.
@@ -80,6 +103,32 @@ fn chrome_trace_of_a_real_run_is_viewer_loadable() {
 fn empty_report_exports_an_empty_but_valid_trace() {
     let json = Recorder::disabled().report().to_chrome_trace();
     assert!(json.contains("\"traceEvents\""));
-    assert_eq!(count_of(&json, "{"), count_of(&json, "}"));
+    assert_well_formed(&json);
     assert_eq!(count_of(&json, "\"ph\":\"X\""), 0);
+}
+
+#[test]
+fn caller_supplied_strings_cannot_break_any_json_document() {
+    // Stage names and fault details are arbitrary strings; every JSON
+    // writer must escape quotes, backslashes and control characters.
+    const NASTY: &str = "a\"b\\c\n\t\u{1}{[";
+    let rec = Recorder::enabled();
+    let stage = rec.stage(NASTY, 0);
+    stage.item_in(1);
+    stage.service(|| std::thread::sleep(std::time::Duration::from_micros(50)));
+    stage.items_out(1);
+    rec.fault(NASTY, hetstream::telemetry::FaultKind::Retry, NASTY);
+    let report = rec.report();
+    for (what, json) in [
+        ("report", report.to_json()),
+        ("health", rec.health().to_json()),
+        ("flight dump", rec.flight_json(NASTY)),
+        ("chrome trace", report.to_chrome_trace()),
+    ] {
+        assert!(
+            json.contains("a\\\"b\\\\c\\n\\t\\u0001{["),
+            "{what}:\n{json}"
+        );
+        assert_well_formed(&json);
+    }
 }
