@@ -46,8 +46,8 @@
 use std::sync::Arc;
 
 use bench::{
-    arg, decode_span, emit_telemetry, flag, live_observability, mandel_ingress_demo, secs,
-    span_payload, Report, ShapeChecks,
+    arg, decode_span, flag, instrumented_run, mandel_ingress_demo, observed_run, placed_fleet_demo,
+    secs, span_payload, Report, ShapeChecks,
 };
 use gpusim::{CudaOffload, DeviceProps, GpuSystem};
 use ingress::{
@@ -60,9 +60,9 @@ use mandel::hybrid::MandelWork;
 use perfmodel::machine::{CpuModel, CpuRuntime};
 use perfmodel::mandelmodel::{self, characterize};
 use simtime::SimDuration;
-use taskgraph::{AutoTuner, CostModelScheduler, EpochMeasure, SchedConfig};
+use taskgraph::{AutoTuner, EpochMeasure, SchedConfig};
 use telemetry::Recorder;
-use workload::{Placement, RoundRobinPlacement, WorkloadDriver};
+use workload::WorkloadDriver;
 
 /// A GPU driver entry point from `mandel::gpu`.
 type GpuDriver<'a> = &'a dyn Fn(&Arc<GpuSystem>, &FractalParams) -> (mandel::Image, SimDuration);
@@ -106,7 +106,7 @@ fn main() {
     // `--auto-tune` replaces the hand-picked ladder with the online
     // controller + N-device task-graph scheduler.
     if flag("--auto-tune") {
-        auto_tune_demo(&params, &seq_img, tiny);
+        observed_run("fig1", |rec| auto_tune_demo(&params, &seq_img, rec));
         return;
     }
 
@@ -185,59 +185,26 @@ fn main() {
     // A real instrumented run of the fastest rung's pipeline shape — SPar
     // whose replicated stage drives both GPUs through the unified Offload
     // surface — recorded stage-by-stage and merged with the device traces.
-    let rec = Recorder::enabled();
-    let live = live_observability("fig1", &rec);
-    let sampler = rec.sample_windows(std::time::Duration::from_millis(1));
-    let watchdog = rec.watchdog(std::time::Duration::from_millis(10), 5);
-    let tsys = GpuSystem::new(2, DeviceProps::titan_xp());
-    let fault_seed: u64 = arg("--inject-faults", 0u64);
-    // The armed run is serial on one device so the injected fault budget
-    // lands on consecutive attempts of the same batch: the recovery
-    // ladder deterministically walks retry → OOM halving → retry
-    // exhaustion → CPU fallback, whatever the seed (same idiom as fig4).
-    let (tworkers, tgpus) = if fault_seed != 0 {
-        println!("\n[fault injection armed on the instrumented run: seed {fault_seed}]");
-        tsys.inject_faults(&gpusim::FaultSpec::demo(fault_seed));
-        (1, 1)
-    } else {
-        (4, 2)
-    };
-    let timg = mandel::hybrid::run_spar_gpu_rec::<CudaOffload>(
-        &tsys,
-        &params,
-        tworkers,
-        batch,
-        tgpus,
-        rec.clone(),
+    instrumented_run(
+        "fig1",
+        "image bit-identical to the fault-free render",
+        |tsys, rec, armed| {
+            let (workers, gpus) = if armed { (1, 1) } else { (4, 2) };
+            let timg = mandel::hybrid::run_spar_gpu::<CudaOffload>(
+                tsys,
+                &params,
+                workers,
+                batch,
+                gpus,
+                rec.clone(),
+            );
+            assert_eq!(
+                timg.digest(),
+                seq_img.digest(),
+                "instrumented run: image differs from sequential render"
+            );
+        },
     );
-    assert_eq!(
-        timg.digest(),
-        seq_img.digest(),
-        "instrumented run: image differs from sequential render"
-    );
-    sampler.stop();
-    // Stalls (if any) are printed by emit_telemetry; a healthy run has none.
-    let _ = watchdog.stop();
-    let trep = rec.report();
-    emit_telemetry("fig1", &trep);
-    if fault_seed != 0 {
-        assert!(
-            trep.retry_count() >= 1,
-            "fault injection armed but no retry was recorded"
-        );
-        assert!(
-            trep.fallback_count() >= 1,
-            "fault injection armed but no CPU fallback was recorded"
-        );
-        println!(
-            "fault injection: image bit-identical to the fault-free render \
-             ({} retries, {} cpu fallbacks)",
-            trep.retry_count(),
-            trep.fallback_count()
-        );
-    }
-    println!("{}", rec.health().describe());
-    live.finish();
 
     if tiny {
         println!("\n(tiny smoke run: figure-scale shape checks skipped)");
@@ -295,26 +262,12 @@ fn main() {
 // Auto-tune demo (`--auto-tune`)
 // ---------------------------------------------------------------------
 
-/// The paper's testbed generalized to N=4: two full Titan XPs plus two
-/// derated to half clock and half PCIe bandwidth — the heterogeneous
-/// fleet the cost-model scheduler has to discover.
-fn mixed_fleet() -> Arc<GpuSystem> {
-    GpuSystem::new_mixed(vec![
-        DeviceProps::titan_xp(),
-        DeviceProps::titan_xp(),
-        DeviceProps::titan_xp().derated("titan-xp-half", 0.5),
-        DeviceProps::titan_xp().derated("titan-xp-half", 0.5),
-    ])
-}
-
 /// The closed-loop mode: rediscover the fig1 operating point online,
 /// then place a long batch stream over an N=4 mixed fleet with the
 /// cost-model task-graph scheduler and compare it against round-robin.
-fn auto_tune_demo(params: &FractalParams, seq_img: &mandel::Image, tiny: bool) {
+fn auto_tune_demo(params: &FractalParams, seq_img: &mandel::Image, rec: &Recorder) {
     let dim = params.dim;
     let pixels = (dim * dim) as f64;
-    let rec = Recorder::enabled();
-    let live = live_observability("fig1", &rec);
 
     // The reference the controller never sees: the paper's hand-picked
     // fastest rung (batch 32, 4 memory spaces, 2 GPUs).
@@ -386,78 +339,47 @@ fn auto_tune_demo(params: &FractalParams, seq_img: &mandel::Image, tiny: bool) {
         outcome.mem_spaces
     );
 
-    placed_fleet_demo(params, seq_img, &rec, tiny);
-
-    emit_telemetry("fig1", &rec.report());
-    println!("{}", rec.health().describe());
-    live.finish();
+    mandel_fleet_demo(params, seq_img, rec);
 }
 
 /// Cost-model placement vs static round-robin on the N=4 mixed fleet,
-/// compared on the deterministic max-device-busy makespan proxy of the
-/// bit-checked placed pipeline.
-fn placed_fleet_demo(params: &FractalParams, seq_img: &mandel::Image, rec: &Recorder, tiny: bool) {
+/// both rendering the bit-checked image through the placed pipeline.
+fn mandel_fleet_demo(params: &FractalParams, seq_img: &mandel::Image, rec: &Recorder) {
     let dim = params.dim;
     // Short row spans so the stream is long enough for the scheduler to
     // learn the fleet (75 batches at figure scale).
     let pbatch: usize = 8;
     let n_dev = 4usize;
     let n_batches = dim.div_ceil(pbatch);
-
-    let run = |placer: Arc<dyn Placement>, sys: &Arc<GpuSystem>| -> u64 {
-        let work = MandelWork::<CudaOffload>::new(sys, params, pbatch, n_dev, n_dev);
-        let driver = WorkloadDriver::new(work).with_recorder(rec.clone());
-        let mut img = mandel::Image::new(dim);
-        driver.run_placed(
-            placer,
-            n_dev,
-            |b| *b as u64,
-            0..n_batches,
-            |done| {
-                let y0 = done.item * pbatch;
-                let rows = pbatch.min(dim - y0);
-                img.data[y0 * dim..y0 * dim + rows * dim]
-                    .copy_from_slice(&done.batch[..rows * dim]);
-            },
-        );
-        assert_eq!(
-            img.digest(),
-            seq_img.digest(),
-            "placed pipeline image differs from sequential render"
-        );
-        (0..n_dev)
-            .map(|d| sys.device(d).stats().total_busy().as_nanos())
-            .max()
-            .unwrap_or(0)
-    };
-
-    let sys_cm = mixed_fleet();
-    let sched =
-        CostModelScheduler::new(&sys_cm, SchedConfig::for_devices(n_dev), rec, "fig1.graph");
-    let cm_busy = run(Arc::clone(&sched) as Arc<dyn Placement>, &sys_cm);
-    let snap = sched.counters().snapshot();
-
-    let sys_rr = mixed_fleet();
-    let rr_busy = run(RoundRobinPlacement::new(n_dev), &sys_rr);
-
-    println!(
-        "placement on N={n_dev} mixed fleet ({n_batches} batches): cost-model \
-         max-device-busy {} vs round-robin {} ({} decisions, {:.0} ns/decision \
-         overhead)",
-        SimDuration::from_nanos(cm_busy),
-        SimDuration::from_nanos(rr_busy),
-        snap.decisions,
-        snap.overhead_per_decision_ns()
-    );
-    assert_eq!(snap.decisions, n_batches as u64, "one decision per batch");
-    if tiny {
-        println!("(tiny smoke run: placement makespan shape check skipped)");
-        return;
-    }
-    assert!(
-        cm_busy < rr_busy,
-        "cost-model placement must beat round-robin on the mixed fleet: \
-         {cm_busy} vs {rr_busy}"
+    placed_fleet_demo(
+        "fig1.graph",
+        rec,
+        n_dev,
+        SchedConfig::for_devices(n_dev),
+        &format!("{n_batches} batches"),
+        n_batches,
+        |placer, sys| {
+            let work = MandelWork::<CudaOffload>::new(sys, params, pbatch, n_dev, n_dev);
+            let driver = WorkloadDriver::new(work).with_recorder(rec.clone());
+            let mut img = mandel::Image::new(dim);
+            driver.run_placed(
+                placer,
+                n_dev,
+                |b| *b as u64,
+                0..n_batches,
+                |done| {
+                    let y0 = done.item * pbatch;
+                    let rows = pbatch.min(dim - y0);
+                    img.data[y0 * dim..y0 * dim + rows * dim]
+                        .copy_from_slice(&done.batch[..rows * dim]);
+                },
+            );
+            assert_eq!(
+                img.digest(),
+                seq_img.digest(),
+                "placed pipeline image differs from sequential render"
+            );
+        },
     );
 }
 
@@ -470,15 +392,13 @@ fn placed_fleet_demo(params: &FractalParams, seq_img: &mandel::Image, rec: &Reco
 type SpanItem = (u32, u64, u32, u32);
 
 fn source_demo(mode: &str, params: &FractalParams, seq_img: &mandel::Image, batch: usize) {
-    let rec = Recorder::enabled();
-    let live = live_observability("fig1", &rec);
-    match mode {
+    observed_run("fig1", |rec| match mode {
         "file" => {
             // Round-robin over the shards; `--kill-after N` exits between
             // "egress record durable" and "input offset committed".
             let outcome = mandel_ingress_demo::<CudaOffload>(
                 "fig1",
-                &rec,
+                rec,
                 params,
                 seq_img,
                 batch,
@@ -491,12 +411,9 @@ fn source_demo(mode: &str, params: &FractalParams, seq_img: &mandel::Image, batc
                 );
             }
         }
-        "tcp" => tcp_source_demo(params, seq_img, batch, &rec),
+        "tcp" => tcp_source_demo(params, seq_img, batch, rec),
         other => panic!("--source {other}: expected 'file' or 'tcp'"),
-    }
-    emit_telemetry("fig1", &rec.report());
-    println!("{}", rec.health().describe());
-    live.finish();
+    });
 }
 
 /// The live path: an in-process TCP ingress server fed by a producer

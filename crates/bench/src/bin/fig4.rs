@@ -28,8 +28,8 @@
 use std::sync::Arc;
 
 use bench::{
-    arg, emit_telemetry, flag, live_observability, mandel_ingress_demo, secs, shard_of, Report,
-    ShapeChecks,
+    arg, emit_telemetry, flag, instrumented_run, mandel_ingress_demo, observed_run, secs, shard_of,
+    Report, ShapeChecks,
 };
 use gpusim::{DeviceProps, GpuSystem, OclOffload};
 use mandel::core::FractalParams;
@@ -136,73 +136,41 @@ fn main() {
 
     // A real instrumented combined run — FastFlow + OpenCL here, the
     // models fig1's telemetry (SPar + CUDA) does not cover — with stage
-    // metrics and device traces on one merged timeline.
-    let rec = Recorder::enabled();
-    let live = live_observability("fig4", &rec);
-    let sampler = rec.sample_windows(std::time::Duration::from_millis(1));
-    let watchdog = rec.watchdog(std::time::Duration::from_millis(10), 5);
-    let tsys = GpuSystem::new(2, DeviceProps::titan_xp());
-    let fault_seed: u64 = arg("--inject-faults", 0u64);
-    // The armed run is serial on one device so the injected fault budget
-    // lands on consecutive attempts of the same batch: the recovery
-    // ladder deterministically walks retry → OOM halving → retry
-    // exhaustion → CPU fallback, whatever the seed.
-    let (tworkers, tgpus) = if fault_seed != 0 {
-        println!("\n[fault injection armed on the instrumented runs: seed {fault_seed}]");
-        tsys.inject_faults(&gpusim::FaultSpec::demo(fault_seed));
-        (1, 1)
-    } else {
-        (4, 2)
-    };
+    // metrics and device traces on one merged timeline; then TBB + OpenCL
+    // on the same devices under a recorder of its own.
     let tparams = FractalParams::view(dim.min(256), niter.min(500));
-    let timg = mandel::hybrid::run_fastflow_gpu_rec::<OclOffload>(
-        &tsys,
-        &tparams,
-        tworkers,
-        batch,
-        tgpus,
-        rec.clone(),
+    instrumented_run(
+        "fig4",
+        "image bit-identical to the fault-free render",
+        |tsys, rec, armed| {
+            let (workers, gpus) = if armed { (1, 1) } else { (4, 2) };
+            let timg = mandel::hybrid::run_fastflow_gpu::<OclOffload>(
+                tsys,
+                &tparams,
+                workers,
+                batch,
+                gpus,
+                rec.clone(),
+            );
+            assert_eq!(
+                timg.digest(),
+                mandel::cpu::run_sequential(&tparams).0.digest(),
+                "instrumented run: image differs from sequential render"
+            );
+            let pool = Arc::new(tbbx::TaskPool::new(4));
+            let trec = Recorder::enabled();
+            let _ = mandel::hybrid::run_tbb_gpu::<OclOffload>(
+                tsys,
+                &tparams,
+                &pool,
+                8,
+                batch,
+                2,
+                trec.clone(),
+            );
+            emit_telemetry("fig4_tbb", &trec.report());
+        },
     );
-    assert_eq!(
-        timg.digest(),
-        mandel::cpu::run_sequential(&tparams).0.digest(),
-        "instrumented run: image differs from sequential render"
-    );
-    let pool = Arc::new(tbbx::TaskPool::new(4));
-    let trec = Recorder::enabled();
-    let _ = mandel::hybrid::run_tbb_gpu_rec::<OclOffload>(
-        &tsys,
-        &tparams,
-        &pool,
-        8,
-        batch,
-        2,
-        trec.clone(),
-    );
-    sampler.stop();
-    // Stalls (if any) are printed by emit_telemetry; a healthy run has none.
-    let _ = watchdog.stop();
-    let trep = rec.report();
-    emit_telemetry("fig4", &trep);
-    emit_telemetry("fig4_tbb", &trec.report());
-    if fault_seed != 0 {
-        assert!(
-            trep.retry_count() >= 1,
-            "fault injection armed but no retry was recorded"
-        );
-        assert!(
-            trep.fallback_count() >= 1,
-            "fault injection armed but no CPU fallback was recorded"
-        );
-        println!(
-            "fault injection: image bit-identical to the fault-free render \
-             ({} retries, {} cpu fallbacks)",
-            trep.retry_count(),
-            trep.fallback_count()
-        );
-    }
-    println!("{}", rec.health().describe());
-    live.finish();
 
     if tiny {
         println!("\n(tiny smoke run: figure-scale shape checks skipped)");
@@ -268,12 +236,9 @@ fn main() {
 /// — `shard_of(y0)` — so one row span's key always rides one shard.
 fn file_source_demo(params: &FractalParams, batch: usize) {
     let (seq_img, _) = mandel::cpu::run_sequential(params);
-    let rec = Recorder::enabled();
-    let live = live_observability("fig4", &rec);
-    mandel_ingress_demo::<OclOffload>("fig4", &rec, params, &seq_img, batch, |y0, shards| {
-        shard_of(u64::from(y0), shards)
+    observed_run("fig4", |rec| {
+        mandel_ingress_demo::<OclOffload>("fig4", rec, params, &seq_img, batch, |y0, shards| {
+            shard_of(u64::from(y0), shards)
+        });
     });
-    emit_telemetry("fig4", &rec.report());
-    println!("{}", rec.health().describe());
-    live.finish();
 }

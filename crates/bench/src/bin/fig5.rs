@@ -27,14 +27,15 @@
 //! is consumed with resumable group offsets, and the reassembled stream
 //! must round-trip bit-exactly through the GPU dedup pipeline.
 
-use bench::{arg, emit_telemetry, ingress_demo, live_observability, shard_of, Report, ShapeChecks};
+use std::sync::Arc;
+
+use bench::{arg, ingress_demo, instrumented_run, observed_run, shard_of, Report, ShapeChecks};
 use dedup::datasets;
 use dedup::single::{run_single_cuda, run_single_ocl};
 use dedup::{BackendCtx, DedupConfig, HostCosts, LzssConfig, OffloadBackend, RabinParams};
 use gpusim::{CudaOffload, DeviceProps, GpuSystem};
 use perfmodel::dedupmodel::{self, GpuApi};
 use perfmodel::machine::CpuModel;
-use telemetry::Recorder;
 
 fn config(batch_kb: usize) -> DedupConfig {
     DedupConfig {
@@ -209,53 +210,26 @@ fn main() {
     // Regenerate Fig. 3's activity graph from a *real* instrumented run of
     // the 5-stage pipeline: stage metrics from the SPar region merged with
     // the two simulated devices' command traces.
-    let rec = Recorder::enabled();
-    let live = live_observability("fig5", &rec);
-    let sampler = rec.sample_windows(std::time::Duration::from_millis(1));
-    let watchdog = rec.watchdog(std::time::Duration::from_millis(10), 5);
-    let tsys = GpuSystem::new(2, DeviceProps::titan_xp());
-    let fault_seed: u64 = arg("--inject-faults", 0u64);
-    if fault_seed != 0 {
-        println!("\n[fault injection armed on the instrumented run: seed {fault_seed}]");
-        tsys.inject_faults(&gpusim::FaultSpec::demo(fault_seed));
-    }
-    let ctx = BackendCtx::gpu(tsys, 2, true, cfg.lzss);
-    let ds = datasets::parsec_like(size.min(400_000), 42);
-    let archive = dedup::run_pipeline_rec::<OffloadBackend<CudaOffload>>(
-        ctx,
-        ds.data.clone(),
-        &cfg,
-        3,
-        rec.clone(),
+    instrumented_run(
+        "fig5",
+        "archive bit-identical to the fault-free run",
+        |tsys, rec, _armed| {
+            let ctx = BackendCtx::gpu(Arc::clone(tsys), 2, true, cfg.lzss);
+            let ds = datasets::parsec_like(size.min(400_000), 42);
+            let archive = dedup::run_pipeline_rec::<OffloadBackend<CudaOffload>>(
+                ctx,
+                ds.data.clone(),
+                &cfg,
+                3,
+                rec.clone(),
+            );
+            assert_eq!(
+                archive.decompress().expect("roundtrip"),
+                ds.data,
+                "instrumented run: archive must decompress to the input"
+            );
+        },
     );
-    assert_eq!(
-        archive.decompress().expect("roundtrip"),
-        ds.data,
-        "instrumented run: archive must decompress to the input"
-    );
-    sampler.stop();
-    // Stalls (if any) are printed by emit_telemetry; a healthy run has none.
-    let _ = watchdog.stop();
-    let trep = rec.report();
-    emit_telemetry("fig5", &trep);
-    if fault_seed != 0 {
-        assert!(
-            trep.retry_count() >= 1,
-            "fault injection armed but no retry was recorded"
-        );
-        assert!(
-            trep.fallback_count() >= 1,
-            "fault injection armed but no CPU fallback was recorded"
-        );
-        println!(
-            "fault injection: archive bit-identical to the fault-free run \
-             ({} retries, {} cpu fallbacks)",
-            trep.retry_count(),
-            trep.fallback_count()
-        );
-    }
-    println!("{}", rec.health().describe());
-    live.finish();
 
     println!("\nShape checks (the paper's qualitative claims):");
     checks.finish();
@@ -272,8 +246,6 @@ fn main() {
 fn file_source_demo(size: usize, cfg: &DedupConfig) {
     let shards: u32 = arg("--shards", 2u32);
     assert!(shards >= 1, "--shards must be at least 1");
-    let rec = Recorder::enabled();
-    let live = live_observability("fig5", &rec);
     let ds = datasets::parsec_like(size.min(400_000), 42);
     let records: Vec<(u32, Vec<u8>)> = ds
         .data
@@ -288,44 +260,43 @@ fn file_source_demo(size: usize, cfg: &DedupConfig) {
         .collect();
     let n_segments = records.len();
 
-    let outcome = ingress_demo("fig5", &rec, shards, &records, |segment| segment.to_vec());
+    observed_run("fig5", |rec| {
+        let outcome = ingress_demo("fig5", rec, shards, &records, |segment| segment.to_vec());
 
-    // Covers both the fresh run and the fully-committed restart: every
-    // segment exactly once, on its key's shard, bit-exact round-trip
-    // through the pipeline required.
-    let mut segments: Vec<Option<&[u8]>> = vec![None; n_segments];
-    for (shard, records) in &outcome.egress {
-        for bytes in records {
-            let idx = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-            assert_eq!(
-                *shard,
-                shard_of(idx as u64, shards),
-                "segment {idx} on the wrong shard for its key"
-            );
-            assert!(segments[idx].is_none(), "segment {idx} emitted twice");
-            segments[idx] = Some(&bytes[4..]);
+        // Covers both the fresh run and the fully-committed restart: every
+        // segment exactly once, on its key's shard, bit-exact round-trip
+        // through the pipeline required.
+        let mut segments: Vec<Option<&[u8]>> = vec![None; n_segments];
+        for (shard, records) in &outcome.egress {
+            for bytes in records {
+                let idx = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
+                assert_eq!(
+                    *shard,
+                    shard_of(idx as u64, shards),
+                    "segment {idx} on the wrong shard for its key"
+                );
+                assert!(segments[idx].is_none(), "segment {idx} emitted twice");
+                segments[idx] = Some(&bytes[4..]);
+            }
         }
-    }
-    let mut data = Vec::with_capacity(ds.data.len());
-    for (i, segment) in segments.into_iter().enumerate() {
-        data.extend_from_slice(segment.unwrap_or_else(|| panic!("segment {i} missing")));
-    }
-    assert_eq!(data, ds.data, "reassembled stream differs from the dataset");
+        let mut data = Vec::with_capacity(ds.data.len());
+        for (i, segment) in segments.into_iter().enumerate() {
+            data.extend_from_slice(segment.unwrap_or_else(|| panic!("segment {i} missing")));
+        }
+        assert_eq!(data, ds.data, "reassembled stream differs from the dataset");
 
-    let tsys = GpuSystem::new(2, DeviceProps::titan_xp());
-    let ctx = BackendCtx::gpu(tsys, 2, true, cfg.lzss);
-    let archive =
-        dedup::run_pipeline_rec::<OffloadBackend<CudaOffload>>(ctx, data, cfg, 3, rec.clone());
-    assert_eq!(
-        archive.decompress().expect("roundtrip"),
-        ds.data,
-        "ingress-fed archive must decompress to the input"
-    );
-    println!(
-        "ingress archive bit-exact ({n_segments} segments, per-key sharded, \
-         exactly-once consumption)"
-    );
-    emit_telemetry("fig5", &rec.report());
-    println!("{}", rec.health().describe());
-    live.finish();
+        let tsys = GpuSystem::new(2, DeviceProps::titan_xp());
+        let ctx = BackendCtx::gpu(tsys, 2, true, cfg.lzss);
+        let archive =
+            dedup::run_pipeline_rec::<OffloadBackend<CudaOffload>>(ctx, data, cfg, 3, rec.clone());
+        assert_eq!(
+            archive.decompress().expect("roundtrip"),
+            ds.data,
+            "ingress-fed archive must decompress to the input"
+        );
+        println!(
+            "ingress archive bit-exact ({n_segments} segments, per-key sharded, \
+             exactly-once consumption)"
+        );
+    });
 }

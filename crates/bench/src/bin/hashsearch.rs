@@ -17,24 +17,21 @@
 //! on the instrumented run: the ranking must stay bit-exact via retry +
 //! CPU fallback, and the recorded fault events are printed and asserted.
 //! Pass `--devices N` (N >= 2) to also place the sweep over an N-device
-//! mixed fleet (odd indices derated to half speed) with the cost-model
+//! mixed fleet (the second half derated to half speed) with the cost-model
 //! task-graph scheduler: nonce ranges are keyed into persistent lanes so
 //! device residency matters, the ranking must stay bit-identical under
 //! any placement, and at figure scale the cost-model makespan proxy
 //! (max device busy) must beat static round-robin.
 
-use std::sync::Arc;
-
-use bench::{arg, emit_telemetry, flag, live_observability, Report, ShapeChecks};
+use bench::{arg, flag, instrumented_run, placed_fleet_demo, Report, ShapeChecks};
 use dedup::sha1::Digest;
 use gpusim::{CudaOffload, DeviceProps, GpuSystem, OclOffload};
 use hashsearch::{
     score, search, search_cpu, Candidate, SearchConfig, SearchWork, TopK, DIGEST_BYTES,
 };
-use simtime::SimDuration;
-use taskgraph::{CostModelScheduler, SchedConfig};
+use taskgraph::SchedConfig;
 use telemetry::Recorder;
-use workload::{Placement, RoundRobinPlacement, WorkloadDriver};
+use workload::WorkloadDriver;
 
 /// Lanes the placement demo keys ranges into: few enough that every lane
 /// recurs many times (residency has something to exploit), more than the
@@ -105,28 +102,19 @@ fn main() {
     topk.emit("hashsearch_topk");
 
     // An instrumented run for the merged stage/engine timeline — and the
-    // fault-injection gate when armed. The armed run is serial on one
-    // device so the injected fault budget lands on consecutive attempts
-    // of the same item: the ladder deterministically walks retry → OOM
-    // halving → retry exhaustion → CPU fallback, whatever the seed.
-    let fault_seed: u64 = arg("--inject-faults", 0u64);
-    let tsys = GpuSystem::new(2, DeviceProps::titan_xp());
-    let (tworkers, tgpus) = if fault_seed != 0 {
-        println!("\n[fault injection armed on the instrumented run: seed {fault_seed}]");
-        tsys.inject_faults(&gpusim::FaultSpec::demo(fault_seed));
-        (1, 1)
-    } else {
-        (workers, 2)
-    };
-    let trec = Recorder::enabled();
-    let live = live_observability("hashsearch", &trec);
-    let tgot = search::<CudaOffload>(&tsys, &cfg, tworkers, tgpus, trec.clone());
-    assert_eq!(
-        tgot, reference,
-        "instrumented run: ranking differs from the host reference"
+    // fault-injection gate when armed.
+    let trep = instrumented_run(
+        "hashsearch",
+        "ranking bit-identical to the host reference",
+        |tsys, trec, armed| {
+            let (tworkers, tgpus) = if armed { (1, 1) } else { (workers, 2) };
+            let tgot = search::<CudaOffload>(tsys, &cfg, tworkers, tgpus, trec.clone());
+            assert_eq!(
+                tgot, reference,
+                "instrumented run: ranking differs from the host reference"
+            );
+        },
     );
-    let trep = trec.report();
-    emit_telemetry("hashsearch", &trep);
     // Pool-registration parity with the figure binaries: the digest
     // recycle pool must surface in the report (and hence in /metrics).
     assert!(
@@ -134,28 +122,10 @@ fn main() {
             .any(|p| p.labels == ["hashsearch.digests"]),
         "hashsearch.digests pool missing from the telemetry report"
     );
-    if fault_seed != 0 {
-        assert!(
-            trep.retry_count() >= 1,
-            "fault injection armed but no retry was recorded"
-        );
-        assert!(
-            trep.fallback_count() >= 1,
-            "fault injection armed but no CPU fallback was recorded"
-        );
-        println!(
-            "fault injection: ranking bit-identical to the host reference \
-             ({} retries, {} cpu fallbacks)",
-            trep.retry_count(),
-            trep.fallback_count()
-        );
-    }
-    println!("{}", trec.health().describe());
-    live.finish();
 
     let n_dev: usize = arg("--devices", 0usize);
     if n_dev >= 2 {
-        placed_fleet_demo(&cfg, &reference, n_dev, tiny);
+        search_fleet_demo(&cfg, &reference, n_dev);
     }
 
     if tiny {
@@ -199,95 +169,54 @@ fn main() {
 }
 
 /// Cost-model placement vs static round-robin over an N-device mixed
-/// fleet (odd indices derated to half clock and half PCIe bandwidth).
-/// Ranges are keyed into [`PLACEMENT_LANES`] recurring lanes so the
+/// fleet. Ranges are keyed into [`PLACEMENT_LANES`] recurring lanes so the
 /// scheduler's residency tracking has persistent keys to keep warm; both
 /// placements must reproduce the host reference ranking bit-for-bit.
-fn placed_fleet_demo(cfg: &SearchConfig, reference: &[Candidate], n_dev: usize, tiny: bool) {
+fn search_fleet_demo(cfg: &SearchConfig, reference: &[Candidate], n_dev: usize) {
     let rec = Recorder::enabled();
-    let mixed = || -> Arc<GpuSystem> {
-        GpuSystem::new_mixed(
-            (0..n_dev)
-                .map(|d| {
-                    if d % 2 == 1 {
-                        DeviceProps::titan_xp().derated("titan-xp-half", 0.5)
-                    } else {
-                        DeviceProps::titan_xp()
-                    }
-                })
-                .collect(),
-        )
-    };
     let ranges = cfg.ranges();
-    let n_items = ranges.len();
-
-    let run = |placer: Arc<dyn Placement>, sys: &Arc<GpuSystem>| -> u64 {
-        let work = SearchWork::<CudaOffload>::new(sys, cfg, n_dev, n_dev);
-        let recycle = work.recycler().clone();
-        let driver = WorkloadDriver::new(work).with_recorder(rec.clone());
-        let mut top = TopK::new(cfg.k);
-        driver.run_placed(
-            placer,
-            n_dev,
-            |r| r.index as u64 % PLACEMENT_LANES,
-            ranges.clone(),
-            |done| {
-                for i in 0..done.item.count {
-                    let mut raw = [0u8; DIGEST_BYTES];
-                    raw.copy_from_slice(&done.batch[i * DIGEST_BYTES..(i + 1) * DIGEST_BYTES]);
-                    let digest = Digest(raw);
-                    top.offer(Candidate {
-                        nonce: done.item.start + i as u64,
-                        score: score(&digest),
-                        digest,
-                    });
-                }
-                recycle.give(done.batch);
-            },
-        );
-        assert_eq!(
-            top.into_sorted(),
-            reference,
-            "placed sweep: ranking differs from the host reference"
-        );
-        (0..n_dev)
-            .map(|d| sys.device(d).stats().total_busy().as_nanos())
-            .max()
-            .unwrap_or(0)
-    };
-
-    let sys_cm = mixed();
     // Nonce ranges are cheap (~tens of µs modeled) — the default 20 µs
     // migration penalty would exceed the fast/slow cost delta per range
     // and greedily pin every lane wherever warm-up dropped it. Size the
     // penalty below that delta so lanes can drain off the slow devices.
     let mut sched_cfg = SchedConfig::for_devices(n_dev);
     sched_cfg.migration_penalty_ns = 2_000;
-    let sched = CostModelScheduler::new(&sys_cm, sched_cfg, &rec, "hashsearch.graph");
-    let cm_busy = run(Arc::clone(&sched) as Arc<dyn Placement>, &sys_cm);
-    let snap = sched.counters().snapshot();
-
-    let sys_rr = mixed();
-    let rr_busy = run(RoundRobinPlacement::new(n_dev), &sys_rr);
-
-    println!(
-        "\nplacement on N={n_dev} mixed fleet ({n_items} ranges, {PLACEMENT_LANES} key lanes): \
-         cost-model max-device-busy {} vs round-robin {} ({} decisions, \
-         {} residency hits, {:.0} ns/decision overhead)",
-        SimDuration::from_nanos(cm_busy),
-        SimDuration::from_nanos(rr_busy),
-        snap.decisions,
-        snap.residency_hits,
-        snap.overhead_per_decision_ns()
-    );
-    assert_eq!(snap.decisions, n_items as u64, "one decision per range");
-    if tiny {
-        println!("(tiny smoke run: placement makespan shape check skipped)");
-        return;
-    }
-    assert!(
-        cm_busy < rr_busy,
-        "cost-model placement must beat round-robin on the mixed fleet: \
-         {cm_busy} vs {rr_busy}"
+    placed_fleet_demo(
+        "hashsearch.graph",
+        &rec,
+        n_dev,
+        sched_cfg,
+        &format!("{} ranges, {PLACEMENT_LANES} key lanes", ranges.len()),
+        ranges.len(),
+        |placer, sys| {
+            let work = SearchWork::<CudaOffload>::new(sys, cfg, n_dev, n_dev);
+            let recycle = work.recycler().clone();
+            let driver = WorkloadDriver::new(work).with_recorder(rec.clone());
+            let mut top = TopK::new(cfg.k);
+            driver.run_placed(
+                placer,
+                n_dev,
+                |r| r.index as u64 % PLACEMENT_LANES,
+                ranges.clone(),
+                |done| {
+                    for i in 0..done.item.count {
+                        let mut raw = [0u8; DIGEST_BYTES];
+                        raw.copy_from_slice(&done.batch[i * DIGEST_BYTES..(i + 1) * DIGEST_BYTES]);
+                        let digest = Digest(raw);
+                        top.offer(Candidate {
+                            nonce: done.item.start + i as u64,
+                            score: score(&digest),
+                            digest,
+                        });
+                    }
+                    recycle.give(done.batch);
+                },
+            );
+            assert_eq!(
+                top.into_sorted(),
+                reference,
+                "placed sweep: ranking differs from the host reference"
+            );
+        },
     );
 }

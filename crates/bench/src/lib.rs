@@ -27,8 +27,10 @@ use ingress::{
 };
 use mandel::core::FractalParams;
 use mandel::hybrid::MandelWork;
-use telemetry::{FlightKind, Recorder};
-use workload::WorkloadDriver;
+use simtime::SimDuration;
+use taskgraph::{CostModelScheduler, SchedConfig};
+use telemetry::{FlightKind, Recorder, TelemetryReport};
+use workload::{Placement, RoundRobinPlacement, WorkloadDriver};
 
 /// A simple table accumulator that renders aligned text and CSV.
 pub struct Report {
@@ -283,6 +285,133 @@ impl LiveObservability {
             s.stop();
         }
     }
+}
+
+/// Run `body` under a live recorder wired into the observability plane
+/// ([`live_observability`]), then print and write its report
+/// ([`emit_telemetry`]) and the health line, and shut the plane down.
+pub fn observed_run(name: &str, body: impl FnOnce(&Recorder)) -> TelemetryReport {
+    let rec = Recorder::enabled();
+    let live = live_observability(name, &rec);
+    body(&rec);
+    let report = rec.report();
+    emit_telemetry(name, &report);
+    println!("{}", rec.health().describe());
+    live.finish();
+    report
+}
+
+/// The instrumented run every figure ends with: an [`observed_run`] of
+/// `run` on a fresh two-GPU system with the 1 ms window sampler and the
+/// stall watchdog on (stalls, if any, are printed with the report; a
+/// healthy run has none). `--inject-faults <seed>` arms the demo fault
+/// schedule on that system first and `run` is told so: an armed run should
+/// be serial on one device, so the fault budget lands on consecutive
+/// attempts of the same batch and the ladder deterministically walks retry
+/// → OOM halving → retry exhaustion → CPU fallback, whatever the seed.
+/// `run` checks its own output; an armed run must also have recorded a
+/// retry and a CPU fallback, and `verdict` says what stayed exact.
+pub fn instrumented_run(
+    name: &str,
+    verdict: &str,
+    run: impl FnOnce(&Arc<GpuSystem>, &Recorder, bool),
+) -> TelemetryReport {
+    let fault_seed: u64 = arg("--inject-faults", 0u64);
+    let report = observed_run(name, |rec| {
+        let sampler = rec.sample_windows(std::time::Duration::from_millis(1));
+        let watchdog = rec.watchdog(std::time::Duration::from_millis(10), 5);
+        let system = GpuSystem::new(2, DeviceProps::titan_xp());
+        if fault_seed != 0 {
+            println!("\n[fault injection armed on the instrumented run: seed {fault_seed}]");
+            system.inject_faults(&gpusim::FaultSpec::demo(fault_seed));
+        }
+        run(&system, rec, fault_seed != 0);
+        sampler.stop();
+        let _ = watchdog.stop();
+    });
+    if fault_seed != 0 {
+        assert!(
+            report.retry_count() >= 1,
+            "fault injection armed but no retry was recorded"
+        );
+        assert!(
+            report.fallback_count() >= 1,
+            "fault injection armed but no CPU fallback was recorded"
+        );
+        println!(
+            "fault injection: {verdict} ({} retries, {} cpu fallbacks)",
+            report.retry_count(),
+            report.fallback_count()
+        );
+    }
+    report
+}
+
+/// The paper's testbed generalized to `n_dev` devices: the first half
+/// full Titan XPs, the rest derated to half clock and half PCIe bandwidth
+/// — the heterogeneous fleet the cost-model scheduler has to discover.
+pub fn mixed_fleet(n_dev: usize) -> Arc<GpuSystem> {
+    GpuSystem::new_mixed(
+        (0..n_dev)
+            .map(|d| {
+                if d < n_dev.div_ceil(2) {
+                    DeviceProps::titan_xp()
+                } else {
+                    DeviceProps::titan_xp().derated("titan-xp-half", 0.5)
+                }
+            })
+            .collect(),
+    )
+}
+
+/// Cost-model placement vs static round-robin over a [`mixed_fleet`],
+/// compared on the deterministic makespan proxy (max device busy).
+/// `run(placer, fleet)` drives the harness's placed pipeline over a fresh
+/// fleet and checks its output, which must be bit-exact under either
+/// placement; `stream` describes the `n_items` it placed, for the report
+/// line. At figure scale (no `--tiny`) the cost model must win.
+pub fn placed_fleet_demo(
+    graph: &str,
+    rec: &Recorder,
+    n_dev: usize,
+    cfg: SchedConfig,
+    stream: &str,
+    n_items: usize,
+    run: impl Fn(Arc<dyn Placement>, &Arc<GpuSystem>),
+) {
+    let busiest = |fleet: &GpuSystem| -> u64 {
+        (0..n_dev)
+            .map(|d| fleet.device(d).stats().total_busy().as_nanos())
+            .max()
+            .unwrap_or(0)
+    };
+    let fleet = mixed_fleet(n_dev);
+    let sched = CostModelScheduler::new(&fleet, cfg, rec, graph);
+    run(Arc::clone(&sched) as Arc<dyn Placement>, &fleet);
+    let cm_busy = busiest(&fleet);
+    let snap = sched.counters().snapshot();
+    let fleet = mixed_fleet(n_dev);
+    run(RoundRobinPlacement::new(n_dev), &fleet);
+    let rr_busy = busiest(&fleet);
+    println!(
+        "placement on N={n_dev} mixed fleet ({stream}): cost-model max-device-busy {} \
+         vs round-robin {} ({} decisions, {} residency hits, {:.0} ns/decision overhead)",
+        SimDuration::from_nanos(cm_busy),
+        SimDuration::from_nanos(rr_busy),
+        snap.decisions,
+        snap.residency_hits,
+        snap.overhead_per_decision_ns()
+    );
+    assert_eq!(snap.decisions, n_items as u64, "one decision per item");
+    if flag("--tiny") {
+        println!("(tiny smoke run: placement makespan shape check skipped)");
+        return;
+    }
+    assert!(
+        cm_busy < rr_busy,
+        "cost-model placement must beat round-robin on the mixed fleet: \
+         {cm_busy} vs {rr_busy}"
+    );
 }
 
 /// A named shape assertion: prints PASS/FAIL and tracks overall status.

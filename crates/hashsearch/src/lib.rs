@@ -21,7 +21,9 @@ use fastflow::{FaultPolicy, Recycler};
 use gpusim::GpuSystem;
 pub use gpusim::{CudaOffload, OclOffload, Offload};
 use telemetry::Recorder;
-use workload::{arm_gpu_traces, drain_gpu_traces, Workload, WorkloadDriver, WorkloadFault};
+use workload::{
+    arm_gpu_traces, drain_gpu_traces, DeviceOut, Workload, WorkloadDriver, WorkloadFault,
+};
 
 use crate::kernels::NonceSearchKernel;
 
@@ -165,65 +167,9 @@ impl TopK {
     }
 }
 
-/// One offloader plus its lazily (re)sized device digest buffer — a
-/// replica's GPU state (`Workload::Gpu`). There is no host staging
-/// buffer: digests DMA straight into the caller's batch under a
-/// per-transfer pin.
-pub struct SearchCompute<O: Offload> {
-    off: O,
-    dev: Option<O::Buffer<u8>>,
-}
-
-impl<O: Offload> SearchCompute<O> {
-    /// Bind to `device`, on the thread that will compute.
-    pub fn new(system: &Arc<GpuSystem>, device: usize) -> Self {
-        SearchCompute {
-            off: O::attach(system, device),
-            dev: None,
-        }
-    }
-
-    /// Hash nonces `start..start + count`, writing `count * 20` digest
-    /// bytes into `out`. The device buffer is grow-only and the
-    /// read-back lands directly in `out[..len]` (page-locked for the
-    /// transfer), so with a stable range size the steady state touches
-    /// neither an allocator nor memcpy; a sub-range after an OOM
-    /// allocates only its own (halved) span.
-    pub fn try_search_into(
-        &mut self,
-        midstate: [u32; 5],
-        header_len: u64,
-        start: u64,
-        count: usize,
-        out: &mut [u8],
-    ) -> Result<(), WorkloadFault> {
-        let len = count * DIGEST_BYTES;
-        if self.dev.as_ref().map_or(0, |b| O::buffer_len(b)) < len {
-            self.dev = None;
-            self.dev = Some(self.off.try_alloc(len)?);
-        }
-        let dev = self.dev.as_ref().expect("allocated");
-        self.off.try_launch(
-            NonceSearchKernel {
-                midstate,
-                header_len,
-                start_nonce: start,
-                n_nonces: count,
-                out: O::buffer_ptr(dev),
-            },
-            count as u64,
-            BLOCK_1D,
-        )?;
-        // Idempotent for pool-backed buffers; covers recycled Vecs too.
-        let _pin = gpusim::PinnedSlab::register(&out[..len]);
-        self.off.d2h(dev, &mut out[..len]);
-        self.off.sync();
-        Ok(())
-    }
-}
-
 /// The hash search declared as a [`Workload`]: items are nonce ranges,
-/// batches are recycled digest-byte vectors, splitting halves the range.
+/// batches are recycled digest-byte vectors, splitting halves the range,
+/// GPU state is a per-replica [`DeviceOut`] holding the digest buffer.
 pub struct SearchWork<O: Offload> {
     system: Arc<GpuSystem>,
     n_gpus: usize,
@@ -279,7 +225,7 @@ impl<O: Offload> SearchWork<O> {
 impl<O: Offload> Workload for SearchWork<O> {
     type Item = NonceRange;
     type Batch = Vec<u8>;
-    type Gpu = SearchCompute<O>;
+    type Gpu = DeviceOut<O>;
 
     fn stage_label(&self) -> &'static str {
         SEARCH_STAGE
@@ -293,8 +239,8 @@ impl<O: Offload> Workload for SearchWork<O> {
         format!("range {}", item.index)
     }
 
-    fn attach(&self, replica: usize) -> SearchCompute<O> {
-        SearchCompute::new(&self.system, replica % self.n_gpus)
+    fn attach(&self, replica: usize) -> DeviceOut<O> {
+        DeviceOut::attach(&self.system, replica % self.n_gpus)
     }
 
     fn make_batch(&self, item: &NonceRange) -> Vec<u8> {
@@ -306,32 +252,38 @@ impl<O: Offload> Workload for SearchWork<O> {
 
     fn try_gpu_batch(
         &self,
-        gpu: &mut SearchCompute<O>,
+        gpu: &mut DeviceOut<O>,
         item: &NonceRange,
         out: &mut Vec<u8>,
     ) -> Result<(), WorkloadFault> {
-        gpu.try_search_into(self.midstate, self.header_len, item.start, item.count, out)
+        self.try_gpu_split(gpu, item, 0, item.count, out)
     }
 
     fn split_units(&self, item: &NonceRange) -> usize {
         item.count
     }
 
+    /// Hash nonces `lo..hi` of the range into their `20`-byte slots of
+    /// `out`; a sub-range after an OOM sizes the device buffer to its own
+    /// (halved) span.
     fn try_gpu_split(
         &self,
-        gpu: &mut SearchCompute<O>,
+        gpu: &mut DeviceOut<O>,
         item: &NonceRange,
         lo: usize,
         hi: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), WorkloadFault> {
-        gpu.try_search_into(
-            self.midstate,
-            self.header_len,
-            item.start + lo as u64,
-            hi - lo,
-            &mut out[lo * DIGEST_BYTES..hi * DIGEST_BYTES],
-        )
+        let digests = &mut out[lo * DIGEST_BYTES..hi * DIGEST_BYTES];
+        gpu.launch_into(digests, (hi - lo) as u64, BLOCK_1D, |out| {
+            NonceSearchKernel {
+                midstate: self.midstate,
+                header_len: self.header_len,
+                start_nonce: item.start + lo as u64,
+                n_nonces: hi - lo,
+                out,
+            }
+        })
     }
 
     fn cpu_batch(&self, item: &NonceRange, out: &mut Vec<u8>) {

@@ -1,13 +1,13 @@
 //! Multi-core + GPU versions: SPar, FastFlow and TBB pipelines whose
 //! replicated middle stage offloads batches of lines to the simulated GPUs.
 //!
-//! Since the Workload SDK landed, this module declares *what* Mandelbrot
-//! offload means — [`MandelWork`], a [`Workload`] impl pairing
-//! [`BatchCompute`] (the device path) with the row-by-row host
+//! This module declares *what* Mandelbrot offload means — [`MandelWork`],
+//! a [`Workload`] impl pairing the batch and row-span kernels (launched
+//! through the SDK's [`DeviceOut`]) with the row-by-row host
 //! implementation — and the generic [`WorkloadDriver`] owns *how* it
-//! survives: retries, OOM batch-halving (via
-//! [`RowSpanKernel`] on half-spans), and
-//! the bit-identical CPU fallback. No recovery logic lives here.
+//! survives: retries, OOM batch-halving (via [`RowSpanKernel`] on
+//! half-spans), and the bit-identical CPU fallback. No recovery logic and
+//! no device plumbing lives here.
 //!
 //! The integration still follows §IV-A's recipe for each model:
 //!
@@ -23,9 +23,9 @@
 //!   the GPU fed.
 //!
 //! Batches are distributed across devices round-robin by batch index.
-//! Every `run_*` has a `_rec` twin that threads a [`telemetry::Recorder`]
-//! through the pipeline and merges the simulated devices' command traces
-//! into the same report.
+//! Every `run_*` threads a [`telemetry::Recorder`] through the pipeline
+//! and merges the simulated devices' command traces into the same report;
+//! pass `Recorder::default()` to run unobserved.
 
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
@@ -34,7 +34,9 @@ use fastflow::{FaultPolicy, Recycler};
 use gpusim::GpuSystem;
 pub use gpusim::{CudaOffload, OclOffload, Offload, OffloadApi};
 use telemetry::Recorder;
-use workload::{arm_gpu_traces, drain_gpu_traces, Done, Workload, WorkloadDriver, WorkloadFault};
+use workload::{
+    arm_gpu_traces, drain_gpu_traces, DeviceOut, Done, Workload, WorkloadDriver, WorkloadFault,
+};
 
 use crate::core::{shade_span, FractalParams, Image};
 use crate::kernels::{BatchKernel, RowSpanKernel};
@@ -44,111 +46,6 @@ const BLOCK_1D: u32 = 256;
 /// Telemetry stage label for fault events from the replicated GPU stage
 /// (prefix-matches the pipeline's `stage1` row in trace exports).
 const GPU_STAGE: &str = "stage1 (gpu)";
-
-/// One offloader plus its lazily (re)sized device buffer — everything a
-/// stage replica needs to compute batches of lines. Since the zero-copy
-/// handoff there is no host-side staging buffer: read-backs DMA straight
-/// into the caller's batch vector under a per-transfer pin.
-pub struct BatchCompute<O: Offload> {
-    off: O,
-    dev: Option<O::Buffer<u8>>,
-}
-
-impl<O: Offload> BatchCompute<O> {
-    /// Bind to `device`. Must run on the thread that will compute (the
-    /// per-thread discipline [`Offload::attach`] documents).
-    pub fn new(system: &Arc<GpuSystem>, device: usize) -> Self {
-        BatchCompute {
-            off: O::attach(system, device),
-            dev: None,
-        }
-    }
-
-    /// Grow-only (re)allocation of the device buffer to at least `len`
-    /// pixels.
-    fn ensure_capacity(&mut self, len: usize) -> Result<(), WorkloadFault> {
-        if self.dev.as_ref().map_or(0, |b| O::buffer_len(b)) < len {
-            // Drop any stale buffer before re-allocating; on failure the
-            // slot stays empty so the next attempt allocates again.
-            self.dev = None;
-            self.dev = Some(self.off.try_alloc(len)?);
-        }
-        Ok(())
-    }
-
-    /// Launch `kernel` over `len` lanes and read `len` pixels back
-    /// directly into `out[..len]`. The destination is page-locked for
-    /// the duration of the transfer, so the read-back is a true DMA into
-    /// the caller's (typically recycled) buffer — no staging copy.
-    fn launch_and_read_into<K: gpusim::KernelFn>(
-        &mut self,
-        kernel: K,
-        len: usize,
-        out: &mut [u8],
-    ) -> Result<(), WorkloadFault> {
-        let dev = self.dev.as_ref().expect("allocated");
-        self.off.try_launch(kernel, len as u64, BLOCK_1D)?;
-        // Idempotent for pool-backed buffers (already registered); this
-        // per-use guard covers recycler-cycled Vec<u8> batches too.
-        let _pin = gpusim::PinnedSlab::register(&out[..len]);
-        self.off.d2h(dev, &mut out[..len]);
-        self.off.sync();
-        Ok(())
-    }
-
-    /// Compute lines `[batch*batch_size, ...)` into a caller-supplied
-    /// (typically recycled) vector: `batch_size * dim` pixels, tail
-    /// batches padded with zero rows. The device buffer is grow-only and
-    /// the read-back DMAs straight into `out` (no host staging buffer
-    /// exists), so with a stable batch size the steady state touches
-    /// neither the allocator nor memcpy. A refused allocation or launch
-    /// is reported instead of panicking, leaving the state consistent
-    /// for retry or fallback.
-    pub fn try_compute_batch_into(
-        &mut self,
-        params: &FractalParams,
-        batch: usize,
-        batch_size: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), WorkloadFault> {
-        let len = batch_size * params.dim;
-        self.ensure_capacity(len)?;
-        let k = BatchKernel {
-            batch,
-            batch_size,
-            params: *params,
-            img: O::buffer_ptr(self.dev.as_ref().expect("allocated")),
-        };
-        // Recycled vectors carry capacity, so this resize is alloc-free
-        // in the steady state.
-        out.clear();
-        out.resize(len, 0);
-        self.launch_and_read_into(k, len, out)
-    }
-
-    /// Compute the row span `[first_row, first_row + rows)` into
-    /// `out[..rows*dim]` — the OOM-halving rung: the device buffer is
-    /// sized to the span, not the whole batch, so halves can succeed
-    /// where the full batch allocation was refused. Rows past the image
-    /// edge come back zero (the cache hands out zero-filled buffers).
-    pub fn try_compute_rows_into(
-        &mut self,
-        params: &FractalParams,
-        first_row: usize,
-        rows: usize,
-        out: &mut [u8],
-    ) -> Result<(), WorkloadFault> {
-        let len = rows * params.dim;
-        self.ensure_capacity(len)?;
-        let k = RowSpanKernel {
-            first_row,
-            rows,
-            params: *params,
-            img: O::buffer_ptr(self.dev.as_ref().expect("allocated")),
-        };
-        self.launch_and_read_into(k, len, out)
-    }
-}
 
 /// Host implementation of one batch, row by row through the routine the
 /// device kernels execute with (`shade_span`) — so a fallen-back batch
@@ -168,7 +65,7 @@ fn cpu_batch(params: &FractalParams, batch: usize, batch_size: usize, out: &mut 
 
 /// The Mandelbrot offload stage as a [`Workload`]: items are batch
 /// indices, batches are `batch_size * dim` pixel vectors cycling through
-/// a recycle channel, GPU state is a per-replica [`BatchCompute`].
+/// a recycle channel, GPU state is a per-replica [`DeviceOut`].
 pub struct MandelWork<O: Offload> {
     system: Arc<GpuSystem>,
     params: FractalParams,
@@ -225,7 +122,7 @@ impl<O: Offload> MandelWork<O> {
 impl<O: Offload> Workload for MandelWork<O> {
     type Item = usize;
     type Batch = Vec<u8>;
-    type Gpu = BatchCompute<O>;
+    type Gpu = DeviceOut<O>;
 
     fn stage_label(&self) -> &'static str {
         GPU_STAGE
@@ -239,8 +136,8 @@ impl<O: Offload> Workload for MandelWork<O> {
         format!("batch {batch}")
     }
 
-    fn attach(&self, replica: usize) -> BatchCompute<O> {
-        BatchCompute::new(&self.system, replica % self.n_gpus)
+    fn attach(&self, replica: usize) -> DeviceOut<O> {
+        DeviceOut::attach(&self.system, replica % self.n_gpus)
     }
 
     fn make_batch(&self, _batch: &usize) -> Vec<u8> {
@@ -250,34 +147,52 @@ impl<O: Offload> Workload for MandelWork<O> {
         pixels
     }
 
+    /// Lines `[batch * batch_size, ..)` as `batch_size * dim` pixels, tail
+    /// batches padded with zero rows. Recycled vectors carry capacity, so
+    /// the resize is allocation-free in the steady state.
     fn try_gpu_batch(
         &self,
-        gpu: &mut BatchCompute<O>,
+        gpu: &mut DeviceOut<O>,
         batch: &usize,
         out: &mut Vec<u8>,
     ) -> Result<(), WorkloadFault> {
-        gpu.try_compute_batch_into(&self.params, *batch, self.batch_size, out)
+        let len = self.batch_size * self.params.dim;
+        out.clear();
+        out.resize(len, 0);
+        gpu.launch_into(out, len as u64, BLOCK_1D, |img| BatchKernel {
+            batch: *batch,
+            batch_size: self.batch_size,
+            params: self.params,
+            img,
+        })
     }
 
     fn split_units(&self, _batch: &usize) -> usize {
         self.batch_size
     }
 
+    /// The OOM-halving rung: the device buffer is sized to the row span,
+    /// not the whole batch, so halves can succeed where the full batch
+    /// allocation was refused. Rows past the image edge come back zero
+    /// (the cache hands out zero-filled buffers).
     fn try_gpu_split(
         &self,
-        gpu: &mut BatchCompute<O>,
+        gpu: &mut DeviceOut<O>,
         batch: &usize,
         lo: usize,
         hi: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), WorkloadFault> {
         let dim = self.params.dim;
-        gpu.try_compute_rows_into(
-            &self.params,
-            batch * self.batch_size + lo,
-            hi - lo,
-            &mut out[lo * dim..hi * dim],
-        )
+        let span = &mut out[lo * dim..hi * dim];
+        gpu.launch_into(span, ((hi - lo) * dim) as u64, BLOCK_1D, |img| {
+            RowSpanKernel {
+                first_row: batch * self.batch_size + lo,
+                rows: hi - lo,
+                params: self.params,
+                img,
+            }
+        })
     }
 
     fn cpu_batch(&self, batch: &usize, out: &mut Vec<u8>) {
@@ -306,27 +221,9 @@ fn install_and_recycle<O: Offload>(
     recycle.give(done.batch);
 }
 
-/// SPar + GPU: the annotated pipeline with a replicated GPU stage.
+/// SPar + GPU: the annotated pipeline with a replicated GPU stage. `rec`
+/// receives stage metrics plus the devices' merged command traces.
 pub fn run_spar_gpu<O: Offload>(
-    system: &Arc<GpuSystem>,
-    params: &FractalParams,
-    workers: usize,
-    batch_size: usize,
-    n_gpus: usize,
-) -> Image {
-    run_spar_gpu_rec::<O>(
-        system,
-        params,
-        workers,
-        batch_size,
-        n_gpus,
-        Recorder::default(),
-    )
-}
-
-/// [`run_spar_gpu`] with a telemetry recorder: stage metrics plus the
-/// devices' merged command traces.
-pub fn run_spar_gpu_rec<O: Offload>(
     system: &Arc<GpuSystem>,
     params: &FractalParams,
     workers: usize,
@@ -369,24 +266,6 @@ pub fn run_fastflow_gpu<O: Offload>(
     workers: usize,
     batch_size: usize,
     n_gpus: usize,
-) -> Image {
-    run_fastflow_gpu_rec::<O>(
-        system,
-        params,
-        workers,
-        batch_size,
-        n_gpus,
-        Recorder::default(),
-    )
-}
-
-/// [`run_fastflow_gpu`] with a telemetry recorder.
-pub fn run_fastflow_gpu_rec<O: Offload>(
-    system: &Arc<GpuSystem>,
-    params: &FractalParams,
-    workers: usize,
-    batch_size: usize,
-    n_gpus: usize,
     rec: Recorder,
 ) -> Image {
     let p = *params;
@@ -408,26 +287,6 @@ pub fn run_fastflow_gpu_rec<O: Offload>(
 /// TBB + GPU: `parallel_pipeline` whose parallel filter builds per-item GPU
 /// resources (tasks have no thread identity to hang per-replica state on).
 pub fn run_tbb_gpu<O: Offload>(
-    system: &Arc<GpuSystem>,
-    params: &FractalParams,
-    pool: &Arc<tbbx::TaskPool>,
-    max_live_tokens: usize,
-    batch_size: usize,
-    n_gpus: usize,
-) -> Image {
-    run_tbb_gpu_rec::<O>(
-        system,
-        params,
-        pool,
-        max_live_tokens,
-        batch_size,
-        n_gpus,
-        Recorder::default(),
-    )
-}
-
-/// [`run_tbb_gpu`] with a telemetry recorder.
-pub fn run_tbb_gpu_rec<O: Offload>(
     system: &Arc<GpuSystem>,
     params: &FractalParams,
     pool: &Arc<tbbx::TaskPool>,
@@ -507,10 +366,10 @@ pub fn run_spar_gpu_api(
 ) -> Image {
     match api {
         OffloadApi::Cuda => {
-            run_spar_gpu_rec::<CudaOffload>(system, params, workers, batch_size, n_gpus, rec)
+            run_spar_gpu::<CudaOffload>(system, params, workers, batch_size, n_gpus, rec)
         }
         OffloadApi::OpenCl => {
-            run_spar_gpu_rec::<OclOffload>(system, params, workers, batch_size, n_gpus, rec)
+            run_spar_gpu::<OclOffload>(system, params, workers, batch_size, n_gpus, rec)
         }
     }
 }
@@ -534,7 +393,7 @@ mod tests {
         let p = small();
         let (seq, _) = run_sequential(&p);
         let system = sys(2);
-        let img = run_spar_gpu::<CudaOffload>(&system, &p, 3, 8, 2);
+        let img = run_spar_gpu::<CudaOffload>(&system, &p, 3, 8, 2, Recorder::default());
         assert_eq!(img.digest(), seq.digest());
     }
 
@@ -543,7 +402,7 @@ mod tests {
         let p = small();
         let (seq, _) = run_sequential(&p);
         let system = sys(2);
-        let img = run_spar_gpu::<OclOffload>(&system, &p, 3, 8, 2);
+        let img = run_spar_gpu::<OclOffload>(&system, &p, 3, 8, 2, Recorder::default());
         assert_eq!(img.digest(), seq.digest());
     }
 
@@ -552,7 +411,7 @@ mod tests {
         let p = small();
         let (seq, _) = run_sequential(&p);
         let system = sys(1);
-        let img = run_fastflow_gpu::<CudaOffload>(&system, &p, 2, 8, 1);
+        let img = run_fastflow_gpu::<CudaOffload>(&system, &p, 2, 8, 1, Recorder::default());
         assert_eq!(img.digest(), seq.digest());
     }
 
@@ -561,7 +420,7 @@ mod tests {
         let p = small();
         let (seq, _) = run_sequential(&p);
         let system = sys(1);
-        let img = run_fastflow_gpu::<OclOffload>(&system, &p, 2, 8, 1);
+        let img = run_fastflow_gpu::<OclOffload>(&system, &p, 2, 8, 1, Recorder::default());
         assert_eq!(img.digest(), seq.digest());
     }
 
@@ -571,7 +430,7 @@ mod tests {
         let (seq, _) = run_sequential(&p);
         let system = sys(2);
         let pool = Arc::new(tbbx::TaskPool::new(3));
-        let img = run_tbb_gpu::<CudaOffload>(&system, &p, &pool, 6, 8, 2);
+        let img = run_tbb_gpu::<CudaOffload>(&system, &p, &pool, 6, 8, 2, Recorder::default());
         assert_eq!(img.digest(), seq.digest());
     }
 
@@ -581,7 +440,7 @@ mod tests {
         let (seq, _) = run_sequential(&p);
         let system = sys(1);
         let pool = Arc::new(tbbx::TaskPool::new(2));
-        let img = run_tbb_gpu::<OclOffload>(&system, &p, &pool, 4, 8, 1);
+        let img = run_tbb_gpu::<OclOffload>(&system, &p, &pool, 4, 8, 1, Recorder::default());
         assert_eq!(img.digest(), seq.digest());
     }
 
@@ -590,7 +449,7 @@ mod tests {
         let p = FractalParams::view(50, 150); // 50 rows, batch 7 -> tail of 1
         let (seq, _) = run_sequential(&p);
         let system = sys(1);
-        let img = run_spar_gpu::<CudaOffload>(&system, &p, 2, 7, 1);
+        let img = run_spar_gpu::<CudaOffload>(&system, &p, 2, 7, 1, Recorder::default());
         assert_eq!(img.digest(), seq.digest());
     }
 
@@ -613,7 +472,7 @@ mod tests {
         // Transient device OOMs and kernel faults on every device.
         system.inject_faults(&gpusim::FaultSpec::demo(42));
         let rec = Recorder::enabled();
-        let img = run_spar_gpu_rec::<CudaOffload>(&system, &p, 3, 8, 2, rec.clone());
+        let img = run_spar_gpu::<CudaOffload>(&system, &p, 3, 8, 2, rec.clone());
         assert_eq!(img.digest(), seq.digest(), "image must be bit-identical");
         let report = rec.report();
         assert!(
@@ -636,7 +495,7 @@ mod tests {
         system.inject_faults(&gpusim::FaultSpec::demo(9));
         let pool = Arc::new(tbbx::TaskPool::new(3));
         let rec = Recorder::enabled();
-        let img = run_tbb_gpu_rec::<OclOffload>(&system, &p, &pool, 6, 8, 1, rec.clone());
+        let img = run_tbb_gpu::<OclOffload>(&system, &p, &pool, 6, 8, 1, rec.clone());
         assert_eq!(img.digest(), seq.digest());
         assert!(rec.report().fallback_count() + rec.report().retry_count() >= 1);
     }
@@ -646,7 +505,7 @@ mod tests {
         let p = small();
         let system = sys(2);
         let rec = Recorder::enabled();
-        let img = run_spar_gpu_rec::<CudaOffload>(&system, &p, 3, 8, 2, rec.clone());
+        let img = run_spar_gpu::<CudaOffload>(&system, &p, 3, 8, 2, rec.clone());
         assert_eq!(img.digest(), run_sequential(&p).0.digest());
         let report = rec.report();
         // CPU side: source, the replicated GPU stage, sink.
@@ -670,7 +529,7 @@ mod tests {
         props.global_mem = 1536; // fits 32*64/2 pixels, not 32*64
         let system = GpuSystem::new(1, props);
         let rec = Recorder::enabled();
-        let img = run_spar_gpu_rec::<CudaOffload>(&system, &p, 1, batch_size, 1, rec.clone());
+        let img = run_spar_gpu::<CudaOffload>(&system, &p, 1, batch_size, 1, rec.clone());
         assert_eq!(img.digest(), seq.digest());
         let report = rec.report();
         assert!(

@@ -12,12 +12,17 @@
 //!
 //! * per-replica device selection (`cudaSetDevice` on the worker thread) —
 //!   batches round-robin across GPUs;
-//! * device buffer allocation and reuse;
+//! * device buffer allocation and reuse (grow-only, so a stream of
+//!   varying-length items settles on its longest);
 //! * host↔device transfers and kernel launch under **either** API
-//!   ([`Api::Cuda`] or [`Api::OpenCl`]) — the same lane function drives
-//!   both, which is exactly the "generate both back ends from one source"
-//!   promise;
-//! * work metering for the performance model (an optional cost function).
+//!   ([`OffloadApi::Cuda`] or [`OffloadApi::OpenCl`]) — the same lane
+//!   function drives both, which is exactly the "generate both back ends
+//!   from one source" promise;
+//! * work metering for the performance model (an optional cost function);
+//! * surviving the device: a [`GpuMap`] bound to its back end is a
+//!   [`Workload`] whose host rung is the lane function itself, so the
+//!   generated stage walks the [`WorkloadDriver`] ladder — retry, halve
+//!   the element range on OOM, recompute on the host, bit-identically.
 //!
 //! Generated stages run on the instrumented [`fastflow`] runtime, so a
 //! `telemetry::Recorder` attached to the region (via
@@ -30,11 +35,11 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use gpusim::{DeviceProps, GpuSystem};
-//! use spar_gpu::{Api, GpuMap, SparGpuExt};
+//! use gpusim::{DeviceProps, GpuSystem, OffloadApi};
+//! use spar_gpu::{GpuMap, SparGpuExt};
 //!
 //! let system = GpuSystem::new(2, DeviceProps::titan_xp());
-//! let stage = GpuMap::new(system, Api::Cuda, 2, |i, input: &[f32]| input[i] * 2.0);
+//! let stage = GpuMap::new(system, OffloadApi::Cuda, 2, |i, input: &[f32]| input[i] * 2.0);
 //! let out = spar::ToStream::new()
 //!     .source_iter((0..4).map(|k| vec![k as f32; 256]))
 //!     .stage_gpu_map(3, stage)
@@ -45,19 +50,13 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use gpusim::cuda::{Cuda, CudaBuffer};
-use gpusim::opencl::{ClBuffer, ClKernel, CommandQueue, Context, Platform};
-use gpusim::{DeviceMemory, DevicePtr, GpuSystem, KernelFn, LaunchDims, WorkMeter};
+use fastflow::Recycler;
+use gpusim::{
+    CudaOffload, DeviceMemory, DevicePtr, GpuSystem, KernelFn, LaunchDims, OclOffload, Offload,
+    OffloadApi, WorkMeter,
+};
 use spar::StreamStage;
-
-/// Which generated back end a GPU stage uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Api {
-    /// Generate the CUDA-style host code.
-    Cuda,
-    /// Generate the OpenCL-style host code.
-    OpenCl,
-}
+use workload::{DeviceOut, Workload, WorkloadDriver, WorkloadFault};
 
 /// Threads per block for generated launches.
 const BLOCK: u32 = 256;
@@ -66,25 +65,13 @@ const BLOCK: u32 = 256;
 /// `f(i, input)` for element `i` of each stream item (a `Vec<T>`).
 pub struct GpuMap<T, U, F> {
     system: Arc<GpuSystem>,
-    api: Api,
+    api: OffloadApi,
     n_gpus: usize,
-    lane: Arc<F>,
+    lane: F,
     /// Work units one lane reports to the cost model (default 1).
     units_per_lane: u64,
+    recycle: Recycler<Vec<U>>,
     _marker: PhantomData<fn(T) -> U>,
-}
-
-impl<T, U, F> Clone for GpuMap<T, U, F> {
-    fn clone(&self) -> Self {
-        GpuMap {
-            system: Arc::clone(&self.system),
-            api: self.api,
-            n_gpus: self.n_gpus,
-            lane: Arc::clone(&self.lane),
-            units_per_lane: self.units_per_lane,
-            _marker: PhantomData,
-        }
-    }
 }
 
 impl<T, U, F> GpuMap<T, U, F>
@@ -97,14 +84,17 @@ where
     ///
     /// # Panics
     /// Panics if `n_gpus` is zero or exceeds the system's device count.
-    pub fn new(system: Arc<GpuSystem>, api: Api, n_gpus: usize, lane: F) -> Self {
+    pub fn new(system: Arc<GpuSystem>, api: OffloadApi, n_gpus: usize, lane: F) -> Self {
         assert!(n_gpus >= 1 && n_gpus <= system.device_count());
         GpuMap {
             system,
             api,
             n_gpus,
-            lane: Arc::new(lane),
+            lane,
             units_per_lane: 1,
+            // One output in flight per device and one at the consumer,
+            // twice over so a burst of returns never sheds.
+            recycle: fastflow::recycler(n_gpus * 2 + 2),
             _marker: PhantomData,
         }
     }
@@ -114,15 +104,40 @@ where
         self.units_per_lane = units.max(1);
         self
     }
+
+    /// The output-vector recycle channel: a consumer that is done with a
+    /// `Vec<U>` may push it back so the stage reuses it instead of
+    /// allocating (dropping it is fine too).
+    pub fn recycler(&self) -> &Recycler<Vec<U>> {
+        &self.recycle
+    }
+
+    /// This stage as a [`Workload`] on back end `O`, for callers that
+    /// drive the [`WorkloadDriver`] themselves (their own recorder, a
+    /// placement policy, the conformance suite).
+    ///
+    /// # Panics
+    /// Panics if `O` is not the back end the description names.
+    pub fn on<O: Offload>(self) -> GpuMapOn<O, T, U, F> {
+        assert_eq!(O::API, self.api, "GpuMap::on: back end mismatch");
+        GpuMapOn {
+            map: Arc::new(self),
+            _off: PhantomData,
+        }
+    }
 }
 
-/// The generated kernel: `out[i] = lane(i, input)`.
+/// The generated kernel: `out[j] = lane(first + j, input)`.
 struct MapKernel<T, U, F> {
+    map: Arc<GpuMap<T, U, F>>,
     input: DevicePtr<T>,
-    output: DevicePtr<U>,
+    /// Elements of the stream item (the input buffer may be longer).
     len: usize,
-    lane: Arc<F>,
-    units: u64,
+    output: DevicePtr<U>,
+    /// First element of the span this launch computes.
+    first: usize,
+    /// Elements in the span.
+    count: usize,
 }
 
 impl<T, U, F> KernelFn for MapKernel<T, U, F>
@@ -137,155 +152,129 @@ where
     fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
         let input = mem.borrow(self.input);
         let mut output = mem.borrow_mut(self.output);
-        for lane_id in dims.lanes() {
-            let i = lane_id as usize;
-            if i < self.len {
-                output[i] = (self.lane)(i, &input);
-                meter.record(lane_id, self.units);
-            } else {
-                meter.record(lane_id, 1);
-            }
+        let input = &input[..self.len];
+        for (j, slot) in output[..self.count].iter_mut().enumerate() {
+            *slot = (self.map.lane)(self.first + j, input);
+        }
+        // Every working lane costs the same; the tail of the last block
+        // only bounds-checks and exits.
+        let worked = self.count as u64;
+        meter.record_fill(0..worked, self.map.units_per_lane);
+        meter.record_fill(worked..dims.total_threads(), 1);
+    }
+}
+
+/// A [`GpuMap`] bound to back end `O` — the [`Workload`] the generated
+/// stage runs: items are the `Vec<T>` stream items, units are elements,
+/// the host rung is the lane function applied in place.
+pub struct GpuMapOn<O, T, U, F> {
+    map: Arc<GpuMap<T, U, F>>,
+    _off: PhantomData<fn() -> O>,
+}
+
+impl<O, T, U, F> Clone for GpuMapOn<O, T, U, F> {
+    fn clone(&self) -> Self {
+        GpuMapOn {
+            map: Arc::clone(&self.map),
+            _off: PhantomData,
         }
     }
 }
 
-/// Per-replica generated host state.
-enum ReplicaState<T: Send + 'static, U: Send + 'static> {
-    Cuda {
-        cuda: Cuda,
-        device: usize,
-        stream: gpusim::cuda::CudaStream,
-        d_in: Option<CudaBuffer<T>>,
-        d_out: Option<CudaBuffer<U>>,
-    },
-    Ocl {
-        ctx: Context,
-        queue: CommandQueue,
-        device: gpusim::opencl::ClDeviceId,
-        d_in: Option<ClBuffer<T>>,
-        d_out: Option<ClBuffer<U>>,
-    },
+/// Per-replica device state of a generated stage: the output side is the
+/// SDK's [`DeviceOut`]; the grow-only input buffer rides beside it.
+pub struct MapGpu<
+    O: Offload,
+    T: Default + Clone + Send + 'static,
+    U: Default + Clone + Send + 'static,
+> {
+    out: DeviceOut<O, U>,
+    input: Option<O::Buffer<T>>,
 }
 
-/// The worker node generated for a [`GpuMap`] stage.
-pub struct GpuMapWorker<T: Send + 'static, U: Send + 'static, F> {
-    desc: GpuMap<T, U, F>,
-    replica: usize,
-    state: Option<ReplicaState<T, U>>,
-}
-
-impl<T, U, F> fastflow::Node for GpuMapWorker<T, U, F>
+impl<O, T, U, F> Workload for GpuMapOn<O, T, U, F>
 where
+    O: Offload,
     T: Default + Clone + Send + Sync + 'static,
     U: Default + Clone + Send + Sync + 'static,
     F: Fn(usize, &[T]) -> U + Send + Sync + 'static,
 {
-    type In = Vec<T>;
-    type Out = Vec<U>;
+    type Item = Vec<T>;
+    type Batch = Vec<U>;
+    type Gpu = MapGpu<O, T, U>;
 
-    fn on_init(&mut self) {
-        // Generated per-thread initialization: the exact boilerplate the
-        // paper's §IV-A wrote by hand for each model/API pair.
-        let device = self.replica % self.desc.n_gpus;
-        self.state = Some(match self.desc.api {
-            Api::Cuda => {
-                let cuda = Cuda::new(Arc::clone(&self.desc.system));
-                cuda.set_device(device);
-                let stream = cuda.stream_create();
-                ReplicaState::Cuda {
-                    cuda,
-                    device,
-                    stream,
-                    d_in: None,
-                    d_out: None,
-                }
-            }
-            Api::OpenCl => {
-                let platform = Platform::new(Arc::clone(&self.desc.system));
-                let ids = platform.device_ids();
-                let ctx = Context::create(&platform, &ids[..self.desc.n_gpus]);
-                let queue = ctx.create_queue(ids[device]);
-                ReplicaState::Ocl {
-                    ctx,
-                    queue,
-                    device: ids[device],
-                    d_in: None,
-                    d_out: None,
-                }
-            }
-        });
+    fn stage_label(&self) -> &'static str {
+        "stage (gpu map)"
     }
 
-    fn svc(&mut self, item: Vec<T>, out: &mut fastflow::Emitter<'_, Vec<U>>) {
-        let len = item.len();
-        let mut result = vec![U::default(); len];
-        if len == 0 {
-            out.send(result);
-            return;
+    fn attach(&self, replica: usize) -> MapGpu<O, T, U> {
+        MapGpu {
+            out: DeviceOut::attach(&self.map.system, replica % self.map.n_gpus),
+            input: None,
         }
-        match self.state.as_mut().expect("on_init ran") {
-            ReplicaState::Cuda {
-                cuda,
-                device,
-                stream,
-                d_in,
-                d_out,
-            } => {
-                cuda.set_device(*device);
-                if d_in.as_ref().map(|b| b.len()) != Some(len) {
-                    *d_in = Some(cuda.malloc(len).expect("device memory"));
-                    *d_out = Some(cuda.malloc(len).expect("device memory"));
-                }
-                let (din, dout) = (
-                    d_in.as_ref().expect("alloc"),
-                    d_out.as_ref().expect("alloc"),
-                );
-                cuda.memcpy_h2d_pageable(din, 0, &item, stream);
-                let kernel = MapKernel {
-                    input: din.ptr(),
-                    output: dout.ptr(),
-                    len,
-                    lane: Arc::clone(&self.desc.lane),
-                    units: self.desc.units_per_lane,
-                };
-                cuda.launch(&kernel, (len as u32).div_ceil(BLOCK), BLOCK, stream);
-                cuda.memcpy_d2h_pageable(&mut result, dout, 0, stream);
-                cuda.stream_synchronize(stream);
-            }
-            ReplicaState::Ocl {
-                ctx,
-                queue,
-                device,
-                d_in,
-                d_out,
-            } => {
-                if d_in.as_ref().map(|b| b.len()) != Some(len) {
-                    *d_in = Some(ctx.create_buffer(*device, len).expect("device memory"));
-                    *d_out = Some(ctx.create_buffer(*device, len).expect("device memory"));
-                }
-                let (din, dout) = (
-                    d_in.as_ref().expect("alloc"),
-                    d_out.as_ref().expect("alloc"),
-                );
-                let w = queue.enqueue_write_buffer(din, false, 0, &item, &[]);
-                let kernel = ClKernel::create(MapKernel {
-                    input: din.ptr(),
-                    output: dout.ptr(),
-                    len,
-                    lane: Arc::clone(&self.desc.lane),
-                    units: self.desc.units_per_lane,
-                });
-                let k = queue.enqueue_nd_range(
-                    &kernel,
-                    (len as u64).next_multiple_of(BLOCK as u64),
-                    BLOCK,
-                    &[w],
-                );
-                let r = queue.enqueue_read_buffer(dout, false, 0, &mut result, &[k]);
-                ctx.wait_for_events(&[r]);
-            }
+    }
+
+    fn make_batch(&self, item: &Vec<T>) -> Vec<U> {
+        // Every rung overwrites all of it, so stale elements may stay.
+        let mut out = self.map.recycle.take().unwrap_or_default();
+        out.resize(item.len(), U::default());
+        out
+    }
+
+    fn try_gpu_batch(
+        &self,
+        gpu: &mut MapGpu<O, T, U>,
+        item: &Vec<T>,
+        out: &mut Vec<U>,
+    ) -> Result<(), WorkloadFault> {
+        out.resize(item.len(), U::default());
+        self.try_gpu_split(gpu, item, 0, item.len(), out)
+    }
+
+    fn split_units(&self, item: &Vec<T>) -> usize {
+        item.len()
+    }
+
+    /// Elements `lo..hi`: the whole item goes up (a lane may read any
+    /// element of it), the output buffer is sized to the span.
+    fn try_gpu_split(
+        &self,
+        gpu: &mut MapGpu<O, T, U>,
+        item: &Vec<T>,
+        lo: usize,
+        hi: usize,
+        out: &mut Vec<U>,
+    ) -> Result<(), WorkloadFault> {
+        if lo == hi {
+            return Ok(());
         }
-        out.send(result);
+        let off = gpu.out.offloader();
+        if gpu.input.as_ref().map_or(0, |b| O::buffer_len(b)) < item.len() {
+            gpu.input = None;
+            gpu.input = Some(off.try_alloc(item.len())?);
+        }
+        let d_in = gpu.input.as_ref().expect("sized above");
+        // Page-locked for the transfer, so the upload is a DMA out of the
+        // stream item itself rather than a driver bounce.
+        let _pin = gpusim::PinnedSlab::register(item);
+        off.h2d(d_in, item);
+        let input = O::buffer_ptr(d_in);
+        gpu.out
+            .launch_into(&mut out[lo..hi], (hi - lo) as u64, BLOCK, |output| {
+                MapKernel {
+                    map: Arc::clone(&self.map),
+                    input,
+                    len: item.len(),
+                    output,
+                    first: lo,
+                    count: hi - lo,
+                }
+            })
+    }
+
+    fn cpu_batch(&self, item: &Vec<T>, out: &mut Vec<U>) {
+        out.clear();
+        out.extend((0..item.len()).map(|i| (self.map.lane)(i, item)));
     }
 }
 
@@ -293,7 +282,9 @@ where
 pub trait SparGpuExt<T: Send + 'static> {
     /// Append a replicated stage that offloads each `Vec<T>` stream item
     /// to the GPUs element-wise, with all host code generated from the
-    /// [`GpuMap`] description.
+    /// [`GpuMap`] description. A device that refuses memory or a launch
+    /// costs time, never the item: the stage retries, halves the element
+    /// range, and as a last resort applies the lane function on the host.
     fn stage_gpu_map<U, F>(self, replicate: usize, desc: GpuMap<T, U, F>) -> StreamStage<Vec<U>>
     where
         T: Default + Clone + Sync,
@@ -311,11 +302,27 @@ where
         U: Default + Clone + Send + Sync + 'static,
         F: Fn(usize, &[T]) -> U + Send + Sync + 'static,
     {
-        self.stage_node(replicate, move |replica| GpuMapWorker {
-            desc: desc.clone(),
-            replica,
-            state: None,
-        })
+        fn farm<W: Workload>(
+            region: StreamStage<W::Item>,
+            replicate: usize,
+            work: W,
+        ) -> StreamStage<W::Batch> {
+            let driver = WorkloadDriver::new(work);
+            region.stage_factory(replicate, |replica| {
+                let driver = driver.clone();
+                // Built on first use, so on the worker's own thread: where
+                // the per-thread `cudaSetDevice` has to happen.
+                let mut gpu = None;
+                move |item| {
+                    let gpu = gpu.get_or_insert_with(|| driver.attach(replica));
+                    driver.process(gpu, &item)
+                }
+            })
+        }
+        match desc.api {
+            OffloadApi::Cuda => farm(self, replicate, desc.on::<CudaOffload>()),
+            OffloadApi::OpenCl => farm(self, replicate, desc.on::<OclOffload>()),
+        }
     }
 }
 
@@ -346,7 +353,9 @@ mod tests {
         let sys = system(2);
         let input = items(8, 300);
         let expected = cpu_reference(&input);
-        let stage = GpuMap::new(sys, Api::Cuda, 2, |i, xs: &[f64]| xs[i] * xs[i] + 1.0);
+        let stage = GpuMap::new(sys, OffloadApi::Cuda, 2, |i, xs: &[f64]| {
+            xs[i] * xs[i] + 1.0
+        });
         let out = spar::ToStream::new()
             .source_iter(input)
             .stage_gpu_map(3, stage)
@@ -359,7 +368,9 @@ mod tests {
         let sys = system(2);
         let input = items(8, 300);
         let expected = cpu_reference(&input);
-        let stage = GpuMap::new(sys, Api::OpenCl, 2, |i, xs: &[f64]| xs[i] * xs[i] + 1.0);
+        let stage = GpuMap::new(sys, OffloadApi::OpenCl, 2, |i, xs: &[f64]| {
+            xs[i] * xs[i] + 1.0
+        });
         let out = spar::ToStream::new()
             .source_iter(input)
             .stage_gpu_map(3, stage)
@@ -379,14 +390,14 @@ mod tests {
                 .collect();
             out
         };
-        assert_eq!(mk(Api::Cuda), mk(Api::OpenCl));
+        assert_eq!(mk(OffloadApi::Cuda), mk(OffloadApi::OpenCl));
     }
 
     #[test]
     fn empty_and_varying_length_items() {
         let sys = system(1);
         let input = vec![vec![], vec![1.0f64], vec![2.0; 1000], vec![3.0; 7]];
-        let stage = GpuMap::new(sys, Api::Cuda, 1, |i, xs: &[f64]| xs[i] + 0.5);
+        let stage = GpuMap::new(sys, OffloadApi::Cuda, 1, |i, xs: &[f64]| xs[i] + 0.5);
         let out = spar::ToStream::new()
             .source_iter(input.clone())
             .stage_gpu_map(2, stage)
@@ -400,10 +411,28 @@ mod tests {
     }
 
     #[test]
+    fn faulty_devices_still_return_the_host_map() {
+        // Refused allocations and launches on every device: the region
+        // must absorb them (retry, halve, host fallback), not panic.
+        let input = items(8, 300);
+        let expected = cpu_reference(&input);
+        for api in [OffloadApi::Cuda, OffloadApi::OpenCl] {
+            let sys = system(2);
+            sys.inject_faults(&gpusim::FaultSpec::demo(7));
+            let stage = GpuMap::new(sys, api, 2, |i, xs: &[f64]| xs[i] * xs[i] + 1.0);
+            let out = spar::ToStream::new()
+                .source_iter(input.clone())
+                .stage_gpu_map(3, stage)
+                .collect();
+            assert_eq!(out, expected, "{api}");
+        }
+    }
+
+    #[test]
     fn recorded_region_times_offloaded_items_end_to_end() {
         let sys = system(2);
         let rec = telemetry::Recorder::enabled();
-        let stage = GpuMap::new(sys, Api::Cuda, 2, |i, xs: &[f64]| xs[i] * 2.0);
+        let stage = GpuMap::new(sys, OffloadApi::Cuda, 2, |i, xs: &[f64]| xs[i] * 2.0);
         let out: Vec<Vec<f64>> = spar::ToStream::new()
             .recorder(rec.clone())
             .source_iter(items(8, 300))
@@ -427,7 +456,9 @@ mod tests {
     #[test]
     fn device_stats_show_real_offloading() {
         let sys = system(1);
-        let stage = GpuMap::new(Arc::clone(&sys), Api::Cuda, 1, |i, xs: &[u32]| xs[i] ^ 0xFF);
+        let stage = GpuMap::new(Arc::clone(&sys), OffloadApi::Cuda, 1, |i, xs: &[u32]| {
+            xs[i] ^ 0xFF
+        });
         let _out: Vec<Vec<u32>> = spar::ToStream::new()
             .source_iter((0..4).map(|_| vec![1u32; 512]))
             .stage_gpu_map(1, stage)

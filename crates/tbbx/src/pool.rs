@@ -282,12 +282,6 @@ impl TaskPool {
         }
         self.shared.announce();
     }
-
-    /// Submit a task from inside another task (same path; kept for clarity
-    /// at call sites).
-    pub fn spawn_nested<F: FnOnce() + Send + 'static>(&self, task: F) {
-        self.spawn(task)
-    }
 }
 
 impl Drop for TaskPool {
@@ -456,7 +450,7 @@ mod tests {
                 for _ in 0..10 {
                     let counter = Arc::clone(&counter);
                     let latch = Arc::clone(&latch);
-                    pool2.spawn_nested(move || {
+                    pool2.spawn(move || {
                         counter.fetch_add(1, Ordering::Relaxed);
                         latch.count_down();
                     });

@@ -6,19 +6,22 @@
 //! GPU, retry transient faults, halve the batch when the device is out of
 //! memory, fall back to a bit-identical CPU implementation, re-emit in
 //! order, and report every rung to telemetry. This crate extracts that
-//! commonality behind two types:
+//! commonality behind three types:
 //!
 //! * [`Workload`] — what an *application* declares: its item/batch/GPU
 //!   state types, a fallible GPU path, an optional sub-batch path for OOM
 //!   halving, and a CPU path that is byte-identical to the kernels.
+//! * [`DeviceOut`] — the device half of an output-only stage: offloader,
+//!   grow-only buffer, and the size → launch → read back → sync sequence.
 //! * [`WorkloadDriver`] — what the *runtime* owns: the recovery ladder
 //!   (retry → batch-halve → CPU fallback), recycled-buffer discipline
 //!   (every rung writes into a caller-supplied batch), telemetry fault
 //!   events, and ordered farm plumbing ([`WorkloadDriver::run_ordered`]).
 //!
-//! The ladder exists *only here*; `mandel`, `dedup` and `hashsearch` are
-//! pure [`Workload`] impls. Adding a fourth application is ~100 lines: a
-//! kernel, a `Workload` impl, and a harness.
+//! The ladder exists *only here*; `mandel`, `dedup`, `hashsearch` and
+//! `spar-gpu`'s generated map stage are pure [`Workload`] impls. Adding
+//! another application is ~100 lines: a kernel, a `Workload` impl, and a
+//! harness.
 //!
 //! # Ladder semantics
 //!
@@ -36,11 +39,12 @@
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used)]
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fastflow::FaultPolicy;
-use gpusim::GpuSystem;
+use gpusim::{DevicePtr, GpuSystem, KernelFn, Offload};
 use telemetry::{FaultKind, FlightHandle, FlightKind, Recorder};
 
 pub mod pinned;
@@ -86,6 +90,64 @@ impl From<gpusim::OutOfMemory> for WorkloadFault {
 impl From<gpusim::DeviceFault> for WorkloadFault {
     fn from(e: gpusim::DeviceFault) -> Self {
         WorkloadFault::Kernel(e)
+    }
+}
+
+/// The device half of an output-only offload stage, written once: an
+/// offloader plus one grow-only device buffer the kernel writes and the
+/// host reads back. It is the whole [`Workload::Gpu`] of a stage whose
+/// kernel takes its input by value (Mandelbrot rows, nonce ranges); a
+/// stage that also uploads keeps its input buffer beside it and issues the
+/// copy through [`offloader`](Self::offloader) first.
+pub struct DeviceOut<O: Offload, T: Default + Clone + Send + 'static = u8> {
+    off: O,
+    dev: Option<O::Buffer<T>>,
+}
+
+impl<O: Offload, T: Default + Clone + Send + 'static> DeviceOut<O, T> {
+    /// Bind to `device`. Must run on the thread that will compute (the
+    /// per-thread discipline [`Offload::attach`] documents).
+    pub fn attach(system: &Arc<GpuSystem>, device: usize) -> Self {
+        DeviceOut {
+            off: O::attach(system, device),
+            dev: None,
+        }
+    }
+
+    /// The offloader, for verbs this helper does not issue itself.
+    pub fn offloader(&mut self) -> &mut O {
+        &mut self.off
+    }
+
+    /// Size the device buffer to `out`, launch the kernel `kernel` builds
+    /// around it over `lanes` lanes, read `out.len()` elements back and
+    /// wait. The buffer only grows, and `out` is page-locked for the
+    /// transfer (idempotent for pool-backed memory, and it covers recycled
+    /// `Vec`s), so the read-back is a DMA into the caller's buffer: with a
+    /// stable length the steady state touches neither an allocator nor
+    /// memcpy, and a halved sub-range allocates only its own span. A
+    /// refused allocation or launch is returned with nothing enqueued and
+    /// the state fit for a retry.
+    pub fn launch_into<K: KernelFn>(
+        &mut self,
+        out: &mut [T],
+        lanes: u64,
+        block: u32,
+        kernel: impl FnOnce(DevicePtr<T>) -> K,
+    ) -> Result<(), WorkloadFault> {
+        if self.dev.as_ref().map_or(0, |b| O::buffer_len(b)) < out.len() {
+            // Drop the stale buffer before re-allocating; on failure the
+            // slot stays empty so the next attempt allocates again.
+            self.dev = None;
+            self.dev = Some(self.off.try_alloc(out.len())?);
+        }
+        let dev = self.dev.as_ref().expect("sized above");
+        self.off
+            .try_launch(kernel(O::buffer_ptr(dev)), lanes, block)?;
+        let _pin = gpusim::PinnedSlab::register(out);
+        self.off.d2h(dev, out);
+        self.off.sync();
+        Ok(())
     }
 }
 
@@ -314,108 +376,75 @@ impl<W: Workload> WorkloadDriver<W> {
         // byte counters by this to report copies-per-batch.
         telemetry::copy::record_batch();
         let w = &self.work;
-        let policy = w.policy();
-        let stage = w.stage_label();
         let units = w.split_units(item);
         self.flight
             .emit(FlightKind::BatchFormed, batch_id, units as u64, 0);
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            match w.try_gpu_batch(gpu, item, out) {
-                Ok(()) => return,
-                Err(fault) => {
-                    self.rec
-                        .fault_in_batch(stage, fault.kind(), batch_id, fault.to_string());
-                    if matches!(fault, WorkloadFault::Oom(_)) && units > 1 {
-                        self.rec.fault_in_batch(
-                            stage,
-                            FaultKind::Retry,
-                            batch_id,
-                            format!("{}: retrying as halved sub-batches", w.describe(item)),
-                        );
-                        if self.split_range(gpu, item, batch_id, 0, units, out) {
-                            return;
-                        }
-                        break; // device abandoned for this item
-                    } else if attempts <= policy.max_retries {
-                        self.rec.fault_in_batch(
-                            stage,
-                            FaultKind::Retry,
-                            batch_id,
-                            format!("{}: attempt {}", w.describe(item), attempts + 1),
-                        );
-                        if !policy.backoff.is_zero() {
-                            std::thread::sleep(policy.backoff);
-                        }
-                    } else {
-                        break;
-                    }
-                }
-            }
+        if !self.device_ladder(gpu, item, batch_id, 0..units, true, out) {
+            self.rec.fault_in_batch(
+                w.stage_label(),
+                FaultKind::CpuFallback,
+                batch_id,
+                format!("{}: computing on the host", w.describe(item)),
+            );
+            w.cpu_batch(item, out);
         }
-        self.rec.fault_in_batch(
-            stage,
-            FaultKind::CpuFallback,
-            batch_id,
-            format!("{}: computing on the host", w.describe(item)),
-        );
-        w.cpu_batch(item, out);
     }
 
-    /// Compute units `lo..hi` with per-range retries and recursive OOM
-    /// halving. Returns false when the range can neither run nor split —
-    /// the caller then degrades the whole item to the CPU.
-    fn split_range(
+    /// The device rungs, written once: attempt `units` of the batch with
+    /// a retry budget of its own, halve the range on OOM and walk each
+    /// half the same way. `whole` marks the one attempt that goes through
+    /// [`Workload::try_gpu_batch`] — the first, over `0..split_units` —
+    /// every later one uses [`Workload::try_gpu_split`], starting with the
+    /// whole range again (an OOM there is what starts the halving).
+    /// Returns false when the range can neither run nor split: the caller
+    /// then degrades the whole item to the host.
+    fn device_ladder(
         &self,
         gpu: &mut W::Gpu,
         item: &W::Item,
         batch_id: u64,
-        lo: usize,
-        hi: usize,
+        units: Range<usize>,
+        mut whole: bool,
         out: &mut W::Batch,
     ) -> bool {
         let w = &self.work;
         let policy = w.policy();
         let stage = w.stage_label();
+        let (lo, hi) = (units.start, units.end);
+        let retry = |what: std::fmt::Arguments<'_>| {
+            let detail = format!("{}: {what}", w.describe(item));
+            self.rec
+                .fault_in_batch(stage, FaultKind::Retry, batch_id, detail)
+        };
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            match w.try_gpu_split(gpu, item, lo, hi, out) {
-                Ok(()) => return true,
-                Err(fault) => {
-                    self.rec
-                        .fault_in_batch(stage, fault.kind(), batch_id, fault.to_string());
-                    if matches!(fault, WorkloadFault::Oom(_)) && hi - lo > 1 {
-                        let mid = lo + (hi - lo) / 2;
-                        self.flight
-                            .emit(FlightKind::OomHalve, batch_id, lo as u64, hi as u64);
-                        self.rec.fault_in_batch(
-                            stage,
-                            FaultKind::Retry,
-                            batch_id,
-                            format!("{}: halving units {lo}..{hi}", w.describe(item)),
-                        );
-                        return self.split_range(gpu, item, batch_id, lo, mid, out)
-                            && self.split_range(gpu, item, batch_id, mid, hi, out);
-                    } else if attempts <= policy.max_retries {
-                        self.rec.fault_in_batch(
-                            stage,
-                            FaultKind::Retry,
-                            batch_id,
-                            format!(
-                                "{}: units {lo}..{hi} attempt {}",
-                                w.describe(item),
-                                attempts + 1
-                            ),
-                        );
-                        if !policy.backoff.is_zero() {
-                            std::thread::sleep(policy.backoff);
-                        }
-                    } else {
-                        return false;
-                    }
+            let attempt = if whole {
+                w.try_gpu_batch(gpu, item, out)
+            } else {
+                w.try_gpu_split(gpu, item, lo, hi, out)
+            };
+            let Err(fault) = attempt else { return true };
+            self.rec
+                .fault_in_batch(stage, fault.kind(), batch_id, fault.to_string());
+            let splittable = matches!(fault, WorkloadFault::Oom(_)) && hi - lo > 1;
+            if splittable && whole {
+                retry(format_args!("retrying as halved sub-batches"));
+                (whole, attempts) = (false, 0);
+            } else if splittable {
+                let mid = lo + (hi - lo) / 2;
+                self.flight
+                    .emit(FlightKind::OomHalve, batch_id, lo as u64, hi as u64);
+                retry(format_args!("halving units {lo}..{hi}"));
+                return self.device_ladder(gpu, item, batch_id, lo..mid, false, out)
+                    && self.device_ladder(gpu, item, batch_id, mid..hi, false, out);
+            } else if attempts <= policy.max_retries {
+                retry(format_args!("units {lo}..{hi} attempt {}", attempts + 1));
+                if !policy.backoff.is_zero() {
+                    std::thread::sleep(policy.backoff);
                 }
+            } else {
+                return false;
             }
         }
     }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use hetstream::gpusim::DeviceProps;
 use hetstream::prelude::*;
-use hetstream::spar_gpu::{Api, GpuMap, SparGpuExt};
+use hetstream::spar_gpu::{GpuMap, SparGpuExt};
 
 /// One parsed log record: (response-time ms, status class).
 type Record = (f32, u32);
@@ -37,8 +37,8 @@ fn synth_window(window: usize, len: usize) -> Vec<Record> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let api = match args.get(1).map(String::as_str).unwrap_or("cuda") {
-        "opencl" => Api::OpenCl,
-        _ => Api::Cuda,
+        "opencl" => OffloadApi::OpenCl,
+        _ => OffloadApi::Cuda,
     };
     let windows: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(20);
     let window_len = 4096;
@@ -54,6 +54,8 @@ fn main() {
         latency_score + status_score
     })
     .units_per_lane(8);
+    // Spent score vectors go back to the stage instead of the allocator.
+    let spent = scorer.recycler().clone();
 
     let mut alerts = 0usize;
     let mut processed = 0usize;
@@ -61,11 +63,13 @@ fn main() {
         .ordered(true)
         .source_iter((0..windows).map(move |w| synth_window(w, window_len)))
         .stage_gpu_map(3, scorer)
-        .stage(2, |scores: Vec<f32>| {
+        .stage(2, move |scores: Vec<f32>| {
             // CPU stage: window aggregate.
             let n_anom = scores.iter().filter(|&&s| s > 5.0).count();
             let mean = scores.iter().sum::<f32>() / scores.len() as f32;
-            (n_anom, mean, scores.len())
+            let len = scores.len();
+            spent.give(scores);
+            (n_anom, mean, len)
         })
         .last_stage(|(n_anom, mean, len): (usize, f32, usize)| {
             processed += len;
@@ -79,8 +83,8 @@ fn main() {
     println!(
         "processed {processed} records in {windows} windows under the {} back end",
         match api {
-            Api::Cuda => "CUDA",
-            Api::OpenCl => "OpenCL",
+            OffloadApi::Cuda => "CUDA",
+            OffloadApi::OpenCl => "OpenCL",
         }
     );
     println!(

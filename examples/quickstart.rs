@@ -1,8 +1,8 @@
 //! Quickstart: annotate a stream region with SPar-style attributes.
 //!
 //! The paper's programming model in 30 lines: a source generating stream
-//! items, a stateless replicated stage (`Replicate`), and an ordered
-//! collector. Run with:
+//! items, a stateless replicated stage (`Replicate`), and a last stage
+//! that receives them in stream order. Run with:
 //!
 //! ```text
 //! cargo run --release --example quickstart

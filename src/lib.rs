@@ -10,7 +10,8 @@
 //! * [`spar`] — the paper's primary contribution: an annotation-style DSL
 //!   for stream parallelism, compiled onto the [`fastflow`] runtime.
 //! * [`spar_gpu`] — the paper's §VI future work: GPU offload stages whose
-//!   CUDA/OpenCL host code is generated from a single lane function.
+//!   CUDA/OpenCL host code is generated from a single lane function, run
+//!   as a [`Workload`](workload::Workload) on the recovery ladder.
 //! * [`fastflow`] — pipeline/farm skeleton runtime over lock-free SPSC queues.
 //! * [`tbbx`] — TBB-style task scheduler and token-throttled pipeline.
 //! * [`gpusim`] — functional GPU simulator with CUDA-like and OpenCL-like
@@ -74,8 +75,8 @@ pub use workload;
 /// when the blessed surface is not enough: `fastflow::{spsc, channel,
 /// wait}` (runtime internals), `gpusim::{cuda, opencl}` (raw façades for
 /// backend-specific machinery such as multi-stream overlap and
-/// pinned-vs-pageable copies), `tbbx::task` (scheduler internals),
-/// `dedup`/`mandel`/`hashsearch` stage plumbing.
+/// pinned-vs-pageable copies), `tbbx::{pool, deque}` (scheduler
+/// internals), `dedup`/`mandel`/`hashsearch` stage plumbing.
 pub mod prelude {
     pub use fastflow::{
         gather, par_map_ordered, par_map_unordered, recycler, scatter, BufPool, FaultPolicy,

@@ -8,6 +8,7 @@ use hetstream::gpusim::{DeviceProps, GpuSystem};
 use hetstream::mandel::core::FractalParams;
 use hetstream::mandel::hybrid::{CudaOffload, OclOffload};
 use hetstream::mandel::{cpu, gpu, hybrid};
+use hetstream::telemetry::Recorder;
 
 fn params() -> FractalParams {
     FractalParams::view(40, 150)
@@ -33,27 +34,27 @@ fn every_version_renders_the_same_image() {
         ("ocl overlap", gpu::ocl_overlap(&system, &p, 8, 4, 2).0),
         (
             "spar+cuda",
-            hybrid::run_spar_gpu::<CudaOffload>(&system, &p, 2, 8, 2),
+            hybrid::run_spar_gpu::<CudaOffload>(&system, &p, 2, 8, 2, Recorder::default()),
         ),
         (
             "spar+opencl",
-            hybrid::run_spar_gpu::<OclOffload>(&system, &p, 2, 8, 2),
+            hybrid::run_spar_gpu::<OclOffload>(&system, &p, 2, 8, 2, Recorder::default()),
         ),
         (
             "fastflow+cuda",
-            hybrid::run_fastflow_gpu::<CudaOffload>(&system, &p, 2, 8, 1),
+            hybrid::run_fastflow_gpu::<CudaOffload>(&system, &p, 2, 8, 1, Recorder::default()),
         ),
         (
             "fastflow+opencl",
-            hybrid::run_fastflow_gpu::<OclOffload>(&system, &p, 2, 8, 1),
+            hybrid::run_fastflow_gpu::<OclOffload>(&system, &p, 2, 8, 1, Recorder::default()),
         ),
         (
             "tbb+cuda",
-            hybrid::run_tbb_gpu::<CudaOffload>(&system, &p, &pool, 4, 8, 2),
+            hybrid::run_tbb_gpu::<CudaOffload>(&system, &p, &pool, 4, 8, 2, Recorder::default()),
         ),
         (
             "tbb+opencl",
-            hybrid::run_tbb_gpu::<OclOffload>(&system, &p, &pool, 4, 8, 1),
+            hybrid::run_tbb_gpu::<OclOffload>(&system, &p, &pool, 4, 8, 1, Recorder::default()),
         ),
     ];
     for (name, img) in versions {

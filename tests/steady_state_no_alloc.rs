@@ -21,9 +21,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use hetstream::dedup::backend::{BackendCtx, DedupBackend, OffloadBackend};
 use hetstream::dedup::{make_batches, Batch, LzssConfig, RabinParams};
 use hetstream::gpusim::{CudaOffload, DeviceProps, GpuSystem, OclOffload, Offload};
-use hetstream::mandel::hybrid::{BatchCompute, MandelWork};
+use hetstream::mandel::hybrid::MandelWork;
 use hetstream::mandel::FractalParams;
-use hetstream::workload::WorkloadDriver;
+use hetstream::workload::{Workload, WorkloadDriver};
 
 struct CountingAlloc;
 
@@ -80,11 +80,12 @@ fn mandel_sweep<O: Offload>(label: &str) {
     let params = FractalParams::view(32, 100);
     let batch_size = 8;
     let n_batches = params.dim.div_ceil(batch_size);
-    let mut gpu = BatchCompute::<O>::new(&system, 0);
+    let work = MandelWork::<O>::new(&system, &params, batch_size, 1, 1);
+    let mut gpu = work.attach(0);
     let mut out = Vec::new();
     assert_steady_state(label, || {
         for b in 0..n_batches {
-            gpu.try_compute_batch_into(&params, b, batch_size, &mut out)
+            work.try_gpu_batch(&mut gpu, &b, &mut out)
                 .expect("no faults injected");
         }
     });

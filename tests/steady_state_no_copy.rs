@@ -16,13 +16,13 @@
 use std::collections::VecDeque;
 
 use hetstream::dedup::backend::{BackendCtx, DedupBackend, OffloadBackend};
-use hetstream::dedup::sha1::Sha1;
 use hetstream::dedup::{make_batches, Batch, LzssConfig, RabinParams};
 use hetstream::gpusim::{CudaOffload, DeviceProps, GpuSystem, OclOffload, Offload};
-use hetstream::hashsearch::{SearchCompute, DIGEST_BYTES};
-use hetstream::mandel::hybrid::BatchCompute;
+use hetstream::hashsearch::{NonceRange, SearchConfig, SearchWork, DIGEST_BYTES};
+use hetstream::mandel::hybrid::MandelWork;
 use hetstream::mandel::FractalParams;
 use hetstream::telemetry::copy;
+use hetstream::workload::Workload;
 
 const WARMUP: usize = 3;
 const SWEEPS: usize = 3;
@@ -59,11 +59,12 @@ fn mandel_sweep<O: Offload>(label: &str) {
     let params = FractalParams::view(32, 100);
     let batch_size = 8;
     let n_batches = params.dim.div_ceil(batch_size);
-    let mut gpu = BatchCompute::<O>::new(&system, 0);
+    let work = MandelWork::<O>::new(&system, &params, batch_size, 1, 1);
+    let mut gpu = work.attach(0);
     let mut out = Vec::new();
     assert_no_copies(label, || {
         for b in 0..n_batches {
-            gpu.try_compute_batch_into(&params, b, batch_size, &mut out)
+            work.try_gpu_batch(&mut gpu, &b, &mut out)
                 .expect("no faults injected");
         }
     });
@@ -72,17 +73,20 @@ fn mandel_sweep<O: Offload>(label: &str) {
 
 fn hashsearch_sweep<O: Offload>(label: &str) {
     let system = GpuSystem::new(1, DeviceProps::titan_xp());
-    let header = vec![0xA5u8; 64];
-    let mut h = Sha1::new();
-    h.update(&header);
-    let midstate = h.midstate().expect("64-byte header has a midstate");
     let count = 256usize;
-    let mut gpu = SearchCompute::<O>::new(&system, 0);
+    let cfg = SearchConfig::new(vec![0xA5u8; 64], 0);
+    let work = SearchWork::<O>::new(&system, &cfg, 1, 1);
+    let mut gpu = work.attach(0);
     let mut out = vec![0u8; count * DIGEST_BYTES];
     let mut next = 0u64;
     assert_no_copies(label, || {
-        for _ in 0..BATCHES_PER_SWEEP {
-            gpu.try_search_into(midstate, header.len() as u64, next, count, &mut out)
+        for index in 0..BATCHES_PER_SWEEP {
+            let range = NonceRange {
+                index,
+                start: next,
+                count,
+            };
+            work.try_gpu_batch(&mut gpu, &range, &mut out)
                 .expect("no faults injected");
             next += count as u64;
         }

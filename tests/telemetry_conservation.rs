@@ -18,7 +18,7 @@ fn mandel_run_conserves_items_across_stages() {
     let rec = Recorder::enabled();
     let system = GpuSystem::new(2, DeviceProps::titan_xp());
     let img =
-        mandel::hybrid::run_spar_gpu_rec::<CudaOffload>(&system, &params, 3, batch, 2, rec.clone());
+        mandel::hybrid::run_spar_gpu::<CudaOffload>(&system, &params, 3, batch, 2, rec.clone());
     assert_eq!(
         img.digest(),
         mandel::cpu::run_sequential(&params).0.digest()

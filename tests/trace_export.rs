@@ -58,8 +58,7 @@ fn chrome_trace_of_a_real_run_is_viewer_loadable() {
     let params = FractalParams::view(96, 64);
     let rec = Recorder::enabled();
     let system = GpuSystem::new(2, DeviceProps::titan_xp());
-    let img =
-        mandel::hybrid::run_spar_gpu_rec::<CudaOffload>(&system, &params, 3, 16, 2, rec.clone());
+    let img = mandel::hybrid::run_spar_gpu::<CudaOffload>(&system, &params, 3, 16, 2, rec.clone());
     assert_eq!(
         img.digest(),
         mandel::cpu::run_sequential(&params).0.digest()

@@ -1,7 +1,8 @@
 //! Workload SDK conformance suite: every in-repo [`Workload`]
 //! implementation — Mandelbrot ([`MandelWork`]), the Dedup hash stage
-//! ([`HashWork`]) and the hash-search nonce sweep ([`SearchWork`]) — is
-//! held to the same contract through the generic [`WorkloadDriver`]:
+//! ([`HashWork`]), the hash-search nonce sweep ([`SearchWork`]) and
+//! `spar-gpu`'s generated map stage ([`GpuMap::on`]) — is held to the same
+//! contract through the generic [`WorkloadDriver`]:
 //!
 //! 1. the GPU path is bit-identical to the host path;
 //! 2. OOM halving re-splits correctly: device-memory faults resolve via
@@ -21,12 +22,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use hetstream::dedup::backend::{BackendCtx, HashWork};
 use hetstream::dedup::{make_batches, Batch, LzssConfig, RabinParams};
-use hetstream::gpusim::{CudaOffload, DeviceProps, FaultClass, FaultSpec, GpuSystem};
+use hetstream::gpusim::{CudaOffload, DeviceProps, FaultClass, FaultSpec, GpuSystem, OffloadApi};
 use hetstream::hashsearch::{NonceRange, SearchConfig, SearchWork};
 use hetstream::mandel::hybrid::MandelWork;
 use hetstream::mandel::FractalParams;
 use hetstream::prelude::{Recorder, Workload, WorkloadDriver};
-use hetstream::telemetry::FaultKind;
+use hetstream::spar_gpu::GpuMap;
+use hetstream::telemetry::{FaultKind, TelemetryReport};
 
 struct CountingAlloc;
 
@@ -92,6 +94,19 @@ fn search_fixture(sys: &Arc<GpuSystem>) -> (SearchWork<CudaOffload>, Vec<NonceRa
     (SearchWork::new(sys, &cfg, 1, 2), items)
 }
 
+/// The generated map stage's lane function. It reads a neighbour, so a
+/// halved element range is only right if the whole item went up with it.
+type Lane = fn(usize, &[f64]) -> f64;
+
+fn map_fixture(sys: &Arc<GpuSystem>) -> (GpuMap<f64, f64, Lane>, Vec<Vec<f64>>) {
+    let lane: Lane = |i, xs| xs[i] * 1.5 + xs[(i + 1) % xs.len()];
+    let items = (0..6)
+        .map(|k| (0..512).map(|i| (k * 1000 + i) as f64).collect())
+        .collect();
+    let map = GpuMap::new(Arc::clone(sys), OffloadApi::Cuda, 1, lane).units_per_lane(4);
+    (map, items)
+}
+
 // ---------------------------------------------------------------------
 // Generic contract drivers.
 // ---------------------------------------------------------------------
@@ -112,26 +127,36 @@ where
     }
 }
 
-/// Run every item through a driver wired to `rec` on a system carrying
-/// `spec`, and return the per-item projections.
-fn run_faulty<W, T>(
+/// Run every item through a recording driver on a system carrying
+/// `spec`, require the outputs (compared through `digest`) to equal the
+/// host path's, and return the report for the caller's fault-count checks.
+fn assert_exact_under<W, T>(
+    label: &str,
     work: W,
     items: &[W::Item],
     sys: &GpuSystem,
     spec: &FaultSpec,
-    rec: &Recorder,
     digest: impl Fn(&W::Batch) -> T,
-) -> Vec<T>
+) -> TelemetryReport
 where
     W: Workload,
+    T: PartialEq + std::fmt::Debug,
 {
+    let probe = WorkloadDriver::new(work.clone());
+    let reference: Vec<T> = items
+        .iter()
+        .map(|i| digest(&probe.process_host(i)))
+        .collect();
     sys.inject_faults(spec);
+    let rec = Recorder::enabled();
     let driver = WorkloadDriver::new(work).with_recorder(rec.clone());
     let mut gpu = driver.attach(0);
-    items
+    let got: Vec<T> = items
         .iter()
         .map(|item| digest(&driver.process(&mut gpu, item)))
-        .collect()
+        .collect();
+    assert_eq!(got, reference, "{label}: faulty run must stay exact");
+    rec.report()
 }
 
 /// A spec that only starves device memory: the first `n` device
@@ -194,6 +219,10 @@ fn gpu_path_is_bit_identical_to_host_path() {
     let sys = GpuSystem::new(1, DeviceProps::titan_xp());
     let (work, items) = search_fixture(&sys);
     assert_paths_agree(work, &items, |digests| digests.clone());
+
+    let sys = GpuSystem::new(1, DeviceProps::titan_xp());
+    let (map, items) = map_fixture(&sys);
+    assert_paths_agree(map.on::<CudaOffload>(), &items, |scores| scores.clone());
 }
 
 // ---------------------------------------------------------------------
@@ -204,60 +233,38 @@ fn gpu_path_is_bit_identical_to_host_path() {
 fn oom_halving_resplits_into_the_exact_reference() {
     let _guard = serial();
     let spec = oom_only(11, 2);
+    let halved = |label: &str, rep: TelemetryReport| {
+        assert!(
+            rep.faults_of(FaultKind::DeviceOom).count() >= 1,
+            "{label}: the scripted OOM must have fired"
+        );
+        assert_eq!(
+            rep.fallback_count(),
+            0,
+            "{label}: OOM alone must not fall back"
+        );
+    };
 
     let sys = GpuSystem::new(1, DeviceProps::titan_xp());
     let (work, items) = mandel_fixture(&sys);
-    let rec = Recorder::enabled();
-    let reference: Vec<_> = {
-        let probe = WorkloadDriver::new(work.clone());
-        items.iter().map(|i| probe.process_host(i)).collect()
-    };
-    let got = run_faulty(work, &items, &sys, &spec, &rec, |p| p.clone());
-    assert_eq!(got, reference, "mandel: halved sub-batches must recombine");
-    let rep = rec.report();
-    assert!(rep.faults_of(FaultKind::DeviceOom).count() >= 1);
-    assert_eq!(
-        rep.fallback_count(),
-        0,
-        "mandel: OOM alone must not fall back"
-    );
+    let rep = assert_exact_under("mandel", work, &items, &sys, &spec, |p| p.clone());
+    halved("mandel", rep);
 
     let sys = GpuSystem::new(1, DeviceProps::titan_xp());
     let (work, items) = hash_fixture(&sys);
-    let rec = Recorder::enabled();
-    let reference: Vec<Vec<_>> = {
-        let probe = WorkloadDriver::new(work.clone());
-        items
-            .iter()
-            .map(|i| probe.process_host(i).0.to_vec())
-            .collect()
-    };
-    let got = run_faulty(work, &items, &sys, &spec, &rec, |(d, _)| d.to_vec());
-    assert_eq!(got, reference, "dedup hash: halved digests must recombine");
-    let rep = rec.report();
-    assert!(rep.faults_of(FaultKind::DeviceOom).count() >= 1);
-    assert_eq!(
-        rep.fallback_count(),
-        0,
-        "dedup hash: OOM alone must not fall back"
-    );
+    let rep = assert_exact_under("dedup hash", work, &items, &sys, &spec, |(d, _)| d.to_vec());
+    halved("dedup hash", rep);
 
     let sys = GpuSystem::new(1, DeviceProps::titan_xp());
     let (work, items) = search_fixture(&sys);
-    let rec = Recorder::enabled();
-    let reference: Vec<_> = {
-        let probe = WorkloadDriver::new(work.clone());
-        items.iter().map(|i| probe.process_host(i)).collect()
-    };
-    let got = run_faulty(work, &items, &sys, &spec, &rec, |d| d.clone());
-    assert_eq!(got, reference, "hashsearch: halved ranges must recombine");
-    let rep = rec.report();
-    assert!(rep.faults_of(FaultKind::DeviceOom).count() >= 1);
-    assert_eq!(
-        rep.fallback_count(),
-        0,
-        "hashsearch: OOM alone must not fall back"
-    );
+    let rep = assert_exact_under("hashsearch", work, &items, &sys, &spec, |d| d.clone());
+    halved("hashsearch", rep);
+
+    let sys = GpuSystem::new(1, DeviceProps::titan_xp());
+    let (map, items) = map_fixture(&sys);
+    let work = map.on::<CudaOffload>();
+    let rep = assert_exact_under("gpu map", work, &items, &sys, &spec, |s| s.clone());
+    halved("gpu map", rep);
 }
 
 // ---------------------------------------------------------------------
@@ -272,66 +279,37 @@ fn faulty_devices_retry_then_fall_back_bit_identically() {
     // a serial single-device run down the whole ladder: OOM → halving →
     // launch-retry exhaustion → CPU fallback.
     let spec = FaultSpec::demo(7);
+    let walked = |label: &str, rep: TelemetryReport| {
+        assert!(
+            rep.retry_count() >= 1,
+            "{label}: expected at least one retry"
+        );
+        assert!(
+            rep.fallback_count() >= 1,
+            "{label}: expected at least one CPU fallback"
+        );
+    };
 
     let sys = GpuSystem::new(1, DeviceProps::titan_xp());
     let (work, items) = mandel_fixture(&sys);
-    let rec = Recorder::enabled();
-    let reference: Vec<_> = {
-        let probe = WorkloadDriver::new(work.clone());
-        items.iter().map(|i| probe.process_host(i)).collect()
-    };
-    let got = run_faulty(work, &items, &sys, &spec, &rec, |p| p.clone());
-    assert_eq!(got, reference, "mandel: faulty run must stay exact");
-    let rep = rec.report();
-    assert!(
-        rep.retry_count() >= 1,
-        "mandel: expected at least one retry"
-    );
-    assert!(
-        rep.fallback_count() >= 1,
-        "mandel: expected at least one CPU fallback"
-    );
+    let rep = assert_exact_under("mandel", work, &items, &sys, &spec, |p| p.clone());
+    walked("mandel", rep);
 
     let sys = GpuSystem::new(1, DeviceProps::titan_xp());
     let (work, items) = hash_fixture(&sys);
-    let rec = Recorder::enabled();
-    let reference: Vec<Vec<_>> = {
-        let probe = WorkloadDriver::new(work.clone());
-        items
-            .iter()
-            .map(|i| probe.process_host(i).0.to_vec())
-            .collect()
-    };
-    let got = run_faulty(work, &items, &sys, &spec, &rec, |(d, _)| d.to_vec());
-    assert_eq!(got, reference, "dedup hash: faulty run must stay exact");
-    let rep = rec.report();
-    assert!(
-        rep.retry_count() >= 1,
-        "dedup hash: expected at least one retry"
-    );
-    assert!(
-        rep.fallback_count() >= 1,
-        "dedup hash: expected at least one CPU fallback"
-    );
+    let rep = assert_exact_under("dedup hash", work, &items, &sys, &spec, |(d, _)| d.to_vec());
+    walked("dedup hash", rep);
 
     let sys = GpuSystem::new(1, DeviceProps::titan_xp());
     let (work, items) = search_fixture(&sys);
-    let rec = Recorder::enabled();
-    let reference: Vec<_> = {
-        let probe = WorkloadDriver::new(work.clone());
-        items.iter().map(|i| probe.process_host(i)).collect()
-    };
-    let got = run_faulty(work, &items, &sys, &spec, &rec, |d| d.clone());
-    assert_eq!(got, reference, "hashsearch: faulty run must stay exact");
-    let rep = rec.report();
-    assert!(
-        rep.retry_count() >= 1,
-        "hashsearch: expected at least one retry"
-    );
-    assert!(
-        rep.fallback_count() >= 1,
-        "hashsearch: expected at least one CPU fallback"
-    );
+    let rep = assert_exact_under("hashsearch", work, &items, &sys, &spec, |d| d.clone());
+    walked("hashsearch", rep);
+
+    let sys = GpuSystem::new(1, DeviceProps::titan_xp());
+    let (map, items) = map_fixture(&sys);
+    let work = map.on::<CudaOffload>();
+    let rep = assert_exact_under("gpu map", work, &items, &sys, &spec, |s| s.clone());
+    walked("gpu map", rep);
 }
 
 // ---------------------------------------------------------------------
@@ -373,6 +351,18 @@ fn steady_state_processing_does_not_allocate() {
     let driver = WorkloadDriver::new(work);
     let mut gpu = driver.attach(0);
     assert_steady_state("hashsearch", || {
+        for item in &items {
+            recycle.give(driver.process(&mut gpu, item));
+        }
+    });
+
+    // Every item has the same length, so both device buffers settle.
+    let sys = GpuSystem::new(1, DeviceProps::titan_xp());
+    let (map, items) = map_fixture(&sys);
+    let recycle = map.recycler().clone();
+    let driver = WorkloadDriver::new(map.on::<CudaOffload>());
+    let mut gpu = driver.attach(0);
+    assert_steady_state("gpu map", || {
         for item in &items {
             recycle.give(driver.process(&mut gpu, item));
         }
