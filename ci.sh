@@ -237,11 +237,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== fused farm matrix + lost-wakeup stress (release, serial, under a deadline) =="
 # Every output arity x ordering x queue shape x wait strategy against the
-# sequential model, the thread census (source + N workers, nothing else)
-# and the one-slot-ring wakeup stress. A deadlock or a lost wakeup shows
-# as a hang, so the deadline turns it into a failure (exit 124).
+# sequential model, the thread census (source + N workers, nothing else),
+# the one-slot-ring wakeup stress and the disconnect races, plus the
+# channel's own unit tests. A deadlock or a lost wakeup shows as a hang,
+# so the deadline turns it into a failure (exit 124).
 timeout 900 cargo test --release --offline -p fastflow \
-    --test farm_fused --test farm_threads --test wakeup -- --test-threads=1
+    --lib --test farm_fused --test farm_threads --test wakeup -- --test-threads=1
+
+echo "== reach census (no runtime pub item may be unreachable) =="
+tools/reach.sh fastflow tbbx spar | awk '/ nothing$/ { print "FAIL: unreached pub item: " $0; bad = 1 } END { exit bad }'
 
 echo "== hetbench smoke (both modes) + the benchmark package's own tests =="
 # The repo's benchmark (BENCHMARK.json): all five workloads for about a

@@ -11,6 +11,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin ablate [--dim 600] [--niter 2000]`
 
+#![forbid(unsafe_code)]
+
 use bench::{arg, secs, Report};
 use gpusim::{DeviceProps, GpuSystem};
 use mandel::core::FractalParams;

@@ -43,6 +43,8 @@
 //! producing the bit-exact image — the exactly-once demo driven by
 //! `ci.sh`.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use bench::{

@@ -25,6 +25,8 @@
 //! recovery-ladder driver, and leave through a durable egress log that a
 //! restart resumes without re-emitting.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use bench::{

@@ -27,6 +27,8 @@
 //! is consumed with resumable group offsets, and the reassembled stream
 //! must round-trip bit-exactly through the GPU dedup pipeline.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use bench::{arg, ingress_demo, instrumented_run, observed_run, shard_of, Report, ShapeChecks};

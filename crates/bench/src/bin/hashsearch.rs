@@ -23,6 +23,8 @@
 //! any placement, and at figure scale the cost-model makespan proxy
 //! (max device busy) must beat static round-robin.
 
+#![forbid(unsafe_code)]
+
 use bench::{arg, flag, instrumented_run, placed_fleet_demo, Report, ShapeChecks};
 use dedup::sha1::Digest;
 use gpusim::{CudaOffload, DeviceProps, GpuSystem, OclOffload};

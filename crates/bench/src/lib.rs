@@ -15,6 +15,8 @@
 //! exiting non-zero if one fails. The repo's benchmark is a package of
 //! its own (`benchmark/run.sh`).
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -806,8 +808,8 @@ mod tests {
 
     #[test]
     fn secs_formatting() {
-        assert_eq!(secs(simtime::SimDuration::from_secs(400)), "400s");
-        assert_eq!(secs(simtime::SimDuration::from_millis(1500)), "1.50s");
+        assert_eq!(secs(simtime::SimDuration::from_micros(400_000_000)), "400s");
+        assert_eq!(secs(simtime::SimDuration::from_micros(1_500_000)), "1.50s");
         assert_eq!(secs(simtime::SimDuration::from_micros(250)), "250.0us");
     }
 

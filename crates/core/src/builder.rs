@@ -88,18 +88,6 @@ impl ToStream {
         self
     }
 
-    /// Set the queue wait strategy.
-    pub fn wait(mut self, wait: WaitStrategy) -> Self {
-        self.cfg.wait = wait;
-        self
-    }
-
-    /// Set the scheduling policy for replicated stages.
-    pub fn policy(mut self, policy: SchedPolicy) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
     /// The stream-generation loop (the code between `ToStream` and the first
     /// `Stage` in the paper's Listing 1): runs on its own thread and emits
     /// stream items.
@@ -202,23 +190,6 @@ impl<T: Send + 'static> StreamStage<T> {
         StreamStage { cfg, inner }
     }
 
-    /// A feedback stage (the wrap-around farm the SPar→FastFlow toolchain
-    /// can target): each item circulates through the replicas until the
-    /// worker returns [`fastflow::feedback::Loop::Emit`]. Output order is
-    /// not preserved (feedback and ordering are mutually exclusive, as in
-    /// FastFlow's wrap-around farms).
-    pub fn stage_feedback<U, W, G>(self, replicate: usize, factory: G) -> StreamStage<U>
-    where
-        U: Send + 'static,
-        W: FnMut(T) -> fastflow::feedback::Loop<T, U> + Send + 'static,
-        G: FnMut(usize) -> W,
-    {
-        assert!(replicate >= 1, "Replicate(n) requires n >= 1");
-        let cfg = self.cfg;
-        let inner = self.inner.feedback_farm(replicate, factory);
-        StreamStage { cfg, inner }
-    }
-
     /// The final `Stage` (the collector): runs on the calling thread and
     /// returns when the stream region completes, like exiting the annotated
     /// loop in SPar.
@@ -304,40 +275,17 @@ mod tests {
 
     #[test]
     fn on_demand_policy_processes_everything() {
-        let mut out = ToStream::new()
-            .policy(SchedPolicy::OnDemand)
-            .source_iter(0..200u64)
-            .stage(4, |x| x * 3)
-            .collect();
+        let mut out = ToStream::annotate(SparConfig {
+            policy: SchedPolicy::OnDemand,
+            ..SparConfig::default()
+        })
+        .source_iter(0..200u64)
+        .stage(4, |x| x * 3)
+        .collect();
         out.sort_unstable();
         let mut expected: Vec<u64> = (0..200).map(|x| x * 3).collect();
         expected.sort_unstable();
         assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn feedback_stage_iterates_until_done() {
-        // Integer square root by iteration: refine until stable.
-        let mut out = ToStream::new()
-            .source_iter([100u64, 64, 2, 1_000_000].map(|n| (n, n.max(1))))
-            .stage_feedback(3, |_| {
-                |(n, guess): (u64, u64)| {
-                    let next = (guess + n / guess.max(1)) / 2;
-                    if next == guess || next == guess - 1 && next * next <= n {
-                        fastflow::feedback::Loop::Emit((n, next))
-                    } else {
-                        fastflow::feedback::Loop::Recycle((n, next))
-                    }
-                }
-            })
-            .collect();
-        out.sort_unstable();
-        for (n, root) in out {
-            assert!(
-                root * root <= n && (root + 1) * (root + 1) > n,
-                "isqrt({n}) = {root}"
-            );
-        }
     }
 
     #[test]

@@ -31,12 +31,11 @@
 //! assert_eq!(doubled, vec![0, 2, 4, 6, 8, 10, 12, 14]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
-pub mod macros;
+mod macros;
 
 pub use builder::{SparConfig, StreamStage, ToStream};
 // Re-exports the macro expansion relies on.
 pub use fastflow::{Emitter, Node, SchedPolicy, WaitStrategy};
-// Fail-soft error model (see fastflow::error): stages emit typed errors
-// downstream instead of unwinding, with bounded retry.
-pub use fastflow::{try_map, try_map_with, FaultPolicy, RunReport, StageError, TryMapNode};

@@ -1,61 +1,60 @@
-//! The `to_stream!` macro — SPar's C++11 attribute annotations as a Rust
-//! declarative macro.
-//!
-//! SPar's compiler parses `[[spar::ToStream]]`, `[[spar::Stage]]`,
-//! `[[spar::Input(...)]]`, `[[spar::Output(...)]]` and
-//! `[[spar::Replicate(n)]]` annotations and rewrites the code into FastFlow
-//! calls. Here the macro expansion *is* that source-to-source
-//! transformation: the grammar mirrors the annotations and the expansion
-//! targets [`ToStream`](crate::ToStream)/[`StreamStage`](crate::StreamStage),
-//! which generate the `fastflow` runtime graph.
-//!
-//! `input(...)`/`output(...)` lists are accepted for annotation fidelity
-//! and self-documentation, but carry no semantics: in Rust the data flowing
-//! between stages is exactly the closure argument/return types, checked by
-//! the compiler instead of declared by the programmer (a productivity bug
-//! class SPar's C++ front end has to diagnose itself).
-//!
-//! # Grammar
-//!
-//! ```text
-//! to_stream! {
-//!     [ordered;] [unordered;] [config(EXPR);]
-//!     source [ (output(IDENTS)) ] |em| BLOCK ;
-//!     stage(ATTRS) |arg: InTy| -> OutTy BLOCK ;   // zero or more
-//!     last_stage [ (ATTRS) ] |arg: InTy| BLOCK ;
-//! }
-//! // ATTRS ::= attr [, attr]*      (any order)
-//! // attr  ::= input(IDENTS) | output(IDENTS) | replicate = EXPR
-//! ```
-//!
-//! # Example — the paper's Listing 1, in Rust
-//!
-//! ```
-//! let dim = 16usize;
-//! let workers = 3usize;
-//! let mut shown = 0usize;
-//! spar::to_stream! {
-//!     ordered;
-//!     source(output(i)) |em| {
-//!         for i in 0..dim {
-//!             em.send(i);
-//!         }
-//!     };
-//!     stage(input(i, dim), output(img), replicate = workers)
-//!     |i: usize| -> (usize, Vec<u8>) {
-//!         let img = (0..dim).map(|j| ((i * j) % 256) as u8).collect();
-//!         (i, img)
-//!     };
-//!     last_stage(input(img)) |line: (usize, Vec<u8>)| {
-//!         assert_eq!(line.0, shown);
-//!         shown += 1;
-//!     };
-//! }
-//! assert_eq!(shown, dim);
-//! ```
+//! The `to_stream!` macro: SPar's annotations as a declarative macro.
 
-/// Annotate a stream region. See the [module docs](crate::macros) for the
-/// grammar and an example.
+/// Annotate a stream region: SPar's C++11 attribute annotations as a Rust
+/// declarative macro.
+///
+/// SPar's compiler parses `[[spar::ToStream]]`, `[[spar::Stage]]`,
+/// `[[spar::Input(...)]]`, `[[spar::Output(...)]]` and
+/// `[[spar::Replicate(n)]]` annotations and rewrites the code into FastFlow
+/// calls. Here the macro expansion *is* that source-to-source
+/// transformation: the grammar mirrors the annotations and the expansion
+/// targets [`ToStream`](crate::ToStream)/[`StreamStage`](crate::StreamStage),
+/// which generate the `fastflow` runtime graph.
+///
+/// `input(...)`/`output(...)` lists are accepted for annotation fidelity
+/// and self-documentation, but carry no semantics: in Rust the data flowing
+/// between stages is exactly the closure argument/return types, checked by
+/// the compiler instead of declared by the programmer (a productivity bug
+/// class SPar's C++ front end has to diagnose itself).
+///
+/// # Grammar
+///
+/// ```text
+/// to_stream! {
+///     [ordered;] [unordered;] [config(EXPR);]
+///     source [ (output(IDENTS)) ] |em| BLOCK ;
+///     stage(ATTRS) |arg: InTy| -> OutTy BLOCK ;   // zero or more
+///     last_stage [ (ATTRS) ] |arg: InTy| BLOCK ;
+/// }
+/// // ATTRS ::= attr [, attr]*      (any order)
+/// // attr  ::= input(IDENTS) | output(IDENTS) | replicate = EXPR
+/// ```
+///
+/// # Example — the paper's Listing 1, in Rust
+///
+/// ```
+/// let dim = 16usize;
+/// let workers = 3usize;
+/// let mut shown = 0usize;
+/// spar::to_stream! {
+///     ordered;
+///     source(output(i)) |em| {
+///         for i in 0..dim {
+///             em.send(i);
+///         }
+///     };
+///     stage(input(i, dim), output(img), replicate = workers)
+///     |i: usize| -> (usize, Vec<u8>) {
+///         let img = (0..dim).map(|j| ((i * j) % 256) as u8).collect();
+///         (i, img)
+///     };
+///     last_stage(input(img)) |line: (usize, Vec<u8>)| {
+///         assert_eq!(line.0, shown);
+///         shown += 1;
+///     };
+/// }
+/// assert_eq!(shown, dim);
+/// ```
 #[macro_export]
 macro_rules! to_stream {
     // --- region-level attributes ---

@@ -27,7 +27,11 @@ pub enum TrySendError<T> {
 }
 
 struct Shared {
+    /// The sender is gone: end-of-stream once the ring drains.
     closed: AtomicBool,
+    /// The receiver is gone. Stored before the drop's wakeup, so a sender
+    /// woken by it cannot re-check and still see a consumer.
+    receiver_gone: AtomicBool,
     /// Receiver waits here; sender notifies after each push (Block mode).
     items: Arc<Signal>,
     /// Sender waits here; receiver notifies after each pop (Block mode).
@@ -85,6 +89,7 @@ fn with_signals<T: Send>(
     let (prod, cons) = spsc::ring(capacity);
     let shared = Arc::new(Shared {
         closed: AtomicBool::new(false),
+        receiver_gone: AtomicBool::new(false),
         items,
         space,
     });
@@ -109,10 +114,7 @@ impl<T: Send> Sender<T> {
                 Err(TrySendError::Disconnected(v)) => return Err(SendError(v)),
                 Err(TrySendError::Full(v)) => {
                     item = Some(v);
-                    let prod = &self.prod;
-                    self.wait.wait_until(&self.shared.space, || {
-                        prod.free_slots() > 0 || prod.consumer_gone()
-                    });
+                    self.wait_for_space();
                 }
             }
         }
@@ -120,7 +122,7 @@ impl<T: Send> Sender<T> {
 
     /// Non-blocking enqueue.
     pub fn try_send(&self, item: T) -> Result<(), TrySendError<T>> {
-        if self.prod.consumer_gone() {
+        if self.is_disconnected() {
             return Err(TrySendError::Disconnected(item));
         }
         match self.prod.try_push(item) {
@@ -150,7 +152,7 @@ impl<T: Send> Sender<T> {
         let mut iter = items.into_iter().peekable();
         let mut sent = 0usize;
         while iter.peek().is_some() {
-            if self.prod.consumer_gone() {
+            if self.is_disconnected() {
                 return Err(SendError(sent));
             }
             let n = self.prod.try_push_n(&mut iter, usize::MAX);
@@ -160,10 +162,7 @@ impl<T: Send> Sender<T> {
                     self.shared.items.notify();
                 }
             } else {
-                let prod = &self.prod;
-                self.wait.wait_until(&self.shared.space, || {
-                    prod.free_slots() > 0 || prod.consumer_gone()
-                });
+                self.wait_for_space();
             }
         }
         Ok(sent)
@@ -176,7 +175,7 @@ impl<T: Send> Sender<T> {
     where
         I: Iterator<Item = T>,
     {
-        if self.prod.consumer_gone() {
+        if self.is_disconnected() {
             return Err(TrySendError::Disconnected(()));
         }
         let n = self.prod.try_push_n(items, usize::MAX);
@@ -193,12 +192,15 @@ impl<T: Send> Sender<T> {
 
     /// True when the receiver has been dropped.
     pub(crate) fn is_disconnected(&self) -> bool {
-        self.prod.consumer_gone()
+        self.shared.receiver_gone.load(Ordering::SeqCst)
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.prod.capacity()
+    /// Block per the wait strategy until the ring has room or the
+    /// receiver is gone.
+    fn wait_for_space(&self) {
+        self.wait.wait_until(&self.shared.space, || {
+            self.prod.free_slots() > 0 || self.is_disconnected()
+        });
     }
 }
 
@@ -281,15 +283,6 @@ impl<T: Send> Receiver<T> {
         n
     }
 
-    /// Non-blocking dequeue; `None` means "currently empty", not EOS.
-    pub fn try_recv(&self) -> Option<T> {
-        let v = self.cons.try_pop();
-        if v.is_some() && self.wait.needs_notify() {
-            self.shared.space.notify();
-        }
-        v
-    }
-
     /// True when the sender is dropped and the ring is drained.
     pub fn is_eos(&self) -> bool {
         self.shared.closed.load(Ordering::Acquire) && self.cons.is_empty()
@@ -309,16 +302,13 @@ impl<T: Send> Receiver<T> {
     pub fn is_empty(&self) -> bool {
         self.cons.is_empty()
     }
-
-    /// The shared item-arrival signal (for multi-channel waiting).
-    pub fn items_signal(&self) -> &Arc<Signal> {
-        &self.shared.items
-    }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        // Wake a sender parked on a full ring so it can observe disconnect.
+        // Publish the disconnect, then wake a sender parked on a full ring:
+        // whatever it re-checks after this wakeup already sees the flag.
+        self.shared.receiver_gone.store(true, Ordering::SeqCst);
         self.shared.space.notify();
     }
 }
@@ -532,10 +522,7 @@ mod tests {
             while open > 0 {
                 let mut progressed = false;
                 for rx in [&rx_a, &rx_b] {
-                    while let Some(v) = rx.try_recv() {
-                        got.push(v);
-                        progressed = true;
-                    }
+                    progressed |= rx.try_recv_batch(&mut got, usize::MAX) > 0;
                 }
                 if rx_a.is_eos() && rx_b.is_eos() {
                     open = 0;

@@ -1,92 +1,15 @@
-//! Fail-soft building blocks: typed stage errors, retry policies and
-//! Result-carrying nodes.
+//! The retry policy of the fail-soft error model.
 //!
-//! The skeletons in this crate historically had exactly one failure mode —
-//! a stage panic, which [`PipelineThreads::join`](crate::pipeline::PipelineThreads::join)
-//! re-raises on the caller thread after tearing the whole graph down. That
-//! is the right default for programmer errors, but the paper's workloads
-//! also hit *operational* faults (device out-of-memory, transient kernel
-//! failures) that a streaming runtime should absorb, not amplify.
-//!
-//! This module adds the absorbing path without changing any existing API:
-//!
-//! * [`StageError`] — a typed, `Send` description of a stage failure that
-//!   travels *downstream as data* (`Result<T, StageError>` items) instead of
-//!   unwinding the stage thread. Queues keep draining, EOS still
-//!   propagates, and the sink decides what a failed item means.
-//! * [`FaultPolicy`] — bounded retry-with-backoff, applied inside the
-//!   stage before the error is given up on and emitted.
-//! * [`try_map`] / [`TryMapNode`] — a 1:1 mapping node over `Result`
-//!   items: `Ok` inputs run the fallible closure (with retries per
-//!   policy), `Err` inputs pass through untouched so one failure upstream
-//!   doesn't have to be handled in every later stage.
-//! * [`RunReport`] — what
-//!   [`PipelineThreads::join_report`](crate::pipeline::PipelineThreads::join_report)
-//!   returns: which stage threads panicked and with what message, instead
-//!   of resuming the unwind on the caller.
-#![deny(clippy::unwrap_used)]
+//! A stage panic is a programmer error: the join re-raises it on the caller
+//! thread after the graph drains. Operational faults (device out-of-memory,
+//! transient kernel failures) are absorbed instead, by the `workload`
+//! driver's recovery ladder: retry per [`FaultPolicy`], then halve the
+//! batch, then fall back to the bit-identical CPU path.
 
-use std::error::Error;
-use std::fmt;
 use std::time::Duration;
 
-use crate::node::{Emitter, Node};
-
-/// A typed description of one stage failure, carried downstream as the
-/// `Err` arm of a `Result` stream item.
-///
-/// `StageError` is deliberately message-based rather than generic over a
-/// payload: it must cross channel and thread boundaries in pipelines whose
-/// item types the runtime picked, so it keeps only what every consumer can
-/// use — where it happened, how hard the stage tried, and why it failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StageError {
-    /// Stage name (as registered with telemetry, e.g. `"stage2"`).
-    pub stage: String,
-    /// Farm replica index (0 for sequential stages).
-    pub replica: usize,
-    /// Number of service attempts made before giving up (>= 1).
-    pub attempts: u32,
-    /// Human-readable cause.
-    pub message: String,
-}
-
-impl StageError {
-    /// A fresh single-attempt error.
-    pub fn new(stage: impl Into<String>, message: impl Into<String>) -> Self {
-        StageError {
-            stage: stage.into(),
-            replica: 0,
-            attempts: 1,
-            message: message.into(),
-        }
-    }
-
-    /// Same error, attributed to a farm replica.
-    pub fn at_replica(mut self, replica: usize) -> Self {
-        self.replica = replica;
-        self
-    }
-}
-
-impl fmt::Display for StageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "stage {} (replica {}) failed after {} attempt{}: {}",
-            self.stage,
-            self.replica,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.message
-        )
-    }
-}
-
-impl Error for StageError {}
-
-/// Bounded retry-with-backoff applied inside a fallible stage before the
-/// error is emitted downstream.
+/// Bounded retry-with-backoff, applied to a failed attempt before the
+/// failure escalates to the next rung of the recovery ladder.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPolicy {
     /// Retries after the first failed attempt (so `max_retries + 1` total
@@ -98,12 +21,6 @@ pub struct FaultPolicy {
 }
 
 impl FaultPolicy {
-    /// No retries: first failure is emitted immediately.
-    pub const NONE: FaultPolicy = FaultPolicy {
-        max_retries: 0,
-        backoff: Duration::ZERO,
-    };
-
     /// `max_retries` attempts with a fixed `backoff` between them.
     pub fn retries(max_retries: u32, backoff: Duration) -> Self {
         FaultPolicy {
@@ -117,282 +34,6 @@ impl Default for FaultPolicy {
     /// Two retries, 50 µs apart — enough to ride out a transient injected
     /// fault without tripping a millisecond-scale watchdog.
     fn default() -> Self {
-        FaultPolicy {
-            max_retries: 2,
-            backoff: Duration::from_micros(50),
-        }
-    }
-}
-
-/// A 1:1 mapping node over `Result` stream items with per-item retry.
-///
-/// `Ok(input)` runs the closure; on failure the closure hands the input
-/// back (`Err((input, error))`) so the node can retry it without requiring
-/// `Clone`, and after the policy is exhausted the final [`StageError`]
-/// (with `attempts` filled in) is emitted downstream. `Err` inputs pass
-/// through untouched, so a chain of `try_map` stages propagates the first
-/// failure to the sink without re-wrapping it at every hop.
-///
-/// Works anywhere a [`Node`] does: `.node(..)`, `.farm(..)`,
-/// `.farm_ordered(..)`.
-pub struct TryMapNode<I, O, F> {
-    f: F,
-    policy: FaultPolicy,
-    replica: usize,
-    _marker: std::marker::PhantomData<fn(I) -> O>,
-}
-
-/// Build a [`TryMapNode`] with the default [`FaultPolicy`].
-pub fn try_map<I, O, F>(f: F) -> TryMapNode<I, O, F>
-where
-    I: Send + 'static,
-    O: Send + 'static,
-    F: FnMut(I) -> Result<O, (I, StageError)> + Send + 'static,
-{
-    try_map_with(f, FaultPolicy::default())
-}
-
-/// Build a [`TryMapNode`] with an explicit [`FaultPolicy`].
-pub fn try_map_with<I, O, F>(f: F, policy: FaultPolicy) -> TryMapNode<I, O, F>
-where
-    I: Send + 'static,
-    O: Send + 'static,
-    F: FnMut(I) -> Result<O, (I, StageError)> + Send + 'static,
-{
-    TryMapNode {
-        f,
-        policy,
-        replica: 0,
-        _marker: std::marker::PhantomData,
-    }
-}
-
-impl<I, O, F> TryMapNode<I, O, F> {
-    /// Tag emitted errors with a farm replica index (pass the factory's
-    /// replica argument through).
-    pub fn replica(mut self, replica: usize) -> Self {
-        self.replica = replica;
-        self
-    }
-}
-
-impl<I, O, F> Node for TryMapNode<I, O, F>
-where
-    I: Send + 'static,
-    O: Send + 'static,
-    F: FnMut(I) -> Result<O, (I, StageError)> + Send + 'static,
-{
-    type In = Result<I, StageError>;
-    type Out = Result<O, StageError>;
-
-    fn svc(&mut self, input: Self::In, out: &mut Emitter<'_, Self::Out>) {
-        let mut item = match input {
-            Ok(item) => item,
-            Err(e) => {
-                // Upstream already failed this item: pass it through.
-                out.send(Err(e));
-                return;
-            }
-        };
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            match (self.f)(item) {
-                Ok(output) => {
-                    out.send(Ok(output));
-                    return;
-                }
-                Err((returned, mut e)) => {
-                    if attempts <= self.policy.max_retries {
-                        item = returned;
-                        if !self.policy.backoff.is_zero() {
-                            std::thread::sleep(self.policy.backoff);
-                        }
-                    } else {
-                        e.attempts = attempts;
-                        e.replica = self.replica;
-                        out.send(Err(e));
-                        return;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Outcome of joining a pipeline without re-raising stage panics: one
-/// entry per stage thread that panicked, in join order.
-#[derive(Debug, Default)]
-pub struct RunReport {
-    /// Panic messages recovered from stage threads (`"<non-string panic
-    /// payload>"` when the payload was neither `String` nor `&str`).
-    pub panics: Vec<String>,
-}
-
-impl RunReport {
-    /// True when every stage thread exited normally.
-    pub fn is_clean(&self) -> bool {
-        self.panics.is_empty()
-    }
-
-    pub(crate) fn absorb(&mut self, payload: Box<dyn std::any::Any + Send>) {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "<non-string panic payload>".to_string());
-        self.panics.push(msg);
-    }
-}
-
-impl fmt::Display for RunReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.panics.is_empty() {
-            write!(f, "all stage threads exited normally")
-        } else {
-            write!(f, "{} stage thread(s) panicked: ", self.panics.len())?;
-            for (i, m) in self.panics.iter().enumerate() {
-                if i > 0 {
-                    write!(f, "; ")?;
-                }
-                write!(f, "{m}")?;
-            }
-            Ok(())
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pipeline::Pipeline;
-
-    #[test]
-    fn stage_error_display_mentions_stage_and_attempts() {
-        let e = StageError::new("stage2", "device OOM").at_replica(3);
-        let s = e.to_string();
-        assert!(s.contains("stage2"), "{s}");
-        assert!(s.contains("replica 3"), "{s}");
-        assert!(s.contains("device OOM"), "{s}");
-    }
-
-    #[test]
-    fn try_map_passes_ok_items_through_the_closure() {
-        let out: Vec<Result<u32, StageError>> = Pipeline::builder()
-            .from_iter((0..10u32).map(Ok))
-            .node(try_map(|x: u32| Ok(x * 2)))
-            .collect();
-        let vals: Vec<u32> = out.into_iter().map(|r| r.expect("all ok")).collect();
-        assert_eq!(vals, (0..10).map(|x| x * 2).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn try_map_retries_transient_failures() {
-        // Item 5 fails twice then succeeds; default policy allows 2 retries.
-        let mut failures_left = 2;
-        let out: Vec<Result<u32, StageError>> = Pipeline::builder()
-            .from_iter((0..10u32).map(Ok))
-            .node(try_map_with(
-                move |x: u32| {
-                    if x == 5 && failures_left > 0 {
-                        failures_left -= 1;
-                        Err((x, StageError::new("stage1", "transient")))
-                    } else {
-                        Ok(x)
-                    }
-                },
-                FaultPolicy::retries(2, Duration::ZERO),
-            ))
-            .collect();
-        let vals: Vec<u32> = out.into_iter().map(|r| r.expect("all ok")).collect();
-        assert_eq!(vals, (0..10).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn try_map_emits_typed_error_after_retries_exhaust() {
-        let out: Vec<Result<u32, StageError>> = Pipeline::builder()
-            .from_iter((0..4u32).map(Ok))
-            .node(try_map_with(
-                |x: u32| {
-                    if x == 2 {
-                        Err((x, StageError::new("stage1", "permanent")))
-                    } else {
-                        Ok(x)
-                    }
-                },
-                FaultPolicy::retries(1, Duration::ZERO),
-            ))
-            .collect();
-        assert_eq!(out.len(), 4);
-        let errs: Vec<&StageError> = out.iter().filter_map(|r| r.as_ref().err()).collect();
-        assert_eq!(errs.len(), 1);
-        assert_eq!(errs[0].attempts, 2); // 1 try + 1 retry
-        assert_eq!(errs[0].message, "permanent");
-    }
-
-    #[test]
-    fn err_items_pass_through_later_try_map_stages_unchanged() {
-        let failing = try_map_with(
-            |x: u32| {
-                if x.is_multiple_of(2) {
-                    Err((x, StageError::new("stage1", "even")))
-                } else {
-                    Ok(x)
-                }
-            },
-            FaultPolicy::NONE,
-        );
-        let mut downstream_ran_on = Vec::new();
-        let out: Vec<Result<u32, StageError>> = {
-            let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let log2 = log.clone();
-            let r = Pipeline::builder()
-                .from_iter((0..6u32).map(Ok))
-                .node(failing)
-                .node(try_map(move |x: u32| {
-                    log2.lock().expect("log lock").push(x);
-                    Ok(x + 100)
-                }))
-                .collect();
-            downstream_ran_on.extend(log.lock().expect("log lock").iter().copied());
-            r
-        };
-        // Downstream closure only ever saw the odd (Ok) items.
-        assert_eq!(downstream_ran_on, vec![1, 3, 5]);
-        // Errors kept their original attribution.
-        for r in &out {
-            if let Err(e) = r {
-                assert_eq!(e.stage, "stage1");
-                assert_eq!(e.message, "even");
-            }
-        }
-        assert_eq!(out.iter().filter(|r| r.is_err()).count(), 3);
-    }
-
-    #[test]
-    fn try_map_works_inside_an_ordered_farm() {
-        let out: Vec<Result<u32, StageError>> = Pipeline::builder()
-            .from_iter((0..50u32).map(Ok))
-            .farm_ordered(3, |r| {
-                try_map(move |x: u32| {
-                    if x == 7 {
-                        Err((x, StageError::new("stage1", "seven")))
-                    } else {
-                        Ok(x * 10)
-                    }
-                })
-                .replica(r)
-            })
-            .collect();
-        assert_eq!(out.len(), 50);
-        for (i, r) in out.iter().enumerate() {
-            if i == 7 {
-                let e = r.as_ref().expect_err("item 7 fails");
-                assert_eq!(e.message, "seven");
-                assert_eq!(e.attempts, 3); // default policy: 1 try + 2 retries
-            } else {
-                assert_eq!(*r, Ok(i as u32 * 10));
-            }
-        }
+        FaultPolicy::retries(2, Duration::from_micros(50))
     }
 }

@@ -445,15 +445,6 @@ impl<T: Send> FanIn<T> {
         FanIn(Inlet::Single(rx))
     }
 
-    /// The plain ring behind this endpoint, or the endpoint back if it
-    /// merges a farm.
-    pub(crate) fn into_single(self) -> Result<Receiver<Stamped<T>>, Self> {
-        match self.0 {
-            Inlet::Single(rx) => Ok(rx),
-            farm => Err(FanIn(farm)),
-        }
-    }
-
     /// Dequeue the next item, blocking per the wait strategy while none is
     /// available. `None` once every producer is done and drained.
     pub fn recv(&mut self) -> Option<Stamped<T>> {

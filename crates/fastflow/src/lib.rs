@@ -13,10 +13,11 @@
 //! * [`node`] — the [`Node`] processing abstraction (`ff_node` analogue);
 //! * [`farm`] — replicated workers between a fan-out and an (ordered) fan-in
 //!   endpoint, fused into the neighbouring stages;
-//! * [`feedback`] — the wrap-around farm: items circulate until done;
 //! * [`pipeline`] — typed thread-per-stage pipeline builder;
 //! * [`pool`] — size-classed buffer pool + recycle channel (zero-copy
-//!   payload discipline for the hot paths).
+//!   payload discipline for the hot paths);
+//! * [`error`] — the [`FaultPolicy`] retry rung of the recovery ladder the
+//!   `workload` driver runs.
 //!
 //! # Example
 //!
@@ -31,10 +32,8 @@
 //! ```
 
 pub mod channel;
-pub mod combinators;
 pub mod error;
 pub mod farm;
-pub mod feedback;
 pub mod node;
 pub mod pipeline;
 pub mod pool;
@@ -43,10 +42,8 @@ pub mod stamp;
 pub mod wait;
 
 pub use channel::{channel, Receiver, SendError, Sender, TrySendError};
-pub use combinators::{gather, par_map_ordered, par_map_unordered, scatter};
-pub use error::{try_map, try_map_with, FaultPolicy, RunReport, StageError, TryMapNode};
+pub use error::FaultPolicy;
 pub use farm::{FanIn, FarmConfig, Router, SchedPolicy};
-pub use feedback::{spawn_feedback_farm, spawn_feedback_farm_traced, Loop};
 pub use node::{Emitter, Node};
 pub use pipeline::{PipeConfig, Pipeline, PipelineBuilder, PipelineStart, PipelineThreads};
 pub use pool::{recycler, BufPool, PooledBuf, Recycler, SlabRegistrar};

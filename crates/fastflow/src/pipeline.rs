@@ -244,8 +244,8 @@ enum Tail<T: Send> {
     /// whatever is appended next picks its outlet: a plain ring, or the
     /// worker rings of a farm it then feeds directly.
     Pending(&'static str, Body<T>),
-    /// Producers already running (farm workers, a feedback farm) behind
-    /// their receive endpoint.
+    /// Producers already running (farm workers) behind their receive
+    /// endpoint.
     Running(FanIn<T>),
 }
 
@@ -317,28 +317,17 @@ impl Graph {
             .push(thread.spawn(move || body(to)).expect("spawn stage"));
     }
 
-    /// The graph's output as one plain ring.
-    fn receiver<T: Send + 'static>(&mut self, tail: Tail<T>) -> Receiver<Stamped<T>> {
-        let tail = match tail {
-            Tail::Running(inlet) => match inlet.into_single() {
-                Ok(rx) => return rx,
-                Err(farm) => Tail::Running(farm),
-            },
-            pending => pending,
-        };
+    /// The graph's output as the next stage's (or terminal op's) input
+    /// side: running producers as they are, a pending stage behind one ring.
+    fn inlet<T: Send + 'static>(&mut self, tail: Tail<T>) -> FanIn<T> {
+        if let Tail::Running(inlet) = tail {
+            return inlet;
+        }
         let (tx, rx) = channel(self.cfg.capacity, self.cfg.wait);
         let burst = self.cfg.burst;
         let buf = Vec::with_capacity(burst);
         self.connect(tail, Outlet::Next { tx, buf, burst });
-        rx
-    }
-
-    /// The graph's output as the next stage's (or terminal op's) input side.
-    fn inlet<T: Send + 'static>(&mut self, tail: Tail<T>) -> FanIn<T> {
-        match tail {
-            Tail::Running(inlet) => inlet,
-            pending => FanIn::single(self.receiver(pending)),
-        }
+        FanIn::single(rx)
     }
 }
 
@@ -467,32 +456,6 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         PipelineBuilder { graph, tail }
     }
 
-    /// Append a feedback (wrap-around) farm stage: each item circulates
-    /// through the workers until one returns
-    /// [`Loop::Emit`](crate::feedback::Loop). Results are unordered.
-    pub fn feedback_farm<O, W, G>(self, replicas: usize, factory: G) -> PipelineBuilder<O>
-    where
-        O: Send + 'static,
-        W: FnMut(T) -> crate::feedback::Loop<T, O> + Send + 'static,
-        G: FnMut(usize) -> W,
-    {
-        let PipelineBuilder { mut graph, tail } = self;
-        let name = graph.next_stage_name();
-        let (out_rx, mut fb_handles) = crate::feedback::spawn_feedback_farm_traced(
-            graph.receiver(tail),
-            replicas,
-            factory,
-            graph.cfg.capacity,
-            graph.cfg.wait,
-            graph.cfg.burst,
-            &graph.rec,
-            &name,
-        );
-        graph.handles.append(&mut fb_handles);
-        let tail = Tail::Running(FanIn::single(out_rx));
-        PipelineBuilder { graph, tail }
-    }
-
     /// Run the sink loop on the calling thread, then join every stage.
     #[inline(always)] // item loop in the caller; see EXPERIMENTS.md, "reference loop"
     fn sink(self, mut each: impl FnMut(&StageHandle, T)) {
@@ -553,21 +516,6 @@ impl PipelineThreads {
     /// Join all stage threads, propagating panics.
     pub fn join(mut self) {
         join_all(std::mem::take(&mut self.0));
-    }
-
-    /// Join all stage threads *without* re-raising panics: each panicking
-    /// thread contributes one entry to the returned
-    /// [`RunReport`](crate::error::RunReport) instead. Joining is
-    /// unconditional — even after a mid-pipeline failure every thread is
-    /// waited for, so a clean report really means the graph drained.
-    pub fn join_report(mut self) -> crate::error::RunReport {
-        let mut report = crate::error::RunReport::default();
-        for h in std::mem::take(&mut self.0) {
-            if let Err(payload) = h.join() {
-                report.absorb(payload);
-            }
-        }
-        report
     }
 }
 

@@ -16,10 +16,8 @@
 //!   recycles cached storage with `clear()` + `resize()`, which touches no
 //!   allocator because every pooled vector carries its full class
 //!   capacity.
-//! * [`Recycler`] — a feedback-style return channel: sinks `give` spent
-//!   item payloads back and upstream workers `take` them, mirroring the
-//!   wrap-around farm in [`crate::feedback`] but for raw buffers rather
-//!   than stream items.
+//! * [`Recycler`] — a return channel running against the stream: sinks
+//!   `give` spent item payloads back and upstream workers `take` them.
 //!
 //! Both report hit/miss/outstanding gauges through
 //! [`telemetry::Counters<Pool>`](telemetry::Counters) so a run's report shows whether the steady
@@ -177,7 +175,7 @@ fn class_for_capacity(capacity: usize) -> usize {
 /// lifetime and `Offload::h2d`/`d2h` transfers touching them never
 /// bounce through staging memory. `register` fires once per allocator
 /// miss; `unregister` fires when a slab permanently leaves the pool
-/// (shed, [`PooledBuf::detach`], or pool drop) — never on the recycle
+/// (shed or pool drop) — never on the recycle
 /// path, so the steady state stays free of registry churn.
 pub trait SlabRegistrar: Send + Sync {
     /// A slab of `bytes` bytes at address `ptr` now belongs to the pool.
@@ -339,16 +337,6 @@ pub struct PooledBuf<T> {
     core: Arc<PoolCore<T>>,
 }
 
-impl<T> PooledBuf<T> {
-    /// Detach the storage from the pool (it will not be recycled).
-    pub fn detach(mut self) -> Vec<T> {
-        self.core.counters.release();
-        let vec = self.vec.take().expect("pooled buffer present until drop");
-        self.core.unregister_slab(&vec);
-        vec
-    }
-}
-
 impl<T> Deref for PooledBuf<T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
@@ -430,11 +418,6 @@ impl<T: Send + 'static> Recycler<T> {
     pub fn counters(&self) -> &Arc<Counters<Pool>> {
         &self.counters
     }
-
-    /// Current gauge snapshot.
-    pub fn stats(&self) -> PoolStats {
-        self.counters.snapshot()
-    }
 }
 
 #[cfg(test)]
@@ -494,16 +477,6 @@ mod tests {
         assert!(pool.stats().shed >= 1, "{:?}", pool.stats());
     }
 
-    #[test]
-    fn detach_removes_from_pool() {
-        let pool: BufPool<u8> = BufPool::new();
-        let v = pool.acquire(8).detach();
-        assert_eq!(v.len(), 8);
-        assert_eq!(pool.stats().outstanding, 0);
-        assert_eq!(pool.acquire(8).len(), 8); // miss: nothing was returned
-        assert_eq!(pool.stats().misses, 2);
-    }
-
     /// Registrar that mirrors the pool's announcements into a set, so
     /// tests can assert the register/unregister pairing is exact.
     #[derive(Default)]
@@ -547,12 +520,7 @@ mod tests {
         let b = pool.acquire(128);
         assert_eq!(ledger.registers.load(Ordering::Relaxed), 1);
         assert_eq!(ledger.unregisters.load(Ordering::Relaxed), 0);
-
-        // Detach hands the slab to an outside owner: unregistered.
-        let v = b.detach();
-        assert_eq!(ledger.unregisters.load(Ordering::Relaxed), 1);
-        assert!(ledger.live.lock().unwrap().is_empty());
-        drop(v);
+        drop(b);
 
         // Pool drop unpins everything still cached.
         let c = pool.acquire(8);
@@ -587,7 +555,7 @@ mod tests {
         assert!(r.take().is_none());
         r.give(vec![1, 2, 3]);
         assert_eq!(r.take().unwrap(), vec![1, 2, 3]);
-        let s = r.stats();
+        let s = r.counters.snapshot();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
 
@@ -597,7 +565,7 @@ mod tests {
         for i in 0..10 {
             r.give(i);
         }
-        assert!(r.stats().shed >= 1);
+        assert!(r.counters.snapshot().shed >= 1);
     }
 
     #[test]

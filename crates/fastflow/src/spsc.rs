@@ -164,30 +164,10 @@ impl<T> Producer<T> {
         written
     }
 
-    /// Enqueue as many items of `slice` as fit, starting at its front.
-    /// Returns how many were copied in; one `tail` publication.
-    pub fn try_push_slice(&self, slice: &[T]) -> usize
-    where
-        T: Copy,
-    {
-        let mut iter = slice.iter().copied();
-        self.try_push_n(&mut iter, slice.len())
-    }
-
     /// Number of free slots as last observed (may race; advisory only).
     pub fn free_slots(&self) -> usize {
         let head = self.ring.head.0.load(Ordering::Acquire);
         self.ring.cap - (self.tail.get() - head)
-    }
-
-    /// True when the consumer half has been dropped.
-    pub fn consumer_gone(&self) -> bool {
-        Arc::strong_count(&self.ring) == 1
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.ring.cap
     }
 }
 
@@ -248,16 +228,6 @@ impl<T> Consumer<T> {
     /// True if no items are observed queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// True when the producer half has been dropped.
-    pub fn producer_gone(&self) -> bool {
-        Arc::strong_count(&self.ring) == 1
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.ring.cap
     }
 }
 
@@ -340,19 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn disconnection_is_observable() {
-        let (p, c) = ring::<u32>(2);
-        assert!(!p.consumer_gone());
-        drop(c);
-        assert!(p.consumer_gone());
-
-        let (p, c) = ring::<u32>(2);
-        assert!(!c.producer_gone());
-        drop(p);
-        assert!(c.producer_gone());
-    }
-
-    #[test]
     fn cross_thread_transfers_everything_in_order() {
         const N: usize = 100_000;
         let (p, c) = ring::<usize>(64);
@@ -426,17 +383,6 @@ mod tests {
         assert_eq!(c.try_pop_n(&mut out, 3), 3);
         assert_eq!(c.try_pop_n(&mut out, 3), 2);
         assert_eq!(out, (0..8).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn push_slice_copies_prefix() {
-        let (p, c) = ring::<u8>(3);
-        assert_eq!(p.try_push_slice(&[1, 2, 3, 4, 5]), 3);
-        assert_eq!(c.try_pop(), Some(1));
-        assert_eq!(p.try_push_slice(&[9]), 1);
-        let mut out = Vec::new();
-        assert_eq!(c.try_pop_n(&mut out, 8), 3);
-        assert_eq!(out, vec![2, 3, 9]);
     }
 
     #[test]

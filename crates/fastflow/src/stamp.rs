@@ -30,10 +30,4 @@ impl<T> Stamped<T> {
     pub fn at(item: T, emit_ns: u64) -> Self {
         Stamped { item, emit_ns }
     }
-
-    /// Unwrap the payload, dropping the stamp.
-    #[inline]
-    pub fn into_inner(self) -> T {
-        self.item
-    }
 }

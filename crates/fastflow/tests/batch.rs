@@ -129,29 +129,6 @@ fn unordered_farm_conserves_items_under_batching() {
     assert_eq!(out, (0..4_000).collect::<Vec<u32>>());
 }
 
-/// Feedback farm under batching: items circulate and terminate; results
-/// complete at several burst sizes.
-#[test]
-fn feedback_farm_is_burst_invariant() {
-    for burst in [1usize, 8, 256] {
-        let mut out: Vec<u64> = Pipeline::builder()
-            .burst(burst)
-            .from_iter((0..200u64).map(|v| (v, v % 17)))
-            .feedback_farm(3, |_| {
-                |(v, rounds): (u64, u64)| {
-                    if rounds == 0 {
-                        fastflow::Loop::Emit(v)
-                    } else {
-                        fastflow::Loop::Recycle((v, rounds - 1))
-                    }
-                }
-            })
-            .collect();
-        out.sort_unstable();
-        assert_eq!(out, (0..200).collect::<Vec<u64>>(), "burst={burst}");
-    }
-}
-
 /// Dropping the receiver mid-stream with batched senders must terminate
 /// every stage thread (no deadlock, no panic).
 #[test]

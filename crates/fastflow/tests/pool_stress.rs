@@ -1,7 +1,7 @@
 //! Stress tests for the buffer pool layer: MPMC acquire/release from many
 //! threads with no double-hand-out, bounded per-class capacity under
 //! flooding (the fault-injected-OOM shape: a burst of releases when a
-//! halved retry ladder unwinds), and the feedback recycle channel.
+//! halved retry ladder unwinds), and the sink → source recycle channel.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -85,20 +85,6 @@ fn per_class_capacity_is_respected_under_release_floods() {
     assert_eq!(pool.stats().hits, before + 1);
 }
 
-/// `detach` removes a buffer from the cycle: the pool must not see it
-/// again (no aliased hand-outs of storage the caller now owns outright).
-#[test]
-fn detached_buffers_leave_the_pool() {
-    let pool: BufPool<u32> = BufPool::new();
-    let buf = pool.acquire(64);
-    let owned: Vec<u32> = buf.detach();
-    assert_eq!(owned.len(), 64);
-    assert_eq!(pool.stats().outstanding, 0);
-    // The next acquire cannot be a hit: the only buffer ever created left.
-    drop(pool.acquire(64));
-    assert_eq!(pool.stats().hits, 0);
-}
-
 /// The sink→source recycle channel under contention: every buffer that a
 /// "sink" thread gives back is observed by exactly one "worker".
 #[test]
@@ -135,7 +121,7 @@ fn recycle_channel_cycles_buffers_across_threads() {
             }
         });
     });
-    let stats = chan.stats();
+    let stats = chan.counters().snapshot();
     assert_eq!(
         stats.hits + stats.misses,
         ITEMS as u64,

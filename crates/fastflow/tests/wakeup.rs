@@ -4,16 +4,22 @@
 //! leaves both sides asleep. A hang is the failure; each case runs under a
 //! deadline so it fails instead.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use fastflow::channel::{channel, channel_with_recv_signal};
-use fastflow::{Signal, WaitStrategy};
+use fastflow::{node, Pipeline, SendError, Signal, WaitStrategy};
 
 const ITEMS: u64 = 1_000_000;
 const DEADLINE: Duration = Duration::from_secs(120);
+/// Receiver-drop rounds: round `r` yields `r % 97` times before the drop,
+/// sweeping it across the blocked sender's spin → yield → park escalation.
+const DISCONNECT_ROUNDS: usize = 2_000;
+/// Farm rounds, each killing one worker while the feeder waits on it.
+const FARM_PANIC_ROUNDS: usize = 300;
 
 /// Run `case` on its own thread; panic if it has not finished by the
 /// deadline (the wedged threads are leaked — the process is failing anyway).
@@ -75,13 +81,14 @@ fn shared_collector_signal_loses_no_wakeup() {
             }));
         }
         let (mut got, mut sum) = (0u64, 0u64);
+        let mut buf = Vec::new();
         while !rxs.iter().all(|rx| rx.is_eos()) {
             let epoch = signal.epoch();
             let mut progressed = false;
             for rx in &rxs {
-                while let Some(v) = rx.try_recv() {
+                while rx.try_recv_batch(&mut buf, 1) > 0 {
                     got += 1;
-                    sum += v;
+                    sum += buf.pop().expect("one item");
                     progressed = true;
                 }
             }
@@ -93,6 +100,60 @@ fn shared_collector_signal_loses_no_wakeup() {
         assert_eq!(sum, ITEMS * (ITEMS - 1) / 2);
         for p in producers {
             p.join().expect("producer");
+        }
+    });
+}
+
+/// A sender blocked on a full one-slot ring while the receiver is dropped:
+/// the drop's wakeup must find the sender able to see the disconnect, or
+/// the sender re-parks with nobody left to wake it.
+#[test]
+fn receiver_drop_wakes_a_sender_blocked_on_a_full_ring() {
+    within_deadline("receiver drop", || {
+        for round in 0..DISCONNECT_ROUNDS {
+            let (tx, rx) = channel::<usize>(1, WaitStrategy::Block);
+            tx.send(round).expect("receiver alive");
+            let sender = thread::spawn(move || tx.send(round));
+            for _ in 0..round % 97 {
+                thread::yield_now();
+            }
+            drop(rx);
+            let sent = sender.join().expect("sender");
+            assert_eq!(sent, Err(SendError(round)), "round {round}");
+        }
+    });
+}
+
+/// The farm's shape of the same race: a worker that dies drops its input
+/// ring while the stage feeding the farm waits for room on it. The feeder
+/// must stop, the merge drain the survivor, and `collect` re-raise.
+#[test]
+fn farm_worker_panic_is_reraised_and_never_wedges_the_feeder() {
+    within_deadline("farm worker panic", || {
+        for round in 0..FARM_PANIC_ROUNDS {
+            let doomed = 17 + round as u64 % 13;
+            let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                Pipeline::builder()
+                    .capacity(1)
+                    .from_iter(0..10_000u64)
+                    .farm_ordered(2, move |_| {
+                        node::map(move |x: u64| {
+                            if x == doomed {
+                                // Let the feeder block on this worker's full
+                                // ring first, then die. `resume_unwind`
+                                // unwinds like a panic without the hook's
+                                // report, so the rounds print nothing.
+                                thread::sleep(Duration::from_micros(200));
+                                panic::resume_unwind(Box::new("worker boom"));
+                            }
+                            x
+                        })
+                    })
+                    .collect()
+            }));
+            let payload = run.expect_err("the worker's panic reaches collect");
+            let message = payload.downcast_ref::<&str>();
+            assert_eq!(message, Some(&"worker boom"), "round {round}");
         }
     });
 }

@@ -607,12 +607,7 @@ mod tests {
         let e1 = dev.launch(StreamId::DEFAULT, dims, &k, SimTime::ZERO);
         let e2 = dev.launch(s2, dims, &k, SimTime::ZERO);
         // Compute engine is serial: second kernel starts after the first.
-        assert!(
-            e2 >= e1
-                + (e1
-                    .since(SimTime::ZERO)
-                    .saturating_sub(SimDuration::from_micros(20)))
-        );
+        assert!(e2 >= e1 + e1.since(SimTime::from_nanos(20_000)));
     }
 
     #[test]

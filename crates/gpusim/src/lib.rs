@@ -23,6 +23,8 @@
 //!
 //! See `DESIGN.md` §2 for the full substitution argument.
 
+#![forbid(unsafe_code)]
+
 pub mod cuda;
 pub mod device;
 pub mod fault;

@@ -10,6 +10,8 @@
 //! telemetry — comes from [`workload::WorkloadDriver`]; this crate only
 //! declares [`SearchWork`] and its kernel.
 
+#![forbid(unsafe_code)]
+
 pub mod kernels;
 pub mod simd;
 

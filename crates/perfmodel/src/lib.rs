@@ -17,6 +17,8 @@
 //! calibrated per-unit costs; GPU phases reuse the same cost model the
 //! simulated devices run on (`gpusim::model`).
 
+#![forbid(unsafe_code)]
+
 pub mod dedupmodel;
 pub mod machine;
 pub mod mandelmodel;

@@ -60,9 +60,11 @@ impl CpuModel {
     }
 }
 
-/// Per-item runtime overheads of the three programming models, calibrated
-/// from the micro-benchmarks in `cargo bench -p bench` (queue push/pop and
-/// farm traversal costs) scaled to the testbed.
+/// Per-item runtime overheads of the three programming models: constants
+/// set for the testbed, not measured. `benchmark/run.sh --traced` reports
+/// the measured per-item costs on the host at hand
+/// (`fastflow.farm.ns_per_item_g0`, `core.tostream.ns_per_item_g0`,
+/// `tbbx.pipeline.ns_per_item_g0`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CpuRuntime {
     /// SPar (compiles to FastFlow; same runtime costs).

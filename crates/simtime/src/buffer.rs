@@ -11,8 +11,6 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::engine::Sim;
-use crate::stats::TimeWeighted;
-use crate::time::SimTime;
 
 type PutCb = Box<dyn FnOnce(&mut Sim)>;
 type GetCb<T> = Box<dyn FnOnce(&mut Sim, Option<T>)>;
@@ -23,9 +21,6 @@ struct State<T> {
     waiting_puts: VecDeque<(T, PutCb)>,
     waiting_gets: VecDeque<GetCb<T>>,
     closed: bool,
-    occupancy: TimeWeighted,
-    total_in: u64,
-    total_out: u64,
 }
 
 /// A shared handle to a bounded buffer. Cheap to clone.
@@ -58,9 +53,6 @@ impl<T: 'static> BoundedBuffer<T> {
                 waiting_puts: VecDeque::new(),
                 waiting_gets: VecDeque::new(),
                 closed: false,
-                occupancy: TimeWeighted::new(),
-                total_in: 0,
-                total_out: 0,
             })),
         }
     }
@@ -72,7 +64,6 @@ impl<T: 'static> BoundedBuffer<T> {
     /// Panics if the buffer has been closed — producing after close is a
     /// model bug.
     pub fn put<F: FnOnce(&mut Sim) + 'static>(&self, sim: &mut Sim, item: T, accepted: F) {
-        let now = sim.now();
         enum Outcome<T> {
             DeliveredTo(GetCb<T>, T),
             Stored,
@@ -81,14 +72,9 @@ impl<T: 'static> BoundedBuffer<T> {
             let mut st = self.state.borrow_mut();
             assert!(!st.closed, "put on closed buffer {:?}", self.name);
             if let Some(getter) = st.waiting_gets.pop_front() {
-                st.total_in += 1;
-                st.total_out += 1;
                 Outcome::DeliveredTo(getter, item)
             } else if st.items.len() < st.capacity {
                 st.items.push_back(item);
-                st.total_in += 1;
-                let len = st.items.len() as f64;
-                st.occupancy.set(now, len);
                 Outcome::Stored
             } else {
                 st.waiting_puts.push_back((item, Box::new(accepted)));
@@ -107,7 +93,6 @@ impl<T: 'static> BoundedBuffer<T> {
     /// Request an item; `on_item` runs with `Some(item)` when one is
     /// available, or `None` if the buffer is closed and drained.
     pub fn get<F: FnOnce(&mut Sim, Option<T>) + 'static>(&self, sim: &mut Sim, on_item: F) {
-        let now = sim.now();
         let on_item: GetCb<T> = Box::new(on_item);
         enum Outcome<T> {
             Item(T, Option<PutCb>),
@@ -116,15 +101,11 @@ impl<T: 'static> BoundedBuffer<T> {
         let outcome = {
             let mut st = self.state.borrow_mut();
             if let Some(item) = st.items.pop_front() {
-                st.total_out += 1;
                 // Space freed: admit one waiting producer, if any.
                 let admitted = st.waiting_puts.pop_front().map(|(p_item, cb)| {
                     st.items.push_back(p_item);
-                    st.total_in += 1;
                     cb
                 });
-                let len = st.items.len() as f64;
-                st.occupancy.set(now, len);
                 Outcome::Item(item, admitted)
             } else if st.closed && st.waiting_puts.is_empty() {
                 Outcome::Eos
@@ -132,8 +113,6 @@ impl<T: 'static> BoundedBuffer<T> {
                 // A producer may be waiting while `items` is empty only if a
                 // burst of getters drained everything at this instant; hand
                 // its item straight through.
-                st.total_in += 1;
-                st.total_out += 1;
                 Outcome::Item(p_item, Some(cb))
             } else {
                 st.waiting_gets.push_back(on_item);
@@ -171,31 +150,6 @@ impl<T: 'static> BoundedBuffer<T> {
         for g in getters {
             g(sim, None);
         }
-    }
-
-    /// Items currently stored.
-    pub fn len(&self) -> usize {
-        self.state.borrow().items.len()
-    }
-
-    /// True when no items are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total items that have passed through.
-    pub fn total_out(&self) -> u64 {
-        self.state.borrow().total_out
-    }
-
-    /// Time-weighted mean occupancy over `[0, now]`.
-    pub fn mean_occupancy(&self, now: SimTime) -> f64 {
-        self.state.borrow().occupancy.mean(now)
-    }
-
-    /// Diagnostic name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -262,7 +216,11 @@ mod tests {
         });
         sim.run();
         assert_eq!(*accepted_at.borrow(), Some(5));
-        assert_eq!(buf.len(), 1); // item 2 admitted
+        // Item 2 was admitted: the next getter takes it at once.
+        let next = Rc::new(RefCell::new(None));
+        let slot = Rc::clone(&next);
+        buf.get(&mut sim, move |_, item| *slot.borrow_mut() = item);
+        assert_eq!(*next.borrow(), Some(2));
     }
 
     #[test]
@@ -314,17 +272,21 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_occupancy() {
+    fn every_put_is_got_once() {
         let mut sim = Sim::new();
         let buf: BoundedBuffer<u32> = BoundedBuffer::new("b", 8);
         for v in 0..5 {
             buf.put(&mut sim, v, |_| {});
         }
+        let got = Rc::new(RefCell::new(0));
         for _ in 0..5 {
-            buf.get(&mut sim, |_, _| {});
+            let got = Rc::clone(&got);
+            buf.get(&mut sim, move |_, item| {
+                assert!(item.is_some());
+                *got.borrow_mut() += 1;
+            });
         }
         sim.run();
-        assert_eq!(buf.total_out(), 5);
-        assert!(buf.is_empty());
+        assert_eq!(*got.borrow(), 5);
     }
 }

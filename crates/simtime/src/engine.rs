@@ -6,10 +6,8 @@
 //! event at zero delay runs after every event already queued for that
 //! instant.
 
-use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -52,7 +50,6 @@ pub struct Sim {
     now: SimTime,
     seq: u64,
     heap: BinaryHeap<Event>,
-    executed: u64,
 }
 
 impl Default for Sim {
@@ -68,7 +65,6 @@ impl Sim {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
-            executed: 0,
         }
     }
 
@@ -76,16 +72,6 @@ impl Sim {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events executed so far (diagnostic).
-    pub fn events_executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Number of events currently pending.
-    pub fn events_pending(&self) -> usize {
-        self.heap.len()
     }
 
     /// Schedule `action` to run after `delay`.
@@ -118,59 +104,17 @@ impl Sim {
         self.now
     }
 
-    /// Run events with `at <= limit`. The clock ends at
-    /// `min(limit, time of last executed event)`; pending later events remain.
-    pub fn run_until(&mut self, limit: SimTime) -> SimTime {
-        while let Some(ev) = self.heap.peek() {
-            if ev.at > limit {
-                break;
-            }
-            self.step();
-        }
-        self.now
-    }
-
     /// Execute the single earliest pending event. Returns false if none.
     pub fn step(&mut self) -> bool {
         match self.heap.pop() {
             Some(ev) => {
                 debug_assert!(ev.at >= self.now);
                 self.now = ev.at;
-                self.executed += 1;
                 (ev.action)(self);
                 true
             }
             None => false,
         }
-    }
-}
-
-/// A cloneable handle to shared model state.
-///
-/// Thin convenience wrapper over `Rc<RefCell<T>>` so model components don't
-/// repeat the borrow boilerplate.
-pub struct SimHandle<T>(Rc<RefCell<T>>);
-
-impl<T> SimHandle<T> {
-    /// Wrap a value in a shared handle.
-    pub fn new(value: T) -> Self {
-        SimHandle(Rc::new(RefCell::new(value)))
-    }
-
-    /// Run `f` with a shared borrow of the value.
-    pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.0.borrow())
-    }
-
-    /// Run `f` with a mutable borrow of the value.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.0.borrow_mut())
-    }
-}
-
-impl<T> Clone for SimHandle<T> {
-    fn clone(&self) -> Self {
-        SimHandle(Rc::clone(&self.0))
     }
 }
 
@@ -219,7 +163,6 @@ mod tests {
         });
         let end = sim.run();
         assert_eq!(end.as_nanos(), 10);
-        assert_eq!(sim.events_executed(), 2);
     }
 
     #[test]
@@ -247,18 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_leaves_later_events_pending() {
-        let mut sim = Sim::new();
-        sim.schedule(SimDuration::from_nanos(5), |_| {});
-        sim.schedule(SimDuration::from_nanos(50), |_| {});
-        sim.run_until(SimTime::from_nanos(10));
-        assert_eq!(sim.now().as_nanos(), 5);
-        assert_eq!(sim.events_pending(), 1);
-        sim.run();
-        assert_eq!(sim.now().as_nanos(), 50);
-    }
-
-    #[test]
     #[should_panic(expected = "scheduled event in the past")]
     fn scheduling_in_the_past_panics() {
         let mut sim = Sim::new();
@@ -266,15 +197,5 @@ mod tests {
             sim.schedule_at(SimTime::from_nanos(3), |_| {});
         });
         sim.run();
-    }
-
-    #[test]
-    fn handle_with_and_with_mut() {
-        let h = SimHandle::new(41);
-        h.with_mut(|v| *v += 1);
-        assert_eq!(h.with(|v| *v), 42);
-        let h2 = h.clone();
-        h2.with_mut(|v| *v *= 2);
-        assert_eq!(h.with(|v| *v), 84);
     }
 }

@@ -1,9 +1,9 @@
 //! `simtime` — a small deterministic discrete-event simulation (DES) core.
 //!
 //! This crate is the timing substrate of the `hetstream` reproduction. The
-//! reproduction machine has a single CPU core and no GPU, so the paper's
-//! performance figures are regenerated on a *model* of the paper's testbed
-//! (i9-7900X + 2× Titan XP). `simtime` provides the pieces every such model
+//! reproduction's hosts have one or two CPU cores and no GPU, so the
+//! paper's performance figures are regenerated on a *model* of the paper's
+//! testbed (i9-7900X + 2× Titan XP). `simtime` provides the pieces every such model
 //! needs:
 //!
 //! * a virtual clock with nanosecond resolution ([`SimTime`], [`SimDuration`]),
@@ -30,6 +30,8 @@
 //! assert_eq!(end.as_nanos(), 5_000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod buffer;
 mod engine;
 pub mod rng;
@@ -38,8 +40,8 @@ mod stats;
 mod time;
 
 pub use buffer::BoundedBuffer;
-pub use engine::{Sim, SimHandle};
+pub use engine::Sim;
 pub use rng::XorShift64;
 pub use server::Server;
-pub use stats::{Counter, TimeWeighted};
+pub use stats::TimeWeighted;
 pub use time::{SimDuration, SimTime};

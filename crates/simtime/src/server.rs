@@ -10,14 +10,12 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::engine::Sim;
-use crate::stats::{Counter, TimeWeighted};
 use crate::time::{SimDuration, SimTime};
 
 type Callback = Box<dyn FnOnce(&mut Sim)>;
 
 struct Pending {
     service: SimDuration,
-    enqueued: SimTime,
     done: Callback,
 }
 
@@ -27,9 +25,6 @@ struct State {
     queue: VecDeque<Pending>,
     busy_time: SimDuration, // summed across units
     last_busy_change: SimTime,
-    waits: Counter,
-    queue_len: TimeWeighted,
-    completed: u64,
 }
 
 impl State {
@@ -41,38 +36,26 @@ impl State {
 }
 
 /// A shared handle to a FIFO multi-server resource. Cheap to clone.
+#[derive(Clone)]
 pub struct Server {
-    name: &'static str,
     state: Rc<RefCell<State>>,
 }
 
-impl Clone for Server {
-    fn clone(&self) -> Self {
-        Server {
-            name: self.name,
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
 impl Server {
-    /// A server with `capacity` identical units.
+    /// A server with `capacity` identical units; `name` only labels the
+    /// capacity check's panic.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn new(name: &'static str, capacity: usize) -> Self {
         assert!(capacity > 0, "server {name:?} needs capacity >= 1");
         Server {
-            name,
             state: Rc::new(RefCell::new(State {
                 capacity,
                 busy: 0,
                 queue: VecDeque::new(),
                 busy_time: SimDuration::ZERO,
                 last_busy_change: SimTime::ZERO,
-                waits: Counter::new(),
-                queue_len: TimeWeighted::new(),
-                completed: 0,
             })),
         }
     }
@@ -92,16 +75,9 @@ impl Server {
             let mut st = self.state.borrow_mut();
             if st.busy < st.capacity {
                 st.note_busy_change(now, 1);
-                st.waits.record(SimDuration::ZERO);
                 Some(done)
             } else {
-                st.queue.push_back(Pending {
-                    service,
-                    enqueued: now,
-                    done,
-                });
-                let qlen = st.queue.len() as f64;
-                st.queue_len.set(now, qlen);
+                st.queue.push_back(Pending { service, done });
                 None
             }
         };
@@ -122,34 +98,16 @@ impl Server {
         let now = sim.now();
         let next = {
             let mut st = self.state.borrow_mut();
-            st.completed += 1;
-            match st.queue.pop_front() {
-                Some(p) => {
-                    // Unit stays busy, handed straight to the next job.
-                    let qlen = st.queue.len() as f64;
-                    st.queue_len.set(now, qlen);
-                    st.waits.record(now.since(p.enqueued));
-                    Some(p)
-                }
-                None => {
-                    st.note_busy_change(now, -1);
-                    None
-                }
+            // The unit stays busy, handed straight to the next job, if any.
+            let next = st.queue.pop_front();
+            if next.is_none() {
+                st.note_busy_change(now, -1);
             }
+            next
         };
         if let Some(p) = next {
             self.start(sim, p.service, p.done);
         }
-    }
-
-    /// Units currently busy.
-    pub fn busy(&self) -> usize {
-        self.state.borrow().busy
-    }
-
-    /// Jobs completed so far.
-    pub fn completed(&self) -> u64 {
-        self.state.borrow().completed
     }
 
     /// Mean utilization over `[0, now]`, in `[0, 1]`.
@@ -162,16 +120,6 @@ impl Server {
         let busy = st.busy_time.as_secs_f64()
             + now.since(st.last_busy_change).as_secs_f64() * st.busy as f64;
         busy / total
-    }
-
-    /// Mean time jobs spent waiting in queue before service.
-    pub fn mean_wait(&self) -> SimDuration {
-        self.state.borrow().waits.mean()
-    }
-
-    /// Diagnostic name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -198,7 +146,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(*ends.borrow(), vec![10, 20, 30]);
-        assert_eq!(srv.completed(), 3);
     }
 
     #[test]
@@ -231,7 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_wait_stats() {
+    fn utilization_counts_busy_time() {
         let mut sim = Sim::new();
         let srv = Server::new("s", 1);
         // Two 10ns jobs back to back: busy 20ns. Run 40ns of idle tail via a
@@ -242,8 +189,6 @@ mod tests {
         sim.run();
         let u = srv.utilization(sim.now());
         assert!((u - 0.5).abs() < 1e-9, "utilization={u}");
-        // Second job waited 10ns; first 0 => mean 5ns.
-        assert_eq!(srv.mean_wait().as_nanos(), 5);
     }
 
     #[test]

@@ -1,59 +1,6 @@
 //! Lightweight statistics collectors for model instrumentation.
 
-use crate::time::{SimDuration, SimTime};
-
-/// A running tally with count / sum / min / max, for durations.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    count: u64,
-    sum: SimDuration,
-    min: Option<SimDuration>,
-    max: SimDuration,
-}
-
-impl Counter {
-    /// Empty counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, d: SimDuration) {
-        self.count += 1;
-        self.sum += d;
-        self.min = Some(self.min.map_or(d, |m| m.min(d)));
-        self.max = self.max.max(d);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> SimDuration {
-        self.sum
-    }
-
-    /// Smallest observation, if any.
-    pub fn min(&self) -> Option<SimDuration> {
-        self.min
-    }
-
-    /// Largest observation (zero when empty).
-    pub fn max(&self) -> SimDuration {
-        self.max
-    }
-
-    /// Arithmetic mean (zero when empty).
-    pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            self.sum / self.count
-        }
-    }
-}
+use crate::time::SimTime;
 
 /// A time-weighted value tracker: integrates `value · dt` so that e.g. mean
 /// queue length or utilization can be reported at the end of a run.
@@ -62,7 +9,6 @@ pub struct TimeWeighted {
     value: f64,
     last_change: SimTime,
     integral: f64, // value-seconds
-    max: f64,
 }
 
 impl Default for TimeWeighted {
@@ -78,7 +24,6 @@ impl TimeWeighted {
             value: 0.0,
             last_change: SimTime::ZERO,
             integral: 0.0,
-            max: 0.0,
         }
     }
 
@@ -87,25 +32,12 @@ impl TimeWeighted {
         self.integral += self.value * now.since(self.last_change).as_secs_f64();
         self.last_change = now;
         self.value = value;
-        if value > self.max {
-            self.max = value;
-        }
     }
 
     /// Add `delta` to the current value at time `now`.
     pub fn add(&mut self, now: SimTime, delta: f64) {
         let v = self.value + delta;
         self.set(now, v);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Maximum value seen.
-    pub fn max(&self) -> f64 {
-        self.max
     }
 
     /// Time-weighted mean over `[0, now]`.
@@ -124,27 +56,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_tracks_min_max_mean() {
-        let mut c = Counter::new();
-        for ns in [10u64, 20, 30] {
-            c.record(SimDuration::from_nanos(ns));
-        }
-        assert_eq!(c.count(), 3);
-        assert_eq!(c.sum().as_nanos(), 60);
-        assert_eq!(c.min().unwrap().as_nanos(), 10);
-        assert_eq!(c.max().as_nanos(), 30);
-        assert_eq!(c.mean().as_nanos(), 20);
-    }
-
-    #[test]
-    fn counter_empty_is_safe() {
-        let c = Counter::new();
-        assert_eq!(c.count(), 0);
-        assert_eq!(c.mean(), SimDuration::ZERO);
-        assert!(c.min().is_none());
-    }
-
-    #[test]
     fn time_weighted_mean() {
         let mut tw = TimeWeighted::new();
         // value 2 over [0, 10s), value 4 over [10s, 20s) => mean 3
@@ -152,17 +63,16 @@ mod tests {
         tw.set(SimTime::from_nanos(10_000_000_000), 4.0);
         let mean = tw.mean(SimTime::from_nanos(20_000_000_000));
         assert!((mean - 3.0).abs() < 1e-9, "mean={mean}");
-        assert_eq!(tw.max(), 4.0);
     }
 
     #[test]
     fn time_weighted_add() {
         let mut tw = TimeWeighted::new();
+        // 1 over [0, 5), 2 over [5, 9), 0 over [9, 18): 13 value-ns in 18 ns.
         tw.add(SimTime::ZERO, 1.0);
         tw.add(SimTime::from_nanos(5), 1.0);
-        assert_eq!(tw.value(), 2.0);
         tw.add(SimTime::from_nanos(9), -2.0);
-        assert_eq!(tw.value(), 0.0);
-        assert_eq!(tw.max(), 2.0);
+        let mean = tw.mean(SimTime::from_nanos(18));
+        assert!((mean - 13.0 / 18.0).abs() < 1e-9, "mean={mean}");
     }
 }

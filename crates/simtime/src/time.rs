@@ -20,9 +20,6 @@ impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Largest representable instant; useful as an "infinity" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
     /// Construct from raw nanoseconds.
     #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
@@ -46,12 +43,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// The later of two instants.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
 }
 
 impl SimDuration {
@@ -68,18 +59,6 @@ impl SimDuration {
     #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * 1_000)
-    }
-
-    /// Construct from milliseconds.
-    #[inline]
-    pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
-    }
-
-    /// Construct from whole seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
     }
 
     /// Construct from fractional seconds, rounding to the nearest nanosecond.
@@ -102,18 +81,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// The larger of two durations.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
     }
 }
 
@@ -260,8 +227,8 @@ mod tests {
     fn display_units() {
         assert_eq!(SimDuration::from_nanos(12).to_string(), "12ns");
         assert_eq!(SimDuration::from_nanos(1_500).to_string(), "1.500us");
-        assert_eq!(SimDuration::from_millis(2).to_string(), "2.000ms");
-        assert_eq!(SimDuration::from_secs(3).to_string(), "3.000s");
+        assert_eq!(SimDuration::from_micros(2_000).to_string(), "2.000ms");
+        assert_eq!(SimDuration::from_micros(3_000_000).to_string(), "3.000s");
     }
 
     #[test]

@@ -47,6 +47,8 @@
 //! assert_eq!(out[3][0], 6.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::marker::PhantomData;
 use std::sync::Arc;
 

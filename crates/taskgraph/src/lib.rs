@@ -44,6 +44,7 @@
 //!
 //! [`Placement::place`]: workload::Placement::place
 //! [`WorkloadDriver::run_placed`]: workload::WorkloadDriver::run_placed
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used)]
 

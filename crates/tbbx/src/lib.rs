@@ -7,9 +7,7 @@
 //! * `parallel_pipeline` with `serial_in_order` / `serial_out_of_order` /
 //!   `parallel` filters and the `max_number_of_live_tokens` throttle
 //!   ([`pipeline::Pipeline`]) — the knob the paper tunes to 38 (CPU) and
-//!   50 (GPU) tokens for Mandelbrot;
-//! * the loop templates [`parallel_for`], [`parallel_reduce`] and
-//!   [`parallel_scan`].
+//!   50 (GPU) tokens for Mandelbrot.
 //!
 //! Unlike [`fastflow`](https://docs.rs/fastflow) (thread-per-stage,
 //! programmer-composable topologies), `tbbx` multiplexes all pipeline work
@@ -33,17 +31,12 @@
 //! assert_eq!(out.lock().unwrap().len(), 10);
 //! ```
 
-pub mod algo;
 pub mod deque;
 pub mod pipeline;
 pub mod pool;
-pub mod scan;
-mod slots;
 
-pub use algo::{parallel_for, parallel_reduce};
 pub use pipeline::{Pipeline, PipelineBuilder};
 pub use pool::{Latch, TaskPool};
-pub use scan::parallel_scan;
 
 /// Lock a mutex, recovering the guard if a panicking task poisoned it.
 ///

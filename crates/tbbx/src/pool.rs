@@ -13,8 +13,7 @@
 //! only when the bounded ring was observed full, and by workers only when
 //! an atomic counter says it is non-empty — never while spawns fit the
 //! ring). Tasks are plain boxed closures — the
-//! structured patterns ([`crate::parallel_for`], the
-//! [`pipeline`](crate::pipeline)) are layered on top with latches.
+//! [`pipeline`](crate::pipeline) is layered on top.
 
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::VecDeque;
@@ -193,7 +192,6 @@ impl Shared {
 pub struct TaskPool {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
-    n_workers: usize,
 }
 
 impl TaskPool {
@@ -232,16 +230,7 @@ impl TaskPool {
                     .expect("spawn tbbx worker")
             })
             .collect();
-        TaskPool {
-            shared,
-            threads,
-            n_workers,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.n_workers
+        TaskPool { shared, threads }
     }
 
     /// Submit a task for execution. From inside one of this pool's own

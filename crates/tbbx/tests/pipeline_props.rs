@@ -64,26 +64,3 @@ fn multi_filter_chains_compose() {
         assert_eq!(got, want);
     });
 }
-
-#[test]
-fn parallel_reduce_matches_sequential_fold() {
-    for_cases(16, |rng| {
-        let input: Vec<u32> = (0..rng.range_usize(0, 500))
-            .map(|_| rng.next_u32())
-            .collect();
-        let grain = rng.range_usize(1, 64);
-        let pool = Arc::new(TaskPool::new(3));
-        let data = Arc::new(input.clone());
-        let expected: u64 = input.iter().map(|&x| x as u64).sum();
-        let data2 = Arc::clone(&data);
-        let total = tbbx::parallel_reduce(
-            &pool,
-            0..data.len(),
-            grain,
-            0u64,
-            move |i| data2[i] as u64,
-            |a, b| a + b,
-        );
-        assert_eq!(total, expected);
-    });
-}

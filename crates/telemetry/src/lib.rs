@@ -16,7 +16,7 @@
 //! * [`ThroughputWindow`] / [`Watchdog`] — background monitors sampling
 //!   items/s + queue depths per tick, and flagging stages that stop making
 //!   progress while work is queued (a deadlock/livelock detector for the
-//!   farm and feedback topologies).
+//!   pipeline and farm topologies).
 //! * [`TelemetryReport`] — a snapshot that renders as JSON, CSV, a merged
 //!   text Gantt, a latency table, or a Chrome trace-event document
 //!   ([`TelemetryReport::to_chrome_trace`]) loadable in `ui.perfetto.dev`.
@@ -35,6 +35,8 @@
 //! therefore show both on a shared axis whose unit is
 //! nanoseconds-since-run-start in each domain's own clock — exactly how
 //! Fig. 3 juxtaposes host threads and device engines.
+
+#![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -952,7 +954,9 @@ pub enum FaultKind {
     DeviceOom,
     /// A kernel launch failed (injected transient fault).
     KernelFault,
-    /// A stage emitted a typed `StageError`-style failure downstream.
+    /// A stage failed an item without unwinding. No runtime in the
+    /// workspace reports it; it stays a label of the exposition and flight
+    /// formats.
     StageError,
     /// The runtime retried the failed operation (possibly reshaped, e.g.
     /// with a halved batch).

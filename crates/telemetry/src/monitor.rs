@@ -145,9 +145,9 @@ struct Tracked {
 /// than this stage's group consumed, or the replica's input queue was
 /// non-empty when last observed), it emits one structured [`StallEvent`]
 /// into the recorder. One event is emitted per stall episode; progress
-/// re-arms the detector. Because a deadlocked farm or feedback loop is
-/// exactly "no progress with work pending", this doubles as a
-/// deadlock/livelock detector for those topologies.
+/// re-arms the detector. Because a deadlocked pipeline or farm is exactly
+/// "no progress with work pending", this doubles as a deadlock/livelock
+/// detector for those topologies.
 #[derive(Debug)]
 pub struct Watchdog {
     thread: Background,

@@ -36,6 +36,7 @@
 //!    — retry per [`Workload::policy`] with backoff.
 //! 3. **CPU fallback** — the batch is recomputed on the host,
 //!    bit-identical, into the same output buffer.
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used)]
 
@@ -260,11 +261,6 @@ pub struct WorkloadDriver<W: Workload> {
     /// [`process_into`]: WorkloadDriver::process_into
     batch_ids: Arc<AtomicU64>,
     flight: FlightHandle,
-    /// Optional delta-scoped copy ledger; when set, every
-    /// [`process_into`](WorkloadDriver::process_into) call runs under a
-    /// ledger scope so this pipeline's copy traffic is measurable in
-    /// isolation from anything else sharing the process.
-    copy_ledger: Option<telemetry::copy::CopyLedger>,
 }
 
 impl<W: Workload> Clone for WorkloadDriver<W> {
@@ -274,7 +270,6 @@ impl<W: Workload> Clone for WorkloadDriver<W> {
             rec: self.rec.clone(),
             batch_ids: Arc::clone(&self.batch_ids),
             flight: self.flight.clone(),
-            copy_ledger: self.copy_ledger.clone(),
         }
     }
 }
@@ -287,7 +282,6 @@ impl<W: Workload> WorkloadDriver<W> {
             rec: Recorder::default(),
             batch_ids: Arc::new(AtomicU64::new(0)),
             flight: FlightHandle::noop(),
-            copy_ledger: None,
         }
     }
 
@@ -303,14 +297,6 @@ impl<W: Workload> WorkloadDriver<W> {
         self
     }
 
-    /// Attribute this driver's data-path copies to `ledger`. The ledger
-    /// travels with driver clones, so every farm replica charges the same
-    /// counters — cloning shares, it does not fork.
-    pub fn with_copy_ledger(mut self, ledger: telemetry::copy::CopyLedger) -> Self {
-        self.copy_ledger = Some(ledger);
-        self
-    }
-
     /// Draw the next causal batch id (non-zero; `0` is
     /// [`NO_BATCH`](telemetry::NO_BATCH)).
     fn next_batch_id(&self) -> u64 {
@@ -320,11 +306,6 @@ impl<W: Workload> WorkloadDriver<W> {
     /// The wrapped workload description.
     pub fn workload(&self) -> &W {
         &self.work
-    }
-
-    /// The recorder fault events are reported to.
-    pub fn recorder(&self) -> &Recorder {
-        &self.rec
     }
 
     /// Build GPU state for `replica` (delegates to [`Workload::attach`]).
@@ -369,9 +350,6 @@ impl<W: Workload> WorkloadDriver<W> {
         out: &mut W::Batch,
         batch_id: u64,
     ) {
-        // Activate the driver's scoped ledger (if any) for the whole
-        // ladder walk, so retries and CPU fallbacks are charged too.
-        let _ledger_scope = self.copy_ledger.as_ref().map(|l| l.enter());
         // One batch crossing the data path: the copy ledger divides its
         // byte counters by this to report copies-per-batch.
         telemetry::copy::record_batch();

@@ -10,7 +10,7 @@
 //! and [`pinned_pool`] builds a [`fastflow::BufPool`] wired to it.
 //!
 //! Pinning happens once per allocator miss and lasts until the slab
-//! permanently leaves the pool (shed / detach / pool drop) — the
+//! permanently leaves the pool (shed or pool drop) — the
 //! recycle path touches neither the allocator nor the registry, which
 //! is what keeps the steady state at zero staging copies *and* zero
 //! registry churn.
@@ -72,16 +72,5 @@ mod tests {
         drop(pool);
         // Pool drop releases the page-locks.
         assert!(!gpusim::pinned::is_pinned_raw(ptr, len));
-    }
-
-    #[test]
-    fn detached_buffers_lose_their_pinning() {
-        let pool = pinned_pool::<u32>();
-        let buf = pool.acquire(256);
-        let vec = buf.detach();
-        assert!(
-            !gpusim::pinned::is_pinned(&vec[..]),
-            "detached storage left the pool and must be unpinned"
-        );
     }
 }

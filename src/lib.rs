@@ -31,6 +31,8 @@
 //! * [`perfmodel`] — discrete-event models regenerating Figs. 1, 4 and 5.
 //! * [`simtime`] — the deterministic DES core underlying `perfmodel`.
 
+#![forbid(unsafe_code)]
+
 pub use dedup;
 pub use fastflow;
 pub use gpusim;
@@ -54,11 +56,8 @@ pub use workload;
 ///   [`WorkloadDriver`](workload::WorkloadDriver), which own batch
 ///   formation, the fault-recovery ladder ([`FaultPolicy`](fastflow::FaultPolicy)),
 ///   buffer recycling and ordered re-emit.
-/// * **Composing streams** — the SPar builder ([`ToStream`](spar::ToStream)),
-///   the FastFlow [`Pipeline`](fastflow::Pipeline) skeleton, and the
-///   par-stream combinators [`par_map_ordered`](fastflow::par_map_ordered),
-///   [`par_map_unordered`](fastflow::par_map_unordered),
-///   [`scatter`](fastflow::scatter), [`gather`](fastflow::gather).
+/// * **Composing streams** — the SPar builder ([`ToStream`](spar::ToStream))
+///   and the FastFlow [`Pipeline`](fastflow::Pipeline) skeleton.
 /// * **Reaching devices** — the unified [`Offload`](gpusim::Offload) trait
 ///   with its CUDA-like and OpenCL-like backends.
 /// * **Memory & telemetry** — [`BufPool`](fastflow::BufPool) /
@@ -79,8 +78,7 @@ pub use workload;
 /// internals), `dedup`/`mandel`/`hashsearch` stage plumbing.
 pub mod prelude {
     pub use fastflow::{
-        gather, par_map_ordered, par_map_unordered, recycler, scatter, BufPool, FaultPolicy,
-        Pipeline, PooledBuf, Recycler, WaitStrategy,
+        recycler, BufPool, FaultPolicy, Pipeline, PooledBuf, Recycler, WaitStrategy,
     };
     pub use gpusim::{CudaOffload, GpuSystem, OclOffload, Offload, OffloadApi};
     pub use spar::{to_stream, SparConfig, ToStream};
