@@ -8,6 +8,10 @@
 //! 3. **Scheduling policy** — round-robin vs on-demand farms under
 //!    Mandelbrot's skewed line costs.
 //! 4. **TBB live-token sweep** — the knob the paper tunes to 2×/5× workers.
+//! 5. **Auto-tune** — the batch knee and memory-space count found online:
+//!    `taskgraph::AutoTuner` climbs from the naive corner (batch 4, one
+//!    memory space) on modeled probes of the 2-GPU overlapped pipeline,
+//!    never told the paper's hand-picked point (batch 32, 4 spaces).
 //!
 //! Usage: `cargo run --release -p bench --bin ablate [--dim 600] [--niter 2000]`
 
@@ -21,6 +25,7 @@ use perfmodel::machine::{CpuModel, CpuRuntime};
 use perfmodel::mandelmodel::{self, characterize};
 use perfmodel::pipe::{Phase, PipeModel};
 use simtime::SimDuration;
+use taskgraph::{AutoTuner, EpochMeasure};
 
 fn main() {
     let dim: usize = arg("--dim", 600);
@@ -176,4 +181,47 @@ fn main() {
         ]);
     }
     r.emit("ablate_tokens");
+
+    // 5. Auto-tuned batch size and memory spaces on two GPUs.
+    let system = GpuSystem::new(2, DeviceProps::titan_xp());
+    let pixels = (dim * dim) as f64;
+    let probe = |batch: usize, spaces: usize| {
+        let (_, t) = gpu::cuda_overlap(&system, &params, batch, spaces, 2);
+        EpochMeasure {
+            throughput: pixels / t.as_secs_f64(),
+            p99_ns: t.as_nanos() / dim.div_ceil(batch) as u64,
+        }
+    };
+    let outcome = AutoTuner::new().run(probe);
+    let mut r = Report::new(
+        format!("Ablation 5 — auto-tuner trajectory on 2 GPUs ({dim}x{dim})"),
+        vec![
+            "epoch",
+            "batch",
+            "mem spaces",
+            "modeled Mpx/s",
+            "per-batch p99",
+            "accepted",
+        ],
+    );
+    for step in &outcome.trajectory {
+        r.row(vec![
+            step.epoch.to_string(),
+            step.batch_size.to_string(),
+            step.mem_spaces.to_string(),
+            format!("{:.1}", step.measure.throughput / 1e6),
+            format!("{}", SimDuration::from_nanos(step.measure.p99_ns)),
+            if step.accepted { "->" } else { "" }.into(),
+        ]);
+    }
+    r.emit("ablate_autotune");
+    println!(
+        "auto-tune converged: batch={} mem_spaces={} after {} probes ({} epochs), \
+         {:.3}x the hand-picked rung (batch 32, 4x mem)",
+        outcome.batch_size,
+        outcome.mem_spaces,
+        outcome.trajectory.len(),
+        outcome.epochs,
+        outcome.measure.throughput / probe(32, 4).throughput
+    );
 }

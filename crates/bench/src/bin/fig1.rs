@@ -8,63 +8,26 @@
 //! CPU-pipeline times come from the calibrated testbed model. The paper's
 //! measured numbers are printed alongside for comparison.
 //!
-//! Usage: `cargo run --release -p bench --bin fig1 [--dim 600] [--niter 2000]`
+//! Usage: `cargo run --release -p bench --bin fig1 [--dim 600] [--niter 2000]
+//!         [--batch 32]`
 //!
-//! Pass `--tiny` for a fast smoke run (reduced scale; shape checks that
-//! only hold at figure scale are skipped, telemetry is still emitted).
-//! Pass `--inject-faults <seed>` to arm deterministic GPU fault injection
-//! (device OOM, transient kernel faults, slow devices) on the instrumented
-//! run: it must still produce the bit-exact image via retry + CPU
-//! fallback, and the recorded fault events are printed and asserted.
 //! Pass `--paper-model 1` to additionally print the model's *paper-scale*
 //! prediction (absolute seconds at 2000² × 200 000 iterations, from a
-//! 200×200 full-depth sample — takes a couple of minutes).
-//!
-//! Pass `--auto-tune` to run the online controller instead of the fixed
-//! ladder: an [`AutoTuner`] starts from the naive
-//! corner (batch 4, 1 memory space) and hill-climbs batch size and
-//! memory-space count from modeled throughput/p99 probes, with no
-//! knowledge of the paper's hand-picked optimum; the run gates on the
-//! tuned configuration reaching ≥ 90% of the hand-picked rung's
-//! throughput. The mode then demos the cost-model task-graph scheduler
-//! on an N=4 mixed fleet (two full Titan XPs + two derated ones),
-//! comparing its deterministic max-device-busy makespan against static
-//! round-robin on the bit-checked placed pipeline.
-//!
-//! Pass `--source file|tcp` to feed the pipeline from a real ingress
-//! transport instead of the in-process generator: row-span records enter
-//! through `crates/ingress` (segmented file log or TCP), land in pinned
-//! pooled buffers (copy ledger asserted at 0 staging bytes), and the
-//! rendered spans leave through a durable egress log. With `--source
-//! file`, `--kill-after N` exits after the Nth egress record is durable
-//! but *before* its input offset commits; rerunning the same command
-//! resumes from the committed offsets and must re-emit nothing (the
-//! egress watermark skips the already-durable record) while still
-//! producing the bit-exact image — the exactly-once demo driven by
-//! `ci.sh`.
+//! `--paper-sample`² (default 200²) full-depth sample — takes a couple of
+//! minutes).
 
 #![forbid(unsafe_code)]
 
 use std::sync::Arc;
 
-use bench::{
-    arg, decode_span, flag, instrumented_run, mandel_ingress_demo, observed_run, placed_fleet_demo,
-    secs, span_payload, Report, ShapeChecks,
-};
+use bench::{arg, instrumented_run, secs, Report};
 use gpusim::{CudaOffload, DeviceProps, GpuSystem};
-use ingress::{
-    spawn_pump, IngressStats, PumpConfig, ShardId, Sink, StreamKey, TcpIngressServer, TcpSink,
-};
 use mandel::core::FractalParams;
 use mandel::cpu::run_sequential;
 use mandel::gpu;
-use mandel::hybrid::MandelWork;
 use perfmodel::machine::{CpuModel, CpuRuntime};
 use perfmodel::mandelmodel::{self, characterize};
 use simtime::SimDuration;
-use taskgraph::{AutoTuner, EpochMeasure, SchedConfig};
-use telemetry::Recorder;
-use workload::WorkloadDriver;
 
 /// A GPU driver entry point from `mandel::gpu`.
 type GpuDriver<'a> = &'a dyn Fn(&Arc<GpuSystem>, &FractalParams) -> (mandel::Image, SimDuration);
@@ -83,10 +46,11 @@ const PAPER: &[(&str, f64, f64)] = &[
 ];
 
 fn main() {
-    let tiny = flag("--tiny");
-    let dim: usize = arg("--dim", if tiny { 128 } else { 600 });
-    let niter: u32 = arg("--niter", if tiny { 300 } else { 2_000 });
+    let dim: usize = arg("--dim", 600);
+    let niter: u32 = arg("--niter", 2_000);
     let batch: usize = arg("--batch", 32);
+    let paper_model: u32 = arg("--paper-model", 0);
+    let sample: usize = arg("--paper-sample", 200);
     let params = FractalParams::view(dim, niter);
     println!(
         "Fig. 1 reproduction — Mandelbrot Streaming {dim}x{dim}, niter={niter} \
@@ -95,23 +59,6 @@ fn main() {
 
     // Reference render + workload characterization.
     let (seq_img, _) = run_sequential(&params);
-
-    // `--source` replaces the in-process generator with a real ingress
-    // transport and turns the run into the kill-and-resume demo; the
-    // optimization ladder is not the subject there, so it is skipped.
-    let source_mode: String = arg("--source", String::new());
-    if !source_mode.is_empty() {
-        source_demo(&source_mode, &params, &seq_img, batch);
-        return;
-    }
-
-    // `--auto-tune` replaces the hand-picked ladder with the online
-    // controller + N-device task-graph scheduler.
-    if flag("--auto-tune") {
-        observed_run("fig1", |rec| auto_tune_demo(&params, &seq_img, rec));
-        return;
-    }
-
     let workload = characterize(&params);
     let cpu = CpuModel::default();
     let t_seq = mandelmodel::seq_time(&workload, &cpu);
@@ -121,7 +68,7 @@ fn main() {
     let mut results: Vec<(&str, SimDuration)> =
         vec![("sequential", t_seq), ("CPU 20 threads", t_cpu20)];
 
-    let mut run_gpu = |name: &'static str, f: GpuDriver<'_>| -> SimDuration {
+    let mut run_gpu = |name: &'static str, f: GpuDriver<'_>| {
         let (img, t) = f(&system, &params);
         assert_eq!(
             img.digest(),
@@ -129,29 +76,27 @@ fn main() {
             "{name}: GPU image differs from sequential render"
         );
         results.push((name, t));
-        t
     };
 
-    let t_1d = run_gpu("GPU naive 1D", &gpu::cuda_per_line);
-    let t_2d = run_gpu("GPU 2D grid", &gpu::cuda_2d);
-    let t_batch = run_gpu("GPU batch 32", &|s, p| gpu::cuda_batch(s, p, batch));
-    let t_2x = run_gpu("GPU batch + 2x mem", &|s, p| {
+    run_gpu("GPU naive 1D", &gpu::cuda_per_line);
+    run_gpu("GPU 2D grid", &gpu::cuda_2d);
+    run_gpu("GPU batch 32", &|s, p| gpu::cuda_batch(s, p, batch));
+    run_gpu("GPU batch + 2x mem", &|s, p| {
         gpu::cuda_overlap(s, p, batch, 2, 1)
     });
-    let t_4x = run_gpu("GPU batch + 4x mem", &|s, p| {
+    run_gpu("GPU batch + 4x mem", &|s, p| {
         gpu::cuda_overlap(s, p, batch, 4, 1)
     });
-    let t_2gpu = run_gpu("2 GPUs, 1x mem each", &|s, p| {
+    run_gpu("2 GPUs, 1x mem each", &|s, p| {
         gpu::cuda_overlap(s, p, batch, 2, 2)
     });
-    let t_2gpu2x = run_gpu("2 GPUs, 2x mem each", &|s, p| {
+    run_gpu("2 GPUs, 2x mem each", &|s, p| {
         gpu::cuda_overlap(s, p, batch, 4, 2)
     });
 
     // OpenCL spot checks (the paper reports CUDA ≈ OpenCL on every rung).
     let (ocl_img, t_ocl_batch) = gpu::ocl_batch(&system, &params, batch);
     assert_eq!(ocl_img.digest(), seq_img.digest());
-    let (_, t_ocl_over) = gpu::ocl_overlap(&system, &params, batch, 4, 2);
 
     let mut report = Report::new(
         format!("Fig. 1 — Mandelbrot optimization ladder ({dim}x{dim}, niter={niter})"),
@@ -187,63 +132,17 @@ fn main() {
     // A real instrumented run of the fastest rung's pipeline shape — SPar
     // whose replicated stage drives both GPUs through the unified Offload
     // surface — recorded stage-by-stage and merged with the device traces.
-    instrumented_run(
-        "fig1",
-        "image bit-identical to the fault-free render",
-        |tsys, rec, armed| {
-            let (workers, gpus) = if armed { (1, 1) } else { (4, 2) };
-            let timg = mandel::hybrid::run_spar_gpu::<CudaOffload>(
-                tsys,
-                &params,
-                workers,
-                batch,
-                gpus,
-                rec.clone(),
-            );
-            assert_eq!(
-                timg.digest(),
-                seq_img.digest(),
-                "instrumented run: image differs from sequential render"
-            );
-        },
-    );
+    instrumented_run("fig1", |tsys, rec| {
+        let timg =
+            mandel::hybrid::run_spar_gpu::<CudaOffload>(tsys, &params, 4, batch, 2, rec.clone());
+        assert_eq!(
+            timg.digest(),
+            seq_img.digest(),
+            "instrumented run: image differs from sequential render"
+        );
+    });
 
-    if tiny {
-        println!("\n(tiny smoke run: figure-scale shape checks skipped)");
-        return;
-    }
-
-    println!("\nShape checks (the paper's qualitative claims):");
-    let mut checks = ShapeChecks::new();
-    checks.check("2D grid is slower than naive 1D", t_2d > t_1d);
-    checks.check("naive 1D is far below the CPU version", t_1d > t_cpu20);
-    checks.check("batching beats the CPU version", t_batch < t_cpu20);
-    checks.check(
-        "batching gives an order of magnitude over naive",
-        t_1d.as_secs_f64() / t_batch.as_secs_f64() > 8.0,
-    );
-    checks.check("2x memory overlap improves on plain batch", t_2x < t_batch);
-    checks.check(
-        "4x memory at least matches 2x (the paper's +10% appears at paper scale)",
-        t_4x.as_secs_f64() <= t_2x.as_secs_f64() * 1.03,
-    );
-    checks.check("two GPUs improve on one", t_2gpu < t_4x);
-    checks.check(
-        "2 GPUs with 2x memory each is the fastest rung",
-        t_2gpu2x <= t_2gpu,
-    );
-    let ratio = t_ocl_batch.as_secs_f64() / t_batch.as_secs_f64();
-    checks.check(
-        "OpenCL and CUDA are within 15%",
-        (0.85..1.15).contains(&ratio),
-    );
-    let cuda_ocl_2gpu = t_ocl_over.as_secs_f64() / t_2gpu2x.as_secs_f64();
-    checks.check(
-        "OpenCL multi-GPU matches CUDA multi-GPU",
-        (0.85..1.15).contains(&cuda_ocl_2gpu),
-    );
-    if arg("--paper-model", 0u32) == 1 {
-        let sample: usize = arg("--paper-sample", 200);
+    if paper_model == 1 {
         println!("\ncharacterizing at paper depth (sample {sample}x{sample} @ 200k iters)...");
         let rungs = perfmodel::paper::predict_fig1(sample, &cpu, &DeviceProps::titan_xp());
         let mut pr = Report::new(
@@ -256,271 +155,4 @@ fn main() {
         }
         pr.emit("fig1_paper_scale");
     }
-
-    checks.finish();
-}
-
-// ---------------------------------------------------------------------
-// Auto-tune demo (`--auto-tune`)
-// ---------------------------------------------------------------------
-
-/// The closed-loop mode: rediscover the fig1 operating point online,
-/// then place a long batch stream over an N=4 mixed fleet with the
-/// cost-model task-graph scheduler and compare it against round-robin.
-fn auto_tune_demo(params: &FractalParams, seq_img: &mandel::Image, rec: &Recorder) {
-    let dim = params.dim;
-    let pixels = (dim * dim) as f64;
-
-    // The reference the controller never sees: the paper's hand-picked
-    // fastest rung (batch 32, 4 memory spaces, 2 GPUs).
-    let sys = GpuSystem::new(2, DeviceProps::titan_xp());
-    let (hand_img, t_hand) = gpu::cuda_overlap(&sys, params, 32, 4, 2);
-    assert_eq!(hand_img.digest(), seq_img.digest());
-    let hand_tput = pixels / t_hand.as_secs_f64();
-
-    // Climb from the naive corner on modeled throughput/p99 probes.
-    // Every probe also bit-checks its render, so the controller can
-    // never tune its way into a wrong image.
-    let tuner_counters = Arc::new(telemetry::Counters::new());
-    rec.register(&["fig1.autotune"], &tuner_counters);
-    let outcome = AutoTuner::new()
-        .with_counters(Arc::clone(&tuner_counters))
-        .run(|b, s| {
-            let (img, t) = gpu::cuda_overlap(&sys, params, b, s, 2);
-            assert_eq!(
-                img.digest(),
-                seq_img.digest(),
-                "auto-tune probe batch={b} spaces={s}: wrong image"
-            );
-            EpochMeasure {
-                throughput: pixels / t.as_secs_f64(),
-                p99_ns: t.as_nanos() / dim.div_ceil(b) as u64,
-            }
-        });
-
-    let mut tr = Report::new(
-        format!("fig1 --auto-tune — controller trajectory ({dim}x{dim})"),
-        vec![
-            "epoch",
-            "batch",
-            "mem spaces",
-            "modeled Mpx/s",
-            "per-batch p99",
-            "accepted",
-        ],
-    );
-    for step in &outcome.trajectory {
-        tr.row(vec![
-            step.epoch.to_string(),
-            step.batch_size.to_string(),
-            step.mem_spaces.to_string(),
-            format!("{:.1}", step.measure.throughput / 1e6),
-            format!("{}", SimDuration::from_nanos(step.measure.p99_ns)),
-            if step.accepted { "->" } else { "" }.into(),
-        ]);
-    }
-    tr.emit("fig1_autotune");
-
-    let ratio = outcome.measure.throughput / hand_tput;
-    println!(
-        "auto-tune converged: batch={} mem_spaces={} after {} probes ({} epochs)",
-        outcome.batch_size,
-        outcome.mem_spaces,
-        outcome.trajectory.len(),
-        outcome.epochs
-    );
-    println!(
-        "auto-tune throughput ratio vs hand-picked (batch 32, 4x mem, 2 GPUs): \
-         {ratio:.3} (gate >= 0.90)"
-    );
-    assert!(
-        ratio >= 0.90,
-        "auto-tuner converged to batch={} spaces={} at only {ratio:.3} of the \
-         hand-picked throughput",
-        outcome.batch_size,
-        outcome.mem_spaces
-    );
-
-    mandel_fleet_demo(params, seq_img, rec);
-}
-
-/// Cost-model placement vs static round-robin on the N=4 mixed fleet,
-/// both rendering the bit-checked image through the placed pipeline.
-fn mandel_fleet_demo(params: &FractalParams, seq_img: &mandel::Image, rec: &Recorder) {
-    let dim = params.dim;
-    // Short row spans so the stream is long enough for the scheduler to
-    // learn the fleet (75 batches at figure scale).
-    let pbatch: usize = 8;
-    let n_dev = 4usize;
-    let n_batches = dim.div_ceil(pbatch);
-    placed_fleet_demo(
-        "fig1.graph",
-        rec,
-        n_dev,
-        SchedConfig::for_devices(n_dev),
-        &format!("{n_batches} batches"),
-        n_batches,
-        |placer, sys| {
-            let work = MandelWork::<CudaOffload>::new(sys, params, pbatch, n_dev, n_dev);
-            let driver = WorkloadDriver::new(work).with_recorder(rec.clone());
-            let mut img = mandel::Image::new(dim);
-            driver.run_placed(
-                placer,
-                n_dev,
-                |b| *b as u64,
-                0..n_batches,
-                |done| {
-                    let y0 = done.item * pbatch;
-                    let rows = pbatch.min(dim - y0);
-                    img.data[y0 * dim..y0 * dim + rows * dim]
-                        .copy_from_slice(&done.batch[..rows * dim]);
-                },
-            );
-            assert_eq!(
-                img.digest(),
-                seq_img.digest(),
-                "placed pipeline image differs from sequential render"
-            );
-        },
-    );
-}
-
-// ---------------------------------------------------------------------
-// Ingress demo (`--source file|tcp`)
-// ---------------------------------------------------------------------
-
-/// Pipeline item decoded from an ingress [`ingress::Message`]:
-/// `(shard, seq, y0, rows)`.
-type SpanItem = (u32, u64, u32, u32);
-
-fn source_demo(mode: &str, params: &FractalParams, seq_img: &mandel::Image, batch: usize) {
-    observed_run("fig1", |rec| match mode {
-        "file" => {
-            // Round-robin over the shards; `--kill-after N` exits between
-            // "egress record durable" and "input offset committed".
-            let outcome = mandel_ingress_demo::<CudaOffload>(
-                "fig1",
-                rec,
-                params,
-                seq_img,
-                batch,
-                |y0, shards| y0 / batch as u32 % shards,
-            );
-            if outcome.resumed > 0 {
-                assert!(
-                    outcome.skipped >= 1,
-                    "a resumed run must skip the emitted-but-uncommitted record"
-                );
-            }
-        }
-        "tcp" => tcp_source_demo(params, seq_img, batch, rec),
-        other => panic!("--source {other}: expected 'file' or 'tcp'"),
-    });
-}
-
-/// The live path: an in-process TCP ingress server fed by a producer
-/// thread over a real socket, consumed in real time. No durable egress —
-/// the point here is the wire transport, windowed acks and the pinned
-/// zero-copy landing.
-fn tcp_source_demo(params: &FractalParams, seq_img: &mandel::Image, batch: usize, rec: &Recorder) {
-    let dim = params.dim;
-    let n_batches = dim.div_ceil(batch);
-    let shards: u32 = arg("--shards", 2u32);
-    assert!(shards >= 1, "--shards must be at least 1");
-    let key = StreamKey::new("fig1-rows").expect("valid key");
-    let server = TcpIngressServer::bind("127.0.0.1:0", &key, workload::pinned_pool::<u8>(), 64)
-        .expect("bind ingress server");
-    let addr = server.addr();
-    println!("ingress(tcp): server on {addr}, {n_batches} records across {shards} shards");
-
-    let producer_key = key.clone();
-    let producer = std::thread::Builder::new()
-        .name("fig1-tcp-producer".into())
-        .spawn(move || {
-            let mut sink = TcpSink::connect(addr, &producer_key, shards)
-                .expect("connect producer")
-                .with_max_in_flight(8);
-            for b in 0..n_batches {
-                let y0 = (b * batch) as u32;
-                let rows = batch.min(dim - b * batch) as u32;
-                sink.send(ShardId(b as u32 % shards), &span_payload(y0, rows))
-                    .expect("tcp send");
-            }
-            sink.flush().expect("tcp flush (all acks in)");
-        })
-        .expect("spawn producer");
-
-    let ledger = telemetry::copy::CopyLedger::new();
-    let stats = IngressStats::new(rec, "fig1-rows");
-    let (tx, rx) = fastflow::channel::<SpanItem>(32, fastflow::WaitStrategy::Block);
-    let pump = spawn_pump(
-        Box::new(server.source()),
-        tx,
-        |m| {
-            assert!(
-                gpusim::pinned::is_pinned(&m.payload[..]),
-                "ingress payload must land in a pinned slab"
-            );
-            let (y0, rows) = decode_span(&m.payload);
-            (m.shard.0, m.seq, y0, rows)
-        },
-        PumpConfig {
-            ledger: Some(ledger.clone()),
-            ..PumpConfig::default()
-        },
-        rec,
-        Arc::clone(&stats),
-    );
-
-    let tsys = GpuSystem::new(2, DeviceProps::titan_xp());
-    let work = MandelWork::<CudaOffload>::new(&tsys, params, batch, 1, 1);
-    let driver = WorkloadDriver::new(work).with_recorder(rec.clone());
-    let mut gpu = driver.attach(0);
-    let stage_handles: Vec<telemetry::StageHandle> = (0..shards)
-        .map(|s| rec.stage(format!("ingress.s{s}"), s as usize))
-        .collect();
-
-    let mut img = mandel::Image::new(dim);
-    let mut got = 0usize;
-    let mut items: Vec<SpanItem> = Vec::new();
-    while got < n_batches {
-        items.clear();
-        if rx.recv_batch(&mut items, 16) == 0 {
-            panic!(
-                "tcp pump hung up with {} records outstanding",
-                n_batches - got
-            );
-        }
-        let depth = items.len();
-        for (s, seq, y0, rows) in items.drain(..) {
-            let h = &stage_handles[s as usize];
-            h.item_in(depth);
-            let (y0, rows) = (y0 as usize, rows as usize);
-            let b = y0 / batch;
-            let pixels = h.service(|| driver.process(&mut gpu, &b));
-            img.data[y0 * dim..y0 * dim + rows * dim].copy_from_slice(&pixels[..rows * dim]);
-            stats.counters(s).add_acks(1);
-            stats.counters(s).committed_to(seq + 1);
-            h.items_out(1);
-            got += 1;
-        }
-    }
-    producer.join().expect("producer thread");
-    let pumped = pump.join().expect("pump result");
-    server.stop();
-    assert_eq!(pumped, n_batches as u64, "every record pumped exactly once");
-
-    let copies = ledger.stats();
-    assert_eq!(
-        copies.bytes_copied(),
-        0,
-        "pooled pinned ingress path must not copy: {copies:?}"
-    );
-    println!("ingress copy ledger: 0 staging bytes/batch across {pumped} pumped records");
-    assert_eq!(
-        img.digest(),
-        seq_img.digest(),
-        "tcp-ingress image differs from the sequential render"
-    );
-    println!("ingress image bit-identical (tcp source, {n_batches} spans rendered)");
 }

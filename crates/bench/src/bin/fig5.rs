@@ -13,25 +13,14 @@
 //!   per-device engine contention; `no-batch` variants use per-block
 //!   kernel launches.
 //!
-//! Usage: `cargo run --release -p bench --bin fig5 [--mb 1] [--batch-kb 256]`
-//!
-//! Pass `--inject-faults <seed>` to arm deterministic GPU fault injection
-//! on the instrumented run: the archive must still decompress bit-exactly
-//! via OOM halving / retry / CPU fallback, and the recorded fault events
-//! are printed and asserted.
-//!
-//! Pass `--source file` (with `--shards N`) to feed the dedup pipeline
-//! from a segmented file log: the dataset enters as batch-sized segment
-//! records sharded **per key** ([`bench::shard_of`] over the segment
-//! index), lands in pinned pooled buffers (copy ledger asserted at 0),
-//! is consumed with resumable group offsets, and the reassembled stream
-//! must round-trip bit-exactly through the GPU dedup pipeline.
+//! Usage: `cargo run --release -p bench --bin fig5 [--mb 1] [--batch-kb 256]
+//!         [--workers 19]`
 
 #![forbid(unsafe_code)]
 
 use std::sync::Arc;
 
-use bench::{arg, ingress_demo, instrumented_run, observed_run, shard_of, Report, ShapeChecks};
+use bench::{arg, instrumented_run, Report};
 use dedup::datasets;
 use dedup::single::{run_single_cuda, run_single_ocl};
 use dedup::{BackendCtx, DedupConfig, HostCosts, LzssConfig, OffloadBackend, RabinParams};
@@ -69,15 +58,6 @@ fn main() {
         cfg.lzss.window
     );
 
-    // `--source file` turns the run into the sharded-ingress demo; the
-    // model sweep is not the subject there.
-    let source_mode: String = arg("--source", String::new());
-    if !source_mode.is_empty() {
-        assert_eq!(source_mode, "file", "fig5 supports --source file");
-        file_source_demo(size, &cfg);
-        return;
-    }
-
     let cpu = CpuModel::default();
     let costs = HostCosts::default();
     let props = DeviceProps::titan_xp();
@@ -87,7 +67,6 @@ fn main() {
         "Fig. 5 — Dedup throughput (MB/s)",
         vec!["dataset", "version", "batch-opt", "mem", "MB/s"],
     );
-    let mut checks = ShapeChecks::new();
 
     for ds in datasets::all(size, 42) {
         println!("\n[{}] profiling ({} bytes)...", ds.name, ds.len());
@@ -145,9 +124,6 @@ fn main() {
         }
 
         // Pipeline + GPU versions, modeled, batched and not.
-        let mut best_named: Vec<(String, f64)> = vec![("spar (CPU)".into(), spar.throughput_mbps)];
-        let mut nobatch_worst = f64::MAX;
-        let mut batch_best_gpu = 0.0f64;
         for (api, api_name) in [(GpuApi::Cuda, "spar+cuda"), (GpuApi::OpenCl, "spar+opencl")] {
             for batched in [true, false] {
                 let run = dedupmodel::spar_gpu(&profile, &cpu, &props, &costs, 10, 2, api, batched);
@@ -167,44 +143,9 @@ fn main() {
                         stage,
                         util * 100.0
                     );
-                    best_named.push((api_name.into(), run.throughput_mbps));
-                    batch_best_gpu = batch_best_gpu.max(run.throughput_mbps);
-                } else {
-                    nobatch_worst = nobatch_worst.min(run.throughput_mbps);
                 }
             }
         }
-
-        // Shape checks per dataset.
-        let spar_cuda = best_named
-            .iter()
-            .find(|(n, _)| n == "spar+cuda")
-            .expect("spar+cuda present")
-            .1;
-        let max_all = best_named
-            .iter()
-            .map(|(_, v)| *v)
-            .fold(0.0f64, f64::max)
-            .max(thr(t_c2))
-            .max(thr(t_o2));
-        checks.check(
-            &format!("[{}] batch optimization is a large win (>5x)", ds.name),
-            batch_best_gpu / nobatch_worst > 5.0,
-        );
-        checks.check(
-            &format!("[{}] SPar+CUDA is the best version", ds.name),
-            spar_cuda >= max_all * 0.999,
-        );
-        checks.check(
-            &format!("[{}] SPar+CUDA beats SPar CPU-only", ds.name),
-            spar_cuda > spar.throughput_mbps,
-        );
-        let ocl_gain = t_o1.as_secs_f64() / t_o2.as_secs_f64();
-        let cuda_gain = t_c1.as_secs_f64() / t_c2.as_secs_f64();
-        checks.check(
-            &format!("[{}] 2x memory spaces help OpenCL more than CUDA", ds.name),
-            ocl_gain > cuda_gain && ocl_gain > 1.01,
-        );
     }
 
     report.emit("fig5");
@@ -212,93 +153,20 @@ fn main() {
     // Regenerate Fig. 3's activity graph from a *real* instrumented run of
     // the 5-stage pipeline: stage metrics from the SPar region merged with
     // the two simulated devices' command traces.
-    instrumented_run(
-        "fig5",
-        "archive bit-identical to the fault-free run",
-        |tsys, rec, _armed| {
-            let ctx = BackendCtx::gpu(Arc::clone(tsys), 2, true, cfg.lzss);
-            let ds = datasets::parsec_like(size.min(400_000), 42);
-            let archive = dedup::run_pipeline_rec::<OffloadBackend<CudaOffload>>(
-                ctx,
-                ds.data.clone(),
-                &cfg,
-                3,
-                rec.clone(),
-            );
-            assert_eq!(
-                archive.decompress().expect("roundtrip"),
-                ds.data,
-                "instrumented run: archive must decompress to the input"
-            );
-        },
-    );
-
-    println!("\nShape checks (the paper's qualitative claims):");
-    checks.finish();
-}
-
-// ---------------------------------------------------------------------
-// Sharded ingress demo (`--source file`)
-// ---------------------------------------------------------------------
-
-/// The durable path for fig5: the dataset enters as per-key-sharded
-/// `[u32 segment-idx][segment bytes]` records and leaves, echoed, through
-/// the exactly-once egress log; the stream reassembled from that log
-/// feeds the real GPU dedup pipeline.
-fn file_source_demo(size: usize, cfg: &DedupConfig) {
-    let shards: u32 = arg("--shards", 2u32);
-    assert!(shards >= 1, "--shards must be at least 1");
-    let ds = datasets::parsec_like(size.min(400_000), 42);
-    let records: Vec<(u32, Vec<u8>)> = ds
-        .data
-        .chunks(cfg.batch_size.max(1))
-        .enumerate()
-        .map(|(i, chunk)| {
-            let mut p = Vec::with_capacity(4 + chunk.len());
-            p.extend_from_slice(&(i as u32).to_le_bytes());
-            p.extend_from_slice(chunk);
-            (shard_of(i as u64, shards), p)
-        })
-        .collect();
-    let n_segments = records.len();
-
-    observed_run("fig5", |rec| {
-        let outcome = ingress_demo("fig5", rec, shards, &records, |segment| segment.to_vec());
-
-        // Covers both the fresh run and the fully-committed restart: every
-        // segment exactly once, on its key's shard, bit-exact round-trip
-        // through the pipeline required.
-        let mut segments: Vec<Option<&[u8]>> = vec![None; n_segments];
-        for (shard, records) in &outcome.egress {
-            for bytes in records {
-                let idx = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-                assert_eq!(
-                    *shard,
-                    shard_of(idx as u64, shards),
-                    "segment {idx} on the wrong shard for its key"
-                );
-                assert!(segments[idx].is_none(), "segment {idx} emitted twice");
-                segments[idx] = Some(&bytes[4..]);
-            }
-        }
-        let mut data = Vec::with_capacity(ds.data.len());
-        for (i, segment) in segments.into_iter().enumerate() {
-            data.extend_from_slice(segment.unwrap_or_else(|| panic!("segment {i} missing")));
-        }
-        assert_eq!(data, ds.data, "reassembled stream differs from the dataset");
-
-        let tsys = GpuSystem::new(2, DeviceProps::titan_xp());
-        let ctx = BackendCtx::gpu(tsys, 2, true, cfg.lzss);
-        let archive =
-            dedup::run_pipeline_rec::<OffloadBackend<CudaOffload>>(ctx, data, cfg, 3, rec.clone());
+    instrumented_run("fig5", |tsys, rec| {
+        let ctx = BackendCtx::gpu(Arc::clone(tsys), 2, true, cfg.lzss);
+        let ds = datasets::parsec_like(size.min(400_000), 42);
+        let archive = dedup::run_pipeline_rec::<OffloadBackend<CudaOffload>>(
+            ctx,
+            ds.data.clone(),
+            &cfg,
+            3,
+            rec.clone(),
+        );
         assert_eq!(
             archive.decompress().expect("roundtrip"),
             ds.data,
-            "ingress-fed archive must decompress to the input"
-        );
-        println!(
-            "ingress archive bit-exact ({n_segments} segments, per-key sharded, \
-             exactly-once consumption)"
+            "instrumented run: archive must decompress to the input"
         );
     });
 }

@@ -388,9 +388,30 @@ mod tests {
     fn gpu_search_matches_cpu_reference() {
         let sys = GpuSystem::new(2, DeviceProps::titan_xp());
         let c = cfg(300, 64);
-        let got = search::<CudaOffload>(&sys, &c, 3, 2, Recorder::default());
+        let rec = Recorder::enabled();
+        let got = search::<CudaOffload>(&sys, &c, 3, 2, rec.clone());
         assert_eq!(got, search_cpu(&c));
         assert_eq!(got.len(), 5);
+        let report = rec.report();
+        for device in [0, 1] {
+            assert!(
+                report
+                    .gpu
+                    .iter()
+                    .any(|s| s.device == device && s.engine == "compute"),
+                "no compute on device {device}"
+            );
+        }
+        assert!(report
+            .gpu
+            .iter()
+            .any(|s| s.name.contains("sha1_nonce_search")));
+        assert!(
+            report
+                .family("pools")
+                .any(|p| p.labels == ["hashsearch.digests"]),
+            "the digest recycle pool is missing from the report"
+        );
     }
 
     #[test]

@@ -468,23 +468,40 @@ mod tests {
     fn injected_faults_degrade_to_cpu_and_preserve_the_image() {
         let p = small();
         let (seq, _) = run_sequential(&p);
-        let system = sys(2);
-        // Transient device OOMs and kernel faults on every device.
-        system.inject_faults(&gpusim::FaultSpec::demo(42));
-        let rec = Recorder::enabled();
-        let img = run_spar_gpu::<CudaOffload>(&system, &p, 3, 8, 2, rec.clone());
-        assert_eq!(img.digest(), seq.digest(), "image must be bit-identical");
-        let report = rec.report();
-        assert!(
-            report.retry_count() >= 1,
-            "expected retries, got {} fault events",
-            report.faults.len()
-        );
-        assert!(
-            report.fallback_count() >= 1,
-            "expected a CPU fallback, got {} fault events",
-            report.faults.len()
-        );
+        type Run = fn(&Arc<GpuSystem>, &FractalParams, Recorder) -> Image;
+        let runs: [(&str, Run); 2] = [
+            ("spar+cuda, 3 workers, 2 gpus", |s, p, rec| {
+                run_spar_gpu::<CudaOffload>(s, p, 3, 8, 2, rec)
+            }),
+            // Serial on one device: the fault budget lands on consecutive
+            // attempts of one batch, so the ladder walks to the fallback.
+            ("fastflow+opencl, 1 worker, 1 gpu", |s, p, rec| {
+                run_fastflow_gpu::<OclOffload>(s, p, 1, 8, 1, rec)
+            }),
+        ];
+        for (name, run) in runs {
+            let system = sys(2);
+            // Transient device OOMs and kernel faults on every device.
+            system.inject_faults(&gpusim::FaultSpec::demo(42));
+            let rec = Recorder::enabled();
+            let img = run(&system, &p, rec.clone());
+            assert_eq!(
+                img.digest(),
+                seq.digest(),
+                "{name}: image must be bit-identical"
+            );
+            let report = rec.report();
+            assert!(
+                report.retry_count() >= 1,
+                "{name}: expected retries, got {} fault events",
+                report.faults.len()
+            );
+            assert!(
+                report.fallback_count() >= 1,
+                "{name}: expected a CPU fallback, got {} fault events",
+                report.faults.len()
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Live metrics exposition — Prometheus text format over a tiny
-//! dependency-free TCP endpoint, plus periodic on-disk snapshots.
+//! dependency-free TCP endpoint.
 //!
 //! The render path reads the same wait-free atomics the runtimes bump on
 //! their hot paths ([`StageMetrics`](crate::StageMetrics) counters,
@@ -16,7 +16,6 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -422,37 +421,6 @@ fn handle_conn(rec: &Recorder, mut stream: TcpStream) -> std::io::Result<()> {
     stream.write_all(resp.as_bytes())
 }
 
-/// Background writer of periodic `metrics.prom` snapshots — the offline
-/// twin of [`MetricsServer`] for runs with no scraper attached.
-///
-/// Writes the exposition document to the path every interval and once
-/// more at [`stop`](PromWriter::stop) (or drop), so even a run shorter
-/// than one interval leaves a final snapshot behind.
-#[derive(Debug)]
-pub struct PromWriter(Background);
-
-impl PromWriter {
-    pub(crate) fn start(rec: Recorder, path: PathBuf, every: Duration) -> Self {
-        PromWriter(Background::spawn("hetstream-prom", move |stop| loop {
-            let stopped = stop.sleep(every);
-            let _ = std::fs::write(&path, rec.prometheus());
-            if stopped {
-                break;
-            }
-        }))
-    }
-
-    /// An inert writer (what a disabled recorder returns).
-    pub(crate) fn inert() -> Self {
-        PromWriter(Background::inert())
-    }
-
-    /// Write one final snapshot and join the background thread.
-    pub fn stop(mut self) {
-        self.0.halt();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,25 +697,5 @@ mod tests {
             elapsed < Duration::from_secs(5),
             "stop hung under connection flood: {elapsed:?}"
         );
-    }
-
-    #[test]
-    fn prom_writer_leaves_final_snapshot() {
-        let dir = std::env::temp_dir().join(format!(
-            "hetstream_prom_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("metrics.prom");
-        let rec = Recorder::enabled();
-        let w = rec.write_prom_snapshots(&path, Duration::from_secs(3600));
-        let h = rec.stage("snap", 0);
-        h.items_out(5);
-        w.stop();
-        let text = std::fs::read_to_string(&path).expect("snapshot written");
-        assert!(text.contains("hetstream_up 1"));
-        assert!(text.contains("stage=\"snap\""));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

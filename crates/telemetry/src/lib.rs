@@ -38,7 +38,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -56,7 +56,7 @@ pub use copy::CopyStats;
 pub use counters::{
     CounterRow, Counters, Ingress, IngressTotals, Pool, PoolStats, Sched, SchedTotals,
 };
-pub use export::{MetricsServer, PromWriter};
+pub use export::MetricsServer;
 pub use flight::{
     FlightEvent, FlightHandle, FlightKind, FlightRing, DEFAULT_FLIGHT_CAPACITY, NO_BATCH,
 };
@@ -807,16 +807,6 @@ impl Recorder {
         addr: impl std::net::ToSocketAddrs,
     ) -> std::io::Result<MetricsServer> {
         MetricsServer::start(self.clone(), addr)
-    }
-
-    /// Write the Prometheus exposition to `path` every `every`, plus one
-    /// final snapshot at stop — the offline twin of
-    /// [`serve_metrics`](Self::serve_metrics). Inert when disabled.
-    pub fn write_prom_snapshots(&self, path: impl AsRef<Path>, every: Duration) -> PromWriter {
-        match &self.inner {
-            None => PromWriter::inert(),
-            Some(_) => PromWriter::start(self.clone(), path.as_ref().to_path_buf(), every),
-        }
     }
 
     /// Snapshot everything collected so far.

@@ -3,8 +3,8 @@
 //!
 //! The example binds an ephemeral port, runs a small replicated pipeline
 //! under an enabled [`Recorder`], and scrapes its own `/metrics` and
-//! `/health` routes over a plain `TcpStream` — the same dependency-free
-//! exposition `fig1 --live-metrics <addr>` serves. Run with:
+//! `/health` routes over a plain `TcpStream`, as `tests/live_plane.rs`
+//! does on a fault-injected Mandelbrot run. Run with:
 //!
 //! ```text
 //! cargo run --release --example live_metrics
@@ -31,7 +31,7 @@ fn scrape(addr: std::net::SocketAddr, route: &str) -> String {
 fn main() {
     let rec = Recorder::enabled();
     // Port 0: let the OS pick, so the example never collides with a real
-    // deployment. `--live-metrics` in the fig binaries takes a fixed addr.
+    // deployment.
     let server = rec
         .serve_metrics("127.0.0.1:0")
         .expect("bind metrics endpoint");

@@ -27,7 +27,7 @@
 //!   reduction.
 //! * [`taskgraph`] — cost-model task-graph scheduling over N simulated
 //!   devices (EWMA per-device cost, residency, queue pressure) plus the
-//!   online batch/memory-space auto-tuner behind `fig1 --auto-tune`.
+//!   online batch/memory-space auto-tuner behind `ablate`'s last table.
 //! * [`perfmodel`] — discrete-event models regenerating Figs. 1, 4 and 5.
 //! * [`simtime`] — the deterministic DES core underlying `perfmodel`.
 
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use spar::{to_stream, SparConfig, ToStream};
     pub use telemetry::{
         FlightEvent, FlightHandle, FlightKind, HealthSnapshot, HealthStatus, MetricsServer,
-        PromWriter, Recorder, TelemetryReport, NO_BATCH,
+        Recorder, TelemetryReport, NO_BATCH,
     };
     pub use workload::{
         arm_gpu_traces, drain_gpu_traces, Done, Workload, WorkloadDriver, WorkloadFault,

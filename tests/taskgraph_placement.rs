@@ -4,6 +4,10 @@
 //! fleet) and **transparent** (the pipeline's output is bit-identical
 //! under any placement policy, cost-model or round-robin).
 //!
+//! The same file holds the two closed loops end to end: cost-model
+//! placement against round-robin on a second, keyed workload (the hash
+//! search), and the auto-tuner against the paper's hand-picked rung.
+//!
 //! Determinism rests on the scheduler's three rules (see the `taskgraph`
 //! module docs): decisions are made serially in batch-id order, cost
 //! samples are deltas of modeled device-busy time (timing-independent),
@@ -12,10 +16,14 @@
 
 use std::sync::Arc;
 
+use hetstream::dedup::Digest;
 use hetstream::gpusim::{CudaOffload, DeviceProps, GpuSystem};
+use hetstream::hashsearch::{
+    score, search_cpu, Candidate, SearchConfig, SearchWork, TopK, DIGEST_BYTES,
+};
 use hetstream::mandel::hybrid::MandelWork;
-use hetstream::mandel::{self, FractalParams};
-use hetstream::taskgraph::{CostModelScheduler, SchedConfig};
+use hetstream::mandel::{self, gpu, FractalParams};
+use hetstream::taskgraph::{AutoTuner, CostModelScheduler, EpochMeasure, SchedConfig};
 use hetstream::telemetry::{FlightKind, Recorder};
 use hetstream::workload::{Placement, RoundRobinPlacement, WorkloadDriver};
 
@@ -169,5 +177,106 @@ fn cost_model_lowers_the_busiest_device_below_round_robin() {
         cm_busy > 0 && cm_busy < rr_busy,
         "cost-model placement must beat round-robin on the mixed fleet: \
          {cm_busy} ns vs {rr_busy} ns"
+    );
+}
+
+/// Recurring lanes the hash-search ranges are keyed into: few enough that
+/// residency has something to keep warm, more than the device count.
+const LANES: u64 = 8;
+
+/// The hash-search sweep of `cfg` placed by `placer` over a fresh mixed
+/// fleet, ranges keyed into [`LANES`]: its ranking and the fleet's
+/// busiest device.
+fn placed_sweep(
+    cfg: &SearchConfig,
+    placer: impl FnOnce(&Arc<GpuSystem>) -> Arc<dyn Placement>,
+) -> (Vec<Candidate>, u64) {
+    let sys = mixed_fleet();
+    let work = SearchWork::<CudaOffload>::new(&sys, cfg, N_DEV, N_DEV);
+    let recycle = work.recycler().clone();
+    let mut top = TopK::new(cfg.k);
+    WorkloadDriver::new(work).run_placed(
+        placer(&sys),
+        N_DEV,
+        |r| r.index as u64 % LANES,
+        cfg.ranges(),
+        |done| {
+            for (i, raw) in done
+                .batch
+                .chunks_exact(DIGEST_BYTES)
+                .take(done.item.count)
+                .enumerate()
+            {
+                let digest = Digest(raw.try_into().expect("one digest"));
+                top.offer(Candidate {
+                    nonce: done.item.start + i as u64,
+                    score: score(&digest),
+                    digest,
+                });
+            }
+            recycle.give(done.batch);
+        },
+    );
+    (top.into_sorted(), max_device_busy_ns(&sys))
+}
+
+#[test]
+fn cost_model_beats_round_robin_on_the_keyed_hash_search() {
+    let mut cfg = SearchConfig::new(vec![0xA5; 64], 262_144);
+    cfg.range = 4_096;
+    cfg.k = 8;
+    assert_eq!(cfg.ranges().len(), 64);
+    // A range costs tens of modeled µs: the default 20 µs migration
+    // penalty would exceed the fast/slow cost gap per range and pin every
+    // lane wherever warm-up dropped it.
+    let mut sched = SchedConfig::for_devices(N_DEV);
+    sched.migration_penalty_ns = 2_000;
+    let (cm_top, cm_busy) = placed_sweep(&cfg, |sys| {
+        CostModelScheduler::new(sys, sched, &Recorder::enabled(), "hashsearch.graph")
+    });
+    let (rr_top, rr_busy) = placed_sweep(&cfg, |_| RoundRobinPlacement::new(N_DEV));
+
+    let reference = search_cpu(&cfg);
+    assert_eq!(
+        cm_top, reference,
+        "cost-model placement changed the ranking"
+    );
+    assert_eq!(
+        rr_top, reference,
+        "round-robin placement changed the ranking"
+    );
+    assert!(
+        cm_busy < rr_busy,
+        "cost-model placement must beat round-robin on the keyed sweep: \
+         {cm_busy} ns vs {rr_busy} ns"
+    );
+}
+
+#[test]
+fn auto_tuner_reaches_the_hand_picked_rung() {
+    // The controller starts at the naive corner (batch 4, one memory
+    // space) and climbs on modeled probes of the 2-GPU overlapped
+    // pipeline, never told the paper's hand-picked point (batch 32, four
+    // spaces). Every probe bit-checks its render, so it cannot tune its
+    // way into a wrong image.
+    let params = FractalParams::view(600, 2_000);
+    let seq = mandel::cpu::run_sequential(&params).0.digest();
+    let sys = GpuSystem::new(2, DeviceProps::titan_xp());
+    let pixels = (params.dim * params.dim) as f64;
+    let probe = |batch: usize, spaces: usize| {
+        let (img, t) = gpu::cuda_overlap(&sys, &params, batch, spaces, 2);
+        assert_eq!(img.digest(), seq, "probe batch={batch} spaces={spaces}");
+        EpochMeasure {
+            throughput: pixels / t.as_secs_f64(),
+            p99_ns: t.as_nanos() / params.dim.div_ceil(batch) as u64,
+        }
+    };
+    let tuned = AutoTuner::new().run(probe);
+    let ratio = tuned.measure.throughput / probe(32, 4).throughput;
+    assert!(
+        ratio >= 0.90,
+        "tuned to batch={} spaces={} at only {ratio:.3} of the hand-picked throughput",
+        tuned.batch_size,
+        tuned.mem_spaces
     );
 }
