@@ -19,7 +19,7 @@ use bench::{arg, emit_telemetry, instrumented_run, secs, Report};
 use gpusim::{DeviceProps, GpuSystem, OclOffload};
 use mandel::core::FractalParams;
 use mandel::gpu;
-use perfmodel::machine::{CpuModel, CpuRuntime};
+use perfmodel::machine::{CpuModel, CpuRuntime, OPENCL_ENQUEUE_EXTRA};
 use perfmodel::mandelmodel::{self, characterize};
 use simtime::SimDuration;
 use telemetry::Recorder;
@@ -74,11 +74,11 @@ fn main() {
             for gpus in [1usize, 2] {
                 let t =
                     mandelmodel::hybrid_pipeline_time(&workload, &cpu, &props, rt, 10, batch, gpus);
-                // The OpenCL API costs a little more per enqueue; fold a
-                // small per-batch penalty into the modeled time.
+                // The OpenCL API costs a little more per enqueue; fold its
+                // per-batch penalty into the modeled time.
                 let t = if api == "opencl" {
                     let batches = dim.div_ceil(batch) as u64;
-                    t + SimDuration::from_micros(12) * batches
+                    t + OPENCL_ENQUEUE_EXTRA * batches
                 } else {
                     t
                 };

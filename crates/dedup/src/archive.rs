@@ -199,16 +199,6 @@ impl Archive {
         }
         Ok(out)
     }
-
-    /// Counters for reports: (unique blocks, duplicate blocks).
-    pub fn block_counts(&self) -> (usize, usize) {
-        let dups = self
-            .entries
-            .iter()
-            .filter(|e| matches!(e, BlockEntry::Dup(_)))
-            .count();
-        (self.entries.len() - dups, dups)
-    }
 }
 
 #[cfg(test)]
@@ -292,8 +282,8 @@ mod tests {
 
     #[test]
     fn block_counts() {
-        let a = sample_archive();
-        assert_eq!(a.block_counts(), (2, 1));
+        let s = crate::ArchiveStats::of(&sample_archive());
+        assert_eq!((s.unique_raw + s.unique_lzss, s.dup_blocks), (2, 1));
     }
 
     #[test]

@@ -113,12 +113,6 @@ impl BackendCtx {
         self.rec = rec;
         self
     }
-
-    /// Override the GPU-failure retry budget.
-    pub fn with_policy(mut self, policy: FaultPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
 }
 
 /// Item emitted by stage 2. `G` is the backend's device-resident buffer

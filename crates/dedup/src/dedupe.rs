@@ -49,11 +49,6 @@ impl DedupCache {
             }
         }
     }
-
-    /// Unique blocks seen so far.
-    pub fn unique_count(&self) -> u64 {
-        self.next_ordinal
-    }
 }
 
 #[cfg(test)]
@@ -68,7 +63,6 @@ mod tests {
         assert_eq!(c.classify(d), BlockClass::Unique { ordinal: 0 });
         assert_eq!(c.classify(d), BlockClass::Dup { of: 0 });
         assert_eq!(c.classify(d), BlockClass::Dup { of: 0 });
-        assert_eq!(c.unique_count(), 1);
     }
 
     #[test]
@@ -80,6 +74,5 @@ mod tests {
         assert_eq!(c.classify(b), BlockClass::Unique { ordinal: 1 });
         assert_eq!(c.classify(a), BlockClass::Dup { of: 0 });
         assert_eq!(c.classify(b), BlockClass::Dup { of: 1 });
-        assert_eq!(c.unique_count(), 2);
     }
 }

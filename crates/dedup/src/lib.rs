@@ -33,7 +33,6 @@ pub mod batch;
 pub mod costs;
 pub mod datasets;
 pub mod dedupe;
-pub mod io;
 pub mod kernels;
 pub mod lzss;
 pub mod pipeline;
@@ -48,7 +47,6 @@ pub use backend::{BackendCtx, CpuBackend, DedupBackend, OffloadBackend};
 pub use batch::{make_batches, Batch, DEFAULT_BATCH_SIZE};
 pub use costs::HostCosts;
 pub use dedupe::{BlockClass, DedupCache};
-pub use io::{compress_file, decompress_file, IoError};
 pub use lzss::{LzssConfig, Match};
 pub use pipeline::{run_pipeline, run_pipeline_rec, run_sequential, DedupConfig};
 pub use rabin::RabinParams;

@@ -237,9 +237,12 @@ mod tests {
         let data = input();
         let archive = run_sequential(&data, &cfg);
         assert_eq!(archive.decompress().unwrap(), data);
-        let (uniq, dups) = archive.block_counts();
-        assert!(uniq > 0);
-        assert!(dups > 0, "parsec-like data must contain duplicates");
+        let stats = crate::ArchiveStats::of(&archive);
+        assert!(stats.unique_raw + stats.unique_lzss > 0);
+        assert!(
+            stats.dup_blocks > 0,
+            "parsec-like data must contain duplicates"
+        );
     }
 
     #[test]

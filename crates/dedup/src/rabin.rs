@@ -208,17 +208,6 @@ pub fn chunk_starts_reference(data: &[u8], params: &RabinParams) -> Vec<usize> {
     starts
 }
 
-/// Slice `data` into chunks given its `starts` (as produced by
-/// [`chunk_starts`]).
-pub fn chunks<'d>(data: &'d [u8], starts: &[usize]) -> Vec<&'d [u8]> {
-    let mut out = Vec::with_capacity(starts.len());
-    for (i, &s) in starts.iter().enumerate() {
-        let end = starts.get(i + 1).copied().unwrap_or(data.len());
-        out.push(&data[s..end]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,6 +220,12 @@ mod tests {
             min_chunk: 32,
             max_chunk: 512,
         }
+    }
+
+    /// Slice `data` into chunks given its `starts`.
+    fn chunks<'d>(data: &'d [u8], starts: &[usize]) -> Vec<&'d [u8]> {
+        let ends = starts.iter().skip(1).copied().chain([data.len()]);
+        starts.iter().zip(ends).map(|(&s, e)| &data[s..e]).collect()
     }
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {

@@ -17,18 +17,6 @@
 
 use crate::sha1::compress_block;
 
-/// Whether the 8-lane compression runs vectorized on this machine.
-pub fn simd_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// Compress one 64-byte block into each of eight chaining states:
 /// `states[l]` absorbs `blocks[l]`. Lane-parallel under AVX2, scalar
 /// loop otherwise; both orders are bit-identical.

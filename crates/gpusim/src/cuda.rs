@@ -80,21 +80,6 @@ impl<T: Send + 'static> CudaBuffer<T> {
     pub fn ptr(&self) -> DevicePtr<T> {
         self.ptr
     }
-
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.ptr.len()
-    }
-
-    /// True for zero-length buffers.
-    pub fn is_empty(&self) -> bool {
-        self.ptr.is_empty()
-    }
-
-    /// Owning device index.
-    pub fn device(&self) -> usize {
-        self.device
-    }
 }
 
 impl<T: Send + 'static> Drop for CudaBuffer<T> {
@@ -107,13 +92,6 @@ impl<T: Send + 'static> Drop for CudaBuffer<T> {
 pub struct CudaStream {
     device: usize,
     id: StreamId,
-}
-
-impl CudaStream {
-    /// Owning device index.
-    pub fn device(&self) -> usize {
-        self.device
-    }
 }
 
 /// A recorded CUDA event.
@@ -138,11 +116,6 @@ impl Cuda {
     /// The underlying system (virtual clock, stats).
     pub fn system(&self) -> &Arc<GpuSystem> {
         &self.system
-    }
-
-    /// Number of devices (`cudaGetDeviceCount`).
-    pub fn device_count(&self) -> usize {
-        self.system.device_count()
     }
 
     /// Select the current device **for this thread** (`cudaSetDevice`).
@@ -194,14 +167,6 @@ impl Cuda {
         CudaStream {
             device,
             id: self.system.device(device).create_stream(),
-        }
-    }
-
-    /// The default stream of the current device.
-    pub fn default_stream(&self) -> CudaStream {
-        CudaStream {
-            device: self.current_device(),
-            id: StreamId::DEFAULT,
         }
     }
 
@@ -412,14 +377,6 @@ impl Cuda {
         }
     }
 
-    /// Make `stream` wait for `event` (`cudaStreamWaitEvent`); works across
-    /// devices.
-    pub fn stream_wait_event(&self, stream: &CudaStream, event: &CudaEvent) {
-        self.system
-            .device(stream.device)
-            .stream_wait_event(stream.id, event.stamp);
-    }
-
     /// Block the host until `event` completes (`cudaEventSynchronize`).
     pub fn event_synchronize(&self, event: &CudaEvent) {
         self.system.host_wait_until(event.time());
@@ -572,7 +529,7 @@ mod tests {
         };
         cuda.launch(&k, 1u32, 32u32, &s1);
         let ev = cuda.event_record(&s1);
-        cuda.stream_wait_event(&s2, &ev);
+        cuda.system().device(0).stream_wait_event(s2.id, ev.stamp);
         let k2 = Iota {
             base: 2,
             img: buf.ptr(),

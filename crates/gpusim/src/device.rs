@@ -171,11 +171,6 @@ impl Device {
         }
     }
 
-    /// Device index.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
     /// Hardware properties.
     pub fn props(&self) -> &DeviceProps {
         &self.props
@@ -190,8 +185,8 @@ impl Device {
     }
 
     /// Arm (or, with [`FaultSpec::none`], disarm) fault injection on this
-    /// device. Usually called through [`GpuSystem::inject_faults`].
-    pub fn inject_faults(&self, spec: &FaultSpec) {
+    /// device; [`GpuSystem::inject_faults`] calls it for each device.
+    fn inject_faults(&self, spec: &FaultSpec) {
         self.lock().injector = Some(FaultInjector::new(spec, self.id));
     }
 
@@ -220,12 +215,6 @@ impl Device {
         let mut st = self.lock();
         st.streams.push(SimTime::ZERO);
         StreamId(st.streams.len() - 1)
-    }
-
-    /// Run `f` with shared access to device memory (host-side peeking in
-    /// tests; not part of the modeled API).
-    pub fn with_memory<R>(&self, f: impl FnOnce(&DeviceMemory) -> R) -> R {
-        f(&self.lock().mem)
     }
 
     /// Gauges of this device's allocation cache, for
@@ -359,31 +348,6 @@ impl Device {
             dur.as_nanos(),
         );
         st.schedule(Engine::Copy(XferDir::D2H), "d2h", stream, enqueue_at, dur)
-    }
-
-    /// Enqueue a device→device copy on this device (both buffers local).
-    #[allow(clippy::too_many_arguments)]
-    pub fn copy_d2d<T: Clone + Send + 'static>(
-        &self,
-        stream: StreamId,
-        src: DevicePtr<T>,
-        src_offset: usize,
-        dst: DevicePtr<T>,
-        dst_offset: usize,
-        len: usize,
-        enqueue_at: SimTime,
-    ) -> SimTime {
-        let mut st = self.lock();
-        let data: Vec<T> = {
-            let s = st.mem.borrow(src);
-            s[src_offset..src_offset + len].to_vec()
-        };
-        st.mem.write(dst, dst_offset, &data);
-        // On-device copies run at global-memory bandwidth; approximate with
-        // the compute engine at 10× PCIe pinned bandwidth.
-        let bytes = (len * std::mem::size_of::<T>()) as f64;
-        let dur = SimDuration::from_secs_f64(bytes / (self.props.pcie_pinned_bw * 10.0));
-        st.schedule(Engine::Compute, "d2d", stream, enqueue_at, dur)
     }
 
     /// Completion time of everything enqueued so far on `stream`.
@@ -665,26 +629,6 @@ mod tests {
         let mut out = [0u32; 2];
         dev.copy_d2h(StreamId::DEFAULT, buf, 0, &mut out, true, SimTime::ZERO);
         assert_eq!(out, [7, 8]);
-    }
-
-    #[test]
-    fn device_to_device_copy_moves_data_locally() {
-        let sys = system();
-        let dev = sys.device(0);
-        let a = dev.alloc::<u32>(8).unwrap();
-        let b = dev.alloc::<u32>(8).unwrap();
-        dev.copy_h2d(
-            StreamId::DEFAULT,
-            &[1, 2, 3, 4, 5, 6, 7, 8],
-            a,
-            0,
-            true,
-            SimTime::ZERO,
-        );
-        dev.copy_d2d(StreamId::DEFAULT, a, 2, b, 0, 4, SimTime::ZERO);
-        let mut out = [0u32; 4];
-        dev.copy_d2h(StreamId::DEFAULT, b, 0, &mut out, true, SimTime::ZERO);
-        assert_eq!(out, [3, 4, 5, 6]);
     }
 
     #[test]

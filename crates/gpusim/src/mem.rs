@@ -73,11 +73,6 @@ impl<T> DevicePtr<T> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Owning device index.
-    pub fn device(&self) -> u32 {
-        self.device
-    }
 }
 
 /// Retired storage blocks kept per (type, size class) for recycling.
@@ -204,11 +199,6 @@ impl DeviceMemory {
         Arc::clone(&self.counters)
     }
 
-    /// Storage blocks currently parked in the free-list.
-    pub fn cached_blocks(&self) -> usize {
-        self.cache.values().map(Vec::len).sum()
-    }
-
     /// Shared borrow of a buffer's contents.
     ///
     /// # Panics
@@ -251,19 +241,9 @@ impl DeviceMemory {
         dst.clone_from_slice(&buf[offset..offset + dst.len()]);
     }
 
-    /// Bytes currently allocated.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
     /// Bytes free.
     pub fn available(&self) -> u64 {
         self.capacity - self.used
-    }
-
-    /// Number of live buffers.
-    pub fn live_buffers(&self) -> usize {
-        self.buffers.len()
     }
 
     fn check_owner<T>(&self, ptr: &DevicePtr<T>) {
@@ -287,7 +267,7 @@ mod tests {
         let mut out = [0u32; 3];
         mem.read(ptr, 2, &mut out);
         assert_eq!(out, [10, 20, 30]);
-        assert_eq!(mem.used(), 32);
+        assert_eq!(mem.available(), 1024 - 32);
     }
 
     #[test]
@@ -304,7 +284,7 @@ mod tests {
         let mut mem = DeviceMemory::new(0, 64);
         let a = mem.alloc::<u8>(64).unwrap();
         mem.free(a);
-        assert_eq!(mem.used(), 0);
+        assert_eq!(mem.available(), 64);
         let _b = mem.alloc::<u8>(64).unwrap();
     }
 
@@ -350,13 +330,14 @@ mod tests {
         let a = mem.alloc::<u32>(100).unwrap();
         mem.write(a, 0, &[0xDEAD_BEEF; 100]);
         mem.free(a);
-        assert_eq!(mem.cached_blocks(), 1);
         let b = mem.alloc::<u32>(100).unwrap();
         // Recycled storage must look freshly zero-initialized.
         assert!(mem.borrow(b).iter().all(|&x| x == 0));
         let s = mem.cache_counters().snapshot();
         assert_eq!((s.hits, s.misses), (1, 1));
-        assert_eq!(mem.cached_blocks(), 0);
+        // The one parked block was taken: the next alloc misses.
+        let _c = mem.alloc::<u32>(100).unwrap();
+        assert_eq!(mem.cache_counters().snapshot().misses, 2);
     }
 
     #[test]
@@ -364,11 +345,11 @@ mod tests {
         let mut mem = DeviceMemory::new(0, 64);
         let a = mem.alloc::<u8>(64).unwrap();
         mem.free(a);
-        assert_eq!(mem.used(), 0);
+        assert_eq!(mem.available(), 64);
         // The parked block does not count against capacity; a same-size
         // alloc succeeds and is a hit.
         let b = mem.alloc::<u8>(64).unwrap();
-        assert_eq!(mem.used(), 64);
+        assert_eq!(mem.available(), 0);
         mem.free(b);
         assert_eq!(mem.cache_counters().snapshot().hits, 1);
     }
@@ -380,8 +361,10 @@ mod tests {
         for p in ptrs {
             mem.free(p);
         }
-        assert!(mem.cached_blocks() <= 8);
-        assert!(mem.cache_counters().snapshot().shed >= 4);
+        assert_eq!(mem.cache_counters().snapshot().shed, 4);
+        // Only the 8 parked blocks come back as hits.
+        let _again: Vec<_> = (0..12).map(|_| mem.alloc::<u8>(256).unwrap()).collect();
+        assert_eq!(mem.cache_counters().snapshot().hits, 8);
     }
 
     #[test]
@@ -401,6 +384,6 @@ mod tests {
         let mut mem = DeviceMemory::new(0, 1024);
         let ptr = mem.alloc::<u64>(0).unwrap();
         assert!(ptr.is_empty());
-        assert_eq!(mem.used(), 0);
+        assert_eq!(mem.available(), 1024);
     }
 }

@@ -135,24 +135,9 @@ impl WorkMeter {
         self.total_units
     }
 
-    /// Number of warps in the launch.
-    pub fn warps(&self) -> usize {
-        self.warp_max.len()
-    }
-
     /// Number of lanes recorded (diagnostic).
     pub fn lanes_recorded(&self) -> u64 {
         self.lanes_recorded
-    }
-
-    /// Divergence factor: warp-time work divided by ideal (total/width).
-    /// 1.0 means perfectly convergent warps; higher is worse.
-    pub fn divergence_factor(&self) -> f64 {
-        if self.total_units == 0 {
-            return 1.0;
-        }
-        let ideal = self.total_units as f64 / self.warp_size as f64;
-        self.warp_units() as f64 / ideal
     }
 }
 
@@ -174,7 +159,8 @@ mod tests {
         assert_eq!(m.warp_units(), 110);
         assert_eq!(m.max_warp_units(), 100);
         assert_eq!(m.total_units(), 31 + 100 + 320);
-        assert!(m.divergence_factor() > 1.0);
+        // Warp time exceeds the ideal total / width: divergence costs.
+        assert!(m.warp_units() * 32 > m.total_units());
     }
 
     /// The four observables a launch is timed and checked by.
@@ -237,13 +223,14 @@ mod tests {
     fn convergent_warp_divergence_factor_is_one() {
         let mut m = WorkMeter::new(32, 32);
         m.record_fill(0..32, 50);
-        assert!((m.divergence_factor() - 1.0).abs() < 1e-12);
+        // Warp time equals the ideal total / width.
+        assert_eq!(m.warp_units() * 32, m.total_units());
     }
 
     #[test]
     fn partial_last_warp_rounds_up() {
         let m = WorkMeter::new(33, 32);
-        assert_eq!(m.warps(), 2);
+        assert_eq!(m.warp_max.len(), 2);
     }
 
     #[test]
@@ -270,9 +257,9 @@ mod tests {
     #[test]
     fn empty_meter_is_sane() {
         let m = WorkMeter::new(0, 32);
-        assert_eq!(m.warps(), 0);
+        assert!(m.warp_max.is_empty());
         assert_eq!(m.warp_units(), 0);
         assert_eq!(m.max_warp_units(), 0);
-        assert_eq!(m.divergence_factor(), 1.0);
+        assert_eq!(m.total_units(), 0);
     }
 }

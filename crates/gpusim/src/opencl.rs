@@ -44,11 +44,6 @@ impl Platform {
         Platform { system }
     }
 
-    /// Platform name string.
-    pub fn name(&self) -> &'static str {
-        "hetstream simulated OpenCL platform"
-    }
-
     /// Discover GPU devices (`clGetDeviceIDs`).
     pub fn device_ids(&self) -> Vec<ClDeviceId> {
         (0..self.system.device_count()).map(ClDeviceId).collect()
@@ -72,16 +67,6 @@ impl Context {
             system: Arc::clone(&platform.system),
             devices: devices.iter().map(|d| d.0).collect(),
         }
-    }
-
-    /// Devices in this context.
-    pub fn devices(&self) -> Vec<ClDeviceId> {
-        self.devices.iter().copied().map(ClDeviceId).collect()
-    }
-
-    /// The underlying system (virtual clock, stats).
-    pub fn system(&self) -> &Arc<GpuSystem> {
-        &self.system
     }
 
     /// Create an in-order command queue on `device`
@@ -140,21 +125,6 @@ impl<T: Send + 'static> ClBuffer<T> {
     pub fn ptr(&self) -> DevicePtr<T> {
         self.ptr
     }
-
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.ptr.len()
-    }
-
-    /// True for zero-length buffers.
-    pub fn is_empty(&self) -> bool {
-        self.ptr.is_empty()
-    }
-
-    /// Owning device.
-    pub fn device(&self) -> ClDeviceId {
-        ClDeviceId(self.device)
-    }
 }
 
 impl<T: Send + 'static> Drop for ClBuffer<T> {
@@ -201,11 +171,6 @@ impl<K: KernelFn> ClKernel<K> {
     pub fn set_args(&mut self, f: impl FnOnce(&mut K)) {
         f(&mut self.inner);
     }
-
-    /// Read-only access to the bound arguments.
-    pub fn args(&self) -> &K {
-        &self.inner
-    }
 }
 
 /// A completion event returned by every enqueue.
@@ -229,11 +194,6 @@ pub struct CommandQueue {
 }
 
 impl CommandQueue {
-    /// The queue's device.
-    pub fn device(&self) -> ClDeviceId {
-        ClDeviceId(self.device)
-    }
-
     /// Enqueue a host→device write (`clEnqueueWriteBuffer`).
     pub fn enqueue_write_buffer<T: Clone + Send + 'static>(
         &self,
@@ -394,7 +354,7 @@ mod tests {
     #[test]
     fn write_ndrange_read_roundtrip() {
         let ctx = context(1);
-        let dev = ctx.devices()[0];
+        let dev = ClDeviceId(0);
         let queue = ctx.create_queue(dev);
         let buf = ctx.create_buffer::<u32>(dev, 50).unwrap();
         let data: Vec<u32> = (0..50).collect();
@@ -414,13 +374,13 @@ mod tests {
     #[test]
     fn blocking_read_advances_host_clock() {
         let ctx = context(1);
-        let dev = ctx.devices()[0];
+        let dev = ClDeviceId(0);
         let queue = ctx.create_queue(dev);
         let buf = ctx.create_buffer::<u8>(dev, 1 << 20).unwrap();
-        let t0 = ctx.system().host_now();
+        let t0 = ctx.system.host_now();
         let mut out = vec![0u8; 1 << 20];
         queue.enqueue_read_buffer(&buf, true, 0, &mut out, &[]);
-        let elapsed = ctx.system().host_now().since(t0);
+        let elapsed = ctx.system.host_now().since(t0);
         // 1MB at 1GB/s on the tiny device ≈ 1ms ≫ the api cost.
         assert!(
             elapsed > SimDuration::from_micros(500),
@@ -431,7 +391,7 @@ mod tests {
     #[test]
     fn events_chain_across_queues() {
         let ctx = context(1);
-        let dev = ctx.devices()[0];
+        let dev = ClDeviceId(0);
         let q1 = ctx.create_queue(dev);
         let q2 = ctx.create_queue(dev);
         let buf = ctx.create_buffer::<u32>(dev, 8).unwrap();
@@ -447,7 +407,7 @@ mod tests {
     #[test]
     fn multi_device_queues_are_independent() {
         let ctx = context(2);
-        let ids = ctx.devices();
+        let ids = [ClDeviceId(0), ClDeviceId(1)];
         let q0 = ctx.create_queue(ids[0]);
         let q1 = ctx.create_queue(ids[1]);
         let b0 = ctx.create_buffer::<u32>(ids[0], 4).unwrap();
@@ -476,7 +436,7 @@ mod tests {
     #[should_panic(expected = "buffer/queue device mismatch")]
     fn cross_device_buffer_use_is_caught() {
         let ctx = context(2);
-        let ids = ctx.devices();
+        let ids = [ClDeviceId(0), ClDeviceId(1)];
         let q0 = ctx.create_queue(ids[0]);
         let b1 = ctx.create_buffer::<u32>(ids[1], 4).unwrap();
         q0.enqueue_write_buffer(&b1, true, 0, &[0u32; 4], &[]);
@@ -488,8 +448,8 @@ mod tests {
         // number of items being processed resulted in an out of memory
         // error".
         let ctx = context(1);
-        let dev = ctx.devices()[0];
-        let cap = ctx.system().device(0).props().global_mem as usize;
+        let dev = ClDeviceId(0);
+        let cap = ctx.system.device(0).props().global_mem as usize;
         assert!(ctx.create_buffer::<u8>(dev, cap + 1).is_err());
     }
 }

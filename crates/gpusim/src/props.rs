@@ -114,12 +114,6 @@ impl DeviceProps {
         self.max_threads_per_sm / self.warp_size
     }
 
-    /// Resident threads across the whole device ("61,440 resident threads"
-    /// in §IV-A for the Titan XP).
-    pub fn max_resident_threads(&self) -> u64 {
-        self.sm_count as u64 * self.max_threads_per_sm as u64
-    }
-
     /// Occupancy: resident warps per SM given a kernel's per-thread register
     /// count and per-block shared memory / block size.
     ///
@@ -155,7 +149,7 @@ mod tests {
         assert_eq!(p.sm_count, 30);
         assert_eq!(p.max_threads_per_sm, 2048);
         // "up to 61,440 resident threads across the entire board"
-        assert_eq!(p.max_resident_threads(), 61_440);
+        assert_eq!(p.sm_count * p.max_threads_per_sm, 61_440);
         assert_eq!(p.regs_per_sm, 65_536);
         assert_eq!(p.smem_per_sm, 96 * 1024);
         assert_eq!(p.max_warps_per_sm(), 64);

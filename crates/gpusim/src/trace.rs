@@ -6,7 +6,7 @@
 //! the multi-stream overlapped version is literally visible: gaps close on
 //! the compute row while copies slide under kernels.
 
-use simtime::{SimDuration, SimTime};
+use simtime::SimTime;
 
 /// Which engine executed a command.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,13 +52,6 @@ pub struct CommandRecord {
     pub start: SimTime,
     /// Modeled end.
     pub end: SimTime,
-}
-
-impl CommandRecord {
-    /// Modeled duration.
-    pub fn duration(&self) -> SimDuration {
-        self.end.since(self.start)
-    }
 }
 
 /// Render records as a fixed-width text Gantt: one row per engine, `#` for

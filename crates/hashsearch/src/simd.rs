@@ -13,11 +13,6 @@ use dedup::sha1mb::compress8;
 
 use crate::DIGEST_BYTES;
 
-/// Whether nonce hashing is vectorized on this machine.
-pub fn simd_active() -> bool {
-    dedup::sha1mb::simd_active()
-}
-
 /// The single final block for `nonce` appended to a `header_len`-byte
 /// block-aligned prefix.
 #[inline]

@@ -5,7 +5,7 @@
 //! ```text
 //! shard-<n>/seg-<base:016x>.log   records; <base> = seq of the first one
 //! shard-<n>/seg-<base:016x>.idx   one [u64 seq][u64 pos] pair per record
-//! groups/<group>/shard-<n>.off    consumer-group offset: u64 next_seq
+//! groups/<group>/shard-<n>.off    a group's committed offset: u64 next_seq
 //! ```
 //!
 //! A record is `[u32 len][u32 crc][u64 seq][payload]` (little-endian,
@@ -38,8 +38,7 @@ use std::sync::Arc;
 use fastflow::{BufPool, PooledBuf};
 
 use crate::{
-    GroupMembership, IngressError, Message, Payload, Receipt, SeqPos, SequenceNo, ShardId, Sink,
-    Source, StreamKey,
+    IngressError, Message, Payload, Receipt, SeqPos, SequenceNo, ShardId, Sink, Source, StreamKey,
 };
 
 /// Byte size a segment may reach before the next record starts a new one.
@@ -646,17 +645,14 @@ impl ShardReader {
     }
 }
 
-/// Consumer over a file-logged stream: real-time, replay, resumable, or
-/// consumer-group load-balanced — all the same type, differing only in
-/// how it was opened and whether a [`GroupMembership`] is attached.
+/// Consumer over a file-logged stream: replay or resumable — the same
+/// type, differing only in whether it keeps group offsets.
 pub struct FileLogSource {
     key: StreamKey,
     stream_dir: PathBuf,
     pool: BufPool<u8>,
     readers: Vec<ShardReader>,
     offsets: Option<GroupOffsets>,
-    membership: Option<GroupMembership>,
-    generation: u64,
     rr: usize,
 }
 
@@ -684,40 +680,30 @@ impl FileLogSource {
     fn open_with(
         root: impl AsRef<Path>,
         key: &StreamKey,
-        start: SeqPos,
         group: Option<&str>,
-        membership: Option<GroupMembership>,
         pool: BufPool<u8>,
     ) -> Result<FileLogSource, IngressError> {
         let stream_dir = root.as_ref().join(key.as_str());
-        let all = Self::discover_shards(&stream_dir)?;
         let offsets = match group {
             Some(g) => Some(GroupOffsets::open(root, key, g)?),
             None => None,
         };
-        let assigned: Vec<ShardId> = match &membership {
-            Some(m) => m.assigned(&all),
-            None => all,
-        };
-        let generation = membership.as_ref().map_or(0, |m| m.generation());
         let mut source = FileLogSource {
             key: key.clone(),
             stream_dir,
             pool,
             readers: Vec::new(),
             offsets,
-            membership,
-            generation,
             rr: 0,
         };
-        source.start_readers(assigned, start)?;
+        source.refresh_shards()?;
         Ok(source)
     }
 
     /// Start reading every shard of `ids` this source does not read yet:
-    /// at the group's committed offset when it has one, else at `start`.
-    /// True when a shard was added.
-    fn start_readers(&mut self, ids: Vec<ShardId>, start: SeqPos) -> Result<bool, IngressError> {
+    /// at the group's committed offset when it has one, else at the
+    /// beginning. True when a shard was added.
+    fn start_readers(&mut self, ids: Vec<ShardId>) -> Result<bool, IngressError> {
         let before = self.readers.len();
         for id in ids {
             if self.readers.iter().any(|r| r.id == id) {
@@ -726,21 +712,12 @@ impl FileLogSource {
             let mut r = ShardReader::new(id, shard_dir(&self.stream_dir, id), 0);
             match self.committed(id)? {
                 Some(next) => r.next_seq = next,
-                None => r.seek(start)?,
+                None => r.seek(SeqPos::Beginning)?,
             }
             self.readers.push(r);
         }
         self.readers.sort_unstable_by_key(|r| r.id);
         Ok(self.readers.len() > before)
-    }
-
-    /// Real-time mode: start at each shard's end, see only new records.
-    pub fn open_realtime(
-        root: impl AsRef<Path>,
-        key: &StreamKey,
-        pool: BufPool<u8>,
-    ) -> Result<FileLogSource, IngressError> {
-        Self::open_with(root, key, SeqPos::End, None, None, pool)
     }
 
     /// Replay mode: start at each shard's beginning, no offset storage.
@@ -749,7 +726,7 @@ impl FileLogSource {
         key: &StreamKey,
         pool: BufPool<u8>,
     ) -> Result<FileLogSource, IngressError> {
-        Self::open_with(root, key, SeqPos::Beginning, None, None, pool)
+        Self::open_with(root, key, None, pool)
     }
 
     /// Resumable mode: start each shard at `group`'s committed offset
@@ -760,27 +737,7 @@ impl FileLogSource {
         group: &str,
         pool: BufPool<u8>,
     ) -> Result<FileLogSource, IngressError> {
-        Self::open_with(root, key, SeqPos::Beginning, Some(group), None, pool)
-    }
-
-    /// Consumer-group mode: like `open_resume`, but reading only the
-    /// shards `membership` assigns this member; reassignments on
-    /// join/leave are picked up at the next `next_batch`.
-    pub fn open_group(
-        root: impl AsRef<Path>,
-        key: &StreamKey,
-        group: &str,
-        membership: GroupMembership,
-        pool: BufPool<u8>,
-    ) -> Result<FileLogSource, IngressError> {
-        Self::open_with(
-            root,
-            key,
-            SeqPos::Beginning,
-            Some(group),
-            Some(membership),
-            pool,
-        )
+        Self::open_with(root, key, Some(group), pool)
     }
 
     /// The offset this source's shard cursor currently sits at.
@@ -791,7 +748,7 @@ impl FileLogSource {
             .map(|r| r.next_seq)
     }
 
-    /// The committed offset stored for `shard` (resumable/group modes).
+    /// The committed offset stored for `shard` (resumable mode).
     pub fn committed(&self, shard: ShardId) -> Result<Option<SequenceNo>, IngressError> {
         match &self.offsets {
             Some(store) => store.load(shard),
@@ -799,37 +756,14 @@ impl FileLogSource {
         }
     }
 
-    /// Apply a consumer-group generation change: rebuild the reader set
-    /// from the current assignment, starting newly acquired shards at
-    /// their committed offsets.
-    fn rebalance(&mut self) -> Result<(), IngressError> {
-        let Some(m) = &self.membership else {
-            return Ok(());
-        };
-        let gen = m.generation();
-        if gen == self.generation {
-            return Ok(());
-        }
-        let all = Self::discover_shards(&self.stream_dir)?;
-        let assigned = m.assigned(&all);
-        self.readers.retain(|r| assigned.contains(&r.id));
-        self.start_readers(assigned, SeqPos::Beginning)?;
-        self.rr = 0;
-        self.generation = gen;
-        Ok(())
-    }
-
-    /// Pick up shard directories created after this source was opened
-    /// (non-group mode — group mode rediscovers through `rebalance`).
-    /// A source opened before the producer ever wrote would otherwise
-    /// keep an empty reader set forever. Newly found shards start at
-    /// their committed offset when one exists, else at the beginning:
-    /// every record in a shard born after open is "new" to this reader,
-    /// whatever mode it was opened in. Returns true when a shard was
-    /// added.
+    /// Pick up shard directories not read yet: all of them at open, and
+    /// any created since. A source opened before the producer ever wrote
+    /// would otherwise keep an empty reader set forever. Shards start at
+    /// their committed offset when one exists, else at the beginning.
+    /// Returns true when a shard was added.
     fn refresh_shards(&mut self) -> Result<bool, IngressError> {
         let all = Self::discover_shards(&self.stream_dir)?;
-        let added = self.start_readers(all, SeqPos::Beginning)?;
+        let added = self.start_readers(all)?;
         if added {
             self.rr = 0;
         }
@@ -872,15 +806,14 @@ impl Source for FileLogSource {
     }
 
     fn next_batch(&mut self, out: &mut Vec<Message>, max: usize) -> Result<usize, IngressError> {
-        self.rebalance()?;
         if max == 0 {
             return Ok(0);
         }
         let mut got = self.poll_readers(out, max)?;
         // An idle sweep is the cheap moment to look for shard
         // directories that did not exist at open (producer started
-        // later, or added shards); group mode gets this via rebalance.
-        if got == 0 && self.membership.is_none() && self.refresh_shards()? {
+        // later, or added shards).
+        if got == 0 && self.refresh_shards()? {
             got = self.poll_readers(out, max)?;
         }
         Ok(got)
@@ -1282,7 +1215,8 @@ mod tests {
         sink.send(ShardId(0), b"old").expect("send");
         sink.flush().expect("flush");
         let mut src =
-            FileLogSource::open_realtime(&root, &key(), fastflow::BufPool::new()).expect("open");
+            FileLogSource::open_replay(&root, &key(), fastflow::BufPool::new()).expect("open");
+        src.seek(ShardId(0), SeqPos::End).expect("end");
         let mut msgs = Vec::new();
         assert_eq!(src.next_batch(&mut msgs, 8).expect("read"), 0);
         sink.send(ShardId(0), b"new").expect("send");

@@ -4,9 +4,9 @@
 //! Everything upstream of this crate was born in-process — harness
 //! generator loops feeding farms. This layer adds the missing edge in
 //! the sea-streamer mold: streams are addressed by
-//! [`StreamKey`] + [`ShardId`] + [`SequenceNo`], consumed in real-time,
-//! resumable-from-offset, or load-balanced consumer-group modes, and
-//! replayed with [`Source::seek`]/[`Source::rewind`]. Producers batch
+//! [`StreamKey`] + [`ShardId`] + [`SequenceNo`], consumed live (TCP),
+//! replayed, or resumed from a group's committed offsets, and
+//! repositioned with [`Source::seek`]/[`Source::rewind`]. Producers batch
 //! in-flight sends and learn durability through acknowledged
 //! [`Receipt`]s.
 //!
@@ -38,13 +38,11 @@ use fastflow::PooledBuf;
 
 mod crc;
 pub mod filelog;
-pub mod group;
 pub mod pump;
 pub mod tcp;
 
 pub use crc::crc32;
 pub use filelog::{FileLogSink, FileLogSource, GroupOffsets};
-pub use group::{GroupCoordinator, GroupMembership};
 pub use pump::{spawn_pump, IngressStats, PumpConfig, PumpHandle};
 pub use tcp::{TcpIngressServer, TcpSink, TcpSource};
 
@@ -211,8 +209,7 @@ pub trait Source: Send {
     /// The stream this source consumes.
     fn stream_key(&self) -> &StreamKey;
 
-    /// The shards this source currently reads (the full set, or this
-    /// member's slice under a consumer group).
+    /// The shards this source currently reads.
     fn assigned_shards(&self) -> Vec<ShardId>;
 
     /// Append up to `max` available records to `out`, round-robin across

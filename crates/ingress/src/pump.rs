@@ -7,7 +7,7 @@
 //! shard it registers a [`Counters<Ingress>`](telemetry::Counters) block
 //! with the recorder (Prometheus families `hetstream_ingress_*`) and emits
 //! [`FlightKind::IngressBatch`] events whose `batch_id` carries the
-//! shard id, so replay and lag are visible on the live plane.
+//! shard id, so replay progress is visible on the live plane.
 //!
 //! The pump owns its end of the copy story: give [`PumpConfig`] a
 //! [`CopyLedger`](telemetry::copy::CopyLedger) and the pump thread runs
@@ -176,7 +176,7 @@ where
                 }
                 for t in shards.iter_mut().filter(|t| t.records > 0) {
                     t.counters.add_records(t.records, t.bytes);
-                    t.counters.produced_to(t.hi);
+                    t.counters.delivered_to(t.hi);
                     flight.emit(
                         FlightKind::IngressBatch,
                         u64::from(t.shard),
@@ -248,6 +248,12 @@ mod tests {
         assert!(
             prom.contains("hetstream_ingress_records_total{stream=\"pumped\",shard=\"0\"} 6"),
             "missing ingress family in:\n{prom}"
+        );
+        // The pump knows what it delivered, not what a consumer
+        // committed: a drained stream must not read as lagging.
+        assert!(
+            !prom.contains("hetstream_ingress_lag"),
+            "a drained stream exposes a lag series:\n{prom}"
         );
         let _ = std::fs::remove_dir_all(&root);
     }

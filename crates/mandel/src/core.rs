@@ -31,19 +31,9 @@ impl FractalParams {
         }
     }
 
-    /// The paper's experiment scale: 2000×2000, 200,000 iterations.
-    pub fn paper_scale() -> Self {
-        Self::view(2000, 200_000)
-    }
-
     /// Complex-plane step per pixel (`range / dim`).
     pub fn step(&self) -> f64 {
         self.range / self.dim as f64
-    }
-
-    /// Total pixels.
-    pub fn pixels(&self) -> u64 {
-        (self.dim * self.dim) as u64
     }
 }
 

@@ -154,7 +154,8 @@ mod tests {
         let p = params();
         let (_, iters) = run_sequential(&p);
         // At least 1 iteration per pixel; at most niter per pixel.
-        assert!(iters >= p.pixels());
-        assert!(iters <= p.pixels() * p.niter as u64);
+        let pixels = (p.dim * p.dim) as u64;
+        assert!(iters >= pixels);
+        assert!(iters <= pixels * p.niter as u64);
     }
 }

@@ -4,7 +4,7 @@
 //! the run (virtual host clock from start to final synchronization). The
 //! ladder, in the paper's order:
 //!
-//! 1. per-line kernels, 1-D grid ([`cuda_per_line`] / [`ocl_per_line`]);
+//! 1. per-line kernels, 1-D grid ([`cuda_per_line`]);
 //! 2. per-line kernels, 2-D grid ([`cuda_2d`]) — worse;
 //! 3. batched lines, synchronous copies ([`cuda_batch`] / [`ocl_batch`]);
 //! 4. batched + copy/compute overlap with `mem_spaces` pinned buffers in
@@ -216,32 +216,6 @@ pub fn cuda_overlap(
     (img, finish(system))
 }
 
-/// OpenCL, one kernel + one blocking read per line.
-pub fn ocl_per_line(system: &Arc<GpuSystem>, params: &FractalParams) -> (Image, SimDuration) {
-    system.reset_clock();
-    let platform = Platform::new(Arc::clone(system));
-    let ids = platform.device_ids();
-    let ctx = Context::create(&platform, &ids[..1]);
-    let queue = ctx.create_queue(ids[0]);
-    let buf: ClBuffer<u8> = ctx.create_buffer(ids[0], params.dim).unwrap();
-    let mut img = Image::new(params.dim);
-    let mut host_line = vec![0u8; params.dim];
-    for row in 0..params.dim {
-        let kernel = ClKernel::create(LineKernel {
-            row,
-            params: *params,
-            img: buf.ptr(),
-        });
-        let global = (params.dim as u64).next_multiple_of(BLOCK_1D as u64);
-        let k_ev = queue.enqueue_nd_range(&kernel, global, BLOCK_1D, &[]);
-        queue.enqueue_read_buffer(&buf, true, 0, &mut host_line, &[k_ev]);
-        img.set_row(row, &host_line);
-        charge_staging(system, params.dim);
-    }
-    queue.finish();
-    (img, finish(system))
-}
-
 /// OpenCL, batched kernels with blocking reads.
 pub fn ocl_batch(
     system: &Arc<GpuSystem>,
@@ -391,7 +365,6 @@ mod tests {
         let (seq, _) = run_sequential(&p);
         let system = sys(2);
         for (name, img) in [
-            ("per_line", ocl_per_line(&system, &p).0),
             ("batch", ocl_batch(&system, &p, 8).0),
             ("overlap-2", ocl_overlap(&system, &p, 8, 2, 1).0),
             ("overlap-4x2gpu", ocl_overlap(&system, &p, 8, 4, 2).0),

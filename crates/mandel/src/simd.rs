@@ -13,18 +13,6 @@
 
 use crate::core::iterate;
 
-/// Whether the vectorized escape loop is active on this machine.
-pub fn simd_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// Iteration counts for one row: pixel `j` gets
 /// `iterate(init_a + step*j, ci, niter)`. Vectorized when AVX2 is
 /// available; always bit-identical to [`iterate_line_scalar`].

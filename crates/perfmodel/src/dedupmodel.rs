@@ -21,17 +21,13 @@ use gpusim::model::{kernel_duration_from_units, transfer_duration};
 use gpusim::DeviceProps;
 use simtime::SimDuration;
 
-use crate::machine::CpuModel;
+use crate::machine::{CpuModel, OPENCL_ENQUEUE_EXTRA};
 use crate::pipe::{Phase, PipeModel};
 
 const BLOCK_1D: u32 = 256;
 /// Cost-model constants mirroring `dedup::kernels`.
 const SHA1_CYCLES_PER_BYTE: f64 = 18.0;
 const LZSS_CYCLES_PER_PROBE: f64 = 3.0;
-/// Extra host-side cost per OpenCL enqueue relative to CUDA (driver
-/// dispatch + event bookkeeping) — the main reason the paper's SPar+CUDA
-/// edges out SPar+OpenCL.
-const OPENCL_ENQUEUE_EXTRA: SimDuration = SimDuration::from_micros(12);
 
 /// Which GPU API a modeled version uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

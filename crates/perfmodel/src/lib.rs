@@ -1,8 +1,8 @@
 //! `perfmodel` — discrete-event performance models of the paper's testbed.
 //!
-//! The reproduction machine (1 CPU core, no GPU) cannot measure the
-//! paper's speedups directly, so the figures are regenerated on a model of
-//! the original testbed (i9-7900X + 2× Titan XP):
+//! The reproduction host (a few cores, no GPU) cannot measure the paper's
+//! speedups directly, so the figures are regenerated on a model of the
+//! original testbed (i9-7900X + 2× Titan XP):
 //!
 //! * [`machine`] — the testbed parameters and per-runtime overheads;
 //! * [`pipe`] — a generic queueing-network model of stream pipelines
@@ -25,5 +25,5 @@ pub mod mandelmodel;
 pub mod paper;
 pub mod pipe;
 
-pub use machine::{CpuModel, CpuRuntime, Testbed};
+pub use machine::{CpuModel, CpuRuntime};
 pub use pipe::{Phase, PipeModel, PipeRun};

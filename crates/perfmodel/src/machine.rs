@@ -1,7 +1,6 @@
 //! The paper's testbed, as model parameters (§V): Intel i9-7900X
 //! (10 cores / 20 threads @ 3.3 GHz), 32 GB RAM, 2× NVIDIA Titan XP.
 
-use gpusim::DeviceProps;
 use simtime::SimDuration;
 
 /// CPU-side parameters of the testbed.
@@ -101,26 +100,10 @@ impl CpuRuntime {
     }
 }
 
-/// The full testbed.
-#[derive(Clone, Debug)]
-pub struct Testbed {
-    /// CPU model.
-    pub cpu: CpuModel,
-    /// GPU properties (each of the two boards).
-    pub gpu: DeviceProps,
-    /// Number of GPUs installed.
-    pub gpus: usize,
-}
-
-impl Default for Testbed {
-    fn default() -> Self {
-        Testbed {
-            cpu: CpuModel::default(),
-            gpu: DeviceProps::titan_xp(),
-            gpus: 2,
-        }
-    }
-}
+/// Extra host-side cost per OpenCL enqueue relative to CUDA (driver
+/// dispatch + event bookkeeping), charged once per offloaded batch — the
+/// main reason the paper's SPar+CUDA edges out SPar+OpenCL.
+pub const OPENCL_ENQUEUE_EXTRA: SimDuration = SimDuration::from_micros(12);
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //!
 //! The ladder is then evaluated analytically with the same cost model the
 //! simulated devices use. `cargo run --release -p bench --bin fig1 --
-//! --paper-model` prints the prediction next to the paper's numbers.
+//! --paper-model 1` prints the prediction next to the paper's numbers.
 
 use gpusim::kernel::LaunchDims;
 use gpusim::model::{kernel_duration_from_units, transfer_duration};

@@ -442,7 +442,7 @@ mod tests {
             .collect();
         assert_eq!(out.len(), 8);
         // Every offloaded item is timed from the source stamp to the sink.
-        let e2e = rec.e2e_snapshot();
+        let e2e = rec.report().e2e;
         assert_eq!(e2e.count, 8);
         assert!(e2e.p50_ns > 0 && e2e.p50_ns <= e2e.max_ns);
         // The generated stage reports service-latency percentiles too.

@@ -93,26 +93,16 @@ impl SchedConfig {
 }
 
 /// Learned state of one device.
-#[derive(Clone, Copy, Debug)]
-pub struct DeviceModel {
-    /// Device index.
-    pub device: usize,
+struct DevState {
     /// EWMA modeled cost per work unit, ns.
-    pub ewma_unit_ns: f64,
+    ewma_unit_ns: f64,
     /// Cost samples folded in so far.
-    pub samples: u64,
+    samples: u64,
     /// Predicted modeled ns of placed-but-unapplied batches (queue
     /// pressure as the scheduler accounts it).
-    pub backlog_ns: f64,
-    /// Total measured modeled busy ns attributed to this device.
-    pub busy_ns: u64,
-}
-
-struct DevState {
-    ewma_unit_ns: f64,
-    samples: u64,
     backlog_ns: f64,
     last_busy_ns: u64,
+    /// Total measured modeled busy ns attributed to this device.
     busy_ns: u64,
 }
 
@@ -199,29 +189,14 @@ impl CostModelScheduler {
         &self.counters
     }
 
-    /// Snapshot the learned per-device models (for reports).
-    pub fn models(&self) -> Vec<DeviceModel> {
-        let st = self.state.lock().expect("sched state");
-        st.devs
-            .iter()
-            .enumerate()
-            .map(|(device, d)| DeviceModel {
-                device,
-                ewma_unit_ns: d.ewma_unit_ns,
-                samples: d.samples,
-                backlog_ns: d.backlog_ns,
-                busy_ns: d.busy_ns,
-            })
-            .collect()
-    }
-
     /// Deterministic balance metric of a finished run: the largest total
     /// measured busy time any one device carries, ns. Under perfect
     /// engine overlap this is the modeled makespan a placement achieves;
     /// unlike the device timeline it is independent of host-thread
     /// interleaving, so benches gate on it reproducibly.
     pub fn max_device_busy_ns(&self) -> u64 {
-        self.models().iter().map(|m| m.busy_ns).max().unwrap_or(0)
+        let st = self.state.lock().expect("sched state");
+        st.devs.iter().map(|d| d.busy_ns).max().unwrap_or(0)
     }
 
     /// Fold one observation into the model (caller holds the lock).
@@ -349,7 +324,7 @@ mod tests {
                 lookahead: 4,
                 ..SchedConfig::for_devices(n)
             },
-            &Recorder::disabled(),
+            &Recorder::default(),
             "test",
         );
         (sys, s)
@@ -450,13 +425,13 @@ mod tests {
         drive(&s, &sys, 30, |i| i, &[400_000, 400_000]);
         // Apply everything by placing one far-future probe batch.
         let _ = s.place(1_000, 0, 1);
-        let models = s.models();
-        let samples: u64 = models.iter().map(|m| m.samples).sum();
-        assert!(samples >= 26, "most observations applied: {models:?}");
         assert!(s.max_device_busy_ns() > 0);
-        for m in &models {
-            if m.samples > 0 {
-                assert!(m.ewma_unit_ns > 0.0, "{m:?}");
+        let st = s.state.lock().expect("sched state");
+        let samples: u64 = st.devs.iter().map(|d| d.samples).sum();
+        assert!(samples >= 26, "most observations applied: {samples}");
+        for d in &st.devs {
+            if d.samples > 0 {
+                assert!(d.ewma_unit_ns > 0.0, "{}", d.ewma_unit_ns);
             }
         }
     }

@@ -11,13 +11,10 @@
 //! The climb is deterministic: the grids are fixed, neighbors are
 //! probed in a fixed order, results are cached so a configuration is
 //! measured at most once, and a move requires a relative throughput
-//! gain above [`AutoTuner::min_gain`] — so the trajectory (and thus the
+//! gain above a 1 % dead-band — so the trajectory (and thus the
 //! converged configuration) is a pure function of the measure function.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use telemetry::{Counters, Sched};
 
 /// What one measurement epoch observed at a candidate configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -59,69 +56,26 @@ pub struct TuneOutcome {
     pub epochs: usize,
 }
 
-/// Greedy cached hill-climber over the batch × memory-space grid.
-pub struct AutoTuner {
-    batch_grid: Vec<usize>,
-    spaces_grid: Vec<usize>,
-    start: (usize, usize),
-    min_gain: f64,
-    max_epochs: usize,
-    counters: Option<Arc<Counters<Sched>>>,
-}
+/// Batch sizes the climb chooses from: powers of two in `4..=128`.
+const BATCH_GRID: [usize; 6] = [4, 8, 16, 32, 64, 128];
+/// Memory-space counts the climb chooses from.
+const SPACES_GRID: [usize; 4] = [1, 2, 4, 8];
+/// Minimum relative throughput gain required to accept a move. A
+/// dead-band keeps the controller from chattering between statistically
+/// identical neighbors.
+const MIN_GAIN: f64 = 0.01;
+/// Climb epochs after which the tuner stops, converged or not.
+const MAX_EPOCHS: usize = 32;
+
+/// Greedy cached hill-climber over the batch × memory-space grid,
+/// starting from the naive corner `(4, 1)` — deliberately far from the
+/// paper's hand-picked optimum so convergence is earned, not seeded.
+pub struct AutoTuner;
 
 impl AutoTuner {
-    /// Tuner over the default grids: batch sizes are powers of two in
-    /// `4..=128`, memory spaces in `{1, 2, 4, 8}`, starting from the
-    /// naive corner `(4, 1)` — deliberately far from the paper's
-    /// hand-picked optimum so convergence is earned, not seeded.
+    /// The tuner over the batch × memory-space grid above.
     pub fn new() -> Self {
-        AutoTuner {
-            batch_grid: vec![4, 8, 16, 32, 64, 128],
-            spaces_grid: vec![1, 2, 4, 8],
-            start: (0, 0),
-            min_gain: 0.01,
-            max_epochs: 32,
-            counters: None,
-        }
-    }
-
-    /// Replace the search grids. `start` indexes into the new grids.
-    ///
-    /// # Panics
-    /// Panics if either grid is empty or `start` is out of range.
-    pub fn with_grids(
-        mut self,
-        batch_grid: Vec<usize>,
-        spaces_grid: Vec<usize>,
-        start: (usize, usize),
-    ) -> Self {
-        assert!(
-            !batch_grid.is_empty() && !spaces_grid.is_empty(),
-            "grids must be non-empty"
-        );
-        assert!(
-            start.0 < batch_grid.len() && start.1 < spaces_grid.len(),
-            "start out of range"
-        );
-        self.batch_grid = batch_grid;
-        self.spaces_grid = spaces_grid;
-        self.start = start;
-        self
-    }
-
-    /// Minimum relative throughput gain required to accept a move
-    /// (default 1%). A dead-band keeps the controller from chattering
-    /// between statistically identical neighbors.
-    pub fn min_gain(mut self, gain: f64) -> Self {
-        self.min_gain = gain;
-        self
-    }
-
-    /// Count accepted moves as retunes on `counters` (the scheduler's
-    /// counter block, so `hetstream_sched_retunes_total` tracks them).
-    pub fn with_counters(mut self, counters: Arc<Counters<Sched>>) -> Self {
-        self.counters = Some(counters);
-        self
+        AutoTuner
     }
 
     /// Climb until converged (no neighbor clears the dead-band) or the
@@ -131,7 +85,7 @@ impl AutoTuner {
     pub fn run(&self, mut probe: impl FnMut(usize, usize) -> EpochMeasure) -> TuneOutcome {
         let mut cache: HashMap<(usize, usize), EpochMeasure> = HashMap::new();
         let mut trajectory = Vec::new();
-        let (mut bi, mut si) = self.start;
+        let (mut bi, mut si) = (0, 0); // the naive corner
         let mut epoch = 0usize;
         let mut measure_at = |bi: usize,
                               si: usize,
@@ -142,12 +96,12 @@ impl AutoTuner {
             if let Some(&m) = cache.get(&(bi, si)) {
                 return m;
             }
-            let m = probe(self.batch_grid[bi], self.spaces_grid[si]);
+            let m = probe(BATCH_GRID[bi], SPACES_GRID[si]);
             cache.insert((bi, si), m);
             trajectory.push(TuneStep {
                 epoch,
-                batch_size: self.batch_grid[bi],
-                mem_spaces: self.spaces_grid[si],
+                batch_size: BATCH_GRID[bi],
+                mem_spaces: SPACES_GRID[si],
                 measure: m,
                 accepted: false,
             });
@@ -159,18 +113,18 @@ impl AutoTuner {
         }
         loop {
             epoch += 1;
-            if epoch > self.max_epochs {
+            if epoch > MAX_EPOCHS {
                 break;
             }
             // Probe the four grid neighbors in a fixed order.
             let mut neighbors = Vec::with_capacity(4);
-            if bi + 1 < self.batch_grid.len() {
+            if bi + 1 < BATCH_GRID.len() {
                 neighbors.push((bi + 1, si));
             }
             if bi > 0 {
                 neighbors.push((bi - 1, si));
             }
-            if si + 1 < self.spaces_grid.len() {
+            if si + 1 < SPACES_GRID.len() {
                 neighbors.push((bi, si + 1));
             }
             if si > 0 {
@@ -191,23 +145,22 @@ impl AutoTuner {
                 }
             }
             let Some((nb, ns, m)) = best else { break };
-            if m.throughput <= current.throughput * (1.0 + self.min_gain) {
+            if m.throughput <= current.throughput * (1.0 + MIN_GAIN) {
                 break; // converged: no neighbor clears the dead-band
             }
             (bi, si) = (nb, ns);
             current = m;
-            if let Some(step) = trajectory.iter_mut().rev().find(|s| {
-                s.batch_size == self.batch_grid[bi] && s.mem_spaces == self.spaces_grid[si]
-            }) {
+            if let Some(step) = trajectory
+                .iter_mut()
+                .rev()
+                .find(|s| s.batch_size == BATCH_GRID[bi] && s.mem_spaces == SPACES_GRID[si])
+            {
                 step.accepted = true;
-            }
-            if let Some(c) = &self.counters {
-                c.retune();
             }
         }
         TuneOutcome {
-            batch_size: self.batch_grid[bi],
-            mem_spaces: self.spaces_grid[si],
+            batch_size: BATCH_GRID[bi],
+            mem_spaces: SPACES_GRID[si],
             measure: current,
             trajectory,
             epochs: epoch,
@@ -292,15 +245,5 @@ mod tests {
             .collect();
         assert_eq!(accepted.first(), Some(&(4, 1)), "start is accepted");
         assert_eq!(accepted.last(), Some(&(32, 4)), "peak is accepted");
-    }
-
-    #[test]
-    fn counts_retunes() {
-        let counters = Arc::new(Counters::<Sched>::new());
-        let _ = AutoTuner::new()
-            .with_counters(Arc::clone(&counters))
-            .run(fig1_like);
-        let snap = counters.snapshot();
-        assert!(snap.retunes >= 2, "moves counted as retunes: {snap:?}");
     }
 }

@@ -7,7 +7,7 @@
 //! [`Counters<F>`] is that handful, inline; the family `F` names a
 //! [`Descriptor`] saying what each cell is called in the JSON report, in
 //! `/metrics` and in `/health`, and which derived values (`hit_rate`,
-//! `lag`, …) are computed from the cells when read.
+//! …) are computed from the cells when read.
 //! [`Recorder::register`](crate::Recorder::register) files a block under
 //! its label values, and the report, the Prometheus exposition and the
 //! health snapshot each render the same [`CounterRow`]s — so a cell added
@@ -327,8 +327,6 @@ family! {
         migrations: counter "hetstream_sched_migrations_total",
         /// Wall time spent inside the placement decision, ns.
         overhead_ns: counter "hetstream_sched_overhead_ns_total",
-        /// Auto-tuner operating-point changes (batch / space count).
-        retunes: counter "hetstream_sched_retunes_total",
     }
     derived {
         /// Mean placement overhead per decision, ns (0 when idle).
@@ -363,45 +361,22 @@ impl Counters<Sched> {
     pub fn migration(&self) {
         self.migrations().fetch_add(1, Ordering::Relaxed);
     }
-
-    /// The auto-tuner changed an operating point (batch / space count).
-    #[inline]
-    pub fn retune(&self) {
-        self.retunes().fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 family! {
-    /// Ingress shards: one block per `(stream, shard)`, shared by the
-    /// producer and consumer sides.
+    /// Ingress shards: one block per `(stream, shard)`, written by the
+    /// pump that delivers the shard's records into a pipeline.
     Ingress => IngressTotals, "ingress", ["stream", "shard"], report ["stream", "shard"];
     cells {
         /// Records delivered from ingress sources into pipelines.
         records: counter "hetstream_ingress_records_total",
         /// Payload bytes delivered from ingress sources.
         bytes: counter "hetstream_ingress_bytes_total",
-        /// Producer receipts acknowledged durable.
-        acks: counter "hetstream_ingress_acks_total",
-        /// Highest sequence number made durable by a producer, plus one
-        /// (0 = nothing produced).
-        produced: gauge "",
-        /// Highest sequence number committed by the consumer group, plus
-        /// one.
-        committed: gauge "",
+        /// Highest sequence number the pump has delivered, plus one
+        /// (0 = nothing delivered).
+        delivered: gauge "",
     }
-    derived {
-        /// Consumer lag in records (produced minus committed watermark).
-        lag: 0 "hetstream_ingress_lag_total",
-    }
-}
-
-impl IngressTotals {
-    /// Consumer lag in records: produced watermark minus committed
-    /// watermark (saturating — a replay consumer rewound behind a fresh
-    /// producer reads 0, not an underflow).
-    pub fn lag(&self) -> u64 {
-        self.produced.saturating_sub(self.committed)
-    }
+    derived {}
 }
 
 impl Counters<Ingress> {
@@ -413,23 +388,12 @@ impl Counters<Ingress> {
         self.bytes().fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Count `n` producer receipts acknowledged durable.
+    /// Raise the delivered watermark to `next_seq`, one past the highest
+    /// sequence number the pump has handed on (monotone max — a rewound
+    /// replay never lowers it).
     #[inline]
-    pub fn add_acks(&self, n: u64) {
-        self.acks().fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Raise the produced watermark to `next_seq` (monotone max — late
-    /// or repeated reports never lower it).
-    #[inline]
-    pub fn produced_to(&self, next_seq: u64) {
-        self.produced().fetch_max(next_seq, Ordering::Relaxed);
-    }
-
-    /// Raise the committed watermark to `next_seq` (monotone max).
-    #[inline]
-    pub fn committed_to(&self, next_seq: u64) {
-        self.committed().fetch_max(next_seq, Ordering::Relaxed);
+    pub fn delivered_to(&self, next_seq: u64) {
+        self.delivered().fetch_max(next_seq, Ordering::Relaxed);
     }
 }
 
@@ -575,12 +539,10 @@ mod tests {
         let sched = Arc::new(Counters::<Sched>::new());
         sched.decision(40);
         sched.residency_hit();
-        sched.retune();
         rec.register(&["s.one"], &sched);
         let shard = Arc::new(Counters::<Ingress>::new());
         shard.add_records(3, 30);
-        shard.add_acks(2);
-        shard.produced_to(9);
+        shard.delivered_to(9);
         rec.register(&["i.one", "7"], &shard);
 
         let (report, health) = (rec.report().to_json(), rec.health().to_json());
@@ -594,9 +556,9 @@ mod tests {
         let pool =
             "\"hits\": 1, \"misses\": 2, \"outstanding\": 1, \"shed\": 1, \"hit_rate\": 0.3333}";
         let sched = "\"decisions\": 1, \"residency_hits\": 1, \"migrations\": 0, \
-                     \"overhead_ns\": 40, \"retunes\": 1, \"overhead_per_decision_ns\": 40.0}";
-        let shard = "{\"stream\": \"i.one\", \"shard\": \"7\", \"records\": 3, \"bytes\": 30, \
-                     \"acks\": 2, \"produced\": 9, \"committed\": 0, \"lag\": 9}";
+                     \"overhead_ns\": 40, \"overhead_per_decision_ns\": 40.0}";
+        let shard =
+            "{\"stream\": \"i.one\", \"shard\": \"7\", \"records\": 3, \"bytes\": 30, \"delivered\": 9}";
         for want in [
             format!("{{\"name\": \"p.one\", {pool}"),
             format!("{{\"name\": \"s.one\", {sched}"),
@@ -618,26 +580,19 @@ mod tests {
         let c = Counters::<Ingress>::new();
         c.add_records(4, 1024);
         c.add_records(1, 56);
-        c.add_acks(5);
         let s = c.snapshot();
-        assert_eq!((s.records, s.bytes, s.acks), (5, 1080, 5));
+        assert_eq!((s.records, s.bytes), (5, 1080));
     }
 
     #[test]
-    fn lag_is_produced_minus_committed_saturating() {
+    fn delivered_watermark_is_monotone() {
         let c = Counters::<Ingress>::new();
-        assert_eq!(c.snapshot().lag(), 0);
-        c.produced_to(10);
-        assert_eq!(c.snapshot().lag(), 10);
-        c.committed_to(7);
-        assert_eq!(c.snapshot().lag(), 3);
-        // Watermarks are monotone: a stale lower report changes nothing.
-        c.produced_to(5);
-        assert_eq!(c.snapshot().lag(), 3);
-        // A committed watermark past produced (fresh producer, replayed
-        // consumer) saturates to zero.
-        c.committed_to(12);
-        assert_eq!(c.snapshot().lag(), 0);
+        assert_eq!(c.snapshot().delivered, 0);
+        c.delivered_to(10);
+        assert_eq!(c.snapshot().delivered, 10);
+        // A rewound replay reports a lower watermark: it changes nothing.
+        c.delivered_to(5);
+        assert_eq!(c.snapshot().delivered, 10);
     }
 
     #[test]

@@ -58,8 +58,8 @@ fn summary(out: &mut String, name: &str, label: &str, snap: &LatencySnapshot) {
 /// Render the full exposition document from a live recorder's state.
 ///
 /// Counters are cumulative relaxed-atomic reads, so successive scrapes
-/// observe monotonically non-decreasing values — the property ci.sh
-/// checks between two scrapes of the same run.
+/// observe monotonically non-decreasing values — the property the
+/// `live_plane` test checks between two scrapes of the same run.
 pub(crate) fn render_prometheus(inner: &Inner) -> String {
     let mut out = String::with_capacity(4096);
     family(
@@ -463,17 +463,15 @@ mod tests {
         let rec = Recorder::enabled();
         let h = rec.stage("work", 0);
         h.item_in(3);
-        h.service(|| std::hint::black_box(0));
+        h.end(h.begin());
         h.items_out(1);
-        rec.fault("work", FaultKind::Retry, "attempt 2");
+        rec.fault_in_batch("work", FaultKind::Retry, crate::NO_BATCH, "attempt 2");
         let pool = Arc::new(Counters::<crate::Pool>::new());
         pool.hit();
         rec.register(&["test.pool"], &pool);
         let ing = Arc::new(Counters::<crate::Ingress>::new());
         ing.add_records(3, 300);
-        ing.add_acks(3);
-        ing.produced_to(5);
-        ing.committed_to(3);
+        ing.delivered_to(5);
         rec.register(&["test.stream", "1"], &ing);
         let sched = Arc::new(Counters::<crate::Sched>::new());
         sched.decision(250);
@@ -502,9 +500,7 @@ mod tests {
         "# TYPE hetstream_flight_lap_dropped_total counter",
         "# TYPE hetstream_gpu_engine_busy_ns_total counter",
         "# TYPE hetstream_gpu_engine_busy_ratio gauge",
-        "# TYPE hetstream_ingress_acks_total counter",
         "# TYPE hetstream_ingress_bytes_total counter",
-        "# TYPE hetstream_ingress_lag_total gauge",
         "# TYPE hetstream_ingress_records_total counter",
         "# TYPE hetstream_pool_hit_rate gauge",
         "# TYPE hetstream_pool_hits_total counter",
@@ -515,7 +511,6 @@ mod tests {
         "# TYPE hetstream_sched_migrations_total counter",
         "# TYPE hetstream_sched_overhead_ns_total counter",
         "# TYPE hetstream_sched_residency_hits_total counter",
-        "# TYPE hetstream_sched_retunes_total counter",
         "# TYPE hetstream_stage_items_in_total counter",
         "# TYPE hetstream_stage_items_out_total counter",
         "# TYPE hetstream_stage_pop_waits_total counter",
@@ -549,9 +544,7 @@ mod tests {
         "hetstream_flight_lap_dropped_total 0",
         "hetstream_gpu_engine_busy_ns_total{device=\"0\",engine=\"compute\"} 100",
         "hetstream_gpu_engine_busy_ratio{device=\"0\",engine=\"compute\"} 1.0000",
-        "hetstream_ingress_acks_total{stream=\"test.stream\",shard=\"1\"} 3",
         "hetstream_ingress_bytes_total{stream=\"test.stream\",shard=\"1\"} 300",
-        "hetstream_ingress_lag_total{stream=\"test.stream\",shard=\"1\"} 2",
         "hetstream_ingress_records_total{stream=\"test.stream\",shard=\"1\"} 3",
         "hetstream_pool_hit_rate{pool=\"test.pool\"} 1.0000",
         "hetstream_pool_hits_total{pool=\"test.pool\"} 1",
@@ -562,7 +555,6 @@ mod tests {
         "hetstream_sched_migrations_total{sched=\"test.graph\"} 0",
         "hetstream_sched_overhead_ns_total{sched=\"test.graph\"} 250",
         "hetstream_sched_residency_hits_total{sched=\"test.graph\"} 1",
-        "hetstream_sched_retunes_total{sched=\"test.graph\"} 0",
         "hetstream_stage_items_in_total{stage=\"work\",replica=\"0\"} 1",
         "hetstream_stage_items_out_total{stage=\"work\",replica=\"0\"} 1",
         "hetstream_stage_pop_waits_total{stage=\"work\",replica=\"0\"} 0",
@@ -598,7 +590,7 @@ mod tests {
     #[test]
     fn disabled_recorder_reports_down() {
         assert_eq!(
-            Recorder::disabled().prometheus(),
+            Recorder::default().prometheus(),
             "# HELP hetstream_up 1 while the recorder is live.\n\
              # TYPE hetstream_up gauge\nhetstream_up 0\n"
         );

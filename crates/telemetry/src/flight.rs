@@ -357,16 +357,6 @@ impl FlightHandle {
         }
     }
 
-    /// True when events actually land in a ring.
-    pub fn enabled(&self) -> bool {
-        self.ring.is_some()
-    }
-
-    /// The interned source id this handle stamps on its events.
-    pub fn src(&self) -> u32 {
-        self.src
-    }
-
     /// Emit one event from this handle's source.
     #[inline]
     pub fn emit(&self, kind: FlightKind, batch_id: u64, a: u64, b: u64) {
@@ -451,7 +441,7 @@ mod tests {
     #[test]
     fn noop_handle_is_inert() {
         let h = FlightHandle::noop();
-        assert!(!h.enabled());
+        assert!(h.ring.is_none());
         h.emit(FlightKind::Stall, NO_BATCH, 0, 0);
     }
 

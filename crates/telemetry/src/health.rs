@@ -236,7 +236,7 @@ mod tests {
         let rec = Recorder::enabled();
         let h = rec.stage("work", 0);
         h.item_in(2);
-        h.service(|| std::hint::black_box(0));
+        h.end(h.begin());
         h.items_out(1);
         let snap = rec.health();
         assert_eq!(snap.status, HealthStatus::Ok);
@@ -252,9 +252,9 @@ mod tests {
     #[test]
     fn ladder_activity_degrades_then_stall_dominates() {
         let rec = Recorder::enabled();
-        rec.fault("work", FaultKind::DeviceOom, "oom");
-        rec.fault("work", FaultKind::Retry, "attempt 1");
-        rec.fault("work", FaultKind::CpuFallback, "host path");
+        rec.fault_in_batch("work", FaultKind::DeviceOom, crate::NO_BATCH, "oom");
+        rec.fault_in_batch("work", FaultKind::Retry, crate::NO_BATCH, "attempt 1");
+        rec.fault_in_batch("work", FaultKind::CpuFallback, crate::NO_BATCH, "host path");
         let snap = rec.health();
         assert_eq!(snap.status, HealthStatus::Degraded);
         assert_eq!(
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_reports_empty_green() {
-        let snap = Recorder::disabled().health();
+        let snap = Recorder::default().health();
         assert_eq!(snap, HealthSnapshot::default());
         assert!(snap.to_json().contains("\"status\": \"ok\""));
     }

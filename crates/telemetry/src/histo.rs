@@ -93,11 +93,6 @@ impl LatencyHisto {
         self.max.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Number of samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// Consistent-enough copy of the counters for quantile computation.
     pub(crate) fn counts(&self) -> HistoCounts {
         let mut c = HistoCounts::new();
@@ -188,16 +183,6 @@ pub struct LatencySnapshot {
     pub p95_ns: u64,
     /// 99th percentile.
     pub p99_ns: u64,
-}
-
-impl LatencySnapshot {
-    /// `p50/p95/p99/max` on one compact line (for log output).
-    pub fn brief(&self) -> String {
-        format!(
-            "n={} p50={} p95={} p99={} max={}",
-            self.count, self.p50_ns, self.p95_ns, self.p99_ns, self.max_ns
-        )
-    }
 }
 
 #[cfg(test)]
@@ -297,7 +282,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(h.count(), 400_000);
+        assert_eq!(h.snapshot().count, 400_000);
         let merged: u64 = h.counts().buckets.iter().sum();
         assert_eq!(merged, 400_000);
     }

@@ -10,7 +10,7 @@
 //!   queue-depth high-water mark, and a wait-free service-latency
 //!   histogram ([`LatencyHisto`]).
 //! * [`Recorder`] — a cloneable handle the runtimes thread through their
-//!   builders. Disabled by default ([`Recorder::disabled`]); when enabled
+//!   builders. Disabled by default (`Recorder::default()`); when enabled
 //!   it collects CPU stage spans, GPU engine spans, end-to-end item
 //!   latencies and sampled per-item journeys into one [`TelemetryReport`].
 //! * [`ThroughputWindow`] / [`Watchdog`] — background monitors sampling
@@ -329,15 +329,6 @@ impl StageHandle {
             m.push_span(start, end);
         }
     }
-
-    /// Time a closure as one service invocation.
-    #[inline]
-    pub fn service<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t = self.begin();
-        let r = f();
-        self.end(t);
-        r
-    }
 }
 
 /// One busy interval of a GPU engine, in modeled nanoseconds since the
@@ -559,11 +550,6 @@ impl Recorder {
         }
     }
 
-    /// A recorder that collects nothing (the default).
-    pub fn disabled() -> Self {
-        Recorder { inner: None }
-    }
-
     /// True when this recorder collects metrics.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
@@ -617,17 +603,13 @@ impl Recorder {
         }
     }
 
-    /// Record one fault-path event (observed fault or recovery action).
-    /// No-op when disabled; never on the per-item hot path — faults are
-    /// rare by construction, so a mutex push is fine here.
-    pub fn fault(&self, stage: impl Into<String>, kind: FaultKind, detail: impl Into<String>) {
-        self.fault_in_batch(stage, kind, NO_BATCH, detail);
-    }
-
-    /// [`fault`](Self::fault) with a causal batch key: callers that know
-    /// which batch the fault belongs to (the workload driver's ladder)
-    /// pass its id so the flight recorder can stitch a batch's whole
-    /// journey — fault, halvings, retries, fallback — back together.
+    /// Record one fault-path event (observed fault or recovery action)
+    /// with its causal batch key ([`NO_BATCH`] when there is none): the
+    /// workload driver's ladder passes the batch's id so the flight
+    /// recorder can stitch a batch's whole journey — fault, halvings,
+    /// retries, fallback — back together. No-op when disabled; never on
+    /// the per-item hot path — faults are rare by construction, so a
+    /// mutex push is fine here.
     pub fn fault_in_batch(
         &self,
         stage: impl Into<String>,
@@ -686,14 +668,6 @@ impl Recorder {
         }
     }
 
-    /// End-to-end latency percentiles of everything recorded so far.
-    pub fn e2e_snapshot(&self) -> LatencySnapshot {
-        match &self.inner {
-            None => LatencySnapshot::default(),
-            Some(inner) => inner.e2e.snapshot(),
-        }
-    }
-
     /// Start the windowed throughput sampler: every `tick` it snapshots
     /// cumulative `items_out` and the observed input-queue depth of every
     /// stage replica into the report's time-series (capped at
@@ -738,13 +712,6 @@ impl Recorder {
         }
     }
 
-    /// Resolve a flight event's `src` id back to its interned label.
-    pub fn flight_src_label(&self, src: u32) -> Option<String> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.flight_srcs.lock().unwrap().get(src as usize).cloned())
-    }
-
     /// Render the flight window as the dump JSON document (schema
     /// `hetstream.flight.v1`) without touching the filesystem — what the
     /// live endpoint's `/flight` route serves.
@@ -771,13 +738,6 @@ impl Recorder {
             cfg.fired = false;
             cfg.escalated = false;
         }
-    }
-
-    /// Force the armed dump to fire now (e.g. from a signal handler or a
-    /// test); returns the written path. `None` when disabled, unarmed,
-    /// or already fired.
-    pub fn dump_flight_now(&self, reason: &str) -> Option<PathBuf> {
-        self.inner.as_ref().and_then(|i| i.dump(reason, false))
     }
 
     /// Render the live Prometheus text exposition (format 0.0.4). A
@@ -1397,7 +1357,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_inert() {
-        let rec = Recorder::disabled();
+        let rec = Recorder::default();
         let h = rec.stage("s", 0);
         assert!(!h.enabled());
         h.item_in(5);
@@ -1421,7 +1381,7 @@ mod tests {
         let h1 = rec.stage("work", 1);
         for _ in 0..3 {
             h0.item_in(2);
-            h0.service(|| std::hint::black_box(0));
+            h0.end(h0.begin());
             h0.items_out(1);
         }
         h1.item_in(7);
@@ -1481,7 +1441,9 @@ mod tests {
         let rec = Recorder::enabled();
         let h = rec.stage("alpha", 0);
         h.item_in(1);
-        h.service(|| std::thread::sleep(std::time::Duration::from_micros(200)));
+        let t = h.begin();
+        std::thread::sleep(std::time::Duration::from_micros(200));
+        h.end(t);
         h.items_out(1);
         rec.gpu_span(EngineSpan {
             device: 0,
@@ -1523,7 +1485,9 @@ mod tests {
         // width == 0 with real activity must not panic and still renders.
         let rec = Recorder::enabled();
         let h = rec.stage("s", 0);
-        h.service(|| std::thread::sleep(std::time::Duration::from_micros(100)));
+        let t = h.begin();
+        std::thread::sleep(std::time::Duration::from_micros(100));
+        h.end(t);
         let g = rec.report().gantt(0);
         assert!(g.contains("s/0"));
     }
@@ -1615,9 +1579,14 @@ mod tests {
         let rec = Recorder::enabled();
         let h = rec.stage("stage1", 0);
         h.item_in(0);
-        rec.fault("stage1", FaultKind::DeviceOom, "oom 1024B on dev0");
-        rec.fault("stage1", FaultKind::Retry, "batch halved to 16");
-        rec.fault("stage1", FaultKind::CpuFallback, "batch 3 on CPU");
+        rec.fault_in_batch(
+            "stage1",
+            FaultKind::DeviceOom,
+            NO_BATCH,
+            "oom 1024B on dev0",
+        );
+        rec.fault_in_batch("stage1", FaultKind::Retry, NO_BATCH, "batch halved to 16");
+        rec.fault_in_batch("stage1", FaultKind::CpuFallback, NO_BATCH, "batch 3 on CPU");
         let report = rec.report();
         assert_eq!(report.faults.len(), 3);
         assert_eq!(report.retry_count(), 1);
@@ -1634,14 +1603,14 @@ mod tests {
         assert!(trace.contains("\"ph\":\"i\""));
         assert!(report.faults[0].describe().contains("device_oom"));
         // Disabled recorders stay inert.
-        let off = Recorder::disabled();
-        off.fault("s", FaultKind::Retry, "x");
+        let off = Recorder::default();
+        off.fault_in_batch("s", FaultKind::Retry, NO_BATCH, "x");
         assert_eq!(off.report().retry_count(), 0);
     }
 
     #[test]
     fn disabled_monitors_are_inert() {
-        let rec = Recorder::disabled();
+        let rec = Recorder::default();
         let sampler = rec.sample_windows(Duration::from_millis(1));
         let wd = rec.watchdog(Duration::from_millis(1), 1);
         std::thread::sleep(Duration::from_millis(5));

@@ -36,7 +36,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// One full sweep over every hot-path probe, enabled and disabled.
 fn hammer(rec: &Recorder, handle: &telemetry::StageHandle, noop: &telemetry::StageHandle) {
-    let disabled = Recorder::disabled();
+    let disabled = Recorder::default();
     for i in 0..50_000u64 {
         handle.item_in(i as usize % 7);
         let span = handle.begin();
@@ -80,7 +80,7 @@ fn farm_items_never_allocate() {
     const LONG: u64 = 220_000;
     const ALLOWANCE: usize = 64;
     for (mode, rec) in [
-        ("off", Recorder::disabled as fn() -> Recorder),
+        ("off", Recorder::default as fn() -> Recorder),
         ("on", Recorder::enabled),
     ] {
         farm_run_allocations(SHORT, rec()); // lazy one-time initialisation
@@ -102,7 +102,7 @@ fn recording_probes_never_allocate() {
     // buffer is preallocated); everything after the baseline must not.
     let rec = Recorder::enabled();
     let handle = rec.stage("hot", 0);
-    let noop = Recorder::disabled().stage("hot", 0);
+    let noop = Recorder::default().stage("hot", 0);
 
     // Warm once so any lazy initialization is paid before measuring.
     hammer(&rec, &handle, &noop);
@@ -129,6 +129,6 @@ fn recording_probes_never_allocate() {
     );
 
     // Sanity: the enabled path really recorded.
-    let e2e = rec.e2e_snapshot();
+    let e2e = rec.report().e2e;
     assert_eq!(e2e.count as usize, 50_000 * (deltas.len() + 1));
 }

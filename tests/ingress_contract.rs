@@ -6,9 +6,6 @@
 //!   uncommitted work; the successor resumes from committed offsets and
 //!   the downstream effect (dedup'd by `(shard, seq)`) is bit-identical
 //!   to a never-killed run.
-//! * **Group rebalance exactly-once** — a member joining mid-stream
-//!   splits the shard set; with commit-before-handoff, no record is
-//!   delivered to two members and none is lost.
 //! * **Seek/rewind determinism** — replays return the same records in
 //!   the same order with the same bytes, from `Beginning` or any `At`.
 //! * **Backpressure** — a full pipeline channel blocks the pump, not
@@ -21,8 +18,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use hetstream::ingress::{
-    spawn_pump, FileLogSink, FileLogSource, GroupCoordinator, IngressStats, PumpConfig, SeqPos,
-    ShardId, Sink, Source, StreamKey,
+    spawn_pump, FileLogSink, FileLogSource, IngressStats, PumpConfig, SeqPos, ShardId, Sink,
+    Source, StreamKey,
 };
 use hetstream::{fastflow, gpusim, telemetry, workload};
 
@@ -143,66 +140,6 @@ fn resume_is_bit_exact_after_a_midstream_kill() {
             "shard {shard}: seq {seq} re-delivered below committed floor {floor}"
         );
     }
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn group_rebalance_delivers_each_record_exactly_once() {
-    let root = temp_root("group");
-    let key = StreamKey::new("contract.group").expect("key");
-    produce(&root, &key, 4, 20);
-
-    let coord = GroupCoordinator::new();
-    let m1 = coord.join();
-    let mut s1 = FileLogSource::open_group(&root, &key, "g", m1, fastflow::BufPool::new())
-        .expect("open member 1");
-    assert_eq!(s1.assigned_shards().len(), 4, "sole member owns all shards");
-
-    // Member 1 consumes half the stream, committing every record before
-    // pulling the next batch (clean-handoff discipline).
-    let mut seen1 = Vec::new();
-    let mut raw = Vec::new();
-    while seen1.len() < 10 {
-        raw.clear();
-        s1.next_batch(&mut raw, 3).expect("next_batch");
-        for m in raw.drain(..) {
-            s1.commit(m.shard, m.seq + 1).expect("commit");
-            seen1.push((m.shard.0, m.seq, m.payload.to_vec()));
-        }
-    }
-
-    // Member 2 joins: generation bumps; member 1 notices at its next
-    // next_batch and sheds the reassigned shards BEFORE member 2 opens
-    // its readers, so the committed offsets are the handoff point.
-    let m2 = coord.join();
-    let tail1 = drain(&mut s1);
-    assert_eq!(
-        s1.assigned_shards().len(),
-        2,
-        "after rebalance each member owns half the shards"
-    );
-    for (shard, seq, _) in &tail1 {
-        s1.commit(ShardId(*shard), seq + 1).expect("commit tail");
-    }
-    let mut s2 = FileLogSource::open_group(&root, &key, "g", m2, fastflow::BufPool::new())
-        .expect("open member 2");
-    assert_eq!(s2.assigned_shards().len(), 2);
-    let tail2 = drain(&mut s2);
-
-    // Exactly-once across the whole group: all 20 records, no overlap.
-    let mut seen: BTreeSet<(u32, u64)> = BTreeSet::new();
-    for (shard, seq, bytes) in seen1.iter().chain(tail1.iter()).chain(tail2.iter()) {
-        assert_eq!(bytes, &payload(*shard, *seq), "bit-exact payload");
-        assert!(
-            seen.insert((*shard, *seq)),
-            "record ({shard},{seq}) delivered twice across the group"
-        );
-    }
-    assert_eq!(
-        seen.len(),
-        20,
-        "every record delivered to exactly one member"
-    );
     let _ = std::fs::remove_dir_all(&root);
 }
 

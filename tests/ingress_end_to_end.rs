@@ -106,7 +106,7 @@ fn consume(
         remaining -= committed;
     }
 
-    let rec = Recorder::disabled();
+    let rec = Recorder::default();
     let ledger = CopyLedger::new();
     let src = FileLogSource::open_resume(root, &in_key, name, workload::pinned_pool::<u8>())
         .expect("open resumable source");
@@ -335,7 +335,7 @@ fn tcp_ingress_lands_pinned_without_a_copy_and_renders_the_exact_image() {
         sink.flush().expect("tcp flush (all acks in)");
     });
 
-    let rec = Recorder::disabled();
+    let rec = Recorder::default();
     let ledger = CopyLedger::new();
     let (tx, rx) = fastflow::channel::<Message>(32, WaitStrategy::Block);
     let pump = spawn_pump(

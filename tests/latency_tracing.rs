@@ -28,7 +28,7 @@ fn fastflow_pipeline_records_e2e_latency() {
         .for_each(|_| n += 1);
     assert_eq!(n, N);
 
-    let e2e = rec.e2e_snapshot();
+    let e2e = rec.report().e2e;
     assert_eq!(e2e.count, N, "every item must be timed end to end");
     // A 20 us service stage bounds the end-to-end latency from below.
     assert!(e2e.p50_ns >= 20_000, "p50 {} ns", e2e.p50_ns);
@@ -68,7 +68,7 @@ fn fastflow_farm_preserves_stamps_through_workers() {
             }
         };
         assert_eq!(out.len(), N as usize);
-        let e2e = rec.e2e_snapshot();
+        let e2e = rec.report().e2e;
         assert_eq!(
             e2e.count, N,
             "ordered={ordered}: every item must keep its stamp through the farm"
@@ -95,7 +95,7 @@ fn tbb_pipeline_records_e2e_latency() {
         .run(&pool, 8);
     assert_eq!(n.load(Ordering::Relaxed), N);
 
-    let e2e = rec.e2e_snapshot();
+    let e2e = rec.report().e2e;
     assert_eq!(e2e.count, N);
     assert!(e2e.p50_ns <= e2e.p99_ns && e2e.p99_ns <= e2e.max_ns);
 }
@@ -103,13 +103,13 @@ fn tbb_pipeline_records_e2e_latency() {
 /// A disabled recorder must not time anything anywhere in the pipeline.
 #[test]
 fn disabled_recorder_records_no_latency() {
-    let rec = Recorder::disabled();
+    let rec = Recorder::default();
     let out = Pipeline::builder()
         .recorder(rec.clone())
         .from_iter(0..N)
         .map(|x: u64| x + 1)
         .collect();
     assert_eq!(out.len(), N as usize);
-    assert_eq!(rec.e2e_snapshot().count, 0);
+    assert_eq!(rec.report().e2e.count, 0);
     assert!(rec.report().stage_latency.is_empty());
 }

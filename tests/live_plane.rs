@@ -4,12 +4,12 @@
 //!
 //! The run is a small SPar+CUDA Mandelbrot render on one worker and one
 //! GPU with `FaultSpec::demo(42)` armed, so the recovery ladder walks to
-//! a CPU fallback. `/metrics` must carry the core families with a flight
-//! counter that never goes back, `/health` must name every pool `/metrics`
+//! a CPU fallback. `/metrics` must carry the core families with counters
+//! that never go back between scrapes, `/health` must name every pool `/metrics`
 //! does (both render the one counter registry), and the fallback must
 //! leave the armed flight dump behind.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -27,14 +27,20 @@ fn get(addr: SocketAddr, route: &str) -> String {
     response
 }
 
-fn flight_events(exposition: &str) -> u64 {
+/// Every sample of a `counter`-typed family: series (name and labels)
+/// to value.
+fn counter_series(exposition: &str) -> BTreeMap<&str, f64> {
+    let counters: BTreeSet<&str> = exposition
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" counter"))
+        .collect();
     exposition
         .lines()
-        .find_map(|l| l.strip_prefix("hetstream_flight_events_total "))
-        .expect("a hetstream_flight_events_total sample")
-        .trim()
-        .parse()
-        .expect("an integer count")
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .filter(|(series, _)| counters.contains(series.split('{').next().unwrap_or(series)))
+        .map(|(series, value)| (series, value.parse().expect("a numeric sample")))
+        .collect()
 }
 
 #[test]
@@ -57,7 +63,14 @@ fn metrics_health_and_flight_dump_agree_on_a_faulty_run() {
         let rec = rec.clone();
         std::thread::spawn(move || run_spar_gpu::<CudaOffload>(&sys, &params, 1, 32, 1, rec))
     };
-    let first = get(addr, "/metrics");
+    // The first scrape waits for the stages to register, so that it
+    // catches their counters mid-run rather than an empty registry.
+    let first = loop {
+        let scrape = get(addr, "/metrics");
+        if scrape.contains("hetstream_stage_items_out_total{") || render.is_finished() {
+            break scrape;
+        }
+    };
     let img = render.join().expect("render thread");
     let second = get(addr, "/metrics");
     let health = get(addr, "/health");
@@ -74,10 +87,15 @@ fn metrics_health_and_flight_dump_agree_on_a_faulty_run() {
         let head = format!("# TYPE {family} ");
         assert!(first.contains(&head), "no {family} in:\n{first}");
     }
-    assert!(
-        flight_events(&second) >= flight_events(&first),
-        "the flight event counter went backwards across scrapes"
-    );
+    let (before, after) = (counter_series(&first), counter_series(&second));
+    assert!(before.contains_key("hetstream_flight_events_total"));
+    for (series, value) in &before {
+        let later = after.get(series).copied();
+        assert!(
+            later.is_some_and(|v| v >= *value),
+            "counter {series} went from {value} to {later:?} across scrapes"
+        );
+    }
 
     assert!(health.contains("\"hetstream.health.v1\""), "{health}");
     assert!(health.contains("\"status\""), "{health}");

@@ -29,7 +29,6 @@ fn every_version_renders_the_same_image() {
         ("cuda 2d", gpu::cuda_2d(&system, &p).0),
         ("cuda batch", gpu::cuda_batch(&system, &p, 8).0),
         ("cuda overlap", gpu::cuda_overlap(&system, &p, 8, 4, 2).0),
-        ("ocl per-line", gpu::ocl_per_line(&system, &p).0),
         ("ocl batch", gpu::ocl_batch(&system, &p, 8).0),
         ("ocl overlap", gpu::ocl_overlap(&system, &p, 8, 4, 2).0),
         (

@@ -31,7 +31,7 @@ fn ns_per_iter(f: impl Fn()) -> f64 {
 
 #[test]
 fn disabled_probes_stay_branch_only() {
-    let rec = Recorder::disabled();
+    let rec = Recorder::default();
     let handle = rec.stage("bench", 0);
 
     let per_probe = ns_per_iter(|| {
@@ -69,7 +69,7 @@ fn disabled_probes_stay_branch_only() {
 /// the work any instrumented hot loop does per item.
 #[test]
 fn flight_emit_cost_is_bounded() {
-    let disabled = Recorder::disabled();
+    let disabled = Recorder::default();
     let noop = disabled.flight_handle("bench");
     let per_noop = ns_per_iter(|| {
         for i in 0..ITERS {

@@ -6,7 +6,7 @@
 //! meaningful slice of the input space.
 
 use hetstream::dedup::lzss::{decode_block, encode_block, LzssConfig};
-use hetstream::dedup::rabin::{chunk_starts, chunks, RabinParams};
+use hetstream::dedup::rabin::{chunk_starts, RabinParams};
 use hetstream::dedup::{sha1, Sha1};
 use hetstream::fastflow;
 use hetstream::simtime::{Server, Sim, SimDuration, XorShift64};
@@ -85,6 +85,12 @@ fn lzss_never_expands_beyond_nine_eighths() {
         let enc = encode_block(&data, &cfg);
         assert!(enc.len() <= data.len() * 9 / 8 + 2);
     });
+}
+
+/// Slice `data` into chunks given its `starts`.
+fn chunks<'d>(data: &'d [u8], starts: &[usize]) -> Vec<&'d [u8]> {
+    let ends = starts.iter().skip(1).copied().chain([data.len()]);
+    starts.iter().zip(ends).map(|(&s, e)| &data[s..e]).collect()
 }
 
 #[test]

@@ -100,7 +100,7 @@ fn chrome_trace_of_a_real_run_is_viewer_loadable() {
 
 #[test]
 fn empty_report_exports_an_empty_but_valid_trace() {
-    let json = Recorder::disabled().report().to_chrome_trace();
+    let json = Recorder::default().report().to_chrome_trace();
     assert!(json.contains("\"traceEvents\""));
     assert_well_formed(&json);
     assert_eq!(count_of(&json, "\"ph\":\"X\""), 0);
@@ -114,9 +114,16 @@ fn caller_supplied_strings_cannot_break_any_json_document() {
     let rec = Recorder::enabled();
     let stage = rec.stage(NASTY, 0);
     stage.item_in(1);
-    stage.service(|| std::thread::sleep(std::time::Duration::from_micros(50)));
+    let t = stage.begin();
+    std::thread::sleep(std::time::Duration::from_micros(50));
+    stage.end(t);
     stage.items_out(1);
-    rec.fault(NASTY, hetstream::telemetry::FaultKind::Retry, NASTY);
+    rec.fault_in_batch(
+        NASTY,
+        hetstream::telemetry::FaultKind::Retry,
+        hetstream::telemetry::NO_BATCH,
+        NASTY,
+    );
     let report = rec.report();
     for (what, json) in [
         ("report", report.to_json()),
