@@ -85,6 +85,11 @@ gate mandel-gpu 1 gpusim.copied_bytes_per_item '== 0'
 # every 128-byte record took its own pool buffer and a third of those
 # missed the pool's 32-deep class ring).
 gate ingress-replay 1 bench.allocs_per_item '< 0.05'
+# Two more: with no faults injected, every service batch runs on a device
+# at the first attempt. A faster service must not come from the host
+# fallback rung.
+gate service-hashsearch 1 workload.cpu_fallbacks '== 0'
+gate service-hashsearch 1 workload.retries '== 0'
 (cd benchmark && CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-../target}" cargo test -q --offline)
 
 echo

@@ -134,9 +134,20 @@ pub fn score(d: &Digest) -> u32 {
 
 /// Deterministic top-k accumulator: best score first, ties broken toward
 /// the lower nonce, so GPU, fallback and sequential runs agree exactly.
+///
+/// The kept entries are always in final order. A candidate no better
+/// than the k-th costs one comparison; a better one is inserted after
+/// every entry it does not beat, so equal candidates keep offer order,
+/// exactly as a stable sort of everything offered, truncated to `k`.
 pub struct TopK {
     k: usize,
     entries: Vec<Candidate>,
+}
+
+/// Strictly ahead in the ranking: higher score, or equal score and lower
+/// nonce.
+fn better(a: &Candidate, b: &Candidate) -> bool {
+    a.score > b.score || (a.score == b.score && a.nonce < b.nonce)
 }
 
 impl TopK {
@@ -150,21 +161,18 @@ impl TopK {
 
     /// Consider one candidate.
     pub fn offer(&mut self, c: Candidate) {
-        self.entries.push(c);
-        if self.entries.len() >= self.k * 2 + 64 {
-            self.compact();
+        if self.entries.len() == self.k {
+            match self.entries.last() {
+                Some(kth) if better(&c, kth) => self.entries.pop(),
+                _ => return,
+            };
         }
-    }
-
-    fn compact(&mut self) {
-        self.entries
-            .sort_by(|a, b| b.score.cmp(&a.score).then(a.nonce.cmp(&b.nonce)));
-        self.entries.truncate(self.k);
+        let at = self.entries.partition_point(|e| !better(&c, e));
+        self.entries.insert(at, c);
     }
 
     /// The final ranking.
-    pub fn into_sorted(mut self) -> Vec<Candidate> {
-        self.compact();
+    pub fn into_sorted(self) -> Vec<Candidate> {
         self.entries
     }
 }
@@ -382,6 +390,61 @@ mod tests {
         }
         let picked: Vec<u64> = top.into_sorted().iter().map(|c| c.nonce).collect();
         assert_eq!(picked, vec![3, 5]);
+    }
+
+    /// The ranking as it was first written: buffer every offer, stable
+    /// sort and truncate whenever the buffer reaches `2k + 64`.
+    struct SortAndTruncate {
+        k: usize,
+        entries: Vec<Candidate>,
+    }
+
+    impl SortAndTruncate {
+        fn offer(&mut self, c: Candidate) {
+            self.entries.push(c);
+            if self.entries.len() >= self.k * 2 + 64 {
+                self.compact();
+            }
+        }
+
+        fn compact(&mut self) {
+            self.entries
+                .sort_by(|a, b| b.score.cmp(&a.score).then(a.nonce.cmp(&b.nonce)));
+            self.entries.truncate(self.k);
+        }
+
+        fn into_sorted(mut self) -> Vec<Candidate> {
+            self.compact();
+            self.entries
+        }
+    }
+
+    #[test]
+    fn topk_equals_sort_and_truncate_under_ties_and_duplicate_nonces() {
+        for k in [0, 1, 8, 100] {
+            let mut rng = simtime::XorShift64::new(0x7071 + k as u64);
+            let mut top = TopK::new(k);
+            let mut reference = SortAndTruncate {
+                k,
+                entries: Vec::new(),
+            };
+            for _ in 0..12_000 {
+                // Three scores, so nearly every comparison is a tie; 12 000
+                // nonces drawn from 2 000, so each (score, nonce) pair is
+                // offered about twice. The digest tells duplicates apart,
+                // so their order is checked.
+                let c = Candidate {
+                    nonce: rng.below(2_000),
+                    score: [3, 7, 12][rng.below(3) as usize],
+                    digest: Digest(rng.bytes(DIGEST_BYTES).try_into().expect("20 bytes")),
+                };
+                top.offer(c);
+                reference.offer(c);
+            }
+            let got = top.into_sorted();
+            assert_eq!(got.len(), k);
+            assert_eq!(got, reference.into_sorted(), "k = {k}");
+        }
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //!
 //! The server acks a DATA frame after enqueueing it for the consumer, so
 //! a [`Receipt`] acking means "the consumer side holds it", not merely
-//! "the kernel buffered it". The queue is bounded: when the pipeline
+//! "the kernel buffered it". ACKs of one read burst leave in one write:
+//! the server reads frames through a buffer and holds the ACKs it owes
+//! until it is about to block — on a read that must go to the socket, or
+//! on a full queue — so a producer never waits on an ACK the server has
+//! already earned. The queue is bounded: when the pipeline
 //! falls behind, enqueue blocks, the connection thread stops reading,
 //! TCP flow control fills the producer's window, and
 //! [`TcpSink`] blocks in its in-flight window — backpressure end to end
@@ -22,8 +26,8 @@
 //! report [`IngressError::Unsupported`]; replay belongs to the file log.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::io::{BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -45,29 +49,66 @@ const DEFAULT_QUEUE_CAP: usize = 1024;
 /// Default producer in-flight window (unacked sends).
 const DEFAULT_MAX_IN_FLIGHT: usize = 64;
 
-/// Read `buf.len()` bytes, tolerating read-timeout wakeups so `stop` is
-/// polled. Returns the bytes actually read (short = EOF or shutdown).
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> std::io::Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(filled);
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Ok(filled),
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue
+/// The server's per-connection read buffer. A payload larger than this
+/// is read straight into its slab past the buffer.
+const READ_BUF: usize = 64 << 10;
+
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// The server end of one producer connection: frames come in through a
+/// buffer, ACKs go out in bursts.
+struct Conn<'a> {
+    rd: BufReader<&'a TcpStream>,
+    /// ACK frames owed for records already enqueued, in order.
+    acks: Vec<u8>,
+    stop: &'a AtomicBool,
+}
+
+impl Conn<'_> {
+    /// Fill `buf`, tolerating read-timeout wakeups so `stop` is polled.
+    /// Owed ACKs go out before any read that has to wait on the socket.
+    /// False on EOF, shutdown or error.
+    fn read_full(&mut self, buf: &mut [u8]) -> bool {
+        let mut filled = 0;
+        while filled < buf.len() {
+            if self.stop.load(Ordering::Relaxed) {
+                return false;
             }
-            Err(e) => return Err(e),
+            if self.rd.buffer().is_empty() && self.send_acks().is_err() {
+                return false;
+            }
+            match self.rd.read(&mut buf[filled..]) {
+                Ok(0) => return false,
+                Ok(n) => filled += n,
+                Err(e) if is_timeout(&e) => continue,
+                Err(_) => return false,
+            }
         }
+        true
     }
-    Ok(filled)
+
+    /// Owe the client an ACK for `(shard, seq)`.
+    fn ack(&mut self, shard: u32, seq: u64) {
+        self.acks.extend_from_slice(&13u32.to_le_bytes());
+        self.acks.push(KIND_ACK);
+        self.acks.extend_from_slice(&shard.to_le_bytes());
+        self.acks.extend_from_slice(&seq.to_le_bytes());
+    }
+
+    /// Write every owed ACK in one `write_all`.
+    fn send_acks(&mut self) -> std::io::Result<()> {
+        if !self.acks.is_empty() {
+            let mut stream: &TcpStream = self.rd.get_ref();
+            stream.write_all(&self.acks)?;
+            self.acks.clear();
+        }
+        Ok(())
+    }
 }
 
 /// Bounded handoff queue between connection threads and the source.
@@ -87,6 +128,16 @@ impl SharedQueue {
             cap: cap.max(1),
             stop: AtomicBool::new(false),
         }
+    }
+
+    /// Enqueue if there is room now; hand `msg` back if the queue is full.
+    fn try_push(&self, msg: Message) -> Result<(), Message> {
+        let mut q = self.q.lock().expect("ingress queue");
+        if q.len() >= self.cap {
+            return Err(msg);
+        }
+        q.push_back(msg);
+        Ok(())
     }
 
     /// Block until there is room (backpressure), then enqueue. Returns
@@ -139,7 +190,6 @@ impl TcpIngressServer {
         queue_cap: usize,
     ) -> Result<TcpIngressServer, IngressError> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let queue = Arc::new(SharedQueue::new(if queue_cap == 0 {
             DEFAULT_QUEUE_CAP
@@ -155,21 +205,25 @@ impl TcpIngressServer {
             .name("hetstream-ingress-accept".into())
             .spawn(move || {
                 let mut conns: Vec<JoinHandle<()>> = Vec::new();
-                while !accept_queue.stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let q = Arc::clone(&accept_queue);
-                            let sh = Arc::clone(&accept_shards);
-                            let k = accept_key.clone();
-                            let p = accept_pool.clone();
-                            if let Ok(h) = std::thread::Builder::new()
-                                .name("hetstream-ingress-conn".into())
-                                .spawn(move || serve_producer(stream, k, q, sh, p))
-                            {
-                                conns.push(h);
-                            }
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                for stream in listener.incoming() {
+                    // `halt` sets the flag, then connects to wake this
+                    // blocking accept: that connection is dropped unserved.
+                    if accept_queue.stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = stream else {
+                        std::thread::sleep(Duration::from_millis(5));
+                        continue;
+                    };
+                    let q = Arc::clone(&accept_queue);
+                    let sh = Arc::clone(&accept_shards);
+                    let k = accept_key.clone();
+                    let p = accept_pool.clone();
+                    if let Ok(h) = std::thread::Builder::new()
+                        .name("hetstream-ingress-conn".into())
+                        .spawn(move || serve_producer(stream, k, q, sh, p))
+                    {
+                        conns.push(h);
                     }
                 }
                 for h in conns {
@@ -207,10 +261,22 @@ impl TcpIngressServer {
     }
 
     fn halt(&mut self) {
-        self.queue.stop.store(true, Ordering::Relaxed);
+        self.queue.stop.store(true, Ordering::SeqCst);
         self.queue.not_full.notify_all();
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            // Wake the blocking accept with a connection of our own. If
+            // even that fails, the accept thread is left parked rather
+            // than joined forever.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -222,9 +288,10 @@ impl Drop for TcpIngressServer {
 }
 
 /// One producer connection: HELLO handshake, then DATA frames acked
-/// after enqueue.
+/// after enqueue. However the connection ends, the records it enqueued
+/// are acked.
 fn serve_producer(
-    mut stream: TcpStream,
+    stream: TcpStream,
     key: StreamKey,
     queue: Arc<SharedQueue>,
     shards_seen: Arc<Mutex<BTreeSet<u32>>>,
@@ -232,69 +299,66 @@ fn serve_producer(
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let stop = &queue.stop;
+    let mut conn = Conn {
+        rd: BufReader::with_capacity(READ_BUF, &stream),
+        acks: Vec::new(),
+        stop: &queue.stop,
+    };
+    // The shards this connection has added to `shards_seen`.
+    let mut registered = BTreeSet::new();
     let mut head = [0u8; 5];
     let mut hello = true;
-    loop {
-        match read_full(&mut stream, &mut head, stop) {
-            Ok(n) if n == head.len() => {}
-            _ => return, // EOF, shutdown, or error: drop the connection
-        }
+    // Leaving the loop drops the connection: EOF, shutdown, an I/O error
+    // or a protocol violation.
+    while conn.read_full(&mut head) {
         let len = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes")) as usize;
         let kind = head[4];
         if len == 0 || len > MAX_FRAME {
-            return;
+            break;
         }
         let body_len = len - 1;
         match (hello, kind) {
             (true, KIND_HELLO) => {
                 let mut body = vec![0u8; body_len];
-                if read_full(&mut stream, &mut body, stop).unwrap_or(0) != body_len {
-                    return;
-                }
-                if body != key.as_str().as_bytes() {
-                    return; // wrong stream: refuse silently
+                if !conn.read_full(&mut body) || body != key.as_str().as_bytes() {
+                    break; // a wrong stream is refused silently
                 }
                 hello = false;
             }
             (false, KIND_DATA) => {
-                if body_len < 12 {
-                    return;
-                }
                 let mut meta = [0u8; 12];
-                if read_full(&mut stream, &mut meta, stop).unwrap_or(0) != meta.len() {
-                    return;
+                if body_len < meta.len() || !conn.read_full(&mut meta) {
+                    break;
                 }
                 let shard = u32::from_le_bytes(meta[0..4].try_into().expect("4 bytes"));
                 let seq = u64::from_le_bytes(meta[4..12].try_into().expect("8 bytes"));
-                let payload_len = body_len - 12;
-                let mut payload = pool.acquire(payload_len);
-                if read_full(&mut stream, &mut payload[..], stop).unwrap_or(0) != payload_len {
-                    return;
+                let mut payload = pool.acquire(body_len - meta.len());
+                if !conn.read_full(&mut payload[..]) {
+                    break;
                 }
-                shards_seen.lock().expect("shard set").insert(shard);
+                if registered.insert(shard) {
+                    shards_seen.lock().expect("shard set").insert(shard);
+                }
                 let msg = Message {
                     shard: ShardId(shard),
                     seq,
                     payload: payload.into(), // the slab, whole and unshared
                 };
-                if !queue.push(msg) {
-                    return; // server stopping
+                if let Err(msg) = queue.try_push(msg) {
+                    // About to wait for the consumer: send the ACKs
+                    // already earned first.
+                    if conn.send_acks().is_err() || !queue.push(msg) {
+                        break;
+                    }
                 }
                 // Ack *after* enqueue: the receipt means the consumer
                 // side holds the record.
-                let mut ack = [0u8; 4 + 1 + 12];
-                ack[0..4].copy_from_slice(&13u32.to_le_bytes());
-                ack[4] = KIND_ACK;
-                ack[5..9].copy_from_slice(&shard.to_le_bytes());
-                ack[9..17].copy_from_slice(&seq.to_le_bytes());
-                if stream.write_all(&ack).is_err() {
-                    return;
-                }
+                conn.ack(shard, seq);
             }
-            _ => return, // protocol violation
+            _ => break, // protocol violation
         }
     }
+    let _ = conn.send_acks();
 }
 
 /// Consumer over a [`TcpIngressServer`]'s queue. Real-time only.
@@ -344,7 +408,8 @@ impl Source for TcpSource {
 pub struct TcpSink {
     key: StreamKey,
     writer: BufWriter<TcpStream>,
-    reader: TcpStream,
+    /// ACKs arrive in bursts; one read takes in the whole burst.
+    reader: BufReader<TcpStream>,
     next_seq: Vec<SequenceNo>,
     pending: VecDeque<Receipt>,
     max_in_flight: usize,
@@ -364,7 +429,7 @@ impl TcpSink {
         // loops on timeout, so a backpressured consumer blocks the sink
         // (as documented) instead of erroring it out.
         stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-        let reader = stream.try_clone()?;
+        let reader = BufReader::new(stream.try_clone()?);
         let mut writer = BufWriter::new(stream);
         let body = key.as_str().as_bytes();
         writer.write_all(&(1 + body.len() as u32).to_le_bytes())?;
@@ -393,6 +458,7 @@ impl TcpSink {
     /// backpressured consumer. Mostly useful to speed up tests.
     pub fn with_ack_poll(self, interval: Duration) -> Result<Self, IngressError> {
         self.reader
+            .get_ref()
             .set_read_timeout(Some(interval.max(Duration::from_millis(1))))?;
         Ok(self)
     }
@@ -411,14 +477,8 @@ impl TcpSink {
             match self.reader.read(&mut frame[filled..]) {
                 Ok(0) => return Err(IngressError::Closed),
                 Ok(n) => filled += n,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    continue; // stalled consumer = backpressure, keep waiting
-                }
+                // A stalled consumer is backpressure: keep waiting.
+                Err(e) if is_timeout(&e) => continue,
                 Err(e) => return Err(IngressError::Io(e)),
             }
         }
@@ -608,6 +668,160 @@ mod tests {
         producer.join().expect("producer survived the stall");
         assert_eq!(got.iter().map(|m| m.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
         server.stop();
+    }
+
+    fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
+        let mut f = (1 + body.len() as u32).to_le_bytes().to_vec();
+        f.push(kind);
+        f.extend_from_slice(body);
+        f
+    }
+
+    fn shard_seq(shard: u32, seq: u64) -> Vec<u8> {
+        [&shard.to_le_bytes()[..], &seq.to_le_bytes()].concat()
+    }
+
+    fn data(shard: u32, seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut body = shard_seq(shard, seq);
+        body.extend_from_slice(payload);
+        frame(KIND_DATA, &body)
+    }
+
+    /// A raw client that has sent nothing yet.
+    fn raw_client(server: &TcpIngressServer) -> TcpStream {
+        let client = TcpStream::connect(server.addr()).expect("connect");
+        client.set_nodelay(true).expect("nodelay");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        client
+    }
+
+    /// The bytes of `n` ACK frames, read under the client's timeout.
+    fn read_acks(client: &mut TcpStream, n: usize) -> Vec<u8> {
+        let mut acks = vec![0u8; 17 * n];
+        client.read_exact(&mut acks).expect("acks");
+        acks
+    }
+
+    /// Pop `n` records, failing after a deadline.
+    fn drain(src: &mut TcpSource, n: usize) -> Vec<Message> {
+        let mut got = Vec::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while got.len() < n {
+            assert!(std::time::Instant::now() < deadline, "{} of {n}", got.len());
+            let missing = n - got.len();
+            if src.next_batch(&mut got, missing).expect("pop") == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        got
+    }
+
+    /// HELLO and 100 DATA frames, written by `write`, come back as 100
+    /// ACKs in order and land as 100 records.
+    fn hundred_frames_yield_hundred_acks(write: impl Fn(&mut TcpStream, &[u8])) {
+        let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 128)
+            .expect("bind");
+        let mut client = raw_client(&server);
+        let mut wire = frame(KIND_HELLO, key().as_str().as_bytes());
+        let mut want = Vec::new();
+        for i in 0..100u64 {
+            wire.extend(data(i as u32 % 3, i, &i.to_le_bytes()));
+            want.extend(frame(KIND_ACK, &shard_seq(i as u32 % 3, i)));
+        }
+        write(&mut client, &wire);
+        assert_eq!(read_acks(&mut client, 100), want);
+        let got = drain(&mut server.source(), 100);
+        for (i, m) in got.iter().enumerate() {
+            assert_eq!((m.shard.0, m.seq), (i as u32 % 3, i as u64));
+            assert_eq!(&m.payload[..], &(i as u64).to_le_bytes());
+        }
+        server.stop();
+    }
+
+    #[test]
+    fn a_burst_of_frames_is_acked_in_order() {
+        hundred_frames_yield_hundred_acks(|client, wire| client.write_all(wire).expect("write"));
+    }
+
+    #[test]
+    fn a_client_trickling_single_bytes_is_acked_in_order() {
+        hundred_frames_yield_hundred_acks(|client, wire| {
+            for b in wire {
+                client.write_all(&[*b]).expect("write");
+            }
+        });
+    }
+
+    #[test]
+    fn a_payload_bigger_than_the_read_buffer_arrives_intact() {
+        let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 16)
+            .expect("bind");
+        let mut client = raw_client(&server);
+        let big: Vec<u8> = (0..100 << 10).map(|i: u32| (i * 31 % 251) as u8).collect();
+        assert!(big.len() > READ_BUF);
+        let wire = [
+            frame(KIND_HELLO, key().as_str().as_bytes()),
+            data(0, 0, &big),
+            data(0, 1, b"after"),
+        ]
+        .concat();
+        client.write_all(&wire).expect("write");
+        let want = [
+            frame(KIND_ACK, &shard_seq(0, 0)),
+            frame(KIND_ACK, &shard_seq(0, 1)),
+        ]
+        .concat();
+        assert_eq!(read_acks(&mut client, 2), want);
+        let got = drain(&mut server.source(), 2);
+        assert!(got[0].payload[..] == big[..], "the big payload changed");
+        assert_eq!(&got[1].payload[..], b"after");
+        server.stop();
+    }
+
+    #[test]
+    fn no_ack_waits_behind_a_blocked_enqueue() {
+        // Queue of one and no consumer: record 0 is enqueued, record 1's
+        // enqueue blocks. Record 0's ACK must reach the client anyway.
+        let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 1)
+            .expect("bind");
+        let mut src = server.source();
+        let mut client = raw_client(&server);
+        let mut wire = frame(KIND_HELLO, key().as_str().as_bytes());
+        for seq in 0..3 {
+            wire.extend(data(0, seq, b"rec"));
+        }
+        client.write_all(&wire).expect("write");
+        assert_eq!(read_acks(&mut client, 1), frame(KIND_ACK, &shard_seq(0, 0)));
+        server.stop();
+        // Stopping refused record 1, so it is never acked: the connection
+        // closes with no further byte.
+        let mut rest = [0u8; 1];
+        match client.read(&mut rest) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("expected the connection closed, got {other:?}"),
+        }
+        let got = drain(&mut src, 1);
+        assert_eq!(got[0].seq, 0);
+        assert_eq!(src.next_batch(&mut Vec::new(), 8).expect("pop"), 0);
+    }
+
+    #[test]
+    fn stop_on_an_idle_server_returns_and_closes_the_port() {
+        let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 16)
+            .expect("bind");
+        let addr = server.addr();
+        let (done, stopped) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.stop();
+            done.send(()).expect("report");
+        });
+        stopped
+            .recv_timeout(Duration::from_secs(10))
+            .expect("stop() did not return");
+        assert!(TcpStream::connect(addr).is_err(), "the port still accepts");
     }
 
     #[test]
