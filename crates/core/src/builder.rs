@@ -16,7 +16,7 @@
 
 use fastflow::node::{self, Node};
 use fastflow::pipeline::{Pipeline, PipelineBuilder};
-use fastflow::{Emitter, SchedPolicy, WaitStrategy};
+use fastflow::{Emitter, PipeConfig, SchedPolicy, WaitStrategy};
 use telemetry::Recorder;
 
 /// Configuration of a stream region (SPar's `ToStream` scope).
@@ -36,7 +36,7 @@ pub struct SparConfig {
 impl Default for SparConfig {
     fn default() -> Self {
         SparConfig {
-            queue_capacity: 64,
+            queue_capacity: PipeConfig::default().capacity,
             wait: WaitStrategy::default(),
             ordered: true,
             policy: SchedPolicy::default(),
@@ -53,7 +53,7 @@ pub struct ToStream {
 
 impl ToStream {
     /// Open a stream region with default configuration (ordered, blocking
-    /// queues of capacity 64).
+    /// queues of a pipeline's default depth).
     pub fn new() -> Self {
         Self::default()
     }

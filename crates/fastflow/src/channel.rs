@@ -185,6 +185,11 @@ impl<T: Send> Sender<T> {
         Ok(n)
     }
 
+    /// The capacity the channel was created with: the most items it holds.
+    pub fn capacity(&self) -> usize {
+        self.prod.capacity()
+    }
+
     /// Advisory free-slot count.
     pub fn free_slots(&self) -> usize {
         self.prod.free_slots()

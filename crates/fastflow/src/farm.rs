@@ -16,7 +16,7 @@ use telemetry::{Recorder, StageHandle};
 
 use crate::channel::{channel_with_recv_signal, channel_with_send_signal, Receiver, Sender};
 use crate::node::{Emitter, Node};
-use crate::pipeline::{send_batch_accounted, traced_recv_batch};
+use crate::pipeline::{send_batch_accounted, traced_recv_batch, PipeConfig};
 use crate::stamp::Stamped;
 use crate::wait::{Signal, WaitStrategy};
 
@@ -49,13 +49,16 @@ pub struct FarmConfig {
 }
 
 impl Default for FarmConfig {
+    /// A pipeline's queue shape ([`PipeConfig::default`]), unordered,
+    /// round-robin.
     fn default() -> Self {
+        let pipe = PipeConfig::default();
         FarmConfig {
-            capacity: 64,
-            wait: WaitStrategy::default(),
+            capacity: pipe.capacity,
+            wait: pipe.wait,
             policy: SchedPolicy::default(),
             ordered: false,
-            burst: 32,
+            burst: pipe.burst,
         }
     }
 }

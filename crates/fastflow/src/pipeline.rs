@@ -130,7 +130,10 @@ pub(crate) fn traced_recv_batch<T: Send>(
 /// Queue configuration shared by all stages of one pipeline.
 #[derive(Clone, Copy, Debug)]
 pub struct PipeConfig {
-    /// Capacity of every inter-stage queue.
+    /// Capacity of every inter-stage queue. The default is the one ring
+    /// depth of this crate ([`FarmConfig`] and SPar's `ToStream` read it):
+    /// deep enough that a stage runs many bursts ahead of its neighbour
+    /// instead of trading the core with it every few bursts.
     pub capacity: usize,
     /// Wait strategy of every inter-stage queue.
     pub wait: WaitStrategy,
@@ -144,7 +147,7 @@ pub struct PipeConfig {
 impl Default for PipeConfig {
     fn default() -> Self {
         PipeConfig {
-            capacity: 64,
+            capacity: 512,
             wait: WaitStrategy::default(),
             burst: 32,
         }

@@ -164,6 +164,11 @@ impl<T> Producer<T> {
         written
     }
 
+    /// Room of the ring: the most items it ever holds.
+    pub fn capacity(&self) -> usize {
+        self.ring.cap
+    }
+
     /// Number of free slots as last observed (may race; advisory only).
     pub fn free_slots(&self) -> usize {
         let head = self.ring.head.0.load(Ordering::Acquire);

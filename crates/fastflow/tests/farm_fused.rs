@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fastflow::{node, Emitter, Node, Pipeline, SchedPolicy, WaitStrategy};
+use fastflow::{node, Emitter, Node, PipeConfig, Pipeline, SchedPolicy, WaitStrategy};
 
 const STRATEGIES: [WaitStrategy; 3] =
     [WaitStrategy::Block, WaitStrategy::Yield, WaitStrategy::Spin];
@@ -59,12 +59,19 @@ impl Node for Counting {
 
 #[test]
 fn every_arity_matches_the_sequential_model_at_every_queue_shape() {
-    const N: u64 = 2_000;
-    for arity in [Arity::Filter, Arity::Map, Arity::Triple] {
-        let model: Vec<u64> = (0..N).flat_map(|x| outputs(arity, x)).collect();
-        for ordered in [true, false] {
-            for wait in STRATEGIES {
-                for capacity in [1, 2, 64] {
+    let shipped = PipeConfig::default().capacity;
+    for capacity in [1, 2, 64, shipped] {
+        // At the shipped depth the stream is long enough for every worker's
+        // input ring to wrap four times.
+        let n = if capacity == shipped {
+            (4 * REPLICAS * shipped) as u64
+        } else {
+            2_000
+        };
+        for arity in [Arity::Filter, Arity::Map, Arity::Triple] {
+            let model: Vec<u64> = (0..n).flat_map(|x| outputs(arity, x)).collect();
+            for ordered in [true, false] {
+                for wait in STRATEGIES {
                     for burst in [1, 32] {
                         let what = format!(
                             "{arity:?} ordered={ordered} {wait:?} capacity={capacity} burst={burst}"
@@ -73,7 +80,7 @@ fn every_arity_matches_the_sequential_model_at_every_queue_shape() {
                             .wait(wait)
                             .capacity(capacity)
                             .burst(burst)
-                            .from_iter(0..N)
+                            .from_iter(0..n)
                             .farm_with(
                                 REPLICAS,
                                 |_| Counting { arity, seen: 0 },
@@ -85,7 +92,7 @@ fn every_arity_matches_the_sequential_model_at_every_queue_shape() {
                         // together account for every input.
                         let (stream, finals) = got.split_at(got.len() - REPLICAS);
                         assert!(finals.iter().all(|&f| f >= FINAL), "{what}: {finals:?}");
-                        assert_eq!(finals.iter().map(|f| f - FINAL).sum::<u64>(), N, "{what}");
+                        assert_eq!(finals.iter().map(|f| f - FINAL).sum::<u64>(), n, "{what}");
                         if ordered {
                             assert_eq!(stream, model, "{what}");
                         } else {
@@ -127,6 +134,36 @@ fn on_demand_with_skewed_work_completes_in_order_at_capacity_one() {
             )
             .collect();
         assert_eq!(got, (0..N).map(|x| x + 7).collect::<Vec<u64>>(), "{wait:?}");
+    }
+}
+
+/// At the shipped depth, an ordered round-robin farm whose worker 0 takes
+/// 50× longer per item than worker 1: worker 1 runs a full ring ahead, its
+/// output ring fills while the merge waits on worker 0, and the merge must
+/// still hand everything on in order.
+#[test]
+fn ordered_merge_holds_while_the_fast_worker_fills_its_ring() {
+    let depth = PipeConfig::default().capacity;
+    let n = (4 * REPLICAS * depth) as u64;
+    let spin = |micros: u64| {
+        let t = std::time::Instant::now();
+        while t.elapsed() < std::time::Duration::from_micros(micros) {
+            std::hint::spin_loop();
+        }
+    };
+    for wait in STRATEGIES {
+        let got = Pipeline::builder()
+            .wait(wait)
+            .from_iter(0..n)
+            .farm_ordered(REPLICAS, |replica| {
+                let micros = if replica == 0 { 50 } else { 1 };
+                node::map(move |x: u64| {
+                    spin(micros);
+                    x + 7
+                })
+            })
+            .collect();
+        assert_eq!(got, (0..n).map(|x| x + 7).collect::<Vec<u64>>(), "{wait:?}");
     }
 }
 

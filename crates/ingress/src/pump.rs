@@ -3,7 +3,10 @@
 //!
 //! A pump thread loops `source.next_batch` → decode → `send_batch`,
 //! backing off when the source is dry and blocking on the channel when
-//! the pipeline is full (backpressure flows transport ← channel). Per
+//! the pipeline is full (backpressure flows transport ← channel). Each
+//! pull asks the source for as many records as the channel holds, so one
+//! hand-off can fill the ring. The back-off parks the thread and [`PumpHandle::stop`] unparks it, so a
+//! stop takes effect at once rather than after the idle period. Per
 //! shard it registers a [`Counters<Ingress>`](telemetry::Counters) block
 //! with the recorder (Prometheus families `hetstream_ingress_*`) and emits
 //! [`FlightKind::IngressBatch`] events whose `batch_id` carries the
@@ -28,10 +31,9 @@ use crate::{IngressError, Message, Source};
 /// Tuning for one pump thread.
 #[derive(Debug, Clone)]
 pub struct PumpConfig {
-    /// Most records pulled from the source per iteration.
-    pub max_batch: usize,
-    /// Sleep when the source has nothing (the transport's liveness is
-    /// its own; the pump only polls).
+    /// How long to park when the source has nothing (the transport's
+    /// liveness is its own; the pump only polls). A stop cuts the park
+    /// short.
     pub idle: Duration,
     /// Optional delta-scoped copy ledger entered for the pump thread's
     /// whole lifetime.
@@ -41,7 +43,6 @@ pub struct PumpConfig {
 impl Default for PumpConfig {
     fn default() -> Self {
         PumpConfig {
-            max_batch: 64,
             idle: Duration::from_millis(1),
             ledger: None,
         }
@@ -95,9 +96,13 @@ pub struct PumpHandle {
 }
 
 impl PumpHandle {
-    /// Ask the pump to stop after its current iteration.
+    /// Ask the pump to stop after its current iteration, waking it if it
+    /// is parked on a dry source.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
+        if let Some(t) = &self.thread {
+            t.thread().unpark();
+        }
     }
 
     /// Stop and join, returning how many records were pumped.
@@ -142,16 +147,17 @@ where
         .name("hetstream-ingress-pump".into())
         .spawn(move || {
             let _scope = cfg.ledger.as_ref().map(|l| l.enter());
-            let mut raw: Vec<Message> = Vec::with_capacity(cfg.max_batch);
+            let pull = tx.capacity();
+            let mut raw: Vec<Message> = Vec::with_capacity(pull);
             // One entry per shard seen, kept for the thread's life: its
             // counters (looked up once) and the current batch's tally.
             let mut shards: Vec<ShardTally> = Vec::new();
             let mut pumped = 0u64;
             while !stop2.load(Ordering::Relaxed) {
                 raw.clear();
-                let n = source.next_batch(&mut raw, cfg.max_batch.max(1))?;
+                let n = source.next_batch(&mut raw, pull)?;
                 if n == 0 {
-                    std::thread::sleep(cfg.idle);
+                    std::thread::park_timeout(cfg.idle);
                     continue;
                 }
                 // Account per shard before the buffers move on.
@@ -256,5 +262,55 @@ mod tests {
             "a drained stream exposes a lag series:\n{prom}"
         );
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A source that never has a record; it reports every poll.
+    struct Dry(StreamKey, std::sync::mpsc::Sender<()>);
+
+    impl Source for Dry {
+        fn stream_key(&self) -> &StreamKey {
+            &self.0
+        }
+        fn assigned_shards(&self) -> Vec<ShardId> {
+            vec![ShardId(0)]
+        }
+        fn next_batch(&mut self, _: &mut Vec<Message>, _: usize) -> Result<usize, IngressError> {
+            let _ = self.1.send(());
+            Ok(0)
+        }
+        fn seek(&mut self, _: ShardId, _: crate::SeqPos) -> Result<(), IngressError> {
+            Ok(())
+        }
+        fn commit(&mut self, _: ShardId, _: crate::SequenceNo) -> Result<(), IngressError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn stop_wakes_a_pump_idling_on_a_dry_source() {
+        let rec = Recorder::default();
+        let (polled, polls) = std::sync::mpsc::channel();
+        let (tx, _rx) = fastflow::channel::<()>(4, fastflow::WaitStrategy::Block);
+        let pump = spawn_pump(
+            Box::new(Dry(StreamKey::new("dry").expect("valid"), polled)),
+            tx,
+            |_| (),
+            PumpConfig {
+                idle: Duration::from_secs(10),
+                ..PumpConfig::default()
+            },
+            &rec,
+            IngressStats::new(&rec, "dry"),
+        );
+        // Stop only once the pump has found the source dry: it is parked
+        // for its idle period, or about to be.
+        polls.recv().expect("the pump polls its source");
+        let t = std::time::Instant::now();
+        assert_eq!(pump.join().expect("pump result"), 0);
+        assert!(
+            t.elapsed() < Duration::from_secs(1),
+            "join waited out the idle period: {:?}",
+            t.elapsed()
+        );
     }
 }

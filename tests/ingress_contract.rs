@@ -183,21 +183,18 @@ fn pump_backpressure_blocks_without_deadlock() {
     let key = StreamKey::new("contract.bp").expect("key");
     produce(&root, &key, 2, 64);
 
-    let rec = telemetry::Recorder::default();
+    let rec = telemetry::Recorder::enabled();
     let stats = IngressStats::new(&rec, "contract.bp");
     let src =
         FileLogSource::open_replay(&root, &key, fastflow::BufPool::new()).expect("open replay");
     // A 4-deep channel against 64 records: the pump must block on the
     // full channel (backpressure), not drop or deadlock.
-    let (tx, rx) = fastflow::channel::<u64>(4, fastflow::WaitStrategy::Block);
+    let (tx, rx) = fastflow::channel::<(u32, u64)>(4, fastflow::WaitStrategy::Block);
     let pump = spawn_pump(
         Box::new(src),
         tx,
-        |m| m.seq,
-        PumpConfig {
-            max_batch: 8,
-            ..PumpConfig::default()
-        },
+        |m| (m.shard.0, m.seq),
+        PumpConfig::default(),
         &rec,
         stats,
     );
@@ -213,6 +210,27 @@ fn pump_backpressure_blocks_without_deadlock() {
         got.append(&mut buf);
     }
     assert_eq!(pump.join().expect("pump result"), 64);
+    // Each pull is sized by the channel, so no batch outgrows its depth.
+    let pulls: Vec<u64> = rec
+        .flight_snapshot()
+        .iter()
+        .filter(|e| e.kind == telemetry::FlightKind::IngressBatch)
+        .map(|e| e.a)
+        .collect();
+    assert_eq!(pulls.iter().sum::<u64>(), 64, "pulls: {pulls:?}");
+    assert!(
+        pulls.iter().all(|&n| n <= 4),
+        "a pull outgrew the channel: {pulls:?}"
+    );
+    // Dense and in order per shard: 0, 1, …, 31 on each of the two.
+    for shard in 0..2 {
+        let seqs: Vec<u64> = got
+            .iter()
+            .filter(|(s, _)| *s == shard)
+            .map(|&(_, q)| q)
+            .collect();
+        assert_eq!(seqs, (0..32).collect::<Vec<u64>>(), "shard {shard}");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 
