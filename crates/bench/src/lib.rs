@@ -127,8 +127,8 @@ pub fn figures_dir() -> PathBuf {
 
 /// Print a telemetry report's merged CPU-stage / GPU-engine Gantt plus the
 /// per-stage and end-to-end latency percentile table, report any stalls
-/// the watchdog flagged, write the full report under
-/// `target/figures/<name>_telemetry.{json,csv}`, and export a
+/// the watchdog flagged, write the full report as
+/// `target/figures/<name>_telemetry.json`, and export a
 /// Perfetto-loadable Chrome trace as `target/figures/<name>.trace.json`.
 pub fn emit_telemetry(name: &str, report: &telemetry::TelemetryReport) {
     println!("\n== merged stage/engine activity ({name}) ==");
@@ -170,15 +170,8 @@ pub fn emit_telemetry(name: &str, report: &telemetry::TelemetryReport) {
     let dir = figures_dir();
     if std::fs::create_dir_all(&dir).is_ok() {
         let json_path = dir.join(format!("{name}_telemetry.json"));
-        let csv_path = dir.join(format!("{name}_telemetry.csv"));
-        let ok = std::fs::write(&json_path, report.to_json()).is_ok()
-            && std::fs::write(&csv_path, report.to_csv()).is_ok();
-        if ok {
-            println!(
-                "[telemetry written to {} and {}]",
-                json_path.display(),
-                csv_path.display()
-            );
+        if std::fs::write(&json_path, report.to_json()).is_ok() {
+            println!("[telemetry written to {}]", json_path.display());
         }
         let trace_path = dir.join(format!("{name}.trace.json"));
         if std::fs::write(&trace_path, report.to_chrome_trace()).is_ok() {

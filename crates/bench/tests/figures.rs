@@ -35,45 +35,44 @@ fn writes(tag: &str, exe: &str, args: &[&str], files: &[&str]) {
     let _ = std::fs::remove_dir_all(dir.parent().expect("target dir"));
 }
 
-/// The instrumented run's three outputs for figure `name`.
-fn telemetry(name: &str) -> [String; 3] {
+/// The instrumented run's two outputs for figure `name`.
+fn telemetry(name: &str) -> [String; 2] {
     [
         format!("{name}_telemetry.json"),
-        format!("{name}_telemetry.csv"),
         format!("{name}.trace.json"),
     ]
 }
 
 #[test]
 fn fig1_writes_its_table_and_telemetry() {
-    let [json, csv, trace] = telemetry("fig1");
+    let [json, trace] = telemetry("fig1");
     let args = ["--dim", "64", "--niter", "100"];
-    let files = ["fig1.csv", &json, &csv, &trace];
+    let files = ["fig1.csv", &json, &trace];
     writes("fig1", env!("CARGO_BIN_EXE_fig1"), &args, &files);
 }
 
 #[test]
 fn fig4_writes_its_table_and_both_telemetry_runs() {
-    let [json, csv, trace] = telemetry("fig4");
-    let [tbb_json, _, tbb_trace] = telemetry("fig4_tbb");
+    let [json, trace] = telemetry("fig4");
+    let [tbb_json, tbb_trace] = telemetry("fig4_tbb");
     let args = ["--dim", "64", "--niter", "100"];
-    let files = ["fig4.csv", &json, &csv, &trace, &tbb_json, &tbb_trace];
+    let files = ["fig4.csv", &json, &trace, &tbb_json, &tbb_trace];
     writes("fig4", env!("CARGO_BIN_EXE_fig4"), &args, &files);
 }
 
 #[test]
 fn fig5_writes_its_table_and_telemetry() {
-    let [json, csv, trace] = telemetry("fig5");
+    let [json, trace] = telemetry("fig5");
     let args = ["--mb", "0.05", "--batch-kb", "16"];
-    let files = ["fig5.csv", &json, &csv, &trace];
+    let files = ["fig5.csv", &json, &trace];
     writes("fig5", env!("CARGO_BIN_EXE_fig5"), &args, &files);
 }
 
 #[test]
 fn hashsearch_writes_its_tables_and_telemetry() {
-    let [json, csv, trace] = telemetry("hashsearch");
+    let [json, trace] = telemetry("hashsearch");
     let args = ["--nonces", "2048", "--range", "256"];
-    let files = ["hashsearch.csv", "hashsearch_topk.csv", &json, &csv, &trace];
+    let files = ["hashsearch.csv", "hashsearch_topk.csv", &json, &trace];
     writes(
         "hashsearch",
         env!("CARGO_BIN_EXE_hashsearch"),

@@ -67,7 +67,7 @@ impl ToStream {
     }
 
     /// Attach a telemetry recorder: the generated runtime registers a
-    /// [`telemetry::StageMetrics`] per stage and farm replica (named
+    /// [`telemetry::Stage`] counter block per stage and farm replica (named
     /// `source`, `stage1`, `stage2`, ..., `sink`). A disabled recorder (the
     /// default) makes every probe a no-op branch — the annotated region is
     /// unchanged.

@@ -195,7 +195,7 @@ impl PipelineStart {
     }
 
     /// Attach a telemetry recorder: every stage and farm replica of this
-    /// pipeline registers a [`telemetry::StageMetrics`] under it. A
+    /// pipeline registers a [`telemetry::Stage`] counter block under it. A
     /// disabled recorder (the default) makes every probe a no-op branch.
     pub fn recorder(mut self, rec: Recorder) -> Self {
         self.0.rec = rec;

@@ -208,7 +208,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     }
 
     /// Attach a telemetry recorder: the source and every filter register a
-    /// [`telemetry::StageMetrics`] when the pipeline is built. A disabled
+    /// [`telemetry::Stage`] counter block when the pipeline is built. A disabled
     /// recorder (the default) makes every probe a no-op branch.
     pub fn recorder(mut self, rec: Recorder) -> Self {
         self.rec = rec;

@@ -1,17 +1,19 @@
 //! The counter registry: one cell-block type, one descriptor per family,
 //! and the three renderers that walk them.
 //!
-//! Pools, schedulers, ingress shards and the copy ledger all count the
-//! same way — a handful of `u64` cells bumped with one relaxed atomic op
-//! on the owner's hot path and read only at report or scrape time. A
+//! Stage replicas, pools, schedulers, ingress shards and the copy ledger
+//! all count the same way — a handful of `u64` cells bumped with one
+//! relaxed atomic op on the owner's hot path and read only at report or
+//! scrape time. A
 //! [`Counters<F>`] is that handful, inline; the family `F` names a
 //! [`Descriptor`] saying what each cell is called in the JSON report, in
 //! `/metrics` and in `/health`, and which derived values (`hit_rate`,
 //! …) are computed from the cells when read.
-//! [`Recorder::register`](crate::Recorder::register) files a block under
-//! its label values, and the report, the Prometheus exposition and the
-//! health snapshot each render the same [`CounterRow`]s — so a cell added
-//! to a family shows up in all three without touching a renderer.
+//! [`Recorder::register`](crate::Recorder::register) (or, for a stage
+//! replica, [`Recorder::stage`](crate::Recorder::stage)) files a block
+//! under its label values, and the report, the Prometheus exposition and
+//! the health snapshot each render the same [`CounterRow`]s — so a cell
+//! added to a family shows up in all three without touching a renderer.
 //!
 //! Adding a cell is one line in its `family!` table (plus whatever bumps
 //! it); adding a family is one table, one entry in `FAMILIES` and a
@@ -24,7 +26,8 @@ use std::sync::{Mutex, PoisonError};
 use crate::export::{esc_label, family as family_header};
 use crate::{esc, json_lines, FlightHandle, FlightKind, NO_BATCH};
 
-/// Cells in one block (eight words: the largest family stores five).
+/// Cells in one block (eight words: the largest family, `Stage`, stores
+/// seven).
 pub const MAX_CELLS: usize = 8;
 
 /// One named value of a family: a stored cell, or a value derived from
@@ -75,11 +78,12 @@ pub trait Family: 'static {
 /// Every family, in the order the outputs list them. Fixed rather than
 /// collected from registrations so a family's `# TYPE` lines and JSON
 /// members exist before its first block registers.
-static FAMILIES: [&Descriptor; 4] = [
+static FAMILIES: [&Descriptor; 5] = [
     Pool::DESC,
     crate::copy::HostCopy::DESC,
     Sched::DESC,
     Ingress::DESC,
+    crate::Stage::DESC,
 ];
 
 /// Declare a counter family from one table: the marker type, the stats
@@ -431,7 +435,7 @@ impl CounterRow {
         })
     }
 
-    fn json_object(&self, keys: &[&str]) -> String {
+    pub(crate) fn json_object(&self, keys: &[&str]) -> String {
         let labels = keys.iter().zip(&self.labels);
         let labels = labels.map(|(k, v)| format!("\"{k}\": \"{}\"", esc(v)));
         let fields = self.fields().map(|(f, v)| format!("\"{}\": {v}", f.key));
@@ -544,11 +548,55 @@ mod tests {
         shard.add_records(3, 30);
         shard.delivered_to(9);
         rec.register(&["i.one", "7"], &shard);
+        let stage = rec.stage("st.one", 3);
+        stage.item_in(5);
+        stage.item_in(4);
+        stage.items_out(2);
+        stage.end(stage.begin());
+        stage.push_stall();
+        stage.pop_wait();
+        stage.pop_wait();
 
         let (report, health) = (rec.report().to_json(), rec.health().to_json());
-        for doc in [&report, &rec.prometheus(), &health] {
-            for label in ["\"p.one\"", "\"s.one\"", "\"i.one\"", "\"7\"", "copy"] {
+        let metrics = rec.prometheus();
+        for doc in [&report, &metrics, &health] {
+            for label in [
+                "\"p.one\"",
+                "\"s.one\"",
+                "\"i.one\"",
+                "\"7\"",
+                "copy",
+                "\"st.one\"",
+            ] {
                 assert!(doc.contains(label), "{label} missing from:\n{doc}");
+            }
+        }
+        // Each stage cell under its key in both documents and under its
+        // metric in `/metrics`; service time is wall clock, so only its key.
+        fn stage_row<'a>(doc: &'a str, label: &str) -> &'a str {
+            let row = &doc[doc
+                .find(&format!("{{\"{label}\": \"st.one\""))
+                .expect("a row")..];
+            &row[..row.find('}').expect("the row closes")]
+        }
+        let cells = [
+            ("items_in", "items_in_total", "2"),
+            ("items_out", "items_out_total", "2"),
+            ("service_ns", "service_ns_total", ""),
+            ("push_stalls", "push_stalls_total", "1"),
+            ("pop_waits", "pop_waits_total", "2"),
+            ("queue_depth", "queue_depth", "4"),
+            ("queue_hwm", "queue_hwm", "5"),
+        ];
+        for (key, metric, value) in cells {
+            let series =
+                format!("hetstream_stage_{metric}{{stage=\"st.one\",replica=\"3\"}} {value}");
+            assert!(metrics.contains(&series), "{series} missing");
+            for row in [stage_row(&report, "name"), stage_row(&health, "stage")] {
+                assert!(
+                    row.contains(&format!("\"{key}\": {value}")),
+                    "{key} in {row}"
+                );
             }
         }
         // Each bump landed in the cell its key names, in both documents;

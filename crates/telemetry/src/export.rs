@@ -2,10 +2,10 @@
 //! dependency-free TCP endpoint.
 //!
 //! The render path reads the same wait-free atomics the runtimes bump on
-//! their hot paths ([`StageMetrics`](crate::StageMetrics) counters,
-//! registered [`Counters`](crate::Counters) blocks, the latency histograms),
-//! so scraping adds zero cost to the stream itself: a scrape is a walk
-//! over relaxed loads plus string formatting on the scraper's thread.
+//! their hot paths (the registered [`Counters`](crate::Counters) blocks,
+//! stage replicas' included, and the latency histograms), so scraping
+//! adds zero cost to the stream itself: a scrape is a walk over relaxed
+//! loads plus string formatting on the scraper's thread.
 //!
 //! The endpoint speaks just enough HTTP/1.1 for `curl`, Prometheus and a
 //! bash `/dev/tcp` scrape: it answers `GET /metrics` with the text
@@ -80,65 +80,6 @@ pub(crate) fn render_prometheus(inner: &Inner) -> String {
         inner.epoch.elapsed().as_secs_f64()
     ));
 
-    // Per-replica stage counters and gauges.
-    type StageGet = fn(&crate::StageMetrics) -> u64;
-    let stages = inner.stages.lock().unwrap().clone();
-    let stage_families: [(&str, &str, &str, StageGet); 7] = [
-        (
-            "hetstream_stage_items_in_total",
-            "counter",
-            "Items popped from the stage input queue.",
-            |m| m.items_in_now(),
-        ),
-        (
-            "hetstream_stage_items_out_total",
-            "counter",
-            "Items pushed downstream by the stage.",
-            |m| m.items_out_now(),
-        ),
-        (
-            "hetstream_stage_service_ns_total",
-            "counter",
-            "Accumulated busy (service) time, wall ns.",
-            |m| m.service_ns_now(),
-        ),
-        (
-            "hetstream_stage_push_stalls_total",
-            "counter",
-            "Blocked-on-full-output-queue occurrences.",
-            |m| m.push_stalls_now(),
-        ),
-        (
-            "hetstream_stage_pop_waits_total",
-            "counter",
-            "Blocked-on-empty-input-queue occurrences.",
-            |m| m.pop_waits_now(),
-        ),
-        (
-            "hetstream_stage_queue_depth",
-            "gauge",
-            "Input-queue depth the replica last observed.",
-            |m| m.queue_depth_now(),
-        ),
-        (
-            "hetstream_stage_queue_hwm",
-            "gauge",
-            "Input queue-depth high-water mark.",
-            |m| m.queue_hwm_now(),
-        ),
-    ];
-    for (name, kind, help, get) in stage_families {
-        family(&mut out, name, kind, help);
-        for m in &stages {
-            out.push_str(&format!(
-                "{name}{{stage=\"{}\",replica=\"{}\"}} {}\n",
-                esc_label(m.name()),
-                m.replica(),
-                get(m)
-            ));
-        }
-    }
-
     // Service latency quantiles, replicas merged per stage name at the
     // bucket level (percentiles over percentiles would be wrong).
     family(
@@ -204,8 +145,9 @@ pub(crate) fn render_prometheus(inner: &Inner) -> String {
         inner.stalls.lock().unwrap().len()
     ));
 
-    // Pools, the copy ledger, schedulers and ingress shards: whatever is
-    // registered, as its family's descriptor names it.
+    // Pools, the copy ledger, schedulers, ingress shards and stage
+    // replicas: whatever is registered, as its family's descriptor names
+    // it.
     counters::render_prometheus(&mut out, &inner.counter_rows());
 
     // GPU engine busy time (modeled ns), one series per device × engine,
@@ -585,6 +527,21 @@ mod tests {
         assert_eq!(text.matches("hetstream_pool_hits_total{").count(), 1);
         assert!(text.contains("hetstream_pool_hits_total{pool=\"test.pool\"} 0"));
         assert!(text.contains("hetstream_pool_misses_total{pool=\"test.pool\"} 1"));
+    }
+
+    #[test]
+    fn a_stage_asked_for_twice_is_one_series() {
+        // Two pipelines with the same stage names on one recorder: one
+        // block per (stage, replica), so one series whose counts add up.
+        let rec = Recorder::enabled();
+        let (first, second) = (rec.stage("work", 0), rec.stage("work", 0));
+        first.item_in(0);
+        second.item_in(0);
+        second.item_in(0);
+        let text = rec.prometheus();
+        assert_eq!(text.matches("hetstream_stage_items_in_total{").count(), 1);
+        let series = "hetstream_stage_items_in_total{stage=\"work\",replica=\"0\"} 3";
+        assert!(text.contains(series), "{text}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! queues grow and faults spike, widen it when the plane is green. The
 //! JSON rendering is what the live endpoint's `/health` route serves.
 
-use crate::{counters, esc, CounterRow, FaultKind, Inner};
+use crate::{counters, esc, stage_rows, CounterRow, FaultKind, Inner};
 
 /// Traffic-light summary of the whole plane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,27 +34,6 @@ impl HealthStatus {
     }
 }
 
-/// Health of one stage (replicas aggregated).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageHealth {
-    /// Stage name.
-    pub stage: String,
-    /// Registered replica count.
-    pub replicas: usize,
-    /// Total items consumed across replicas.
-    pub items_in: u64,
-    /// Total items produced across replicas.
-    pub items_out: u64,
-    /// Sum of the replicas' last-observed input-queue depths.
-    pub queue_depth: u64,
-    /// 99th-percentile service latency, replicas merged at bucket level.
-    pub p99_service_ns: u64,
-    /// Blocked-on-full-output occurrences across replicas.
-    pub push_stalls: u64,
-    /// Blocked-on-empty-input occurrences across replicas.
-    pub pop_waits: u64,
-}
-
 /// Point-in-time health of the whole run — everything an admission
 /// controller needs, computed from wait-free atomics in one pass. The
 /// default is what a disabled recorder reports: an empty, green plane.
@@ -64,8 +43,9 @@ pub struct HealthSnapshot {
     pub t_ns: u64,
     /// Rolled-up traffic light (see [`HealthStatus`]).
     pub status: HealthStatus,
-    /// Per-stage aggregates.
-    pub stages: Vec<StageHealth>,
+    /// 99th-percentile service latency per stage name, replicas merged
+    /// at the bucket level.
+    pub stage_p99_ns: Vec<(String, u64)>,
     /// End-to-end p99 latency, ns (0 before any item completes).
     pub e2e_p99_ns: u64,
     /// Observed fault causes (OOM, kernel fault, stage error).
@@ -83,7 +63,8 @@ pub struct HealthSnapshot {
     /// Stall episodes the watchdog has reported so far.
     pub stalls: u64,
     /// Every counter block (pools, the process-wide copy ledger,
-    /// schedulers, ingress shards) — see [`crate::counters`].
+    /// schedulers, ingress shards, stage replicas) — see
+    /// [`crate::counters`].
     pub counters: Vec<CounterRow>,
     /// Events emitted into the flight ring so far.
     pub flight_events: u64,
@@ -92,7 +73,9 @@ pub struct HealthSnapshot {
 impl HealthSnapshot {
     /// One-line rendering for logs.
     pub fn describe(&self) -> String {
-        let depth: u64 = self.stages.iter().map(|s| s.queue_depth).sum();
+        let depth: u64 = stage_rows(&self.counters)
+            .map(|(_, _, s)| s.queue_depth)
+            .sum();
         // The derived values of process-wide families (no labels) fit on
         // the line: what the copy ledger adds up to.
         let singles = self.counters.iter().filter(|r| r.labels.is_empty());
@@ -107,7 +90,7 @@ impl HealthSnapshot {
              fallbacks={} stalls={}{singles})",
             self.status.label(),
             self.t_ns,
-            self.stages.len(),
+            self.stage_p99_ns.len(),
             depth,
             self.fault_causes,
             self.retries,
@@ -123,24 +106,9 @@ impl HealthSnapshot {
         out.push_str("  \"schema\": \"hetstream.health.v1\",\n");
         out.push_str(&format!("  \"t_ns\": {},\n", self.t_ns));
         out.push_str(&format!("  \"status\": \"{}\",\n", self.status.label()));
-        out.push_str("  \"stages\": [\n");
-        for (i, s) in self.stages.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"stage\": \"{}\", \"replicas\": {}, \"items_in\": {}, \
-                 \"items_out\": {}, \"queue_depth\": {}, \"p99_service_ns\": {}, \
-                 \"push_stalls\": {}, \"pop_waits\": {}}}{}\n",
-                esc(&s.stage),
-                s.replicas,
-                s.items_in,
-                s.items_out,
-                s.queue_depth,
-                s.p99_service_ns,
-                s.push_stalls,
-                s.pop_waits,
-                if i + 1 < self.stages.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
+        let p99 = self.stage_p99_ns.iter();
+        let p99: Vec<String> = p99.map(|(s, ns)| format!("\"{}\": {ns}", esc(s))).collect();
+        out.push_str(&format!("  \"stage_p99_ns\": {{{}}},\n", p99.join(", ")));
         out.push_str(&format!("  \"e2e_p99_ns\": {},\n", self.e2e_p99_ns));
         out.push_str(&format!(
             "  \"faults\": {{\"causes\": {}, \"retries\": {}, \"cpu_fallbacks\": {}, \
@@ -167,32 +135,8 @@ impl HealthSnapshot {
 pub(crate) fn snapshot(inner: &Inner) -> HealthSnapshot {
     let t_ns = inner.epoch.elapsed().as_nanos() as u64;
     let uptime_s = (t_ns as f64 / 1e9).max(1e-9);
-    let metrics = inner.stages.lock().unwrap().clone();
-    let stages: Vec<StageHealth> = inner
-        .stage_latency()
-        .into_iter()
-        .map(|(stage, latency)| {
-            let mut s = StageHealth {
-                stage,
-                replicas: 0,
-                items_in: 0,
-                items_out: 0,
-                queue_depth: 0,
-                p99_service_ns: latency.p99_ns,
-                push_stalls: 0,
-                pop_waits: 0,
-            };
-            for m in metrics.iter().filter(|m| m.name() == s.stage) {
-                s.replicas += 1;
-                s.items_in += m.items_in_now();
-                s.items_out += m.items_out_now();
-                s.queue_depth += m.queue_depth_now();
-                s.push_stalls += m.push_stalls_now();
-                s.pop_waits += m.pop_waits_now();
-            }
-            s
-        })
-        .collect();
+    let stage_latency = inner.stage_latency().into_iter();
+    let stage_p99_ns = stage_latency.map(|(stage, l)| (stage, l.p99_ns)).collect();
     let (mut causes, mut retries, mut fallbacks) = (0u64, 0u64, 0u64);
     for e in inner.faults.lock().unwrap().iter() {
         match e.kind {
@@ -212,7 +156,7 @@ pub(crate) fn snapshot(inner: &Inner) -> HealthSnapshot {
     HealthSnapshot {
         t_ns,
         status,
-        stages,
+        stage_p99_ns,
         e2e_p99_ns: inner.e2e.snapshot().p99_ns,
         fault_causes: causes,
         retries,
@@ -240,10 +184,12 @@ mod tests {
         h.items_out(1);
         let snap = rec.health();
         assert_eq!(snap.status, HealthStatus::Ok);
-        assert_eq!(snap.stages.len(), 1);
-        assert_eq!(snap.stages[0].items_in, 1);
-        assert_eq!(snap.stages[0].queue_depth, 2);
-        assert!(snap.stages[0].p99_service_ns > 0 || snap.stages[0].items_in > 0);
+        let stages: Vec<_> = stage_rows(&snap.counters).collect();
+        assert_eq!((stages.len(), snap.stage_p99_ns.len()), (1, 1));
+        let (_, _, s) = stages[0];
+        assert_eq!(s.items_in, 1);
+        assert_eq!(s.queue_depth, 2);
+        assert!(snap.stage_p99_ns[0].1 > 0 || s.items_in > 0);
         let json = snap.to_json();
         assert!(json.contains("\"status\": \"ok\""));
         assert!(json.contains("hetstream.health.v1"));
@@ -275,10 +221,21 @@ mod tests {
         b.item_in(4);
         b.items_out(2);
         let snap = rec.health();
-        assert_eq!(snap.stages.len(), 1);
-        let s = &snap.stages[0];
-        assert_eq!((s.replicas, s.items_in, s.items_out), (2, 2, 3));
-        assert_eq!(s.queue_depth, 5);
+        // One p99 per stage; one row per replica, summed by the reader.
+        assert_eq!(snap.stage_p99_ns.len(), 1);
+        let farm = stage_rows(&snap.counters).filter(|(name, _, _)| *name == "farm");
+        let (replicas, items_in, items_out, queue_depth) =
+            farm.fold((0, 0, 0, 0), |a, (_, _, s)| {
+                (
+                    a.0 + 1,
+                    a.1 + s.items_in,
+                    a.2 + s.items_out,
+                    a.3 + s.queue_depth,
+                )
+            });
+        assert_eq!((replicas, items_in, items_out), (2, 2, 3));
+        assert_eq!(queue_depth, 5);
+        assert!(snap.describe().contains("stages=1 queued=5"));
     }
 
     #[test]

@@ -93,6 +93,12 @@ impl LatencyHisto {
         self.max.fetch_max(ns, Ordering::Relaxed);
     }
 
+    /// Samples recorded so far.
+    #[inline]
+    pub(crate) fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
     /// Consistent-enough copy of the counters for quantile computation.
     pub(crate) fn counts(&self) -> HistoCounts {
         let mut c = HistoCounts::new();

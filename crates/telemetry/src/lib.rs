@@ -5,10 +5,11 @@
 //! activity graph). This crate is the substrate that lets every runtime
 //! show its work the way `gpusim::trace` already does for the devices:
 //!
-//! * [`StageMetrics`] — cheap atomic counters per stage replica: items
-//!   in/out, accumulated service time, push-stall and pop-wait counts, the
-//!   queue-depth high-water mark, and a wait-free service-latency
-//!   histogram ([`LatencyHisto`]).
+//! * [`StageHandle`] — what a stage replica bumps: one [`Stage`] counter
+//!   block (items in/out, accumulated service time, push-stall and
+//!   pop-wait counts, the last and the highest observed queue depth), a
+//!   wait-free service-latency histogram ([`LatencyHisto`]) and the
+//!   coalesced busy spans of the Gantt.
 //! * [`Recorder`] — a cloneable handle the runtimes thread through their
 //!   builders. Disabled by default (`Recorder::default()`); when enabled
 //!   it collects CPU stage spans, GPU engine spans, end-to-end item
@@ -17,8 +18,8 @@
 //!   items/s + queue depths per tick, and flagging stages that stop making
 //!   progress while work is queued (a deadlock/livelock detector for the
 //!   pipeline and farm topologies).
-//! * [`TelemetryReport`] — a snapshot that renders as JSON, CSV, a merged
-//!   text Gantt, a latency table, or a Chrome trace-event document
+//! * [`TelemetryReport`] — a snapshot that renders as JSON, a merged text
+//!   Gantt, a latency table, or a Chrome trace-event document
 //!   ([`TelemetryReport::to_chrome_trace`]) loadable in `ui.perfetto.dev`.
 //!
 //! Zero-cost discipline: every instrumentation call first branches on an
@@ -52,6 +53,8 @@ mod health;
 mod histo;
 mod monitor;
 
+use counters::Family;
+
 pub use copy::CopyStats;
 pub use counters::{
     CounterRow, Counters, Ingress, IngressTotals, Pool, PoolStats, Sched, SchedTotals,
@@ -60,7 +63,7 @@ pub use export::MetricsServer;
 pub use flight::{
     FlightEvent, FlightHandle, FlightKind, FlightRing, DEFAULT_FLIGHT_CAPACITY, NO_BATCH,
 };
-pub use health::{HealthSnapshot, HealthStatus, StageHealth};
+pub use health::{HealthSnapshot, HealthStatus};
 pub use histo::{LatencyHisto, LatencySnapshot};
 pub use monitor::{ThroughputWindow, Watchdog};
 
@@ -108,25 +111,58 @@ const FLOW_SAMPLES: usize = 512;
 /// appending (bounds memory on very long runs).
 const MAX_WINDOW_SAMPLES: usize = 4096;
 
-/// Counters for one stage replica.
+counters::family! {
+    /// Stage replicas: one block per `(stage, replica)`, filed by
+    /// [`Recorder::stage`] and bumped through its [`StageHandle`].
+    Stage => StageTotals, "stages", ["stage", "replica"], report ["name", "replica"];
+    cells {
+        /// Items popped from the stage input queue.
+        items_in: counter "hetstream_stage_items_in_total",
+        /// Items pushed downstream by the stage.
+        items_out: counter "hetstream_stage_items_out_total",
+        /// Accumulated busy (service) time, wall ns.
+        service_ns: counter "hetstream_stage_service_ns_total",
+        /// Blocked-on-full-output-queue occurrences.
+        push_stalls: counter "hetstream_stage_push_stalls_total",
+        /// Blocked-on-empty-input-queue occurrences.
+        pop_waits: counter "hetstream_stage_pop_waits_total",
+        /// Input-queue depth the replica last observed.
+        queue_depth: gauge "hetstream_stage_queue_depth",
+        /// Input queue-depth high-water mark.
+        queue_hwm: gauge "hetstream_stage_queue_hwm",
+    }
+    derived {}
+}
+
+/// The stage replicas among `rows` as `(stage, replica, cells)`, in
+/// registration order — what every per-stage reader sums or walks.
+pub(crate) fn stage_rows(rows: &[CounterRow]) -> impl Iterator<Item = (&str, &str, StageTotals)> {
+    let rows = rows.iter().filter(|r| r.family == Stage::DESC.key);
+    rows.map(|r| (&*r.labels[0], &*r.labels[1], StageTotals::from(r.values)))
+}
+
+/// One stage replica: its counter block, service-latency histogram (whose
+/// count numbers the invocations), flight handle and busy spans.
 #[derive(Debug)]
-pub struct StageMetrics {
+struct StageMetrics {
     name: String,
     replica: usize,
     epoch: Instant,
-    items_in: AtomicU64,
-    items_out: AtomicU64,
-    service_ns: AtomicU64,
-    push_stalls: AtomicU64,
-    pop_waits: AtomicU64,
-    queue_hwm: AtomicU64,
-    queue_last: AtomicU64,
-    first_ns: AtomicU64,
-    last_ns: AtomicU64,
-    invocations: AtomicU64,
+    cells: Counters<Stage>,
     latency: LatencyHisto,
     flight: FlightHandle,
     spans: Mutex<Vec<(u64, u64)>>,
+}
+
+impl counters::Block for StageMetrics {
+    fn desc(&self) -> &'static counters::Descriptor {
+        Stage::DESC
+    }
+    fn load(&self) -> [u64; counters::MAX_CELLS] {
+        counters::Block::load(&self.cells)
+    }
+    // A replica's events go out through its own `flight` handle.
+    fn arm(&self, _: FlightHandle) {}
 }
 
 impl StageMetrics {
@@ -135,16 +171,7 @@ impl StageMetrics {
             name,
             replica,
             epoch,
-            items_in: AtomicU64::new(0),
-            items_out: AtomicU64::new(0),
-            service_ns: AtomicU64::new(0),
-            push_stalls: AtomicU64::new(0),
-            pop_waits: AtomicU64::new(0),
-            queue_hwm: AtomicU64::new(0),
-            queue_last: AtomicU64::new(0),
-            first_ns: AtomicU64::new(u64::MAX),
-            last_ns: AtomicU64::new(0),
-            invocations: AtomicU64::new(0),
+            cells: Counters::new(),
             latency: LatencyHisto::new(),
             flight,
             spans: Mutex::new(Vec::new()),
@@ -167,51 +194,10 @@ impl StageMetrics {
         spans.push((start, end));
     }
 
-    // Live accessors for the background monitors (never on the hot path).
-    pub(crate) fn name(&self) -> &str {
-        &self.name
-    }
-    pub(crate) fn replica(&self) -> usize {
-        self.replica
-    }
-    pub(crate) fn items_in_now(&self) -> u64 {
-        self.items_in.load(Ordering::Relaxed)
-    }
-    pub(crate) fn items_out_now(&self) -> u64 {
-        self.items_out.load(Ordering::Relaxed)
-    }
-    pub(crate) fn queue_depth_now(&self) -> u64 {
-        self.queue_last.load(Ordering::Relaxed)
-    }
-    pub(crate) fn queue_hwm_now(&self) -> u64 {
-        self.queue_hwm.load(Ordering::Relaxed)
-    }
-    pub(crate) fn service_ns_now(&self) -> u64 {
-        self.service_ns.load(Ordering::Relaxed)
-    }
-    pub(crate) fn push_stalls_now(&self) -> u64 {
-        self.push_stalls.load(Ordering::Relaxed)
-    }
-    pub(crate) fn pop_waits_now(&self) -> u64 {
-        self.pop_waits.load(Ordering::Relaxed)
-    }
-    pub(crate) fn flight_emit(&self, kind: FlightKind, batch_id: u64, a: u64, b: u64) {
-        self.flight.emit(kind, batch_id, a, b);
-    }
-
     fn snapshot(&self) -> StageReport {
         StageReport {
             name: self.name.clone(),
             replica: self.replica,
-            items_in: self.items_in.load(Ordering::Relaxed),
-            items_out: self.items_out.load(Ordering::Relaxed),
-            service_ns: self.service_ns.load(Ordering::Relaxed),
-            push_stalls: self.push_stalls.load(Ordering::Relaxed),
-            pop_waits: self.pop_waits.load(Ordering::Relaxed),
-            queue_hwm: self.queue_hwm.load(Ordering::Relaxed),
-            first_ns: self.first_ns.load(Ordering::Relaxed),
-            last_ns: self.last_ns.load(Ordering::Relaxed),
-            latency: self.latency.snapshot(),
             spans: self.spans.lock().unwrap().clone(),
         }
     }
@@ -248,9 +234,10 @@ impl StageHandle {
     #[inline]
     pub fn item_in(&self, queue_depth: usize) {
         if let Some(m) = &self.0 {
-            m.items_in.fetch_add(1, Ordering::Relaxed);
-            m.queue_hwm.fetch_max(queue_depth as u64, Ordering::Relaxed);
-            m.queue_last.store(queue_depth as u64, Ordering::Relaxed);
+            let depth = queue_depth as u64;
+            m.cells.items_in().fetch_add(1, Ordering::Relaxed);
+            m.cells.queue_hwm().fetch_max(depth, Ordering::Relaxed);
+            m.cells.queue_depth().store(depth, Ordering::Relaxed);
         }
     }
 
@@ -258,7 +245,7 @@ impl StageHandle {
     #[inline]
     pub fn items_out(&self, n: u64) {
         if let Some(m) = &self.0 {
-            m.items_out.fetch_add(n, Ordering::Relaxed);
+            m.cells.items_out().fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -266,7 +253,7 @@ impl StageHandle {
     #[inline]
     pub fn push_stall(&self) {
         if let Some(m) = &self.0 {
-            m.push_stalls.fetch_add(1, Ordering::Relaxed);
+            m.cells.push_stalls().fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -274,7 +261,7 @@ impl StageHandle {
     #[inline]
     pub fn pop_wait(&self) {
         if let Some(m) = &self.0 {
-            m.pop_waits.fetch_add(1, Ordering::Relaxed);
+            m.cells.pop_waits().fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -292,18 +279,17 @@ impl StageHandle {
     ///
     /// Also drops a [`FlightKind::StageEnter`] event into the flight
     /// ring (`a` = replica-local invocation number, `b` = last observed
-    /// queue depth) so the black box shows who was running when.
+    /// queue depth) so the black box shows who was running when. The
+    /// invocation number is one past the latency histogram's count, which
+    /// numbers a replica's invocations in order while they run one at a
+    /// time (a `tbbx` parallel filter's concurrent ones may share one).
     #[inline]
     pub fn begin(&self) -> ServiceSpan {
         ServiceSpan(self.0.as_ref().map(|m| {
             let start = m.now_ns();
-            let inv = m.invocations.fetch_add(1, Ordering::Relaxed) + 1;
-            m.flight.emit(
-                FlightKind::StageEnter,
-                NO_BATCH,
-                inv,
-                m.queue_last.load(Ordering::Relaxed),
-            );
+            let inv = m.latency.count() + 1;
+            let depth = m.cells.queue_depth().load(Ordering::Relaxed);
+            m.flight.emit(FlightKind::StageEnter, NO_BATCH, inv, depth);
             (start, inv)
         }))
     }
@@ -320,9 +306,9 @@ impl StageHandle {
     pub fn end(&self, span: ServiceSpan) {
         if let (Some(m), Some((start, inv))) = (&self.0, span.0) {
             let end = m.now_ns();
-            m.service_ns.fetch_add(end - start, Ordering::Relaxed);
-            m.first_ns.fetch_min(start, Ordering::Relaxed);
-            m.last_ns.fetch_max(end, Ordering::Relaxed);
+            m.cells
+                .service_ns()
+                .fetch_add(end - start, Ordering::Relaxed);
             m.latency.record(end - start);
             m.flight
                 .emit(FlightKind::StageExit, NO_BATCH, inv, end - start);
@@ -402,14 +388,15 @@ struct DumpCfg {
 #[derive(Debug)]
 pub(crate) struct Inner {
     pub(crate) epoch: Instant,
-    pub(crate) stages: Mutex<Vec<Arc<StageMetrics>>>,
+    /// One entry per `(name, replica)`; each is also in `registry`.
+    stages: Mutex<Vec<Arc<StageMetrics>>>,
     pub(crate) gpu: Mutex<Vec<EngineSpan>>,
     pub(crate) e2e: LatencyHisto,
     flows: FlowBuf,
     pub(crate) windows: Mutex<Vec<WindowSample>>,
     pub(crate) stalls: Mutex<Vec<StallEvent>>,
     pub(crate) faults: Mutex<Vec<FaultEvent>>,
-    /// One entry per [`Recorder::register`] call.
+    /// One entry per [`Recorder::register`] call and per stage replica.
     registry: Mutex<Vec<counters::Registered>>,
     pub(crate) flight: Arc<FlightRing>,
     // Interned flight source labels; a FlightEvent's `src` indexes here.
@@ -555,20 +542,31 @@ impl Recorder {
         self.inner.is_some()
     }
 
-    /// Register a stage replica and get its instrumentation handle.
+    /// Register a stage replica and get its instrumentation handle: the
+    /// recorder files one [`Stage`] block per `(name, replica)`, so asking
+    /// again (a second pipeline with the same stage names) hands out a
+    /// handle onto the same block and the counts add up.
     ///
     /// Disabled recorders return [`StageHandle::noop`].
     pub fn stage(&self, name: impl Into<String>, replica: usize) -> StageHandle {
-        match &self.inner {
-            None => StageHandle::noop(),
-            Some(inner) => {
-                let name = name.into();
-                let flight = inner.flight_handle(&format!("{name}/{replica}"));
-                let m = Arc::new(StageMetrics::new(name, replica, inner.epoch, flight));
-                inner.stages.lock().unwrap().push(Arc::clone(&m));
-                StageHandle(Some(m))
-            }
+        let Some(inner) = &self.inner else {
+            return StageHandle::noop();
+        };
+        let name = name.into();
+        let mut stages = inner.stages.lock().unwrap();
+        if let Some(m) = stages
+            .iter()
+            .find(|m| m.name == name && m.replica == replica)
+        {
+            return StageHandle(Some(Arc::clone(m)));
         }
+        let flight = inner.flight_handle(&format!("{name}/{replica}"));
+        let labels = vec![name.clone(), replica.to_string()];
+        let m = Arc::new(StageMetrics::new(name, replica, inner.epoch, flight));
+        let block: Arc<dyn counters::Block> = Arc::clone(&m) as _;
+        inner.registry.lock().unwrap().push((labels, block));
+        stages.push(Arc::clone(&m));
+        StageHandle(Some(m))
     }
 
     /// Merge one GPU engine span into the run (no-op when disabled).
@@ -669,9 +667,10 @@ impl Recorder {
     }
 
     /// Start the windowed throughput sampler: every `tick` it snapshots
-    /// cumulative `items_out` and the observed input-queue depth of every
-    /// stage replica into the report's time-series (capped at
-    /// `MAX_WINDOW_SAMPLES`). Returns an inert guard when disabled.
+    /// every stage replica's counter row (cumulative `items_out`, the
+    /// observed input-queue depth, …) into the report's time-series
+    /// (capped at `MAX_WINDOW_SAMPLES`). Returns an inert guard when
+    /// disabled.
     pub fn sample_windows(&self, tick: Duration) -> ThroughputWindow {
         match &self.inner {
             None => ThroughputWindow::inert(),
@@ -801,56 +800,26 @@ impl Recorder {
     }
 }
 
-/// Snapshot of one stage replica's counters.
+/// One stage replica's row of the Gantt; its counters are the report's
+/// [`Stage`] rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageReport {
     /// Stage name as registered by the runtime.
     pub name: String,
     /// Replica index within the stage.
     pub replica: usize,
-    /// Items popped from the input queue.
-    pub items_in: u64,
-    /// Items pushed downstream.
-    pub items_out: u64,
-    /// Accumulated service (busy) time, wall ns.
-    pub service_ns: u64,
-    /// Blocked-on-full-output-queue occurrences.
-    pub push_stalls: u64,
-    /// Blocked-on-empty-input-queue occurrences.
-    pub pop_waits: u64,
-    /// Input queue-depth high-water mark.
-    pub queue_hwm: u64,
-    /// First observed activity, ns since run start (`u64::MAX` if none).
-    pub first_ns: u64,
-    /// Last observed activity, ns since run start.
-    pub last_ns: u64,
-    /// This replica's service-latency percentiles.
-    pub latency: LatencySnapshot,
-    /// Coalesced busy intervals for the Gantt.
+    /// Coalesced busy intervals, in time order.
     pub spans: Vec<(u64, u64)>,
 }
 
-/// One windowed time-series sample of a stage replica.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageWindow {
-    /// Stage name.
-    pub name: String,
-    /// Replica index.
-    pub replica: usize,
-    /// Cumulative items pushed downstream at sample time (differentiate
-    /// adjacent samples for items/s).
-    pub items_out: u64,
-    /// Input-queue depth the replica last observed.
-    pub queue_depth: u64,
-}
-
 /// One tick of the windowed throughput sampler.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowSample {
     /// Sample time, ns since the recorder epoch.
     pub t_ns: u64,
-    /// Per-replica counters at this instant.
-    pub stages: Vec<StageWindow>,
+    /// Every stage replica's [`Stage`] row at this instant (differentiate
+    /// adjacent samples' `items_out` for items/s).
+    pub stages: Vec<CounterRow>,
 }
 
 /// Structured report of one detected stage stall.
@@ -969,7 +938,7 @@ impl FaultEvent {
 /// distributions, the windowed time-series and any stall events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryReport {
-    /// Per-replica stage counters, sorted by (name, replica).
+    /// Per-replica busy spans, sorted by (name, replica).
     pub stages: Vec<StageReport>,
     /// GPU engine busy intervals, sorted by (device, engine, start).
     pub gpu: Vec<EngineSpan>,
@@ -988,15 +957,17 @@ pub struct TelemetryReport {
     /// time order.
     pub faults: Vec<FaultEvent>,
     /// Every counter block at report time: the process-wide copy ledger
-    /// (see [`copy`]) and each registered pool, scheduler and ingress
-    /// shard (see [`counters`]).
+    /// (see [`copy`]), then each stage replica and each registered pool,
+    /// scheduler and ingress shard in registration order (see
+    /// [`counters`]).
     pub counters: Vec<CounterRow>,
 }
 
 impl TelemetryReport {
     /// End of the latest CPU activity, ns since run start.
     pub fn cpu_makespan_ns(&self) -> u64 {
-        self.stages.iter().map(|s| s.last_ns).max().unwrap_or(0)
+        let ends = self.stages.iter().filter_map(|s| s.spans.last());
+        ends.map(|&(_, end)| end).max().unwrap_or(0)
     }
 
     /// End of the latest GPU activity, modeled ns since run start.
@@ -1004,10 +975,10 @@ impl TelemetryReport {
         self.gpu.iter().map(|s| s.end_ns).max().unwrap_or(0)
     }
 
-    /// All replicas of `stage`, in replica order — the one lookup the
-    /// aggregate accessors below share.
-    pub fn replicas_of<'a>(&'a self, stage: &'a str) -> impl Iterator<Item = &'a StageReport> {
-        self.stages.iter().filter(move |s| s.name == stage)
+    /// The cells of every replica of `stage`.
+    fn replicas_of<'a>(&'a self, stage: &'a str) -> impl Iterator<Item = StageTotals> + 'a {
+        let rows = stage_rows(&self.counters).filter(move |(name, _, _)| *name == stage);
+        rows.map(|(_, _, cells)| cells)
     }
 
     /// Total items into all replicas of `stage`.
@@ -1020,8 +991,8 @@ impl TelemetryReport {
         self.replicas_of(stage).map(|s| s.items_out).sum()
     }
 
-    /// The counter blocks of one family (`"pools"`, `"sched"`,
-    /// `"ingress"`, `"copy"`), in registration order.
+    /// The counter blocks of one family (`"stages"`, `"pools"`,
+    /// `"sched"`, `"ingress"`, `"copy"`), in registration order.
     pub fn family<'a>(&'a self, key: &'a str) -> impl Iterator<Item = &'a CounterRow> {
         self.counters.iter().filter(move |r| r.family == key)
     }
@@ -1041,26 +1012,21 @@ impl TelemetryReport {
         self.faults_of(FaultKind::CpuFallback).count()
     }
 
-    /// Distinct stage names in registration-independent (sorted) order.
-    pub fn stage_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.stages.iter().map(|s| s.name.clone()).collect();
-        names.dedup();
-        names
-    }
-
-    /// Measured utilization per stage: Σ replica service time over
-    /// (replica count × CPU makespan). The quantity `perfmodel::pipe`
-    /// predicts as `stage_utilization`.
+    /// Measured utilization per stage, in name order: Σ replica service
+    /// time over (replica count × CPU makespan). The quantity
+    /// `perfmodel::pipe` predicts as `stage_utilization`.
     pub fn stage_utilization(&self) -> Vec<(String, f64)> {
         let makespan = self.cpu_makespan_ns().max(1) as f64;
-        self.stage_names()
+        let mut names: Vec<&str> = stage_rows(&self.counters).map(|(n, _, _)| n).collect();
+        names.sort_unstable();
+        names.dedup();
+        names
             .into_iter()
             .map(|name| {
                 let (busy, replicas) = self
-                    .replicas_of(&name)
+                    .replicas_of(name)
                     .fold((0u64, 0usize), |(b, r), s| (b + s.service_ns, r + 1));
-                let u = busy as f64 / (replicas.max(1) as f64 * makespan);
-                (name, u)
+                (name.to_string(), busy as f64 / (replicas as f64 * makespan))
             })
             .collect()
     }
@@ -1125,59 +1091,8 @@ impl TelemetryReport {
         out
     }
 
-    /// CSV with one row per stage replica, then one per GPU span group.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "kind,name,replica,items_in,items_out,service_ns,push_stalls,pop_waits,queue_hwm,first_ns,last_ns,p50_ns,p95_ns,p99_ns,max_ns\n",
-        );
-        for s in &self.stages {
-            let first = if s.first_ns == u64::MAX {
-                0
-            } else {
-                s.first_ns
-            };
-            out.push_str(&format!(
-                "stage,{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                s.name,
-                s.replica,
-                s.items_in,
-                s.items_out,
-                s.service_ns,
-                s.push_stalls,
-                s.pop_waits,
-                s.queue_hwm,
-                first,
-                s.last_ns,
-                s.latency.p50_ns,
-                s.latency.p95_ns,
-                s.latency.p99_ns,
-                s.latency.max_ns
-            ));
-        }
-        // GPU engines aggregate to one row per (device, engine).
-        let mut keys: Vec<(usize, &'static str)> =
-            self.gpu.iter().map(|g| (g.device, g.engine)).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        for (device, engine) in keys {
-            let spans: Vec<&EngineSpan> = self
-                .gpu
-                .iter()
-                .filter(|g| g.device == device && g.engine == engine)
-                .collect();
-            let busy: u64 = spans.iter().map(|g| g.end_ns - g.start_ns).sum();
-            let first = spans.iter().map(|g| g.start_ns).min().unwrap_or(0);
-            let last = spans.iter().map(|g| g.end_ns).max().unwrap_or(0);
-            out.push_str(&format!(
-                "gpu,dev{device}-{engine},0,{},{},{busy},0,0,0,{first},{last},0,0,0,0\n",
-                spans.len(),
-                spans.len(),
-            ));
-        }
-        out
-    }
-
-    /// JSON document (hand-rolled; the schema is small and stable).
+    /// JSON document (hand-rolled; the schema is small and stable). The
+    /// stage replicas are the `"stages"` counter rows.
     pub fn to_json(&self) -> String {
         fn latency_json(l: &LatencySnapshot) -> String {
             format!(
@@ -1186,30 +1101,7 @@ impl TelemetryReport {
                 l.count, l.mean_ns, l.p50_ns, l.p90_ns, l.p95_ns, l.p99_ns, l.max_ns
             )
         }
-        let stages = self.stages.iter().map(|s| {
-            let first = if s.first_ns == u64::MAX {
-                0
-            } else {
-                s.first_ns
-            };
-            format!(
-                "{{\"name\": \"{}\", \"replica\": {}, \"items_in\": {}, \"items_out\": {}, \
-                 \"service_ns\": {}, \"push_stalls\": {}, \"pop_waits\": {}, \"queue_hwm\": {}, \
-                 \"first_ns\": {}, \"last_ns\": {}, \"latency\": {}}}",
-                esc(&s.name),
-                s.replica,
-                s.items_in,
-                s.items_out,
-                s.service_ns,
-                s.push_stalls,
-                s.pop_waits,
-                s.queue_hwm,
-                first,
-                s.last_ns,
-                latency_json(&s.latency),
-            )
-        });
-        let mut out = format!("{{\n  \"stages\": [\n{}  ],\n", json_lines(stages));
+        let mut out = String::from("{\n");
         let gpu = self.gpu.iter().map(|g| {
             format!(
                 "{{\"device\": {}, \"engine\": \"{}\", \"name\": \"{}\", \"stream\": {}, \
@@ -1264,18 +1156,9 @@ impl TelemetryReport {
         ));
         counters::render_json(&mut out, &self.counters, false);
         let windows = self.windows.iter().map(|wdw| {
-            let stages: Vec<String> = wdw
-                .stages
-                .iter()
-                .map(|s| {
-                    format!(
-                    "{{\"name\": \"{}\", \"replica\": {}, \"items_out\": {}, \"queue_depth\": {}}}",
-                    esc(&s.name),
-                    s.replica,
-                    s.items_out,
-                    s.queue_depth,
-                )
-                })
+            let stages = wdw.stages.iter();
+            let stages: Vec<String> = stages
+                .map(|r| r.json_object(Stage::DESC.report_labels))
                 .collect();
             format!(
                 "{{\"t_ns\": {}, \"stages\": [{}]}}",
@@ -1388,13 +1271,21 @@ mod tests {
         h1.pop_wait();
         h1.push_stall();
         let report = rec.report();
-        assert_eq!(report.items_in("work"), 4);
-        assert_eq!(report.items_out("work"), 3);
-        let r0 = &report.stages[0];
-        assert_eq!((r0.name.as_str(), r0.replica), ("work", 0));
-        assert_eq!(r0.queue_hwm, 2);
-        assert_eq!(r0.latency.count, 3);
-        let r1 = &report.stages[1];
+        // One row per replica; summing them per stage is the reader's job.
+        let rows: Vec<_> = stage_rows(&report.counters).collect();
+        let labels: Vec<_> = rows
+            .iter()
+            .map(|&(name, replica, _)| (name, replica))
+            .collect();
+        assert_eq!(labels, [("work", "0"), ("work", "1")]);
+        let (r0, r1) = (rows[0].2, rows[1].2);
+        assert_eq!((r0.items_in + r1.items_in, report.items_in("work")), (4, 4));
+        assert_eq!(
+            (r0.items_out + r1.items_out, report.items_out("work")),
+            (3, 3)
+        );
+        assert_eq!((r0.queue_hwm, r0.queue_depth), (2, 2));
+        assert_eq!(report.stage_latency[0].1.count, 3);
         assert_eq!(r1.pop_waits, 1);
         assert_eq!(r1.push_stalls, 1);
         assert_eq!(r1.queue_hwm, 7);
@@ -1409,13 +1300,17 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_micros(50));
             h.end(t);
         }
-        let r = &rec.report().stages[0];
-        assert!(r.service_ns >= 100 * 50_000, "service {}", r.service_ns);
-        assert!(r.spans.len() <= MAX_SPANS);
-        assert!(r.first_ns < r.last_ns);
-        // The per-stage latency histogram saw every invocation.
-        assert_eq!(r.latency.count, 100);
-        assert!(r.latency.p50_ns >= 50_000, "p50 {}", r.latency.p50_ns);
+        let report = rec.report();
+        let row = report.family("stages").next().unwrap();
+        let service_ns = StageTotals::from(row.values).service_ns;
+        assert!(service_ns >= 100 * 50_000, "service {service_ns}");
+        let spans = &report.stages[0].spans;
+        assert!(spans.len() <= MAX_SPANS);
+        assert!(spans[0].0 < spans[spans.len() - 1].1);
+        // The stage's latency histogram saw every invocation.
+        let latency = report.stage_latency[0].1;
+        assert_eq!(latency.count, 100);
+        assert!(latency.p50_ns >= 50_000, "p50 {}", latency.p50_ns);
     }
 
     #[test]
@@ -1437,7 +1332,7 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_json_csv_and_gantt() {
+    fn report_renders_json_and_gantt() {
         let rec = Recorder::enabled();
         let h = rec.stage("alpha", 0);
         h.item_in(1);
@@ -1459,10 +1354,9 @@ mod tests {
         assert!(json.contains("\"compute\""));
         assert!(json.contains("\"stage_latency\""));
         assert!(json.contains("\"e2e\""));
-        let csv = report.to_csv();
-        assert!(csv.lines().count() >= 3);
-        assert!(csv.contains("stage,alpha,0,1,1,"));
-        assert!(csv.contains("gpu,dev0-compute"));
+        assert!(json.contains(
+            "{\"name\": \"alpha\", \"replica\": \"0\", \"items_in\": 1, \"items_out\": 1,"
+        ));
         let gantt = report.gantt(40);
         assert!(gantt.contains("alpha/0"));
         assert!(gantt.contains("gpu0/compute"));
@@ -1524,14 +1418,15 @@ mod tests {
             "expected samples, got {}",
             report.windows.len()
         );
+        let items_out = |w: &WindowSample| StageTotals::from(w.stages[0].values).items_out;
         let last = report.windows.last().unwrap();
         assert_eq!(last.stages.len(), 1);
-        assert!(last.stages[0].items_out > 0);
+        assert!(items_out(last) > 0);
         // Cumulative counters are monotone across samples.
         let mut prev = 0;
         for w in &report.windows {
-            assert!(w.stages[0].items_out >= prev);
-            prev = w.stages[0].items_out;
+            assert!(items_out(w) >= prev);
+            prev = items_out(w);
         }
         let json = report.to_json();
         assert!(json.contains("\"windows\""));

@@ -1,13 +1,13 @@
 //! Run-time monitors: the windowed throughput sampler and the stall
-//! watchdog. Both run on their own thread, polling the shared stage
-//! counters at a configurable tick — the hot path is never touched.
+//! watchdog. Both run on their own thread, polling the stage replicas'
+//! counter rows at a configurable tick — the hot path is never touched.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::{Inner, StageWindow, StallEvent, WindowSample};
+use crate::{counters::Family, stage_rows, Inner, Stage, StallEvent, WindowSample};
 
 /// The stop flag a [`Background`] thread's body polls.
 pub(crate) struct StopFlag(Arc<AtomicBool>);
@@ -80,11 +80,12 @@ impl Drop for Background {
 /// Guard over the background thread started by
 /// [`Recorder::sample_windows`](crate::Recorder::sample_windows).
 ///
-/// Every tick it appends one [`WindowSample`] (cumulative `items_out` and
-/// the last observed input-queue depth for every registered stage replica)
-/// to the recorder, so the final [`TelemetryReport`](crate::TelemetryReport)
-/// carries the run's ramp-up/backpressure time-series. Stop it (or drop
-/// it) before taking the report you intend to keep.
+/// Every tick it appends one [`WindowSample`] (every stage replica's
+/// counter row: cumulative `items_out`, the last observed input-queue
+/// depth, …) to the recorder, so the final
+/// [`TelemetryReport`](crate::TelemetryReport) carries the run's
+/// ramp-up/backpressure time-series. Stop it (or drop it) before taking
+/// the report you intend to keep.
 #[derive(Debug)]
 pub struct ThroughputWindow(Background);
 
@@ -97,10 +98,12 @@ impl ThroughputWindow {
         ThroughputWindow(Background::spawn("telemetry-window", move |stop| {
             let cap = crate::Recorder::window_sample_cap();
             while !stop.sleep(tick) {
-                let sample = take_sample(&inner);
+                let t_ns = inner.epoch.elapsed().as_nanos() as u64;
+                let mut stages = inner.counter_rows();
+                stages.retain(|r| r.family == Stage::DESC.key);
                 let mut windows = inner.windows.lock().unwrap();
                 if windows.len() < cap {
-                    windows.push(sample);
+                    windows.push(WindowSample { t_ns, stages });
                 }
             }
         }))
@@ -109,23 +112,6 @@ impl ThroughputWindow {
     /// Stop sampling and join the sampler thread.
     pub fn stop(mut self) {
         self.0.halt();
-    }
-}
-
-fn take_sample(inner: &Inner) -> WindowSample {
-    let t_ns = inner.epoch.elapsed().as_nanos() as u64;
-    let stages = inner.stages.lock().unwrap();
-    WindowSample {
-        t_ns,
-        stages: stages
-            .iter()
-            .map(|m| StageWindow {
-                name: m.name().to_string(),
-                replica: m.replica(),
-                items_out: m.items_out_now(),
-                queue_depth: m.queue_depth_now(),
-            })
-            .collect(),
     }
 }
 
@@ -196,16 +182,17 @@ impl Watchdog {
 /// One watchdog tick: compare every replica's `items_out` against the last
 /// tick and flag replicas that sit still on pending work.
 fn scan(inner: &Arc<Inner>, tracked: &mut Vec<Tracked>, stall_ticks: u32) {
-    let stages = inner.stages.lock().unwrap().clone();
+    let rows = inner.counter_rows();
+    let replicas: Vec<_> = stage_rows(&rows).collect();
     // Stage groups in registration order: group k's upstream is group k-1
     // (how every runtime here registers linear pipelines and farm stages).
     let mut group_names: Vec<&str> = Vec::new();
-    let mut group_of: Vec<usize> = Vec::with_capacity(stages.len());
-    for m in &stages {
-        let g = match group_names.iter().position(|n| *n == m.name()) {
+    let mut group_of: Vec<usize> = Vec::with_capacity(replicas.len());
+    for &(name, _, _) in &replicas {
+        let g = match group_names.iter().position(|n| *n == name) {
             Some(g) => g,
             None => {
-                group_names.push(m.name());
+                group_names.push(name);
                 group_names.len() - 1
             }
         };
@@ -214,12 +201,12 @@ fn scan(inner: &Arc<Inner>, tracked: &mut Vec<Tracked>, stall_ticks: u32) {
     let n_groups = group_names.len();
     let mut group_in = vec![0u64; n_groups];
     let mut group_out = vec![0u64; n_groups];
-    for (i, m) in stages.iter().enumerate() {
-        group_in[group_of[i]] += m.items_in_now();
-        group_out[group_of[i]] += m.items_out_now();
+    for (i, (_, _, s)) in replicas.iter().enumerate() {
+        group_in[group_of[i]] += s.items_in;
+        group_out[group_of[i]] += s.items_out;
     }
 
-    while tracked.len() < stages.len() {
+    while tracked.len() < replicas.len() {
         tracked.push(Tracked {
             last_items_out: 0,
             stalled_ticks: 0,
@@ -228,11 +215,10 @@ fn scan(inner: &Arc<Inner>, tracked: &mut Vec<Tracked>, stall_ticks: u32) {
     }
 
     let t_ns = inner.epoch.elapsed().as_nanos() as u64;
-    for (i, m) in stages.iter().enumerate() {
+    for (i, (name, replica, s)) in replicas.iter().enumerate() {
         let t = &mut tracked[i];
-        let out_now = m.items_out_now();
-        if out_now != t.last_items_out {
-            t.last_items_out = out_now;
+        if s.items_out != t.last_items_out {
+            t.last_items_out = s.items_out;
             t.stalled_ticks = 0;
             t.reported = false;
             continue;
@@ -244,31 +230,32 @@ fn scan(inner: &Arc<Inner>, tracked: &mut Vec<Tracked>, stall_ticks: u32) {
         // non-empty when it last looked. The source (group 0) has no
         // upstream — it cannot stall by this definition.
         let upstream_out = if g == 0 { 0 } else { group_out[g - 1] };
-        let pending = (g > 0 && group_in[g] < upstream_out) || m.queue_depth_now() > 0;
+        let pending = (g > 0 && group_in[g] < upstream_out) || s.queue_depth > 0;
         if t.stalled_ticks >= stall_ticks && pending && !t.reported {
             t.reported = true;
-            let queue_depth = m.queue_depth_now();
-            m.flight_emit(
+            let (ticks, queue_depth) = (t.stalled_ticks, s.queue_depth);
+            let src = format!("{name}/{replica}");
+            let flight = inner.flight_handle(&src);
+            flight.emit(
                 crate::FlightKind::Stall,
                 crate::NO_BATCH,
-                t.stalled_ticks as u64,
+                ticks as u64,
                 queue_depth,
             );
             inner.stalls.lock().unwrap().push(StallEvent {
                 t_ns,
-                stage: m.name().to_string(),
-                replica: m.replica(),
-                ticks_stalled: t.stalled_ticks,
-                items_in: m.items_in_now(),
-                items_out: out_now,
+                stage: name.to_string(),
+                replica: replica.parse().unwrap_or_default(),
+                ticks_stalled: ticks,
+                items_in: s.items_in,
+                items_out: s.items_out,
                 upstream_out,
                 queue_depth,
             });
             // A stall is the flight recorder's marquee trigger: dump the
             // window while the evidence is still in the ring.
-            let (name, replica, ticks) = (m.name(), m.replica(), t.stalled_ticks);
             inner.dump(
-                &format!("watchdog stall: {name}/{replica} ({ticks} ticks, queue={queue_depth})"),
+                &format!("watchdog stall: {src} ({ticks} ticks, queue={queue_depth})"),
                 false,
             );
         }

@@ -77,7 +77,7 @@ fn main() {
             if telemetry_on {
                 let report = rec.report();
                 print!("{}", report.gantt(72));
-                print!("{}", report.to_csv());
+                print!("{}", report.latency_table());
             }
             img
         }
