@@ -83,8 +83,15 @@ impl std::error::Error for ArchiveError {}
 const MAGIC: &[u8; 4] = b"HDA1";
 
 impl Archive {
-    /// New empty archive for the given codec.
+    /// New empty archive for the given codec. Panics, before any block is
+    /// compressed, on a window that is not a power of two: the codec
+    /// cannot code it.
     pub fn new(lzss: LzssConfig) -> Self {
+        assert!(
+            lzss.window_is_valid(),
+            "LZSS window {} is not a power of two",
+            lzss.window
+        );
         Archive {
             lzss,
             entries: Vec::new(),
@@ -138,7 +145,8 @@ impl Archive {
         }
         let window = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
         let min_coded = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
-        if !window.is_power_of_two() || window == 0 {
+        let lzss = LzssConfig { window, min_coded };
+        if !lzss.window_is_valid() {
             return Err(ArchiveError::BadHeader);
         }
         let n = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8")) as usize;
@@ -167,10 +175,7 @@ impl Archive {
             };
             entries.push(entry);
         }
-        Ok(Archive {
-            lzss: LzssConfig { window, min_coded },
-            entries,
-        })
+        Ok(Archive { lzss, entries })
     }
 
     /// Reconstruct the original input stream.
@@ -259,6 +264,22 @@ mod tests {
         let mut bytes = sample_archive().to_bytes();
         bytes[0] = b'X';
         assert_eq!(Archive::from_bytes(&bytes), Err(ArchiveError::BadHeader));
+    }
+
+    #[test]
+    fn a_window_that_is_not_a_power_of_two_is_rejected_on_read() {
+        let mut bytes = sample_archive().to_bytes();
+        bytes[4..8].copy_from_slice(&1000u32.to_le_bytes());
+        assert_eq!(Archive::from_bytes(&bytes), Err(ArchiveError::BadHeader));
+    }
+
+    #[test]
+    #[should_panic(expected = "LZSS window 1000 is not a power of two")]
+    fn a_window_that_is_not_a_power_of_two_is_rejected_before_compressing() {
+        Archive::new(LzssConfig {
+            window: 1000,
+            min_coded: 3,
+        });
     }
 
     #[test]

@@ -141,3 +141,27 @@ fn worker_count_does_not_change_the_archive() {
         assert_eq!(out, reference, "workers={workers}");
     }
 }
+
+/// The archive bytes of one fixed input, pinned across commits. Every
+/// other test here compares a pipeline with `run_sequential`, and both
+/// call the same `find_match`, so a search-policy change both sides share
+/// would pass them; this one fails on any byte that moves.
+#[test]
+fn archive_bytes_are_pinned_across_commits() {
+    let data: Vec<u8> = datasets::all(40_000, 32)
+        .into_iter()
+        .flat_map(|ds| ds.data)
+        .collect();
+    for (window, len, crc) in [(256, 72_405, 0xe957_5a40), (4096, 67_488, 0xaf42_6f17)] {
+        let lzss = LzssConfig {
+            window,
+            min_coded: 3,
+        };
+        let bytes = run_sequential(&data, &DedupConfig { lzss, ..cfg() }).to_bytes();
+        assert_eq!(
+            (bytes.len(), hetstream::ingress::crc32(&bytes)),
+            (len, crc),
+            "window {window}"
+        );
+    }
+}

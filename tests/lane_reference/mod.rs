@@ -4,7 +4,7 @@
 //! went span-wise. Test-only: `simd_exactness.rs` holds the shipped
 //! kernels to these bodies, byte for byte and unit for unit.
 
-use hetstream::dedup::lzss::{find_match, LzssConfig};
+use hetstream::dedup::lzss::{find_match_scalar, LzssConfig};
 use hetstream::dedup::sha1::Sha1;
 use hetstream::gpusim::{DeviceMemory, DevicePtr, KernelFn, LaunchDims, WorkMeter};
 use hetstream::mandel::core::{color, iterate, FractalParams};
@@ -217,7 +217,7 @@ impl KernelFn for FindMatchRef {
             } else {
                 self.data_len
             };
-            let (m, probes) = find_match(&data, start, last, idx, &self.cfg);
+            let (m, probes) = find_match_scalar(&data, start, last, idx, &self.cfg);
             m_len[idx] = m.len;
             m_off[idx] = m.dist;
             // Work: the startPos scan plus the window probes.

@@ -15,7 +15,9 @@
 
 mod lane_reference;
 
+use hetstream::dedup::datasets;
 use hetstream::dedup::kernels::FindMatchKernel;
+use hetstream::dedup::lzss::{find_match, find_match_scalar};
 use hetstream::dedup::rabin::{chunk_starts, chunk_starts_reference};
 use hetstream::dedup::sha1::{compress_block, Sha1};
 use hetstream::dedup::sha1mb::compress8;
@@ -152,6 +154,128 @@ fn rabin_fast_scan_matches_reference_across_params_and_lengths() {
             );
         }
     }
+}
+
+/// `find_match` against its scalar body at every position of `data` in
+/// `[block_start, block_end)`: the match and the probe count.
+fn assert_search_exact(
+    what: &str,
+    data: &[u8],
+    block_start: usize,
+    block_end: usize,
+    cfg: &LzssConfig,
+) {
+    for pos in block_start..block_end {
+        assert_eq!(
+            find_match(data, block_start, block_end, pos, cfg),
+            find_match_scalar(data, block_start, block_end, pos, cfg),
+            "{what}: window {}, block {block_start}..{block_end}, pos {pos}",
+            cfg.window
+        );
+    }
+}
+
+fn lzss(window: usize) -> LzssConfig {
+    LzssConfig {
+        window,
+        min_coded: 3,
+    }
+}
+
+#[test]
+fn find_match_matches_scalar_at_every_position_of_every_dataset() {
+    let params = RabinParams {
+        window: 32,
+        mask: (1 << 11) - 1,
+        magic: 0x78,
+        min_chunk: 512,
+        max_chunk: 8 * 1024,
+    };
+    let mut inputs: Vec<(&str, Vec<u8>)> = datasets::all(24 * 1024, 7)
+        .into_iter()
+        .map(|ds| (ds.name, ds.data))
+        .collect();
+    // Four-letter noise as well: survivors in most lanes, a new best match
+    // mid-chunk at most positions, and runs that reach max_coded.
+    let noise = pseudo_random(16 * 1024, 11)
+        .into_iter()
+        .map(|b| b >> 6)
+        .collect();
+    inputs.push(("four-letter noise", noise));
+    for (name, data) in &inputs {
+        let mut cuts = chunk_starts(data, &params);
+        assert!(cuts.len() > 4, "{name}: fixture must span blocks");
+        cuts.push(data.len());
+        for window in [16, 512, 1024, 4096] {
+            for block in cuts.windows(2) {
+                assert_search_exact(name, data, block[0], block[1], &lzss(window));
+            }
+        }
+    }
+}
+
+#[test]
+fn find_match_matches_scalar_at_the_edges_of_a_block() {
+    let data = compressible(400, 5);
+    let cfg = lzss(512);
+    // Fewer than 32 candidates in the window: a block that starts just
+    // before `pos`, far from the buffer's start.
+    for block_start in [300, 330, 360] {
+        assert_search_exact("short window", &data, block_start, 400, &cfg);
+    }
+    // `pos` within 32 bytes of `data.len()`, and `block_end - pos` below
+    // `max_coded`, at the buffer's end and inside it.
+    assert_search_exact("tail of the buffer", &data, 0, 400, &cfg);
+    assert_search_exact("tail of a block", &data, 100, 250, &cfg);
+    // Positions below 32, where no 32 candidates precede `pos`.
+    assert_search_exact("head of the buffer", &data, 0, 40, &cfg);
+}
+
+#[test]
+fn find_match_rescans_after_a_new_best_match_mid_chunk() {
+    // One 32-candidate chunk holds matches of length 3, 5 and 8 for
+    // `pos`, in that order: each new best match changes the filter, and
+    // the scan must resume right after it.
+    let mut data = vec![b'.'; 64];
+    data[2..6].copy_from_slice(b"abcX");
+    data[10..16].copy_from_slice(b"abcdeY");
+    data[20..29].copy_from_slice(b"abcdefghZ");
+    data.extend_from_slice(b"abcdefghijklmnopqrstuvwxyz");
+    let pos = 64;
+    let cfg = lzss(64);
+    let (m, probes) = find_match(&data, 0, data.len(), pos, &cfg);
+    assert_eq!((m.dist, m.len), ((pos - 20) as u32, 8));
+    assert_eq!(
+        (m, probes),
+        find_match_scalar(&data, 0, data.len(), pos, &cfg)
+    );
+    assert_search_exact("rescan", &data, 0, data.len(), &cfg);
+}
+
+#[test]
+fn find_match_stops_mid_chunk_at_max_coded() {
+    // A match of `max_coded` bytes at lane 10 of the first chunk ends the
+    // scan there, with later candidates in the chunk never probed.
+    let cfg = lzss(128);
+    let run: Vec<u8> = (0..cfg.max_coded() as u8).map(|i| b'a' + i).collect();
+    let mut data = vec![b'.'; 128];
+    data[10..10 + run.len()].copy_from_slice(&run);
+    data[60..60 + run.len()].copy_from_slice(&run);
+    data.extend_from_slice(&run);
+    data.extend_from_slice(b"tail");
+    let pos = 128;
+    let (m, probes) = find_match(&data, 0, data.len(), pos, &cfg);
+    assert_eq!(
+        (m.dist, m.len as usize),
+        ((pos - 10) as u32, cfg.max_coded())
+    );
+    // Ten rejected candidates, then the one that matched and its 17
+    // extension probes.
+    assert_eq!(probes, 10 + 1 + (cfg.max_coded() as u64 - 1));
+    assert_eq!(
+        (m, probes),
+        find_match_scalar(&data, 0, data.len(), pos, &cfg)
+    );
 }
 
 // ---------------------------------------------------------------------
