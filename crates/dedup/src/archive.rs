@@ -32,9 +32,11 @@ impl BlockEntry {
     }
 
     /// Build the entry for a unique block whose LZSS bytes were already
-    /// produced (the GPU path).
-    pub fn from_encoded(block: &[u8], encoded: Vec<u8>) -> BlockEntry {
+    /// produced (the GPU path). A kept payload is trimmed to its length:
+    /// the encoder sizes its output for the worst case.
+    pub fn from_encoded(block: &[u8], mut encoded: Vec<u8>) -> BlockEntry {
         if encoded.len() < block.len() {
+            encoded.shrink_to_fit();
             BlockEntry::UniqueLzss {
                 orig_len: block.len() as u32,
                 payload: encoded,
@@ -84,14 +86,10 @@ const MAGIC: &[u8; 4] = b"HDA1";
 
 impl Archive {
     /// New empty archive for the given codec. Panics, before any block is
-    /// compressed, on a window that is not a power of two: the codec
-    /// cannot code it.
+    /// compressed, on a configuration the codec cannot code: a window that
+    /// is not a power of two, or a `min_coded` below 2.
     pub fn new(lzss: LzssConfig) -> Self {
-        assert!(
-            lzss.window_is_valid(),
-            "LZSS window {} is not a power of two",
-            lzss.window
-        );
+        lzss.assert_valid();
         Archive {
             lzss,
             entries: Vec::new(),
@@ -146,7 +144,7 @@ impl Archive {
         let window = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
         let min_coded = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
         let lzss = LzssConfig { window, min_coded };
-        if !lzss.window_is_valid() {
+        if !lzss.window_is_valid() || !lzss.min_coded_is_valid() {
             return Err(ArchiveError::BadHeader);
         }
         let n = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8")) as usize;
@@ -279,6 +277,28 @@ mod tests {
         Archive::new(LzssConfig {
             window: 1000,
             min_coded: 3,
+        });
+    }
+
+    #[test]
+    fn a_min_coded_below_two_is_rejected_on_read() {
+        for min_coded in [0u32, 1] {
+            let mut bytes = sample_archive().to_bytes();
+            bytes[8..12].copy_from_slice(&min_coded.to_le_bytes());
+            assert_eq!(
+                Archive::from_bytes(&bytes),
+                Err(ArchiveError::BadHeader),
+                "min_coded {min_coded}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "LZSS min_coded 1 is below 2")]
+    fn a_min_coded_below_two_is_rejected_before_compressing() {
+        Archive::new(LzssConfig {
+            window: 1024,
+            min_coded: 1,
         });
     }
 

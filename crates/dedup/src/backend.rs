@@ -27,7 +27,7 @@
 //! with the batched path.
 
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use fastflow::{BufPool, FaultPolicy, PooledBuf};
 use gpusim::{GpuSystem, Offload, OutOfMemory, PinnedSlab};
@@ -38,7 +38,7 @@ use crate::archive::BlockEntry;
 use crate::batch::Batch;
 use crate::dedupe::BlockClass;
 use crate::kernels::{FindMatchBlockKernel, FindMatchKernel, Sha1BlockKernel, Sha1Kernel};
-use crate::lzss::{encode_block_from_matches, LzssConfig, Match};
+use crate::lzss::{encode_block_from_matches, LzssConfig};
 use crate::sha1::{sha1, Digest};
 
 const BLOCK_1D: u32 = 256;
@@ -70,10 +70,25 @@ pub struct BackendCtx {
     /// steady state recycles a handful of arrays instead of allocating
     /// one per batch. Slabs are page-locked for their pooled lifetime
     /// ([`workload::pinned_pool`]), so digests DMA straight into them.
+    /// One pool serves the whole process, so a run starts on the arrays
+    /// the previous one returned.
     pub digests: BufPool<Digest>,
     /// Shared pool for stage-4 per-position match arrays (lens/offs),
-    /// likewise pinned so the match kernel's read-backs are zero-copy.
+    /// likewise pinned so the match kernel's read-backs are zero-copy,
+    /// and likewise one per process.
     pub matches: BufPool<u32>,
+}
+
+/// The process-wide pool behind every context's [`BackendCtx::digests`].
+fn digest_pool() -> BufPool<Digest> {
+    static POOL: OnceLock<BufPool<Digest>> = OnceLock::new();
+    POOL.get_or_init(workload::pinned_pool).clone()
+}
+
+/// The process-wide pool behind every context's [`BackendCtx::matches`].
+fn match_pool() -> BufPool<u32> {
+    static POOL: OnceLock<BufPool<u32>> = OnceLock::new();
+    POOL.get_or_init(workload::pinned_pool).clone()
 }
 
 impl BackendCtx {
@@ -86,8 +101,8 @@ impl BackendCtx {
             lzss,
             rec: Recorder::default(),
             policy: FaultPolicy::default(),
-            digests: workload::pinned_pool(),
-            matches: workload::pinned_pool(),
+            digests: digest_pool(),
+            matches: match_pool(),
         }
     }
 
@@ -101,8 +116,8 @@ impl BackendCtx {
             lzss,
             rec: Recorder::default(),
             policy: FaultPolicy::default(),
-            digests: workload::pinned_pool(),
-            matches: workload::pinned_pool(),
+            digests: digest_pool(),
+            matches: match_pool(),
         }
     }
 
@@ -237,13 +252,7 @@ fn entries_from_matches(
             BlockClass::Unique { .. } => {
                 let r = batch.block_range(b);
                 let block = &batch.data[r.clone()];
-                let matches: Vec<Match> = (r.start..r.end)
-                    .map(|i| Match {
-                        dist: offs[i],
-                        len: lens[i],
-                    })
-                    .collect();
-                let encoded = encode_block_from_matches(block, &matches, lzss);
+                let encoded = encode_block_from_matches(block, &lens[r.clone()], &offs[r], lzss);
                 BlockEntry::from_encoded(block, encoded)
             }
             BlockClass::Dup { of } => BlockEntry::Dup(*of),

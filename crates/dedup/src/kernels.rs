@@ -11,7 +11,7 @@
 
 use gpusim::{DeviceMemory, DevicePtr, KernelFn, LaunchDims, WorkMeter};
 
-use crate::lzss::{find_match, LzssConfig};
+use crate::lzss::{LzssConfig, MatchFinder};
 use crate::sha1::Sha1;
 
 /// Cycles per byte hashed by a single GPU thread (scalar SHA-1 is
@@ -121,7 +121,8 @@ impl KernelFn for Sha1BlockKernel {
 /// Listing 3: the batched `FindMatchKernel`. One lane per byte of the
 /// batch; each lane scans `startPoss` linearly to find its block (and is
 /// charged for that scan), then searches its block-bounded window for the
-/// longest match.
+/// longest match. On the host the lanes share one [`MatchFinder`], which
+/// indexes each block as the lane cursor enters it.
 pub struct FindMatchKernel {
     /// Batch bytes on device (`input`).
     pub data: DevicePtr<u8>,
@@ -167,6 +168,8 @@ impl KernelFn for FindMatchKernel {
         let active = self.data_len.min(dims.total_threads() as usize);
         let mut units = [0u64; TILE];
         let mut block = 0usize;
+        let mut finder = MatchFinder::default();
+        let mut indexed = None;
         for base in (0..active).step_by(TILE) {
             let units = &mut units[..TILE.min(active - base)];
             for (idx, lane_units) in (base..).zip(units.iter_mut()) {
@@ -179,7 +182,11 @@ impl KernelFn for FindMatchKernel {
                 } else {
                     self.data_len
                 };
-                let (m, probes) = find_match(&data, start, last, idx, &self.cfg);
+                if indexed != Some(block) {
+                    finder.index(&data, start, last);
+                    indexed = Some(block);
+                }
+                let (m, probes) = finder.find(&data, idx, &self.cfg);
                 m_len[idx] = m.len;
                 m_off[idx] = m.dist;
                 *lane_units = probes + scan_units;
@@ -222,11 +229,13 @@ impl KernelFn for FindMatchBlockKernel {
         let mut m_len = mem.borrow_mut(self.matches_len);
         let mut m_off = mem.borrow_mut(self.matches_off);
         let n = self.end - self.start;
+        let mut finder = MatchFinder::default();
+        finder.index(&data, self.start, self.end);
         for lane in dims.lanes() {
             let i = lane as usize;
             if i < n {
                 let idx = self.start + i;
-                let (m, probes) = find_match(&data, self.start, self.end, idx, &self.cfg);
+                let (m, probes) = finder.find(&data, idx, &self.cfg);
                 m_len[idx] = m.len;
                 m_off[idx] = m.dist;
                 meter.record(lane, probes + 1);
@@ -241,7 +250,7 @@ impl KernelFn for FindMatchBlockKernel {
 mod tests {
     use super::*;
     use crate::batch::make_batches;
-    use crate::lzss::Match;
+    use crate::lzss::{find_match_scalar, Match};
     use crate::rabin::RabinParams;
     use crate::sha1::sha1;
     use gpusim::{DeviceProps, GpuSystem, StreamId};
@@ -356,7 +365,7 @@ mod tests {
         for blk in 0..b.block_count() {
             let r = b.block_range(blk);
             for pos in r.clone().step_by(37) {
-                let (m, _) = find_match(&b.data, r.start, r.end, pos, &cfg);
+                let (m, _) = find_match_scalar(&b.data, r.start, r.end, pos, &cfg);
                 assert_eq!(
                     Match {
                         dist: offs[pos],
@@ -412,7 +421,7 @@ mod tests {
         for blk in 0..b.block_count() {
             let r = b.block_range(blk);
             for pos in r.clone().step_by(53) {
-                let (m, _) = find_match(&b.data, r.start, r.end, pos, &cfg);
+                let (m, _) = find_match_scalar(&b.data, r.start, r.end, pos, &cfg);
                 assert_eq!(lens[pos], m.len, "pos {pos}");
             }
         }

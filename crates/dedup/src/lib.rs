@@ -10,7 +10,7 @@
 //!
 //! * [`rabin`] — rolling fingerprint and content-defined chunking;
 //! * [`mod@sha1`] — FIPS 180-1 (test vectors included);
-//! * [`lzss`] — the block-bounded LZSS codec + `find_match` search;
+//! * [`lzss`] — the block-bounded LZSS codec + its `MatchFinder` search;
 //! * [`batch`] — 1 MB batches with `startPos` block indexes (Fig. 2);
 //! * [`kernels`] — GPU kernels: SHA-1 per block, `FindMatchKernel`
 //!   (Listing 3), plus the slow per-block variants;

@@ -13,15 +13,17 @@
 //! * bit-packed output: literal = `0` + 8 bits; match = `1` + offset bits
 //!   + 4-bit length.
 //!
-//! The search is Listing 3's: every candidate in the window is probed,
-//! O(window) per position, with a filter that rejects a candidate in one
-//! probe once a best match exists. Under AVX2 that filter runs on 32
-//! candidates per compare, with the same match and probe count.
+//! The search is Listing 3's: a forward scan of every candidate in the
+//! window, with a filter that rejects a candidate in one probe once a best
+//! match exists. [`MatchFinder`] returns the same match and probe count
+//! from a per-block hash chain on each position's first two bytes, so a
+//! query costs the same-key candidates in its window, not O(window);
+//! [`find_match_scalar`] is the loop itself, kept as its reference.
 //!
 //! The default window is 1 KiB (the paper's code uses 4 KiB; the reduction
-//! keeps the O(n·window) search tractable at this reproduction's scale and
-//! is recorded in DESIGN.md). Window size is configurable, to any power of
-//! two.
+//! keeps the modeled O(n·window) kernel work tractable at this
+//! reproduction's scale and is recorded in DESIGN.md). Window size is
+//! configurable, to any power of two.
 
 /// Codec parameters. `max_coded` is derived: `min_coded + 15` (4-bit
 /// length field).
@@ -55,15 +57,36 @@ impl LzssConfig {
         self.window.is_power_of_two()
     }
 
-    /// Bits used to store a match offset. Panics on a window that is not
-    /// a power of two: its distances would not fit, and the stream would
-    /// decode to other bytes.
-    pub fn offset_bits(&self) -> u32 {
+    /// Whether a match of `min_coded` bytes advances the parse and
+    /// shares its first two bytes with the position it is found for:
+    /// `min_coded >= 2`. Shorter "matches" would code every position as
+    /// an empty one. The rule `Archive::from_bytes` applies on read.
+    pub(crate) fn min_coded_is_valid(&self) -> bool {
+        self.min_coded >= 2
+    }
+
+    /// Panics unless the codec can code this configuration (see
+    /// [`window_is_valid`](Self::window_is_valid) and
+    /// [`min_coded_is_valid`](Self::min_coded_is_valid)).
+    pub(crate) fn assert_valid(&self) {
         assert!(
             self.window_is_valid(),
             "LZSS window {} is not a power of two",
             self.window
         );
+        assert!(
+            self.min_coded_is_valid(),
+            "LZSS min_coded {} is below 2",
+            self.min_coded
+        );
+    }
+
+    /// Bits used to store a match offset. Panics on a configuration the
+    /// codec cannot code: a window that is not a power of two (its
+    /// distances would not fit, and the stream would decode to other
+    /// bytes) or a `min_coded` below 2.
+    pub fn offset_bits(&self) -> u32 {
+        self.assert_valid();
         self.window.trailing_zeros()
     }
 }
@@ -78,43 +101,154 @@ pub struct Match {
     pub len: u32,
 }
 
-/// Find the longest match for `pos` within `[block_start, pos)`, never
-/// reading past `block_end`; returns the match and the number of byte
-/// probes performed (the GPU kernel's work unit).
+/// The search of Listing 3's `FindMatch` over one block, by hash chain.
 ///
-/// Search policy (identical to Listing 3): scan candidates forward from the
-/// window start, extend while bytes match, keep the first strictly-longest.
-/// The match must end at or before `pos` (no self-overlap).
+/// [`index`](Self::index) links every position of a block to the next
+/// one whose first two bytes hash to the same bucket (the *key* is those
+/// two bytes); [`find`](Self::find) then returns, for any position of the
+/// block, what [`find_match_scalar`] returns: the same match **and** the
+/// same probe count, so the metered device work and the modeled time
+/// cannot tell the two apart.
 ///
-/// Under AVX2 (detected at runtime) the candidates are filtered 32 at a
-/// time; everywhere else [`find_match_scalar`] runs. Both return the same
-/// match **and** the same probe count, so the modeled device time cannot
-/// tell them apart.
-pub fn find_match(
-    data: &[u8],
-    block_start: usize,
-    block_end: usize,
-    pos: usize,
-    cfg: &LzssConfig,
-) -> (Match, u64) {
-    // The vector body's unchecked loads rely on this, so it holds in
-    // release builds too.
-    assert!(
-        block_start <= pos && pos < block_end && block_end <= data.len(),
-        "find_match: need block_start <= pos < block_end <= data.len()"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if pos >= LANES && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime, and the
-        // assert above plus `pos >= LANES` are `find_match_avx2`'s
-        // requirements.
-        return unsafe { find_match_avx2(data, block_start, block_end, pos, cfg) };
-    }
-    find_match_scalar(data, block_start, block_end, pos, cfg)
+/// Only a candidate whose key equals the key at `pos` can be extended
+/// past one byte or become the match (`min_coded >= 2`); every other
+/// candidate costs the scalar loop exactly one probe. So `find` walks the
+/// same-key candidates in the window, in the scalar loop's forward order,
+/// and charges the rest in one sum: probes = `(stop − w0) + Σ(j − 1)`
+/// over the candidates it extends, where `w0` is the window's first
+/// candidate, `stop` the one after the last candidate scanned, and `j`
+/// each extension's length.
+///
+/// Queries within a block must ascend and share one [`LzssConfig`]: each
+/// bucket's head moves forward past the candidates the window has left
+/// behind, and never back. A default finder has no block indexed.
+#[derive(Default)]
+pub struct MatchFinder {
+    /// Per bucket, the oldest indexed position the window has not yet
+    /// left behind (relative to the block start); `NIL` if none.
+    head: Vec<u32>,
+    /// Per block position, the next newer position in its bucket.
+    next: Vec<u32>,
+    start: usize,
+    end: usize,
+    /// The last position queried.
+    last: usize,
 }
 
-/// The one-candidate-at-a-time body of [`find_match`]: its fallback off
-/// AVX2 and the reference the vector body is held to, probe for probe.
+/// Buckets of the head table: the 2-byte key hashed to 12 bits.
+const BUCKETS: usize = 4096;
+
+/// The end of a chain.
+const NIL: u32 = u32::MAX;
+
+/// The bucket of the key `(a, b)`.
+#[inline(always)]
+fn bucket(a: u8, b: u8) -> usize {
+    ((u32::from(a) << 8 | u32::from(b)).wrapping_mul(0x9E37_79B1) >> 20) as usize
+}
+
+impl MatchFinder {
+    /// Index the block `data[block_start..block_end]`: its matches stay
+    /// inside it, as Dedup requires of independently decodable blocks.
+    pub fn index(&mut self, data: &[u8], block_start: usize, block_end: usize) {
+        assert!(
+            block_start <= block_end && block_end <= data.len(),
+            "MatchFinder::index: need block_start <= block_end <= data.len()"
+        );
+        assert!(
+            block_end - block_start < NIL as usize,
+            "MatchFinder::index: block too long for u32 links"
+        );
+        let block = &data[block_start..block_end];
+        self.head.clear();
+        self.head.resize(BUCKETS, NIL);
+        self.next.clear();
+        self.next.resize(block.len(), NIL);
+        // Walking backwards and pushing each position in front of its
+        // bucket leaves every chain in ascending order. The last byte has
+        // no key; it is never a candidate either.
+        for (rel, pair) in block.windows(2).enumerate().rev() {
+            let b = bucket(pair[0], pair[1]);
+            self.next[rel] = self.head[b];
+            self.head[b] = rel as u32;
+        }
+        self.start = block_start;
+        self.end = block_end;
+        self.last = block_start;
+    }
+
+    /// The longest match for `pos` within the indexed block, and the
+    /// number of byte probes Listing 3's loop spends finding it (the GPU
+    /// kernel's work unit): scan forward from the window start, extend
+    /// while bytes match, keep the first strictly-longest, never overlap
+    /// `pos`, stop at `max_coded`. `data` is the slice given to
+    /// [`index`](Self::index); `pos` may not be below an earlier query's.
+    pub fn find(&mut self, data: &[u8], pos: usize, cfg: &LzssConfig) -> (Match, u64) {
+        let (start, end) = (self.start, self.end);
+        assert!(
+            self.last <= pos && pos < end && end <= data.len(),
+            "MatchFinder::find: need ascending positions inside the indexed block"
+        );
+        // A one-byte match would make every candidate a possible one.
+        assert!(
+            cfg.min_coded_is_valid(),
+            "MatchFinder::find: min_coded {} is below 2",
+            cfg.min_coded
+        );
+        self.last = pos;
+        let w0 = start.max(pos.saturating_sub(cfg.window));
+        let max_len = cfg.max_coded().min(end - pos);
+        let mut best = Match::default();
+        if max_len < 2 {
+            // No candidate can extend past its first byte.
+            return (best, (pos - w0) as u64);
+        }
+        let key = (data[pos], data[pos + 1]);
+        let slot = &mut self.head[bucket(key.0, key.1)];
+        let (w0_rel, pos_rel) = ((w0 - start) as u32, (pos - start) as u32);
+        while *slot < w0_rel {
+            *slot = self.next[*slot as usize];
+        }
+        let mut c = *slot;
+        let mut best_len = 0usize;
+        let mut extended: u64 = 0;
+        let mut stop = pos;
+        while c < pos_rel {
+            let current = start + c as usize;
+            // Other keys share the bucket. Once a best match exists, the
+            // scalar loop's filter applies: only a candidate that matches
+            // at `best_len` too, without reaching `pos`, can beat it.
+            if (data[current], data[current + 1]) == key
+                && (best_len == 0
+                    || (current + best_len < pos
+                        && data[current + best_len] == data[pos + best_len]))
+            {
+                // The key agrees, but a candidate right before `pos` may
+                // not overlap it.
+                let j = extend_by_words(data, current, pos, max_len, (pos - current).min(2));
+                extended += j as u64 - 1;
+                if j > best_len && j >= cfg.min_coded {
+                    best_len = j;
+                    best = Match {
+                        dist: (pos - current) as u32,
+                        len: j as u32,
+                    };
+                    if j == max_len {
+                        stop = current + 1;
+                        break; // cannot improve
+                    }
+                }
+            }
+            c = self.next[c as usize];
+        }
+        (best, (stop - w0) as u64 + extended)
+    }
+}
+
+/// Listing 3's loop, one candidate at a time: the reference
+/// [`MatchFinder::find`] is held to, match for match and probe for probe.
+/// Finds the longest match for `pos` within `[block_start, pos)`, never
+/// reading past `block_end`.
 pub fn find_match_scalar(
     data: &[u8],
     block_start: usize,
@@ -143,7 +277,7 @@ pub fn find_match_scalar(
         if data[current] != data[pos] {
             continue;
         }
-        let j = extend(data, current, pos, max_len);
+        let j = extend(data, current, pos, max_len, 1);
         probes += j as u64 - 1;
         if j > best_len && j >= cfg.min_coded {
             best_len = j;
@@ -160,96 +294,32 @@ pub fn find_match_scalar(
 }
 
 /// Length of the match of `current` against `pos`, given that their first
-/// bytes agree: extend while bytes match, short of `max_len` and of `pos`.
-/// Each byte it compares equal past the first is one probe.
+/// `from` bytes agree: extend while bytes match, short of `max_len` and of
+/// `pos`. Each byte that agrees past the first is one probe.
 #[inline(always)]
-fn extend(data: &[u8], current: usize, pos: usize, max_len: usize) -> usize {
-    let mut j = 1usize;
+fn extend(data: &[u8], current: usize, pos: usize, max_len: usize, from: usize) -> usize {
+    let mut j = from;
     while j < max_len && current + j < pos && data[current + j] == data[pos + j] {
         j += 1;
     }
     j
 }
 
-/// Candidates one AVX2 compare filters: one per byte of a `__m256i`.
-#[cfg(target_arch = "x86_64")]
-const LANES: usize = 32;
-
-/// [`find_match_scalar`] with the candidate filter run on 32 candidates
-/// per compare. A candidate survives when `data[c] == data[pos]` and, once
-/// a best match exists, `c + best_len < pos` and
-/// `data[c + best_len] == data[pos + best_len]`: the scalar loop's
-/// pre-checks, so every rejected candidate costs it exactly 1 probe here
-/// too. Survivors are extended in candidate order; a new best match
-/// changes the filter, so the scan resumes at the candidate after it.
-///
-/// # Safety
-///
-/// The CPU supports AVX2, `block_start <= pos < block_end <= data.len()`
-/// and `pos >= LANES`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn find_match_avx2(
-    data: &[u8],
-    block_start: usize,
-    block_end: usize,
-    pos: usize,
-    cfg: &LzssConfig,
-) -> (Match, u64) {
-    use std::arch::x86_64::*;
-
-    let w0 = block_start.max(pos.saturating_sub(cfg.window));
-    let max_len = cfg.max_coded().min(block_end - pos);
-    let first = _mm256_set1_epi8(data[pos] as i8);
-    let mut best = Match::default();
-    let mut best_len = 0usize;
-    let mut probes: u64 = 0;
-    let mut c = w0; // first candidate not yet scanned
-    while c < pos {
-        // The 32 candidates from `base`, never past `pos - 1`; lanes below
-        // `c` were scanned already or lie before the window.
-        let base = c.min(pos - LANES);
-        let skip = c - base;
-        // SAFETY: `base + 31 < pos < block_end <= data.len()`.
-        let head = unsafe { _mm256_loadu_si256(data.as_ptr().add(base).cast()) };
-        let mut live = _mm256_movemask_epi8(_mm256_cmpeq_epi8(head, first)) as u32;
-        live &= u32::MAX << skip;
-        if best_len > 0 {
-            // Lane k may reach `best_len` only if `base + k + best_len < pos`.
-            let reach = (pos - base).saturating_sub(best_len);
-            if reach < LANES {
-                live &= (1u32 << reach) - 1;
-            }
-            let want = _mm256_set1_epi8(data[pos + best_len] as i8);
-            let from = base + best_len;
-            // SAFETY: while the scan runs `best_len < max_len`, so
-            // `base + best_len + 31 < pos + best_len < block_end`.
-            let at_best = unsafe { _mm256_loadu_si256(data.as_ptr().add(from).cast()) };
-            live &= _mm256_movemask_epi8(_mm256_cmpeq_epi8(at_best, want)) as u32;
+/// [`extend`], comparing eight bytes at a time while eight are left
+/// before `max_len` and `pos`: the same length, with fewer branches.
+#[inline(always)]
+fn extend_by_words(data: &[u8], current: usize, pos: usize, max_len: usize, from: usize) -> usize {
+    let limit = max_len.min(pos - current);
+    let word = |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
+    let mut j = from;
+    while j + 8 <= limit {
+        let diff = word(current + j) ^ word(pos + j);
+        if diff != 0 {
+            return j + (diff.trailing_zeros() / 8) as usize;
         }
-        let mut next = base + LANES;
-        while live != 0 {
-            let current = base + live.trailing_zeros() as usize;
-            live &= live - 1;
-            let j = extend(data, current, pos, max_len);
-            probes += j as u64 - 1;
-            if j > best_len && j >= cfg.min_coded {
-                best_len = j;
-                best = Match {
-                    dist: (pos - current) as u32,
-                    len: j as u32,
-                };
-                next = current + 1;
-                break;
-            }
-        }
-        probes += (next - c) as u64;
-        if best_len == max_len {
-            break; // cannot improve
-        }
-        c = next;
+        j += 8;
     }
-    (best, probes)
+    extend(data, current, pos, max_len, j)
 }
 
 /// Decoding failure: the bitstream is inconsistent with `orig_len` or
@@ -302,8 +372,13 @@ impl Default for BitWriter {
 impl BitWriter {
     /// Empty writer.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Empty writer whose output holds `bytes` bytes before it grows.
+    pub fn with_capacity(bytes: usize) -> Self {
         BitWriter {
-            out: Vec::new(),
+            out: Vec::with_capacity(bytes),
             acc: 0,
             n: 0,
         }
@@ -366,18 +441,29 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// Compress one block with the naive CPU search. Returns the bitstream.
+/// Compress one block, searching it with a [`MatchFinder`]. Returns the
+/// bitstream.
 pub fn encode_block(block: &[u8], cfg: &LzssConfig) -> Vec<u8> {
-    let matches = |pos: usize| find_match(block, 0, block.len(), pos, cfg).0;
-    encode_with(block, cfg, matches)
+    let mut finder = MatchFinder::default();
+    finder.index(block, 0, block.len());
+    encode_with(block, cfg, |pos| finder.find(block, pos, cfg).0)
 }
 
 /// Compress one block from precomputed per-position matches (the GPU path:
-/// `FindMatchKernel` fills `matches`, the host walks them greedily).
-/// `matches[i]` must describe position `i` of `block`.
-pub fn encode_block_from_matches(block: &[u8], matches: &[Match], cfg: &LzssConfig) -> Vec<u8> {
-    assert_eq!(matches.len(), block.len());
-    encode_with(block, cfg, |pos| matches[pos])
+/// `FindMatchKernel` fills the length and offset arrays, the host walks
+/// them greedily). `lens[i]` and `offs[i]` describe position `i` of
+/// `block`.
+pub fn encode_block_from_matches(
+    block: &[u8],
+    lens: &[u32],
+    offs: &[u32],
+    cfg: &LzssConfig,
+) -> Vec<u8> {
+    assert!(lens.len() == block.len() && offs.len() == block.len());
+    encode_with(block, cfg, |pos| Match {
+        dist: offs[pos],
+        len: lens[pos],
+    })
 }
 
 fn encode_with(
@@ -385,8 +471,10 @@ fn encode_with(
     cfg: &LzssConfig,
     mut match_at: impl FnMut(usize) -> Match,
 ) -> Vec<u8> {
-    let mut w = BitWriter::new();
     let off_bits = cfg.offset_bits();
+    // All literals, 9 bits a byte: what a block that does not compress
+    // costs, and so enough for every block worth storing compressed.
+    let mut w = BitWriter::with_capacity(block.len() + block.len() / 8 + 1);
     let mut pos = 0usize;
     while pos < block.len() {
         let m = match_at(pos);
@@ -444,6 +532,28 @@ mod tests {
 
     fn cfg() -> LzssConfig {
         LzssConfig::default()
+    }
+
+    /// [`MatchFinder::find`] at every position of `data[start..end]`.
+    fn find_all(data: &[u8], start: usize, end: usize, cfg: &LzssConfig) -> Vec<(Match, u64)> {
+        let mut finder = MatchFinder::default();
+        finder.index(data, start, end);
+        (start..end)
+            .map(|pos| finder.find(data, pos, cfg))
+            .collect()
+    }
+
+    /// One query at `pos`, the first in its block.
+    fn find_at(
+        data: &[u8],
+        start: usize,
+        end: usize,
+        pos: usize,
+        cfg: &LzssConfig,
+    ) -> (Match, u64) {
+        let mut finder = MatchFinder::default();
+        finder.index(data, start, end);
+        finder.find(data, pos, cfg)
     }
 
     fn roundtrip(data: &[u8], cfg: &LzssConfig) {
@@ -521,13 +631,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "LZSS min_coded 0 is below 2")]
+    fn a_min_coded_below_two_is_rejected() {
+        // A 0-byte "match" at every position: the parse would never
+        // advance, and a distance of 0 would be coded as `dist - 1`.
+        encode_block(
+            b"abcabcabc",
+            &LzssConfig {
+                window: 64,
+                min_coded: 0,
+            },
+        );
+    }
+
+    #[test]
     fn no_self_overlap_in_matches() {
         // Listing 3 forbids a match extending into the lookahead; dist
         // must be >= len for every emitted match.
         let data = b"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa".to_vec();
         let c = cfg();
-        for pos in 1..data.len() {
-            let (m, _) = find_match(&data, 0, data.len(), pos, &c);
+        for (pos, (m, _)) in find_all(&data, 0, data.len(), &c).into_iter().enumerate() {
             if m.len > 0 {
                 assert!(
                     m.dist >= m.len,
@@ -550,7 +673,7 @@ mod tests {
             min_coded: 3,
         };
         // Block starts at 8: position 8 sees an empty window.
-        let (m, _) = find_match(&data, 8, 16, 8, &c);
+        let (m, _) = find_at(&data, 8, 16, 8, &c);
         assert_eq!(m.len, 0);
     }
 
@@ -558,7 +681,7 @@ mod tests {
     fn matches_capped_at_max_coded() {
         let data = vec![7u8; 200];
         let c = cfg();
-        let (m, _) = find_match(&data, 0, 200, 100, &c);
+        let (m, _) = find_at(&data, 0, 200, 100, &c);
         assert!(m.len as usize <= c.max_coded());
     }
 
@@ -617,8 +740,8 @@ mod tests {
             min_coded: 3,
         };
         for (pi, data) in patterns.iter().enumerate() {
-            for pos in 0..data.len() {
-                let (fast, _) = find_match(data, 0, data.len(), pos, &cfg);
+            let found = find_all(data, 0, data.len(), &cfg);
+            for (pos, (fast, _)) in found.into_iter().enumerate() {
                 let naive = find_match_naive(data, 0, data.len(), pos, &cfg);
                 assert_eq!(fast, naive, "pattern {pi}, pos {pos}");
             }
@@ -634,7 +757,7 @@ mod tests {
             window: 1024,
             min_coded: 3,
         };
-        let (_, probes) = find_match(&data, 0, data.len(), 2048, &cfg);
+        let (_, probes) = find_at(&data, 0, data.len(), 2048, &cfg);
         assert!(
             probes < 100,
             "constant run must early-exit: {probes} probes"
@@ -645,10 +768,11 @@ mod tests {
     fn encode_from_matches_equals_cpu_encoding() {
         let data = b"abracadabra abracadabra banana banana banana".repeat(10);
         let c = cfg();
-        let matches: Vec<Match> = (0..data.len())
-            .map(|pos| find_match(&data, 0, data.len(), pos, &c).0)
-            .collect();
-        let from_matches = encode_block_from_matches(&data, &matches, &c);
+        let (lens, offs): (Vec<u32>, Vec<u32>) = find_all(&data, 0, data.len(), &c)
+            .into_iter()
+            .map(|(m, _)| (m.len, m.dist))
+            .unzip();
+        let from_matches = encode_block_from_matches(&data, &lens, &offs, &c);
         let direct = encode_block(&data, &c);
         assert_eq!(from_matches, direct);
     }
@@ -689,5 +813,41 @@ mod tests {
         // Truncation: ask for more output than the stream encodes.
         let enc = encode_block(b"abc", &cfg());
         assert_eq!(decode_block(&enc, 10, &cfg()), Err(LzssError::Truncated));
+    }
+
+    #[test]
+    fn keys_sharing_a_bucket_are_told_apart() {
+        // Two keys that share a bucket: a walk that did not compare both
+        // bytes would take the one at 0 for a two-byte match of the other
+        // and extend it from there.
+        let key = |k: u16| (k.to_be_bytes()[0], k.to_be_bytes()[1]);
+        let mut first_in = vec![None; BUCKETS];
+        let ((a, b), (y, z)) = (0..=u16::MAX)
+            .find_map(|k| {
+                let (a, b) = key(k);
+                let other = first_in[bucket(a, b)].replace(k)?;
+                Some((key(other), (a, b)))
+            })
+            .expect("4096 buckets hold 65536 keys");
+        let mut data = vec![y, z, b'x', b'y', b'w', b'.', a, b, b'x', b'q'];
+        data.extend_from_slice(&[a, b, b'x', b'y', b'w', b'!']);
+        let cfg = LzssConfig {
+            window: 64,
+            min_coded: 3,
+        };
+        let pos = 10;
+        let (m, probes) = find_at(&data, 0, data.len(), pos, &cfg);
+        assert_eq!((m.dist, m.len), (4, 3), "the match is the `a b x` at 6");
+        assert_eq!(
+            (m, probes),
+            find_match_scalar(&data, 0, data.len(), pos, &cfg)
+        );
+        for (pos, got) in find_all(&data, 0, data.len(), &cfg).into_iter().enumerate() {
+            assert_eq!(
+                got,
+                find_match_scalar(&data, 0, data.len(), pos, &cfg),
+                "pos {pos}"
+            );
+        }
     }
 }

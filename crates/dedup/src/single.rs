@@ -29,7 +29,6 @@ use crate::batch::{make_batches, Batch};
 use crate::costs::HostCosts;
 use crate::dedupe::{BlockClass, DedupCache};
 use crate::kernels::{FindMatchKernel, Sha1Kernel};
-use crate::lzss::Match;
 use crate::pipeline::DedupConfig;
 use crate::sha1::Digest;
 
@@ -66,15 +65,14 @@ fn encode_entries(
             BlockClass::Unique { .. } => {
                 let r = batch.block_range(b);
                 let block = &batch.data[r.clone()];
-                let matches: Vec<Match> = (r.start..r.end)
-                    .map(|i| Match {
-                        dist: offs[i],
-                        len: lens[i],
-                    })
-                    .collect();
                 crate::archive::BlockEntry::from_encoded(
                     block,
-                    crate::lzss::encode_block_from_matches(block, &matches, &cfg.lzss),
+                    crate::lzss::encode_block_from_matches(
+                        block,
+                        &lens[r.clone()],
+                        &offs[r],
+                        &cfg.lzss,
+                    ),
                 )
             }
             BlockClass::Dup { of } => crate::archive::BlockEntry::Dup(*of),

@@ -14,7 +14,7 @@
 //! The standalone single-threaded `CUDA` / `OpenCL` bars are *measured*
 //! directly on the simulated devices (`dedup::single`), not modeled here.
 
-use dedup::lzss::find_match;
+use dedup::lzss::MatchFinder;
 use dedup::{make_batches, DedupConfig, HostCosts};
 use gpusim::kernel::LaunchDims;
 use gpusim::model::{kernel_duration_from_units, transfer_duration};
@@ -108,10 +108,12 @@ pub fn profile(input: &[u8], cfg: &DedupConfig, props: &DeviceProps) -> DedupPro
         let scan_extra = (n as u64) / 4 + 1; // the startPos linear scan
         let mut probes = vec![0u64; batch.data.len()];
         let mut matches = vec![dedup::Match::default(); batch.data.len()];
+        let mut finder = MatchFinder::default();
         for b in 0..n {
             let r = batch.block_range(b);
-            for pos in r.clone() {
-                let (m, p) = find_match(&batch.data, r.start, r.end, pos, &cfg.lzss);
+            finder.index(&batch.data, r.start, r.end);
+            for pos in r {
+                let (m, p) = finder.find(&batch.data, pos, &cfg.lzss);
                 probes[pos] = p + scan_extra;
                 matches[pos] = m;
             }

@@ -144,8 +144,8 @@ fn worker_count_does_not_change_the_archive() {
 
 /// The archive bytes of one fixed input, pinned across commits. Every
 /// other test here compares a pipeline with `run_sequential`, and both
-/// call the same `find_match`, so a search-policy change both sides share
-/// would pass them; this one fails on any byte that moves.
+/// search with the same `MatchFinder`, so a search-policy change both
+/// sides share would pass them; this one fails on any byte that moves.
 #[test]
 fn archive_bytes_are_pinned_across_commits() {
     let data: Vec<u8> = datasets::all(40_000, 32)

@@ -17,7 +17,7 @@ mod lane_reference;
 
 use hetstream::dedup::datasets;
 use hetstream::dedup::kernels::FindMatchKernel;
-use hetstream::dedup::lzss::{find_match, find_match_scalar};
+use hetstream::dedup::lzss::{find_match_scalar, MatchFinder};
 use hetstream::dedup::rabin::{chunk_starts, chunk_starts_reference};
 use hetstream::dedup::sha1::{compress_block, Sha1};
 use hetstream::dedup::sha1mb::compress8;
@@ -156,8 +156,8 @@ fn rabin_fast_scan_matches_reference_across_params_and_lengths() {
     }
 }
 
-/// `find_match` against its scalar body at every position of `data` in
-/// `[block_start, block_end)`: the match and the probe count.
+/// `MatchFinder::find` against `find_match_scalar` at every position of
+/// `data` in `[block_start, block_end)`: the match and the probe count.
 fn assert_search_exact(
     what: &str,
     data: &[u8],
@@ -165,13 +165,43 @@ fn assert_search_exact(
     block_end: usize,
     cfg: &LzssConfig,
 ) {
+    let mut finder = MatchFinder::default();
+    finder.index(data, block_start, block_end);
     for pos in block_start..block_end {
         assert_eq!(
-            find_match(data, block_start, block_end, pos, cfg),
+            finder.find(data, pos, cfg),
             find_match_scalar(data, block_start, block_end, pos, cfg),
             "{what}: window {}, block {block_start}..{block_end}, pos {pos}",
             cfg.window
         );
+    }
+}
+
+/// The same at the positions the encoder's greedy parse queries: each
+/// match skips the positions it covers.
+fn assert_parse_exact(
+    what: &str,
+    data: &[u8],
+    block_start: usize,
+    block_end: usize,
+    cfg: &LzssConfig,
+) {
+    let mut finder = MatchFinder::default();
+    finder.index(data, block_start, block_end);
+    let mut pos = block_start;
+    while pos < block_end {
+        let (m, probes) = finder.find(data, pos, cfg);
+        assert_eq!(
+            (m, probes),
+            find_match_scalar(data, block_start, block_end, pos, cfg),
+            "{what} (parse): window {}, block {block_start}..{block_end}, pos {pos}",
+            cfg.window
+        );
+        pos += if m.len as usize >= cfg.min_coded {
+            m.len as usize
+        } else {
+            1
+        };
     }
 }
 
@@ -195,8 +225,8 @@ fn find_match_matches_scalar_at_every_position_of_every_dataset() {
         .into_iter()
         .map(|ds| (ds.name, ds.data))
         .collect();
-    // Four-letter noise as well: survivors in most lanes, a new best match
-    // mid-chunk at most positions, and runs that reach max_coded.
+    // Four-letter noise as well: 16 keys, so long same-key chains, a new
+    // best match along most walks, and runs that reach max_coded.
     let noise = pseudo_random(16 * 1024, 11)
         .into_iter()
         .map(|b| b >> 6)
@@ -206,9 +236,10 @@ fn find_match_matches_scalar_at_every_position_of_every_dataset() {
         let mut cuts = chunk_starts(data, &params);
         assert!(cuts.len() > 4, "{name}: fixture must span blocks");
         cuts.push(data.len());
-        for window in [16, 512, 1024, 4096] {
+        for window in [16, 128, 512, 1024, 4096] {
             for block in cuts.windows(2) {
                 assert_search_exact(name, data, block[0], block[1], &lzss(window));
+                assert_parse_exact(name, data, block[0], block[1], &lzss(window));
             }
         }
     }
@@ -218,24 +249,84 @@ fn find_match_matches_scalar_at_every_position_of_every_dataset() {
 fn find_match_matches_scalar_at_the_edges_of_a_block() {
     let data = compressible(400, 5);
     let cfg = lzss(512);
-    // Fewer than 32 candidates in the window: a block that starts just
-    // before `pos`, far from the buffer's start.
+    // A block that starts far into the buffer, after bytes it must not
+    // match: a window shorter than the one configured.
     for block_start in [300, 330, 360] {
-        assert_search_exact("short window", &data, block_start, 400, &cfg);
+        assert_search_exact("block mid-buffer", &data, block_start, 400, &cfg);
     }
-    // `pos` within 32 bytes of `data.len()`, and `block_end - pos` below
-    // `max_coded`, at the buffer's end and inside it.
+    // `block_end - pos` below `max_coded`, down to the last byte, where
+    // there is no key; at the buffer's end and inside it.
     assert_search_exact("tail of the buffer", &data, 0, 400, &cfg);
     assert_search_exact("tail of a block", &data, 100, 250, &cfg);
-    // Positions below 32, where no 32 candidates precede `pos`.
-    assert_search_exact("head of the buffer", &data, 0, 40, &cfg);
+    // A window that slides past chain heads, position after position.
+    assert_search_exact("sliding window", &data, 0, 400, &lzss(16));
+    // A one-byte and a two-byte block.
+    assert_search_exact("one byte", &data, 7, 8, &cfg);
+    assert_search_exact("two bytes", &data, 7, 9, &cfg);
 }
 
 #[test]
-fn find_match_rescans_after_a_new_best_match_mid_chunk() {
-    // One 32-candidate chunk holds matches of length 3, 5 and 8 for
-    // `pos`, in that order: each new best match changes the filter, and
-    // the scan must resume right after it.
+fn find_match_charges_the_last_byte_of_a_block_one_probe_a_candidate() {
+    // At the last byte no candidate extends past its first byte: every
+    // candidate in the window costs one probe, and nothing matches.
+    let data = b"abcabcabca".to_vec();
+    let cfg = lzss(8);
+    let mut finder = MatchFinder::default();
+    finder.index(&data, 0, data.len());
+    let last = data.len() - 1;
+    let (m, probes) = finder.find(&data, last, &cfg);
+    assert_eq!((m.len, probes), (0, 8));
+    assert_eq!(
+        (m, probes),
+        find_match_scalar(&data, 0, data.len(), last, &cfg)
+    );
+}
+
+#[test]
+fn find_match_extends_a_distance_one_candidate_by_nothing() {
+    // In a run, the candidate right before `pos` shares its key but may
+    // not overlap `pos`: it is extended to one byte and charged no more.
+    let mut data = b"xy".to_vec();
+    data.extend_from_slice(&[b'a'; 40]);
+    let cfg = lzss(64);
+    assert_search_exact("run", &data, 0, data.len(), &cfg);
+    let (m, probes) = find_match_scalar(&data, 0, data.len(), 3, &cfg);
+    assert_eq!((m.len, probes), (0, 3), "pos 3 has only `x`, `y`, `a`");
+    let mut finder = MatchFinder::default();
+    finder.index(&data, 0, data.len());
+    assert_eq!(finder.find(&data, 3, &cfg), (m, probes));
+}
+
+#[test]
+fn find_match_forgets_a_chain_head_the_window_slid_past() {
+    // The key `ab` at 0, 40, 60, 85 and 120 over bytes that never repeat,
+    // queried with a 32-byte window: 0 has left the window by 60, 40 by
+    // 85, and by 120 every earlier `ab` has.
+    let mut data: Vec<u8> = (0..130).map(|i| (128 + i) as u8).collect();
+    data[0..4].copy_from_slice(b"abcd");
+    data[40..43].copy_from_slice(b"abX");
+    for at in [60, 85, 120] {
+        data[at..at + 4].copy_from_slice(b"abcd");
+    }
+    let cfg = lzss(32);
+    let mut finder = MatchFinder::default();
+    finder.index(&data, 0, data.len());
+    for (pos, want) in [(60, (0, 0)), (85, (25, 4)), (120, (0, 0))] {
+        let (m, probes) = finder.find(&data, pos, &cfg);
+        assert_eq!((m.dist, m.len), want, "pos {pos}");
+        assert_eq!(
+            (m, probes),
+            find_match_scalar(&data, 0, data.len(), pos, &cfg),
+            "pos {pos}"
+        );
+    }
+    assert_search_exact("window past the head", &data, 0, data.len(), &cfg);
+}
+
+#[test]
+fn find_match_takes_each_longer_match_in_turn() {
+    // Matches of length 3, 5 and 8 for `pos`, in window order: each new
+    // best match changes the filter for the candidates after it.
     let mut data = vec![b'.'; 64];
     data[2..6].copy_from_slice(b"abcX");
     data[10..16].copy_from_slice(b"abcdeY");
@@ -243,19 +334,21 @@ fn find_match_rescans_after_a_new_best_match_mid_chunk() {
     data.extend_from_slice(b"abcdefghijklmnopqrstuvwxyz");
     let pos = 64;
     let cfg = lzss(64);
-    let (m, probes) = find_match(&data, 0, data.len(), pos, &cfg);
+    let mut finder = MatchFinder::default();
+    finder.index(&data, 0, data.len());
+    let (m, probes) = finder.find(&data, pos, &cfg);
     assert_eq!((m.dist, m.len), ((pos - 20) as u32, 8));
     assert_eq!(
         (m, probes),
         find_match_scalar(&data, 0, data.len(), pos, &cfg)
     );
-    assert_search_exact("rescan", &data, 0, data.len(), &cfg);
+    assert_search_exact("longer in turn", &data, 0, data.len(), &cfg);
 }
 
 #[test]
-fn find_match_stops_mid_chunk_at_max_coded() {
-    // A match of `max_coded` bytes at lane 10 of the first chunk ends the
-    // scan there, with later candidates in the chunk never probed.
+fn find_match_stops_at_max_coded() {
+    // A match of `max_coded` bytes at 10 ends the scan there, with the
+    // later candidate at 60 never probed.
     let cfg = lzss(128);
     let run: Vec<u8> = (0..cfg.max_coded() as u8).map(|i| b'a' + i).collect();
     let mut data = vec![b'.'; 128];
@@ -264,7 +357,9 @@ fn find_match_stops_mid_chunk_at_max_coded() {
     data.extend_from_slice(&run);
     data.extend_from_slice(b"tail");
     let pos = 128;
-    let (m, probes) = find_match(&data, 0, data.len(), pos, &cfg);
+    let mut finder = MatchFinder::default();
+    finder.index(&data, 0, data.len());
+    let (m, probes) = finder.find(&data, pos, &cfg);
     assert_eq!(
         (m.dist, m.len as usize),
         ((pos - 10) as u32, cfg.max_coded())

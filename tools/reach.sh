@@ -54,6 +54,7 @@ ingress   Receipt::is_acked                   # observable: fsync-on-ack durabil
 ingress   TcpSink::with_ack_poll              # knob: bounds the stalled-consumer test in time
 dedup     Archive::from_bytes                 # reads back what to_bytes writes (Fig. 5 sizes it)
 dedup     chunk_starts_reference              # reference implementation chunk_starts is held to
+dedup     find_match_scalar                   # reference the search is held to
 taskgraph CostModelScheduler::max_device_busy_ns  # observable: placement balance
 EOF
 )
