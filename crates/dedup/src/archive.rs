@@ -87,7 +87,7 @@ const MAGIC: &[u8; 4] = b"HDA1";
 impl Archive {
     /// New empty archive for the given codec. Panics, before any block is
     /// compressed, on a configuration the codec cannot code: a window that
-    /// is not a power of two, or a `min_coded` below 2.
+    /// is not a power of two, or a `min_coded` below 2 or above the window.
     pub fn new(lzss: LzssConfig) -> Self {
         lzss.assert_valid();
         Archive {
@@ -299,6 +299,35 @@ mod tests {
         Archive::new(LzssConfig {
             window: 1024,
             min_coded: 1,
+        });
+    }
+
+    #[test]
+    fn a_min_coded_above_the_window_is_rejected_on_read() {
+        // Each coded match would otherwise copy up to min_coded + 15
+        // bytes: a header's u32 field could make one match gigabytes.
+        let a = sample_archive();
+        for min_coded in [a.lzss.window as u32 + 1, u32::MAX] {
+            let mut bytes = a.to_bytes();
+            bytes[8..12].copy_from_slice(&min_coded.to_le_bytes());
+            assert_eq!(
+                Archive::from_bytes(&bytes),
+                Err(ArchiveError::BadHeader),
+                "min_coded {min_coded}"
+            );
+        }
+        // The window itself is a valid min_coded.
+        let mut bytes = a.to_bytes();
+        bytes[8..12].copy_from_slice(&(a.lzss.window as u32).to_le_bytes());
+        assert!(Archive::from_bytes(&bytes).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "LZSS min_coded 1025 exceeds the window 1024")]
+    fn a_min_coded_above_the_window_is_rejected_before_compressing() {
+        Archive::new(LzssConfig {
+            window: 1024,
+            min_coded: 1025,
         });
     }
 

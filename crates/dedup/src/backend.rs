@@ -39,7 +39,8 @@ use crate::batch::Batch;
 use crate::dedupe::BlockClass;
 use crate::kernels::{FindMatchBlockKernel, FindMatchKernel, Sha1BlockKernel, Sha1Kernel};
 use crate::lzss::{encode_block_from_matches, LzssConfig};
-use crate::sha1::{sha1, Digest};
+use crate::sha1::Digest;
+use crate::sha1mb::sha1_each;
 
 const BLOCK_1D: u32 = 256;
 
@@ -181,11 +182,10 @@ pub trait DedupBackend: Send + 'static {
 }
 
 /// Host implementation of stage 2 (also the GPU backend's fallback rung):
-/// `out[b]` is the digest of block `b`.
+/// `out[b]` is the digest of block `b`, eight blocks per pass through the
+/// routine `Sha1Kernel` runs.
 fn cpu_digests(batch: &Batch, out: &mut [Digest]) {
-    for (b, slot) in out.iter_mut().enumerate() {
-        *slot = sha1(batch.block(b));
-    }
+    sha1_each(out.len(), |b| batch.block(b), |b, digest| out[b] = digest);
 }
 
 /// Host implementation of stage 4 (also the GPU backend's fallback rung).
@@ -367,9 +367,9 @@ fn ensure_dev<O: Offload, T: Default + Clone + Send + 'static>(
 /// Stage 2 (hashing) declared as a [`Workload`]. The device path keeps
 /// the batch resident for stage 4; the OOM rung re-hashes recursively
 /// halved block ranges as standalone sub-batches (residency is lost, so
-/// stage 4 goes host-side for that batch); the host rung is the
-/// byte-identical [`sha1`]. The retry/halve/fallback ladder itself lives
-/// in [`WorkloadDriver`], not here.
+/// stage 4 goes host-side for that batch); the host rung runs the
+/// kernel's own eight-lane [`sha1_each`]. The retry/halve/fallback
+/// ladder itself lives in [`WorkloadDriver`], not here.
 pub struct HashWork<O: Offload> {
     system: Arc<GpuSystem>,
     n_gpus: usize,

@@ -12,7 +12,8 @@
 use gpusim::{DeviceMemory, DevicePtr, KernelFn, LaunchDims, WorkMeter};
 
 use crate::lzss::{LzssConfig, MatchFinder};
-use crate::sha1::Sha1;
+use crate::sha1::sha1;
+use crate::sha1mb::sha1_each;
 
 /// Cycles per byte hashed by a single GPU thread (scalar SHA-1 is
 /// register-bound; one thread per block is latency-, not throughput-,
@@ -27,7 +28,10 @@ const LZSS_CYCLES_PER_PROBE: f64 = 3.0;
 const TILE: usize = 256;
 
 /// SHA-1 of every block in a batch; lane `b` hashes block `b` (§IV-B
-/// stage 2: "each GPU thread calculates the SHA-1 of one block").
+/// stage 2: "each GPU thread calculates the SHA-1 of one block"). On the
+/// host the lanes run eight per pass through [`sha1_each`], the routine
+/// the stage's host rung calls too; each block lane is metered its
+/// length in bytes, each spare lane its bounds check.
 pub struct Sha1Kernel {
     /// Batch bytes on device.
     pub data: DevicePtr<u8>,
@@ -55,24 +59,30 @@ impl KernelFn for Sha1Kernel {
         let data = mem.borrow(self.data);
         let starts = mem.borrow(self.starts);
         let mut out = mem.borrow_mut(self.out);
-        for lane in dims.lanes() {
-            let b = lane as usize;
-            if b < self.n_blocks {
-                let start = starts[b] as usize;
-                let end = if b + 1 < self.n_blocks {
-                    starts[b + 1] as usize
-                } else {
-                    self.data_len
-                };
-                let mut h = Sha1::new();
-                h.update(&data[start..end]);
-                let digest = h.finalize();
-                out[b * 20..b * 20 + 20].copy_from_slice(&digest.0);
-                meter.record(lane, (end - start) as u64);
+        let range = |b: usize| {
+            let end = if b + 1 < self.n_blocks {
+                starts[b + 1] as usize
             } else {
-                meter.record(lane, 1);
+                self.data_len
+            };
+            starts[b] as usize..end
+        };
+        let active = self.n_blocks.min(dims.total_threads() as usize);
+        sha1_each(
+            active,
+            |b| &data[range(b)],
+            |b, digest| out[b * 20..b * 20 + 20].copy_from_slice(&digest.0),
+        );
+        let mut units = [0u64; TILE];
+        for base in (0..active).step_by(TILE) {
+            let units = &mut units[..TILE.min(active - base)];
+            for (b, lane_units) in (base..).zip(units.iter_mut()) {
+                *lane_units = range(b).len() as u64;
             }
+            meter.record_span(base as u64, units);
         }
+        // Lanes past the last block only pay their bounds check.
+        meter.record_fill(active as u64..dims.total_threads(), 1);
     }
 }
 
@@ -105,16 +115,10 @@ impl KernelFn for Sha1BlockKernel {
     fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
         let data = mem.borrow(self.data);
         let mut out = mem.borrow_mut(self.out);
-        for lane in dims.lanes() {
-            if lane == 0 {
-                let mut h = Sha1::new();
-                h.update(&data[self.start..self.end]);
-                out[self.slot * 20..self.slot * 20 + 20].copy_from_slice(&h.finalize().0);
-                meter.record(lane, (self.end - self.start) as u64);
-            } else {
-                meter.record(lane, 1);
-            }
-        }
+        let digest = sha1(&data[self.start..self.end]);
+        out[self.slot * 20..self.slot * 20 + 20].copy_from_slice(&digest.0);
+        meter.record_span(0, &[(self.end - self.start) as u64]);
+        meter.record_fill(1..dims.total_threads(), 1);
     }
 }
 
@@ -228,21 +232,21 @@ impl KernelFn for FindMatchBlockKernel {
         let data = mem.borrow(self.data);
         let mut m_len = mem.borrow_mut(self.matches_len);
         let mut m_off = mem.borrow_mut(self.matches_off);
-        let n = self.end - self.start;
+        let active = (self.end - self.start).min(dims.total_threads() as usize);
         let mut finder = MatchFinder::default();
         finder.index(&data, self.start, self.end);
-        for lane in dims.lanes() {
-            let i = lane as usize;
-            if i < n {
-                let idx = self.start + i;
+        let mut units = [0u64; TILE];
+        for base in (0..active).step_by(TILE) {
+            let units = &mut units[..TILE.min(active - base)];
+            for (idx, lane_units) in (self.start + base..).zip(units.iter_mut()) {
                 let (m, probes) = finder.find(&data, idx, &self.cfg);
                 m_len[idx] = m.len;
                 m_off[idx] = m.dist;
-                meter.record(lane, probes + 1);
-            } else {
-                meter.record(lane, 1);
+                *lane_units = probes + 1;
             }
+            meter.record_span(base as u64, units);
         }
+        meter.record_fill(active as u64..dims.total_threads(), 1);
     }
 }
 
@@ -252,7 +256,6 @@ mod tests {
     use crate::batch::make_batches;
     use crate::lzss::{find_match_scalar, Match};
     use crate::rabin::RabinParams;
-    use crate::sha1::sha1;
     use gpusim::{DeviceProps, GpuSystem, StreamId};
     use simtime::SimTime;
 

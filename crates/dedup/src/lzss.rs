@@ -57,12 +57,15 @@ impl LzssConfig {
         self.window.is_power_of_two()
     }
 
-    /// Whether a match of `min_coded` bytes advances the parse and
-    /// shares its first two bytes with the position it is found for:
-    /// `min_coded >= 2`. Shorter "matches" would code every position as
-    /// an empty one. The rule `Archive::from_bytes` applies on read.
+    /// Whether a match of `min_coded` bytes advances the parse, shares
+    /// its first two bytes with the position it is found for, and fits
+    /// the window: `2 <= min_coded <= window`. Shorter "matches" would
+    /// code every position as an empty one; a match never overlaps its
+    /// position, so none is longer than the window. The rule
+    /// `Archive::from_bytes` applies on read, which also bounds what one
+    /// coded match can make the decoder write.
     pub(crate) fn min_coded_is_valid(&self) -> bool {
-        self.min_coded >= 2
+        (2..=self.window).contains(&self.min_coded)
     }
 
     /// Panics unless the codec can code this configuration (see
@@ -75,16 +78,22 @@ impl LzssConfig {
             self.window
         );
         assert!(
-            self.min_coded_is_valid(),
+            self.min_coded >= 2,
             "LZSS min_coded {} is below 2",
             self.min_coded
+        );
+        assert!(
+            self.min_coded_is_valid(),
+            "LZSS min_coded {} exceeds the window {}",
+            self.min_coded,
+            self.window
         );
     }
 
     /// Bits used to store a match offset. Panics on a configuration the
     /// codec cannot code: a window that is not a power of two (its
     /// distances would not fit, and the stream would decode to other
-    /// bytes) or a `min_coded` below 2.
+    /// bytes), or a `min_coded` below 2 or above the window.
     pub fn offset_bits(&self) -> u32 {
         self.assert_valid();
         self.window.trailing_zeros()
@@ -192,8 +201,9 @@ impl MatchFinder {
         // A one-byte match would make every candidate a possible one.
         assert!(
             cfg.min_coded_is_valid(),
-            "MatchFinder::find: min_coded {} is below 2",
-            cfg.min_coded
+            "MatchFinder::find: min_coded {} is outside 2..={}",
+            cfg.min_coded,
+            cfg.window
         );
         self.last = pos;
         let w0 = start.max(pos.saturating_sub(cfg.window));
@@ -514,14 +524,14 @@ pub fn decode_block(
                 at: out.len(),
                 dist,
             })?;
+            if out.len() + len > orig_len {
+                return Err(LzssError::Overrun);
+            }
             for k in 0..len {
                 let b = out[start + k];
                 out.push(b);
             }
         }
-    }
-    if out.len() != orig_len {
-        return Err(LzssError::Overrun);
     }
     Ok(out)
 }
@@ -642,6 +652,34 @@ mod tests {
                 min_coded: 0,
             },
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "LZSS min_coded 17 exceeds the window 16")]
+    fn a_min_coded_above_the_window_is_rejected() {
+        // No match is longer than the window it is found in.
+        LzssConfig {
+            window: 16,
+            min_coded: 17,
+        }
+        .offset_bits();
+    }
+
+    #[test]
+    fn a_match_past_the_declared_length_is_an_overrun() {
+        // Three literals, then one 3-byte match.
+        let data = b"abcabc";
+        let enc = encode_block(data, &cfg());
+        assert_eq!(decode_block(&enc, data.len(), &cfg()).unwrap(), data);
+        // A declared length that ends inside the match is refused before
+        // the match is copied.
+        for orig_len in 4..data.len() {
+            assert_eq!(
+                decode_block(&enc, orig_len, &cfg()),
+                Err(LzssError::Overrun),
+                "orig_len {orig_len}"
+            );
+        }
     }
 
     #[test]

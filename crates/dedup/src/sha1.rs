@@ -2,8 +2,10 @@
 //!
 //! Dedup identifies duplicate blocks by their SHA-1 digest (PARSEC's
 //! `hashtable` stage); the GPU pipeline computes one digest per block with
-//! one thread per block (§IV-B stage 2). This module is the reference
-//! implementation both the CPU stages and the GPU kernel call.
+//! one thread per block (§IV-B stage 2). This module is the scalar
+//! reference: the sequential Dedup hashes one block at a time through it,
+//! and the eight-lane [`crate::sha1mb::sha1_each`] that stage 2 runs (on
+//! both its device and host rungs) is held to it bit for bit.
 //!
 //! SHA-1 is used here as a *content fingerprint* exactly as PARSEC's Dedup
 //! does — not as a security primitive.
@@ -18,6 +20,16 @@
 pub struct Digest(pub [u8; 20]);
 
 impl Digest {
+    /// The digest a finished chaining state `h` stands for: its five
+    /// words, big-endian.
+    pub(crate) fn from_state(h: &[u32; 5]) -> Digest {
+        let mut out = [0u8; 20];
+        for (i, w) in h.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        }
+        Digest(out)
+    }
+
     /// Lowercase hex rendering.
     pub fn to_hex(&self) -> String {
         let mut s = String::with_capacity(40);
@@ -28,6 +40,15 @@ impl Digest {
         s
     }
 }
+
+/// The FIPS initial chaining state.
+pub(crate) const IV: [u32; 5] = [
+    0x6745_2301,
+    0xEFCD_AB89,
+    0x98BA_DCFE,
+    0x1032_5476,
+    0xC3D2_E1F0,
+];
 
 /// Incremental SHA-1 hasher.
 #[derive(Clone)]
@@ -50,13 +71,7 @@ impl Sha1 {
     /// Fresh hasher with the FIPS initial state.
     pub fn new() -> Self {
         Sha1 {
-            h: [
-                0x6745_2301,
-                0xEFCD_AB89,
-                0x98BA_DCFE,
-                0x1032_5476,
-                0xC3D2_E1F0,
-            ],
+            h: IV,
             len: 0,
             buf: [0; 64],
             buf_len: 0,
@@ -108,11 +123,7 @@ impl Sha1 {
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
-        let mut out = [0u8; 20];
-        for (i, w) in self.h.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        Digest(out)
+        Digest::from_state(&self.h)
     }
 
     /// The internal chaining state, available only on a block boundary

@@ -7,15 +7,100 @@
 //! [`compress_block`] — bit-identical by
 //! construction, no floating-point caveats. This is the classic
 //! "multi-buffer" scheme (one message per lane, not a parallelization of
-//! a single hash: SHA-1's chaining makes the latter impossible), and it
-//! is what makes the hashsearch CPU fallback competitive: the nonce
-//! search hashes thousands of independent one-block suffixes, a perfect
-//! lane-parallel workload.
+//! a single hash: SHA-1's chaining makes the latter impossible). It
+//! serves two lane-parallel workloads:
+//!
+//! * hashsearch, whose nonce search hashes thousands of independent
+//!   one-block suffixes through [`compress8`];
+//! * Dedup's stage 2, which digests every block of a batch through
+//!   [`sha1_each`]: the `Sha1Kernel` body and the host rung both, so the
+//!   device and host executors of one data-parallel method share one
+//!   routine. The sequential reference keeps the scalar
+//!   [`sha1()`](crate::sha1::sha1).
 //!
 //! The AVX2 path is runtime-detected; everywhere else [`compress8`]
 //! falls back to eight scalar compressions with the same results.
 
-use crate::sha1::compress_block;
+use crate::sha1::{compress_block, Digest, IV};
+
+/// SHA-1 of `n` messages of any length, eight at a time: calls
+/// `emit(i, sha1(msg(i)))` once for every `i < n`, in the order the
+/// lanes finish. Each lane feeds [`compress8`] its message's 64-byte
+/// blocks, then the one or two padding blocks; a finished lane emits its
+/// state as the digest and takes the next message from a fresh IV.
+pub fn sha1_each<'a>(
+    n: usize,
+    msg: impl Fn(usize) -> &'a [u8],
+    mut emit: impl FnMut(usize, Digest),
+) {
+    let mut next = 0;
+    let mut take = || {
+        (next < n).then(|| {
+            next += 1;
+            Lane {
+                index: next - 1,
+                data: msg(next - 1),
+                block: 0,
+            }
+        })
+    };
+    let mut lanes: [Option<Lane>; 8] = std::array::from_fn(|_| take());
+    let mut states = [IV; 8];
+    let mut blocks = [[0u8; 64]; 8];
+    while lanes.iter().any(Option::is_some) {
+        for (lane, block) in lanes.iter().zip(&mut blocks) {
+            if let Some(lane) = lane {
+                lane.padded_block(block);
+            }
+        }
+        compress8(&mut states, &blocks);
+        for (slot, h) in lanes.iter_mut().zip(&mut states) {
+            let Some(lane) = slot else { continue };
+            lane.block += 1;
+            if lane.block == padded_blocks(lane.data.len()) {
+                emit(lane.index, Digest::from_state(h));
+                *h = IV;
+                *slot = take();
+            }
+        }
+    }
+}
+
+/// One lane of [`sha1_each`]: message `index` and the next block of its
+/// padded stream.
+struct Lane<'a> {
+    index: usize,
+    data: &'a [u8],
+    block: usize,
+}
+
+impl Lane<'_> {
+    /// Block `self.block` of the padded stream: the message, `0x80`,
+    /// zeros, and the 64-bit big-endian bit length in the last block.
+    fn padded_block(&self, out: &mut [u8; 64]) {
+        let (len, at) = (self.data.len(), self.block * 64);
+        if let Some(full) = self.data.get(at..at + 64) {
+            out.copy_from_slice(full);
+            return;
+        }
+        let tail = self.data.get(at..).unwrap_or(&[]);
+        *out = [0; 64];
+        out[..tail.len()].copy_from_slice(tail);
+        if at <= len {
+            out[len - at] = 0x80;
+        }
+        if self.block + 1 == padded_blocks(len) {
+            out[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+        }
+    }
+}
+
+/// Blocks in the padded stream of a `len`-byte message: room for the
+/// `0x80` byte and the 8-byte length, so a second padding block when
+/// `len % 64` is 56–63.
+fn padded_blocks(len: usize) -> usize {
+    (len + 9).div_ceil(64)
+}
 
 /// Compress one 64-byte block into each of eight chaining states:
 /// `states[l]` absorbs `blocks[l]`. Lane-parallel under AVX2, scalar
@@ -145,6 +230,71 @@ mod tests {
     use super::*;
     use crate::sha1::{sha1, Sha1};
 
+    /// `sha1_each` over `msgs`, collected by message index; every index
+    /// must be emitted exactly once.
+    fn digests(msgs: &[Vec<u8>]) -> Vec<Digest> {
+        let mut out = vec![None; msgs.len()];
+        sha1_each(
+            msgs.len(),
+            |i| &msgs[i],
+            |i, d| {
+                assert!(out[i].replace(d).is_none(), "message {i} emitted twice");
+            },
+        );
+        out.into_iter()
+            .enumerate()
+            .map(|(i, d)| d.unwrap_or_else(|| panic!("message {i} never emitted")))
+            .collect()
+    }
+
+    fn assert_exact(msgs: &[Vec<u8>]) {
+        for (i, (got, m)) in digests(msgs).iter().zip(msgs).enumerate() {
+            assert_eq!(
+                *got,
+                sha1(m),
+                "message {i} of {} ({} B)",
+                msgs.len(),
+                m.len()
+            );
+        }
+    }
+
+    #[test]
+    fn every_length_through_three_padding_edges() {
+        // 55/56, 63/64 and 119/120 are where the padding takes a second
+        // block or the message a whole one.
+        let msgs: Vec<Vec<u8>> = (0..=200usize)
+            .map(|len| (0..len).map(|i| (i * 7 + len) as u8).collect())
+            .collect();
+        assert_exact(&msgs);
+        // Alone in the routine, each length is a single-lane run.
+        for m in &msgs {
+            assert_exact(std::slice::from_ref(m));
+        }
+    }
+
+    #[test]
+    fn no_message_emits_nothing() {
+        sha1_each(0, |_| unreachable!(), |_, _| panic!("emitted"));
+    }
+
+    #[test]
+    fn fewer_messages_than_lanes() {
+        for n in [1usize, 7] {
+            let msgs: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 30 * i]).collect();
+            assert_exact(&msgs);
+        }
+    }
+
+    #[test]
+    fn lanes_refill_while_a_long_message_runs() {
+        // One 5000-byte message among 40 short ones: the other seven
+        // lanes take a new message every block or two while it runs.
+        let mut msgs: Vec<Vec<u8>> = (0..40).map(|i| vec![i as u8 ^ 0x5a; i % 9]).collect();
+        msgs.insert(3, (0..5000).map(|i| (i % 251) as u8).collect());
+        assert_exact(&msgs);
+    }
+
     /// Build the single padded block for a message of `len <= 55` bytes.
     fn padded_block(msg: &[u8]) -> [u8; 64] {
         assert!(msg.len() <= 55);
@@ -154,14 +304,6 @@ mod tests {
         block[56..].copy_from_slice(&((msg.len() as u64) * 8).to_be_bytes());
         block
     }
-
-    const IV: [u32; 5] = [
-        0x6745_2301,
-        0xEFCD_AB89,
-        0x98BA_DCFE,
-        0x1032_5476,
-        0xC3D2_E1F0,
-    ];
 
     #[test]
     fn eight_lanes_match_eight_scalar_hashes() {

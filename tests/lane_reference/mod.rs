@@ -225,3 +225,105 @@ impl KernelFn for FindMatchRef {
         }
     }
 }
+
+/// `dedup::kernels::Sha1Kernel`, one lane at a time — lane `b` hashes
+/// block `b` through the scalar hasher.
+pub struct Sha1Ref {
+    pub data: DevicePtr<u8>,
+    pub starts: DevicePtr<u32>,
+    pub data_len: usize,
+    pub n_blocks: usize,
+    pub out: DevicePtr<u8>,
+}
+
+impl KernelFn for Sha1Ref {
+    fn name(&self) -> &'static str {
+        "sha1_blocks_ref"
+    }
+    fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
+        let data = mem.borrow(self.data);
+        let starts = mem.borrow(self.starts);
+        let mut out = mem.borrow_mut(self.out);
+        for lane in dims.lanes() {
+            let b = lane as usize;
+            if b < self.n_blocks {
+                let start = starts[b] as usize;
+                let end = if b + 1 < self.n_blocks {
+                    starts[b + 1] as usize
+                } else {
+                    self.data_len
+                };
+                let mut h = Sha1::new();
+                h.update(&data[start..end]);
+                out[b * 20..b * 20 + 20].copy_from_slice(&h.finalize().0);
+                meter.record(lane, (end - start) as u64);
+            } else {
+                meter.record(lane, 1);
+            }
+        }
+    }
+}
+
+/// `dedup::kernels::Sha1BlockKernel`, one lane at a time — only lane 0
+/// hashes.
+pub struct Sha1BlockRef {
+    pub data: DevicePtr<u8>,
+    pub start: usize,
+    pub end: usize,
+    pub out: DevicePtr<u8>,
+    pub slot: usize,
+}
+
+impl KernelFn for Sha1BlockRef {
+    fn name(&self) -> &'static str {
+        "sha1_one_block_ref"
+    }
+    fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
+        let data = mem.borrow(self.data);
+        let mut out = mem.borrow_mut(self.out);
+        for lane in dims.lanes() {
+            if lane == 0 {
+                let mut h = Sha1::new();
+                h.update(&data[self.start..self.end]);
+                out[self.slot * 20..self.slot * 20 + 20].copy_from_slice(&h.finalize().0);
+                meter.record(lane, (self.end - self.start) as u64);
+            } else {
+                meter.record(lane, 1);
+            }
+        }
+    }
+}
+
+/// `dedup::kernels::FindMatchBlockKernel`, one lane at a time — lane `i`
+/// searches position `start + i` of the one block.
+pub struct FindMatchBlockRef {
+    pub data: DevicePtr<u8>,
+    pub start: usize,
+    pub end: usize,
+    pub matches_len: DevicePtr<u32>,
+    pub matches_off: DevicePtr<u32>,
+    pub cfg: LzssConfig,
+}
+
+impl KernelFn for FindMatchBlockRef {
+    fn name(&self) -> &'static str {
+        "FindMatchBlock_ref"
+    }
+    fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
+        let data = mem.borrow(self.data);
+        let mut m_len = mem.borrow_mut(self.matches_len);
+        let mut m_off = mem.borrow_mut(self.matches_off);
+        for lane in dims.lanes() {
+            let i = lane as usize;
+            if i < self.end - self.start {
+                let idx = self.start + i;
+                let (m, probes) = find_match_scalar(&data, self.start, self.end, idx, &self.cfg);
+                m_len[idx] = m.len;
+                m_off[idx] = m.dist;
+                meter.record(lane, probes + 1);
+            } else {
+                meter.record(lane, 1);
+            }
+        }
+    }
+}

@@ -16,11 +16,13 @@
 mod lane_reference;
 
 use hetstream::dedup::datasets;
-use hetstream::dedup::kernels::FindMatchKernel;
+use hetstream::dedup::kernels::{
+    FindMatchBlockKernel, FindMatchKernel, Sha1BlockKernel, Sha1Kernel,
+};
 use hetstream::dedup::lzss::{find_match_scalar, MatchFinder};
 use hetstream::dedup::rabin::{chunk_starts, chunk_starts_reference};
-use hetstream::dedup::sha1::{compress_block, Sha1};
-use hetstream::dedup::sha1mb::compress8;
+use hetstream::dedup::sha1::{compress_block, sha1, Sha1};
+use hetstream::dedup::sha1mb::{compress8, sha1_each};
 use hetstream::dedup::{LzssConfig, RabinParams};
 use hetstream::gpusim::{DeviceMemory, DevicePtr, Dim3, KernelFn, LaunchDims, WorkMeter};
 use hetstream::hashsearch::kernels::NonceSearchKernel;
@@ -32,7 +34,10 @@ use hetstream::mandel::kernels::{
 };
 use hetstream::mandel::simd::{iterate_line, iterate_line_scalar, iterate_span};
 
-use lane_reference::{BatchRef, FindMatchRef, Line2DRef, LineRef, NonceSearchRef, RowSpanRef};
+use lane_reference::{
+    BatchRef, FindMatchBlockRef, FindMatchRef, Line2DRef, LineRef, NonceSearchRef, RowSpanRef,
+    Sha1BlockRef, Sha1Ref,
+};
 
 /// xorshift64* byte stream — deterministic test data, no external crates.
 fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
@@ -103,6 +108,51 @@ fn sha1_compress8_matches_scalar_on_random_blocks_and_states() {
             compress_block(h, block);
         }
         assert_eq!(states, reference, "seed {seed}");
+    }
+}
+
+/// `sha1_each` over `msgs` against `sha1()`, message by message; every
+/// index must be emitted exactly once.
+fn assert_sha1_each_exact(what: &str, msgs: &[&[u8]]) {
+    let mut got = vec![None; msgs.len()];
+    sha1_each(
+        msgs.len(),
+        |i| msgs[i],
+        |i, d| assert!(got[i].replace(d).is_none(), "{what}: {i} emitted twice"),
+    );
+    for (i, (d, m)) in got.iter().zip(msgs).enumerate() {
+        assert_eq!(*d, Some(sha1(m)), "{what}: message {i} ({} B)", m.len());
+    }
+}
+
+#[test]
+fn sha1_each_matches_sha1_at_every_length_and_lane_count() {
+    let bytes = pseudo_random(5000, 21);
+    // Every length 0-200 in one run (the padding edges 55/56, 63/64 and
+    // 119/120 included), then each alone in a lane.
+    let lengths: Vec<&[u8]> = (0..=200).map(|len| &bytes[..len]).collect();
+    assert_sha1_each_exact("lengths 0-200", &lengths);
+    for msg in &lengths {
+        assert_sha1_each_exact("one message", std::slice::from_ref(msg));
+    }
+    // No message, and fewer messages than lanes.
+    assert_sha1_each_exact("no message", &[]);
+    assert_sha1_each_exact("seven messages", &lengths[50..57]);
+    // One long message among short ones: the other lanes refill many
+    // times while it runs, and it finishes last.
+    let mut mixed: Vec<&[u8]> = lengths.iter().step_by(3).copied().collect();
+    mixed.insert(2, &bytes);
+    assert_sha1_each_exact("one long among short", &mixed);
+}
+
+#[test]
+fn sha1_each_matches_sha1_on_every_block_of_every_dataset() {
+    for ds in datasets::all(512 * 1024, 3) {
+        let mut cuts = chunk_starts(&ds.data, &RabinParams::default());
+        assert!(cuts.len() > 16, "{}: fixture must span blocks", ds.name);
+        cuts.push(ds.data.len());
+        let blocks: Vec<&[u8]> = cuts.windows(2).map(|c| &ds.data[c[0]..c[1]]).collect();
+        assert_sha1_each_exact(ds.name, &blocks);
     }
 }
 
@@ -716,4 +766,181 @@ fn find_match_kernel_rejects_descending_starts() {
     // kernel checks that once per launch instead of trusting the caller.
     let data = compressible(64, 3);
     assert_find_match_exact("descending", &data, &[0, 40, 20], LaunchDims::linear(1, 64));
+}
+
+/// Run `Sha1Kernel` and its reference over `data` cut into blocks at
+/// `starts`, launched with `dims`: digests and meter must agree.
+fn assert_sha1_kernel_exact(what: &str, data: &[u8], starts: &[u32], dims: LaunchDims) {
+    let mut mem = DeviceMemory::new(0, 1 << 22);
+    // Device buffers are grow-only in the backends: longer than the batch.
+    let d_data = mem.alloc::<u8>(data.len() + 100).expect("fits");
+    let d_starts = mem.alloc::<u32>(starts.len() + 4).expect("fits");
+    mem.write(d_data, 0, data);
+    mem.write(d_starts, 0, starts);
+    let got = mem.alloc::<u8>((starts.len() + 4) * 20).expect("fits");
+    let want = mem.alloc::<u8>((starts.len() + 4) * 20).expect("fits");
+    let got_meter = launch(
+        &Sha1Kernel {
+            data: d_data,
+            starts: d_starts,
+            data_len: data.len(),
+            n_blocks: starts.len(),
+            out: got,
+        },
+        dims,
+        &mem,
+    );
+    let want_meter = launch(
+        &Sha1Ref {
+            data: d_data,
+            starts: d_starts,
+            data_len: data.len(),
+            n_blocks: starts.len(),
+            out: want,
+        },
+        dims,
+        &mem,
+    );
+    assert_eq!(contents(&mem, got), contents(&mem, want), "{what}: digests");
+    assert_eq!(got_meter, want_meter, "{what}: meter");
+}
+
+#[test]
+fn sha1_kernel_matches_the_lane_reference() {
+    let data = pseudo_random(3000, 8);
+    // Uneven cuts, an empty block (a repeated start), blocks either side
+    // of the padding edges, and a one-byte tail block.
+    let cuts = [
+        0u32, 0, 13, 68, 124, 180, 300, 363, 427, 1000, 1001, 2047, 2999,
+    ];
+    for (what, starts) in [("one block", &cuts[..1]), ("13 blocks", &cuts[..])] {
+        // A tail batch: many more lanes than blocks.
+        assert_sha1_kernel_exact(
+            &format!("{what}, 128 lanes"),
+            &data,
+            starts,
+            LaunchDims::cover(starts.len() as u64, 128),
+        );
+        // Exactly one lane per block.
+        assert_sha1_kernel_exact(
+            &format!("{what}, one lane per block"),
+            &data,
+            starts,
+            LaunchDims::linear(starts.len() as u32, 1),
+        );
+    }
+    // Fewer lanes than blocks: the blocks past the launch stay unhashed.
+    assert_sha1_kernel_exact("13 blocks, 8 lanes", &data, &cuts, LaunchDims::linear(1, 8));
+    // A batch-sized case cut by the real chunker, over several TILEs.
+    let data = compressible(60_000, 4);
+    let params = RabinParams {
+        window: 16,
+        mask: (1 << 6) - 1,
+        magic: 0x15,
+        min_chunk: 32,
+        max_chunk: 512,
+    };
+    let starts: Vec<u32> = chunk_starts(&data, &params)
+        .into_iter()
+        .map(|s| s as u32)
+        .collect();
+    assert!(starts.len() > 300, "fixture must span several tiles");
+    assert_sha1_kernel_exact(
+        "60000 B, rabin-chunked",
+        &data,
+        &starts,
+        LaunchDims::cover(starts.len() as u64, 64),
+    );
+}
+
+#[test]
+fn per_block_kernels_match_the_lane_reference() {
+    let cfg = LzssConfig {
+        window: 64,
+        min_coded: 3,
+    };
+    let data = compressible(700, 12);
+    let mut mem = DeviceMemory::new(0, 1 << 20);
+    let d_data = mem.alloc::<u8>(data.len()).expect("fits");
+    mem.write(d_data, 0, &data);
+    // Launches wider and narrower than the block (and a 600-byte block
+    // that spans several 256-lane tiles).
+    for (start, end) in [(0usize, 1usize), (13, 90), (90, 690), (690, 700)] {
+        for dims in [
+            LaunchDims::cover((end - start) as u64, 128),
+            LaunchDims::linear(1, 32),
+        ] {
+            let what = format!("block {start}..{end}, {} lanes", dims.total_threads());
+            let got = mem.alloc::<u8>(40).expect("fits");
+            let want = mem.alloc::<u8>(40).expect("fits");
+            let got_meter = launch(
+                &Sha1BlockKernel {
+                    data: d_data,
+                    start,
+                    end,
+                    out: got,
+                    slot: 1,
+                },
+                dims,
+                &mem,
+            );
+            let want_meter = launch(
+                &Sha1BlockRef {
+                    data: d_data,
+                    start,
+                    end,
+                    out: want,
+                    slot: 1,
+                },
+                dims,
+                &mem,
+            );
+            assert_eq!(contents(&mem, got), contents(&mem, want), "{what}: digest");
+            assert_eq!(got_meter, want_meter, "{what}: sha1 meter");
+
+            let mut outputs = || {
+                (
+                    mem.alloc::<u32>(data.len()).expect("fits"),
+                    mem.alloc::<u32>(data.len()).expect("fits"),
+                )
+            };
+            let (got_len, got_off) = outputs();
+            let (want_len, want_off) = outputs();
+            let got_meter = launch(
+                &FindMatchBlockKernel {
+                    data: d_data,
+                    start,
+                    end,
+                    matches_len: got_len,
+                    matches_off: got_off,
+                    cfg,
+                },
+                dims,
+                &mem,
+            );
+            let want_meter = launch(
+                &FindMatchBlockRef {
+                    data: d_data,
+                    start,
+                    end,
+                    matches_len: want_len,
+                    matches_off: want_off,
+                    cfg,
+                },
+                dims,
+                &mem,
+            );
+            assert_eq!(
+                contents(&mem, got_len),
+                contents(&mem, want_len),
+                "{what}: lengths"
+            );
+            assert_eq!(
+                contents(&mem, got_off),
+                contents(&mem, want_off),
+                "{what}: offsets"
+            );
+            assert_eq!(got_meter, want_meter, "{what}: match meter");
+        }
+    }
 }
