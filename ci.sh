@@ -90,6 +90,12 @@ gate ingress-replay 1 bench.allocs_per_item '< 0.05'
 # fallback rung.
 gate service-hashsearch 1 workload.cpu_fallbacks '== 0'
 gate service-hashsearch 1 workload.retries '== 0'
+# Two more counts: a nonce range is one search launch whose digests copy
+# straight into the range's output buffer, with nothing staged on the
+# host. A faster search must not come from a different launch count or a
+# staged copy.
+gate service-hashsearch 1 gpusim.kernels_per_item '== 1'
+gate service-hashsearch 1 gpusim.copied_bytes_per_item '== 0'
 # Two more counts: a dedup batch is one SHA-1 launch and one FindMatch
 # launch, and both read the pinned batch without host staging. A faster
 # stage 2 must not come from more launches or a staged copy.

@@ -19,7 +19,15 @@
 //!   [`sha1()`](crate::sha1::sha1).
 //!
 //! The AVX2 path is runtime-detected; everywhere else [`compress8`]
-//! falls back to eight scalar compressions with the same results.
+//! falls back to eight scalar compressions with the same results. The
+//! AVX2 body loads each block's two 32-byte halves as vectors,
+//! byte-swaps every word to big endian with one byte shuffle, and turns
+//! the eight blocks' rows into lanes with an 8×8 transpose of 32-bit
+//! words. It then runs the 80 rounds unrolled, every index a constant,
+//! with the message schedule in a rolling window of 16 words (round `i`
+//! needs no word older than `i − 16`). Its round functions are shorter
+//! forms of the scalar ones, equal for every input bit:
+//! `ch = d ^ (b & (c ^ d))` and `maj = (b & c) | (d & (b | c))`.
 
 use crate::sha1::{compress_block, Digest, IV};
 
@@ -104,7 +112,16 @@ fn padded_blocks(len: usize) -> usize {
 
 /// Compress one 64-byte block into each of eight chaining states:
 /// `states[l]` absorbs `blocks[l]`. Lane-parallel under AVX2, scalar
-/// loop otherwise; both orders are bit-identical.
+/// loop otherwise; both are bit-identical to [`compress_block`] per lane.
+///
+/// The AVX2 body differs from the scalar one only in how it moves data
+/// and in the order of its operations, never in what it computes: the
+/// shuffle and the transpose only move bytes (the same big-endian words
+/// land in lane `l`, word `i`); the rolling window holds the same
+/// schedule words the scalar 80-entry array does; `ch` and `maj` are
+/// bitwise identities of the reference's forms; and wrapping 32-bit
+/// addition is associative and commutative, so adding the round terms in
+/// another order gives the same sum.
 pub fn compress8(states: &mut [[u32; 5]; 8], blocks: &[[u8; 64]; 8]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
@@ -117,102 +134,124 @@ pub fn compress8(states: &mut [[u32; 5]; 8], blocks: &[[u8; 64]; 8]) {
     }
 }
 
+/// [`compress8`]'s AVX2 body.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn compress8_avx2(states: &mut [[u32; 5]; 8], blocks: &[[u8; 64]; 8]) {
     use std::arch::x86_64::*;
 
+    /// Rotate every lane left by `L` (`R` = 32 − `L`).
     #[inline(always)]
-    unsafe fn rotl1(v: __m256i) -> __m256i {
-        _mm256_or_si256(_mm256_slli_epi32::<1>(v), _mm256_srli_epi32::<31>(v))
-    }
-    #[inline(always)]
-    unsafe fn rotl5(v: __m256i) -> __m256i {
-        _mm256_or_si256(_mm256_slli_epi32::<5>(v), _mm256_srli_epi32::<27>(v))
-    }
-    #[inline(always)]
-    unsafe fn rotl30(v: __m256i) -> __m256i {
-        _mm256_or_si256(_mm256_slli_epi32::<30>(v), _mm256_srli_epi32::<2>(v))
-    }
-    /// Big-endian word `i` of block `l` (what the scalar schedule loads).
-    #[inline(always)]
-    fn word(block: &[u8; 64], i: usize) -> i32 {
-        u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes")) as i32
+    unsafe fn rotl<const L: i32, const R: i32>(v: __m256i) -> __m256i {
+        _mm256_or_si256(_mm256_slli_epi32::<L>(v), _mm256_srli_epi32::<R>(v))
     }
     /// Lane `l` = `xs[l]` (`_mm256_set_epi32` takes lanes high-to-low).
     #[inline(always)]
     unsafe fn gather(xs: [i32; 8]) -> __m256i {
         _mm256_set_epi32(xs[7], xs[6], xs[5], xs[4], xs[3], xs[2], xs[1], xs[0])
     }
+    /// 8×8 transpose of 32-bit words: lane `l` of output `i` is lane `i`
+    /// of input `l`.
+    #[inline(always)]
+    unsafe fn transpose8(r: [__m256i; 8]) -> [__m256i; 8] {
+        // Pairs of rows interleaved: t0 = r0[0] r1[0] r0[1] r1[1] | r0[4] r1[4] r0[5] r1[5].
+        let t0 = _mm256_unpacklo_epi32(r[0], r[1]);
+        let t1 = _mm256_unpackhi_epi32(r[0], r[1]);
+        let t2 = _mm256_unpacklo_epi32(r[2], r[3]);
+        let t3 = _mm256_unpackhi_epi32(r[2], r[3]);
+        let t4 = _mm256_unpacklo_epi32(r[4], r[5]);
+        let t5 = _mm256_unpackhi_epi32(r[4], r[5]);
+        let t6 = _mm256_unpacklo_epi32(r[6], r[7]);
+        let t7 = _mm256_unpackhi_epi32(r[6], r[7]);
+        // Quads: u0 = column 0 of rows 0–3 | column 4 of rows 0–3.
+        let u0 = _mm256_unpacklo_epi64(t0, t2);
+        let u1 = _mm256_unpackhi_epi64(t0, t2);
+        let u2 = _mm256_unpacklo_epi64(t1, t3);
+        let u3 = _mm256_unpackhi_epi64(t1, t3);
+        let u4 = _mm256_unpacklo_epi64(t4, t6);
+        let u5 = _mm256_unpackhi_epi64(t4, t6);
+        let u6 = _mm256_unpacklo_epi64(t5, t7);
+        let u7 = _mm256_unpackhi_epi64(t5, t7);
+        // Low 128-bit halves give columns 0–3, high halves columns 4–7.
+        [
+            _mm256_permute2x128_si256::<0x20>(u0, u4),
+            _mm256_permute2x128_si256::<0x20>(u1, u5),
+            _mm256_permute2x128_si256::<0x20>(u2, u6),
+            _mm256_permute2x128_si256::<0x20>(u3, u7),
+            _mm256_permute2x128_si256::<0x31>(u0, u4),
+            _mm256_permute2x128_si256::<0x31>(u1, u5),
+            _mm256_permute2x128_si256::<0x31>(u2, u6),
+            _mm256_permute2x128_si256::<0x31>(u3, u7),
+        ]
+    }
 
-    // Transpose the eight message schedules into lane-parallel form.
-    let mut w = [_mm256_setzero_si256(); 80];
-    for (i, slot) in w.iter_mut().enumerate().take(16) {
-        *slot = gather([
-            word(&blocks[0], i),
-            word(&blocks[1], i),
-            word(&blocks[2], i),
-            word(&blocks[3], i),
-            word(&blocks[4], i),
-            word(&blocks[5], i),
-            word(&blocks[6], i),
-            word(&blocks[7], i),
-        ]);
-    }
-    for i in 16..80 {
-        w[i] = rotl1(_mm256_xor_si256(
-            _mm256_xor_si256(w[i - 3], w[i - 8]),
-            _mm256_xor_si256(w[i - 14], w[i - 16]),
-        ));
-    }
+    // Load each block's two 32-byte halves, byte-swap every word to big
+    // endian, and transpose: w[i] holds message word i of all eight lanes.
+    let bswap = _mm256_setr_epi8(
+        3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12, //
+        3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12,
+    );
+    let half = |h: usize| {
+        transpose8(std::array::from_fn(|l| {
+            // Reads 32 bytes of a block: bytes h * 32 to h * 32 + 31 < 64.
+            let v = _mm256_loadu_si256(blocks[l][h * 32..].as_ptr().cast());
+            _mm256_shuffle_epi8(v, bswap)
+        }))
+    };
+    let (lo, hi) = (half(0), half(1));
+    // The schedule's rolling window: round i ≥ 16 overwrites w[i % 16].
+    let mut w: [__m256i; 16] = std::array::from_fn(|i| if i < 8 { lo[i] } else { hi[i - 8] });
 
     // Transpose the chaining states: one vector per SHA-1 word.
-    let mut hv = [_mm256_setzero_si256(); 5];
-    for (j, slot) in hv.iter_mut().enumerate() {
-        *slot = gather([
-            states[0][j] as i32,
-            states[1][j] as i32,
-            states[2][j] as i32,
-            states[3][j] as i32,
-            states[4][j] as i32,
-            states[5][j] as i32,
-            states[6][j] as i32,
-            states[7][j] as i32,
-        ]);
-    }
+    let hv: [__m256i; 5] =
+        std::array::from_fn(|j| gather(std::array::from_fn(|l| states[l][j] as i32)));
     let [mut a, mut b, mut c, mut d, mut e] = hv;
 
-    for (i, &wi) in w.iter().enumerate() {
-        let (f, k) = match i {
-            // ch: (b & c) | (!b & d) — andnot computes !b & d.
-            0..=19 => (
-                _mm256_or_si256(_mm256_and_si256(b, c), _mm256_andnot_si256(b, d)),
-                0x5A82_7999u32,
-            ),
-            20..=39 => (_mm256_xor_si256(_mm256_xor_si256(b, c), d), 0x6ED9_EBA1u32),
-            // maj: (b & c) | (b & d) | (c & d)
-            40..=59 => (
-                _mm256_or_si256(
-                    _mm256_or_si256(_mm256_and_si256(b, c), _mm256_and_si256(b, d)),
-                    _mm256_and_si256(c, d),
+    // The round functions, in forms with fewer operations than the
+    // scalar reference's but equal to them bit for bit.
+    let ch = |b, c, d| _mm256_xor_si256(d, _mm256_and_si256(b, _mm256_xor_si256(c, d)));
+    let parity = |b, c, d| _mm256_xor_si256(_mm256_xor_si256(b, c), d);
+    let maj = |b, c, d| {
+        _mm256_or_si256(
+            _mm256_and_si256(b, c),
+            _mm256_and_si256(d, _mm256_or_si256(b, c)),
+        )
+    };
+    // One round, its index a literal so every window slot is a constant.
+    macro_rules! round {
+        ($f:ident, $k:literal, $i:literal) => {
+            if $i >= 16 {
+                // w[i − 3] ^ w[i − 8] ^ w[i − 14] ^ w[i − 16], modulo 16.
+                w[$i % 16] = rotl::<1, 31>(_mm256_xor_si256(
+                    _mm256_xor_si256(w[($i + 13) % 16], w[($i + 8) % 16]),
+                    _mm256_xor_si256(w[($i + 2) % 16], w[$i % 16]),
+                ));
+            }
+            let tmp = _mm256_add_epi32(
+                _mm256_add_epi32(
+                    _mm256_add_epi32(rotl::<5, 27>(a), $f(b, c, d)),
+                    _mm256_add_epi32(e, _mm256_set1_epi32($k as i32)),
                 ),
-                0x8F1B_BCDCu32,
-            ),
-            _ => (_mm256_xor_si256(_mm256_xor_si256(b, c), d), 0xCA62_C1D6u32),
+                w[$i % 16],
+            );
+            e = d;
+            d = c;
+            c = rotl::<30, 2>(b);
+            b = a;
+            a = tmp;
         };
-        let tmp = _mm256_add_epi32(
-            _mm256_add_epi32(
-                _mm256_add_epi32(rotl5(a), f),
-                _mm256_add_epi32(e, _mm256_set1_epi32(k as i32)),
-            ),
-            wi,
-        );
-        e = d;
-        d = c;
-        c = rotl30(b);
-        b = a;
-        a = tmp;
     }
+    macro_rules! rounds {
+        ($f:ident, $k:literal, $($i:literal)*) => { $(round!($f, $k, $i);)* };
+    }
+    rounds!(ch, 0x5A82_7999u32, 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19);
+    rounds!(parity, 0x6ED9_EBA1u32, 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39);
+    rounds!(maj, 0x8F1B_BCDCu32, 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59);
+    rounds!(parity, 0xCA62_C1D6u32, 60 61 62 63 64 65 66 67 68 69 70 71 72 73 74 75 76 77 78 79);
 
     // Feed-forward and transpose back out.
     let out = [a, b, c, d, e];
@@ -370,6 +409,78 @@ mod tests {
                 got[j * 4..j * 4 + 4].copy_from_slice(&wrd.to_be_bytes());
             }
             assert_eq!(got, expect, "lane {l}");
+        }
+    }
+
+    /// `compress8` against eight `compress_block` calls on the same
+    /// states and blocks.
+    fn assert_lanes_exact(what: &str, states: [[u32; 5]; 8], blocks: &[[u8; 64]; 8]) {
+        let mut got = states;
+        compress8(&mut got, blocks);
+        for (l, (h, block)) in states.iter().zip(blocks).enumerate() {
+            let mut expect = *h;
+            compress_block(&mut expect, block);
+            assert_eq!(got[l], expect, "{what}: lane {l}");
+        }
+    }
+
+    /// A different chaining state in every lane.
+    fn distinct_states() -> [[u32; 5]; 8] {
+        std::array::from_fn(|l| {
+            std::array::from_fn(|j| IV[j].rotate_left(l as u32 * 3 + 1) ^ (l * 5 + j) as u32)
+        })
+    }
+
+    #[test]
+    fn every_lane_its_own_block_and_state() {
+        let blocks: [[u8; 64]; 8] =
+            std::array::from_fn(|l| std::array::from_fn(|i| (l * 64 + i * 13) as u8 ^ 0x3c));
+        assert_lanes_exact("distinct", distinct_states(), &blocks);
+    }
+
+    #[test]
+    fn blocks_differing_only_in_one_words_byte_order() {
+        // Lane l holds word 5's four bytes in the l-th order: a load that
+        // swaps or drops the byte order within a word shows in the lanes
+        // whose order it confuses.
+        let orders = [
+            [0, 1, 2, 3],
+            [3, 2, 1, 0],
+            [1, 0, 3, 2],
+            [2, 3, 0, 1],
+            [1, 2, 3, 0],
+            [3, 0, 1, 2],
+            [0, 2, 1, 3],
+            [2, 1, 0, 3],
+        ];
+        let word = [0x12u8, 0x34, 0x56, 0x78];
+        let base: [u8; 64] = std::array::from_fn(|i| i as u8 * 3);
+        let blocks: [[u8; 64]; 8] = std::array::from_fn(|l| {
+            let mut b = base;
+            for (k, &o) in orders[l].iter().enumerate() {
+                b[20 + k] = word[o];
+            }
+            b
+        });
+        assert_lanes_exact("byte order", [IV; 8], &blocks);
+        assert_lanes_exact("byte order, distinct states", distinct_states(), &blocks);
+    }
+
+    #[test]
+    fn one_nonzero_word_per_lane_pins_the_transpose() {
+        // Lane l's only nonzero word sits at index (l + shift) % 16: over
+        // the sixteen shifts every lane sees a word at every index, each
+        // pass with eight different indices, so a transpose that sends a
+        // word to the wrong lane or the wrong schedule slot shows.
+        for shift in 0..16 {
+            let blocks: [[u8; 64]; 8] = std::array::from_fn(|l| {
+                let mut b = [0u8; 64];
+                let at = (l + shift) % 16 * 4;
+                b[at..at + 4]
+                    .copy_from_slice(&(0x8000_0001u32 | (l as u32 + 1) << 8).to_be_bytes());
+                b
+            });
+            assert_lanes_exact(&format!("shift {shift}"), [IV; 8], &blocks);
         }
     }
 }

@@ -13,42 +13,42 @@ use dedup::sha1mb::compress8;
 
 use crate::DIGEST_BYTES;
 
-/// The single final block for `nonce` appended to a `header_len`-byte
-/// block-aligned prefix.
-#[inline]
-fn final_block(nonce: u64, header_len: u64) -> [u8; 64] {
-    let mut block = [0u8; 64];
-    block[..8].copy_from_slice(&nonce.to_be_bytes());
-    block[8] = 0x80;
-    block[56..].copy_from_slice(&((header_len + 8) * 8).to_be_bytes());
-    block
-}
-
 /// Hash nonces `start..start + count` from `midstate`, writing
 /// `count * 20` digest bytes into `out`. Bit-identical to the
 /// [`Sha1::resume`] reference loop (which also serves as the scalar
 /// remainder path and the benchmark baseline).
 pub fn hash_nonces(midstate: [u32; 5], header_len: u64, start: u64, count: usize, out: &mut [u8]) {
-    let mut i = 0;
-    while i + 8 <= count {
-        let blocks: [[u8; 64]; 8] =
-            std::array::from_fn(|l| final_block(start + (i + l) as u64, header_len));
+    // The final block after a block-aligned header: 8 nonce bytes, the
+    // 0x80 pad, zeros, and the message's bit length. Only the nonce
+    // differs between candidates, so the eight blocks are built once and
+    // each pass rewrites their first 8 bytes.
+    let mut block = [0u8; 64];
+    block[8] = 0x80;
+    block[56..].copy_from_slice(&((header_len + 8) * 8).to_be_bytes());
+    let mut blocks = [block; 8];
+    let lanes = count / 8 * 8;
+    for (pass, digests) in out[..lanes * DIGEST_BYTES]
+        .chunks_exact_mut(8 * DIGEST_BYTES)
+        .enumerate()
+    {
+        let first = start + (pass * 8) as u64;
+        for (l, block) in blocks.iter_mut().enumerate() {
+            block[..8].copy_from_slice(&(first + l as u64).to_be_bytes());
+        }
         let mut states = [midstate; 8];
         compress8(&mut states, &blocks);
-        for (l, state) in states.iter().enumerate() {
-            let slot = &mut out[(i + l) * DIGEST_BYTES..(i + l + 1) * DIGEST_BYTES];
-            for (j, w) in state.iter().enumerate() {
-                slot[j * 4..j * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        for (state, slot) in states.iter().zip(digests.chunks_exact_mut(DIGEST_BYTES)) {
+            for (w, bytes) in state.iter().zip(slot.chunks_exact_mut(4)) {
+                bytes.copy_from_slice(&w.to_be_bytes());
             }
         }
-        i += 8;
     }
     hash_nonces_scalar(
         midstate,
         header_len,
-        start + i as u64,
-        count - i,
-        &mut out[i * DIGEST_BYTES..],
+        start + lanes as u64,
+        count - lanes,
+        &mut out[lanes * DIGEST_BYTES..],
     );
 }
 
@@ -80,13 +80,20 @@ mod tests {
     #[test]
     fn lane_parallel_matches_scalar_including_remainders() {
         let (mid, hlen) = midstate_for(&[0x42u8; 128]);
-        // Counts straddling the 8-lane boundary: empty, single, 7, 8, 9, 20.
-        for count in [0usize, 1, 7, 8, 9, 20] {
-            let mut fast = vec![0u8; count * DIGEST_BYTES];
-            let mut slow = vec![0u8; count * DIGEST_BYTES];
-            hash_nonces(mid, hlen, 1_000_000, count, &mut fast);
-            hash_nonces_scalar(mid, hlen, 1_000_000, count, &mut slow);
-            assert_eq!(fast, slow, "count {count}");
+        // Counts straddling the 8-lane boundary (empty, single, 7, 8, 9,
+        // 20) and a long run. Each pass rewrites only the nonce bytes of
+        // its eight blocks; from 2 000 below `u64::MAX` the six high nonce
+        // bytes are 0xFF, never the template's zeros, and the seventh
+        // carries 0xF8 → 0xFC over 1 021 nonces, so a nonce byte left
+        // from the template or the previous pass shows.
+        for start in [1_000_000, u64::MAX - 2_000] {
+            for count in [0usize, 1, 7, 8, 9, 20, 1_021] {
+                let mut fast = vec![0u8; count * DIGEST_BYTES];
+                let mut slow = vec![0u8; count * DIGEST_BYTES];
+                hash_nonces(mid, hlen, start, count, &mut fast);
+                hash_nonces_scalar(mid, hlen, start, count, &mut slow);
+                assert_eq!(fast, slow, "start {start} count {count}");
+            }
         }
     }
 

@@ -306,8 +306,14 @@ impl Placement for CostModelScheduler {
         let cost = busy.saturating_sub(st.devs[device].last_busy_ns);
         st.devs[device].last_busy_ns = busy;
         st.pending.insert(batch_id, cost);
+        // `place` (one caller, the router) only ever waits for
+        // `next_apply`'s observation, and only `place` moves
+        // `next_apply`: any other observation would wake it for nothing.
+        let unblocks = batch_id == st.next_apply;
         drop(st);
-        self.obs_ready.notify_all();
+        if unblocks {
+            self.obs_ready.notify_one();
+        }
     }
 }
 
@@ -417,6 +423,59 @@ mod tests {
             drive(&s, &sys, 80, |i| i % 5, &[300_000, 600_000, 900_000])
         };
         assert_eq!(a, b, "same stream must produce the same placement log");
+    }
+
+    #[test]
+    fn place_waits_out_reverse_order_observations_until_next_apply_lands() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        // Lookahead 8; batches 3 and 7–9 go to another scheduler. Placing
+        // batch 10 needs batches 1 and 2 observed. Batch 1 is, so
+        // `place(10)` applies it and waits for batch 2 without letting go
+        // of the lock in between: `next_apply == 2` seen under the lock
+        // means the placer is waiting. Batches 6, 5 and 4 then land, in
+        // reverse id order, and none may release it; batch 2's
+        // observation must.
+        let sys = GpuSystem::new(2, DeviceProps::test_tiny());
+        let cfg = SchedConfig {
+            lookahead: 8,
+            ..SchedConfig::for_devices(2)
+        };
+        let s = CostModelScheduler::new(&sys, cfg, &Recorder::default(), "test");
+        let mut device = [0usize; 7];
+        for id in [1u64, 2, 4, 5, 6] {
+            device[id as usize] = s.place(id, id, 8).device;
+        }
+        s.observe(1, device[1]);
+        let two_landing = Arc::new(AtomicBool::new(false));
+        let (done, returned) = mpsc::channel();
+        let placer = {
+            let (s, two_landing) = (Arc::clone(&s), Arc::clone(&two_landing));
+            std::thread::spawn(move || {
+                let d = s.place(10, 10, 8);
+                done.send(two_landing.load(Ordering::SeqCst))
+                    .expect("test thread alive");
+                d
+            })
+        };
+        while s.state.lock().expect("sched state").next_apply < 2 {
+            std::thread::yield_now();
+        }
+        for id in [6u64, 5, 4] {
+            s.observe(id, device[id as usize]);
+        }
+        two_landing.store(true, Ordering::SeqCst);
+        s.observe(2, device[2]);
+        let after_two = returned
+            .recv_timeout(Duration::from_secs(30))
+            .expect("place(10) never returned once batch 2's observation landed");
+        assert!(after_two, "place(10) returned before batch 2 was observed");
+        placer.join().expect("placer thread");
+        let st = s.state.lock().expect("sched state");
+        assert_eq!(st.next_apply, 3, "batch 2 was the horizon");
+        assert_eq!(st.pending.len(), 3, "4, 5 and 6 wait for later decisions");
     }
 
     #[test]

@@ -111,6 +111,67 @@ fn sha1_compress8_matches_scalar_on_random_blocks_and_states() {
     }
 }
 
+/// `compress8` against eight `compress_block` calls on the same states
+/// and blocks.
+fn assert_compress8_exact(what: &str, states: [[u32; 5]; 8], blocks: &[[u8; 64]; 8]) {
+    let mut got = states;
+    compress8(&mut got, blocks);
+    for (l, (h, block)) in states.iter().zip(blocks).enumerate() {
+        let mut expect = *h;
+        compress_block(&mut expect, block);
+        assert_eq!(got[l], expect, "{what}: lane {l}");
+    }
+}
+
+/// Eight different pseudo-random chaining states.
+fn random_states(seed: u64) -> [[u32; 5]; 8] {
+    let raw = pseudo_random(8 * 20, seed);
+    std::array::from_fn(|l| {
+        std::array::from_fn(|j| {
+            let at = l * 20 + j * 4;
+            u32::from_be_bytes(raw[at..at + 4].try_into().expect("4 bytes"))
+        })
+    })
+}
+
+#[test]
+fn sha1_compress8_blocks_differing_only_in_one_words_byte_order() {
+    // Every block is the same but for the byte order of one word (each of
+    // the sixteen in turn): lane l rotates its four bytes by l % 4 and
+    // reverses them when l >= 4, so all eight orders differ.
+    let base: [u8; 64] = pseudo_random(64, 7).try_into().expect("64 bytes");
+    for word in 0..16 {
+        let blocks: [[u8; 64]; 8] = std::array::from_fn(|l| {
+            let mut b = base;
+            let w = &mut b[word * 4..word * 4 + 4];
+            w.copy_from_slice(&[0x01, 0x23, 0x45, 0x67]);
+            w.rotate_left(l % 4);
+            if l >= 4 {
+                w.reverse();
+            }
+            b
+        });
+        assert_compress8_exact(&format!("word {word}"), random_states(8), &blocks);
+    }
+}
+
+#[test]
+fn sha1_compress8_one_nonzero_word_per_lane_pins_the_transpose() {
+    // Lane l's only nonzero word sits at index (shift + 7l) % 16: eight
+    // different indices in every pass, and every (lane, index) pair over
+    // the sixteen shifts. A transpose that delivers a word to the wrong
+    // lane or the wrong schedule slot shows.
+    for shift in 0..16 {
+        let blocks: [[u8; 64]; 8] = std::array::from_fn(|l| {
+            let mut b = [0u8; 64];
+            let at = (shift + 7 * l) % 16 * 4;
+            b[at..at + 4].copy_from_slice(&[0x80 | l as u8, 0x11, 0x22, 0x01 + l as u8]);
+            b
+        });
+        assert_compress8_exact(&format!("shift {shift}"), random_states(9), &blocks);
+    }
+}
+
 /// `sha1_each` over `msgs` against `sha1()`, message by message; every
 /// index must be emitted exactly once.
 fn assert_sha1_each_exact(what: &str, msgs: &[&[u8]]) {
