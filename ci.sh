@@ -101,6 +101,11 @@ gate service-hashsearch 1 gpusim.copied_bytes_per_item '== 0'
 # stage 2 must not come from more launches or a staged copy.
 gate dedup-gpu 1 gpusim.kernels_per_item '== 2'
 gate dedup-gpu 1 gpusim.copied_bytes_per_item '== 0'
+# The smoke's modeled device time, deterministic: it pins the work the
+# match kernel meters at Fig. 5's window and chunker, which
+# tests/modeled_golden.rs's default-config batch does not reach. A faster
+# host walk over the lanes must not change what the lanes are charged.
+gate dedup-gpu 1 gpusim.compute_busy_ms '== 1.524734'
 (cd benchmark && CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-../target}" cargo test -q --offline)
 
 echo

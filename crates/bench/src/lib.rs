@@ -14,6 +14,10 @@
 //! * `cargo run --release -p bench --bin ablate` — the design-choice
 //!   ablations, ending with the auto-tuner's trajectory.
 //!
+//! One more binary, `compare`, is no figure: it is the arithmetic behind
+//! `tools/compare.sh`, the parent-vs-change table of the benchmark's
+//! end-to-end rows.
+//!
 //! Each binary prints an aligned table and writes it as a CSV under
 //! `target/figures/`; the figure binaries end with one instrumented run
 //! ([`instrumented_run`]). The paper's qualitative *shape* claims are

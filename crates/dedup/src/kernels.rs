@@ -8,6 +8,15 @@
 //! "the GPU kernel function has been invoked for too many times without
 //! using efficiently the GPU resources" — and power the no-batch bars of
 //! Fig. 5.
+//!
+//! On the host, a kernel body may walk its lanes in any order that leaves
+//! device memory and the meter's four observables as the one-lane-at-a-time
+//! reference does. Both `FindMatch` kernels walk by block, not by lane:
+//! each block is indexed once and swept through
+//! [`MatchFinder::find_each`], whose every result is what
+//! [`crate::lzss::find_match_scalar`] returns for that lane, probes
+//! included. The lanes' work units are staged a tile at a time, in lane
+//! order, and metered exactly as if recorded lane by lane.
 
 use gpusim::{DeviceMemory, DevicePtr, KernelFn, LaunchDims, WorkMeter};
 
@@ -125,8 +134,15 @@ impl KernelFn for Sha1BlockKernel {
 /// Listing 3: the batched `FindMatchKernel`. One lane per byte of the
 /// batch; each lane scans `startPoss` linearly to find its block (and is
 /// charged for that scan), then searches its block-bounded window for the
-/// longest match. On the host the lanes share one [`MatchFinder`], which
-/// indexes each block as the lane cursor enters it.
+/// longest match.
+///
+/// On the host the launch walks `startPos` block by block: it indexes
+/// each block once and sweeps its lanes, up to the block's end or the
+/// launch's last active lane, through one [`MatchFinder`]. That is
+/// exact because `startPos` is ascending from 0 (both asserted once per
+/// launch): the block a lane's scan would find is then the one whose
+/// range holds the lane, every active lane lies in exactly one block, and
+/// the blocks hand their lanes out in lane order.
 pub struct FindMatchKernel {
     /// Batch bytes on device (`input`).
     pub data: DevicePtr<u8>,
@@ -157,52 +173,49 @@ impl KernelFn for FindMatchKernel {
     fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
         let data = mem.borrow(self.data);
         let starts = mem.borrow(self.starts);
-        let mut m_len = mem.borrow_mut(self.matches_len);
-        let mut m_off = mem.borrow_mut(self.matches_off);
+        let starts = &starts[..self.n_blocks];
+        let active = self.data_len.min(dims.total_threads() as usize);
         // Lines 4-10 have every lane scan all of `startPoss` for the last
-        // block starting at or before it. Lanes ascend, so on ascending
-        // starts that block only ever moves forward: one cursor finds the
-        // same block for every lane. Checked once per launch, not per lane.
+        // block starting at or before it. On ascending starts from 0 that
+        // block is the one whose range holds the lane, so walking the
+        // blocks in order finds the same block for every lane. Checked
+        // once per launch, not per lane.
         assert!(
-            starts[..self.n_blocks].windows(2).all(|w| w[0] <= w[1]),
+            starts.windows(2).all(|w| w[0] <= w[1]),
             "FindMatchKernel: startPos must be ascending"
         );
+        assert!(
+            active == 0 || starts.first() == Some(&0),
+            "FindMatchKernel: startPos must begin with a block at 0"
+        );
+        let mut m_len = mem.borrow_mut(self.matches_len);
+        let mut m_off = mem.borrow_mut(self.matches_off);
+        let (m_len, m_off) = (&mut m_len[..active], &mut m_off[..active]);
         // Work per lane: the startPos scan it stands for plus its probes.
         let scan_units = self.n_blocks as u64 / 4 + 1;
-        let active = self.data_len.min(dims.total_threads() as usize);
-        let mut units = [0u64; TILE];
-        let mut block = 0usize;
+        let mut tile = Tile::new(meter);
         let mut finder = MatchFinder::default();
-        let mut indexed = None;
-        for base in (0..active).step_by(TILE) {
-            let units = &mut units[..TILE.min(active - base)];
-            for (idx, lane_units) in (base..).zip(units.iter_mut()) {
-                while block + 1 < self.n_blocks && starts[block + 1] as usize <= idx {
-                    block += 1;
-                }
-                let start = starts[block] as usize;
-                let last = if block + 1 < self.n_blocks {
-                    starts[block + 1] as usize
-                } else {
-                    self.data_len
-                };
-                if indexed != Some(block) {
-                    finder.index(&data, start, last);
-                    indexed = Some(block);
-                }
-                let (m, probes) = finder.find(&data, idx, &self.cfg);
+        for (b, &start) in starts.iter().enumerate() {
+            let start = start as usize;
+            let end = starts.get(b + 1).map_or(self.data_len, |&s| s as usize);
+            if start >= active {
+                break;
+            }
+            finder.index(&data, start, end);
+            finder.find_each(&data, &self.cfg, end.min(active), |idx, m, probes| {
                 m_len[idx] = m.len;
                 m_off[idx] = m.dist;
-                *lane_units = probes + scan_units;
-            }
-            meter.record_span(base as u64, units);
+                tile.record(idx, probes + scan_units);
+            });
         }
+        tile.finish(active);
         // Lanes past the batch only pay their bounds check.
         meter.record_fill(active as u64..dims.total_threads(), 1);
     }
 }
 
-/// Per-block `FindMatch` — the unbatched variant (one launch per block).
+/// Per-block `FindMatch` — the unbatched variant (one launch per block),
+/// swept on the host as [`FindMatchKernel`] sweeps each of its blocks.
 pub struct FindMatchBlockKernel {
     /// Batch bytes on device.
     pub data: DevicePtr<u8>,
@@ -233,20 +246,51 @@ impl KernelFn for FindMatchBlockKernel {
         let mut m_len = mem.borrow_mut(self.matches_len);
         let mut m_off = mem.borrow_mut(self.matches_off);
         let active = (self.end - self.start).min(dims.total_threads() as usize);
+        let mut tile = Tile::new(meter);
         let mut finder = MatchFinder::default();
         finder.index(&data, self.start, self.end);
-        let mut units = [0u64; TILE];
-        for base in (0..active).step_by(TILE) {
-            let units = &mut units[..TILE.min(active - base)];
-            for (idx, lane_units) in (self.start + base..).zip(units.iter_mut()) {
-                let (m, probes) = finder.find(&data, idx, &self.cfg);
-                m_len[idx] = m.len;
-                m_off[idx] = m.dist;
-                *lane_units = probes + 1;
-            }
-            meter.record_span(base as u64, units);
-        }
+        finder.find_each(&data, &self.cfg, self.start + active, |idx, m, probes| {
+            m_len[idx] = m.len;
+            m_off[idx] = m.dist;
+            tile.record(idx - self.start, probes + 1);
+        });
+        tile.finish(active);
         meter.record_fill(active as u64..dims.total_threads(), 1);
+    }
+}
+
+/// Per-lane work units staged [`TILE`] lanes at a time and handed to the
+/// meter one `record_span` a full tile. Lanes must arrive in order from
+/// lane 0, each once.
+struct Tile<'m> {
+    units: [u64; TILE],
+    meter: &'m mut WorkMeter,
+}
+
+impl<'m> Tile<'m> {
+    fn new(meter: &'m mut WorkMeter) -> Self {
+        Tile {
+            units: [0; TILE],
+            meter,
+        }
+    }
+
+    /// Stage `lane`'s units; the tile's last lane flushes it.
+    #[inline(always)]
+    fn record(&mut self, lane: usize, units: u64) {
+        self.units[lane % TILE] = units;
+        if lane % TILE == TILE - 1 {
+            self.meter
+                .record_span((lane + 1 - TILE) as u64, &self.units);
+        }
+    }
+
+    /// Flush the partial tile of a launch whose first `lanes` lanes were
+    /// all recorded.
+    fn finish(self, lanes: usize) {
+        let tail = lanes % TILE;
+        self.meter
+            .record_span((lanes - tail) as u64, &self.units[..tail]);
     }
 }
 

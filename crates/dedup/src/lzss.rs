@@ -198,14 +198,64 @@ impl MatchFinder {
             self.last <= pos && pos < end && end <= data.len(),
             "MatchFinder::find: need ascending positions inside the indexed block"
         );
-        // A one-byte match would make every candidate a possible one.
+        Self::assert_searchable(cfg);
+        self.last = pos;
+        self.walk(data, (start, end), pos, cfg)
+    }
+
+    /// [`find`](Self::find) at every position of the indexed block from
+    /// its start up to `upto`, in ascending order, handing each result to
+    /// `each(pos, match, probes)`: Listing 3's one lane per byte, swept
+    /// on the host through one inlined search loop. The preconditions are
+    /// checked once, not per position: no query may have passed the
+    /// block start, and `upto` may not pass the block end. Afterwards the
+    /// last position swept counts as queried, so a later `find` must
+    /// still ascend from it.
+    pub fn find_each(
+        &mut self,
+        data: &[u8],
+        cfg: &LzssConfig,
+        upto: usize,
+        mut each: impl FnMut(usize, Match, u64),
+    ) {
+        let (start, end) = (self.start, self.end);
+        assert!(
+            self.last == start && start <= upto && upto <= end && end <= data.len(),
+            "MatchFinder::find_each: need a fresh sweep that ends inside the indexed block"
+        );
+        Self::assert_searchable(cfg);
+        for pos in start..upto {
+            let (m, probes) = self.walk(data, (start, end), pos, cfg);
+            each(pos, m, probes);
+        }
+        self.last = start.max(upto.saturating_sub(1));
+    }
+
+    /// A one-byte match would make every candidate a possible one.
+    #[inline(always)]
+    fn assert_searchable(cfg: &LzssConfig) {
         assert!(
             cfg.min_coded_is_valid(),
-            "MatchFinder::find: min_coded {} is outside 2..={}",
+            "MatchFinder: min_coded {} is outside 2..={}",
             cfg.min_coded,
             cfg.window
         );
-        self.last = pos;
+    }
+
+    /// The search behind [`find`](Self::find) and
+    /// [`find_each`](Self::find_each), for a `pos` they have checked
+    /// inside the indexed block `start..end`. The callers read the bounds
+    /// once, before their checks, so `find` compiles as if the walk were
+    /// written inside it and the encoder's parse points pay nothing for
+    /// the sweep.
+    #[inline(always)]
+    fn walk(
+        &mut self,
+        data: &[u8],
+        (start, end): (usize, usize),
+        pos: usize,
+        cfg: &LzssConfig,
+    ) -> (Match, u64) {
         let w0 = start.max(pos.saturating_sub(cfg.window));
         let max_len = cfg.max_coded().min(end - pos);
         let mut best = Match::default();
@@ -851,6 +901,94 @@ mod tests {
         // Truncation: ask for more output than the stream encodes.
         let enc = encode_block(b"abc", &cfg());
         assert_eq!(decode_block(&enc, 10, &cfg()), Err(LzssError::Truncated));
+    }
+
+    /// [`MatchFinder::find_each`] over the block `start..end` up to
+    /// `upto`: the finder it leaves and every `(pos, match, probes)` it
+    /// handed out.
+    fn sweep(
+        data: &[u8],
+        (start, end): (usize, usize),
+        upto: usize,
+        cfg: &LzssConfig,
+    ) -> (MatchFinder, Vec<(usize, Match, u64)>) {
+        let mut finder = MatchFinder::default();
+        finder.index(data, start, end);
+        let mut got = Vec::new();
+        finder.find_each(data, cfg, upto, |pos, m, probes| got.push((pos, m, probes)));
+        (finder, got)
+    }
+
+    fn sweep_fixture() -> (Vec<u8>, LzssConfig) {
+        let data = b"abracadabra abracadabra banana banana banana".repeat(4);
+        let cfg = LzssConfig {
+            window: 64,
+            min_coded: 3,
+        };
+        (data, cfg)
+    }
+
+    #[test]
+    fn a_sweep_stopped_short_leaves_find_to_ascend_from_its_last_position() {
+        let (data, cfg) = sweep_fixture();
+        let (start, end, upto) = (20, data.len() - 9, 90);
+        let want = find_all(&data, start, end, &cfg);
+        let (mut finder, got) = sweep(&data, (start, end), upto, &cfg);
+        // Every position from the block start up to `upto`, once, in
+        // order, and none past it.
+        let positions: Vec<usize> = got.iter().map(|&(pos, ..)| pos).collect();
+        assert_eq!(positions, (start..upto).collect::<Vec<_>>());
+        for (pos, m, probes) in got {
+            assert_eq!((m, probes), want[pos - start], "pos {pos}");
+        }
+        // The greedy parse goes on from the last position swept.
+        for pos in upto - 1..end {
+            assert_eq!(
+                finder.find(&data, pos, &cfg),
+                want[pos - start],
+                "pos {pos}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "need ascending positions")]
+    fn a_find_below_a_sweep_is_rejected() {
+        let (data, cfg) = sweep_fixture();
+        let (mut finder, _) = sweep(&data, (0, data.len()), 50, &cfg);
+        finder.find(&data, 48, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "need a fresh sweep")]
+    fn a_sweep_after_a_find_is_rejected() {
+        let (data, cfg) = sweep_fixture();
+        let mut finder = MatchFinder::default();
+        finder.index(&data, 0, data.len());
+        finder.find(&data, 5, &cfg);
+        finder.find_each(&data, &cfg, 10, |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "need a fresh sweep")]
+    fn a_sweep_past_the_block_end_is_rejected() {
+        let (data, cfg) = sweep_fixture();
+        sweep(&data, (0, 40), 41, &cfg);
+    }
+
+    #[test]
+    fn empty_and_one_byte_blocks_sweep() {
+        let (data, cfg) = sweep_fixture();
+        // An empty block, and a full sweep of it: no position at all.
+        let (_, got) = sweep(&data, (30, 30), 30, &cfg);
+        assert_eq!(got, []);
+        // A one-byte block, mid-buffer and at the buffer's end: no window,
+        // no match, no probe.
+        for at in [30, data.len() - 1] {
+            let (mut finder, got) = sweep(&data, (at, at + 1), at + 1, &cfg);
+            assert_eq!(got, [(at, Match::default(), 0)]);
+            assert_eq!(finder.find(&data, at, &cfg), (Match::default(), 0));
+        }
     }
 
     #[test]

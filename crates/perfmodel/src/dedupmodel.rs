@@ -112,11 +112,10 @@ pub fn profile(input: &[u8], cfg: &DedupConfig, props: &DeviceProps) -> DedupPro
         for b in 0..n {
             let r = batch.block_range(b);
             finder.index(&batch.data, r.start, r.end);
-            for pos in r {
-                let (m, p) = finder.find(&batch.data, pos, &cfg.lzss);
+            finder.find_each(&batch.data, &cfg.lzss, r.end, |pos, m, p| {
                 probes[pos] = p + scan_extra;
                 matches[pos] = m;
-            }
+            });
         }
         let mut fm_sum = 0u64;
         let mut fm_max = 0u64;

@@ -356,6 +356,67 @@ fn find_match_matches_scalar_at_every_position_of_every_dataset() {
     }
 }
 
+/// `MatchFinder::find_each` over the whole block `block_start..block_end`
+/// against `find_match_scalar` at each position: every position once, in
+/// order, with the scalar loop's match and probe count.
+fn assert_sweep_exact(
+    what: &str,
+    data: &[u8],
+    block_start: usize,
+    block_end: usize,
+    cfg: &LzssConfig,
+) {
+    let mut finder = MatchFinder::default();
+    finder.index(data, block_start, block_end);
+    let mut next = block_start;
+    finder.find_each(data, cfg, block_end, |pos, m, probes| {
+        assert_eq!(pos, next, "{what}: positions out of order");
+        assert_eq!(
+            (m, probes),
+            find_match_scalar(data, block_start, block_end, pos, cfg),
+            "{what} (sweep): window {}, block {block_start}..{block_end}, pos {pos}",
+            cfg.window
+        );
+        next += 1;
+    });
+    assert_eq!(next, block_end, "{what}: sweep ended early");
+}
+
+#[test]
+fn find_each_matches_scalar_at_every_position_of_every_dataset() {
+    let params = RabinParams {
+        window: 32,
+        mask: (1 << 11) - 1,
+        magic: 0x78,
+        min_chunk: 512,
+        max_chunk: 8 * 1024,
+    };
+    let mut inputs: Vec<(&str, Vec<u8>)> = datasets::all(24 * 1024, 7)
+        .into_iter()
+        .map(|ds| (ds.name, ds.data))
+        .collect();
+    let noise = pseudo_random(16 * 1024, 11)
+        .into_iter()
+        .map(|b| b >> 6)
+        .collect();
+    inputs.push(("four-letter noise", noise));
+    for (name, data) in &inputs {
+        let mut cuts = chunk_starts(data, &params);
+        assert!(cuts.len() > 4, "{name}: fixture must span blocks");
+        cuts.push(data.len());
+        for window in [16, 128, 512, 1024, 4096] {
+            for block in cuts.windows(2) {
+                assert_sweep_exact(name, data, block[0], block[1], &lzss(window));
+            }
+        }
+    }
+    // A block mid-buffer, and one- and two-byte blocks.
+    let data = compressible(400, 5);
+    assert_sweep_exact("block mid-buffer", &data, 330, 400, &lzss(512));
+    assert_sweep_exact("one byte", &data, 7, 8, &lzss(512));
+    assert_sweep_exact("two bytes", &data, 7, 9, &lzss(512));
+}
+
 #[test]
 fn find_match_matches_scalar_at_the_edges_of_a_block() {
     let data = compressible(400, 5);
@@ -693,12 +754,20 @@ fn nonce_search_kernel_matches_the_lane_reference() {
 }
 
 /// Run `FindMatchKernel` and its reference over `data` cut into blocks at
-/// `starts`, launched with `dims`.
+/// `starts`, launched with `dims`, at a 64-byte window.
 fn assert_find_match_exact(what: &str, data: &[u8], starts: &[u32], dims: LaunchDims) {
-    let cfg = LzssConfig {
-        window: 64,
-        min_coded: 3,
-    };
+    assert_find_match_exact_at(&lzss(64), what, data, starts, dims);
+}
+
+/// [`assert_find_match_exact`] with the codec parameters `cfg`.
+fn assert_find_match_exact_at(
+    cfg: &LzssConfig,
+    what: &str,
+    data: &[u8],
+    starts: &[u32],
+    dims: LaunchDims,
+) {
+    let cfg = *cfg;
     let mut mem = DeviceMemory::new(0, 1 << 22);
     // Device buffers are grow-only in the backends: longer than the batch.
     let d_data = mem.alloc::<u8>(data.len() + 100).expect("fits");
@@ -827,6 +896,58 @@ fn find_match_kernel_rejects_descending_starts() {
     // kernel checks that once per launch instead of trusting the caller.
     let data = compressible(64, 3);
     assert_find_match_exact("descending", &data, &[0, 40, 20], LaunchDims::linear(1, 64));
+}
+
+#[test]
+#[should_panic(expected = "startPos must begin with a block at 0")]
+fn find_match_kernel_rejects_starts_that_skip_lane_0() {
+    // Lanes before the first start would belong to no block: the per-lane
+    // scan would search them in block 0 and the block walk skip them.
+    let data = compressible(64, 3);
+    assert_find_match_exact("first start 5", &data, &[5, 20], LaunchDims::linear(1, 64));
+}
+
+#[test]
+#[should_panic(expected = "startPos must begin with a block at 0")]
+fn find_match_kernel_rejects_active_lanes_without_blocks() {
+    let data = compressible(64, 3);
+    assert_find_match_exact("no blocks", &data, &[], LaunchDims::linear(1, 64));
+}
+
+#[test]
+fn find_match_kernel_matches_the_lane_reference_at_fig5s_configuration() {
+    // Fig. 5's window and chunker over a 32 KiB `parsec_like` batch: ~2 KiB
+    // blocks, so windows that span most of a block, and a launch cut off
+    // mid-block and mid-tile as well as a full one.
+    let data = datasets::parsec_like(32 * 1024, 5).data;
+    let params = RabinParams {
+        window: 32,
+        mask: (1 << 11) - 1,
+        magic: 0x78,
+        min_chunk: 512,
+        max_chunk: 8 * 1024,
+    };
+    let starts: Vec<u32> = chunk_starts(&data, &params)
+        .into_iter()
+        .map(|s| s as u32)
+        .collect();
+    assert!(starts.len() > 8, "fixture must span many blocks");
+    let cfg = lzss(512);
+    let len = data.len() as u64;
+    assert_find_match_exact_at(
+        &cfg,
+        "fig5, full launch",
+        &data,
+        &starts,
+        LaunchDims::cover(len, 256),
+    );
+    assert_find_match_exact_at(
+        &cfg,
+        "fig5, half launch",
+        &data,
+        &starts,
+        LaunchDims::linear((len / 2 / 96) as u32, 96),
+    );
 }
 
 /// Run `Sha1Kernel` and its reference over `data` cut into blocks at
