@@ -106,6 +106,16 @@ gate dedup-gpu 1 gpusim.copied_bytes_per_item '== 0'
 # tests/modeled_golden.rs's default-config batch does not reach. A faster
 # host walk over the lanes must not change what the lanes are charged.
 gate dedup-gpu 1 gpusim.compute_busy_ms '== 1.524734'
+# Four more counts, read so at two parent runs, that moving the stages
+# between drivers must not move. A batch uploads its bytes and 4 B of
+# startPos per block, once (stage 4 reuses the resident copy):
+gate dedup-gpu 1 gpusim.h2d_bytes_per_item '== 262520'
+# it reads back 20 B of digest per block and 8 B of match per byte:
+gate dedup-gpu 1 gpusim.d2h_bytes_per_item '== 2099032'
+# a Mandelbrot batch is one launch of the one batch kernel:
+gate mandel-gpu 1 gpusim.kernels_per_item '== 1'
+# and its modeled device time is the iterations Listing 2 meters.
+gate mandel-gpu 1 gpusim.compute_busy_ms '== 5.158682'
 (cd benchmark && CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-../target}" cargo test -q --offline)
 
 echo

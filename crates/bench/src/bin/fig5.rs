@@ -23,7 +23,7 @@ use std::sync::Arc;
 use bench::{arg, instrumented_run, Report};
 use dedup::datasets;
 use dedup::single::{run_single_cuda, run_single_ocl};
-use dedup::{BackendCtx, DedupConfig, HostCosts, LzssConfig, OffloadBackend, RabinParams};
+use dedup::{BackendCtx, DedupConfig, HostCosts, LzssConfig, RabinParams};
 use gpusim::{CudaOffload, DeviceProps, GpuSystem};
 use perfmodel::dedupmodel::{self, GpuApi};
 use perfmodel::machine::CpuModel;
@@ -156,13 +156,8 @@ fn main() {
     instrumented_run("fig5", |tsys, rec| {
         let ctx = BackendCtx::gpu(Arc::clone(tsys), 2, true, cfg.lzss);
         let ds = datasets::parsec_like(size.min(400_000), 42);
-        let archive = dedup::run_pipeline_rec::<OffloadBackend<CudaOffload>>(
-            ctx,
-            ds.data.clone(),
-            &cfg,
-            3,
-            rec.clone(),
-        );
+        let archive =
+            dedup::run_pipeline_rec::<CudaOffload>(ctx, ds.data.clone(), &cfg, 3, rec.clone());
         assert_eq!(
             archive.decompress().expect("roundtrip"),
             ds.data,

@@ -1,22 +1,24 @@
-//! Stage backends: the CPU implementation of the hashing (stage 2) and
-//! compression (stage 4) work, and one GPU implementation written against
-//! the unified [`Offload`] trait and instantiated per front end.
+//! Dedup's two offloaded stages as [`Workload`]s: stage 2 hashes a batch
+//! ([`HashWork`]) and stage 4 runs the LZSS match search over it
+//! ([`CompressWork`]), both written once against the unified [`Offload`]
+//! trait and instantiated per front end (`CudaOffload` / `OclOffload`).
 //!
-//! The GPU backend keeps the batch resident on the device between stages
-//! by attaching the device buffers to the stream item ("this stage reuses
-//! data already on GPU to prevent unnecessary data transfers", §IV-B) —
-//! stage 4 targets whatever device stage 2 uploaded to. Buffer ownership
-//! is encoded in the stream item *type* ([`DedupBackend::Gpu`]): a CUDA
-//! stage 4 can only ever receive CUDA buffers, so a "wrong buffer
-//! flavour" handoff is unrepresentable.
+//! Stage 4 reuses the batch stage 2 left on the device by attaching the
+//! device buffers to the stream item ("this stage reuses data already on
+//! GPU to prevent unnecessary data transfers", §IV-B) — it targets
+//! whatever device stage 2 uploaded to. Buffer ownership is encoded in the
+//! stream item *type* ([`OffloadResident<O>`]): a CUDA stage 4 can only
+//! ever receive CUDA buffers, so a "wrong buffer flavour" handoff is
+//! unrepresentable.
 //!
 //! Every GPU path fails soft, and the recovery ladder (retry per
 //! [`FaultPolicy`], OOM halving, CPU fallback) is *not implemented here*:
-//! the stages are declared as [`Workload`] impls ([`HashWork`],
-//! [`CompressWork`]) and the generic [`workload::WorkloadDriver`] owns
-//! every rung. The fallback is byte-identical, so a faulty run still
-//! produces the exact sequential archive. `gpu: None` on a stream item
-//! means "this batch is not device-resident; compress it on the host".
+//! the generic [`workload::WorkloadDriver`] owns every rung. The host
+//! rungs are byte-identical, so a faulty run still produces the exact
+//! sequential archive, and a context without a [`GpuSystem`]
+//! ([`BackendCtx::cpu`], the paper's SPar CPU-only version) runs every
+//! batch on them. `gpu: None` on a stream item means "this batch is not
+//! device-resident; compress it on the host".
 //!
 //! `batched = false` reproduces the paper's first, slow integration: one
 //! kernel launch per block instead of per batch — "the GPU kernel function
@@ -32,7 +34,7 @@ use std::sync::{Arc, OnceLock};
 use fastflow::{BufPool, FaultPolicy, PooledBuf};
 use gpusim::{GpuSystem, Offload, OutOfMemory, PinnedSlab};
 use telemetry::Recorder;
-use workload::{Workload, WorkloadDriver, WorkloadFault};
+use workload::{Workload, WorkloadFault};
 
 use crate::archive::BlockEntry;
 use crate::batch::Batch;
@@ -49,10 +51,11 @@ const BLOCK_1D: u32 = 256;
 const HASH_STAGE: &str = "stage1 (hash)";
 const COMPRESS_STAGE: &str = "stage3 (compress)";
 
-/// Configuration shared by all backends of one pipeline run.
+/// Configuration shared by both stages of one pipeline run — the
+/// description [`HashWork`] and [`CompressWork`] are built from.
 #[derive(Clone)]
 pub struct BackendCtx {
-    /// The simulated GPU system (absent for the CPU backend).
+    /// The simulated GPU system (absent for a host-only run).
     pub system: Option<Arc<GpuSystem>>,
     /// Devices to spread batches over.
     pub n_gpus: usize,
@@ -60,9 +63,6 @@ pub struct BackendCtx {
     pub batched: bool,
     /// Codec parameters.
     pub lzss: LzssConfig,
-    /// Sink for fault / retry / fallback events (disabled ⇒ every record
-    /// is a no-op branch).
-    pub rec: Recorder,
     /// Retry budget applied before a failing GPU stage degrades to the
     /// CPU implementation for that batch.
     pub policy: FaultPolicy,
@@ -93,14 +93,13 @@ fn match_pool() -> BufPool<u32> {
 }
 
 impl BackendCtx {
-    /// CPU-only context.
+    /// Host-only context: every batch runs on the stages' host rungs.
     pub fn cpu(lzss: LzssConfig) -> Self {
         BackendCtx {
             system: None,
             n_gpus: 0,
             batched: true,
             lzss,
-            rec: Recorder::default(),
             policy: FaultPolicy::default(),
             digests: digest_pool(),
             matches: match_pool(),
@@ -115,82 +114,49 @@ impl BackendCtx {
             n_gpus,
             batched,
             lzss,
-            rec: Recorder::default(),
             policy: FaultPolicy::default(),
             digests: digest_pool(),
             matches: match_pool(),
         }
     }
-
-    /// Attach a telemetry recorder for fault events and pool gauges.
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        rec.register(&["dedup.digests"], self.digests.counters());
-        rec.register(&["dedup.matches"], self.matches.counters());
-        self.rec = rec;
-        self
-    }
 }
 
-/// Item emitted by stage 2. `G` is the backend's device-resident buffer
-/// type ([`DedupBackend::Gpu`]); `gpu: None` means the batch is host-only
-/// (CPU backend, or a GPU backend that fell back for this batch).
-pub struct HashedBatch<G = ()> {
+/// `OffloadBackend<CudaOffload>` is `CudaOffload`: the old name of
+/// [`run_pipeline`](crate::run_pipeline)'s type argument, kept only for
+/// the call at `benchmark/src/workloads/dedup_gpu.rs:80`.
+pub type OffloadBackend<O> = O;
+
+/// Item emitted by stage 2. `gpu: None` means the batch is host-only (a
+/// host-only run, or a batch whose stage 2 fell back or re-split).
+pub struct HashedBatch<O: Offload> {
     /// The batch (host copy).
     pub batch: Batch,
     /// SHA-1 per block, in a pooled buffer that returns to
     /// [`BackendCtx::digests`] when the consumer drops it.
     pub digests: PooledBuf<Digest>,
     /// Device-resident data, if this batch made it onto a device.
-    pub gpu: Option<G>,
+    pub gpu: Option<OffloadResident<O>>,
 }
 
-/// Item emitted by stage 3.
-pub struct ClassifiedBatch<G = ()> {
+/// Item emitted by stage 3: stage 4's [`Workload::Item`].
+pub struct ClassifiedBatch<O: Offload> {
     /// The batch (host copy).
     pub batch: Batch,
     /// Unique/dup class per block.
     pub classes: Vec<BlockClass>,
     /// Device-resident data, forwarded from stage 2.
-    pub gpu: Option<G>,
+    pub gpu: Option<OffloadResident<O>>,
 }
 
-/// Item emitted by stage 4.
-pub struct CompressedBatch {
-    /// Stream position (reorder key).
-    pub index: usize,
-    /// Output records for this batch, in block order.
-    pub entries: Vec<BlockEntry>,
-}
-
-/// A stage-2/stage-4 implementation. One instance per stage replica,
-/// constructed on the replica's own thread (GPU state is thread-bound).
-pub trait DedupBackend: Send + 'static {
-    /// Device-resident data handed from stage 2 to stage 4. Each backend
-    /// names its own buffer flavour here, so a mismatched handoff is a
-    /// type error instead of a runtime panic. `()` for host-only backends.
-    type Gpu: Send + 'static;
-
-    /// Build a replica backend. `replica` picks the device
-    /// (`replica % n_gpus`).
-    fn new(ctx: &BackendCtx, replica: usize) -> Self;
-
-    /// Stage 2: hash every block of the batch.
-    fn hash_stage(&mut self, batch: Batch) -> HashedBatch<Self::Gpu>;
-
-    /// Stage 4: compress every unique block.
-    fn compress_stage(&mut self, item: ClassifiedBatch<Self::Gpu>) -> CompressedBatch;
-}
-
-/// Host implementation of stage 2 (also the GPU backend's fallback rung):
-/// `out[b]` is the digest of block `b`, eight blocks per pass through the
-/// routine `Sha1Kernel` runs.
+/// Host implementation of stage 2: `out[b]` is the digest of block `b`,
+/// eight blocks per pass through the routine `Sha1Kernel` runs.
 fn cpu_digests(batch: &Batch, out: &mut [Digest]) {
     sha1_each(out.len(), |b| batch.block(b), |b, digest| out[b] = digest);
 }
 
-/// Host implementation of stage 4 (also the GPU backend's fallback rung).
-/// Byte-identical to the GPU match-kernel encoding, so a fallen-back batch
-/// still reproduces the sequential archive exactly.
+/// Host implementation of stage 4. Byte-identical to the GPU match-kernel
+/// encoding, so a host batch still reproduces the sequential archive
+/// exactly.
 fn cpu_entries(batch: &Batch, classes: &[BlockClass], lzss: &LzssConfig) -> Vec<BlockEntry> {
     classes
         .iter()
@@ -200,41 +166,6 @@ fn cpu_entries(batch: &Batch, classes: &[BlockClass], lzss: &LzssConfig) -> Vec<
             BlockClass::Dup { of } => BlockEntry::Dup(*of),
         })
         .collect()
-}
-
-/// Pure-CPU backend (the paper's SPar CPU-only version).
-pub struct CpuBackend {
-    lzss: LzssConfig,
-    pool: BufPool<Digest>,
-}
-
-impl DedupBackend for CpuBackend {
-    type Gpu = ();
-
-    fn new(ctx: &BackendCtx, _replica: usize) -> Self {
-        CpuBackend {
-            lzss: ctx.lzss,
-            pool: ctx.digests.clone(),
-        }
-    }
-
-    fn hash_stage(&mut self, batch: Batch) -> HashedBatch {
-        let mut digests = self.pool.acquire(batch.block_count());
-        cpu_digests(&batch, &mut digests);
-        HashedBatch {
-            batch,
-            digests,
-            gpu: None,
-        }
-    }
-
-    fn compress_stage(&mut self, item: ClassifiedBatch) -> CompressedBatch {
-        let entries = cpu_entries(&item.batch, &item.classes, &self.lzss);
-        CompressedBatch {
-            index: item.batch.index,
-            entries,
-        }
-    }
 }
 
 /// Walk the classes and encode unique blocks from per-position matches.
@@ -260,41 +191,20 @@ fn entries_from_matches(
         .collect()
 }
 
-/// Device-resident batch data produced by [`OffloadBackend`]'s stage 2.
-/// Owning the concrete `O::Buffer` types means stage 4 cannot receive
-/// buffers from a different offload implementation.
+/// Device-resident batch data produced by stage 2 ([`HashWork`]). Owning
+/// the concrete `O::Buffer` types means stage 4 cannot receive buffers
+/// from a different offload implementation.
 pub struct OffloadResident<O: Offload> {
     device: usize,
     d_data: O::Buffer<u8>,
     d_starts: O::Buffer<u32>,
 }
 
-/// Backend written once against the unified [`Offload`] trait and
-/// instantiated per front end (`OffloadBackend<CudaOffload>` /
-/// `OffloadBackend<OclOffload>`), or selected by value through
-/// `gpusim::OffloadApi` in a harness.
-///
-/// [`BackendCtx::batched`] picks the batched kernels or the per-block
-/// launches of §IV-B's first attempt (see the module docs).
-///
-/// No recovery ladder is written here: both GPU stages are declared as
-/// [`Workload`] impls ([`HashWork`], [`CompressWork`]) and the generic
-/// [`WorkloadDriver`] owns every rung — transient faults retry per the
-/// [`FaultPolicy`], a stage-2 OOM re-splits the batch into recursively
-/// halved sub-batches (losing residency), and anything that still fails
-/// degrades to the byte-identical host implementation for that batch.
-pub struct OffloadBackend<O: Offload> {
-    hash: WorkloadDriver<HashWork<O>>,
-    compress: WorkloadDriver<CompressWork<O>>,
-    gpu: DedupGpu<O>,
-}
-
-/// Per-replica device state shared by both GPU stages of an
-/// [`OffloadBackend`]: the replica's preferred device, the
+/// One stage replica's device state, the [`Workload::Gpu`] of both
+/// [`HashWork`] and [`CompressWork`]: the replica's preferred device, the
 /// lazily-attached per-device lanes (stage 4 must target whatever device
 /// stage 2 uploaded to) and the reused `usize → u32` starts-conversion
-/// scratch. This is the [`Workload::Gpu`] type of both [`HashWork`] and
-/// [`CompressWork`].
+/// scratch.
 pub struct DedupGpu<O: Offload> {
     system: Arc<GpuSystem>,
     device: usize,
@@ -302,10 +212,24 @@ pub struct DedupGpu<O: Offload> {
     starts_scratch: Vec<u32>,
 }
 
-/// Per-device state an [`OffloadBackend`] replica keeps across batches:
-/// the offloader plus the recycled device scratch. There is no host-side
-/// staging: the source/destination memory itself (the batch's vectors,
-/// the pooled digest/match arrays) is pinned and transferred from/into.
+impl<O: Offload> DedupGpu<O> {
+    /// Replica `replica`'s state under `ctx`, preferring device
+    /// `replica % n_gpus`. No device is touched until a lane is used.
+    fn attach(ctx: &BackendCtx, replica: usize) -> Self {
+        let system = ctx.system.as_ref().expect("attaching needs a GpuSystem");
+        DedupGpu {
+            system: Arc::clone(system),
+            device: replica % ctx.n_gpus,
+            lanes: (0..ctx.n_gpus).map(|_| None).collect(),
+            starts_scratch: Vec::new(),
+        }
+    }
+}
+
+/// Per-device state a [`DedupGpu`] keeps across batches: the offloader
+/// plus the recycled device scratch. There is no host-side staging: the
+/// source/destination memory itself (the batch's vectors, the pooled
+/// digest/match arrays) is pinned and transferred from/into.
 struct Lane<O: Offload> {
     off: O,
     /// Recycled device scratch for stage outputs. Unlike `d_data` /
@@ -338,7 +262,7 @@ fn digest_bytes_mut(digests: &mut [Digest]) -> &mut [u8] {
 
 /// The lazily-attached lane for `device`. A free function over the split
 /// fields (not a method) so callers keep disjoint borrows of the other
-/// backend fields while the lane is held.
+/// [`DedupGpu`] fields while the lane is held.
 fn lane_mut<'a, O: Offload>(
     lanes: &'a mut [Option<Lane<O>>],
     system: &Arc<GpuSystem>,
@@ -368,44 +292,23 @@ fn ensure_dev<O: Offload, T: Default + Clone + Send + 'static>(
 /// the batch resident for stage 4; the OOM rung re-hashes recursively
 /// halved block ranges as standalone sub-batches (residency is lost, so
 /// stage 4 goes host-side for that batch); the host rung runs the
-/// kernel's own eight-lane [`sha1_each`]. The retry/halve/fallback
-/// ladder itself lives in [`WorkloadDriver`], not here.
+/// kernel's own eight-lane [`sha1_each`].
 pub struct HashWork<O: Offload> {
-    system: Arc<GpuSystem>,
-    n_gpus: usize,
-    batched: bool,
-    /// Shared digest pool (see [`BackendCtx::digests`]).
-    pool: BufPool<Digest>,
-    policy: FaultPolicy,
+    ctx: BackendCtx,
     _off: PhantomData<fn() -> O>,
 }
 
 impl<O: Offload> Clone for HashWork<O> {
     fn clone(&self) -> Self {
-        HashWork {
-            system: Arc::clone(&self.system),
-            n_gpus: self.n_gpus,
-            batched: self.batched,
-            pool: self.pool.clone(),
-            policy: self.policy,
-            _off: PhantomData,
-        }
+        Self::new(&self.ctx)
     }
 }
 
 impl<O: Offload> HashWork<O> {
-    /// Build the stage-2 workload from a GPU pipeline context.
+    /// Build the stage-2 workload from a pipeline context.
     pub fn new(ctx: &BackendCtx) -> Self {
-        let system = ctx
-            .system
-            .as_ref()
-            .expect("offload backend needs a GpuSystem");
         HashWork {
-            system: Arc::clone(system),
-            n_gpus: ctx.n_gpus,
-            batched: ctx.batched,
-            pool: ctx.digests.clone(),
-            policy: ctx.policy,
+            ctx: ctx.clone(),
             _off: PhantomData,
         }
     }
@@ -444,7 +347,7 @@ impl<O: Offload> HashWork<O> {
         let d_out = lane.d_out.as_ref().expect("ensured above");
         lane.off.h2d(&d_data, data);
         lane.off.h2d(&d_starts, &gpu.starts_scratch);
-        if self.batched {
+        if self.ctx.batched {
             lane.off.try_launch(
                 Sha1Kernel {
                     data: O::buffer_ptr(&d_data),
@@ -494,7 +397,7 @@ impl<O: Offload> Workload for HashWork<O> {
     }
 
     fn policy(&self) -> FaultPolicy {
-        self.policy
+        self.ctx.policy
     }
 
     fn describe(&self, item: &Batch) -> String {
@@ -502,16 +405,11 @@ impl<O: Offload> Workload for HashWork<O> {
     }
 
     fn attach(&self, replica: usize) -> DedupGpu<O> {
-        DedupGpu {
-            system: Arc::clone(&self.system),
-            device: replica % self.n_gpus,
-            lanes: (0..self.n_gpus).map(|_| None).collect(),
-            starts_scratch: Vec::new(),
-        }
+        DedupGpu::attach(&self.ctx, replica)
     }
 
     fn make_batch(&self, item: &Batch) -> Self::Batch {
-        (self.pool.acquire(item.block_count()), None)
+        (self.ctx.digests.acquire(item.block_count()), None)
     }
 
     fn try_gpu_batch(
@@ -548,7 +446,7 @@ impl<O: Offload> Workload for HashWork<O> {
     }
 
     fn register_telemetry(&self, rec: &Recorder) {
-        rec.register(&["dedup.digests"], self.pool.counters());
+        rec.register(&["dedup.digests"], self.ctx.digests.counters());
     }
 }
 
@@ -557,47 +455,24 @@ impl<O: Offload> Workload for HashWork<O> {
 /// from byte-identical match semantics, so a fallen-back batch still
 /// reproduces the sequential archive exactly. Not splittable: the match
 /// kernel reads the whole resident buffer, so an OOM (device scratch) is
-/// retried like a transient and then degraded.
+/// retried like a transient and then degraded. Only device-resident items
+/// may take the device path; the rest go to the host rung directly.
 pub struct CompressWork<O: Offload> {
-    system: Arc<GpuSystem>,
-    n_gpus: usize,
-    batched: bool,
-    lzss: LzssConfig,
-    policy: FaultPolicy,
-    /// Shared pinned pool for the per-position match arrays (see
-    /// [`BackendCtx::matches`]).
-    pool: BufPool<u32>,
+    ctx: BackendCtx,
     _off: PhantomData<fn() -> O>,
 }
 
 impl<O: Offload> Clone for CompressWork<O> {
     fn clone(&self) -> Self {
-        CompressWork {
-            system: Arc::clone(&self.system),
-            n_gpus: self.n_gpus,
-            batched: self.batched,
-            lzss: self.lzss,
-            policy: self.policy,
-            pool: self.pool.clone(),
-            _off: PhantomData,
-        }
+        Self::new(&self.ctx)
     }
 }
 
 impl<O: Offload> CompressWork<O> {
-    /// Build the stage-4 workload from a GPU pipeline context.
+    /// Build the stage-4 workload from a pipeline context.
     pub fn new(ctx: &BackendCtx) -> Self {
-        let system = ctx
-            .system
-            .as_ref()
-            .expect("offload backend needs a GpuSystem");
         CompressWork {
-            system: Arc::clone(system),
-            n_gpus: ctx.n_gpus,
-            batched: ctx.batched,
-            lzss: ctx.lzss,
-            policy: ctx.policy,
-            pool: ctx.matches.clone(),
+            ctx: ctx.clone(),
             _off: PhantomData,
         }
     }
@@ -617,15 +492,15 @@ impl<O: Offload> CompressWork<O> {
         res: &OffloadResident<O>,
     ) -> Result<(PooledBuf<u32>, PooledBuf<u32>), WorkloadFault> {
         let len = batch.data.len();
-        let mut lens = self.pool.acquire(len);
-        let mut offs = self.pool.acquire(len);
+        let mut lens = self.ctx.matches.acquire(len);
+        let mut offs = self.ctx.matches.acquire(len);
         // The data lives on whatever device stage 2 used.
         let lane = lane_mut(&mut gpu.lanes, &gpu.system, res.device);
         ensure_dev(&mut lane.off, &mut lane.d_len, len)?;
         ensure_dev(&mut lane.off, &mut lane.d_off, len)?;
         let d_len = lane.d_len.as_ref().expect("ensured above");
         let d_off = lane.d_off.as_ref().expect("ensured above");
-        if self.batched {
+        if self.ctx.batched {
             lane.off.try_launch(
                 FindMatchKernel {
                     data: O::buffer_ptr(&res.d_data),
@@ -634,7 +509,7 @@ impl<O: Offload> CompressWork<O> {
                     n_blocks: batch.block_count(),
                     matches_len: O::buffer_ptr(d_len),
                     matches_off: O::buffer_ptr(d_off),
-                    cfg: self.lzss,
+                    cfg: self.ctx.lzss,
                 },
                 len as u64,
                 BLOCK_1D,
@@ -652,7 +527,7 @@ impl<O: Offload> CompressWork<O> {
                         end: r.end,
                         matches_len: O::buffer_ptr(d_len),
                         matches_off: O::buffer_ptr(d_off),
-                        cfg: self.lzss,
+                        cfg: self.ctx.lzss,
                     },
                     (r.end - r.start) as u64,
                     BLOCK_1D,
@@ -667,7 +542,7 @@ impl<O: Offload> CompressWork<O> {
 }
 
 impl<O: Offload> Workload for CompressWork<O> {
-    type Item = ClassifiedBatch<OffloadResident<O>>;
+    type Item = ClassifiedBatch<O>;
     type Batch = Vec<BlockEntry>;
     type Gpu = DedupGpu<O>;
 
@@ -676,7 +551,7 @@ impl<O: Offload> Workload for CompressWork<O> {
     }
 
     fn policy(&self) -> FaultPolicy {
-        self.policy
+        self.ctx.policy
     }
 
     fn describe(&self, item: &Self::Item) -> String {
@@ -684,12 +559,7 @@ impl<O: Offload> Workload for CompressWork<O> {
     }
 
     fn attach(&self, replica: usize) -> DedupGpu<O> {
-        DedupGpu {
-            system: Arc::clone(&self.system),
-            device: replica % self.n_gpus,
-            lanes: (0..self.n_gpus).map(|_| None).collect(),
-            starts_scratch: Vec::new(),
-        }
+        DedupGpu::attach(&self.ctx, replica)
     }
 
     fn make_batch(&self, _item: &Self::Item) -> Vec<BlockEntry> {
@@ -705,51 +575,17 @@ impl<O: Offload> Workload for CompressWork<O> {
         let res = item
             .gpu
             .as_ref()
-            .expect("driver runs only device-resident batches (see compress_stage)");
+            .expect("only device-resident batches take the device path");
         let (lens, offs) = self.compress_on_device(gpu, &item.batch, &item.classes, res)?;
-        *out = entries_from_matches(&item.batch, &item.classes, &lens, &offs, &self.lzss);
+        *out = entries_from_matches(&item.batch, &item.classes, &lens, &offs, &self.ctx.lzss);
         Ok(())
     }
 
     fn cpu_batch(&self, item: &Self::Item, out: &mut Vec<BlockEntry>) {
-        *out = cpu_entries(&item.batch, &item.classes, &self.lzss);
-    }
-}
-
-impl<O: Offload> DedupBackend for OffloadBackend<O> {
-    type Gpu = OffloadResident<O>;
-
-    fn new(ctx: &BackendCtx, replica: usize) -> Self {
-        let hash = WorkloadDriver::new(HashWork::new(ctx)).with_recorder(ctx.rec.clone());
-        let compress = WorkloadDriver::new(CompressWork::new(ctx)).with_recorder(ctx.rec.clone());
-        let gpu = hash.attach(replica);
-        OffloadBackend {
-            hash,
-            compress,
-            gpu,
-        }
+        *out = cpu_entries(&item.batch, &item.classes, &self.ctx.lzss);
     }
 
-    fn hash_stage(&mut self, batch: Batch) -> HashedBatch<OffloadResident<O>> {
-        let (digests, gpu) = self.hash.process(&mut self.gpu, &batch);
-        HashedBatch {
-            batch,
-            digests,
-            gpu,
-        }
-    }
-
-    fn compress_stage(&mut self, item: ClassifiedBatch<OffloadResident<O>>) -> CompressedBatch {
-        // `gpu: None` means "not device-resident by design" (stage 2 fell
-        // back or re-split): straight to the host path, no fault events.
-        let entries = if item.gpu.is_some() {
-            self.compress.process(&mut self.gpu, &item)
-        } else {
-            self.compress.process_host(&item)
-        };
-        CompressedBatch {
-            index: item.batch.index,
-            entries,
-        }
+    fn register_telemetry(&self, rec: &Recorder) {
+        rec.register(&["dedup.matches"], self.ctx.matches.counters());
     }
 }

@@ -19,7 +19,7 @@
 //! * [`dedupe`] — the global duplicate cache (stage 3);
 //! * [`archive`] — output container **and full decompressor**, so every
 //!   version is verified end-to-end;
-//! * [`backend`] — CPU / CUDA / OpenCL stage implementations;
+//! * [`backend`] — stages 2 and 4 as `Workload`s over any offload front end;
 //! * [`pipeline`] — the 5-stage SPar pipeline (Fig. 3) + sequential
 //!   reference;
 //! * [`single`] — single-threaded CUDA/OpenCL drivers with 1×/2× memory
@@ -45,7 +45,7 @@ pub mod single;
 pub mod stats;
 
 pub use archive::{Archive, ArchiveError, BlockEntry};
-pub use backend::{BackendCtx, CpuBackend, DedupBackend, OffloadBackend};
+pub use backend::{BackendCtx, OffloadBackend};
 pub use batch::{make_batches, Batch, DEFAULT_BATCH_SIZE};
 pub use costs::HostCosts;
 pub use dedupe::{BlockClass, DedupCache};

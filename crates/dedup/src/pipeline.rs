@@ -8,10 +8,19 @@
 //! Stage order is restored by the ordered farms the SPar region generates
 //! (the paper's stage 5 "reorders the batches and writes"); stage 3 is
 //! `Replicate(1)` so the global dedup cache needs no lock.
+//!
+//! Stages 2 and 4 are the [`HashWork`] and [`CompressWork`] workloads,
+//! each under one [`WorkloadDriver`] whose clones serve the stage's
+//! replicas; the driver owns the recovery ladder. The context picks the
+//! version: a GPU context offloads through the front end the pipeline is
+//! instantiated with, a host-only one runs the drivers' host rungs.
 
-use crate::archive::Archive;
-use crate::backend::{BackendCtx, ClassifiedBatch, CompressedBatch, DedupBackend, HashedBatch};
-use crate::batch::make_batches;
+use gpusim::Offload;
+use workload::WorkloadDriver;
+
+use crate::archive::{Archive, BlockEntry};
+use crate::backend::{BackendCtx, ClassifiedBatch, CompressWork, HashWork, HashedBatch};
+use crate::batch::{make_batches, Batch};
 use crate::dedupe::DedupCache;
 use crate::lzss::LzssConfig;
 use crate::rabin::RabinParams;
@@ -63,67 +72,18 @@ pub fn run_sequential(input: &[u8], cfg: &DedupConfig) -> Archive {
     archive
 }
 
-/// Stage-2 node: one backend instance per replica, built in `on_init` on
-/// the replica's thread.
-struct HashNode<B: DedupBackend> {
-    ctx: BackendCtx,
-    replica: usize,
-    backend: Option<B>,
-}
-
-impl<B: DedupBackend> fastflow::Node for HashNode<B> {
-    type In = crate::batch::Batch;
-    type Out = HashedBatch<B::Gpu>;
-    fn on_init(&mut self) {
-        self.backend = Some(B::new(&self.ctx, self.replica));
-    }
-    fn svc(
-        &mut self,
-        batch: crate::batch::Batch,
-        out: &mut fastflow::Emitter<'_, HashedBatch<B::Gpu>>,
-    ) {
-        let backend = self
-            .backend
-            .get_or_insert_with(|| B::new(&self.ctx, self.replica));
-        out.send(backend.hash_stage(batch));
-    }
-}
-
-/// Stage-4 node.
-struct CompressNode<B: DedupBackend> {
-    ctx: BackendCtx,
-    replica: usize,
-    backend: Option<B>,
-}
-
-impl<B: DedupBackend> fastflow::Node for CompressNode<B> {
-    type In = ClassifiedBatch<B::Gpu>;
-    type Out = CompressedBatch;
-    fn on_init(&mut self) {
-        self.backend = Some(B::new(&self.ctx, self.replica));
-    }
-    fn svc(
-        &mut self,
-        item: ClassifiedBatch<B::Gpu>,
-        out: &mut fastflow::Emitter<'_, CompressedBatch>,
-    ) {
-        let backend = self
-            .backend
-            .get_or_insert_with(|| B::new(&self.ctx, self.replica));
-        out.send(backend.compress_stage(item));
-    }
-}
-
 /// Run the Fig. 3 pipeline over `input` with `workers` replicas for the
-/// hashing and compression stages. The backend type selects CPU / CUDA /
-/// OpenCL (Fig. 5's SPar, SPar+CUDA and SPar+OpenCL versions).
-pub fn run_pipeline<B: DedupBackend>(
+/// hashing and compression stages, offloading through the front end `O`
+/// (Fig. 5's SPar+CUDA and SPar+OpenCL versions). A host-only context
+/// ([`BackendCtx::cpu`], Fig. 5's SPar version) runs every batch on the
+/// stages' host rungs and never attaches `O`, so any front end names it.
+pub fn run_pipeline<O: Offload>(
     backend_ctx: BackendCtx,
     input: Vec<u8>,
     cfg: &DedupConfig,
     workers: usize,
 ) -> Archive {
-    run_pipeline_rec::<B>(
+    run_pipeline_rec::<O>(
         backend_ctx,
         input,
         cfg,
@@ -133,11 +93,11 @@ pub fn run_pipeline<B: DedupBackend>(
 }
 
 /// [`run_pipeline`] with a telemetry recorder: every stage and replica of
-/// the SPar region registers stage metrics, and — when the backend drives
+/// the SPar region registers stage metrics, and — when the context drives
 /// GPUs — the simulated device command traces are merged into the same
 /// recorder as engine spans (one `gpu{d}/{engine}` row per device engine).
-pub fn run_pipeline_rec<B: DedupBackend>(
-    backend_ctx: BackendCtx,
+pub fn run_pipeline_rec<O: Offload>(
+    ctx: BackendCtx,
     input: Vec<u8>,
     cfg: &DedupConfig,
     workers: usize,
@@ -145,40 +105,52 @@ pub fn run_pipeline_rec<B: DedupBackend>(
 ) -> Archive {
     assert!(workers >= 1);
     let cfg = cfg.clone();
-    let lzss = cfg.lzss;
-    // Fault / retry / fallback events from the backends land in the same
-    // recorder as the stage metrics.
-    let backend_ctx = backend_ctx.with_recorder(rec.clone());
-    let system = backend_ctx.system.clone();
+    // One driver per stage, cloned into its replicas: they share the
+    // stage's description and its causal batch-id counter. Their fault /
+    // retry / fallback events and pool gauges land in the same recorder
+    // as the stage metrics.
+    let hash = WorkloadDriver::new(HashWork::<O>::new(&ctx)).with_recorder(rec.clone());
+    let compress = WorkloadDriver::new(CompressWork::<O>::new(&ctx)).with_recorder(rec.clone());
+    let system = ctx.system;
     if let Some(sys) = &system {
         workload::arm_gpu_traces(sys, &rec);
     }
-    let hash_ctx = backend_ctx.clone();
-    let compress_ctx = backend_ctx;
-    let mut archive = Archive::new(lzss);
+    let on_device = system.is_some();
+    let mut archive = Archive::new(cfg.lzss);
 
-    let source_cfg = cfg.clone();
     spar::ToStream::new()
         .recorder(rec.clone())
         .ordered(true)
         // S1: read input, build 1 MB batches, rabin-fingerprint each.
         .source(move |em| {
-            for batch in make_batches(&input, source_cfg.batch_size, &source_cfg.rabin) {
+            for batch in make_batches(&input, cfg.batch_size, &cfg.rabin) {
                 if !em.send(batch) {
                     break;
                 }
             }
         })
-        // S2: SHA-1 every block (replicated; offloads to GPUs).
-        .stage_node(workers, |replica| HashNode::<B> {
-            ctx: hash_ctx.clone(),
-            replica,
-            backend: None,
+        // S2: SHA-1 every block (replicated; offloads to GPUs). Device
+        // state attaches on the replica's own thread, at its first batch.
+        .stage_factory(workers, |replica| {
+            let hash = hash.clone();
+            let mut dev = None;
+            move |batch: Batch| {
+                let (digests, gpu) = if on_device {
+                    hash.process(dev.get_or_insert_with(|| hash.attach(replica)), &batch)
+                } else {
+                    hash.process_host(&batch)
+                };
+                HashedBatch {
+                    batch,
+                    digests,
+                    gpu,
+                }
+            }
         })
         // S3: duplicate check against the global cache (serial, stateful).
         .stage_factory(1, |_| {
             let mut cache = DedupCache::new();
-            move |h: HashedBatch<B::Gpu>| -> ClassifiedBatch<B::Gpu> {
+            move |h: HashedBatch<O>| -> ClassifiedBatch<O> {
                 let classes = h.digests.iter().map(|&d| cache.classify(d)).collect();
                 ClassifiedBatch {
                     batch: h.batch,
@@ -188,15 +160,22 @@ pub fn run_pipeline_rec<B: DedupBackend>(
             }
         })
         // S4: LZSS-compress unique blocks (replicated; reuses device data).
-        .stage_node(workers, |replica| CompressNode::<B> {
-            ctx: compress_ctx.clone(),
-            replica,
-            backend: None,
+        // A batch that is not device-resident by design (a host-only run,
+        // or stage 2 fell back or re-split) goes straight to the host
+        // rung, with no fault events.
+        .stage_factory(workers, |replica| {
+            let compress = compress.clone();
+            let mut dev = None;
+            move |item: ClassifiedBatch<O>| {
+                if item.gpu.is_some() {
+                    compress.process(dev.get_or_insert_with(|| compress.attach(replica)), &item)
+                } else {
+                    compress.process_host(&item)
+                }
+            }
         })
         // S5: reorder (guaranteed by the ordered region) and write.
-        .last_stage(|done: CompressedBatch| {
-            archive.entries.extend(done.entries);
-        });
+        .last_stage(|entries: Vec<BlockEntry>| archive.entries.extend(entries));
     if let Some(sys) = &system {
         workload::drain_gpu_traces(sys, &rec);
     }
@@ -206,9 +185,9 @@ pub fn run_pipeline_rec<B: DedupBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CpuBackend, OffloadBackend};
     use crate::datasets;
-    use gpusim::{CudaOffload, DeviceProps, GpuSystem, OclOffload, Offload};
+    use gpusim::{CudaOffload, DeviceProps, GpuSystem, OclOffload};
+    use telemetry::FlightKind;
 
     fn small_cfg() -> DedupConfig {
         DedupConfig {
@@ -245,14 +224,57 @@ mod tests {
         );
     }
 
+    /// The host-only version runs through the same drivers as the GPU
+    /// ones, on their host rungs: the archive is the sequential one, and
+    /// since a host batch is the context's policy, not a fallback, no
+    /// ladder walk starts and no fault is recorded. Attaching a device
+    /// would panic (the context has no `GpuSystem`), and no device ever
+    /// reports an engine span.
     #[test]
     fn spar_cpu_pipeline_matches_sequential() {
         let cfg = small_cfg();
-        let data = input();
-        let seq = run_sequential(&data, &cfg);
-        let par = run_pipeline::<CpuBackend>(BackendCtx::cpu(cfg.lzss), data.clone(), &cfg, 4);
-        assert_eq!(par, seq, "pipeline output must be byte-identical");
-        assert_eq!(par.decompress().unwrap(), data);
+        for data in [input(), Vec::new()] {
+            let seq = run_sequential(&data, &cfg);
+            for workers in [1, 3] {
+                let rec = telemetry::Recorder::enabled();
+                let ctx = BackendCtx::cpu(cfg.lzss);
+                let par =
+                    run_pipeline_rec::<CudaOffload>(ctx, data.clone(), &cfg, workers, rec.clone());
+                assert_eq!(par, seq, "pipeline output must be byte-identical");
+                assert_eq!(par.decompress().unwrap(), data);
+                let report = rec.report();
+                assert!(report.faults.is_empty(), "{:?}", report.faults);
+                assert!(report.gpu.is_empty());
+                assert!(rec
+                    .flight_snapshot()
+                    .iter()
+                    .all(|e| e.kind != FlightKind::BatchFormed));
+            }
+        }
+    }
+
+    /// Every replica of a stage draws its causal batch ids from the
+    /// stage's one driver, so no two batches of a stage share an id.
+    #[test]
+    fn each_stage_numbers_its_batches_once() {
+        let cfg = small_cfg();
+        let data = datasets::parsec_like(160_000, 11).data;
+        let sys = GpuSystem::new(2, DeviceProps::titan_xp());
+        let ctx = BackendCtx::gpu(sys, 2, true, cfg.lzss);
+        let rec = telemetry::Recorder::enabled();
+        run_pipeline_rec::<CudaOffload>(ctx, data, &cfg, 3, rec.clone());
+        let mut ids: std::collections::BTreeMap<u32, Vec<u64>> = Default::default();
+        for e in rec.flight_snapshot() {
+            if e.kind == FlightKind::BatchFormed {
+                ids.entry(e.src).or_default().push(e.batch_id);
+            }
+        }
+        assert_eq!(ids.len(), 2, "one flight source per driver");
+        for ids in ids.values() {
+            let distinct: std::collections::BTreeSet<_> = ids.iter().collect();
+            assert!(ids.len() > 3, "{ids:?}");
+            assert_eq!(distinct.len(), ids.len(), "colliding batch ids {ids:?}");
+        }
     }
 
     #[test]
@@ -262,9 +284,9 @@ mod tests {
         let seq = run_sequential(&data, &cfg);
         let sys = GpuSystem::new(2, DeviceProps::titan_xp());
         let ctx = BackendCtx::gpu(sys.clone(), 2, true, cfg.lzss);
-        let cuda = run_pipeline::<OffloadBackend<CudaOffload>>(ctx.clone(), data.clone(), &cfg, 3);
+        let cuda = run_pipeline::<CudaOffload>(ctx.clone(), data.clone(), &cfg, 3);
         assert_eq!(cuda, seq);
-        let ocl = run_pipeline::<OffloadBackend<OclOffload>>(ctx, data.clone(), &cfg, 3);
+        let ocl = run_pipeline::<OclOffload>(ctx, data.clone(), &cfg, 3);
         assert_eq!(ocl, seq);
     }
 
@@ -275,13 +297,7 @@ mod tests {
         let sys = GpuSystem::new(2, DeviceProps::titan_xp());
         let ctx = BackendCtx::gpu(sys, 2, true, cfg.lzss);
         let rec = telemetry::Recorder::enabled();
-        let archive = run_pipeline_rec::<OffloadBackend<CudaOffload>>(
-            ctx,
-            data.clone(),
-            &cfg,
-            3,
-            rec.clone(),
-        );
+        let archive = run_pipeline_rec::<CudaOffload>(ctx, data.clone(), &cfg, 3, rec.clone());
         assert_eq!(archive.decompress().unwrap(), data);
         let report = rec.report();
         // All five stages of Fig. 3's pipeline are present...
@@ -315,7 +331,7 @@ mod tests {
         sys.inject_faults(&gpusim::FaultSpec::demo(seed));
         let ctx = BackendCtx::gpu(sys, n_gpus, true, cfg.lzss);
         let rec = telemetry::Recorder::enabled();
-        let par = run_pipeline_rec::<OffloadBackend<O>>(ctx, data, &cfg, workers, rec.clone());
+        let par = run_pipeline_rec::<O>(ctx, data, &cfg, workers, rec.clone());
         assert_eq!(
             par,
             seq,
@@ -357,9 +373,9 @@ mod tests {
         let seq = run_sequential(&data, &cfg);
         let sys = GpuSystem::new(1, DeviceProps::titan_xp());
         let ctx = BackendCtx::gpu(sys, 1, false, cfg.lzss);
-        let cuda = run_pipeline::<OffloadBackend<CudaOffload>>(ctx.clone(), data.clone(), &cfg, 2);
+        let cuda = run_pipeline::<CudaOffload>(ctx.clone(), data.clone(), &cfg, 2);
         assert_eq!(cuda, seq);
-        let ocl = run_pipeline::<OffloadBackend<OclOffload>>(ctx, data, &cfg, 2);
+        let ocl = run_pipeline::<OclOffload>(ctx, data, &cfg, 2);
         assert_eq!(ocl, seq);
     }
 
@@ -368,7 +384,7 @@ mod tests {
         let cfg = small_cfg();
         for ds in datasets::all(60_000, 2) {
             let par =
-                run_pipeline::<CpuBackend>(BackendCtx::cpu(cfg.lzss), ds.data.clone(), &cfg, 3);
+                run_pipeline::<CudaOffload>(BackendCtx::cpu(cfg.lzss), ds.data.clone(), &cfg, 3);
             assert_eq!(par.decompress().unwrap(), ds.data, "{}", ds.name);
         }
     }
@@ -391,7 +407,7 @@ mod tests {
     #[test]
     fn empty_input_produces_empty_archive() {
         let cfg = small_cfg();
-        let archive = run_pipeline::<CpuBackend>(BackendCtx::cpu(cfg.lzss), Vec::new(), &cfg, 2);
+        let archive = run_pipeline::<CudaOffload>(BackendCtx::cpu(cfg.lzss), Vec::new(), &cfg, 2);
         assert!(archive.entries.is_empty());
         assert_eq!(archive.decompress().unwrap(), Vec::<u8>::new());
     }

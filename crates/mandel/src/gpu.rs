@@ -114,8 +114,8 @@ pub fn cuda_batch(
     let n_batches = params.dim.div_ceil(batch_size);
     for batch in 0..n_batches {
         let k = BatchKernel {
-            batch,
-            batch_size,
+            first_row: batch * batch_size,
+            rows: batch_size,
             params: *params,
             img: dev_batch.ptr(),
         };
@@ -198,8 +198,8 @@ pub fn cuda_overlap(
             collect(&cuda, space, &mut img);
             cuda.set_device(space.device);
             let k = BatchKernel {
-                batch,
-                batch_size,
+                first_row: batch * batch_size,
+                rows: batch_size,
                 params: *params,
                 img: space.dev_buf.ptr(),
             };
@@ -234,8 +234,8 @@ pub fn ocl_batch(
     let n_batches = params.dim.div_ceil(batch_size);
     for batch in 0..n_batches {
         let kernel = ClKernel::create(BatchKernel {
-            batch,
-            batch_size,
+            first_row: batch * batch_size,
+            rows: batch_size,
             params: *params,
             img: buf.ptr(),
         });
@@ -303,8 +303,8 @@ pub fn ocl_overlap(
             charge_staging(system, batch_size * params.dim);
         }
         let kernel = ClKernel::create(BatchKernel {
-            batch,
-            batch_size,
+            first_row: batch * batch_size,
+            rows: batch_size,
             params: *params,
             img: space.buf.ptr(),
         });

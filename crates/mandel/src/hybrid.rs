@@ -2,11 +2,11 @@
 //! replicated middle stage offloads batches of lines to the simulated GPUs.
 //!
 //! This module declares *what* Mandelbrot offload means — [`MandelWork`],
-//! a [`Workload`] impl pairing the batch and row-span kernels (launched
-//! through the SDK's [`DeviceOut`]) with the row-by-row host
-//! implementation — and the generic [`WorkloadDriver`] owns *how* it
-//! survives: retries, OOM batch-halving (via [`RowSpanKernel`] on
-//! half-spans), and the bit-identical CPU fallback. No recovery logic and
+//! a [`Workload`] impl pairing the one batch kernel (launched through the
+//! SDK's [`DeviceOut`] over a whole batch, or over half-spans of it on the
+//! OOM-halving rung) with the row-by-row host implementation — and the
+//! generic [`WorkloadDriver`] owns *how* it survives: retries, OOM
+//! batch-halving and the bit-identical CPU fallback. No recovery logic and
 //! no device plumbing lives here.
 //!
 //! The integration still follows §IV-A's recipe for each model:
@@ -39,7 +39,7 @@ use workload::{
 };
 
 use crate::core::{shade_span, FractalParams, Image};
-use crate::kernels::{BatchKernel, RowSpanKernel};
+use crate::kernels::BatchKernel;
 
 const BLOCK_1D: u32 = 256;
 
@@ -147,32 +147,26 @@ impl<O: Offload> Workload for MandelWork<O> {
         pixels
     }
 
-    /// Lines `[batch * batch_size, ..)` as `batch_size * dim` pixels, tail
-    /// batches padded with zero rows. Recycled vectors carry capacity, so
-    /// the resize is allocation-free in the steady state.
+    /// Lines `[batch * batch_size, ..)` as `batch_size * dim` pixels: the
+    /// span over all `0..batch_size` rows. Recycled vectors carry
+    /// capacity, so the resize is allocation-free in the steady state.
     fn try_gpu_batch(
         &self,
         gpu: &mut DeviceOut<O>,
         batch: &usize,
         out: &mut Vec<u8>,
     ) -> Result<(), WorkloadFault> {
-        let len = self.batch_size * self.params.dim;
-        out.clear();
-        out.resize(len, 0);
-        gpu.launch_into(out, len as u64, BLOCK_1D, |img| BatchKernel {
-            batch: *batch,
-            batch_size: self.batch_size,
-            params: self.params,
-            img,
-        })
+        out.resize(self.batch_size * self.params.dim, 0);
+        self.try_gpu_split(gpu, batch, 0, self.batch_size, out)
     }
 
     fn split_units(&self, _batch: &usize) -> usize {
         self.batch_size
     }
 
-    /// The OOM-halving rung: the device buffer is sized to the row span,
-    /// not the whole batch, so halves can succeed where the full batch
+    /// Rows `lo..hi` of the batch, through the one batch kernel. On the
+    /// OOM-halving rung the device buffer is sized to the row span, not
+    /// the whole batch, so halves can succeed where the full batch
     /// allocation was refused. Rows past the image edge come back zero
     /// (the cache hands out zero-filled buffers).
     fn try_gpu_split(
@@ -186,7 +180,7 @@ impl<O: Offload> Workload for MandelWork<O> {
         let dim = self.params.dim;
         let span = &mut out[lo * dim..hi * dim];
         gpu.launch_into(span, ((hi - lo) * dim) as u64, BLOCK_1D, |img| {
-            RowSpanKernel {
+            BatchKernel {
                 first_row: batch * self.batch_size + lo,
                 rows: hi - lo,
                 params: self.params,

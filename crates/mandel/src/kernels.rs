@@ -10,7 +10,8 @@
 //!   computes a pixel: many more, smaller blocks and mostly idle warps —
 //!   *slower* than 1-D (1.6×), as the paper reports.
 //! * [`BatchKernel`] — Listing 2: one kernel per batch of lines, one thread
-//!   per pixel of the batch; this is the version all optimized drivers use.
+//!   per pixel of the batch; this is the version all optimized drivers use,
+//!   and the one the OOM-halving rung launches over half a batch.
 //!
 //! Per-lane work units are Mandelbrot iterations; warp time is the max over
 //! lanes, so the set-interior/exterior divergence §IV-A worries about falls
@@ -140,16 +141,19 @@ impl KernelFn for Line2DKernel {
     }
 }
 
-/// Listing 2: batch processing — `batch_size` lines per kernel call, one
-/// thread per pixel of the batch.
+/// Listing 2: batch processing — one kernel per batch of lines, one
+/// thread per pixel of the batch. The batch is any contiguous span of
+/// rows: a whole batch on the happy path (`first_row = batch *
+/// batch_size`, `rows = batch_size`), or one half of it on the OOM-halving
+/// rung, launched into a buffer sized to its own rows.
 pub struct BatchKernel {
-    /// Which batch of lines this launch computes.
-    pub batch: usize,
-    /// Lines per batch (32 saturates the Titan XP per §IV-A).
-    pub batch_size: usize,
+    /// First image row of the span.
+    pub first_row: usize,
+    /// Rows in the span (32 saturates the Titan XP per §IV-A).
+    pub rows: usize,
     /// Fractal geometry.
     pub params: FractalParams,
-    /// Output: `batch_size * dim` pixels.
+    /// Output: `rows * dim` pixels.
     pub img: DevicePtr<u8>,
 }
 
@@ -164,41 +168,17 @@ impl KernelFn for BatchKernel {
         CYCLES_PER_ITER
     }
     fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
-        // Listing 2 lines 2-5: i = batch * batch_size + tid / dim,
-        // j = tid % dim, guarded by i < dim.
-        let p = &self.params;
-        let first_row = self.batch * self.batch_size;
-        shade_rows(p, first_row, self.batch_size, self.img, dims, mem, meter);
-    }
-}
-
-/// A contiguous span of rows starting anywhere in the image — the
-/// OOM-halving rung: when a whole batch's buffer is refused, the driver
-/// re-launches halves of it, each into a buffer sized to its own rows.
-pub struct RowSpanKernel {
-    /// First image row of the span.
-    pub first_row: usize,
-    /// Rows in the span.
-    pub rows: usize,
-    /// Fractal geometry.
-    pub params: FractalParams,
-    /// Output: `rows * dim` pixels.
-    pub img: DevicePtr<u8>,
-}
-
-impl KernelFn for RowSpanKernel {
-    fn name(&self) -> &'static str {
-        "mandel_rows"
-    }
-    fn regs_per_thread(&self) -> u32 {
-        MANDEL_REGS
-    }
-    fn cycles_per_unit(&self) -> f64 {
-        CYCLES_PER_ITER
-    }
-    fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
-        let p = &self.params;
-        shade_rows(p, self.first_row, self.rows, self.img, dims, mem, meter);
+        // Listing 2 lines 2-5: i = batch * batch_size + tid / dim (here
+        // first_row + tid / dim), j = tid % dim, guarded by i < dim.
+        shade_rows(
+            &self.params,
+            self.first_row,
+            self.rows,
+            self.img,
+            dims,
+            mem,
+            meter,
+        );
     }
 }
 
@@ -265,8 +245,8 @@ mod tests {
         let dev = sys.device(0);
         let buf = dev.alloc::<u8>(batch_size * p.dim).unwrap();
         let k = BatchKernel {
-            batch: 2,
-            batch_size,
+            first_row: 2 * batch_size,
+            rows: batch_size,
             params: p,
             img: buf,
         };
@@ -294,7 +274,7 @@ mod tests {
         // A 3-row span starting mid-batch (row 21): the halving rung's shape.
         let rows = 3;
         let buf = dev.alloc::<u8>(rows * p.dim).unwrap();
-        let k = RowSpanKernel {
+        let k = BatchKernel {
             first_row: 21,
             rows,
             params: p,
@@ -322,8 +302,8 @@ mod tests {
         let dev = sys.device(0);
         let buf = dev.alloc::<u8>(batch_size * p.dim).unwrap();
         let k = BatchKernel {
-            batch: 1,
-            batch_size,
+            first_row: batch_size,
+            rows: batch_size,
             params: p,
             img: buf,
         };

@@ -9,14 +9,14 @@
 //! cargo run --release --example dedup_file -- cpu /etc/hostname
 //! ```
 //!
-//! The GPU paths go through the unified `Offload` surface
-//! (`OffloadBackend<CudaOffload>` / `OffloadBackend<OclOffload>`), here
-//! with the batched kernels; `BackendCtx::gpu(.., batched = false, ..)`
-//! selects the paper's first, per-block integration on the same backend.
+//! The backend is the pipeline's context: `BackendCtx::cpu` runs stages 2
+//! and 4 on their host rungs, `BackendCtx::gpu` offloads them through the
+//! unified `Offload` surface (`run_pipeline::<CudaOffload>` /
+//! `run_pipeline::<OclOffload>`), here with the batched kernels;
+//! `BackendCtx::gpu(.., batched = false, ..)` selects the paper's first,
+//! per-block integration on the same front ends.
 
-use hetstream::dedup::{
-    self, BackendCtx, CpuBackend, DedupConfig, LzssConfig, OffloadBackend, RabinParams,
-};
+use hetstream::dedup::{self, BackendCtx, DedupConfig, LzssConfig, RabinParams};
 use hetstream::gpusim::DeviceProps;
 use hetstream::prelude::*;
 
@@ -53,7 +53,7 @@ fn main() {
     let workers = 3;
 
     let archive = match backend {
-        "cpu" => dedup::run_pipeline::<CpuBackend>(
+        "cpu" => dedup::run_pipeline::<CudaOffload>(
             BackendCtx::cpu(cfg.lzss),
             data.clone(),
             &cfg,
@@ -62,12 +62,12 @@ fn main() {
         "cuda" => {
             let system = GpuSystem::new(2, DeviceProps::titan_xp());
             let ctx = BackendCtx::gpu(system, 2, true, cfg.lzss);
-            dedup::run_pipeline::<OffloadBackend<CudaOffload>>(ctx, data.clone(), &cfg, workers)
+            dedup::run_pipeline::<CudaOffload>(ctx, data.clone(), &cfg, workers)
         }
         "opencl" => {
             let system = GpuSystem::new(2, DeviceProps::titan_xp());
             let ctx = BackendCtx::gpu(system, 2, true, cfg.lzss);
-            dedup::run_pipeline::<OffloadBackend<OclOffload>>(ctx, data.clone(), &cfg, workers)
+            dedup::run_pipeline::<OclOffload>(ctx, data.clone(), &cfg, workers)
         }
         other => {
             eprintln!("unknown backend '{other}' (use cpu | cuda | opencl)");

@@ -4,8 +4,8 @@
 
 use hetstream::dedup::single::{run_single_cuda, run_single_ocl};
 use hetstream::dedup::{
-    datasets, run_pipeline, run_sequential, Archive, ArchiveStats, BackendCtx, CpuBackend,
-    DedupConfig, LzssConfig, OffloadBackend, RabinParams,
+    datasets, run_pipeline, run_sequential, Archive, ArchiveStats, BackendCtx, DedupConfig,
+    LzssConfig, RabinParams,
 };
 use hetstream::gpusim::{CudaOffload, DeviceProps, GpuSystem, OclOffload, Offload};
 
@@ -45,15 +45,15 @@ fn all_backends_produce_identical_archives_on_all_datasets() {
             ds.name
         );
 
-        let cpu = run_pipeline::<CpuBackend>(BackendCtx::cpu(cfg.lzss), ds.data.clone(), &cfg, 3);
+        let cpu = run_pipeline::<CudaOffload>(BackendCtx::cpu(cfg.lzss), ds.data.clone(), &cfg, 3);
         assert_eq!(cpu, reference, "{}: cpu pipeline", ds.name);
 
         let cuda_ctx = BackendCtx::gpu(system.clone(), 2, true, cfg.lzss);
-        let cuda = run_pipeline::<OffloadBackend<CudaOffload>>(cuda_ctx, ds.data.clone(), &cfg, 2);
+        let cuda = run_pipeline::<CudaOffload>(cuda_ctx, ds.data.clone(), &cfg, 2);
         assert_eq!(cuda, reference, "{}: cuda pipeline", ds.name);
 
         let ocl_ctx = BackendCtx::gpu(system.clone(), 2, true, cfg.lzss);
-        let ocl = run_pipeline::<OffloadBackend<OclOffload>>(ocl_ctx, ds.data.clone(), &cfg, 2);
+        let ocl = run_pipeline::<OclOffload>(ocl_ctx, ds.data.clone(), &cfg, 2);
         assert_eq!(ocl, reference, "{}: opencl pipeline", ds.name);
 
         let (single_c, _) = run_single_cuda(&system, &ds.data, &cfg, 2);
@@ -100,7 +100,7 @@ fn unbatched_and_batched_kernels_agree<O: Offload>() {
     let run = |batched: bool| {
         let system = GpuSystem::new(1, DeviceProps::titan_xp());
         let ctx = BackendCtx::gpu(system.clone(), 1, batched, cfg.lzss);
-        let archive = run_pipeline::<OffloadBackend<O>>(ctx, data.clone(), &cfg, 2);
+        let archive = run_pipeline::<O>(ctx, data.clone(), &cfg, 2);
         (archive, system.device(0).stats().kernels)
     };
     let (batched, batched_kernels) = run(true);
@@ -137,7 +137,7 @@ fn worker_count_does_not_change_the_archive() {
     let reference = run_sequential(&data, &cfg);
     for workers in [1, 2, 5] {
         let out =
-            run_pipeline::<CpuBackend>(BackendCtx::cpu(cfg.lzss), data.clone(), &cfg, workers);
+            run_pipeline::<CudaOffload>(BackendCtx::cpu(cfg.lzss), data.clone(), &cfg, workers);
         assert_eq!(out, reference, "workers={workers}");
     }
 }

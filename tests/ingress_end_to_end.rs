@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use hetstream::dedup::{self, BackendCtx, DedupConfig, LzssConfig, OffloadBackend, RabinParams};
+use hetstream::dedup::{self, BackendCtx, DedupConfig, LzssConfig, RabinParams};
 use hetstream::fastflow::{self, WaitStrategy};
 use hetstream::gpusim::{self, CudaOffload, DeviceProps, GpuSystem, OclOffload, Offload};
 use hetstream::ingress::filelog::{read_all, GroupOffsets};
@@ -307,7 +307,7 @@ fn fig5_segments_resume_exactly_once_into_a_bit_exact_archive() {
         true,
         cfg.lzss,
     );
-    let archive = dedup::run_pipeline::<OffloadBackend<CudaOffload>>(ctx, stream, &cfg, 2);
+    let archive = dedup::run_pipeline::<CudaOffload>(ctx, stream, &cfg, 2);
     assert_eq!(
         archive.decompress().expect("roundtrip"),
         data,

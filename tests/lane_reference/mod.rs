@@ -114,7 +114,8 @@ impl KernelFn for BatchRef {
     }
 }
 
-/// `mandel::kernels::RowSpanKernel`, one lane at a time.
+/// `mandel::kernels::BatchKernel` over a span of rows starting anywhere
+/// (the OOM-halving rung's launch), one lane at a time.
 pub struct RowSpanRef {
     pub first_row: usize,
     pub rows: usize,

@@ -29,9 +29,7 @@ use hetstream::hashsearch::kernels::NonceSearchKernel;
 use hetstream::hashsearch::simd::{hash_nonces, hash_nonces_scalar};
 use hetstream::hashsearch::DIGEST_BYTES;
 use hetstream::mandel::core::FractalParams;
-use hetstream::mandel::kernels::{
-    BatchKernel, Line2DKernel, LineKernel, RowSpanKernel, BLOCK_EDGE_2D,
-};
+use hetstream::mandel::kernels::{BatchKernel, Line2DKernel, LineKernel, BLOCK_EDGE_2D};
 use hetstream::mandel::simd::{iterate_line, iterate_line_scalar, iterate_span};
 
 use lane_reference::{
@@ -635,8 +633,8 @@ fn mandel_kernels_match_the_lane_reference_at_every_width() {
                 batch_size * dim,
                 LaunchDims::cover((batch_size * dim) as u64, 256),
                 |img| BatchKernel {
-                    batch,
-                    batch_size,
+                    first_row: batch * batch_size,
+                    rows: batch_size,
                     params,
                     img,
                 },
@@ -655,7 +653,7 @@ fn mandel_kernels_match_the_lane_reference_at_every_width() {
                 &format!("rows dim {dim} first {first_row}"),
                 rows * dim,
                 LaunchDims::cover((rows * dim) as u64, 256),
-                |img| RowSpanKernel {
+                |img| BatchKernel {
                     first_row,
                     rows,
                     params,
@@ -681,8 +679,8 @@ fn mandel_kernels_match_the_lane_reference_on_short_launches() {
         8 * 101,
         LaunchDims::linear(11, 32),
         |img| BatchKernel {
-            batch: 5,
-            batch_size: 8,
+            first_row: 5 * 8,
+            rows: 8,
             params,
             img,
         },

@@ -1,7 +1,7 @@
 //! Acceptance gate for the pooled data path: after a short warmup, the
 //! per-batch hot loops of the two case studies — Mandelbrot batches on the
 //! CUDA and OpenCL front ends (the Fig. 1 / Fig. 4 shapes, tiny config)
-//! and the Dedup hash stage on the offload backend — must run without
+//! and the Dedup hash stage through its driver — must run without
 //! touching the heap. Staging comes from the host rings, digests from the
 //! shared pool, device buffers from the device-side allocation cache, and
 //! kernel launches reuse the device's work meter. The same holds for the
@@ -18,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hetstream::dedup::backend::{BackendCtx, DedupBackend, OffloadBackend};
+use hetstream::dedup::backend::{BackendCtx, HashWork};
 use hetstream::dedup::{make_batches, Batch, LzssConfig, RabinParams};
 use hetstream::gpusim::{CudaOffload, DeviceProps, GpuSystem, OclOffload, Offload};
 use hetstream::mandel::hybrid::MandelWork;
@@ -124,11 +124,12 @@ fn steady_state_batches_do_not_allocate() {
     mandel_fallback_sweep("mandel/cpu-fallback");
 
     // Dedup hash stage (the stage-2 data path: stage, upload, launch,
-    // read back, pooled digests) on the offload backend. Batches are
-    // consumed by value, so clone the full supply *before* the baseline.
+    // read back, pooled digests) through the stage-2 driver. Every batch
+    // is used once, so clone the full supply *before* the baseline.
     let system = GpuSystem::new(1, DeviceProps::titan_xp());
     let ctx = BackendCtx::gpu(system, 1, true, LzssConfig::default());
-    let mut backend = OffloadBackend::<CudaOffload>::new(&ctx, 0);
+    let driver = WorkloadDriver::new(HashWork::<CudaOffload>::new(&ctx));
+    let mut gpu = driver.attach(0);
     let input: Vec<u8> = (0..48 * 1024u32).map(|i| (i % 251) as u8).collect();
     let template = make_batches(&input, 16 * 1024, &RabinParams::default())
         .into_iter()
@@ -140,11 +141,12 @@ fn steady_state_batches_do_not_allocate() {
     assert_steady_state("dedup/hash", || {
         for _ in 0..BATCHES_PER_SWEEP {
             let batch = supply.pop_front().expect("pre-cloned supply");
-            let hashed = backend.hash_stage(batch);
-            assert!(hashed.gpu.is_some(), "no faults injected: must stay on GPU");
-            assert_eq!(hashed.digests.len(), hashed.batch.block_count());
-            // Dropping `hashed` returns the digest buffer to the pool and
-            // the residency to the device allocation cache.
+            let (digests, resident) = driver.process(&mut gpu, &batch);
+            assert!(resident.is_some(), "no faults injected: must stay on GPU");
+            assert_eq!(digests.len(), batch.block_count());
+            // Dropping the digests returns the buffer to the pool and
+            // dropping the residency returns it to the device allocation
+            // cache.
         }
     });
 }

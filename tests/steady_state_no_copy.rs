@@ -15,14 +15,14 @@
 
 use std::collections::VecDeque;
 
-use hetstream::dedup::backend::{BackendCtx, DedupBackend, OffloadBackend};
+use hetstream::dedup::backend::{BackendCtx, HashWork};
 use hetstream::dedup::{make_batches, Batch, LzssConfig, RabinParams};
 use hetstream::gpusim::{CudaOffload, DeviceProps, GpuSystem, OclOffload, Offload};
 use hetstream::hashsearch::{NonceRange, SearchConfig, SearchWork, DIGEST_BYTES};
 use hetstream::mandel::hybrid::MandelWork;
 use hetstream::mandel::FractalParams;
 use hetstream::telemetry::copy;
-use hetstream::workload::Workload;
+use hetstream::workload::{Workload, WorkloadDriver};
 
 const WARMUP: usize = 3;
 const SWEEPS: usize = 3;
@@ -119,7 +119,8 @@ fn steady_state_batches_copy_nothing() {
     // run without touching a staging buffer.
     let system = GpuSystem::new(1, DeviceProps::titan_xp());
     let ctx = BackendCtx::gpu(system, 1, true, LzssConfig::default());
-    let mut backend = OffloadBackend::<CudaOffload>::new(&ctx, 0);
+    let driver = WorkloadDriver::new(HashWork::<CudaOffload>::new(&ctx));
+    let mut gpu = driver.attach(0);
     let input: Vec<u8> = (0..48 * 1024u32).map(|i| (i % 251) as u8).collect();
     let template = make_batches(&input, 16 * 1024, &RabinParams::default())
         .into_iter()
@@ -131,9 +132,9 @@ fn steady_state_batches_copy_nothing() {
     assert_no_copies("dedup/hash", || {
         for _ in 0..BATCHES_PER_SWEEP {
             let batch = supply.pop_front().expect("pre-cloned supply");
-            let hashed = backend.hash_stage(batch);
-            assert!(hashed.gpu.is_some(), "no faults injected: must stay on GPU");
-            assert_eq!(hashed.digests.len(), hashed.batch.block_count());
+            let (digests, resident) = driver.process(&mut gpu, &batch);
+            assert!(resident.is_some(), "no faults injected: must stay on GPU");
+            assert_eq!(digests.len(), batch.block_count());
         }
     });
 }

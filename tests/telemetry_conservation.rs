@@ -3,7 +3,7 @@
 //! drift check of measured per-stage utilization against the
 //! `perfmodel::pipe` prediction for the same pipeline shape.
 
-use hetstream::dedup::{self, BackendCtx, DedupConfig, LzssConfig, OffloadBackend, RabinParams};
+use hetstream::dedup::{self, BackendCtx, DedupConfig, LzssConfig, RabinParams};
 use hetstream::gpusim::DeviceProps;
 use hetstream::mandel::{self, core::FractalParams};
 use hetstream::prelude::*;
@@ -64,13 +64,7 @@ fn dedup_run_conserves_items_and_matches_archive() {
     let rec = Recorder::enabled();
     let system = GpuSystem::new(2, DeviceProps::titan_xp());
     let ctx = BackendCtx::gpu(system, 2, true, cfg.lzss);
-    let archive = dedup::run_pipeline_rec::<OffloadBackend<CudaOffload>>(
-        ctx,
-        data.clone(),
-        &cfg,
-        3,
-        rec.clone(),
-    );
+    let archive = dedup::run_pipeline_rec::<CudaOffload>(ctx, data.clone(), &cfg, 3, rec.clone());
     assert_eq!(archive.decompress().unwrap(), data);
 
     let report = rec.report();
