@@ -35,7 +35,7 @@ echo "== cargo doc (rustdoc warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== fused farm matrix + lost-wakeup stress (release, serial, under a deadline) =="
-# Every output arity x ordering x queue shape x wait strategy against the
+# Every output arity x ordering x queue shape x burst length against the
 # sequential model, the thread census (source + N workers, nothing else),
 # the one-slot-ring wakeup stress and the disconnect races, plus the
 # channel's own unit tests. A deadlock or a lost wakeup shows as a hang,

@@ -8,7 +8,7 @@
 //!
 //! | SPar attribute | Here |
 //! |---|---|
-//! | `[[spar::ToStream]]`  | [`ToStream::new`] / [`ToStream::annotate`] |
+//! | `[[spar::ToStream]]`  | [`ToStream::new`] |
 //! | `[[spar::Stage]]`     | [`StreamStage::stage`] (and variants) |
 //! | `[[spar::Replicate(n)]]` | the `replicate` argument |
 //! | `[[spar::Input(...)]]` / `[[spar::Output(...)]]` | closure captures and argument/return types — Rust's ownership rules make the data-flow declaration implicit and compiler-checked |
@@ -16,54 +16,31 @@
 
 use fastflow::node::{self, Node};
 use fastflow::pipeline::{Pipeline, PipelineBuilder};
-use fastflow::{Emitter, PipeConfig, SchedPolicy, WaitStrategy};
+use fastflow::Emitter;
 use telemetry::Recorder;
 
-/// Configuration of a stream region (SPar's `ToStream` scope).
-#[derive(Clone, Copy, Debug)]
-pub struct SparConfig {
-    /// Capacity of the queues the generated runtime uses between stages.
-    pub queue_capacity: usize,
-    /// Wait strategy of the generated runtime queues.
-    pub wait: WaitStrategy,
-    /// Preserve stream order across replicated stages (SPar's
-    /// `-spar_ordered` compiler flag).
-    pub ordered: bool,
-    /// Scheduling policy for replicated stages.
-    pub policy: SchedPolicy,
-}
-
-impl Default for SparConfig {
-    fn default() -> Self {
-        SparConfig {
-            queue_capacity: PipeConfig::default().capacity,
-            wait: WaitStrategy::default(),
-            ordered: true,
-            policy: SchedPolicy::default(),
-        }
-    }
-}
-
-/// A stream region being annotated — SPar's `[[spar::ToStream]]`.
-#[derive(Default)]
+/// A stream region being annotated — SPar's `[[spar::ToStream]]`. Its
+/// runtime queues are FastFlow's blocking queues at a pipeline's default
+/// depth.
 pub struct ToStream {
-    cfg: SparConfig,
+    ordered: bool,
     rec: Recorder,
 }
 
-impl ToStream {
-    /// Open a stream region with default configuration (ordered, blocking
-    /// queues of a pipeline's default depth).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Open a stream region with explicit configuration.
-    pub fn annotate(cfg: SparConfig) -> Self {
+impl Default for ToStream {
+    /// Ordered, unobserved.
+    fn default() -> Self {
         ToStream {
-            cfg,
+            ordered: true,
             rec: Recorder::default(),
         }
+    }
+}
+
+impl ToStream {
+    /// Open a stream region: ordered, unobserved.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Attach a telemetry recorder: the generated runtime registers a
@@ -76,15 +53,10 @@ impl ToStream {
         self
     }
 
-    /// Toggle order preservation across replicated stages.
+    /// Toggle order preservation across replicated stages (SPar's
+    /// `-spar_ordered` compiler flag).
     pub fn ordered(mut self, ordered: bool) -> Self {
-        self.cfg.ordered = ordered;
-        self
-    }
-
-    /// Set the inter-stage queue capacity.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.cfg.queue_capacity = capacity;
+        self.ordered = ordered;
         self
     }
 
@@ -96,13 +68,9 @@ impl ToStream {
         T: Send + 'static,
         F: FnOnce(&mut Emitter<'_, T>) + Send + 'static,
     {
-        let inner = Pipeline::builder()
-            .capacity(self.cfg.queue_capacity)
-            .wait(self.cfg.wait)
-            .recorder(self.rec)
-            .source(f);
+        let inner = Pipeline::builder().recorder(self.rec).source(f);
         StreamStage {
-            cfg: self.cfg,
+            ordered: self.ordered,
             inner,
         }
     }
@@ -125,7 +93,7 @@ impl ToStream {
 
 /// A stream region with at least the source attached; append `Stage`s.
 pub struct StreamStage<T: Send + 'static> {
-    cfg: SparConfig,
+    ordered: bool,
     inner: PipelineBuilder<T>,
 }
 
@@ -157,37 +125,23 @@ impl<T: Send + 'static> StreamStage<T> {
         F: FnMut(T) -> U + Send + 'static,
         G: FnMut(usize) -> F,
     {
-        assert!(replicate >= 1, "Replicate(n) requires n >= 1");
-        let cfg = self.cfg;
-        let inner = if replicate == 1 {
-            self.inner.node(node::map(factory(0)))
-        } else {
-            self.inner.farm_with(
-                replicate,
-                move |replica| node::map(factory(replica)),
-                cfg.policy,
-                cfg.ordered,
-            )
-        };
-        StreamStage { cfg, inner }
+        self.stage_node(replicate, move |replica| node::map(factory(replica)))
     }
 
     /// A replicated stage over a full [`Node`] (multi-output, EOS hooks).
-    pub fn stage_node<N, G>(self, replicate: usize, factory: G) -> StreamStage<N::Out>
+    pub fn stage_node<N, G>(self, replicate: usize, mut factory: G) -> StreamStage<N::Out>
     where
         N: Node<In = T>,
         G: FnMut(usize) -> N,
     {
         assert!(replicate >= 1, "Replicate(n) requires n >= 1");
-        let cfg = self.cfg;
-        let inner = if replicate == 1 {
-            let mut factory = factory;
-            self.inner.node(factory(0))
-        } else {
-            self.inner
-                .farm_with(replicate, factory, cfg.policy, cfg.ordered)
+        let StreamStage { ordered, inner } = self;
+        let inner = match (replicate, ordered) {
+            (1, _) => inner.node(factory(0)),
+            (_, true) => inner.farm_ordered(replicate, factory),
+            (_, false) => inner.farm(replicate, factory),
         };
-        StreamStage { cfg, inner }
+        StreamStage { ordered, inner }
     }
 
     /// The final `Stage` (the collector): runs on the calling thread and
@@ -271,21 +225,6 @@ mod tests {
             assert_eq!(x, i as u64);
             assert_eq!(rep, i % 3);
         }
-    }
-
-    #[test]
-    fn on_demand_policy_processes_everything() {
-        let mut out = ToStream::annotate(SparConfig {
-            policy: SchedPolicy::OnDemand,
-            ..SparConfig::default()
-        })
-        .source_iter(0..200u64)
-        .stage(4, |x| x * 3)
-        .collect();
-        out.sort_unstable();
-        let mut expected: Vec<u64> = (0..200).map(|x| x * 3).collect();
-        expected.sort_unstable();
-        assert_eq!(out, expected);
     }
 
     #[test]

@@ -36,6 +36,6 @@
 pub mod builder;
 mod macros;
 
-pub use builder::{SparConfig, StreamStage, ToStream};
+pub use builder::{StreamStage, ToStream};
 // Re-exports the macro expansion relies on.
-pub use fastflow::{Emitter, Node, SchedPolicy, WaitStrategy};
+pub use fastflow::{Emitter, Node};

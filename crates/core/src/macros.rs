@@ -21,7 +21,7 @@
 ///
 /// ```text
 /// to_stream! {
-///     [ordered;] [unordered;] [config(EXPR);]
+///     [ordered; | unordered;]
 ///     source [ (output(IDENTS)) ] |em| BLOCK ;
 ///     stage(ATTRS) |arg: InTy| -> OutTy BLOCK ;   // zero or more
 ///     last_stage [ (ATTRS) ] |arg: InTy| BLOCK ;
@@ -63,9 +63,6 @@ macro_rules! to_stream {
     };
     ( unordered; $($rest:tt)* ) => {
         $crate::to_stream!(@src [$crate::ToStream::new().ordered(false)] $($rest)*)
-    };
-    ( config($cfg:expr); $($rest:tt)* ) => {
-        $crate::to_stream!(@src [$crate::ToStream::annotate($cfg)] $($rest)*)
     };
     ( source $($rest:tt)* ) => {
         $crate::to_stream!(@src [$crate::ToStream::new()] source $($rest)*)
@@ -192,27 +189,6 @@ mod tests {
             last_stage |x: u64| { out.push(x); };
         }
         assert_eq!(out, (1..=20).map(|x| x * x + 1).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn macro_with_explicit_config() {
-        let cfg = crate::SparConfig {
-            queue_capacity: 8,
-            ordered: true,
-            ..Default::default()
-        };
-        let mut n = 0u32;
-        crate::to_stream! {
-            config(cfg);
-            source |em| {
-                for i in 0..50u32 {
-                    em.send(i);
-                }
-            };
-            stage(replicate = 2) |x: u32| -> u32 { x };
-            last_stage |_x: u32| { n += 1; };
-        }
-        assert_eq!(n, 50);
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! ever receive CUDA buffers, so a "wrong buffer flavour" handoff is
 //! unrepresentable.
 //!
-//! Every GPU path fails soft, and the recovery ladder (retry per
-//! [`FaultPolicy`], OOM halving, CPU fallback) is *not implemented here*:
-//! the generic [`workload::WorkloadDriver`] owns every rung. The host
-//! rungs are byte-identical, so a faulty run still produces the exact
-//! sequential archive, and a context without a [`GpuSystem`]
+//! Every GPU path fails soft, and the recovery ladder (retry per the
+//! default [`fastflow::FaultPolicy`], OOM halving, CPU fallback) is *not
+//! implemented here*: the generic [`workload::WorkloadDriver`] owns every
+//! rung. The host rungs are byte-identical, so a faulty run still produces
+//! the exact sequential archive, and a context without a [`GpuSystem`]
 //! ([`BackendCtx::cpu`], the paper's SPar CPU-only version) runs every
 //! batch on them. `gpu: None` on a stream item means "this batch is not
 //! device-resident; compress it on the host".
@@ -31,7 +31,7 @@
 use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
-use fastflow::{BufPool, FaultPolicy, PooledBuf};
+use fastflow::{BufPool, PooledBuf};
 use gpusim::{GpuSystem, Offload, OutOfMemory, PinnedSlab};
 use telemetry::Recorder;
 use workload::{Workload, WorkloadFault};
@@ -63,9 +63,6 @@ pub struct BackendCtx {
     pub batched: bool,
     /// Codec parameters.
     pub lzss: LzssConfig,
-    /// Retry budget applied before a failing GPU stage degrades to the
-    /// CPU implementation for that batch.
-    pub policy: FaultPolicy,
     /// Shared digest buffer pool: every stage-2 replica acquires its
     /// per-batch digest array here and the sink's drop returns it, so the
     /// steady state recycles a handful of arrays instead of allocating
@@ -100,7 +97,6 @@ impl BackendCtx {
             n_gpus: 0,
             batched: true,
             lzss,
-            policy: FaultPolicy::default(),
             digests: digest_pool(),
             matches: match_pool(),
         }
@@ -114,7 +110,6 @@ impl BackendCtx {
             n_gpus,
             batched,
             lzss,
-            policy: FaultPolicy::default(),
             digests: digest_pool(),
             matches: match_pool(),
         }
@@ -396,10 +391,6 @@ impl<O: Offload> Workload for HashWork<O> {
         HASH_STAGE
     }
 
-    fn policy(&self) -> FaultPolicy {
-        self.ctx.policy
-    }
-
     fn describe(&self, item: &Batch) -> String {
         format!("batch {}", item.index)
     }
@@ -548,10 +539,6 @@ impl<O: Offload> Workload for CompressWork<O> {
 
     fn stage_label(&self) -> &'static str {
         COMPRESS_STAGE
-    }
-
-    fn policy(&self) -> FaultPolicy {
-        self.ctx.policy
     }
 
     fn describe(&self, item: &Self::Item) -> String {

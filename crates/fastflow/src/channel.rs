@@ -1,11 +1,12 @@
-//! Blocking SPSC channel: the [`crate::spsc`] ring plus wait-strategy
-//! driven send/recv and end-of-stream propagation.
+//! Blocking SPSC channel: the [`crate::spsc`] ring plus blocking
+//! send/recv and end-of-stream propagation.
 //!
-//! A channel is created with an explicit capacity and [`WaitStrategy`];
-//! `send` blocks (per the strategy) while the ring is full, `recv` while it
-//! is empty. Dropping the [`Sender`] closes the channel: once drained,
-//! `recv` returns `None`, which is how EOS flows through every pipeline in
-//! this crate.
+//! A channel is created with an explicit capacity; `send` blocks while the
+//! ring is full, `recv` while it is empty, each spinning briefly before it
+//! parks on a [`Signal`] the peer notifies after every push or pop.
+//! Dropping the [`Sender`] closes the channel: once drained, `recv`
+//! returns `None`, which is how EOS flows through every pipeline in this
+//! crate.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -32,9 +33,9 @@ struct Shared {
     /// The receiver is gone. Stored before the drop's wakeup, so a sender
     /// woken by it cannot re-check and still see a consumer.
     receiver_gone: AtomicBool,
-    /// Receiver waits here; sender notifies after each push (Block mode).
+    /// Receiver waits here; sender notifies after each push.
     items: Arc<Signal>,
-    /// Sender waits here; receiver notifies after each pop (Block mode).
+    /// Sender waits here; receiver notifies after each pop.
     space: Arc<Signal>,
 }
 
@@ -42,19 +43,18 @@ struct Shared {
 pub struct Sender<T> {
     prod: Producer<T>,
     shared: Arc<Shared>,
-    wait: WaitStrategy,
 }
 
 /// Receiving half of a channel. Single consumer: not cloneable.
 pub struct Receiver<T> {
     cons: Consumer<T>,
     shared: Arc<Shared>,
-    wait: WaitStrategy,
 }
 
-/// Create a bounded channel with the given capacity and wait strategy.
-pub fn channel<T: Send>(capacity: usize, wait: WaitStrategy) -> (Sender<T>, Receiver<T>) {
-    with_signals(capacity, wait, Arc::default(), Arc::default())
+/// Create a bounded channel with the given capacity. The second argument
+/// names the one wait strategy, [`WaitStrategy::Block`].
+pub fn channel<T: Send>(capacity: usize, _: WaitStrategy) -> (Sender<T>, Receiver<T>) {
+    with_signals(capacity, Arc::default(), Arc::default())
 }
 
 /// Like [`channel`], but the receive-side signal is supplied by the caller so
@@ -62,10 +62,9 @@ pub fn channel<T: Send>(capacity: usize, wait: WaitStrategy) -> (Sender<T>, Rece
 /// fan-in does this: every worker's sender notifies the same signal).
 pub fn channel_with_recv_signal<T: Send>(
     capacity: usize,
-    wait: WaitStrategy,
     items_signal: Arc<Signal>,
 ) -> (Sender<T>, Receiver<T>) {
-    with_signals(capacity, wait, items_signal, Arc::default())
+    with_signals(capacity, items_signal, Arc::default())
 }
 
 /// The mirror of [`channel_with_recv_signal`]: the send-side signal is
@@ -74,15 +73,13 @@ pub fn channel_with_recv_signal<T: Send>(
 /// receiver notifies the same signal after a pop).
 pub(crate) fn channel_with_send_signal<T: Send>(
     capacity: usize,
-    wait: WaitStrategy,
     space_signal: Arc<Signal>,
 ) -> (Sender<T>, Receiver<T>) {
-    with_signals(capacity, wait, Arc::default(), space_signal)
+    with_signals(capacity, Arc::default(), space_signal)
 }
 
 fn with_signals<T: Send>(
     capacity: usize,
-    wait: WaitStrategy,
     items: Arc<Signal>,
     space: Arc<Signal>,
 ) -> (Sender<T>, Receiver<T>) {
@@ -97,14 +94,13 @@ fn with_signals<T: Send>(
         Sender {
             prod,
             shared: Arc::clone(&shared),
-            wait,
         },
-        Receiver { cons, shared, wait },
+        Receiver { cons, shared },
     )
 }
 
 impl<T: Send> Sender<T> {
-    /// Enqueue `item`, blocking per the wait strategy while the ring is full.
+    /// Enqueue `item`, blocking while the ring is full.
     /// Fails only if the receiver has been dropped.
     pub fn send(&self, item: T) -> Result<(), SendError<T>> {
         let mut item = Some(item);
@@ -127,19 +123,17 @@ impl<T: Send> Sender<T> {
         }
         match self.prod.try_push(item) {
             Ok(()) => {
-                if self.wait.needs_notify() {
-                    self.shared.items.notify();
-                }
+                self.shared.items.notify();
                 Ok(())
             }
             Err(v) => Err(TrySendError::Full(v)),
         }
     }
 
-    /// Enqueue every item yielded by `items`, blocking per the wait strategy
-    /// whenever the ring fills. Each contiguous run of items is published
-    /// with a single index store and (in `Block` mode) a single wakeup, so
-    /// `k` queued items cost one acquire/release pair instead of `k`.
+    /// Enqueue every item yielded by `items`, blocking whenever the ring
+    /// fills. Each contiguous run of items is published with a single
+    /// index store and a single wakeup, so `k` queued items cost one
+    /// acquire/release pair instead of `k`.
     ///
     /// Returns the number of items delivered. If the receiver disappears
     /// mid-batch, `Err(SendError(sent))` reports how many made it; the
@@ -158,9 +152,7 @@ impl<T: Send> Sender<T> {
             let n = self.prod.try_push_n(&mut iter, usize::MAX);
             if n > 0 {
                 sent += n;
-                if self.wait.needs_notify() {
-                    self.shared.items.notify();
-                }
+                self.shared.items.notify();
             } else {
                 self.wait_for_space();
             }
@@ -179,7 +171,7 @@ impl<T: Send> Sender<T> {
             return Err(TrySendError::Disconnected(()));
         }
         let n = self.prod.try_push_n(items, usize::MAX);
-        if n > 0 && self.wait.needs_notify() {
+        if n > 0 {
             self.shared.items.notify();
         }
         Ok(n)
@@ -200,12 +192,11 @@ impl<T: Send> Sender<T> {
         self.shared.receiver_gone.load(Ordering::SeqCst)
     }
 
-    /// Block per the wait strategy until the ring has room or the
-    /// receiver is gone.
+    /// Block until the ring has room or the receiver is gone.
     fn wait_for_space(&self) {
-        self.wait.wait_until(&self.shared.space, || {
-            self.prod.free_slots() > 0 || self.is_disconnected()
-        });
+        self.shared
+            .space
+            .wait_until(|| self.prod.free_slots() > 0 || self.is_disconnected());
     }
 }
 
@@ -218,62 +209,40 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T: Send> Receiver<T> {
-    /// Dequeue the next item, blocking per the wait strategy while empty.
+    /// Dequeue the next item, blocking while the ring is empty.
     /// Returns `None` once the sender is dropped and the ring drained.
     pub fn recv(&self) -> Option<T> {
         loop {
             if let Some(v) = self.cons.try_pop() {
-                if self.wait.needs_notify() {
-                    self.shared.space.notify();
-                }
+                self.shared.space.notify();
                 return Some(v);
             }
             if self.shared.closed.load(Ordering::Acquire) {
                 // Re-check: the sender may have pushed right before closing.
-                return match self.cons.try_pop() {
-                    Some(v) => {
-                        if self.wait.needs_notify() {
-                            self.shared.space.notify();
-                        }
-                        Some(v)
-                    }
-                    None => None,
-                };
+                let v = self.cons.try_pop()?;
+                self.shared.space.notify();
+                return Some(v);
             }
-            let cons = &self.cons;
-            let closed = &self.shared.closed;
-            self.wait.wait_until(&self.shared.items, || {
-                !cons.is_empty() || closed.load(Ordering::Acquire)
-            });
+            self.wait_for_item();
         }
     }
 
-    /// Blocking batched dequeue: wait (per the strategy) until at least one
-    /// item is available or the stream ends, then drain up to `max` items
-    /// into `out` with a single index publication. Returns the number of
-    /// items appended; `0` means end-of-stream.
+    /// Blocking batched dequeue: wait until at least one item is available
+    /// or the stream ends, then drain up to `max` items into `out` with a
+    /// single index publication. Returns the number of items appended;
+    /// `0` means end-of-stream.
     pub fn recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         loop {
             let n = self.cons.try_pop_n(out, max);
             if n > 0 {
-                if self.wait.needs_notify() {
-                    self.shared.space.notify();
-                }
+                self.shared.space.notify();
                 return n;
             }
             if self.shared.closed.load(Ordering::Acquire) {
                 // Re-check: the sender may have pushed right before closing.
-                let n = self.cons.try_pop_n(out, max);
-                if n > 0 && self.wait.needs_notify() {
-                    self.shared.space.notify();
-                }
-                return n;
+                return self.try_recv_batch(out, max);
             }
-            let cons = &self.cons;
-            let closed = &self.shared.closed;
-            self.wait.wait_until(&self.shared.items, || {
-                !cons.is_empty() || closed.load(Ordering::Acquire)
-            });
+            self.wait_for_item();
         }
     }
 
@@ -282,10 +251,18 @@ impl<T: Send> Receiver<T> {
     /// appended; `0` means "currently empty", not EOS.
     pub fn try_recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         let n = self.cons.try_pop_n(out, max);
-        if n > 0 && self.wait.needs_notify() {
+        if n > 0 {
             self.shared.space.notify();
         }
         n
+    }
+
+    /// Block until the ring holds an item or the sender is gone.
+    fn wait_for_item(&self) {
+        let closed = &self.shared.closed;
+        self.shared
+            .items
+            .wait_until(|| !self.cons.is_empty() || closed.load(Ordering::Acquire));
     }
 
     /// True when the sender is dropped and the ring is drained.
@@ -344,28 +321,22 @@ mod tests {
     use super::*;
     use std::thread;
 
-    fn all_strategies() -> [WaitStrategy; 3] {
-        [WaitStrategy::Spin, WaitStrategy::Yield, WaitStrategy::Block]
-    }
-
     #[test]
     fn send_recv_in_order_across_threads() {
-        for ws in all_strategies() {
-            const N: u64 = 20_000;
-            let (tx, rx) = channel::<u64>(16, ws);
-            let producer = thread::spawn(move || {
-                for i in 0..N {
-                    tx.send(i).unwrap();
-                }
-            });
-            let mut expected = 0;
-            while let Some(v) = rx.recv() {
-                assert_eq!(v, expected);
-                expected += 1;
+        const N: u64 = 20_000;
+        let (tx, rx) = channel::<u64>(16, WaitStrategy::Block);
+        let producer = thread::spawn(move || {
+            for i in 0..N {
+                tx.send(i).unwrap();
             }
-            assert_eq!(expected, N, "strategy {ws:?}");
-            producer.join().unwrap();
+        });
+        let mut expected = 0;
+        while let Some(v) = rx.recv() {
+            assert_eq!(v, expected);
+            expected += 1;
         }
+        assert_eq!(expected, N);
+        producer.join().unwrap();
     }
 
     #[test]
@@ -380,14 +351,14 @@ mod tests {
 
     #[test]
     fn send_fails_after_receiver_drop() {
-        let (tx, rx) = channel::<u32>(2, WaitStrategy::Yield);
+        let (tx, rx) = channel::<u32>(2, WaitStrategy::Block);
         drop(rx);
         assert_eq!(tx.send(5), Err(SendError(5)));
     }
 
     #[test]
     fn try_send_reports_full_and_disconnected() {
-        let (tx, rx) = channel::<u32>(1, WaitStrategy::Spin);
+        let (tx, rx) = channel::<u32>(1, WaitStrategy::Block);
         tx.try_send(1).unwrap();
         assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
         drop(rx);
@@ -431,37 +402,35 @@ mod tests {
 
     #[test]
     fn send_batch_recv_batch_roundtrip_across_threads() {
-        for ws in all_strategies() {
-            const N: u64 = 50_000;
-            let (tx, rx) = channel::<u64>(32, ws);
-            let producer = thread::spawn(move || {
-                let mut next = 0u64;
-                while next < N {
-                    let hi = (next + 13).min(N);
-                    assert_eq!(tx.send_batch(next..hi), Ok((hi - next) as usize));
-                    next = hi;
-                }
-            });
-            let mut expected = 0u64;
-            let mut buf = Vec::new();
-            loop {
-                let n = rx.recv_batch(&mut buf, 29);
-                if n == 0 {
-                    break;
-                }
-                for v in buf.drain(..) {
-                    assert_eq!(v, expected);
-                    expected += 1;
-                }
+        const N: u64 = 50_000;
+        let (tx, rx) = channel::<u64>(32, WaitStrategy::Block);
+        let producer = thread::spawn(move || {
+            let mut next = 0u64;
+            while next < N {
+                let hi = (next + 13).min(N);
+                assert_eq!(tx.send_batch(next..hi), Ok((hi - next) as usize));
+                next = hi;
             }
-            assert_eq!(expected, N, "strategy {ws:?}");
-            producer.join().unwrap();
+        });
+        let mut expected = 0u64;
+        let mut buf = Vec::new();
+        loop {
+            let n = rx.recv_batch(&mut buf, 29);
+            if n == 0 {
+                break;
+            }
+            for v in buf.drain(..) {
+                assert_eq!(v, expected);
+                expected += 1;
+            }
         }
+        assert_eq!(expected, N);
+        producer.join().unwrap();
     }
 
     #[test]
     fn send_batch_reports_disconnect_with_delivered_count() {
-        let (tx, rx) = channel::<u32>(4, WaitStrategy::Yield);
+        let (tx, rx) = channel::<u32>(4, WaitStrategy::Block);
         drop(rx);
         assert_eq!(tx.send_batch(0..10), Err(SendError(0)));
     }
@@ -481,7 +450,7 @@ mod tests {
 
     #[test]
     fn try_send_batch_keeps_remainder_in_iterator() {
-        let (tx, rx) = channel::<u32>(3, WaitStrategy::Spin);
+        let (tx, rx) = channel::<u32>(3, WaitStrategy::Block);
         let mut iter = 0..10u32;
         assert_eq!(tx.try_send_batch(&mut iter), Ok(3));
         assert_eq!(iter.next(), Some(3));
@@ -517,10 +486,8 @@ mod tests {
     fn shared_recv_signal_wakes_collector() {
         // Two channels sharing one item signal; a consumer parks on both.
         let sig = Arc::new(Signal::new());
-        let (tx_a, rx_a) =
-            channel_with_recv_signal::<u32>(4, WaitStrategy::Block, Arc::clone(&sig));
-        let (tx_b, rx_b) =
-            channel_with_recv_signal::<u32>(4, WaitStrategy::Block, Arc::clone(&sig));
+        let (tx_a, rx_a) = channel_with_recv_signal::<u32>(4, Arc::clone(&sig));
+        let (tx_b, rx_b) = channel_with_recv_signal::<u32>(4, Arc::clone(&sig));
         let consumer = thread::spawn(move || {
             let mut got = Vec::new();
             let mut open = 2;

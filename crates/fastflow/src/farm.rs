@@ -2,7 +2,7 @@
 //!
 //! FastFlow's `ff_farm`/`ff_ofarm` without emitter or collector threads:
 //! the stage *upstream* distributes its own outputs straight into the
-//! worker rings (`FanOut`: round-robin, on-demand or routed), each worker
+//! worker rings (`FanOut`: round-robin or routed), each worker
 //! runs its own [`Node`] instance, and the stage *downstream* merges the
 //! worker rings itself ([`FanIn`]), optionally restoring the input order
 //! (the *ordered farm* behind Mandelbrot lines and Dedup batches). DESIGN.md
@@ -18,29 +18,14 @@ use crate::channel::{channel_with_recv_signal, channel_with_send_signal, Receive
 use crate::node::{Emitter, Node};
 use crate::pipeline::{send_batch_accounted, traced_recv_batch, PipeConfig};
 use crate::stamp::Stamped;
-use crate::wait::{Signal, WaitStrategy};
+use crate::wait::Signal;
 
-/// How a farm's feeder assigns items to workers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Cyclic assignment — FastFlow's default. Predictable and fair for
-    /// uniform item costs.
-    #[default]
-    RoundRobin,
-    /// First worker with queue space gets the item — better for skewed item
-    /// costs (e.g. Mandelbrot lines crossing the set).
-    OnDemand,
-}
-
-/// Shared queue/wait configuration for farm internals.
+/// Shared queue configuration for farm internals. An unrouted farm deals
+/// items to its workers round-robin (FastFlow's default policy).
 #[derive(Clone, Copy, Debug)]
 pub struct FarmConfig {
     /// Capacity of every internal SPSC queue.
     pub capacity: usize,
-    /// Wait strategy for every internal queue.
-    pub wait: WaitStrategy,
-    /// Feeder scheduling policy.
-    pub policy: SchedPolicy,
     /// Restore input order at the fan-in.
     pub ordered: bool,
     /// Maximum batched-transfer run length on every internal queue (see
@@ -49,14 +34,11 @@ pub struct FarmConfig {
 }
 
 impl Default for FarmConfig {
-    /// A pipeline's queue shape ([`PipeConfig::default`]), unordered,
-    /// round-robin.
+    /// A pipeline's queue shape ([`PipeConfig::default`]), unordered.
     fn default() -> Self {
         let pipe = PipeConfig::default();
         FarmConfig {
             capacity: pipe.capacity,
-            wait: pipe.wait,
-            policy: SchedPolicy::default(),
             ordered: false,
             burst: pipe.burst,
         }
@@ -111,7 +93,7 @@ enum WorkerMsg<O> {
 /// Spawn the worker replicas of one farm (thread handles go to `handles`)
 /// and hand back the [`FanOut`] the upstream stage pushes into and the
 /// [`FanIn`] the downstream stage (or terminal op) pulls from. `route`
-/// overrides `cfg.policy`.
+/// replaces the round-robin deal.
 pub(crate) fn spawn_workers<N, F>(
     replicas: usize,
     mut factory: F,
@@ -133,8 +115,8 @@ where
     let mut to_workers = Vec::with_capacity(replicas);
     let mut lanes = Vec::with_capacity(replicas);
     for idx in 0..replicas {
-        let (in_tx, in_rx) = channel_with_send_signal(cfg.capacity, cfg.wait, Arc::clone(&space));
-        let (out_tx, out_rx) = channel_with_recv_signal(cfg.capacity, cfg.wait, Arc::clone(&items));
+        let (in_tx, in_rx) = channel_with_send_signal(cfg.capacity, Arc::clone(&space));
+        let (out_tx, out_rx) = channel_with_recv_signal(cfg.capacity, Arc::clone(&items));
         to_workers.push(in_tx);
         lanes.push(Lane {
             rx: out_rx,
@@ -197,10 +179,9 @@ impl<T: Send> FanOut<T> {
     #[inline]
     pub(crate) fn push(&mut self, item: Stamped<T>, stage: &StageHandle) -> bool {
         let n = self.to_workers.len();
-        let w = match (&mut self.route, self.cfg.policy) {
-            (Some(router), _) => router(self.seq, &item.item) % n,
-            (None, SchedPolicy::OnDemand) => 0,
-            (None, SchedPolicy::RoundRobin) => self.seq as usize % n,
+        let w = match &mut self.route {
+            Some(router) => router(self.seq, &item.item) % n,
+            None => self.seq as usize % n,
         };
         self.scratch[w].push_back((self.seq, item));
         self.seq += 1;
@@ -212,14 +193,10 @@ impl<T: Send> FanOut<T> {
     /// off; a flush that has to wait for room counts one push stall.
     /// Returns false once a worker is gone: the stream stops.
     pub(crate) fn flush(&mut self, stage: &StageHandle) -> bool {
-        // On demand, items are placed now: everything queued up on
-        // `scratch[0]` and is offered to every worker in turn.
-        let on_demand = self.route.is_none() && self.cfg.policy == SchedPolicy::OnDemand;
         let mut stalled = false;
         while self.buffered > 0 {
             let mut placed = 0;
-            for (w, tx) in self.to_workers.iter().enumerate() {
-                let run = &mut self.scratch[if on_demand { 0 } else { w }];
+            for (tx, run) in self.to_workers.iter().zip(&mut self.scratch) {
                 if run.is_empty() {
                     continue;
                 }
@@ -237,10 +214,9 @@ impl<T: Send> FanOut<T> {
                     stalled = true;
                 }
                 let (txs, scratch) = (&self.to_workers, &self.scratch);
-                self.cfg.wait.wait_until(&self.space, || {
-                    txs.iter().enumerate().any(|(w, tx)| {
-                        !scratch[if on_demand { 0 } else { w }].is_empty()
-                            && (tx.free_slots() > 0 || tx.is_disconnected())
+                self.space.wait_until(|| {
+                    txs.iter().zip(scratch).any(|(tx, run)| {
+                        !run.is_empty() && (tx.free_slots() > 0 || tx.is_disconnected())
                     })
                 });
             }
@@ -420,7 +396,7 @@ impl<O: Send> Merge<O> {
             }
             let lanes = &self.lanes;
             let ready = || lanes.iter().any(Lane::ready);
-            self.cfg.wait.wait_until(&self.signal, ready);
+            self.signal.wait_until(ready);
         }
     }
 }
@@ -448,8 +424,8 @@ impl<T: Send> FanIn<T> {
         FanIn(Inlet::Single(rx))
     }
 
-    /// Dequeue the next item, blocking per the wait strategy while none is
-    /// available. `None` once every producer is done and drained.
+    /// Dequeue the next item, blocking while none is available. `None`
+    /// once every producer is done and drained.
     pub fn recv(&mut self) -> Option<Stamped<T>> {
         match &mut self.0 {
             Inlet::Single(rx) => rx.recv(),
@@ -553,18 +529,6 @@ mod tests {
     fn ordered_farm_preserves_input_order() {
         let got = feed((0..500).collect(), ordered(), 4);
         let expected: Vec<u64> = (0..500).map(|x| x * 10).collect();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn ordered_farm_on_demand_preserves_order() {
-        let cfg = FarmConfig {
-            policy: SchedPolicy::OnDemand,
-            capacity: 4,
-            ..ordered()
-        };
-        let got = feed((0..300).collect(), cfg, 3);
-        let expected: Vec<u64> = (0..300).map(|x| x * 10).collect();
         assert_eq!(got, expected);
     }
 

@@ -2,14 +2,14 @@
 //!
 //! This crate reproduces, from scratch, the runtime layer the paper's SPar
 //! DSL compiles to: algorithmic skeletons (pipeline, farm, ordered farm)
-//! built on fine-grained lock-free SPSC queues with selectable blocking /
-//! non-blocking wait strategies.
+//! built on fine-grained lock-free SPSC queues whose endpoints spin
+//! briefly, then block.
 //!
 //! Layering, bottom-up:
 //!
 //! * [`spsc`] — bounded lock-free single-producer/single-consumer ring;
-//! * [`wait`] — spin / yield / block wait strategies ([`WaitStrategy`]);
-//! * [`mod@channel`] — SPSC ring + wait strategy + end-of-stream propagation;
+//! * [`wait`] — the spin-then-park wait and its [`Signal`];
+//! * [`mod@channel`] — SPSC ring + blocking wait + end-of-stream propagation;
 //! * [`node`] — the [`Node`] processing abstraction (`ff_node` analogue);
 //! * [`farm`] — replicated workers between a fan-out and an (ordered) fan-in
 //!   endpoint, fused into the neighbouring stages;
@@ -43,7 +43,7 @@ pub mod wait;
 
 pub use channel::{channel, Receiver, SendError, Sender, TrySendError};
 pub use error::FaultPolicy;
-pub use farm::{FanIn, FarmConfig, Router, SchedPolicy};
+pub use farm::{FanIn, FarmConfig, Router};
 pub use node::{Emitter, Node};
 pub use pipeline::{PipeConfig, Pipeline, PipelineBuilder, PipelineStart, PipelineThreads};
 pub use pool::{recycler, BufPool, PooledBuf, Recycler, SlabRegistrar};

@@ -11,7 +11,7 @@ use std::thread::{self, JoinHandle};
 use telemetry::{Recorder, StageHandle};
 
 use crate::channel::{channel, Receiver, Sender};
-use crate::farm::{spawn_workers, FanIn, FanOut, FarmConfig, Router, SchedPolicy};
+use crate::farm::{spawn_workers, FanIn, FanOut, FarmConfig, Router};
 use crate::node::{map, Emitter, Node};
 use crate::stamp::Stamped;
 use crate::wait::WaitStrategy;
@@ -135,8 +135,6 @@ pub struct PipeConfig {
     /// deep enough that a stage runs many bursts ahead of its neighbour
     /// instead of trading the core with it every few bursts.
     pub capacity: usize,
-    /// Wait strategy of every inter-stage queue.
-    pub wait: WaitStrategy,
     /// Maximum run length of the batched queue operations: a stage drains
     /// up to this many queued items per acquire/release pair and buffers at
     /// most this many outputs before publishing them in one go. `1`
@@ -148,7 +146,6 @@ impl Default for PipeConfig {
     fn default() -> Self {
         PipeConfig {
             capacity: 512,
-            wait: WaitStrategy::default(),
             burst: 32,
         }
     }
@@ -177,12 +174,6 @@ impl PipelineStart {
     pub fn capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be >= 1");
         self.0.cfg.capacity = capacity;
-        self
-    }
-
-    /// Set the wait strategy for all queues.
-    pub fn wait(mut self, wait: WaitStrategy) -> Self {
-        self.0.cfg.wait = wait;
         self
     }
 
@@ -326,7 +317,7 @@ impl Graph {
         if let Tail::Running(inlet) = tail {
             return inlet;
         }
-        let (tx, rx) = channel(self.cfg.capacity, self.cfg.wait);
+        let (tx, rx) = channel(self.cfg.capacity, WaitStrategy::Block);
         let burst = self.cfg.burst;
         let buf = Vec::with_capacity(burst);
         self.connect(tail, Outlet::Next { tx, buf, burst });
@@ -374,7 +365,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         N: Node<In = T>,
         F: FnMut(usize) -> N,
     {
-        self.farm_with(replicas, factory, SchedPolicy::RoundRobin, false)
+        self.farm_stage(replicas, factory, false, None)
     }
 
     /// Append an order-preserving farm stage (FastFlow's `ff_ofarm`).
@@ -383,16 +374,16 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         N: Node<In = T>,
         F: FnMut(usize) -> N,
     {
-        self.farm_with(replicas, factory, SchedPolicy::RoundRobin, true)
+        self.farm_stage(replicas, factory, true, None)
     }
 
     /// Append an order-preserving farm whose worker selection is driven
-    /// by `router` instead of a fixed policy (see [`Router`]). The router
-    /// runs serially in stream order on the thread of the stage feeding
-    /// the farm — the hook a placement scheduler uses to pin each item to
-    /// a device-owning replica deterministically. Each item is delivered
-    /// before the next is routed: a policy may block a decision on
-    /// feedback from items it already routed (a scheduler's lookahead
+    /// by `router` instead of the round-robin deal (see [`Router`]). The
+    /// router runs serially in stream order on the thread of the stage
+    /// feeding the farm — the hook a placement scheduler uses to pin each
+    /// item to a device-owning replica deterministically. Each item is
+    /// delivered before the next is routed: a policy may block a decision
+    /// on feedback from items it already routed (a scheduler's lookahead
     /// window), which an item still buffered unsent would never produce.
     pub fn farm_routed<N, F>(
         self,
@@ -404,28 +395,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         N: Node<In = T>,
         F: FnMut(usize) -> N,
     {
-        self.farm_stage(
-            replicas,
-            factory,
-            SchedPolicy::RoundRobin,
-            true,
-            Some(router),
-        )
-    }
-
-    /// Append a farm stage with full control over scheduling and ordering.
-    pub fn farm_with<N, F>(
-        self,
-        replicas: usize,
-        factory: F,
-        policy: SchedPolicy,
-        ordered: bool,
-    ) -> PipelineBuilder<N::Out>
-    where
-        N: Node<In = T>,
-        F: FnMut(usize) -> N,
-    {
-        self.farm_stage(replicas, factory, policy, ordered, None)
+        self.farm_stage(replicas, factory, true, Some(router))
     }
 
     /// The tail stage gets the workers' rings as its outlet, the next
@@ -434,7 +404,6 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         self,
         replicas: usize,
         factory: F,
-        policy: SchedPolicy,
         ordered: bool,
         route: Option<Router<T>>,
     ) -> PipelineBuilder<N::Out>
@@ -445,8 +414,6 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         let PipelineBuilder { mut graph, tail } = self;
         let cfg = FarmConfig {
             capacity: graph.cfg.capacity,
-            wait: graph.cfg.wait,
-            policy,
             ordered,
             // Routed: deliver each item before routing the next.
             burst: if route.is_some() { 1 } else { graph.cfg.burst },
@@ -643,18 +610,6 @@ mod tests {
         drop(rx);
         threads.join(); // must not hang
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn spin_and_yield_strategies_complete() {
-        for ws in [WaitStrategy::Spin, WaitStrategy::Yield] {
-            let out = Pipeline::builder()
-                .wait(ws)
-                .from_iter(0..100u64)
-                .farm_ordered(2, |_| node::map(|x: u64| x + 7))
-                .collect();
-            assert_eq!(out, (0..100).map(|x| x + 7).collect::<Vec<u64>>());
-        }
     }
 
     #[test]

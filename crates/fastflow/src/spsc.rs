@@ -34,7 +34,15 @@ struct Ring<T> {
     tail: CachePadded<AtomicUsize>, // next index to push (producer-owned)
 }
 
+// SAFETY: the ring owns its queued `T`s; sending it (in practice, the last
+// `Arc` to it) to another thread sends those values, which `T: Send` allows.
 unsafe impl<T: Send> Send for Ring<T> {}
+// SAFETY: `cap` never changes and `head`/`tail` are atomics. The two threads
+// sharing a ring never touch one slot of `buf` at the same time: the
+// producer writes only slots in `[tail, head + cap)`, the consumer reads
+// only slots in `[head, tail)`, and a slot changes sides only through a
+// release store of `tail` (or `head`) and the peer's acquire load of it. A
+// value crosses threads but is never shared, so `T: Send` suffices.
 unsafe impl<T: Send> Sync for Ring<T> {}
 
 impl<T> Ring<T> {
@@ -50,6 +58,10 @@ impl<T> Drop for Ring<T> {
         let head = self.head.0.load(Ordering::Relaxed);
         let tail = self.tail.0.load(Ordering::Relaxed);
         for idx in head..tail {
+            // SAFETY: `&mut self` means both halves are gone (each held an
+            // `Arc`), and the `Arc`'s final drop synchronises with theirs, so
+            // `head..tail` is exactly the written, never-read slots, each
+            // dropped once here.
             unsafe { (*self.slot(idx)).assume_init_drop() };
         }
     }
@@ -69,8 +81,12 @@ pub struct Consumer<T> {
     head: Cell<usize>, // local mirror of ring.head
 }
 
-// The halves move between threads but are used from one thread at a time.
+// SAFETY: a half is the only handle to its side of the ring (neither is
+// `Clone`) and, holding `Cell`s, is not `Sync`, so its cached indices and its
+// slots are used by one thread at a time; sending it hands the whole role,
+// and the `T`s it moves, to the new thread, which `T: Send` allows.
 unsafe impl<T: Send> Send for Producer<T> {}
+// SAFETY: as for `Producer`, with the consumer's side of the ring.
 unsafe impl<T: Send> Send for Consumer<T> {}
 
 /// Create a bounded SPSC ring with room for `capacity` items.
@@ -116,6 +132,10 @@ impl<T> Producer<T> {
                 return Err(item);
             }
         }
+        // SAFETY: `tail - cached_head < cap`, and `cached_head` never runs
+        // ahead of `head`, whose acquire load orders the consumer's last read
+        // of this slot before this write: the slot holds no live value. The
+        // consumer cannot read it before the release store of `tail` below.
         unsafe { (*self.ring.slot(tail)).write(item) };
         self.tail.set(tail + 1);
         self.ring.tail.0.store(tail + 1, Ordering::Release);
@@ -151,6 +171,8 @@ impl<T> Producer<T> {
             // unpublished slots (they are overwritten later) — never UB.
             match iter.next() {
                 Some(item) => {
+                    // SAFETY: as in `try_push`: `written < n <= free`, so
+                    // slot `tail + written` is free and still unpublished.
                     unsafe { (*self.ring.slot(tail + written)).write(item) };
                     written += 1;
                 }
@@ -188,6 +210,10 @@ impl<T> Consumer<T> {
                 return None;
             }
         }
+        // SAFETY: `head < cached_tail`, read by an acquire load that orders
+        // the producer's write of this slot before this read, so the slot is
+        // initialised. Only this consumer reads it, and the `head` store
+        // below hands it back to the producer: it is read exactly once.
         let item = unsafe { (*self.ring.slot(head)).assume_init_read() };
         self.head.set(head + 1);
         self.ring.head.0.store(head + 1, Ordering::Release);
@@ -217,6 +243,8 @@ impl<T> Consumer<T> {
         }
         out.reserve(n);
         for i in 0..n {
+            // SAFETY: as in `try_pop`: `i < n <= avail`, so slot `head + i`
+            // is published and unread; `head` moves past it once, below.
             out.push(unsafe { (*self.ring.slot(head + i)).assume_init_read() });
         }
         self.head.set(head + n);

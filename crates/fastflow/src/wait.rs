@@ -1,24 +1,22 @@
-//! Wait strategies and the notification primitive behind the blocking mode.
+//! The wait behind every blocking channel operation, and the notification
+//! primitive it parks on.
 //!
-//! FastFlow's runtime can run its queues in non-blocking (spinning) or
-//! blocking mode; this module reproduces that choice. All strategies spin
-//! briefly first — the common case in a busy pipeline is that the peer makes
-//! progress within a few hundred cycles — and differ in how they escalate.
+//! FastFlow can run its queues in non-blocking (spinning) or blocking mode.
+//! This crate runs them blocking only: a waiter spins briefly — in a busy
+//! pipeline the peer usually makes progress within a few hundred cycles —
+//! then yields, then parks on a [`Signal`] until a peer notifies it. A
+//! spinning mode wastes the CPU an oversubscribed host needs for the peer.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// How a channel endpoint waits for its peer when it cannot make progress.
+/// How a channel endpoint waits for its peer: spin briefly, then park on
+/// a condition variable until notified (FastFlow's blocking mode). It is
+/// the only strategy; [`channel`](crate::channel()) still takes it as an
+/// argument.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum WaitStrategy {
-    /// Busy-spin with `spin_loop` hints, periodically yielding to the OS so
-    /// oversubscribed machines (more threads than cores) still progress.
-    Spin,
-    /// Spin briefly, then `thread::yield_now` in a loop.
-    Yield,
-    /// Spin briefly, then park on a condition variable until notified.
-    /// This is FastFlow's blocking mode; it is the default because it is the
-    /// only strategy that wastes no CPU on oversubscribed hosts.
+    /// Spin, yield, then park until notified.
     #[default]
     Block,
 }
@@ -102,55 +100,29 @@ impl Signal {
         drop(guard);
         self.parked.fetch_sub(1, Ordering::SeqCst);
     }
-}
 
-impl WaitStrategy {
-    /// Wait until `ready()` returns true. `signal` is only consulted by the
-    /// `Block` strategy; spinning strategies ignore it.
-    pub fn wait_until(&self, signal: &Signal, mut ready: impl FnMut() -> bool) {
+    /// Wait until `ready()` returns true: spin, then yield, then park on
+    /// this signal. Every peer that can make `ready()` true must
+    /// [`notify`](Signal::notify) after doing so.
+    pub(crate) fn wait_until(&self, mut ready: impl FnMut() -> bool) {
         let mut spins: u32 = 0;
         loop {
             if ready() {
                 return;
             }
             spins += 1;
-            match self {
-                WaitStrategy::Spin => {
-                    if spins.is_multiple_of(1024) {
-                        // Keep single-core hosts live even in "spin" mode.
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
+            if spins < SPIN_LIMIT {
+                std::hint::spin_loop();
+            } else if spins < YIELD_LIMIT {
+                std::thread::yield_now();
+            } else {
+                let epoch = self.epoch();
+                if ready() {
+                    return;
                 }
-                WaitStrategy::Yield => {
-                    if spins < SPIN_LIMIT {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                WaitStrategy::Block => {
-                    if spins < SPIN_LIMIT {
-                        std::hint::spin_loop();
-                    } else if spins < YIELD_LIMIT {
-                        std::thread::yield_now();
-                    } else {
-                        let epoch = signal.epoch();
-                        if ready() {
-                            return;
-                        }
-                        signal.wait_if(epoch);
-                    }
-                }
+                self.wait_if(epoch);
             }
         }
-    }
-
-    /// True if this strategy needs peers to call [`Signal::notify`].
-    #[inline]
-    pub fn needs_notify(&self) -> bool {
-        matches!(self, WaitStrategy::Block)
     }
 }
 
@@ -164,10 +136,7 @@ mod tests {
 
     #[test]
     fn ready_immediately_returns() {
-        let sig = Signal::new();
-        for ws in [WaitStrategy::Spin, WaitStrategy::Yield, WaitStrategy::Block] {
-            ws.wait_until(&sig, || true);
-        }
+        Signal::new().wait_until(|| true);
     }
 
     #[test]
@@ -192,33 +161,11 @@ mod tests {
         let flag = Arc::new(AtomicBool::new(false));
         let (sig2, flag2) = (Arc::clone(&sig), Arc::clone(&flag));
         let waiter = thread::spawn(move || {
-            WaitStrategy::Block.wait_until(&sig2, || flag2.load(Ordering::Acquire));
+            sig2.wait_until(|| flag2.load(Ordering::Acquire));
         });
         thread::sleep(Duration::from_millis(20));
         flag.store(true, Ordering::Release);
         sig.notify();
         waiter.join().unwrap();
-    }
-
-    #[test]
-    fn spin_and_yield_progress_on_flag() {
-        for ws in [WaitStrategy::Spin, WaitStrategy::Yield] {
-            let sig = Arc::new(Signal::new());
-            let flag = Arc::new(AtomicBool::new(false));
-            let (sig2, flag2) = (Arc::clone(&sig), Arc::clone(&flag));
-            let waiter = thread::spawn(move || {
-                ws.wait_until(&sig2, || flag2.load(Ordering::Acquire));
-            });
-            thread::sleep(Duration::from_millis(5));
-            flag.store(true, Ordering::Release);
-            waiter.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn only_block_needs_notify() {
-        assert!(!WaitStrategy::Spin.needs_notify());
-        assert!(!WaitStrategy::Yield.needs_notify());
-        assert!(WaitStrategy::Block.needs_notify());
     }
 }

@@ -43,7 +43,7 @@ fn send_batch_recv_batch_no_lost_dup_or_reordered() {
 /// without corrupting the order.
 #[test]
 fn mixed_single_and_batched_ops_interleave() {
-    let (tx, rx) = fastflow::channel::<u32>(32, WaitStrategy::Yield);
+    let (tx, rx) = fastflow::channel::<u32>(32, WaitStrategy::Block);
     let producer = thread::spawn(move || {
         for base in 0..1000u32 {
             if base % 3 == 0 {

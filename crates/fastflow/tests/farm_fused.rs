@@ -1,17 +1,15 @@
 //! The fused farm — fan-out on the upstream thread, merge on the
 //! downstream thread, no emitter or collector in between — against a
 //! sequential model: every output arity, ordered and unordered, at the
-//! queue sizes and wait strategies where a lost wakeup or a wedged merge
+//! queue sizes and burst lengths where a lost wakeup or a wedged merge
 //! would show as a hang. `ci.sh` runs this file in release under a
 //! wall-clock timeout, so a deadlock fails the build instead of hanging it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fastflow::{node, Emitter, Node, PipeConfig, Pipeline, SchedPolicy, WaitStrategy};
+use fastflow::{node, Emitter, Node, PipeConfig, Pipeline};
 
-const STRATEGIES: [WaitStrategy; 3] =
-    [WaitStrategy::Block, WaitStrategy::Yield, WaitStrategy::Spin];
 const REPLICAS: usize = 2;
 /// `on_eos` outputs sit above every stream value.
 const FINAL: u64 = 1 << 40;
@@ -71,35 +69,30 @@ fn every_arity_matches_the_sequential_model_at_every_queue_shape() {
         for arity in [Arity::Filter, Arity::Map, Arity::Triple] {
             let model: Vec<u64> = (0..n).flat_map(|x| outputs(arity, x)).collect();
             for ordered in [true, false] {
-                for wait in STRATEGIES {
-                    for burst in [1, 32] {
-                        let what = format!(
-                            "{arity:?} ordered={ordered} {wait:?} capacity={capacity} burst={burst}"
-                        );
-                        let got = Pipeline::builder()
-                            .wait(wait)
-                            .capacity(capacity)
-                            .burst(burst)
-                            .from_iter(0..n)
-                            .farm_with(
-                                REPLICAS,
-                                |_| Counting { arity, seen: 0 },
-                                SchedPolicy::RoundRobin,
-                                ordered,
-                            )
-                            .collect();
-                        // The finals come last, one per replica, and
-                        // together account for every input.
-                        let (stream, finals) = got.split_at(got.len() - REPLICAS);
-                        assert!(finals.iter().all(|&f| f >= FINAL), "{what}: {finals:?}");
-                        assert_eq!(finals.iter().map(|f| f - FINAL).sum::<u64>(), n, "{what}");
-                        if ordered {
-                            assert_eq!(stream, model, "{what}");
-                        } else {
-                            let mut sorted = stream.to_vec();
-                            sorted.sort_unstable();
-                            assert_eq!(sorted, model, "{what}");
-                        }
+                for burst in [1, 32] {
+                    let what =
+                        format!("{arity:?} ordered={ordered} capacity={capacity} burst={burst}");
+                    let source = Pipeline::builder()
+                        .capacity(capacity)
+                        .burst(burst)
+                        .from_iter(0..n);
+                    let worker = |_| Counting { arity, seen: 0 };
+                    let got = if ordered {
+                        source.farm_ordered(REPLICAS, worker).collect()
+                    } else {
+                        source.farm(REPLICAS, worker).collect()
+                    };
+                    // The finals come last, one per replica, and together
+                    // account for every input.
+                    let (stream, finals) = got.split_at(got.len() - REPLICAS);
+                    assert!(finals.iter().all(|&f| f >= FINAL), "{what}: {finals:?}");
+                    assert_eq!(finals.iter().map(|f| f - FINAL).sum::<u64>(), n, "{what}");
+                    if ordered {
+                        assert_eq!(stream, model, "{what}");
+                    } else {
+                        let mut sorted = stream.to_vec();
+                        sorted.sort_unstable();
+                        assert_eq!(sorted, model, "{what}");
                     }
                 }
             }
@@ -107,34 +100,26 @@ fn every_arity_matches_the_sequential_model_at_every_queue_shape() {
     }
 }
 
-/// Satellite of the on-demand back-off: with one slot per worker ring and
-/// work skewed onto every fifth item, the feeder spends most of the run
-/// with every ring full. It must park there (Block) or spin there
-/// (Spin/Yield) and still deliver everything, in order.
+/// The skewed work an on-demand feeder would route around, dealt
+/// round-robin instead: with one slot per worker ring and every fifth
+/// item slow, the feeder spends most of the run with every ring full. It
+/// must park there and still deliver everything, in order.
 #[test]
 fn on_demand_with_skewed_work_completes_in_order_at_capacity_one() {
     const N: u64 = 600;
-    for wait in STRATEGIES {
-        let got = Pipeline::builder()
-            .wait(wait)
-            .capacity(1)
-            .from_iter(0..N)
-            .farm_with(
-                3,
-                |_| {
-                    node::map(|x: u64| {
-                        if x.is_multiple_of(5) {
-                            std::thread::sleep(std::time::Duration::from_micros(200));
-                        }
-                        x + 7
-                    })
-                },
-                SchedPolicy::OnDemand,
-                true,
-            )
-            .collect();
-        assert_eq!(got, (0..N).map(|x| x + 7).collect::<Vec<u64>>(), "{wait:?}");
-    }
+    let got = Pipeline::builder()
+        .capacity(1)
+        .from_iter(0..N)
+        .farm_ordered(3, |_| {
+            node::map(|x: u64| {
+                if x.is_multiple_of(5) {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+                x + 7
+            })
+        })
+        .collect();
+    assert_eq!(got, (0..N).map(|x| x + 7).collect::<Vec<u64>>());
 }
 
 /// At the shipped depth, an ordered round-robin farm whose worker 0 takes
@@ -151,20 +136,17 @@ fn ordered_merge_holds_while_the_fast_worker_fills_its_ring() {
             std::hint::spin_loop();
         }
     };
-    for wait in STRATEGIES {
-        let got = Pipeline::builder()
-            .wait(wait)
-            .from_iter(0..n)
-            .farm_ordered(REPLICAS, |replica| {
-                let micros = if replica == 0 { 50 } else { 1 };
-                node::map(move |x: u64| {
-                    spin(micros);
-                    x + 7
-                })
+    let got = Pipeline::builder()
+        .from_iter(0..n)
+        .farm_ordered(REPLICAS, |replica| {
+            let micros = if replica == 0 { 50 } else { 1 };
+            node::map(move |x: u64| {
+                spin(micros);
+                x + 7
             })
-            .collect();
-        assert_eq!(got, (0..n).map(|x| x + 7).collect::<Vec<u64>>(), "{wait:?}");
-    }
+        })
+        .collect();
+    assert_eq!(got, (0..n).map(|x| x + 7).collect::<Vec<u64>>());
 }
 
 #[test]

@@ -1,45 +1,39 @@
 //! Stress and interaction tests for the runtime: deep pipelines, farms in
-//! sequence, tiny queues, every wait strategy — the configurations where
-//! ordering and EOS bugs hide.
+//! sequence, tiny queues — the configurations where ordering and EOS bugs
+//! hide.
 
-use fastflow::{node, Emitter, Node, Pipeline, SchedPolicy, WaitStrategy};
+use fastflow::{node, Emitter, Node, Pipeline};
 
 #[test]
 fn deep_pipeline_with_two_farms_preserves_order() {
-    for ws in [WaitStrategy::Block, WaitStrategy::Yield] {
-        let out = Pipeline::builder()
-            .wait(ws)
-            .capacity(4) // tiny queues force backpressure
-            .from_iter(0..2_000u64)
-            .map(|x| x + 1)
-            .farm_ordered(3, |_| node::map(|x: u64| x * 2))
-            .map(|x| x - 1)
-            .farm_ordered(2, |_| node::map(|x: u64| x ^ 0xAB))
-            .collect();
-        let expected: Vec<u64> = (0..2_000u64).map(|x| (((x + 1) * 2) - 1) ^ 0xAB).collect();
-        assert_eq!(out, expected, "strategy {ws:?}");
-    }
+    let out = Pipeline::builder()
+        .capacity(4) // tiny queues force backpressure
+        .from_iter(0..2_000u64)
+        .map(|x| x + 1)
+        .farm_ordered(3, |_| node::map(|x: u64| x * 2))
+        .map(|x| x - 1)
+        .farm_ordered(2, |_| node::map(|x: u64| x ^ 0xAB))
+        .collect();
+    let expected: Vec<u64> = (0..2_000u64).map(|x| (((x + 1) * 2) - 1) ^ 0xAB).collect();
+    assert_eq!(out, expected);
 }
 
+/// The skewed work an on-demand feeder would route around, dealt
+/// round-robin to an unordered farm on two-slot rings.
 #[test]
 fn on_demand_farm_with_skewed_work_is_complete_and_correct() {
     let mut out = Pipeline::builder()
         .capacity(2)
         .from_iter(0..500u64)
-        .farm_with(
-            4,
-            |_| {
-                node::map(|x: u64| {
-                    // Skewed work: every 16th item is "expensive".
-                    if x.is_multiple_of(16) {
-                        std::thread::yield_now();
-                    }
-                    x * 3
-                })
-            },
-            SchedPolicy::OnDemand,
-            false,
-        )
+        .farm(4, |_| {
+            node::map(|x: u64| {
+                // Skewed work: every 16th item is "expensive".
+                if x.is_multiple_of(16) {
+                    std::thread::yield_now();
+                }
+                x * 3
+            })
+        })
         .collect();
     out.sort_unstable();
     let mut expected: Vec<u64> = (0..500).map(|x| x * 3).collect();

@@ -41,23 +41,21 @@ fn within_deadline(what: &str, case: impl FnOnce() + Send + 'static) {
 
 #[test]
 fn one_slot_channel_delivers_a_million_items_under_every_strategy() {
-    for wait in [WaitStrategy::Block, WaitStrategy::Yield, WaitStrategy::Spin] {
-        within_deadline(&format!("{wait:?}"), move || {
-            let (tx, rx) = channel::<u64>(1, wait);
-            let producer = thread::spawn(move || {
-                for i in 0..ITEMS {
-                    tx.send(i).expect("receiver alive");
-                }
-            });
-            let mut expected = 0;
-            while let Some(v) = rx.recv() {
-                assert_eq!(v, expected);
-                expected += 1;
+    within_deadline("one-slot channel", || {
+        let (tx, rx) = channel::<u64>(1, WaitStrategy::Block);
+        let producer = thread::spawn(move || {
+            for i in 0..ITEMS {
+                tx.send(i).expect("receiver alive");
             }
-            assert_eq!(expected, ITEMS);
-            producer.join().expect("producer");
         });
-    }
+        let mut expected = 0;
+        while let Some(v) = rx.recv() {
+            assert_eq!(v, expected);
+            expected += 1;
+        }
+        assert_eq!(expected, ITEMS);
+        producer.join().expect("producer");
+    });
 }
 
 /// The farm fan-in's shape: several one-slot rings notifying one shared
@@ -71,8 +69,7 @@ fn shared_collector_signal_loses_no_wakeup() {
         let mut rxs = Vec::new();
         let mut producers = Vec::new();
         for p in 0..PRODUCERS {
-            let (tx, rx) =
-                channel_with_recv_signal::<u64>(1, WaitStrategy::Block, Arc::clone(&signal));
+            let (tx, rx) = channel_with_recv_signal::<u64>(1, Arc::clone(&signal));
             rxs.push(rx);
             producers.push(thread::spawn(move || {
                 for i in (p..ITEMS).step_by(PRODUCERS as usize) {

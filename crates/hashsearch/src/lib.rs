@@ -19,7 +19,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use dedup::sha1::{Digest, Sha1};
-use fastflow::{FaultPolicy, Recycler};
+use fastflow::Recycler;
 use gpusim::GpuSystem;
 pub use gpusim::{CudaOffload, OclOffload, Offload};
 use telemetry::Recorder;
@@ -51,8 +51,6 @@ pub struct SearchConfig {
     pub range: usize,
     /// Candidates to keep.
     pub k: usize,
-    /// Retry budget before a failing range degrades to the host.
-    pub policy: FaultPolicy,
 }
 
 impl SearchConfig {
@@ -64,7 +62,6 @@ impl SearchConfig {
             total_nonces,
             range: 4096,
             k: 8,
-            policy: FaultPolicy::default(),
         }
     }
 
@@ -186,7 +183,6 @@ pub struct SearchWork<O: Offload> {
     midstate: [u32; 5],
     header_len: u64,
     recycle: Recycler<Vec<u8>>,
-    policy: FaultPolicy,
     _off: PhantomData<fn() -> O>,
 }
 
@@ -198,7 +194,6 @@ impl<O: Offload> Clone for SearchWork<O> {
             midstate: self.midstate,
             header_len: self.header_len,
             recycle: self.recycle.clone(),
-            policy: self.policy,
             _off: PhantomData,
         }
     }
@@ -221,7 +216,6 @@ impl<O: Offload> SearchWork<O> {
             midstate,
             header_len,
             recycle: fastflow::recycler(pipeline_width * 2 + 2),
-            policy: cfg.policy,
             _off: PhantomData,
         }
     }
@@ -239,10 +233,6 @@ impl<O: Offload> Workload for SearchWork<O> {
 
     fn stage_label(&self) -> &'static str {
         SEARCH_STAGE
-    }
-
-    fn policy(&self) -> FaultPolicy {
-        self.policy
     }
 
     fn describe(&self, item: &NonceRange) -> String {

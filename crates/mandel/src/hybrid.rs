@@ -30,7 +30,7 @@
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
-use fastflow::{FaultPolicy, Recycler};
+use fastflow::Recycler;
 use gpusim::GpuSystem;
 pub use gpusim::{CudaOffload, OclOffload, Offload, OffloadApi};
 use telemetry::Recorder;
@@ -72,7 +72,6 @@ pub struct MandelWork<O: Offload> {
     batch_size: usize,
     n_gpus: usize,
     recycle: Recycler<Vec<u8>>,
-    policy: FaultPolicy,
     _off: PhantomData<fn() -> O>,
 }
 
@@ -84,7 +83,6 @@ impl<O: Offload> Clone for MandelWork<O> {
             batch_size: self.batch_size,
             n_gpus: self.n_gpus,
             recycle: self.recycle.clone(),
-            policy: self.policy,
             _off: PhantomData,
         }
     }
@@ -108,7 +106,6 @@ impl<O: Offload> MandelWork<O> {
             batch_size,
             n_gpus,
             recycle: fastflow::recycler(pipeline_width * 2 + 2),
-            policy: FaultPolicy::default(),
             _off: PhantomData,
         }
     }
@@ -126,10 +123,6 @@ impl<O: Offload> Workload for MandelWork<O> {
 
     fn stage_label(&self) -> &'static str {
         GPU_STAGE
-    }
-
-    fn policy(&self) -> FaultPolicy {
-        self.policy
     }
 
     fn describe(&self, batch: &usize) -> String {
@@ -167,8 +160,9 @@ impl<O: Offload> Workload for MandelWork<O> {
     /// Rows `lo..hi` of the batch, through the one batch kernel. On the
     /// OOM-halving rung the device buffer is sized to the row span, not
     /// the whole batch, so halves can succeed where the full batch
-    /// allocation was refused. Rows past the image edge come back zero
-    /// (the cache hands out zero-filled buffers).
+    /// allocation was refused. The kernel writes only rows inside the
+    /// image and the device buffer is reused, so the rows past the image
+    /// edge are zeroed here, as the host rung leaves them.
     fn try_gpu_split(
         &self,
         gpu: &mut DeviceOut<O>,
@@ -178,15 +172,19 @@ impl<O: Offload> Workload for MandelWork<O> {
         out: &mut Vec<u8>,
     ) -> Result<(), WorkloadFault> {
         let dim = self.params.dim;
+        let first_row = batch * self.batch_size + lo;
         let span = &mut out[lo * dim..hi * dim];
         gpu.launch_into(span, ((hi - lo) * dim) as u64, BLOCK_1D, |img| {
             BatchKernel {
-                first_row: batch * self.batch_size + lo,
+                first_row,
                 rows: hi - lo,
                 params: self.params,
                 img,
             }
-        })
+        })?;
+        let in_image = dim.saturating_sub(first_row).min(hi - lo);
+        span[in_image * dim..].fill(0);
+        Ok(())
     }
 
     fn cpu_batch(&self, batch: &usize, out: &mut Vec<u8>) {

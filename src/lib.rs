@@ -81,7 +81,7 @@ pub mod prelude {
         recycler, BufPool, FaultPolicy, Pipeline, PooledBuf, Recycler, WaitStrategy,
     };
     pub use gpusim::{CudaOffload, GpuSystem, OclOffload, Offload, OffloadApi};
-    pub use spar::{to_stream, SparConfig, ToStream};
+    pub use spar::{to_stream, ToStream};
     pub use telemetry::{
         FlightEvent, FlightHandle, FlightKind, HealthSnapshot, HealthStatus, MetricsServer,
         Recorder, TelemetryReport, NO_BATCH,

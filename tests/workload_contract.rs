@@ -67,7 +67,9 @@ fn serial() -> MutexGuard<'static, ()> {
 // ---------------------------------------------------------------------
 
 fn mandel_fixture(sys: &Arc<GpuSystem>) -> (MandelWork<CudaOffload>, Vec<usize>) {
-    let params = FractalParams::view(32, 100);
+    // 30 rows in batches of 8: the last batch is a tail with two padding
+    // rows, processed after full batches on the same device buffer.
+    let params = FractalParams::view(30, 100);
     let batch_size = 8;
     let n_batches = params.dim.div_ceil(batch_size);
     let work = MandelWork::new(sys, &params, batch_size, 1, 2);
