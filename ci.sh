@@ -10,7 +10,8 @@
 #   4. every test target once (the figure binaries, exactly-once ingress,
 #      the live metrics plane and the auto-tuner are tests too)
 #   5. rustdoc, warnings are errors
-#   6. the fastflow farm matrix + lost-wakeup stress, serial, under a deadline
+#   6. the fastflow farm matrix + lost-wakeup stress, tbbx's pool and
+#      pipeline tests and the shared sync primitives, serial, under a deadline
 #   7. the reach census over every library crate: each pub item is used
 #      by the program or kept on tools/reach.sh's keep-list
 #   8. the hetbench smoke in both modes, its count gates, and the
@@ -38,10 +39,17 @@ echo "== fused farm matrix + lost-wakeup stress (release, serial, under a deadli
 # Every output arity x ordering x queue shape x burst length against the
 # sequential model, the thread census (source + N workers, nothing else),
 # the one-slot-ring wakeup stress and the disconnect races, plus the
-# channel's own unit tests. A deadlock or a lost wakeup shows as a hang,
-# so the deadline turns it into a failure (exit 124).
+# channel's own unit tests. Then tbbx's pool, latch, pipeline and deque
+# tests, and the shared ring and parker they and fastflow sit on
+# (telemetry::sync): tbbx's idle workers, latches and pipelines park
+# on the shared Signal with no timed wait, so a lost wakeup there hangs
+# too. A deadlock or a lost wakeup shows as a hang, so the deadline
+# turns it into a failure (exit 124).
 timeout 900 cargo test --release --offline -p fastflow \
     --lib --test farm_fused --test farm_threads --test wakeup -- --test-threads=1
+timeout 900 cargo test --release --offline -p tbbx \
+    --lib --test deque_stress --test pipeline_props -- --test-threads=1
+timeout 900 cargo test --release --offline -p telemetry --lib sync:: -- --test-threads=1
 
 echo "== reach census (every pub item is used by the program or kept) =="
 tools/reach.sh | awk '/ (nothing|tests only|stale keep)$/ { print "FAIL: " $0; bad = 1 } END { exit bad }'

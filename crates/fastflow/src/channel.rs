@@ -11,8 +11,10 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use telemetry::sync::Signal;
+
 use crate::spsc::{self, Consumer, Producer};
-use crate::wait::{Signal, WaitStrategy};
+use crate::wait::WaitStrategy;
 
 /// Error returned by [`Sender::send`] when the receiver is gone.
 #[derive(Debug, PartialEq, Eq)]
@@ -319,41 +321,48 @@ impl<T: Send> Iterator for RecvIter<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::within_deadline;
     use std::thread;
 
     #[test]
     fn send_recv_in_order_across_threads() {
-        const N: u64 = 20_000;
-        let (tx, rx) = channel::<u64>(16, WaitStrategy::Block);
-        let producer = thread::spawn(move || {
-            for i in 0..N {
-                tx.send(i).unwrap();
+        within_deadline(|| {
+            const N: u64 = 20_000;
+            let (tx, rx) = channel::<u64>(16, WaitStrategy::Block);
+            let producer = thread::spawn(move || {
+                for i in 0..N {
+                    tx.send(i).unwrap();
+                }
+            });
+            let mut expected = 0;
+            while let Some(v) = rx.recv() {
+                assert_eq!(v, expected);
+                expected += 1;
             }
+            assert_eq!(expected, N);
+            producer.join().unwrap();
         });
-        let mut expected = 0;
-        while let Some(v) = rx.recv() {
-            assert_eq!(v, expected);
-            expected += 1;
-        }
-        assert_eq!(expected, N);
-        producer.join().unwrap();
     }
 
     #[test]
     fn recv_returns_none_after_sender_drop() {
-        let (tx, rx) = channel::<u32>(4, WaitStrategy::Block);
-        tx.send(7).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv(), Some(7));
-        assert_eq!(rx.recv(), None);
-        assert!(rx.is_eos());
+        within_deadline(|| {
+            let (tx, rx) = channel::<u32>(4, WaitStrategy::Block);
+            tx.send(7).unwrap();
+            drop(tx);
+            assert_eq!(rx.recv(), Some(7));
+            assert_eq!(rx.recv(), None);
+            assert!(rx.is_eos());
+        });
     }
 
     #[test]
     fn send_fails_after_receiver_drop() {
-        let (tx, rx) = channel::<u32>(2, WaitStrategy::Block);
-        drop(rx);
-        assert_eq!(tx.send(5), Err(SendError(5)));
+        within_deadline(|| {
+            let (tx, rx) = channel::<u32>(2, WaitStrategy::Block);
+            drop(rx);
+            assert_eq!(tx.send(5), Err(SendError(5)));
+        });
     }
 
     #[test]
@@ -367,85 +376,97 @@ mod tests {
 
     #[test]
     fn blocked_sender_wakes_when_receiver_drains() {
-        let (tx, rx) = channel::<u32>(1, WaitStrategy::Block);
-        tx.send(1).unwrap();
-        let sender = thread::spawn(move || tx.send(2).unwrap());
-        // Give the sender a chance to park.
-        thread::sleep(std::time::Duration::from_millis(10));
-        assert_eq!(rx.recv(), Some(1));
-        assert_eq!(rx.recv(), Some(2));
-        sender.join().unwrap();
+        within_deadline(|| {
+            let (tx, rx) = channel::<u32>(1, WaitStrategy::Block);
+            tx.send(1).unwrap();
+            let sender = thread::spawn(move || tx.send(2).unwrap());
+            // Give the sender a chance to park.
+            thread::sleep(std::time::Duration::from_millis(10));
+            assert_eq!(rx.recv(), Some(1));
+            assert_eq!(rx.recv(), Some(2));
+            sender.join().unwrap();
+        });
     }
 
     #[test]
     fn blocked_sender_wakes_on_receiver_drop() {
-        let (tx, rx) = channel::<u32>(1, WaitStrategy::Block);
-        tx.send(1).unwrap();
-        let sender = thread::spawn(move || {
-            assert_eq!(tx.send(2), Err(SendError(2)));
+        within_deadline(|| {
+            let (tx, rx) = channel::<u32>(1, WaitStrategy::Block);
+            tx.send(1).unwrap();
+            let sender = thread::spawn(move || {
+                assert_eq!(tx.send(2), Err(SendError(2)));
+            });
+            thread::sleep(std::time::Duration::from_millis(10));
+            drop(rx);
+            sender.join().unwrap();
         });
-        thread::sleep(std::time::Duration::from_millis(10));
-        drop(rx);
-        sender.join().unwrap();
     }
 
     #[test]
     fn iterator_drains_until_eos() {
-        let (tx, rx) = channel::<u32>(8, WaitStrategy::Block);
-        for i in 0..5 {
-            tx.send(i).unwrap();
-        }
-        drop(tx);
-        let collected: Vec<u32> = rx.into_iter().collect();
-        assert_eq!(collected, vec![0, 1, 2, 3, 4]);
+        within_deadline(|| {
+            let (tx, rx) = channel::<u32>(8, WaitStrategy::Block);
+            for i in 0..5 {
+                tx.send(i).unwrap();
+            }
+            drop(tx);
+            let collected: Vec<u32> = rx.into_iter().collect();
+            assert_eq!(collected, vec![0, 1, 2, 3, 4]);
+        });
     }
 
     #[test]
     fn send_batch_recv_batch_roundtrip_across_threads() {
-        const N: u64 = 50_000;
-        let (tx, rx) = channel::<u64>(32, WaitStrategy::Block);
-        let producer = thread::spawn(move || {
-            let mut next = 0u64;
-            while next < N {
-                let hi = (next + 13).min(N);
-                assert_eq!(tx.send_batch(next..hi), Ok((hi - next) as usize));
-                next = hi;
+        within_deadline(|| {
+            const N: u64 = 50_000;
+            let (tx, rx) = channel::<u64>(32, WaitStrategy::Block);
+            let producer = thread::spawn(move || {
+                let mut next = 0u64;
+                while next < N {
+                    let hi = (next + 13).min(N);
+                    assert_eq!(tx.send_batch(next..hi), Ok((hi - next) as usize));
+                    next = hi;
+                }
+            });
+            let mut expected = 0u64;
+            let mut buf = Vec::new();
+            loop {
+                let n = rx.recv_batch(&mut buf, 29);
+                if n == 0 {
+                    break;
+                }
+                for v in buf.drain(..) {
+                    assert_eq!(v, expected);
+                    expected += 1;
+                }
             }
+            assert_eq!(expected, N);
+            producer.join().unwrap();
         });
-        let mut expected = 0u64;
-        let mut buf = Vec::new();
-        loop {
-            let n = rx.recv_batch(&mut buf, 29);
-            if n == 0 {
-                break;
-            }
-            for v in buf.drain(..) {
-                assert_eq!(v, expected);
-                expected += 1;
-            }
-        }
-        assert_eq!(expected, N);
-        producer.join().unwrap();
     }
 
     #[test]
     fn send_batch_reports_disconnect_with_delivered_count() {
-        let (tx, rx) = channel::<u32>(4, WaitStrategy::Block);
-        drop(rx);
-        assert_eq!(tx.send_batch(0..10), Err(SendError(0)));
+        within_deadline(|| {
+            let (tx, rx) = channel::<u32>(4, WaitStrategy::Block);
+            drop(rx);
+            assert_eq!(tx.send_batch(0..10), Err(SendError(0)));
+        });
     }
 
     #[test]
     fn recv_batch_returns_zero_at_eos_after_draining() {
-        let (tx, rx) = channel::<u32>(8, WaitStrategy::Block);
-        assert_eq!(tx.send_batch(0..5u32), Ok(5));
-        drop(tx);
-        let mut buf = Vec::new();
-        assert_eq!(rx.recv_batch(&mut buf, 3), 3);
-        assert_eq!(rx.recv_batch(&mut buf, 3), 2);
-        assert_eq!(rx.recv_batch(&mut buf, 3), 0);
-        assert!(rx.is_eos());
-        assert_eq!(buf, vec![0, 1, 2, 3, 4]);
+        within_deadline(|| {
+            let (tx, rx) = channel::<u32>(8, WaitStrategy::Block);
+            assert_eq!(tx.send_batch(0..5u32), Ok(5));
+            drop(tx);
+            let mut buf = Vec::new();
+            assert_eq!(rx.recv_batch(&mut buf, 3), 3);
+            assert_eq!(rx.recv_batch(&mut buf, 3), 2);
+            assert_eq!(rx.recv_batch(&mut buf, 3), 0);
+            assert!(rx.is_eos());
+            assert_eq!(buf, vec![0, 1, 2, 3, 4]);
+        });
     }
 
     #[test]
@@ -462,57 +483,61 @@ mod tests {
 
     #[test]
     fn batched_sender_wakes_blocked_receiver() {
-        let (tx, rx) = channel::<u32>(16, WaitStrategy::Block);
-        let consumer = thread::spawn(move || {
-            let mut buf = Vec::new();
-            let mut got = 0;
-            loop {
-                let n = rx.recv_batch(&mut buf, 16);
-                if n == 0 {
-                    break;
+        within_deadline(|| {
+            let (tx, rx) = channel::<u32>(16, WaitStrategy::Block);
+            let consumer = thread::spawn(move || {
+                let mut buf = Vec::new();
+                let mut got = 0;
+                loop {
+                    let n = rx.recv_batch(&mut buf, 16);
+                    if n == 0 {
+                        break;
+                    }
+                    got += n;
+                    buf.clear();
                 }
-                got += n;
-                buf.clear();
-            }
-            got
+                got
+            });
+            thread::sleep(std::time::Duration::from_millis(10));
+            tx.send_batch(0..40u32).unwrap();
+            drop(tx);
+            assert_eq!(consumer.join().unwrap(), 40);
         });
-        thread::sleep(std::time::Duration::from_millis(10));
-        tx.send_batch(0..40u32).unwrap();
-        drop(tx);
-        assert_eq!(consumer.join().unwrap(), 40);
     }
 
     #[test]
     fn shared_recv_signal_wakes_collector() {
-        // Two channels sharing one item signal; a consumer parks on both.
-        let sig = Arc::new(Signal::new());
-        let (tx_a, rx_a) = channel_with_recv_signal::<u32>(4, Arc::clone(&sig));
-        let (tx_b, rx_b) = channel_with_recv_signal::<u32>(4, Arc::clone(&sig));
-        let consumer = thread::spawn(move || {
-            let mut got = Vec::new();
-            let mut open = 2;
-            while open > 0 {
-                let mut progressed = false;
-                for rx in [&rx_a, &rx_b] {
-                    progressed |= rx.try_recv_batch(&mut got, usize::MAX) > 0;
-                }
-                if rx_a.is_eos() && rx_b.is_eos() {
-                    open = 0;
-                } else if !progressed {
-                    let e = sig.epoch();
-                    if rx_a.is_empty() && rx_b.is_empty() && !rx_a.is_eos() && !rx_b.is_eos() {
-                        sig.wait_if(e);
+        within_deadline(|| {
+            // Two channels sharing one item signal; a consumer parks on both.
+            let sig = Arc::new(Signal::new());
+            let (tx_a, rx_a) = channel_with_recv_signal::<u32>(4, Arc::clone(&sig));
+            let (tx_b, rx_b) = channel_with_recv_signal::<u32>(4, Arc::clone(&sig));
+            let consumer = thread::spawn(move || {
+                let mut got = Vec::new();
+                let mut open = 2;
+                while open > 0 {
+                    let mut progressed = false;
+                    for rx in [&rx_a, &rx_b] {
+                        progressed |= rx.try_recv_batch(&mut got, usize::MAX) > 0;
+                    }
+                    if rx_a.is_eos() && rx_b.is_eos() {
+                        open = 0;
+                    } else if !progressed {
+                        let e = sig.epoch();
+                        if rx_a.is_empty() && rx_b.is_empty() && !rx_a.is_eos() && !rx_b.is_eos() {
+                            sig.wait_if(e);
+                        }
                     }
                 }
-            }
-            got.sort_unstable();
-            got
+                got.sort_unstable();
+                got
+            });
+            thread::sleep(std::time::Duration::from_millis(5));
+            tx_a.send(1).unwrap();
+            tx_b.send(2).unwrap();
+            drop(tx_a);
+            drop(tx_b);
+            assert_eq!(consumer.join().unwrap(), vec![1, 2]);
         });
-        thread::sleep(std::time::Duration::from_millis(5));
-        tx_a.send(1).unwrap();
-        tx_b.send(2).unwrap();
-        drop(tx_a);
-        drop(tx_b);
-        assert_eq!(consumer.join().unwrap(), vec![1, 2]);
     }
 }

@@ -12,13 +12,13 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
+use telemetry::sync::Signal;
 use telemetry::{Recorder, StageHandle};
 
 use crate::channel::{channel_with_recv_signal, channel_with_send_signal, Receiver, Sender};
 use crate::node::{Emitter, Node};
 use crate::pipeline::{send_batch_accounted, traced_recv_batch, PipeConfig};
 use crate::stamp::Stamped;
-use crate::wait::Signal;
 
 /// Shared queue configuration for farm internals. An unrouted farm deals
 /// items to its workers round-robin (FastFlow's default policy).
@@ -470,6 +470,7 @@ impl<T: Send> FanIn<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::within_deadline;
     use crate::node;
 
     /// Drive a farm's two endpoints by hand: a feeder thread pushes
@@ -518,110 +519,124 @@ mod tests {
 
     #[test]
     fn unordered_farm_processes_everything() {
-        let cfg = FarmConfig::default();
-        let mut got = feed((0..500).collect(), cfg, 4);
-        got.sort_unstable();
-        let expected: Vec<u64> = (0..500).map(|x| x * 10).collect();
-        assert_eq!(got, expected);
+        within_deadline(|| {
+            let cfg = FarmConfig::default();
+            let mut got = feed((0..500).collect(), cfg, 4);
+            got.sort_unstable();
+            let expected: Vec<u64> = (0..500).map(|x| x * 10).collect();
+            assert_eq!(got, expected);
+        });
     }
 
     #[test]
     fn ordered_farm_preserves_input_order() {
-        let got = feed((0..500).collect(), ordered(), 4);
-        let expected: Vec<u64> = (0..500).map(|x| x * 10).collect();
-        assert_eq!(got, expected);
+        within_deadline(|| {
+            let got = feed((0..500).collect(), ordered(), 4);
+            let expected: Vec<u64> = (0..500).map(|x| x * 10).collect();
+            assert_eq!(got, expected);
+        });
     }
 
     #[test]
     fn single_replica_farm_is_a_pipeline_stage() {
-        let got = feed(vec![5, 6, 7], ordered(), 1);
-        assert_eq!(got, vec![50, 60, 70]);
+        within_deadline(|| {
+            let got = feed(vec![5, 6, 7], ordered(), 1);
+            assert_eq!(got, vec![50, 60, 70]);
+        });
     }
 
     #[test]
     fn eos_flush_outputs_arrive_after_stream() {
-        struct Counting {
-            seen: u64,
-        }
-        impl Node for Counting {
-            type In = u64;
-            type Out = u64;
-            fn svc(&mut self, input: u64, out: &mut Emitter<'_, u64>) {
-                self.seen += 1;
-                out.send(input);
+        within_deadline(|| {
+            struct Counting {
+                seen: u64,
             }
-            fn on_eos(&mut self, out: &mut Emitter<'_, u64>) {
-                out.send(1_000_000 + self.seen);
+            impl Node for Counting {
+                type In = u64;
+                type Out = u64;
+                fn svc(&mut self, input: u64, out: &mut Emitter<'_, u64>) {
+                    self.seen += 1;
+                    out.send(input);
+                }
+                fn on_eos(&mut self, out: &mut Emitter<'_, u64>) {
+                    out.send(1_000_000 + self.seen);
+                }
             }
-        }
-        let got = run(
-            (0..10).collect(),
-            2,
-            |_| Counting { seen: 0 },
-            ordered(),
-            None,
-        );
-        // First 10 items in order, then 2 per-worker flush totals (5 each).
-        assert_eq!(&got[..10], &(0..10).collect::<Vec<u64>>()[..]);
-        let mut tails: Vec<u64> = got[10..].to_vec();
-        tails.sort_unstable();
-        assert_eq!(tails, vec![1_000_005, 1_000_005]);
+            let got = run(
+                (0..10).collect(),
+                2,
+                |_| Counting { seen: 0 },
+                ordered(),
+                None,
+            );
+            // First 10 items in order, then 2 per-worker flush totals (5 each).
+            assert_eq!(&got[..10], &(0..10).collect::<Vec<u64>>()[..]);
+            let mut tails: Vec<u64> = got[10..].to_vec();
+            tails.sort_unstable();
+            assert_eq!(tails, vec![1_000_005, 1_000_005]);
+        });
     }
 
     #[test]
     fn multi_output_nodes_keep_group_order_when_ordered() {
-        let factory = |_| node::flat_map(|x: u64| vec![x * 2, x * 2 + 1]);
-        let got = run((0..20).collect(), 3, factory, ordered(), None);
-        assert_eq!(got, (0..40).collect::<Vec<u64>>());
+        within_deadline(|| {
+            let factory = |_| node::flat_map(|x: u64| vec![x * 2, x * 2 + 1]);
+            let got = run((0..20).collect(), 3, factory, ordered(), None);
+            assert_eq!(got, (0..40).collect::<Vec<u64>>());
+        });
     }
 
     #[test]
     fn routed_farm_honors_the_router_and_keeps_order() {
-        struct Tagged {
-            replica: u64,
-        }
-        impl Node for Tagged {
-            type In = u64;
-            type Out = (u64, u64);
-            fn svc(&mut self, input: u64, out: &mut Emitter<'_, (u64, u64)>) {
-                out.send((self.replica, input));
+        within_deadline(|| {
+            struct Tagged {
+                replica: u64,
             }
-        }
-        let factory = |idx| Tagged {
-            replica: idx as u64,
-        };
-        let router: Router<u64> = Box::new(|_seq, item: &u64| (*item % 3) as usize);
-        let got = run((0..200).collect(), 3, factory, ordered(), Some(router));
-        // Every item ran on the replica the router named, and the
-        // ordered merge restored stream order.
-        assert_eq!(got.len(), 200);
-        for (i, (replica, item)) in got.iter().enumerate() {
-            assert_eq!(*item, i as u64);
-            assert_eq!(*replica, item % 3, "item {item} ran on replica {replica}");
-        }
+            impl Node for Tagged {
+                type In = u64;
+                type Out = (u64, u64);
+                fn svc(&mut self, input: u64, out: &mut Emitter<'_, (u64, u64)>) {
+                    out.send((self.replica, input));
+                }
+            }
+            let factory = |idx| Tagged {
+                replica: idx as u64,
+            };
+            let router: Router<u64> = Box::new(|_seq, item: &u64| (*item % 3) as usize);
+            let got = run((0..200).collect(), 3, factory, ordered(), Some(router));
+            // Every item ran on the replica the router named, and the
+            // ordered merge restored stream order.
+            assert_eq!(got.len(), 200);
+            for (i, (replica, item)) in got.iter().enumerate() {
+                assert_eq!(*item, i as u64);
+                assert_eq!(*replica, item % 3, "item {item} ran on replica {replica}");
+            }
+        });
     }
 
     #[test]
     fn single_item_recv_hands_out_multi_output_messages_one_by_one() {
-        let factory = |_| node::flat_map(|x: u64| vec![x; x as usize]);
-        let mut handles = Vec::new();
-        let rec = Recorder::default();
-        let (mut fan_out, mut fan_in) =
-            spawn_workers(2, factory, ordered(), None, &rec, "farm", &mut handles);
-        let stage = StageHandle::noop();
-        for v in 0..4 {
-            assert!(fan_out.push(Stamped::bare(v), &stage));
-        }
-        assert!(fan_out.flush(&stage));
-        drop(fan_out);
-        let got: Vec<u64> = std::iter::from_fn(|| fan_in.recv())
-            .map(|s| s.item)
-            .collect();
-        assert_eq!(got, vec![1, 2, 2, 3, 3, 3]);
-        assert!(fan_in.recv().is_none());
-        for h in handles {
-            h.join().unwrap();
-        }
+        within_deadline(|| {
+            let factory = |_| node::flat_map(|x: u64| vec![x; x as usize]);
+            let mut handles = Vec::new();
+            let rec = Recorder::default();
+            let (mut fan_out, mut fan_in) =
+                spawn_workers(2, factory, ordered(), None, &rec, "farm", &mut handles);
+            let stage = StageHandle::noop();
+            for v in 0..4 {
+                assert!(fan_out.push(Stamped::bare(v), &stage));
+            }
+            assert!(fan_out.flush(&stage));
+            drop(fan_out);
+            let got: Vec<u64> = std::iter::from_fn(|| fan_in.recv())
+                .map(|s| s.item)
+                .collect();
+            assert_eq!(got, vec![1, 2, 2, 3, 3, 3]);
+            assert!(fan_in.recv().is_none());
+            for h in handles {
+                h.join().unwrap();
+            }
+        });
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! Layering, bottom-up:
 //!
 //! * [`spsc`] — bounded lock-free single-producer/single-consumer ring;
-//! * [`wait`] — the spin-then-park wait and its [`Signal`];
+//! * [`wait`] — the one [`WaitStrategy`]: spin, yield, then park on a
+//!   [`telemetry::sync::Signal`] (the parker `tbbx` shares);
 //! * [`mod@channel`] — SPSC ring + blocking wait + end-of-stream propagation;
 //! * [`node`] — the [`Node`] processing abstraction (`ff_node` analogue);
 //! * [`farm`] — replicated workers between a fan-out and an (ordered) fan-in
@@ -48,4 +49,8 @@ pub use node::{Emitter, Node};
 pub use pipeline::{PipeConfig, Pipeline, PipelineBuilder, PipelineStart, PipelineThreads};
 pub use pool::{recycler, BufPool, PooledBuf, Recycler, SlabRegistrar};
 pub use stamp::Stamped;
-pub use wait::{Signal, WaitStrategy};
+pub use wait::WaitStrategy;
+
+#[cfg(test)]
+#[path = "../../telemetry/src/deadline.rs"]
+mod deadline;

@@ -514,115 +514,132 @@ fn join_all(handles: Vec<JoinHandle<()>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::within_deadline;
     use crate::node;
 
     #[test]
     fn three_stage_pipeline_preserves_order() {
-        let out = Pipeline::builder()
-            .from_iter(0..100u64)
-            .map(|x| x + 1)
-            .map(|x| x * 2)
-            .collect();
-        assert_eq!(out, (0..100).map(|x| (x + 1) * 2).collect::<Vec<u64>>());
+        within_deadline(|| {
+            let out = Pipeline::builder()
+                .from_iter(0..100u64)
+                .map(|x| x + 1)
+                .map(|x| x * 2)
+                .collect();
+            assert_eq!(out, (0..100).map(|x| (x + 1) * 2).collect::<Vec<u64>>());
+        });
     }
 
     #[test]
     fn source_closure_and_for_each() {
-        let mut sum = 0u64;
-        Pipeline::builder()
-            .source(|em| {
-                for i in 1..=10u64 {
-                    em.send(i);
-                }
-            })
-            .map(|x| x * x)
-            .for_each(|x| sum += x);
-        assert_eq!(sum, 385);
+        within_deadline(|| {
+            let mut sum = 0u64;
+            Pipeline::builder()
+                .source(|em| {
+                    for i in 1..=10u64 {
+                        em.send(i);
+                    }
+                })
+                .map(|x| x * x)
+                .for_each(|x| sum += x);
+            assert_eq!(sum, 385);
+        });
     }
 
     #[test]
     fn farm_stage_unordered_is_complete() {
-        let mut out = Pipeline::builder()
-            .from_iter(0..200u32)
-            .farm(4, |_| node::map(|x: u32| x ^ 1))
-            .collect();
-        out.sort_unstable();
-        let mut expected: Vec<u32> = (0..200).map(|x| x ^ 1).collect();
-        expected.sort_unstable();
-        assert_eq!(out, expected);
+        within_deadline(|| {
+            let mut out = Pipeline::builder()
+                .from_iter(0..200u32)
+                .farm(4, |_| node::map(|x: u32| x ^ 1))
+                .collect();
+            out.sort_unstable();
+            let mut expected: Vec<u32> = (0..200).map(|x| x ^ 1).collect();
+            expected.sort_unstable();
+            assert_eq!(out, expected);
+        });
     }
 
     #[test]
     fn farm_stage_ordered_matches_sequential() {
-        let out = Pipeline::builder()
-            .capacity(8)
-            .from_iter(0..200u32)
-            .farm_ordered(5, |_| node::map(|x: u32| x * 3))
-            .collect();
-        assert_eq!(out, (0..200).map(|x| x * 3).collect::<Vec<u32>>());
+        within_deadline(|| {
+            let out = Pipeline::builder()
+                .capacity(8)
+                .from_iter(0..200u32)
+                .farm_ordered(5, |_| node::map(|x: u32| x * 3))
+                .collect();
+            assert_eq!(out, (0..200).map(|x| x * 3).collect::<Vec<u32>>());
+        });
     }
 
     #[test]
     fn pipeline_with_farm_then_stage() {
-        let out = Pipeline::builder()
-            .from_iter(1..=50u64)
-            .farm_ordered(3, |_| node::map(|x: u64| x * 2))
-            .map(|x| x + 1)
-            .collect();
-        assert_eq!(out, (1..=50).map(|x| x * 2 + 1).collect::<Vec<u64>>());
+        within_deadline(|| {
+            let out = Pipeline::builder()
+                .from_iter(1..=50u64)
+                .farm_ordered(3, |_| node::map(|x: u64| x * 2))
+                .map(|x| x + 1)
+                .collect();
+            assert_eq!(out, (1..=50).map(|x| x * 2 + 1).collect::<Vec<u64>>());
+        });
     }
 
     #[test]
     fn stateful_filter_stage() {
-        // Deduplicate consecutive equal items — a stateful sequential stage.
-        struct Dedup {
-            last: Option<u32>,
-        }
-        impl Node for Dedup {
-            type In = u32;
-            type Out = u32;
-            fn svc(&mut self, input: u32, out: &mut Emitter<'_, u32>) {
-                if self.last != Some(input) {
-                    self.last = Some(input);
-                    out.send(input);
+        within_deadline(|| {
+            // Deduplicate consecutive equal items — a stateful sequential stage.
+            struct Dedup {
+                last: Option<u32>,
+            }
+            impl Node for Dedup {
+                type In = u32;
+                type Out = u32;
+                fn svc(&mut self, input: u32, out: &mut Emitter<'_, u32>) {
+                    if self.last != Some(input) {
+                        self.last = Some(input);
+                        out.send(input);
+                    }
                 }
             }
-        }
-        let out = Pipeline::builder()
-            .from_iter(vec![1u32, 1, 2, 2, 2, 3, 1])
-            .node(Dedup { last: None })
-            .collect();
-        assert_eq!(out, vec![1, 2, 3, 1]);
+            let out = Pipeline::builder()
+                .from_iter(vec![1u32, 1, 2, 2, 2, 3, 1])
+                .node(Dedup { last: None })
+                .collect();
+            assert_eq!(out, vec![1, 2, 3, 1]);
+        });
     }
 
     #[test]
     fn early_sink_drop_stops_the_stream() {
-        // Receiver dropped after 5 items; upstream must terminate cleanly.
-        let (mut rx, threads) = Pipeline::builder()
-            .capacity(2)
-            .from_iter(0..1_000_000u64)
-            .map(|x| x)
-            .into_receiver();
-        let mut got = Vec::new();
-        for _ in 0..5 {
-            got.push(rx.recv().unwrap().item);
-        }
-        drop(rx);
-        threads.join(); // must not hang
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        within_deadline(|| {
+            // Receiver dropped after 5 items; upstream must terminate cleanly.
+            let (mut rx, threads) = Pipeline::builder()
+                .capacity(2)
+                .from_iter(0..1_000_000u64)
+                .map(|x| x)
+                .into_receiver();
+            let mut got = Vec::new();
+            for _ in 0..5 {
+                got.push(rx.recv().unwrap().item);
+            }
+            drop(rx);
+            threads.join(); // must not hang
+            assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        });
     }
 
     #[test]
     #[should_panic(expected = "boom")]
     fn stage_panic_propagates() {
-        Pipeline::builder()
-            .from_iter(0..10u32)
-            .map(|x| {
-                if x == 5 {
-                    panic!("boom");
-                }
-                x
-            })
-            .for_each(|_| {});
+        within_deadline(|| {
+            Pipeline::builder()
+                .from_iter(0..10u32)
+                .map(|x| {
+                    if x == 5 {
+                        panic!("boom");
+                    }
+                    x
+                })
+                .for_each(|_| {});
+        });
     }
 }

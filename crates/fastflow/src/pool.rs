@@ -23,129 +23,16 @@
 //! [`telemetry::Counters<Pool>`](telemetry::Counters) so a run's report shows whether the steady
 //! state actually recycles (hit rate ≈ 1 after warmup).
 //!
-//! The rings are bounded Vyukov-style MPMC queues (sequence number per
-//! slot, CAS on the head/tail tickets — the same design as `tbbx`'s task
-//! injector). Bounded is a feature: a full class sheds the returned buffer
-//! to the allocator instead of growing, so the pool's footprint is capped
-//! at `classes × per_class × class_size`.
+//! The rings are [`telemetry::sync::MpmcRing`]s, the bounded Vyukov MPMC
+//! queue `tbbx`'s task injector is too. Bounded is a feature: a full class
+//! sheds the returned buffer to the allocator instead of growing, so the
+//! pool's footprint is capped at `classes × per_class × class_size`.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use telemetry::sync::MpmcRing;
 use telemetry::{Counters, Pool, PoolStats};
-
-/// One slot of the MPMC ring: a sequence ticket plus uninitialised value
-/// storage. See Vyukov's bounded MPMC queue: a slot whose sequence equals
-/// the push ticket is writable; one past the pop ticket is readable.
-struct Slot<T> {
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-/// Bounded lock-free multi-producer/multi-consumer ring.
-struct MpmcRing<T> {
-    mask: usize,
-    slots: Box<[Slot<T>]>,
-    /// Push ticket counter.
-    tail: AtomicUsize,
-    /// Pop ticket counter.
-    head: AtomicUsize,
-}
-
-// SAFETY: slots hand values across threads by value; the sequence protocol
-// ensures exactly one thread reads or writes a slot at a time.
-unsafe impl<T: Send> Send for MpmcRing<T> {}
-unsafe impl<T: Send> Sync for MpmcRing<T> {}
-
-impl<T> MpmcRing<T> {
-    fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        MpmcRing {
-            mask: cap - 1,
-            slots,
-            tail: AtomicUsize::new(0),
-            head: AtomicUsize::new(0),
-        }
-    }
-
-    /// Push `value`, or hand it back if the ring is full.
-    fn try_push(&self, value: T) -> Result<(), T> {
-        let mut pos = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos as isize;
-            if diff == 0 {
-                match self.tail.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the ticket CAS gives us exclusive
-                        // write access until we publish seq below.
-                        unsafe { (*slot.value.get()).write(value) };
-                        slot.seq.store(pos + 1, Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(now) => pos = now,
-                }
-            } else if diff < 0 {
-                return Err(value); // full
-            } else {
-                pos = self.tail.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Pop one value, or `None` when empty.
-    fn try_pop(&self) -> Option<T> {
-        let mut pos = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - (pos + 1) as isize;
-            if diff == 0 {
-                match self.head.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the ticket CAS gives us exclusive
-                        // read access; the slot was published by a push.
-                        let value = unsafe { (*slot.value.get()).assume_init_read() };
-                        slot.seq.store(pos + self.mask + 1, Ordering::Release);
-                        return Some(value);
-                    }
-                    Err(now) => pos = now,
-                }
-            } else if diff < 0 {
-                return None; // empty
-            } else {
-                pos = self.head.load(Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-impl<T> Drop for MpmcRing<T> {
-    fn drop(&mut self) {
-        while self.try_pop().is_some() {}
-    }
-}
 
 /// Number of size classes: class `c` holds vectors of capacity `2^c`
 /// elements, so 33 classes cover every length a `usize` index can reach.
@@ -423,6 +310,7 @@ impl<T: Send + 'static> Recycler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn acquire_zeroes_and_sizes_exactly() {
@@ -566,58 +454,5 @@ mod tests {
             r.give(i);
         }
         assert!(r.counters.snapshot().shed >= 1);
-    }
-
-    #[test]
-    fn mpmc_ring_transfers_everything_once() {
-        let ring = Arc::new(MpmcRing::<usize>::new(64));
-        let n_threads = 4;
-        let per_thread = 10_000;
-        let popped = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for t in 0..n_threads {
-            let ring = Arc::clone(&ring);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..per_thread {
-                    let mut v = t * per_thread + i;
-                    loop {
-                        match ring.try_push(v) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                v = back;
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-            }));
-        }
-        let total = n_threads * per_thread;
-        let pop_count = Arc::new(AtomicUsize::new(0));
-        for _ in 0..n_threads {
-            let ring = Arc::clone(&ring);
-            let popped = Arc::clone(&popped);
-            let pop_count = Arc::clone(&pop_count);
-            handles.push(std::thread::spawn(move || {
-                let mut got = Vec::new();
-                while pop_count.load(Ordering::Relaxed) < total {
-                    match ring.try_pop() {
-                        Some(v) => {
-                            got.push(v);
-                            pop_count.fetch_add(1, Ordering::Relaxed);
-                        }
-                        None => std::thread::yield_now(),
-                    }
-                }
-                popped.lock().unwrap().push(got);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut all: Vec<usize> = popped.lock().unwrap().concat();
-        all.sort_unstable();
-        // Every pushed value must come out exactly once.
-        assert_eq!(all, (0..total).collect::<Vec<_>>());
     }
 }

@@ -23,9 +23,7 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Pads and aligns a value to a cache line to prevent false sharing.
-#[repr(align(128))]
-struct CachePadded<T>(T);
+use telemetry::sync::CachePadded;
 
 struct Ring<T> {
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
@@ -267,6 +265,7 @@ impl<T> Consumer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::within_deadline;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
@@ -344,34 +343,36 @@ mod tests {
 
     #[test]
     fn cross_thread_transfers_everything_in_order() {
-        const N: usize = 100_000;
-        let (p, c) = ring::<usize>(64);
-        let producer = thread::spawn(move || {
-            for i in 0..N {
-                let mut v = i;
-                loop {
-                    match p.try_push(v) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            v = back;
-                            thread::yield_now();
+        within_deadline(|| {
+            const N: usize = 100_000;
+            let (p, c) = ring::<usize>(64);
+            let producer = thread::spawn(move || {
+                for i in 0..N {
+                    let mut v = i;
+                    loop {
+                        match p.try_push(v) {
+                            Ok(()) => break,
+                            Err(back) => {
+                                v = back;
+                                thread::yield_now();
+                            }
                         }
                     }
                 }
-            }
-        });
-        let mut expected = 0;
-        while expected < N {
-            match c.try_pop() {
-                Some(v) => {
-                    assert_eq!(v, expected);
-                    expected += 1;
+            });
+            let mut expected = 0;
+            while expected < N {
+                match c.try_pop() {
+                    Some(v) => {
+                        assert_eq!(v, expected);
+                        expected += 1;
+                    }
+                    None => thread::yield_now(),
                 }
-                None => thread::yield_now(),
             }
-        }
-        producer.join().unwrap();
-        assert!(c.try_pop().is_none());
+            producer.join().unwrap();
+            assert!(c.try_pop().is_none());
+        });
     }
 
     #[test]
@@ -482,31 +483,33 @@ mod tests {
 
     #[test]
     fn cross_thread_batched_transfer_is_lossless_and_ordered() {
-        const N: usize = 200_000;
-        let (p, c) = ring::<usize>(64);
-        let producer = thread::spawn(move || {
-            let mut src = 0..N;
-            let mut sent = 0;
-            while sent < N {
-                let pushed = p.try_push_n(&mut src, 17);
-                if pushed == 0 {
+        within_deadline(|| {
+            const N: usize = 200_000;
+            let (p, c) = ring::<usize>(64);
+            let producer = thread::spawn(move || {
+                let mut src = 0..N;
+                let mut sent = 0;
+                while sent < N {
+                    let pushed = p.try_push_n(&mut src, 17);
+                    if pushed == 0 {
+                        thread::yield_now();
+                    }
+                    sent += pushed;
+                }
+            });
+            let mut expected = 0;
+            let mut out = Vec::new();
+            while expected < N {
+                if c.try_pop_n(&mut out, 23) == 0 {
                     thread::yield_now();
                 }
-                sent += pushed;
+                for v in out.drain(..) {
+                    assert_eq!(v, expected);
+                    expected += 1;
+                }
             }
+            producer.join().unwrap();
+            assert!(c.try_pop().is_none());
         });
-        let mut expected = 0;
-        let mut out = Vec::new();
-        while expected < N {
-            if c.try_pop_n(&mut out, 23) == 0 {
-                thread::yield_now();
-            }
-            for v in out.drain(..) {
-                assert_eq!(v, expected);
-                expected += 1;
-            }
-        }
-        producer.join().unwrap();
-        assert!(c.try_pop().is_none());
     }
 }

@@ -1,47 +1,33 @@
-//! Lost-wakeup stress for [`fastflow::Signal`]'s parked-waiter fast path:
-//! one-slot rings make every send and every receive depend on the peer's
-//! notification, so a notify that skips a waiter it should have seen
-//! leaves both sides asleep. A hang is the failure; each case runs under a
-//! deadline so it fails instead.
+//! Lost-wakeup stress for [`telemetry::sync::Signal`]'s parked-waiter fast
+//! path, as the channels use it: one-slot rings make every send and every
+//! receive depend on the peer's notification, so a notify that skips a
+//! waiter it should have seen leaves both sides asleep. A hang is the
+//! failure; each case runs under the shared test deadline so it fails
+//! instead.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use fastflow::channel::{channel, channel_with_recv_signal};
-use fastflow::{node, Pipeline, SendError, Signal, WaitStrategy};
+use fastflow::{node, Pipeline, SendError, WaitStrategy};
+use telemetry::sync::Signal;
+
+#[path = "../../telemetry/src/deadline.rs"]
+mod deadline;
+use deadline::within_deadline;
 
 const ITEMS: u64 = 1_000_000;
-const DEADLINE: Duration = Duration::from_secs(120);
 /// Receiver-drop rounds: round `r` yields `r % 97` times before the drop,
 /// sweeping it across the blocked sender's spin → yield → park escalation.
 const DISCONNECT_ROUNDS: usize = 2_000;
 /// Farm rounds, each killing one worker while the feeder waits on it.
 const FARM_PANIC_ROUNDS: usize = 300;
 
-/// Run `case` on its own thread; panic if it has not finished by the
-/// deadline (the wedged threads are leaked — the process is failing anyway).
-fn within_deadline(what: &str, case: impl FnOnce() + Send + 'static) {
-    let (done_tx, done_rx) = mpsc::channel();
-    let runner = thread::spawn(move || {
-        case();
-        let _ = done_tx.send(());
-    });
-    match done_rx.recv_timeout(DEADLINE) {
-        Ok(()) => runner.join().expect("case thread"),
-        // The sender is dropped without a send only when the case panicked.
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(runner.join().expect_err("case panicked"))
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what}: no progress — lost wakeup"),
-    }
-}
-
 #[test]
 fn one_slot_channel_delivers_a_million_items_under_every_strategy() {
-    within_deadline("one-slot channel", || {
+    within_deadline(|| {
         let (tx, rx) = channel::<u64>(1, WaitStrategy::Block);
         let producer = thread::spawn(move || {
             for i in 0..ITEMS {
@@ -64,7 +50,7 @@ fn one_slot_channel_delivers_a_million_items_under_every_strategy() {
 #[test]
 fn shared_collector_signal_loses_no_wakeup() {
     const PRODUCERS: u64 = 3;
-    within_deadline("shared signal", || {
+    within_deadline(|| {
         let signal = Arc::new(Signal::new());
         let mut rxs = Vec::new();
         let mut producers = Vec::new();
@@ -106,7 +92,7 @@ fn shared_collector_signal_loses_no_wakeup() {
 /// the sender re-parks with nobody left to wake it.
 #[test]
 fn receiver_drop_wakes_a_sender_blocked_on_a_full_ring() {
-    within_deadline("receiver drop", || {
+    within_deadline(|| {
         for round in 0..DISCONNECT_ROUNDS {
             let (tx, rx) = channel::<usize>(1, WaitStrategy::Block);
             tx.send(round).expect("receiver alive");
@@ -126,7 +112,7 @@ fn receiver_drop_wakes_a_sender_blocked_on_a_full_ring() {
 /// must stop, the merge drain the survivor, and `collect` re-raise.
 #[test]
 fn farm_worker_panic_is_reraised_and_never_wedges_the_feeder() {
-    within_deadline("farm worker panic", || {
+    within_deadline(|| {
         for round in 0..FARM_PANIC_ROUNDS {
             let doomed = 17 + round as u64 % 13;
             let run = panic::catch_unwind(AssertUnwindSafe(|| {

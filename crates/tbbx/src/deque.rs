@@ -37,10 +37,7 @@ use std::ptr;
 use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Pad to 128 bytes so `bottom` and `top` never share a cache line (two
-/// 64-byte lines on x86 prefetch pairs).
-#[repr(align(128))]
-struct CachePadded<T>(T);
+use telemetry::sync::CachePadded;
 
 /// One fixed-capacity circular buffer generation.
 struct Buffer<T> {
@@ -67,6 +64,8 @@ impl<T> Buffer<T> {
     /// The caller must hold the owner side and `index` must be a free slot.
     #[inline]
     unsafe fn write(&self, index: isize, value: T) {
+        // SAFETY: the slot is in `self.slots`, alive for `&self`; no other
+        // thread touches a free slot before `bottom` publishes it.
         (*self.slot(index)).write(value);
     }
 
@@ -84,6 +83,8 @@ impl<T> Buffer<T> {
     /// covered, so the slot memory is allocated and owner-written.
     #[inline]
     unsafe fn read(&self, index: isize) -> MaybeUninit<T> {
+        // SAFETY: the slot is in `self.slots`, alive for `&self`; the copy
+        // stays a `MaybeUninit<T>`, so torn bytes are never a live `T`.
         ptr::read_volatile(self.slot(index))
     }
 }
@@ -99,7 +100,13 @@ struct Inner<T> {
     retired: Mutex<Vec<*mut Buffer<T>>>,
 }
 
+// SAFETY: `retired`'s raw pointers are buffers the deque owns and frees
+// only in `Drop`; sending it sends its `T`s, which `T: Send` allows.
 unsafe impl<T: Send> Send for Inner<T> {}
+// SAFETY: shared state is atomics, the `retired` mutex, and slots the
+// Chase–Lev protocol gives one side at a time: the owner writes only
+// outside `[top, bottom)`, a thief keeps a read only if its `top` CAS
+// wins. Values move between threads, never shared: `T: Send` suffices.
 unsafe impl<T: Send> Sync for Inner<T> {}
 
 impl<T> Drop for Inner<T> {
@@ -109,6 +116,9 @@ impl<T> Drop for Inner<T> {
         let b = self.bottom.0.load(Ordering::Relaxed);
         let t = self.top.0.load(Ordering::Relaxed);
         let buf = self.buffer.load(Ordering::Relaxed);
+        // SAFETY: `&mut self` is the sole reference; `[t, b)` holds the
+        // unclaimed items, each dropped once, and every buffer pointer came
+        // from `Box::into_raw` and is freed once.
         unsafe {
             for i in t..b {
                 // Sole reference: the unclaimed window is fully initialized.
@@ -130,6 +140,8 @@ pub struct Worker<T> {
     _not_sync: PhantomData<*mut ()>,
 }
 
+// SAFETY: the `*mut ()` marker only strips `Sync`; a moved owner handle
+// still leaves one thread on the owner side, and `Inner<T>` is `Send`.
 unsafe impl<T: Send> Send for Worker<T> {}
 
 /// Thief handle: FIFO steal from the top. Freely cloned and shared.
@@ -189,9 +201,13 @@ impl<T: Send> Worker<T> {
         let b = inner.bottom.0.load(Ordering::Relaxed);
         let t = inner.top.0.load(Ordering::Acquire);
         let mut buf = inner.buffer.load(Ordering::Relaxed);
+        // SAFETY: only the owner replaces `buffer`, and a replaced buffer
+        // is retired, not freed, while the deque lives.
         if b - t >= unsafe { (*buf).cap } as isize {
             buf = self.grow(b, t, buf);
         }
+        // SAFETY: we are the owner, and slot `b` lies past `[t, b)`, where
+        // thieves claim, inside the capacity checked above: it is free.
         unsafe { (*buf).write(b, value) };
         // Release: a thief that Acquire-loads the new `bottom` must see the
         // slot write above.
@@ -210,6 +226,8 @@ impl<T: Send> Worker<T> {
         fence(Ordering::SeqCst);
         let t = inner.top.0.load(Ordering::Relaxed);
         if t <= b {
+            // SAFETY: `t <= b`: slot `b` is published, in the current
+            // buffer, which only the owner replaces.
             let value = unsafe { (*buf).read(b) };
             if t == b {
                 // Single item left: race thieves for it via the `top` CAS.
@@ -226,7 +244,8 @@ impl<T: Send> Worker<T> {
                 }
                 inner.bottom.0.store(b + 1, Ordering::Relaxed);
             }
-            // Owner-exclusive (or CAS-won) claim: the bytes are a live `T`.
+            // SAFETY: owner-exclusive (`t < b`, past the fence) or CAS-won
+            // claim: nobody rewrote the slot; it holds the `T` push wrote.
             Some(unsafe { value.assume_init() })
         } else {
             // Already empty; undo the decrement.
@@ -253,6 +272,9 @@ impl<T: Send> Worker<T> {
     #[cold]
     fn grow(&self, b: isize, t: isize, old: *mut Buffer<T>) -> *mut Buffer<T> {
         let inner = &*self.inner;
+        // SAFETY: we own `old`'s initialized window `[t, b)`. The copy is
+        // bitwise: a thief still on `old` that claims an item moves `top`
+        // past its index, so the twin in `new` is never read as a `T`.
         let new = unsafe {
             let new = Box::into_raw(Box::new(Buffer::<T>::new((*old).cap * 2)));
             for i in t..b {
@@ -287,6 +309,8 @@ impl<T: Send> Stealer<T> {
         // stalled, the owner may be rewriting this slot one lap later, so
         // the bytes may be torn and must not be treated as a `T` yet.
         let buf = inner.buffer.load(Ordering::Acquire);
+        // SAFETY: `t < b`, so slot `t` was published; `buf` is alive, as
+        // buffers are retired, not freed, while our `Arc`'s deque lives.
         let value = unsafe { (*buf).read(t) };
         if inner
             .top
@@ -298,7 +322,8 @@ impl<T: Send> Stealer<T> {
             // bytes we read belong to whoever won; discard without dropping.
             return Steal::Retry;
         }
-        // CAS won: nobody rewrote the slot between our reads — a valid `T`.
+        // SAFETY: the CAS won, so nobody rewrote the slot between our
+        // reads: the bytes are the `T` push wrote, now ours alone.
         Steal::Success(unsafe { value.assume_init() })
     }
 

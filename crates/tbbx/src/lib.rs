@@ -14,6 +14,10 @@
 //! onto one task pool and does not let the user attach a custom scheduler —
 //! the exact contrast §III-B of the paper draws.
 //!
+//! The injector is [`telemetry::sync`]'s MPMC ring, and idle workers,
+//! [`Latch::wait`] and [`Pipeline::run`] park on its `Signal`, as
+//! `fastflow`'s channels do. No wait times out; every wakeup is a notify.
+//!
 //! # Example
 //!
 //! ```
@@ -40,10 +44,15 @@ pub use pool::{Latch, TaskPool};
 
 /// Lock a mutex, recovering the guard if a panicking task poisoned it.
 ///
-/// Pool bookkeeping (sleep/overflow/latch/pipeline state) must outlive a
-/// panic in user task code: the fail-soft error model absorbs such panics
-/// at join time, so one failed task must not cascade into poisoned-lock
-/// panics on every other worker.
+/// Pool bookkeeping (overflow spill, retired deque buffers, pipeline
+/// source and serial-filter state) must outlive a panic in user task code:
+/// the fail-soft error model absorbs such panics at join time, so one
+/// failed task must not cascade into poisoned-lock panics on every other
+/// worker.
 pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
+
+#[cfg(test)]
+#[path = "../../telemetry/src/deadline.rs"]
+mod deadline;

@@ -16,9 +16,10 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
+use telemetry::sync::Signal;
 use telemetry::{Recorder, StageHandle};
 
 use crate::pool::TaskPool;
@@ -64,8 +65,10 @@ struct Exec {
     live: AtomicUsize,
     max_live: usize,
     completed: AtomicU64,
-    done: Mutex<bool>,
-    done_cv: Condvar,
+    /// Set once the source is exhausted and the last token retired;
+    /// `finished` wakes [`Pipeline::run`].
+    done: AtomicBool,
+    finished: Signal,
     pool: Arc<TaskPool>,
 }
 
@@ -133,21 +136,16 @@ impl Pipeline {
             live: AtomicUsize::new(0),
             max_live: max_live_tokens,
             completed: AtomicU64::new(0),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
+            done: AtomicBool::new(false),
+            finished: Signal::new(),
             pool: Arc::clone(pool),
         });
         {
             let exec2 = Arc::clone(&exec);
             pool.spawn(move || pump_source(&exec2));
         }
-        let mut done = crate::lock_unpoisoned(&exec.done);
-        while !*done {
-            done = exec
-                .done_cv
-                .wait(done)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+        exec.finished
+            .wait_until(|| exec.done.load(Ordering::Acquire));
     }
 }
 
@@ -386,15 +384,15 @@ fn finish_token(exec: &Arc<Exec>, emit_ns: u64) {
 
 fn maybe_finish(exec: &Arc<Exec>) {
     if exec.live.load(Ordering::Acquire) == 0 && crate::lock_unpoisoned(&exec.source).exhausted {
-        let mut done = crate::lock_unpoisoned(&exec.done);
-        *done = true;
-        exec.done_cv.notify_all();
+        exec.done.store(true, Ordering::Release);
+        exec.finished.notify();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::within_deadline;
 
     fn pool() -> Arc<TaskPool> {
         Arc::new(TaskPool::new(4))
@@ -402,133 +400,149 @@ mod tests {
 
     #[test]
     fn serial_in_order_sink_sees_stream_order() {
-        let pool = pool();
-        let out = Arc::new(Mutex::new(Vec::new()));
-        let out2 = Arc::clone(&out);
-        Pipeline::from_iter(0..200u64)
-            .parallel(|x| x * 2)
-            .serial_in_order(move |x| out2.lock().unwrap().push(x))
-            .build()
-            .run(&pool, 8);
-        assert_eq!(
-            *out.lock().unwrap(),
-            (0..200).map(|x| x * 2).collect::<Vec<u64>>()
-        );
+        within_deadline(|| {
+            let pool = pool();
+            let out = Arc::new(Mutex::new(Vec::new()));
+            let out2 = Arc::clone(&out);
+            Pipeline::from_iter(0..200u64)
+                .parallel(|x| x * 2)
+                .serial_in_order(move |x| out2.lock().unwrap().push(x))
+                .build()
+                .run(&pool, 8);
+            assert_eq!(
+                *out.lock().unwrap(),
+                (0..200).map(|x| x * 2).collect::<Vec<u64>>()
+            );
+        });
     }
 
     #[test]
     fn all_tokens_processed_out_of_order_sink() {
-        let pool = pool();
-        let out = Arc::new(Mutex::new(Vec::new()));
-        let out2 = Arc::clone(&out);
-        Pipeline::from_iter(0..500u32)
-            .parallel(|x| x + 1)
-            .serial_out_of_order(move |x| out2.lock().unwrap().push(x))
-            .build()
-            .run(&pool, 16);
-        let mut got = out.lock().unwrap().clone();
-        got.sort_unstable();
-        assert_eq!(got, (1..=500).collect::<Vec<u32>>());
+        within_deadline(|| {
+            let pool = pool();
+            let out = Arc::new(Mutex::new(Vec::new()));
+            let out2 = Arc::clone(&out);
+            Pipeline::from_iter(0..500u32)
+                .parallel(|x| x + 1)
+                .serial_out_of_order(move |x| out2.lock().unwrap().push(x))
+                .build()
+                .run(&pool, 16);
+            let mut got = out.lock().unwrap().clone();
+            got.sort_unstable();
+            assert_eq!(got, (1..=500).collect::<Vec<u32>>());
+        });
     }
 
     #[test]
     fn live_tokens_never_exceed_limit() {
-        let pool = pool();
-        let live = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let (live_in, peak_in) = (Arc::clone(&live), Arc::clone(&peak));
-        let live_out = Arc::clone(&live);
-        const LIMIT: usize = 5;
-        Pipeline::from_iter(0..300u32)
-            .parallel(move |x| {
-                let l = live_in.fetch_add(1, Ordering::SeqCst) + 1;
-                peak_in.fetch_max(l, Ordering::SeqCst);
-                std::thread::yield_now();
-                x
-            })
-            .parallel(move |x| {
-                live_out.fetch_sub(1, Ordering::SeqCst);
-                x
-            })
-            .serial_in_order(|_x| {})
-            .build()
-            .run(&pool, LIMIT);
-        assert!(
-            peak.load(Ordering::SeqCst) <= LIMIT,
-            "peak {} > limit {LIMIT}",
-            peak.load(Ordering::SeqCst)
-        );
+        within_deadline(|| {
+            let pool = pool();
+            let live = Arc::new(AtomicUsize::new(0));
+            let peak = Arc::new(AtomicUsize::new(0));
+            let (live_in, peak_in) = (Arc::clone(&live), Arc::clone(&peak));
+            let live_out = Arc::clone(&live);
+            const LIMIT: usize = 5;
+            Pipeline::from_iter(0..300u32)
+                .parallel(move |x| {
+                    let l = live_in.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak_in.fetch_max(l, Ordering::SeqCst);
+                    std::thread::yield_now();
+                    x
+                })
+                .parallel(move |x| {
+                    live_out.fetch_sub(1, Ordering::SeqCst);
+                    x
+                })
+                .serial_in_order(|_x| {})
+                .build()
+                .run(&pool, LIMIT);
+            assert!(
+                peak.load(Ordering::SeqCst) <= LIMIT,
+                "peak {} > limit {LIMIT}",
+                peak.load(Ordering::SeqCst)
+            );
+        });
     }
 
     #[test]
     fn multi_stage_typed_pipeline() {
-        let pool = pool();
-        let sum = Arc::new(AtomicU64::new(0));
-        let sum2 = Arc::clone(&sum);
-        Pipeline::from_iter(1..=100u32)
-            .parallel(|x| x as u64)
-            .parallel(|x| x * x)
-            .serial_in_order(move |x: u64| {
-                sum2.fetch_add(x, Ordering::Relaxed);
-            })
-            .build()
-            .run(&pool, 10);
-        assert_eq!(sum.load(Ordering::Relaxed), 338_350);
+        within_deadline(|| {
+            let pool = pool();
+            let sum = Arc::new(AtomicU64::new(0));
+            let sum2 = Arc::clone(&sum);
+            Pipeline::from_iter(1..=100u32)
+                .parallel(|x| x as u64)
+                .parallel(|x| x * x)
+                .serial_in_order(move |x: u64| {
+                    sum2.fetch_add(x, Ordering::Relaxed);
+                })
+                .build()
+                .run(&pool, 10);
+            assert_eq!(sum.load(Ordering::Relaxed), 338_350);
+        });
     }
 
     #[test]
     fn serial_stage_is_never_reentered() {
-        let pool = pool();
-        let inside = Arc::new(AtomicUsize::new(0));
-        let violations = Arc::new(AtomicUsize::new(0));
-        let (i2, v2) = (Arc::clone(&inside), Arc::clone(&violations));
-        Pipeline::from_iter(0..200u32)
-            .serial_out_of_order(move |x| {
-                if i2.fetch_add(1, Ordering::SeqCst) != 0 {
-                    v2.fetch_add(1, Ordering::SeqCst);
-                }
-                std::thread::yield_now();
-                i2.fetch_sub(1, Ordering::SeqCst);
-                x
-            })
-            .serial_in_order(|_x| {})
-            .build()
-            .run(&pool, 12);
-        assert_eq!(violations.load(Ordering::SeqCst), 0);
+        within_deadline(|| {
+            let pool = pool();
+            let inside = Arc::new(AtomicUsize::new(0));
+            let violations = Arc::new(AtomicUsize::new(0));
+            let (i2, v2) = (Arc::clone(&inside), Arc::clone(&violations));
+            Pipeline::from_iter(0..200u32)
+                .serial_out_of_order(move |x| {
+                    if i2.fetch_add(1, Ordering::SeqCst) != 0 {
+                        v2.fetch_add(1, Ordering::SeqCst);
+                    }
+                    std::thread::yield_now();
+                    i2.fetch_sub(1, Ordering::SeqCst);
+                    x
+                })
+                .serial_in_order(|_x| {})
+                .build()
+                .run(&pool, 12);
+            assert_eq!(violations.load(Ordering::SeqCst), 0);
+        });
     }
 
     #[test]
     fn empty_source_completes() {
-        let pool = pool();
-        Pipeline::source(|| None::<u32>)
-            .serial_in_order(|_x| {})
-            .build()
-            .run(&pool, 4);
+        within_deadline(|| {
+            let pool = pool();
+            Pipeline::source(|| None::<u32>)
+                .serial_in_order(|_x| {})
+                .build()
+                .run(&pool, 4);
+        });
     }
 
     #[test]
     fn single_token_degenerates_to_sequential() {
-        let pool = pool();
-        let out = Arc::new(Mutex::new(Vec::new()));
-        let out2 = Arc::clone(&out);
-        Pipeline::from_iter(0..50u32)
-            .parallel(|x| x * 3)
-            .serial_in_order(move |x| out2.lock().unwrap().push(x))
-            .build()
-            .run(&pool, 1);
-        assert_eq!(
-            *out.lock().unwrap(),
-            (0..50).map(|x| x * 3).collect::<Vec<u32>>()
-        );
+        within_deadline(|| {
+            let pool = pool();
+            let out = Arc::new(Mutex::new(Vec::new()));
+            let out2 = Arc::clone(&out);
+            Pipeline::from_iter(0..50u32)
+                .parallel(|x| x * 3)
+                .serial_in_order(move |x| out2.lock().unwrap().push(x))
+                .build()
+                .run(&pool, 1);
+            assert_eq!(
+                *out.lock().unwrap(),
+                (0..50).map(|x| x * 3).collect::<Vec<u32>>()
+            );
+        });
     }
 
     #[test]
     #[should_panic(expected = "at least one live token")]
     fn zero_tokens_panics() {
-        let pool = pool();
-        Pipeline::from_iter(0..1u32)
-            .serial_in_order(|_x| {})
-            .build()
-            .run(&pool, 0);
+        within_deadline(|| {
+            let pool = pool();
+            Pipeline::from_iter(0..1u32)
+                .serial_in_order(|_x| {})
+                .build()
+                .run(&pool, 0);
+        });
     }
 }

@@ -36,8 +36,15 @@
 //! therefore show both on a shared axis whose unit is
 //! nanoseconds-since-run-start in each domain's own clock — exactly how
 //! Fig. 3 juxtaposes host threads and device engines.
+//!
+//! [`sync`] is not observability: it holds the lock-free primitives the
+//! runtimes share (one cache-line pad, one bounded MPMC ring, one
+//! parker). It lives here because `fastflow`, `tbbx` and the flight
+//! recorder all already sit on this crate, so sharing them needs no new
+//! crate and no new dependency edge. It is also the only module allowed
+//! `unsafe` code.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -52,6 +59,7 @@ mod flight;
 mod health;
 mod histo;
 mod monitor;
+pub mod sync;
 
 use counters::Family;
 
@@ -1513,3 +1521,6 @@ mod tests {
         assert!(wd.stop().is_empty());
     }
 }
+
+#[cfg(test)]
+mod deadline;
