@@ -50,6 +50,9 @@ timeout 900 cargo test --release --offline -p fastflow \
 timeout 900 cargo test --release --offline -p tbbx \
     --lib --test deque_stress --test pipeline_props -- --test-threads=1
 timeout 900 cargo test --release --offline -p telemetry --lib sync:: -- --test-threads=1
+# The TCP hand-off now parks on the shared Signal with no timed wait, so a
+# lost wakeup between a connection thread and the pump hangs too.
+timeout 900 cargo test --release --offline -p ingress --lib -- --test-threads=1
 
 echo "== reach census (every pub item is used by the program or kept) =="
 tools/reach.sh | awk '/ (nothing|tests only|stale keep)$/ { print "FAIL: " $0; bad = 1 } END { exit bad }'

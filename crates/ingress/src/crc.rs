@@ -42,7 +42,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if bytes.len() >= 64 && std::arch::is_x86_feature_detected!("pclmulqdq") {
         let (blocks, tail) = bytes.split_at(bytes.len() & !15);
-        // SAFETY: PCLMULQDQ support was just verified at runtime.
+        // SAFETY: PCLMULQDQ support was just verified at runtime, and
+        // `blocks` is `bytes` cut down to a multiple of 16: still >= 64.
         return !update_table(unsafe { update_clmul(!0, blocks) }, tail);
     }
     !update_table(!0, bytes)
@@ -68,12 +69,25 @@ fn update_table(mut c: u32, bytes: &[u8]) -> u32 {
 /// a multiple of 16 — by folding: "Fast CRC Computation for Generic
 /// Polynomials Using PCLMULQDQ Instruction" (Intel, 2009) with the
 /// bit-reflected constants zlib's `crc32_simd` uses.
+///
+/// # Safety
+///
+/// The CPU must support PCLMULQDQ (check with
+/// `is_x86_feature_detected!("pclmulqdq")`, as [`crc32`] does): the
+/// function is compiled for it and executes it unconditionally. `bytes`
+/// must be at least 64 long and a multiple of 16; that part is asserted,
+/// so breaking it panics rather than reading out of bounds.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "pclmulqdq")]
 unsafe fn update_clmul(c: u32, bytes: &[u8]) -> u32 {
     use std::arch::x86_64::*;
 
     /// `x` carried 16·n bytes further (`k` = x^(128n±32) mod P), plus `next`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support PCLMULQDQ. Only `update_clmul`, whose own
+    /// contract requires it, calls this, and it reads no memory.
     #[inline(always)]
     unsafe fn fold(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
         let lo = _mm_clmulepi64_si128::<0x00>(x, k);

@@ -364,7 +364,6 @@ impl ShardWriter {
 
 /// Producer into a file-logged stream: batched sends, fsync-on-ack.
 pub struct FileLogSink {
-    key: StreamKey,
     writers: Vec<ShardWriter>,
     pending: Vec<Receipt>,
     segment_bytes: u64,
@@ -384,7 +383,6 @@ impl FileLogSink {
             .map(|s| ShardWriter::open(shard_dir(&stream_dir, ShardId(s))))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(FileLogSink {
-            key: key.clone(),
             writers,
             pending: Vec::new(),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
@@ -416,10 +414,6 @@ impl FileLogSink {
 }
 
 impl Sink for FileLogSink {
-    fn stream_key(&self) -> &StreamKey {
-        &self.key
-    }
-
     fn send(&mut self, shard: ShardId, payload: &[u8]) -> Result<Receipt, IngressError> {
         let w = self
             .writers
@@ -748,6 +742,42 @@ impl FileLogSource {
             .map(|r| r.next_seq)
     }
 
+    /// The shards this source currently reads, in id order.
+    pub fn assigned_shards(&self) -> Vec<ShardId> {
+        self.readers.iter().map(|r| r.id).collect()
+    }
+
+    /// Reposition one shard's cursor.
+    pub fn seek(&mut self, shard: ShardId, pos: SeqPos) -> Result<(), IngressError> {
+        // Repositioning restarts the round-robin from shard order, so a
+        // rewound replay interleaves exactly like the first pass —
+        // replay determinism is part of the contract.
+        self.rr = 0;
+        self.readers
+            .iter_mut()
+            .find(|r| r.id == shard)
+            .ok_or(IngressError::UnknownShard(shard))?
+            .seek(pos)
+    }
+
+    /// Reposition every assigned shard to [`SeqPos::Beginning`].
+    pub fn rewind(&mut self) -> Result<(), IngressError> {
+        for shard in self.assigned_shards() {
+            self.seek(shard, SeqPos::Beginning)?;
+        }
+        Ok(())
+    }
+
+    /// Durably record that this consumer (group) has processed shard
+    /// records *below* `next_seq`; a later `open_resume` starts there.
+    /// A replay source keeps no offsets and accepts and ignores it.
+    pub fn commit(&mut self, shard: ShardId, next_seq: SequenceNo) -> Result<(), IngressError> {
+        match &self.offsets {
+            Some(store) => store.commit(shard, next_seq),
+            None => Ok(()),
+        }
+    }
+
     /// The committed offset stored for `shard` (resumable mode).
     pub fn committed(&self, shard: ShardId) -> Result<Option<SequenceNo>, IngressError> {
         match &self.offsets {
@@ -801,10 +831,6 @@ impl Source for FileLogSource {
         &self.key
     }
 
-    fn assigned_shards(&self) -> Vec<ShardId> {
-        self.readers.iter().map(|r| r.id).collect()
-    }
-
     fn next_batch(&mut self, out: &mut Vec<Message>, max: usize) -> Result<usize, IngressError> {
         if max == 0 {
             return Ok(0);
@@ -817,25 +843,6 @@ impl Source for FileLogSource {
             got = self.poll_readers(out, max)?;
         }
         Ok(got)
-    }
-
-    fn seek(&mut self, shard: ShardId, pos: SeqPos) -> Result<(), IngressError> {
-        // Repositioning restarts the round-robin from shard order, so a
-        // rewound replay interleaves exactly like the first pass —
-        // replay determinism is part of the contract.
-        self.rr = 0;
-        self.readers
-            .iter_mut()
-            .find(|r| r.id == shard)
-            .ok_or(IngressError::UnknownShard(shard))?
-            .seek(pos)
-    }
-
-    fn commit(&mut self, shard: ShardId, next_seq: SequenceNo) -> Result<(), IngressError> {
-        match &self.offsets {
-            Some(store) => store.commit(shard, next_seq),
-            None => Ok(()),
-        }
     }
 }
 

@@ -5,10 +5,12 @@
 //! generator loops feeding farms. This layer adds the missing edge in
 //! the sea-streamer mold: streams are addressed by
 //! [`StreamKey`] + [`ShardId`] + [`SequenceNo`], consumed live (TCP),
-//! replayed, or resumed from a group's committed offsets, and
-//! repositioned with [`Source::seek`]/[`Source::rewind`]. Producers batch
-//! in-flight sends and learn durability through acknowledged
-//! [`Receipt`]s.
+//! replayed, or resumed from a group's committed offsets. A pipeline
+//! sees a stream only through [`Source`]'s two methods, its key and
+//! [`Source::next_batch`]; repositioning ([`FileLogSource::seek`],
+//! [`FileLogSource::rewind`]) and offset commits belong to the file log,
+//! the one transport that can replay. Producers batch in-flight sends and
+//! learn durability through acknowledged [`Receipt`]s.
 //!
 //! Two transports implement the contract:
 //!
@@ -168,9 +170,6 @@ pub enum IngressError {
     Io(std::io::Error),
     /// The on-disk or on-wire data failed validation (CRC, framing).
     Corrupt(String),
-    /// The operation is not supported by this transport (e.g. `seek` on
-    /// the real-time TCP source).
-    Unsupported(&'static str),
     /// The peer or transport has shut down.
     Closed,
     /// An invalid stream key.
@@ -184,7 +183,6 @@ impl fmt::Display for IngressError {
         match self {
             IngressError::Io(e) => write!(f, "ingress i/o: {e}"),
             IngressError::Corrupt(what) => write!(f, "ingress corrupt data: {what}"),
-            IngressError::Unsupported(op) => write!(f, "ingress operation unsupported: {op}"),
             IngressError::Closed => write!(f, "ingress transport closed"),
             IngressError::BadKey(k) => write!(f, "invalid stream key: {k:?}"),
             IngressError::UnknownShard(s) => write!(f, "unknown shard {s}"),
@@ -200,7 +198,8 @@ impl From<std::io::Error> for IngressError {
     }
 }
 
-/// A sharded record source (consumer side of a stream).
+/// A sharded record source (consumer side of a stream): what a pump
+/// reads.
 ///
 /// `next_batch` is non-blocking-ish: it returns however many records are
 /// available now (up to `max`), possibly 0 — liveness (wait/retry) is
@@ -209,29 +208,10 @@ pub trait Source: Send {
     /// The stream this source consumes.
     fn stream_key(&self) -> &StreamKey;
 
-    /// The shards this source currently reads.
-    fn assigned_shards(&self) -> Vec<ShardId>;
-
     /// Append up to `max` available records to `out`, round-robin across
-    /// assigned shards. Returns how many were appended (0 = nothing
+    /// the source's shards. Returns how many were appended (0 = nothing
     /// available right now).
     fn next_batch(&mut self, out: &mut Vec<Message>, max: usize) -> Result<usize, IngressError>;
-
-    /// Reposition one shard's cursor.
-    fn seek(&mut self, shard: ShardId, pos: SeqPos) -> Result<(), IngressError>;
-
-    /// Reposition every assigned shard to [`SeqPos::Beginning`].
-    fn rewind(&mut self) -> Result<(), IngressError> {
-        for shard in self.assigned_shards() {
-            self.seek(shard, SeqPos::Beginning)?;
-        }
-        Ok(())
-    }
-
-    /// Durably record that this consumer (group) has processed shard
-    /// records *below* `next_seq`; a later `open_resume` starts there.
-    /// Transports without offset storage accept and ignore it.
-    fn commit(&mut self, shard: ShardId, next_seq: SequenceNo) -> Result<(), IngressError>;
 }
 
 /// Producer-side acknowledgement of one sent record. Starts pending;
@@ -280,9 +260,6 @@ impl Receipt {
 /// [`flush`](Sink::flush) (or earlier, at the transport's discretion —
 /// e.g. when the in-flight window fills and the sink syncs internally).
 pub trait Sink: Send {
-    /// The stream this sink produces into.
-    fn stream_key(&self) -> &StreamKey;
-
     /// Queue one record for `shard`; the returned receipt acks when the
     /// record is durable.
     fn send(&mut self, shard: ShardId, payload: &[u8]) -> Result<Receipt, IngressError>;
@@ -290,6 +267,10 @@ pub trait Sink: Send {
     /// Make every queued record durable and ack its receipt.
     fn flush(&mut self) -> Result<(), IngressError>;
 }
+
+#[cfg(test)]
+#[path = "../../telemetry/src/deadline.rs"]
+mod deadline;
 
 #[cfg(test)]
 mod tests {

@@ -2,13 +2,15 @@
 //! channels that feed `Workload` pipelines.
 //!
 //! A pump thread loops `source.next_batch` → decode → `send_batch`,
-//! backing off when the source is dry and blocking on the channel when
-//! the pipeline is full (backpressure flows transport ← channel). Each
-//! pull asks the source for as many records as the channel holds, so one
-//! hand-off can fill the ring. The back-off parks the thread and [`PumpHandle::stop`] unparks it, so a
-//! stop takes effect at once rather than after the idle period. Per
-//! shard it registers a [`Counters<Ingress>`](telemetry::Counters) block
-//! with the recorder (Prometheus families `hetstream_ingress_*`) and emits
+//! parking for 1 ms when the source is dry and blocking on the channel
+//! when the pipeline is full (backpressure flows transport ← channel).
+//! [`Source`]'s two methods are all it reads: the stream key names its
+//! flight handle, `next_batch` feeds it. Each pull asks the source for as
+//! many records as the channel holds, so one hand-off can fill the ring.
+//! [`PumpHandle::stop`] unparks the thread, so a stop takes effect at
+//! once rather than after the idle park. Per shard it registers a
+//! [`Counters<Ingress>`](telemetry::Counters) block with the recorder
+//! (Prometheus families `hetstream_ingress_*`) and emits
 //! [`FlightKind::IngressBatch`] events whose `batch_id` carries the
 //! shard id, so replay progress is visible on the live plane.
 //!
@@ -28,25 +30,16 @@ use telemetry::{Counters, FlightKind, Ingress, Recorder};
 
 use crate::{IngressError, Message, Source};
 
+/// How long the pump parks when the source has nothing (the transport's
+/// liveness is its own; the pump only polls). A stop cuts the park short.
+const IDLE: Duration = Duration::from_millis(1);
+
 /// Tuning for one pump thread.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PumpConfig {
-    /// How long to park when the source has nothing (the transport's
-    /// liveness is its own; the pump only polls). A stop cuts the park
-    /// short.
-    pub idle: Duration,
     /// Optional delta-scoped copy ledger entered for the pump thread's
     /// whole lifetime.
     pub ledger: Option<telemetry::copy::CopyLedger>,
-}
-
-impl Default for PumpConfig {
-    fn default() -> Self {
-        PumpConfig {
-            idle: Duration::from_millis(1),
-            ledger: None,
-        }
-    }
 }
 
 /// Shared per-shard ingress counters for one stream, lazily registered
@@ -157,7 +150,7 @@ where
                 raw.clear();
                 let n = source.next_batch(&mut raw, pull)?;
                 if n == 0 {
-                    std::thread::park_timeout(cfg.idle);
+                    std::thread::park_timeout(IDLE);
                     continue;
                 }
                 // Account per shard before the buffers move on.
@@ -208,60 +201,65 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::within_deadline;
     use crate::filelog::{FileLogSink, FileLogSource};
     use crate::{ShardId, Sink, StreamKey};
 
     #[test]
     fn pump_feeds_a_fastflow_channel_and_counts_per_shard() {
-        let root = std::env::temp_dir().join(format!(
-            "hetstream_pump_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let key = StreamKey::new("pumped").expect("valid");
-        let mut sink = FileLogSink::open(&root, &key, 2).expect("open sink");
-        for i in 0..12u8 {
-            sink.send(ShardId((i % 2) as u32), &[i; 8]).expect("send");
-        }
-        sink.flush().expect("flush");
-
-        let rec = Recorder::enabled();
-        let stats = IngressStats::new(&rec, "pumped");
-        let src = FileLogSource::open_replay(&root, &key, fastflow::BufPool::new()).expect("open");
-        let (tx, rx) = fastflow::channel::<(u32, u64, usize)>(32, fastflow::WaitStrategy::Block);
-        let pump = spawn_pump(
-            Box::new(src),
-            tx,
-            |m| (m.shard.0, m.seq, m.payload.len()),
-            PumpConfig::default(),
-            &rec,
-            Arc::clone(&stats),
-        );
-        let mut got = Vec::new();
-        while got.len() < 12 {
-            if rx.recv_batch(&mut got, 16) == 0 {
-                break; // EOS would mean the pump died early
+        within_deadline(|| {
+            let root = std::env::temp_dir().join(format!(
+                "hetstream_pump_{}_{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            let key = StreamKey::new("pumped").expect("valid");
+            let mut sink = FileLogSink::open(&root, &key, 2).expect("open sink");
+            for i in 0..12u8 {
+                sink.send(ShardId((i % 2) as u32), &[i; 8]).expect("send");
             }
-        }
-        assert_eq!(got.len(), 12);
-        assert!(got.iter().all(|&(_, _, len)| len == 8));
-        assert_eq!(pump.join().expect("pump result"), 12);
-        assert_eq!(stats.counters(0).snapshot().records, 6);
-        assert_eq!(stats.counters(1).snapshot().records, 6);
-        assert_eq!(stats.counters(0).snapshot().bytes, 48);
-        let prom = rec.prometheus();
-        assert!(
-            prom.contains("hetstream_ingress_records_total{stream=\"pumped\",shard=\"0\"} 6"),
-            "missing ingress family in:\n{prom}"
-        );
-        // The pump knows what it delivered, not what a consumer
-        // committed: a drained stream must not read as lagging.
-        assert!(
-            !prom.contains("hetstream_ingress_lag"),
-            "a drained stream exposes a lag series:\n{prom}"
-        );
-        let _ = std::fs::remove_dir_all(&root);
+            sink.flush().expect("flush");
+
+            let rec = Recorder::enabled();
+            let stats = IngressStats::new(&rec, "pumped");
+            let src =
+                FileLogSource::open_replay(&root, &key, fastflow::BufPool::new()).expect("open");
+            let (tx, rx) =
+                fastflow::channel::<(u32, u64, usize)>(32, fastflow::WaitStrategy::Block);
+            let pump = spawn_pump(
+                Box::new(src),
+                tx,
+                |m| (m.shard.0, m.seq, m.payload.len()),
+                PumpConfig::default(),
+                &rec,
+                Arc::clone(&stats),
+            );
+            let mut got = Vec::new();
+            while got.len() < 12 {
+                if rx.recv_batch(&mut got, 16) == 0 {
+                    break; // EOS would mean the pump died early
+                }
+            }
+            assert_eq!(got.len(), 12);
+            assert!(got.iter().all(|&(_, _, len)| len == 8));
+            assert_eq!(pump.join().expect("pump result"), 12);
+            assert_eq!(stats.counters(0).snapshot().records, 6);
+            assert_eq!(stats.counters(1).snapshot().records, 6);
+            assert_eq!(stats.counters(0).snapshot().bytes, 48);
+            let prom = rec.prometheus();
+            assert!(
+                prom.contains("hetstream_ingress_records_total{stream=\"pumped\",shard=\"0\"} 6"),
+                "missing ingress family in:\n{prom}"
+            );
+            // The pump knows what it delivered, not what a consumer
+            // committed: a drained stream must not read as lagging.
+            assert!(
+                !prom.contains("hetstream_ingress_lag"),
+                "a drained stream exposes a lag series:\n{prom}"
+            );
+            let _ = std::fs::remove_dir_all(&root);
+        });
     }
 
     /// A source that never has a record; it reports every poll.
@@ -271,46 +269,36 @@ mod tests {
         fn stream_key(&self) -> &StreamKey {
             &self.0
         }
-        fn assigned_shards(&self) -> Vec<ShardId> {
-            vec![ShardId(0)]
-        }
         fn next_batch(&mut self, _: &mut Vec<Message>, _: usize) -> Result<usize, IngressError> {
             let _ = self.1.send(());
             Ok(0)
-        }
-        fn seek(&mut self, _: ShardId, _: crate::SeqPos) -> Result<(), IngressError> {
-            Ok(())
-        }
-        fn commit(&mut self, _: ShardId, _: crate::SequenceNo) -> Result<(), IngressError> {
-            Ok(())
         }
     }
 
     #[test]
     fn stop_wakes_a_pump_idling_on_a_dry_source() {
-        let rec = Recorder::default();
-        let (polled, polls) = std::sync::mpsc::channel();
-        let (tx, _rx) = fastflow::channel::<()>(4, fastflow::WaitStrategy::Block);
-        let pump = spawn_pump(
-            Box::new(Dry(StreamKey::new("dry").expect("valid"), polled)),
-            tx,
-            |_| (),
-            PumpConfig {
-                idle: Duration::from_secs(10),
-                ..PumpConfig::default()
-            },
-            &rec,
-            IngressStats::new(&rec, "dry"),
-        );
-        // Stop only once the pump has found the source dry: it is parked
-        // for its idle period, or about to be.
-        polls.recv().expect("the pump polls its source");
-        let t = std::time::Instant::now();
-        assert_eq!(pump.join().expect("pump result"), 0);
-        assert!(
-            t.elapsed() < Duration::from_secs(1),
-            "join waited out the idle period: {:?}",
-            t.elapsed()
-        );
+        within_deadline(|| {
+            let rec = Recorder::default();
+            let (polled, polls) = std::sync::mpsc::channel();
+            let (tx, _rx) = fastflow::channel::<()>(4, fastflow::WaitStrategy::Block);
+            let pump = spawn_pump(
+                Box::new(Dry(StreamKey::new("dry").expect("valid"), polled)),
+                tx,
+                |_| (),
+                PumpConfig::default(),
+                &rec,
+                IngressStats::new(&rec, "dry"),
+            );
+            // Stop only once the pump has found the source dry: it is
+            // parked for its idle period, or about to be.
+            polls.recv().expect("the pump polls its source");
+            let t = std::time::Instant::now();
+            assert_eq!(pump.join().expect("pump result"), 0);
+            assert!(
+                t.elapsed() < Duration::from_secs(1),
+                "join waited out the idle period: {:?}",
+                t.elapsed()
+            );
+        });
     }
 }

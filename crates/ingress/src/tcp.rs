@@ -16,24 +16,30 @@
 //! the server reads frames through a buffer and holds the ACKs it owes
 //! until it is about to block — on a read that must go to the socket, or
 //! on a full queue — so a producer never waits on an ACK the server has
-//! already earned. The queue is bounded: when the pipeline
+//! already earned. The queue is bounded, at exactly the `queue_cap` the
+//! server was bound with, across all connections: when the pipeline
 //! falls behind, enqueue blocks, the connection thread stops reading,
 //! TCP flow control fills the producer's window, and
 //! [`TcpSink`] blocks in its in-flight window — backpressure end to end
-//! with no unbounded buffer anywhere.
+//! with no unbounded buffer anywhere. A connection thread blocked on the
+//! full queue parks on the workspace's one [`Signal`], which every pop
+//! and the server's stop notify; it has no timed wait.
 //!
-//! This transport is real-time only: [`TcpSource::seek`] and `rewind`
-//! report [`IngressError::Unsupported`]; replay belongs to the file log.
+//! This transport is real-time only: a [`TcpSource`] is a [`Source`] and
+//! nothing more. Replay, seeking and offset commits belong to the file
+//! log.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::{IngressError, Message, Receipt, SeqPos, SequenceNo, ShardId, Sink, Source, StreamKey};
+use telemetry::sync::Signal;
+
+use crate::{IngressError, Message, Receipt, SequenceNo, ShardId, Sink, Source, StreamKey};
 
 const KIND_HELLO: u8 = 0;
 const KIND_DATA: u8 = 1;
@@ -112,10 +118,11 @@ impl Conn<'_> {
 }
 
 /// Bounded handoff queue between connection threads and the source.
-#[derive(Debug)]
 struct SharedQueue {
     q: Mutex<VecDeque<Message>>,
-    not_full: Condvar,
+    /// Notified when records leave the queue and when the server stops:
+    /// what a connection thread blocked on a full queue parks on.
+    room: Signal,
     cap: usize,
     stop: AtomicBool,
 }
@@ -124,7 +131,7 @@ impl SharedQueue {
     fn new(cap: usize) -> SharedQueue {
         SharedQueue {
             q: Mutex::new(VecDeque::new()),
-            not_full: Condvar::new(),
+            room: Signal::new(),
             cap: cap.max(1),
             stop: AtomicBool::new(false),
         }
@@ -142,28 +149,29 @@ impl SharedQueue {
 
     /// Block until there is room (backpressure), then enqueue. Returns
     /// false when the server is stopping.
-    fn push(&self, msg: Message) -> bool {
-        let mut q = self.q.lock().expect("ingress queue");
-        while q.len() >= self.cap {
-            if self.stop.load(Ordering::Relaxed) {
+    fn push(&self, mut msg: Message) -> bool {
+        loop {
+            // Snapshot the epoch before the checks: a pop or a stop that
+            // lands after them bumps it, and the park returns at once.
+            let epoch = self.room.epoch();
+            if self.stop.load(Ordering::SeqCst) {
                 return false;
             }
-            let (guard, _) = self
-                .not_full
-                .wait_timeout(q, Duration::from_millis(50))
-                .expect("ingress queue");
-            q = guard;
+            msg = match self.try_push(msg) {
+                Ok(()) => return true,
+                Err(msg) => msg,
+            };
+            self.room.wait_if(epoch);
         }
-        q.push_back(msg);
-        true
     }
 
     fn pop_many(&self, out: &mut Vec<Message>, max: usize) -> usize {
         let mut q = self.q.lock().expect("ingress queue");
         let n = max.min(q.len());
         out.extend(q.drain(..n));
+        drop(q);
         if n > 0 {
-            self.not_full.notify_all();
+            self.room.notify();
         }
         n
     }
@@ -175,7 +183,6 @@ pub struct TcpIngressServer {
     key: StreamKey,
     addr: SocketAddr,
     queue: Arc<SharedQueue>,
-    shards_seen: Arc<Mutex<BTreeSet<u32>>>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -196,9 +203,7 @@ impl TcpIngressServer {
         } else {
             queue_cap
         }));
-        let shards_seen = Arc::new(Mutex::new(BTreeSet::new()));
         let accept_queue = Arc::clone(&queue);
-        let accept_shards = Arc::clone(&shards_seen);
         let accept_key = key.clone();
         let accept_pool = pool;
         let accept_thread = std::thread::Builder::new()
@@ -216,12 +221,11 @@ impl TcpIngressServer {
                         continue;
                     };
                     let q = Arc::clone(&accept_queue);
-                    let sh = Arc::clone(&accept_shards);
                     let k = accept_key.clone();
                     let p = accept_pool.clone();
                     if let Ok(h) = std::thread::Builder::new()
                         .name("hetstream-ingress-conn".into())
-                        .spawn(move || serve_producer(stream, k, q, sh, p))
+                        .spawn(move || serve_producer(stream, k, q, p))
                     {
                         conns.push(h);
                     }
@@ -235,7 +239,6 @@ impl TcpIngressServer {
             key: key.clone(),
             addr,
             queue,
-            shards_seen,
             accept_thread: Some(accept_thread),
         })
     }
@@ -251,7 +254,6 @@ impl TcpIngressServer {
         TcpSource {
             key: self.key.clone(),
             queue: Arc::clone(&self.queue),
-            shards_seen: Arc::clone(&self.shards_seen),
         }
     }
 
@@ -262,7 +264,7 @@ impl TcpIngressServer {
 
     fn halt(&mut self) {
         self.queue.stop.store(true, Ordering::SeqCst);
-        self.queue.not_full.notify_all();
+        self.queue.room.notify();
         if let Some(t) = self.accept_thread.take() {
             // Wake the blocking accept with a connection of our own. If
             // even that fails, the accept thread is left parked rather
@@ -294,7 +296,6 @@ fn serve_producer(
     stream: TcpStream,
     key: StreamKey,
     queue: Arc<SharedQueue>,
-    shards_seen: Arc<Mutex<BTreeSet<u32>>>,
     pool: fastflow::BufPool<u8>,
 ) {
     let _ = stream.set_nodelay(true);
@@ -304,8 +305,6 @@ fn serve_producer(
         acks: Vec::new(),
         stop: &queue.stop,
     };
-    // The shards this connection has added to `shards_seen`.
-    let mut registered = BTreeSet::new();
     let mut head = [0u8; 5];
     let mut hello = true;
     // Leaving the loop drops the connection: EOF, shutdown, an I/O error
@@ -319,8 +318,14 @@ fn serve_producer(
         let body_len = len - 1;
         match (hello, kind) {
             (true, KIND_HELLO) => {
-                let mut body = vec![0u8; body_len];
-                if !conn.read_full(&mut body) || body != key.as_str().as_bytes() {
+                // A body of any length but this stream key's (at most 64
+                // bytes) is refused before a byte of it is read, so a
+                // HELLO header cannot make the server allocate or wait
+                // for `MAX_FRAME` bytes.
+                let want = key.as_str().as_bytes();
+                let mut body = [0u8; 64];
+                let body = &mut body[..want.len()];
+                if body_len != want.len() || !conn.read_full(body) || *body != *want {
                     break; // a wrong stream is refused silently
                 }
                 hello = false;
@@ -335,9 +340,6 @@ fn serve_producer(
                 let mut payload = pool.acquire(body_len - meta.len());
                 if !conn.read_full(&mut payload[..]) {
                     break;
-                }
-                if registered.insert(shard) {
-                    shards_seen.lock().expect("shard set").insert(shard);
                 }
                 let msg = Message {
                     shard: ShardId(shard),
@@ -365,7 +367,6 @@ fn serve_producer(
 pub struct TcpSource {
     key: StreamKey,
     queue: Arc<SharedQueue>,
-    shards_seen: Arc<Mutex<BTreeSet<u32>>>,
 }
 
 impl Source for TcpSource {
@@ -373,40 +374,14 @@ impl Source for TcpSource {
         &self.key
     }
 
-    fn assigned_shards(&self) -> Vec<ShardId> {
-        self.shards_seen
-            .lock()
-            .expect("shard set")
-            .iter()
-            .map(|&s| ShardId(s))
-            .collect()
-    }
-
     fn next_batch(&mut self, out: &mut Vec<Message>, max: usize) -> Result<usize, IngressError> {
         Ok(self.queue.pop_many(out, max))
-    }
-
-    fn seek(&mut self, _shard: ShardId, _pos: SeqPos) -> Result<(), IngressError> {
-        Err(IngressError::Unsupported(
-            "seek on the real-time TCP source",
-        ))
-    }
-
-    fn rewind(&mut self) -> Result<(), IngressError> {
-        Err(IngressError::Unsupported(
-            "rewind on the real-time TCP source",
-        ))
-    }
-
-    fn commit(&mut self, _shard: ShardId, _next_seq: SequenceNo) -> Result<(), IngressError> {
-        Ok(()) // no offset storage; commits are meaningful on the file log
     }
 }
 
 /// Producer over one TCP connection: batched writes, a bounded in-flight
 /// window, receipts acked by the server's ACK frames (in send order).
 pub struct TcpSink {
-    key: StreamKey,
     writer: BufWriter<TcpStream>,
     /// ACKs arrive in bursts; one read takes in the whole burst.
     reader: BufReader<TcpStream>,
@@ -437,7 +412,6 @@ impl TcpSink {
         writer.write_all(body)?;
         writer.flush()?;
         Ok(TcpSink {
-            key: key.clone(),
             writer,
             reader,
             next_seq: vec![0; shards.max(1) as usize],
@@ -507,10 +481,6 @@ impl TcpSink {
 }
 
 impl Sink for TcpSink {
-    fn stream_key(&self) -> &StreamKey {
-        &self.key
-    }
-
     fn send(&mut self, shard: ShardId, payload: &[u8]) -> Result<Receipt, IngressError> {
         let counter = self
             .next_seq
@@ -550,6 +520,7 @@ impl Sink for TcpSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::within_deadline;
 
     fn key() -> StreamKey {
         StreamKey::new("live").expect("valid key")
@@ -557,117 +528,119 @@ mod tests {
 
     #[test]
     fn produce_ack_consume_over_tcp() {
-        let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 64)
-            .expect("bind");
-        let mut sink = TcpSink::connect(server.addr(), &key(), 2).expect("connect");
-        let mut receipts = Vec::new();
-        for i in 0..10u32 {
-            receipts.push(
-                sink.send(ShardId(i % 2), format!("rec-{i}").as_bytes())
-                    .expect("send"),
-            );
-        }
-        sink.flush().expect("flush");
-        assert!(receipts.iter().all(Receipt::is_acked));
-        let mut src = server.source();
-        let mut msgs = Vec::new();
-        while msgs.len() < 10 {
-            if src.next_batch(&mut msgs, 16).expect("pop") == 0 {
-                std::thread::sleep(Duration::from_millis(2));
+        within_deadline(|| {
+            let server =
+                TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 64)
+                    .expect("bind");
+            let mut sink = TcpSink::connect(server.addr(), &key(), 2).expect("connect");
+            let mut receipts = Vec::new();
+            for i in 0..10u32 {
+                receipts.push(
+                    sink.send(ShardId(i % 2), format!("rec-{i}").as_bytes())
+                        .expect("send"),
+                );
             }
-        }
-        assert_eq!(msgs.len(), 10);
-        // Per-shard order is preserved and sequences are dense.
-        for shard in 0..2u32 {
-            let seqs: Vec<u64> = msgs
-                .iter()
-                .filter(|m| m.shard.0 == shard)
-                .map(|m| m.seq)
-                .collect();
-            assert_eq!(seqs, (0..5).collect::<Vec<u64>>());
-        }
-        assert_eq!(src.assigned_shards(), vec![ShardId(0), ShardId(1)]);
-        assert!(matches!(
-            src.seek(ShardId(0), SeqPos::Beginning),
-            Err(IngressError::Unsupported(_))
-        ));
-        server.stop();
+            sink.flush().expect("flush");
+            assert!(receipts.iter().all(Receipt::is_acked));
+            let mut src = server.source();
+            let mut msgs = Vec::new();
+            while msgs.len() < 10 {
+                if src.next_batch(&mut msgs, 16).expect("pop") == 0 {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }
+            assert_eq!(msgs.len(), 10);
+            // Per-shard order is preserved and sequences are dense.
+            for shard in 0..2u32 {
+                let seqs: Vec<u64> = msgs
+                    .iter()
+                    .filter(|m| m.shard.0 == shard)
+                    .map(|m| m.seq)
+                    .collect();
+                assert_eq!(seqs, (0..5).collect::<Vec<u64>>());
+            }
+            server.stop();
+        });
     }
 
     #[test]
     fn bounded_queue_applies_backpressure_without_deadlock() {
-        // Queue of 4, window of 4, 64 records: the producer must block on
-        // acks while the consumer drains slowly — and still finish.
-        let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 4)
-            .expect("bind");
-        let addr = server.addr();
-        let producer = std::thread::spawn(move || {
-            let mut sink = TcpSink::connect(addr, &key(), 1)
-                .expect("connect")
-                .with_max_in_flight(4);
-            for i in 0..64u8 {
-                sink.send(ShardId(0), &[i; 100]).expect("send");
+        within_deadline(|| {
+            // Queue of 4, window of 4, 64 records: the producer must block on
+            // acks while the consumer drains slowly — and still finish.
+            let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 4)
+                .expect("bind");
+            let addr = server.addr();
+            let producer = std::thread::spawn(move || {
+                let mut sink = TcpSink::connect(addr, &key(), 1)
+                    .expect("connect")
+                    .with_max_in_flight(4);
+                for i in 0..64u8 {
+                    sink.send(ShardId(0), &[i; 100]).expect("send");
+                }
+                sink.flush().expect("flush");
+            });
+            let mut src = server.source();
+            let mut got = Vec::new();
+            let deadline = std::time::Instant::now() + Duration::from_secs(20);
+            while got.len() < 64 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "backpressured transfer deadlocked ({} of 64)",
+                    got.len()
+                );
+                if src.next_batch(&mut got, 3).expect("pop") == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                } else {
+                    // A slow consumer: drain in dribbles.
+                    std::thread::sleep(Duration::from_millis(2));
+                }
             }
-            sink.flush().expect("flush");
+            producer.join().expect("producer");
+            assert_eq!(got.len(), 64);
+            let seqs: Vec<u64> = got.iter().map(|m| m.seq).collect();
+            assert_eq!(seqs, (0..64).collect::<Vec<u64>>());
+            server.stop();
         });
-        let mut src = server.source();
-        let mut got = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while got.len() < 64 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "backpressured transfer deadlocked ({} of 64)",
-                got.len()
-            );
-            if src.next_batch(&mut got, 3).expect("pop") == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            } else {
-                // A slow consumer: drain in dribbles.
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        producer.join().expect("producer");
-        assert_eq!(got.len(), 64);
-        let seqs: Vec<u64> = got.iter().map(|m| m.seq).collect();
-        assert_eq!(seqs, (0..64).collect::<Vec<u64>>());
-        server.stop();
     }
 
     #[test]
     fn consumer_stalled_past_read_timeout_blocks_producer_instead_of_erroring() {
-        // The exact condition backpressure exists for: the consumer goes
-        // quiet for longer than the sink's socket read timeout. The
-        // sink must keep waiting for acks (blocked, per the module
-        // contract), not fail with Io(TimedOut).
-        let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 1)
-            .expect("bind");
-        let addr = server.addr();
-        let producer = std::thread::spawn(move || {
-            let mut sink = TcpSink::connect(addr, &key(), 1)
-                .expect("connect")
-                .with_max_in_flight(1)
-                .with_ack_poll(Duration::from_millis(20))
-                .expect("ack poll");
-            for i in 0..3u8 {
-                sink.send(ShardId(0), &[i; 50])
-                    .expect("send must block through the stall, not time out");
+        within_deadline(|| {
+            // The exact condition backpressure exists for: the consumer goes
+            // quiet for longer than the sink's socket read timeout. The
+            // sink must keep waiting for acks (blocked, per the module
+            // contract), not fail with Io(TimedOut).
+            let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 1)
+                .expect("bind");
+            let addr = server.addr();
+            let producer = std::thread::spawn(move || {
+                let mut sink = TcpSink::connect(addr, &key(), 1)
+                    .expect("connect")
+                    .with_max_in_flight(1)
+                    .with_ack_poll(Duration::from_millis(20))
+                    .expect("ack poll");
+                for i in 0..3u8 {
+                    sink.send(ShardId(0), &[i; 50])
+                        .expect("send must block through the stall, not time out");
+                }
+                sink.flush().expect("flush");
+            });
+            // Stall well past several poll intervals before draining.
+            std::thread::sleep(Duration::from_millis(300));
+            let mut src = server.source();
+            let mut got = Vec::new();
+            let deadline = std::time::Instant::now() + Duration::from_secs(20);
+            while got.len() < 3 {
+                assert!(std::time::Instant::now() < deadline, "transfer wedged");
+                if src.next_batch(&mut got, 4).expect("pop") == 0 {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
             }
-            sink.flush().expect("flush");
+            producer.join().expect("producer survived the stall");
+            assert_eq!(got.iter().map(|m| m.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
+            server.stop();
         });
-        // Stall well past several poll intervals before draining.
-        std::thread::sleep(Duration::from_millis(300));
-        let mut src = server.source();
-        let mut got = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while got.len() < 3 {
-            assert!(std::time::Instant::now() < deadline, "transfer wedged");
-            if src.next_batch(&mut got, 4).expect("pop") == 0 {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        producer.join().expect("producer survived the stall");
-        assert_eq!(got.iter().map(|m| m.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
-        server.stop();
     }
 
     fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
@@ -742,98 +715,141 @@ mod tests {
 
     #[test]
     fn a_burst_of_frames_is_acked_in_order() {
-        hundred_frames_yield_hundred_acks(|client, wire| client.write_all(wire).expect("write"));
+        within_deadline(|| {
+            hundred_frames_yield_hundred_acks(|client, wire| {
+                client.write_all(wire).expect("write")
+            });
+        });
     }
 
     #[test]
     fn a_client_trickling_single_bytes_is_acked_in_order() {
-        hundred_frames_yield_hundred_acks(|client, wire| {
-            for b in wire {
-                client.write_all(&[*b]).expect("write");
-            }
+        within_deadline(|| {
+            hundred_frames_yield_hundred_acks(|client, wire| {
+                for b in wire {
+                    client.write_all(&[*b]).expect("write");
+                }
+            });
         });
     }
 
     #[test]
     fn a_payload_bigger_than_the_read_buffer_arrives_intact() {
-        let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 16)
-            .expect("bind");
-        let mut client = raw_client(&server);
-        let big: Vec<u8> = (0..100 << 10).map(|i: u32| (i * 31 % 251) as u8).collect();
-        assert!(big.len() > READ_BUF);
-        let wire = [
-            frame(KIND_HELLO, key().as_str().as_bytes()),
-            data(0, 0, &big),
-            data(0, 1, b"after"),
-        ]
-        .concat();
-        client.write_all(&wire).expect("write");
-        let want = [
-            frame(KIND_ACK, &shard_seq(0, 0)),
-            frame(KIND_ACK, &shard_seq(0, 1)),
-        ]
-        .concat();
-        assert_eq!(read_acks(&mut client, 2), want);
-        let got = drain(&mut server.source(), 2);
-        assert!(got[0].payload[..] == big[..], "the big payload changed");
-        assert_eq!(&got[1].payload[..], b"after");
-        server.stop();
+        within_deadline(|| {
+            let server =
+                TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 16)
+                    .expect("bind");
+            let mut client = raw_client(&server);
+            let big: Vec<u8> = (0..100 << 10).map(|i: u32| (i * 31 % 251) as u8).collect();
+            assert!(big.len() > READ_BUF);
+            let wire = [
+                frame(KIND_HELLO, key().as_str().as_bytes()),
+                data(0, 0, &big),
+                data(0, 1, b"after"),
+            ]
+            .concat();
+            client.write_all(&wire).expect("write");
+            let want = [
+                frame(KIND_ACK, &shard_seq(0, 0)),
+                frame(KIND_ACK, &shard_seq(0, 1)),
+            ]
+            .concat();
+            assert_eq!(read_acks(&mut client, 2), want);
+            let got = drain(&mut server.source(), 2);
+            assert!(got[0].payload[..] == big[..], "the big payload changed");
+            assert_eq!(&got[1].payload[..], b"after");
+            server.stop();
+        });
     }
 
     #[test]
     fn no_ack_waits_behind_a_blocked_enqueue() {
-        // Queue of one and no consumer: record 0 is enqueued, record 1's
-        // enqueue blocks. Record 0's ACK must reach the client anyway.
-        let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 1)
-            .expect("bind");
-        let mut src = server.source();
-        let mut client = raw_client(&server);
-        let mut wire = frame(KIND_HELLO, key().as_str().as_bytes());
-        for seq in 0..3 {
-            wire.extend(data(0, seq, b"rec"));
-        }
-        client.write_all(&wire).expect("write");
-        assert_eq!(read_acks(&mut client, 1), frame(KIND_ACK, &shard_seq(0, 0)));
-        server.stop();
-        // Stopping refused record 1, so it is never acked: the connection
-        // closes with no further byte.
-        let mut rest = [0u8; 1];
-        match client.read(&mut rest) {
-            Ok(0) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
-            other => panic!("expected the connection closed, got {other:?}"),
-        }
-        let got = drain(&mut src, 1);
-        assert_eq!(got[0].seq, 0);
-        assert_eq!(src.next_batch(&mut Vec::new(), 8).expect("pop"), 0);
+        within_deadline(|| {
+            // Queue of one and no consumer: record 0 is enqueued, record 1's
+            // enqueue blocks. Record 0's ACK must reach the client anyway.
+            let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 1)
+                .expect("bind");
+            let mut src = server.source();
+            let mut client = raw_client(&server);
+            let mut wire = frame(KIND_HELLO, key().as_str().as_bytes());
+            for seq in 0..3 {
+                wire.extend(data(0, seq, b"rec"));
+            }
+            client.write_all(&wire).expect("write");
+            assert_eq!(read_acks(&mut client, 1), frame(KIND_ACK, &shard_seq(0, 0)));
+            server.stop();
+            // Stopping refused record 1, so it is never acked: the connection
+            // closes with no further byte.
+            let mut rest = [0u8; 1];
+            match client.read(&mut rest) {
+                Ok(0) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+                other => panic!("expected the connection closed, got {other:?}"),
+            }
+            let got = drain(&mut src, 1);
+            assert_eq!(got[0].seq, 0);
+            assert_eq!(src.next_batch(&mut Vec::new(), 8).expect("pop"), 0);
+        });
     }
 
     #[test]
     fn stop_on_an_idle_server_returns_and_closes_the_port() {
-        let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 16)
-            .expect("bind");
-        let addr = server.addr();
-        let (done, stopped) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            server.stop();
-            done.send(()).expect("report");
+        within_deadline(|| {
+            let server =
+                TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 16)
+                    .expect("bind");
+            let addr = server.addr();
+            let (done, stopped) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                server.stop();
+                done.send(()).expect("report");
+            });
+            stopped
+                .recv_timeout(Duration::from_secs(10))
+                .expect("stop() did not return");
+            assert!(TcpStream::connect(addr).is_err(), "the port still accepts");
         });
-        stopped
-            .recv_timeout(Duration::from_secs(10))
-            .expect("stop() did not return");
-        assert!(TcpStream::connect(addr).is_err(), "the port still accepts");
+    }
+
+    #[test]
+    fn an_oversized_hello_is_refused_before_its_body() {
+        within_deadline(|| {
+            // A HELLO header claiming the largest frame, and no body: the
+            // key cannot be that long, so the server drops the connection
+            // at once instead of waiting for 64 MiB.
+            let server =
+                TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 16)
+                    .expect("bind");
+            let mut client = raw_client(&server);
+            client
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("read timeout");
+            let mut head = (MAX_FRAME as u32).to_le_bytes().to_vec();
+            head.push(KIND_HELLO);
+            client.write_all(&head).expect("write");
+            let mut rest = [0u8; 1];
+            match client.read(&mut rest) {
+                Ok(0) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+                other => panic!("expected the connection closed, got {other:?}"),
+            }
+            server.stop();
+        });
     }
 
     #[test]
     fn wrong_stream_key_is_refused() {
-        let server = TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 16)
-            .expect("bind");
-        let other = StreamKey::new("not-live").expect("valid");
-        let mut sink = TcpSink::connect(server.addr(), &other, 1).expect("connect");
-        // The server drops the connection on the mismatched HELLO; the
-        // failure surfaces on the ack path.
-        let _ = sink.send(ShardId(0), b"x");
-        assert!(sink.flush().is_err(), "mismatched key must not ack");
-        server.stop();
+        within_deadline(|| {
+            let server =
+                TcpIngressServer::bind("127.0.0.1:0", &key(), fastflow::BufPool::new(), 16)
+                    .expect("bind");
+            let other = StreamKey::new("not-live").expect("valid");
+            let mut sink = TcpSink::connect(server.addr(), &other, 1).expect("connect");
+            // The server drops the connection on the mismatched HELLO; the
+            // failure surfaces on the ack path.
+            let _ = sink.send(ShardId(0), b"x");
+            assert!(sink.flush().is_err(), "mismatched key must not ack");
+            server.stop();
+        });
     }
 }

@@ -3,8 +3,9 @@
 //! into a failure that names the test.
 //!
 //! One copy, shared as a test-only module: `telemetry`'s `sync` tests
-//! declare it with `#[cfg(test)] mod deadline;`, and `fastflow`'s and
-//! `tbbx`'s unit and integration tests reach this file with
+//! declare it with `#[cfg(test)] mod deadline;`, and the unit and
+//! integration tests of `fastflow`, `tbbx`, `ingress`, `workload` and the
+//! placement gates (`tests/taskgraph_placement.rs`) reach this file with
 //! `#[path = ".../telemetry/src/deadline.rs"] mod deadline;`.
 
 use std::sync::mpsc;

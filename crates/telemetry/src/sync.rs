@@ -9,7 +9,8 @@
 //!   `tbbx` uses it as the task injector that outside spawns land in.
 //! * [`Signal`] is the epoch-counting wakeup every blocking wait parks on:
 //!   `fastflow`'s channel and farm ends, `tbbx`'s idle workers, its
-//!   `Latch` and its pipeline's completion.
+//!   `Latch` and its pipeline's completion, and `ingress`'s TCP readers
+//!   blocked on a full hand-off queue.
 //!
 //! They live here because this is the one crate every runtime and the
 //! flight recorder already depend on, so sharing them adds no crate edge.

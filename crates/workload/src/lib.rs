@@ -692,8 +692,13 @@ pub fn drain_gpu_traces(system: &Arc<GpuSystem>, rec: &Recorder) {
 }
 
 #[cfg(test)]
+#[path = "../../telemetry/src/deadline.rs"]
+mod deadline;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::within_deadline;
     use std::sync::Mutex;
 
     fn oom() -> WorkloadFault {
@@ -906,109 +911,117 @@ mod tests {
 
     #[test]
     fn run_ordered_preserves_submission_order_across_replicas() {
-        let toy = Toy::new(vec![], 1);
-        let d = WorkloadDriver::new(toy);
-        let mut seen = Vec::new();
-        d.run_ordered(3, (0..50u64).map(|b| (b, 2)), |done| {
-            assert_eq!(done.batch, gpu_result(done.item.0, 2));
-            seen.push(done.item.0);
+        within_deadline(|| {
+            let toy = Toy::new(vec![], 1);
+            let d = WorkloadDriver::new(toy);
+            let mut seen = Vec::new();
+            d.run_ordered(3, (0..50u64).map(|b| (b, 2)), |done| {
+                assert_eq!(done.batch, gpu_result(done.item.0, 2));
+                seen.push(done.item.0);
+            });
+            assert_eq!(seen, (0..50).collect::<Vec<u64>>());
         });
-        assert_eq!(seen, (0..50).collect::<Vec<u64>>());
     }
 
     #[test]
     fn run_placed_round_robin_matches_run_ordered() {
-        let d = WorkloadDriver::new(Toy::new(vec![], 1));
-        let mut seen = Vec::new();
-        d.run_placed(
-            RoundRobinPlacement::new(3),
-            3,
-            |item: &(u64, usize)| item.0 % 2,
-            (0..50u64).map(|b| (b, 2)),
-            |done| {
-                assert_eq!(done.batch, gpu_result(done.item.0, 2));
-                seen.push(done.item.0);
-            },
-        );
-        assert_eq!(seen, (0..50).collect::<Vec<u64>>());
+        within_deadline(|| {
+            let d = WorkloadDriver::new(Toy::new(vec![], 1));
+            let mut seen = Vec::new();
+            d.run_placed(
+                RoundRobinPlacement::new(3),
+                3,
+                |item: &(u64, usize)| item.0 % 2,
+                (0..50u64).map(|b| (b, 2)),
+                |done| {
+                    assert_eq!(done.batch, gpu_result(done.item.0, 2));
+                    seen.push(done.item.0);
+                },
+            );
+            assert_eq!(seen, (0..50).collect::<Vec<u64>>());
+        });
     }
 
     #[test]
     fn run_placed_calls_place_in_batch_id_order_and_observes_on_the_placed_device() {
-        struct Pin {
-            placed: Mutex<Vec<(u64, u64)>>,
-            observed: Mutex<Vec<(u64, usize)>>,
-        }
-        impl Placement for Pin {
-            fn place(&self, batch_id: u64, key: u64, _units: u64) -> Decision {
-                self.placed.lock().expect("lock").push((batch_id, key));
-                Decision {
-                    device: key as usize,
-                    predicted_ns: 7,
+        within_deadline(|| {
+            struct Pin {
+                placed: Mutex<Vec<(u64, u64)>>,
+                observed: Mutex<Vec<(u64, usize)>>,
+            }
+            impl Placement for Pin {
+                fn place(&self, batch_id: u64, key: u64, _units: u64) -> Decision {
+                    self.placed.lock().expect("lock").push((batch_id, key));
+                    Decision {
+                        device: key as usize,
+                        predicted_ns: 7,
+                    }
+                }
+                fn observe(&self, batch_id: u64, device: usize) {
+                    self.observed.lock().expect("lock").push((batch_id, device));
                 }
             }
-            fn observe(&self, batch_id: u64, device: usize) {
-                self.observed.lock().expect("lock").push((batch_id, device));
+            let rec = Recorder::enabled();
+            let pin = Arc::new(Pin {
+                placed: Mutex::new(Vec::new()),
+                observed: Mutex::new(Vec::new()),
+            });
+            let d = WorkloadDriver::new(Toy::new(vec![], 1)).with_recorder(rec.clone());
+            let mut n = 0usize;
+            d.run_placed(
+                Arc::clone(&pin) as Arc<dyn Placement>,
+                2,
+                |item: &(u64, usize)| item.0 % 2,
+                (0..20u64).map(|b| (b, 2)),
+                |done| {
+                    assert_eq!(done.batch, gpu_result(done.item.0, 2));
+                    n += 1;
+                },
+            );
+            assert_eq!(n, 20);
+            // place() ran serially in strictly increasing batch-id order.
+            let placed = pin.placed.lock().expect("lock").clone();
+            assert_eq!(placed.len(), 20);
+            assert!(placed.windows(2).all(|w| w[0].0 < w[1].0));
+            // Every observation came from the device the key pinned.
+            let observed = pin.observed.lock().expect("lock").clone();
+            assert_eq!(observed.len(), 20);
+            let by_id: std::collections::HashMap<u64, u64> = placed.iter().copied().collect();
+            for (batch_id, device) in &observed {
+                assert_eq!(*device as u64, by_id[batch_id] % 2);
             }
-        }
-        let rec = Recorder::enabled();
-        let pin = Arc::new(Pin {
-            placed: Mutex::new(Vec::new()),
-            observed: Mutex::new(Vec::new()),
+            // Every decision landed in the flight log as a Placement event
+            // keyed by the causal batch id, carrying device + predicted cost.
+            let events = rec.flight_snapshot();
+            let placements: Vec<_> = events
+                .iter()
+                .filter(|e| e.kind == FlightKind::Placement)
+                .collect();
+            assert_eq!(placements.len(), 20);
+            for e in placements {
+                assert_eq!(e.a, by_id[&e.batch_id] % 2);
+                assert_eq!(e.b, 7);
+            }
         });
-        let d = WorkloadDriver::new(Toy::new(vec![], 1)).with_recorder(rec.clone());
-        let mut n = 0usize;
-        d.run_placed(
-            Arc::clone(&pin) as Arc<dyn Placement>,
-            2,
-            |item: &(u64, usize)| item.0 % 2,
-            (0..20u64).map(|b| (b, 2)),
-            |done| {
-                assert_eq!(done.batch, gpu_result(done.item.0, 2));
-                n += 1;
-            },
-        );
-        assert_eq!(n, 20);
-        // place() ran serially in strictly increasing batch-id order.
-        let placed = pin.placed.lock().expect("lock").clone();
-        assert_eq!(placed.len(), 20);
-        assert!(placed.windows(2).all(|w| w[0].0 < w[1].0));
-        // Every observation came from the device the key pinned.
-        let observed = pin.observed.lock().expect("lock").clone();
-        assert_eq!(observed.len(), 20);
-        let by_id: std::collections::HashMap<u64, u64> = placed.iter().copied().collect();
-        for (batch_id, device) in &observed {
-            assert_eq!(*device as u64, by_id[batch_id] % 2);
-        }
-        // Every decision landed in the flight log as a Placement event
-        // keyed by the causal batch id, carrying device + predicted cost.
-        let events = rec.flight_snapshot();
-        let placements: Vec<_> = events
-            .iter()
-            .filter(|e| e.kind == FlightKind::Placement)
-            .collect();
-        assert_eq!(placements.len(), 20);
-        for e in placements {
-            assert_eq!(e.a, by_id[&e.batch_id] % 2);
-            assert_eq!(e.b, 7);
-        }
     }
 
     #[test]
     fn run_ordered_survives_a_scripted_fault_mix() {
-        let rec = Recorder::enabled();
-        let toy = Toy::new(vec![Step::Kernel, Step::Oom, Step::Kernel, Step::Kernel], 1);
-        let d = WorkloadDriver::new(toy).with_recorder(rec.clone());
-        let mut n = 0usize;
-        d.run_ordered(2, (0..10u64).map(|b| (b * 10, 4)), |done| {
-            n += 1;
-            // Every item is either the GPU or the CPU result, never garbage.
-            assert!(
-                done.batch == gpu_result(done.item.0, 4)
-                    || done.batch == cpu_result(done.item.0, 4)
-            );
+        within_deadline(|| {
+            let rec = Recorder::enabled();
+            let toy = Toy::new(vec![Step::Kernel, Step::Oom, Step::Kernel, Step::Kernel], 1);
+            let d = WorkloadDriver::new(toy).with_recorder(rec.clone());
+            let mut n = 0usize;
+            d.run_ordered(2, (0..10u64).map(|b| (b * 10, 4)), |done| {
+                n += 1;
+                // Every item is either the GPU or the CPU result, never garbage.
+                assert!(
+                    done.batch == gpu_result(done.item.0, 4)
+                        || done.batch == cpu_result(done.item.0, 4)
+                );
+            });
+            assert_eq!(n, 10);
+            assert!(rec.report().retry_count() >= 1);
         });
-        assert_eq!(n, 10);
-        assert!(rec.report().retry_count() >= 1);
     }
 }

@@ -252,7 +252,6 @@ fn pinned_pool_ingress_lands_pinned_with_zero_copies() {
         |m| gpusim::pinned::is_pinned(&m.payload[..]),
         PumpConfig {
             ledger: Some(ledger.clone()),
-            ..PumpConfig::default()
         },
         &rec,
         stats,

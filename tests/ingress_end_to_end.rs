@@ -117,7 +117,6 @@ fn consume(
         landed_pinned,
         PumpConfig {
             ledger: Some(ledger.clone()),
-            ..PumpConfig::default()
         },
         &rec,
         IngressStats::new(&rec, in_key.as_str()),
@@ -344,7 +343,6 @@ fn tcp_ingress_lands_pinned_without_a_copy_and_renders_the_exact_image() {
         landed_pinned,
         PumpConfig {
             ledger: Some(ledger.clone()),
-            ..PumpConfig::default()
         },
         &rec,
         IngressStats::new(&rec, key.as_str()),

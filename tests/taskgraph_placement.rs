@@ -27,6 +27,10 @@ use hetstream::taskgraph::{AutoTuner, CostModelScheduler, EpochMeasure, SchedCon
 use hetstream::telemetry::{FlightKind, Recorder};
 use hetstream::workload::{Placement, RoundRobinPlacement, WorkloadDriver};
 
+#[path = "../crates/telemetry/src/deadline.rs"]
+mod deadline;
+use deadline::within_deadline;
+
 const N_DEV: usize = 4;
 const BATCH: usize = 4;
 // Long enough that the stream outlives the scheduler's blind warm-up
@@ -99,85 +103,91 @@ fn max_device_busy_ns(sys: &GpuSystem) -> u64 {
 
 #[test]
 fn placement_flight_log_replays_identically() {
-    let (digest_a, log_a) = cost_model_render();
-    let (digest_b, log_b) = cost_model_render();
+    within_deadline(|| {
+        let (digest_a, log_a) = cost_model_render();
+        let (digest_b, log_b) = cost_model_render();
 
-    assert_eq!(
-        digest_a, digest_b,
-        "two identical runs must render identically"
-    );
-    let n_batches = DIM.div_ceil(BATCH);
-    assert_eq!(
-        log_a.len(),
-        n_batches,
-        "one placement event per causal batch id"
-    );
-    let ids: Vec<u64> = log_a.iter().map(|(id, _, _)| *id).collect();
-    let devices: Vec<u64> = log_a.iter().map(|(_, d, _)| *d).collect();
-    assert!(
-        ids.windows(2).all(|w| w[1] == w[0] + 1),
-        "causal batch ids are dense and serial: {ids:?}"
-    );
-    assert!(
-        devices.iter().all(|&d| d < N_DEV as u64),
-        "every decision names a real device: {devices:?}"
-    );
-    assert_eq!(
-        log_a, log_b,
-        "the placement log — (batch id, device, predicted ns) — must \
-         replay bit-identically across runs"
-    );
+        assert_eq!(
+            digest_a, digest_b,
+            "two identical runs must render identically"
+        );
+        let n_batches = DIM.div_ceil(BATCH);
+        assert_eq!(
+            log_a.len(),
+            n_batches,
+            "one placement event per causal batch id"
+        );
+        let ids: Vec<u64> = log_a.iter().map(|(id, _, _)| *id).collect();
+        let devices: Vec<u64> = log_a.iter().map(|(_, d, _)| *d).collect();
+        assert!(
+            ids.windows(2).all(|w| w[1] == w[0] + 1),
+            "causal batch ids are dense and serial: {ids:?}"
+        );
+        assert!(
+            devices.iter().all(|&d| d < N_DEV as u64),
+            "every decision names a real device: {devices:?}"
+        );
+        assert_eq!(
+            log_a, log_b,
+            "the placement log — (batch id, device, predicted ns) — must \
+             replay bit-identically across runs"
+        );
+    });
 }
 
 #[test]
 fn output_is_bit_exact_under_any_placement() {
-    let (cm_digest, cm_log) = cost_model_render();
+    within_deadline(|| {
+        let (cm_digest, cm_log) = cost_model_render();
 
-    let rec = Recorder::enabled();
-    let sys = mixed_fleet();
-    let (rr_digest, rr_log) = placed_render(RoundRobinPlacement::new(N_DEV), &sys, &rec);
+        let rec = Recorder::enabled();
+        let sys = mixed_fleet();
+        let (rr_digest, rr_log) = placed_render(RoundRobinPlacement::new(N_DEV), &sys, &rec);
 
-    let (seq, _) = mandel::cpu::run_sequential(&FractalParams::view(DIM, 200));
-    assert_eq!(
-        cm_digest,
-        seq.digest(),
-        "cost-model placement must not change the rendered image"
-    );
-    assert_eq!(
-        rr_digest,
-        seq.digest(),
-        "round-robin placement must not change the rendered image"
-    );
-    // The two policies really did place differently — the bit-exactness
-    // above is a transparency guarantee, not a no-op placement.
-    let cm_devs: Vec<u64> = cm_log.iter().map(|(_, d, _)| *d).collect();
-    let rr_devs: Vec<u64> = rr_log.iter().map(|(_, d, _)| *d).collect();
-    assert_eq!(rr_log.len(), cm_log.len());
-    assert_ne!(
-        cm_devs, rr_devs,
-        "fleets are heterogeneous: the cost model should diverge from \
-         static round-robin somewhere in the stream"
-    );
+        let (seq, _) = mandel::cpu::run_sequential(&FractalParams::view(DIM, 200));
+        assert_eq!(
+            cm_digest,
+            seq.digest(),
+            "cost-model placement must not change the rendered image"
+        );
+        assert_eq!(
+            rr_digest,
+            seq.digest(),
+            "round-robin placement must not change the rendered image"
+        );
+        // The two policies really did place differently — the bit-exactness
+        // above is a transparency guarantee, not a no-op placement.
+        let cm_devs: Vec<u64> = cm_log.iter().map(|(_, d, _)| *d).collect();
+        let rr_devs: Vec<u64> = rr_log.iter().map(|(_, d, _)| *d).collect();
+        assert_eq!(rr_log.len(), cm_log.len());
+        assert_ne!(
+            cm_devs, rr_devs,
+            "fleets are heterogeneous: the cost model should diverge from \
+             static round-robin somewhere in the stream"
+        );
+    });
 }
 
 #[test]
 fn cost_model_lowers_the_busiest_device_below_round_robin() {
-    // Modeled device time only, so deterministic: static round-robin
-    // hands the half-rate devices a full share and they set the makespan;
-    // the cost model learns their rate and shifts work off them.
-    let sys = mixed_fleet();
-    cost_model_render_on(&sys);
-    let cm_busy = max_device_busy_ns(&sys);
+    within_deadline(|| {
+        // Modeled device time only, so deterministic: static round-robin
+        // hands the half-rate devices a full share and they set the makespan;
+        // the cost model learns their rate and shifts work off them.
+        let sys = mixed_fleet();
+        cost_model_render_on(&sys);
+        let cm_busy = max_device_busy_ns(&sys);
 
-    let sys = mixed_fleet();
-    placed_render(RoundRobinPlacement::new(N_DEV), &sys, &Recorder::enabled());
-    let rr_busy = max_device_busy_ns(&sys);
+        let sys = mixed_fleet();
+        placed_render(RoundRobinPlacement::new(N_DEV), &sys, &Recorder::enabled());
+        let rr_busy = max_device_busy_ns(&sys);
 
-    assert!(
-        cm_busy > 0 && cm_busy < rr_busy,
-        "cost-model placement must beat round-robin on the mixed fleet: \
-         {cm_busy} ns vs {rr_busy} ns"
-    );
+        assert!(
+            cm_busy > 0 && cm_busy < rr_busy,
+            "cost-model placement must beat round-robin on the mixed fleet: \
+             {cm_busy} ns vs {rr_busy} ns"
+        );
+    });
 }
 
 /// Recurring lanes the hash-search ranges are keyed into: few enough that
@@ -222,34 +232,36 @@ fn placed_sweep(
 
 #[test]
 fn cost_model_beats_round_robin_on_the_keyed_hash_search() {
-    let mut cfg = SearchConfig::new(vec![0xA5; 64], 262_144);
-    cfg.range = 4_096;
-    cfg.k = 8;
-    assert_eq!(cfg.ranges().len(), 64);
-    // A range costs tens of modeled µs: the default 20 µs migration
-    // penalty would exceed the fast/slow cost gap per range and pin every
-    // lane wherever warm-up dropped it.
-    let mut sched = SchedConfig::for_devices(N_DEV);
-    sched.migration_penalty_ns = 2_000;
-    let (cm_top, cm_busy) = placed_sweep(&cfg, |sys| {
-        CostModelScheduler::new(sys, sched, &Recorder::enabled(), "hashsearch.graph")
-    });
-    let (rr_top, rr_busy) = placed_sweep(&cfg, |_| RoundRobinPlacement::new(N_DEV));
+    within_deadline(|| {
+        let mut cfg = SearchConfig::new(vec![0xA5; 64], 262_144);
+        cfg.range = 4_096;
+        cfg.k = 8;
+        assert_eq!(cfg.ranges().len(), 64);
+        // A range costs tens of modeled µs: the default 20 µs migration
+        // penalty would exceed the fast/slow cost gap per range and pin every
+        // lane wherever warm-up dropped it.
+        let mut sched = SchedConfig::for_devices(N_DEV);
+        sched.migration_penalty_ns = 2_000;
+        let (cm_top, cm_busy) = placed_sweep(&cfg, |sys| {
+            CostModelScheduler::new(sys, sched, &Recorder::enabled(), "hashsearch.graph")
+        });
+        let (rr_top, rr_busy) = placed_sweep(&cfg, |_| RoundRobinPlacement::new(N_DEV));
 
-    let reference = search_cpu(&cfg);
-    assert_eq!(
-        cm_top, reference,
-        "cost-model placement changed the ranking"
-    );
-    assert_eq!(
-        rr_top, reference,
-        "round-robin placement changed the ranking"
-    );
-    assert!(
-        cm_busy < rr_busy,
-        "cost-model placement must beat round-robin on the keyed sweep: \
-         {cm_busy} ns vs {rr_busy} ns"
-    );
+        let reference = search_cpu(&cfg);
+        assert_eq!(
+            cm_top, reference,
+            "cost-model placement changed the ranking"
+        );
+        assert_eq!(
+            rr_top, reference,
+            "round-robin placement changed the ranking"
+        );
+        assert!(
+            cm_busy < rr_busy,
+            "cost-model placement must beat round-robin on the keyed sweep: \
+             {cm_busy} ns vs {rr_busy} ns"
+        );
+    });
 }
 
 #[test]

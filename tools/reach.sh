@@ -50,6 +50,7 @@ telemetry Recorder::flight_snapshot           # observable: the flight ring, as 
 ingress   FileLogSink::with_segment_bytes     # knob: multi-segment logs at test size
 ingress   FileLogSource::open_resume          # resumable consumer: the exactly-once kill-and-resume tests
 ingress   read_all                            # resumable consumer: reads a stream back bit-exactly
+ingress   FileLogSource::rewind               # replay: a rewound source re-delivers in the first pass's order
 ingress   Receipt::is_acked                   # observable: fsync-on-ack durability
 ingress   TcpSink::with_ack_poll              # knob: bounds the stalled-consumer test in time
 dedup     Archive::from_bytes                 # reads back what to_bytes writes (Fig. 5 sizes it)
