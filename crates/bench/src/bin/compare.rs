@@ -7,6 +7,8 @@
 //! ```text
 //! compare plan     # prints `<run_seconds> <workload>,<workload>,...`
 //! compare RUNS     # prints the table
+//! compare RUNS --record HISTORY DATE BASE CHANGE DIRTY SEEDS NPROC
+//!                  # and appends one JSON line per workload to HISTORY
 //! ```
 //!
 //! Both read `BENCHMARK.json` in the working directory: `plan` gives the
@@ -16,8 +18,13 @@
 //! is the last stdout line of
 //! `hetbench --workload <workload> --seed <seed> ... --trace 0` (`null` if
 //! the run printed none). The base and change runs of one workload with
-//! the same seed form a pair. Exits 1 if any run failed an operation or
-//! printed no correct result, 2 on a usage or input error.
+//! the same seed form a pair. `--record` describes the session: when it
+//! ran (`DATE`), both sides' commit shas, whether the change side had
+//! uncommitted edits (`DIRTY`, `true` or `false`), the seed range `A-B`
+//! and the host's `nproc`; each appended line holds these, the workload,
+//! and per end-to-end metric both medians and the change/base ratio of
+//! every pair in seed order ([`history_line`]). Exits 1 if any run failed
+//! an operation or printed no correct result, 2 on a usage or input error.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -240,6 +247,106 @@ fn parse_runs(text: &str) -> Result<Runs, String> {
     Ok(runs)
 }
 
+/// What a history line says about the session that made it.
+#[derive(Debug)]
+struct Session {
+    date: String,
+    base: String,
+    change: String,
+    dirty: bool,
+    seeds: String,
+    nproc: u32,
+}
+
+impl Session {
+    /// `DATE BASE CHANGE DIRTY SEEDS NPROC`, as `--record` takes them.
+    fn parse(args: &[String]) -> Result<Session, String> {
+        let [date, base, change, dirty, seeds, nproc] = args else {
+            return Err("--record wants HISTORY DATE BASE CHANGE DIRTY SEEDS NPROC".into());
+        };
+        let seeds_ok = seeds
+            .split_once('-')
+            .is_some_and(|(a, b)| a.parse::<u64>().is_ok() && b.parse::<u64>().is_ok());
+        if !seeds_ok {
+            return Err(format!("seeds {seeds:?} is not A-B"));
+        }
+        Ok(Session {
+            date: date.clone(),
+            base: base.clone(),
+            change: change.clone(),
+            dirty: dirty
+                .parse()
+                .map_err(|_| format!("dirty {dirty:?} is not true or false"))?,
+            seeds: seeds.clone(),
+            nproc: nproc
+                .parse()
+                .map_err(|_| format!("nproc {nproc:?} is not a number"))?,
+        })
+    }
+}
+
+/// A JSON number to four significant digits, `null` if not finite.
+fn json_number(x: f64) -> String {
+    if x.is_finite() {
+        sig(x)
+    } else {
+        "null".into()
+    }
+}
+
+/// One history line: `session`, `workload`, and per metric of `metrics`
+/// that has pairs, both medians and the change/base ratio of each pair in
+/// seed order.
+fn history_line(
+    session: &Session,
+    metrics: &[Metric],
+    workload: &str,
+    by_seed: &BTreeMap<(u64, bool), Run>,
+) -> String {
+    let rows: Vec<String> = metrics
+        .iter()
+        .filter_map(|m| {
+            let pairs = pairs_of(by_seed, &m.name);
+            if pairs.is_empty() {
+                return None;
+            }
+            let r = row(&pairs, m.higher_is_better);
+            let ratios: Vec<String> = pairs.iter().map(|(b, c)| json_number(c / b)).collect();
+            Some(format!(
+                "\"{}\": {{\"base_median\": {}, \"change_median\": {}, \"ratios\": [{}]}}",
+                m.name,
+                json_number(r.base.median),
+                json_number(r.change.median),
+                ratios.join(", ")
+            ))
+        })
+        .collect();
+    let Session {
+        date,
+        base,
+        change,
+        dirty,
+        seeds,
+        nproc,
+    } = session;
+    format!(
+        "{{\"date\": \"{date}\", \"base\": \"{base}\", \"change\": \"{change}\", \"dirty\": {dirty}, \"seeds\": \"{seeds}\", \"nproc\": {nproc}, \"workload\": \"{workload}\", \"metrics\": {{{}}}}}",
+        rows.join(", ")
+    )
+}
+
+/// `(base, change)` values of `metric` per pair, in seed order.
+fn pairs_of(by_seed: &BTreeMap<(u64, bool), Run>, metric: &str) -> Vec<(f64, f64)> {
+    by_seed
+        .iter()
+        .filter(|((_, change), _)| !change)
+        .filter_map(|(&(seed, _), base)| {
+            let change = by_seed.get(&(seed, true))?;
+            Some((*base.metrics.get(metric)?, *change.metrics.get(metric)?))
+        })
+        .collect()
+}
+
 /// The report, and whether every run was correct with no failed operation.
 fn report(metrics: &[Metric], runs: &Runs) -> (String, bool) {
     let mut out = String::new();
@@ -264,14 +371,7 @@ fn report(metrics: &[Metric], runs: &Runs) -> (String, bool) {
         out += "| metric | base median [q1, q3] | change median [q1, q3] | change/base | pairs won | beyond base IQR |\n";
         out += "|---|---|---|---|---|---|\n";
         for m in metrics {
-            let pairs: Vec<(f64, f64)> = by_seed
-                .iter()
-                .filter(|((_, change), _)| !change)
-                .filter_map(|(&(seed, _), base)| {
-                    let change = by_seed.get(&(seed, true))?;
-                    Some((*base.metrics.get(&m.name)?, *change.metrics.get(&m.name)?))
-                })
-                .collect();
+            let pairs = pairs_of(by_seed, &m.name);
             if pairs.is_empty() {
                 continue;
             }
@@ -304,9 +404,23 @@ fn report(metrics: &[Metric], runs: &Runs) -> (String, bool) {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let [arg] = &args[..] else {
-        eprintln!("usage: compare plan | compare RUNS");
-        return ExitCode::from(2);
+    let (arg, record) = match &args[..] {
+        [arg] => (arg, None),
+        [arg, flag, history, session @ ..] if flag == "--record" && arg != "plan" => {
+            match Session::parse(session) {
+                Ok(session) => (arg, Some((history, session))),
+                Err(e) => {
+                    eprintln!("compare: {e}");
+                    return ExitCode::from(2);
+                }
+            }
+        }
+        _ => {
+            eprintln!(
+                "usage: compare plan | compare RUNS [--record HISTORY DATE BASE CHANGE DIRTY SEEDS NPROC]"
+            );
+            return ExitCode::from(2);
+        }
     };
     let read = |path: &str| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
     let spec = match read("BENCHMARK.json").and_then(|s| parse_spec(&s)) {
@@ -324,6 +438,22 @@ fn main() -> ExitCode {
         Ok(runs) => {
             let (text, clean) = report(&spec.end_to_end, &runs);
             print!("{text}");
+            if let Some((history, session)) = record {
+                let lines: String = runs
+                    .iter()
+                    .map(|(w, by_seed)| history_line(&session, &spec.end_to_end, w, by_seed) + "\n")
+                    .collect();
+                let appended = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(history)
+                    .and_then(|mut f| std::io::Write::write_all(&mut f, lines.as_bytes()));
+                if let Err(e) = appended {
+                    eprintln!("compare: {history}: {e}");
+                    return ExitCode::from(2);
+                }
+                eprintln!("[{} line(s) appended to {history}]", runs.len());
+            }
             if clean {
                 ExitCode::SUCCESS
             } else {
@@ -474,6 +604,70 @@ mod tests {
         assert!(!clean, "a run with no result line is not clean");
         assert!(parse_runs("sideways dedup-gpu 1 null").is_err());
         assert!(parse_runs("base dedup-gpu x null").is_err());
+    }
+
+    #[test]
+    fn a_history_line_holds_the_session_medians_and_pair_ratios() {
+        let line = |side: &str, seed: u64, speedup: f64, rss: &str| {
+            let json = LINE
+                .replace("0.9158", &speedup.to_string())
+                .replace("35.5", rss);
+            format!("{side} dedup-gpu {seed} {json}")
+        };
+        let text = [
+            line("base", 2, 0.8, "40"),
+            line("change", 2, 0.8, "34"),
+            line("change", 1, 1.0, "30"),
+            line("base", 1, 0.5, "40"),
+            // Unpaired: in no ratio and no median.
+            line("base", 3, 9.0, "1"),
+        ]
+        .join("\n");
+        let runs = parse_runs(&text).unwrap();
+        let metrics = [
+            Metric {
+                name: "speedup_vs_serial".into(),
+                higher_is_better: true,
+            },
+            Metric {
+                name: "peak_rss_mb".into(),
+                higher_is_better: false,
+            },
+            Metric {
+                name: "absent".into(),
+                higher_is_better: true,
+            },
+        ];
+        let args: Vec<String> = [
+            "2026-01-02T03:04:05Z",
+            "abc123",
+            "def456",
+            "true",
+            "1-2",
+            "2",
+        ]
+        .map(String::from)
+        .into();
+        let session = Session::parse(&args).unwrap();
+        let (workload, by_seed) = &runs[0];
+        assert_eq!(
+            history_line(&session, &metrics, workload, by_seed),
+            concat!(
+                r#"{"date": "2026-01-02T03:04:05Z", "base": "abc123", "change": "def456", "dirty": true, "seeds": "1-2", "nproc": 2, "workload": "dedup-gpu", "metrics": {"#,
+                r#""speedup_vs_serial": {"base_median": 0.5000, "change_median": 0.8000, "ratios": [2.000, 1.000]}, "#,
+                r#""peak_rss_mb": {"base_median": 40.00, "change_median": 30.00, "ratios": [0.7500, 0.8500]}}}"#
+            )
+        );
+        let bad = |i: usize, v: &str| {
+            let mut a = args.clone();
+            a[i] = v.into();
+            Session::parse(&a)
+        };
+        assert!(bad(3, "yes").is_err());
+        assert!(bad(4, "1..10").is_err());
+        assert!(bad(5, "two").is_err());
+        assert!(Session::parse(&args[..5]).is_err());
+        assert_eq!(json_number(f64::INFINITY), "null");
     }
 
     #[test]

@@ -81,13 +81,10 @@ impl ToStream {
         I: IntoIterator + Send + 'static,
         I::Item: Send + 'static,
     {
-        self.source(move |em| {
-            for item in iter {
-                if !em.send(item) {
-                    break;
-                }
-            }
-        })
+        StreamStage {
+            ordered: self.ordered,
+            inner: Pipeline::builder().recorder(self.rec).from_iter(iter),
+        }
     }
 }
 

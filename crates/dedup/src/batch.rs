@@ -42,19 +42,30 @@ impl Batch {
     }
 }
 
-/// Split `input` into fixed-size batches and fingerprint each (stage 1 of
-/// the Fig. 3 pipeline, minus the file I/O).
-pub fn make_batches(input: &[u8], batch_size: usize, rabin: &RabinParams) -> Vec<Batch> {
+/// Split `input` into fixed-size batches and fingerprint each as it is
+/// asked for (stage 1 of the Fig. 3 pipeline, minus the file I/O): a
+/// pipeline's source sends batch *i* on while batch *i + 1* is still to
+/// be made, so only the batches in flight are alive.
+pub fn batches<'a>(
+    input: &'a [u8],
+    batch_size: usize,
+    rabin: &RabinParams,
+) -> impl Iterator<Item = Batch> + 'a {
     assert!(batch_size > 0);
+    let rabin = *rabin;
     input
         .chunks(batch_size)
         .enumerate()
-        .map(|(index, chunk)| Batch {
+        .map(move |(index, chunk)| Batch {
             index,
             data: chunk.to_vec(),
-            starts: chunk_starts(chunk, rabin),
+            starts: chunk_starts(chunk, &rabin),
         })
-        .collect()
+}
+
+/// Every batch of `input` at once ([`batches`], collected).
+pub fn make_batches(input: &[u8], batch_size: usize, rabin: &RabinParams) -> Vec<Batch> {
+    batches(input, batch_size, rabin).collect()
 }
 
 #[cfg(test)]

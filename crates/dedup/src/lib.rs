@@ -46,7 +46,7 @@ pub mod stats;
 
 pub use archive::{Archive, ArchiveError, BlockEntry};
 pub use backend::{BackendCtx, OffloadBackend};
-pub use batch::{make_batches, Batch, DEFAULT_BATCH_SIZE};
+pub use batch::{batches, make_batches, Batch, DEFAULT_BATCH_SIZE};
 pub use costs::HostCosts;
 pub use dedupe::{BlockClass, DedupCache};
 pub use lzss::{LzssConfig, Match};

@@ -5,6 +5,8 @@
 //!        ──> S4 LZSS compress (replicated, GPU) ──> S5 reorder + write
 //! ```
 //!
+//! S1 fingerprints one batch at a time and sends it on before making the
+//! next ([`batches`]), so a run holds only the batches in flight.
 //! Stage order is restored by the ordered farms the SPar region generates
 //! (the paper's stage 5 "reorders the batches and writes"); stage 3 is
 //! `Replicate(1)` so the global dedup cache needs no lock.
@@ -20,7 +22,7 @@ use workload::WorkloadDriver;
 
 use crate::archive::{Archive, BlockEntry};
 use crate::backend::{BackendCtx, ClassifiedBatch, CompressWork, HashWork, HashedBatch};
-use crate::batch::{make_batches, Batch};
+use crate::batch::{batches, make_batches, Batch};
 use crate::dedupe::DedupCache;
 use crate::lzss::LzssConfig;
 use crate::rabin::RabinParams;
@@ -121,9 +123,10 @@ pub fn run_pipeline_rec<O: Offload>(
     spar::ToStream::new()
         .recorder(rec.clone())
         .ordered(true)
-        // S1: read input, build 1 MB batches, rabin-fingerprint each.
+        // S1: read input, build 1 MB batches, rabin-fingerprint each and
+        // send it on before making the next.
         .source(move |em| {
-            for batch in make_batches(&input, cfg.batch_size, &cfg.rabin) {
+            for batch in batches(&input, cfg.batch_size, &cfg.rabin) {
                 if !em.send(batch) {
                     break;
                 }

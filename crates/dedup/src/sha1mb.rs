@@ -138,24 +138,44 @@ pub fn compress8(states: &mut [[u32; 5]; 8], blocks: &[[u8; 64]; 8]) {
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2.
+/// The CPU must support AVX2 (check with
+/// `is_x86_feature_detected!("avx2")`, as [`compress8`] does): the
+/// function is compiled for it and executes it unconditionally. Memory
+/// needs nothing from the caller: the loads read bytes 0–31 and 32–63 of
+/// a `[u8; 64]` block and the stores write a local `[i32; 8]`, so the
+/// argument types bound every access.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn compress8_avx2(states: &mut [[u32; 5]; 8], blocks: &[[u8; 64]; 8]) {
     use std::arch::x86_64::*;
 
     /// Rotate every lane left by `L` (`R` = 32 − `L`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Only `compress8_avx2`, whose own
+    /// contract requires it, calls this, and it reads no memory.
     #[inline(always)]
     unsafe fn rotl<const L: i32, const R: i32>(v: __m256i) -> __m256i {
         _mm256_or_si256(_mm256_slli_epi32::<L>(v), _mm256_srli_epi32::<R>(v))
     }
     /// Lane `l` = `xs[l]` (`_mm256_set_epi32` takes lanes high-to-low).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Only `compress8_avx2`, whose own
+    /// contract requires it, calls this, and it reads no memory.
     #[inline(always)]
     unsafe fn gather(xs: [i32; 8]) -> __m256i {
         _mm256_set_epi32(xs[7], xs[6], xs[5], xs[4], xs[3], xs[2], xs[1], xs[0])
     }
     /// 8×8 transpose of 32-bit words: lane `l` of output `i` is lane `i`
     /// of input `l`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Only `compress8_avx2`, whose own
+    /// contract requires it, calls this, and it reads no memory.
     #[inline(always)]
     unsafe fn transpose8(r: [__m256i; 8]) -> [__m256i; 8] {
         // Pairs of rows interleaved: t0 = r0[0] r1[0] r0[1] r1[1] | r0[4] r1[4] r0[5] r1[5].

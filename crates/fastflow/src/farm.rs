@@ -11,13 +11,14 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
+use std::time::Instant;
 
 use telemetry::sync::Signal;
 use telemetry::{Recorder, StageHandle};
 
 use crate::channel::{channel_with_recv_signal, channel_with_send_signal, Receiver, Sender};
 use crate::node::{Emitter, Node};
-use crate::pipeline::{send_batch_accounted, traced_recv_batch, PipeConfig};
+use crate::pipeline::{send_batch_accounted, traced_recv_batch, Hold, PipeConfig};
 use crate::stamp::Stamped;
 
 /// Shared queue configuration for farm internals. An unrouted farm deals
@@ -140,8 +141,8 @@ where
         route,
         seq: 0,
         buffered: 0,
+        hold: Hold::new(cfg.burst),
         space,
-        cfg,
     };
     let fan_in = FanIn(Inlet::Farm(Merge {
         lanes,
@@ -168,14 +169,15 @@ pub(crate) struct FanOut<T: Send> {
     seq: u64,
     /// Items across all of `scratch`.
     buffered: usize,
+    hold: Hold,
     space: Arc<Signal>,
-    cfg: FarmConfig,
 }
 
 impl<T: Send> FanOut<T> {
-    /// Queue one item for its worker; auto-flushes at the burst size.
-    /// Returns false once a worker is gone. A router runs here, on the
-    /// upstream stage's thread, serially and in sequence order.
+    /// Queue one item for its worker; flushes when [`Hold::hands_on`]
+    /// says so (with a routed farm's burst of 1: every item). Returns
+    /// false once a worker is gone. A router runs here, on the upstream
+    /// stage's thread, serially and in sequence order.
     #[inline]
     pub(crate) fn push(&mut self, item: Stamped<T>, stage: &StageHandle) -> bool {
         let n = self.to_workers.len();
@@ -186,13 +188,16 @@ impl<T: Send> FanOut<T> {
         self.scratch[w].push_back((self.seq, item));
         self.seq += 1;
         self.buffered += 1;
-        self.buffered < self.cfg.burst || self.flush(stage)
+        !self.hold.hands_on(self.buffered, Instant::now) || self.flush(stage)
     }
 
     /// Deliver everything queued, recording `items_out` as runs are handed
     /// off; a flush that has to wait for room counts one push stall.
     /// Returns false once a worker is gone: the stream stops.
     pub(crate) fn flush(&mut self, stage: &StageHandle) -> bool {
+        if self.buffered == 0 {
+            return true;
+        }
         let mut stalled = false;
         while self.buffered > 0 {
             let mut placed = 0;
@@ -221,6 +226,7 @@ impl<T: Send> FanOut<T> {
                 });
             }
         }
+        self.hold.handed_on(Instant::now);
         true
     }
 }

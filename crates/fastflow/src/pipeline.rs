@@ -7,6 +7,7 @@
 //! channel closes and propagates it by dropping its own sender.
 
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 use telemetry::{Recorder, StageHandle};
 
@@ -17,42 +18,116 @@ use crate::stamp::Stamped;
 use crate::wait::WaitStrategy;
 
 /// Where a stage's outputs go — decided by whatever is appended after it.
-/// Two flush points keep the pipe live and the memory bounded: an outlet
-/// flushes itself when it holds `burst` items, and every stage loop
-/// flushes explicitly before blocking for more input, so no item sits
-/// buffered while the stage sleeps.
+/// Three flush points keep the pipe live and the memory bounded:
+/// - an outlet flushes itself when it holds `burst` items;
+/// - it flushes at once a push that comes [`HOLD`] or more after its last
+///   push or hand-off ([`Hold`]), so a coarse item never waits for a burst
+///   of successors;
+/// - every stage loop flushes explicitly before blocking for more input,
+///   so no item sits buffered while the stage sleeps.
 pub(crate) enum Outlet<T: Send> {
     /// One ring to the next sequential stage or terminal op; a run leaves
     /// with one index publication and one wakeup ([`Sender::send_batch`]).
     Next {
         tx: Sender<Stamped<T>>,
         buf: Vec<Stamped<T>>,
-        burst: usize,
+        hold: Hold,
     },
     /// Straight into the worker rings of the farm that follows.
     Workers(FanOut<T>),
 }
 
 impl<T: Send> Outlet<T> {
-    /// Buffer one output carrying `emit_ns`; auto-flushes at the burst
-    /// size. Returns false once downstream is gone.
+    /// Buffer one output carrying `emit_ns`; hands the run on when
+    /// [`Hold::hands_on`] says so. Returns false once downstream is gone.
     #[inline]
     fn push(&mut self, item: T, emit_ns: u64, stage: &StageHandle) -> bool {
         let item = Stamped::at(item, emit_ns);
         match self {
-            Outlet::Next { tx, buf, burst } => {
+            Outlet::Next { buf, hold, .. } => {
                 buf.push(item);
-                buf.len() < *burst || send_batch_accounted(tx, buf, stage, |_| 1)
+                if !hold.hands_on(buf.len(), Instant::now) {
+                    return true;
+                }
             }
-            Outlet::Workers(fan) => fan.push(item, stage),
+            Outlet::Workers(fan) => return fan.push(item, stage),
         }
+        self.flush(stage)
     }
 
     /// Deliver everything buffered; false once downstream is gone.
     fn flush(&mut self, stage: &StageHandle) -> bool {
         match self {
-            Outlet::Next { tx, buf, .. } => send_batch_accounted(tx, buf, stage, |_| 1),
+            Outlet::Next { buf, .. } if buf.is_empty() => true,
+            Outlet::Next { tx, buf, hold } => {
+                let sent = send_batch_accounted(tx, buf, stage, |_| 1);
+                hold.handed_on(Instant::now);
+                sent
+            }
             Outlet::Workers(fan) => fan.flush(stage),
+        }
+    }
+}
+
+/// The gap between two pushes at which an outlet stops batching: far above
+/// a ring hop (~100 ns) and a futex wakeup (a few µs), far below a coarse
+/// stream item (a Dedup batch's rabin pass, ~0.75 ms; a paced Mandelbrot
+/// batch, 5 ms apart).
+const HOLD: Duration = Duration::from_micros(50);
+
+/// When an outlet hands its buffered run on: at `burst` items, or at once
+/// for a push that comes [`HOLD`] or more after the outlet last pushed or
+/// handed on, and for the first push of a stream.
+///
+/// While pushes come faster the outlet batches, reading the clock twice
+/// per run: at the run's first push and after its hand-off. Once a push
+/// has come slow, every push reads the clock until a run fills to `burst`
+/// again, so a coarse stream pays one read per push plus one per hand-off,
+/// and a fast item between two slow ones waits only for the next push. A
+/// run that starts fast and then slows is held until it fills or its
+/// stage flushes. A burst of 1 hands every push on and never reads the
+/// clock.
+pub(crate) struct Hold {
+    burst: usize,
+    /// The outlet's last timed push or hand-off; `None` before the first push.
+    last: Option<Instant>,
+    /// Time every push: a push came slow since the last full run.
+    coarse: bool,
+}
+
+impl Hold {
+    pub(crate) fn new(burst: usize) -> Self {
+        Hold {
+            burst,
+            last: None,
+            coarse: false,
+        }
+    }
+
+    /// Whether the run, `held` items with the one just pushed, leaves now.
+    /// `now` is read only when the answer depends on it.
+    #[inline]
+    pub(crate) fn hands_on(&mut self, held: usize, now: impl FnOnce() -> Instant) -> bool {
+        if held >= self.burst {
+            self.coarse = false;
+            return true;
+        }
+        if held > 1 && !self.coarse {
+            return false;
+        }
+        let now = now();
+        let slow = self.last.is_none_or(|t| now.duration_since(t) >= HOLD);
+        self.last = Some(now);
+        self.coarse |= slow;
+        slow
+    }
+
+    /// A run was handed on; the hand-off's own wait (a full ring) is not
+    /// the producer being slow, so the next gap counts from its end.
+    #[inline]
+    pub(crate) fn handed_on(&mut self, now: impl FnOnce() -> Instant) {
+        if self.burst > 1 {
+            self.last = Some(now());
         }
     }
 }
@@ -318,9 +393,9 @@ impl Graph {
             return inlet;
         }
         let (tx, rx) = channel(self.cfg.capacity, WaitStrategy::Block);
-        let burst = self.cfg.burst;
-        let buf = Vec::with_capacity(burst);
-        self.connect(tail, Outlet::Next { tx, buf, burst });
+        let buf = Vec::with_capacity(self.cfg.burst);
+        let hold = Hold::new(self.cfg.burst);
+        self.connect(tail, Outlet::Next { tx, buf, hold });
         FanIn::single(rx)
     }
 }
@@ -624,6 +699,111 @@ mod tests {
             drop(rx);
             threads.join(); // must not hang
             assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        });
+    }
+
+    /// The clock, when the hold rule must not read it.
+    fn unread() -> Instant {
+        unreachable!("the hold rule read the clock mid-run")
+    }
+
+    #[test]
+    fn the_first_push_leaves_at_once() {
+        assert!(Hold::new(32).hands_on(1, Instant::now));
+    }
+
+    #[test]
+    fn a_fast_run_batches_up_to_burst() {
+        let t0 = Instant::now();
+        let mut hold = Hold::new(4);
+        assert!(hold.hands_on(1, || t0));
+        hold.handed_on(|| t0);
+        // The first push came slow, so the first run is timed throughout.
+        let start = t0 + Duration::from_micros(1);
+        for held in 1..4 {
+            assert!(!hold.hands_on(held, || start));
+        }
+        assert!(hold.hands_on(4, unread));
+        hold.handed_on(|| start);
+        for _ in 0..3 {
+            // Now a run's first push reads the clock, the rest do not.
+            assert!(!hold.hands_on(1, || start));
+            assert!(!hold.hands_on(2, unread));
+            assert!(!hold.hands_on(3, unread));
+            assert!(hold.hands_on(4, unread));
+            hold.handed_on(|| start);
+        }
+    }
+
+    #[test]
+    fn a_slow_run_flushes_on_every_push() {
+        let t0 = Instant::now();
+        let mut hold = Hold::new(32);
+        for i in 0..10 {
+            let t = t0 + HOLD * i;
+            assert!(hold.hands_on(1, || t), "push {i}");
+            // A hand-off that waited for room does not make the next push slow.
+            hold.handed_on(|| t);
+        }
+    }
+
+    #[test]
+    fn a_slow_run_that_turns_fast_goes_back_to_batching() {
+        let t0 = Instant::now();
+        let at = |us: u64| t0 + Duration::from_micros(us);
+        let mut hold = Hold::new(4);
+        for i in 0..3 {
+            assert!(hold.hands_on(1, || at(1000 * i)));
+            hold.handed_on(|| at(1000 * i));
+        }
+        // Fast again: after slow pushes every push is timed, so a fast item
+        // between two slow ones waits only for the next push...
+        assert!(!hold.hands_on(1, || at(2010)));
+        assert!(hold.hands_on(2, || at(3000)));
+        hold.handed_on(|| at(3000));
+        // ...until a run fills up; then the outlet batches untimed again.
+        for (held, us) in (1..4).zip(3001..) {
+            assert!(!hold.hands_on(held, || at(us)));
+        }
+        assert!(hold.hands_on(4, unread));
+        hold.handed_on(|| at(3004));
+        assert!(!hold.hands_on(1, || at(3005)));
+        assert!(!hold.hands_on(2, unread));
+    }
+
+    #[test]
+    fn a_burst_of_one_hands_every_push_on_untimed() {
+        let mut hold = Hold::new(1);
+        for _ in 0..3 {
+            assert!(hold.hands_on(1, unread));
+            hold.handed_on(unread);
+        }
+    }
+
+    /// The source makes item *i + 1* only once the sink has seen item *i*:
+    /// a coarse item leaves every outlet at once (a ring, then a farm's
+    /// worker rings) instead of waiting for a burst that cannot come.
+    #[test]
+    fn coarse_items_are_not_held_for_a_burst() {
+        within_deadline(|| {
+            let (ack_tx, ack_rx) = std::sync::mpsc::channel();
+            let mut seen = Vec::new();
+            Pipeline::builder()
+                .source(move |em| {
+                    for i in 0..20u32 {
+                        if !em.send(i) || ack_rx.recv().is_err() {
+                            break;
+                        }
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                })
+                .map(|x| x + 1)
+                .farm_ordered(2, |_| node::map(|x: u32| x * 2))
+                .for_each(|x| {
+                    seen.push(x);
+                    let _ = ack_tx.send(());
+                });
+            assert_eq!(seen, (1..=20).map(|x| x * 2).collect::<Vec<u32>>());
         });
     }
 

@@ -61,6 +61,15 @@ fn iterate_span_scalar(
     }
 }
 
+/// [`iterate_span`]'s AVX2 body: whole groups of four columns through
+/// [`iterate4`], the remainder through the scalar loop.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 (check with
+/// `is_x86_feature_detected!("avx2")`, as [`iterate_span`] does): the
+/// function is compiled for it and executes it unconditionally. It
+/// touches memory only through safe slice operations on `out`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn iterate_span_avx2(
@@ -91,6 +100,13 @@ unsafe fn iterate_span_avx2(
 
 /// Four escape iterations in parallel. Per-lane arithmetic mirrors
 /// [`iterate`] operation for operation.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. Only `iterate_span_avx2`, whose own
+/// contract requires it, calls this. Its one load reads the four `f64`s
+/// of `cr` and its one store writes a local `[i64; 4]`, so the argument
+/// types bound every access.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn iterate4(cr: &[f64; 4], ci: f64, niter: u32) -> [u32; 4] {

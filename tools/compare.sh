@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Parent-vs-change comparison of the repo's benchmark, in one command.
 #
-#   tools/compare.sh <base> <change> [--workloads W1,W2] [--seeds A-B] [--null]
+#   tools/compare.sh <base> <change> [--workloads W1,W2] [--seeds A-B] [--null] [--record]
 #
 # <base> and <change> are commits (anything `git rev-parse` takes); `.`
 # names this checkout as it stands, uncommitted edits included. Each side
@@ -19,6 +19,11 @@
 #   --null       run <base> against itself and ignore <change>: how often
 #                a row "wins" with no change at all, on this host at this
 #                hour, to print beside a claim made from runs alongside it
+#   --record     also append one JSON line per workload to
+#                BENCH_history.jsonl at the repo root: date, both shas
+#                (a null run's change is its base), whether `.` had
+#                uncommitted edits, the seeds, nproc, and per end-to-end
+#                metric both medians and every pair's change/base ratio
 #
 # Sources, builds and the raw result lines go under
 # ${CARGO_TARGET_DIR:-target}/compare/. Exits 1 if any run failed an
@@ -28,13 +33,13 @@ cd "$(dirname "$0")/.."
 root=$PWD
 
 usage() {
-    sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 (($# >= 2)) || usage
 base=$1 change=$2
 shift 2
-workloads='' first=1 last=10 null=0
+workloads='' first=1 last=10 null=0 record=0
 while (($#)); do
     case $1 in
     --workloads) workloads=$2 && shift ;;
@@ -44,6 +49,7 @@ while (($#)); do
         shift
         ;;
     --null) null=1 ;;
+    --record) record=1 ;;
     *) usage ;;
     esac
     shift
@@ -112,4 +118,21 @@ for w in "${ws[@]}"; do
         fi
     done
 done
-"$compare" "$results"
+if ((!record)); then
+    "$compare" "$results"
+    exit
+fi
+# sha <rev>: the commit a side ran (`.` runs HEAD plus uncommitted edits).
+sha() {
+    local rev=$1
+    [[ $rev == . ]] && rev=HEAD
+    git rev-parse --verify "$rev^{commit}"
+}
+base_sha=$(sha "$base") change_sha=$(sha "$change") dirty=false
+if ((null)); then
+    change_sha=$base_sha
+elif [[ $change == . && -n $(git status --porcelain) ]]; then
+    dirty=true
+fi
+"$compare" "$results" --record "$root/BENCH_history.jsonl" "$(date -u +%FT%TZ)" \
+    "$base_sha" "$change_sha" "$dirty" "$first-$last" "$(nproc)"
