@@ -127,6 +127,13 @@ gate dedup-gpu 1 gpusim.d2h_bytes_per_item '== 2099032'
 gate mandel-gpu 1 gpusim.kernels_per_item '== 1'
 # and its modeled device time is the iterations Listing 2 meters.
 gate mandel-gpu 1 gpusim.compute_busy_ms '== 5.158682'
+# One last count: a dedup batch's allocations, read 100 and 101 at seed 1
+# (234.5 when every block took its own payload vectors and every batch
+# its own copy of the input). A smoke repetition is two batches, so most
+# of it is a run's set-up: six stage threads with their rings and two
+# fresh devices' tables. Past the first batch a batch costs at most 8
+# (tests/steady_state_no_alloc.rs).
+gate dedup-gpu 1 bench.allocs_per_item '< 110'
 (cd benchmark && CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-../target}" cargo test -q --offline)
 
 echo

@@ -7,19 +7,78 @@
 //! end-to-end — the paper's "guarantee the equivalence with the original
 //! implementation" requirement turned into an executable check.
 
+use std::fmt;
+use std::ops::{Deref, Range};
+use std::sync::{Arc, OnceLock};
+
 use crate::lzss::{decode_block, encode_block, LzssConfig, LzssError};
+
+/// The bytes a block record stores: a range of a buffer other records may
+/// share. The records a pipeline makes for one batch share one exact-size
+/// buffer, and the records of a parsed archive share one copy of the
+/// serialized bytes, so no record is an allocation of its own. Compares
+/// and prints as its bytes.
+#[derive(Clone)]
+pub struct Stored {
+    buf: Arc<[u8]>,
+    range: Range<usize>,
+}
+
+impl Stored {
+    /// `range` of `buf`.
+    fn of(buf: &Arc<[u8]>, range: Range<usize>) -> Stored {
+        Stored {
+            buf: Arc::clone(buf),
+            range,
+        }
+    }
+
+    /// `range` of a buffer [`BatchRecords::finish`] has yet to make.
+    fn pending(range: Range<usize>) -> Stored {
+        static NONE_YET: OnceLock<Arc<[u8]>> = OnceLock::new();
+        Stored::of(NONE_YET.get_or_init(|| Arc::from(&[][..])), range)
+    }
+}
+
+impl From<&[u8]> for Stored {
+    /// A copy of `bytes` in a buffer of its own.
+    fn from(bytes: &[u8]) -> Stored {
+        Stored::of(&Arc::from(bytes), 0..bytes.len())
+    }
+}
+
+impl Deref for Stored {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl PartialEq for Stored {
+    fn eq(&self, other: &Stored) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Stored {}
+
+impl fmt::Debug for Stored {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// One block record, in stream order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BlockEntry {
     /// Unique block whose LZSS form was not smaller: stored raw.
-    UniqueRaw(Vec<u8>),
+    UniqueRaw(Stored),
     /// Unique block stored LZSS-compressed.
     UniqueLzss {
         /// Decoded length.
         orig_len: u32,
-        /// LZSS bitstream.
-        payload: Vec<u8>,
+        /// LZSS bitstream, shorter than `orig_len`.
+        payload: Stored,
     },
     /// Duplicate of unique block with this ordinal.
     Dup(u64),
@@ -28,22 +87,78 @@ pub enum BlockEntry {
 impl BlockEntry {
     /// Build the entry for a unique block: compress, keep raw if smaller.
     pub fn compress_unique(block: &[u8], cfg: &LzssConfig) -> BlockEntry {
-        Self::from_encoded(block, encode_block(block, cfg))
-    }
-
-    /// Build the entry for a unique block whose LZSS bytes were already
-    /// produced (the GPU path). A kept payload is trimmed to its length:
-    /// the encoder sizes its output for the worst case.
-    pub fn from_encoded(block: &[u8], mut encoded: Vec<u8>) -> BlockEntry {
+        let encoded = encode_block(block, cfg);
         if encoded.len() < block.len() {
-            encoded.shrink_to_fit();
             BlockEntry::UniqueLzss {
                 orig_len: block.len() as u32,
-                payload: encoded,
+                payload: Stored::from(&encoded[..]),
             }
         } else {
-            BlockEntry::UniqueRaw(block.to_vec())
+            BlockEntry::UniqueRaw(Stored::from(block))
         }
+    }
+}
+
+/// The records of one batch, built block by block in stream order. The
+/// bytes of its unique blocks go into an arena as they are made, and
+/// [`finish`](Self::finish) copies them once into the exact-size buffer
+/// the records share: the records keep no worst-case-sized arena, and the
+/// arena can serve the next batch.
+pub(crate) struct BatchRecords {
+    arena: Vec<u8>,
+    entries: Vec<BlockEntry>,
+}
+
+impl BatchRecords {
+    /// Records for `blocks` blocks of `bytes` bytes in all, built in
+    /// `arena`, whose old contents are dropped. It is grown once, if need
+    /// be, to what the batch can take: every unique block stores at most
+    /// its own length, and an encoder that gives up on a block has written
+    /// at most four bytes past it (see [`crate::lzss::encode_shorter`]).
+    pub(crate) fn new(mut arena: Vec<u8>, blocks: usize, bytes: usize) -> Self {
+        arena.clear();
+        arena.reserve(bytes + 4);
+        BatchRecords {
+            arena,
+            entries: Vec::with_capacity(blocks),
+        }
+    }
+
+    /// The next block duplicates unique block `of`.
+    pub(crate) fn dup(&mut self, of: u64) {
+        self.entries.push(BlockEntry::Dup(of));
+    }
+
+    /// The next block is the unique `block`: stored LZSS-compressed if
+    /// `encode` appends a form shorter than the block to the arena (and
+    /// says so), raw otherwise.
+    pub(crate) fn unique(&mut self, block: &[u8], encode: impl FnOnce(&mut Vec<u8>) -> bool) {
+        let start = self.arena.len();
+        let entry = if encode(&mut self.arena) {
+            BlockEntry::UniqueLzss {
+                orig_len: block.len() as u32,
+                payload: Stored::pending(start..self.arena.len()),
+            }
+        } else {
+            self.arena.extend_from_slice(block);
+            BlockEntry::UniqueRaw(Stored::pending(start..self.arena.len()))
+        };
+        self.entries.push(entry);
+    }
+
+    /// The batch's records, and the arena for the next batch.
+    pub(crate) fn finish(mut self) -> (Vec<BlockEntry>, Vec<u8>) {
+        let buf: Arc<[u8]> = Arc::from(&self.arena[..]);
+        for entry in &mut self.entries {
+            match entry {
+                BlockEntry::UniqueRaw(stored)
+                | BlockEntry::UniqueLzss {
+                    payload: stored, ..
+                } => stored.buf = Arc::clone(&buf),
+                BlockEntry::Dup(_) => {}
+            }
+        }
+        (self.entries, self.arena)
     }
 }
 
@@ -67,6 +182,9 @@ pub enum ArchiveError {
     DanglingDup(u64),
     /// An LZSS payload failed to decode.
     CorruptBlock(LzssError),
+    /// The LZSS record with this index is not shorter than the block it
+    /// decodes to, which no writer stores compressed.
+    LzssNotShorter(u64),
 }
 
 impl std::fmt::Display for ArchiveError {
@@ -76,6 +194,9 @@ impl std::fmt::Display for ArchiveError {
             ArchiveError::Truncated => write!(f, "truncated archive"),
             ArchiveError::DanglingDup(n) => write!(f, "dup references unknown unique block {n}"),
             ArchiveError::CorruptBlock(e) => write!(f, "corrupt block payload: {e}"),
+            ArchiveError::LzssNotShorter(n) => {
+                write!(f, "LZSS record {n} is not shorter than its block")
+            }
         }
     }
 }
@@ -130,45 +251,52 @@ impl Archive {
         out
     }
 
-    /// Parse a serialized archive.
+    /// Parse a serialized archive. Its records share one copy of `bytes`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Archive, ArchiveError> {
         let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], ArchiveError> {
-            let s = bytes.get(*pos..*pos + n).ok_or(ArchiveError::Truncated)?;
-            *pos += n;
-            Ok(s)
+        let span = |pos: &mut usize, n: usize| -> Result<Range<usize>, ArchiveError> {
+            let end = pos
+                .checked_add(n)
+                .filter(|&end| end <= bytes.len())
+                .ok_or(ArchiveError::Truncated)?;
+            Ok(std::mem::replace(pos, end)..end)
         };
+        let take = |pos: &mut usize, n: usize| span(pos, n).map(|r| &bytes[r]);
+        let u32_at =
+            |pos: &mut usize| take(pos, 4).map(|b| u32::from_le_bytes(b.try_into().expect("4")));
+        let u64_at =
+            |pos: &mut usize| take(pos, 8).map(|b| u64::from_le_bytes(b.try_into().expect("8")));
         if take(&mut pos, 4)? != MAGIC {
             return Err(ArchiveError::BadHeader);
         }
-        let window = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
-        let min_coded = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
+        let window = u32_at(&mut pos)? as usize;
+        let min_coded = u32_at(&mut pos)? as usize;
         let lzss = LzssConfig { window, min_coded };
         if !lzss.window_is_valid() || !lzss.min_coded_is_valid() {
             return Err(ArchiveError::BadHeader);
         }
-        let n = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8")) as usize;
-        let mut entries = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
+        let n = u64_at(&mut pos)?;
+        let buf: Arc<[u8]> = Arc::from(bytes);
+        let mut entries = Vec::with_capacity((n as usize).min(1 << 20));
+        for index in 0..n {
             let tag = take(&mut pos, 1)?[0];
             let entry = match tag {
                 0 => {
-                    let len =
-                        u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
-                    BlockEntry::UniqueRaw(take(&mut pos, len)?.to_vec())
+                    let len = u32_at(&mut pos)? as usize;
+                    BlockEntry::UniqueRaw(Stored::of(&buf, span(&mut pos, len)?))
                 }
                 1 => {
-                    let orig_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4"));
-                    let plen =
-                        u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
+                    let orig_len = u32_at(&mut pos)?;
+                    let plen = u32_at(&mut pos)?;
+                    if plen >= orig_len {
+                        return Err(ArchiveError::LzssNotShorter(index));
+                    }
                     BlockEntry::UniqueLzss {
                         orig_len,
-                        payload: take(&mut pos, plen)?.to_vec(),
+                        payload: Stored::of(&buf, span(&mut pos, plen as usize)?),
                     }
                 }
-                2 => BlockEntry::Dup(u64::from_le_bytes(
-                    take(&mut pos, 8)?.try_into().expect("8"),
-                )),
+                2 => BlockEntry::Dup(u64_at(&mut pos)?),
                 _ => return Err(ArchiveError::BadHeader),
             };
             entries.push(entry);
@@ -176,29 +304,29 @@ impl Archive {
         Ok(Archive { lzss, entries })
     }
 
-    /// Reconstruct the original input stream.
+    /// Reconstruct the original input stream. A duplicate copies its
+    /// unique block from what is already decoded.
     pub fn decompress(&self) -> Result<Vec<u8>, ArchiveError> {
-        let mut uniques: Vec<Vec<u8>> = Vec::new();
+        let mut uniques: Vec<Range<usize>> = Vec::new();
         let mut out = Vec::new();
         for e in &self.entries {
+            let start = out.len();
             match e {
-                BlockEntry::UniqueRaw(data) => {
-                    out.extend_from_slice(data);
-                    uniques.push(data.clone());
-                }
+                BlockEntry::UniqueRaw(data) => out.extend_from_slice(data),
                 BlockEntry::UniqueLzss { orig_len, payload } => {
                     let data = decode_block(payload, *orig_len as usize, &self.lzss)
                         .map_err(ArchiveError::CorruptBlock)?;
                     out.extend_from_slice(&data);
-                    uniques.push(data);
                 }
                 BlockEntry::Dup(ordinal) => {
-                    let data = uniques
+                    let unique = uniques
                         .get(*ordinal as usize)
                         .ok_or(ArchiveError::DanglingDup(*ordinal))?;
-                    out.extend_from_slice(data);
+                    out.extend_from_within(unique.clone());
+                    continue;
                 }
             }
+            uniques.push(start..out.len());
         }
         Ok(out)
     }
@@ -354,6 +482,69 @@ mod tests {
     fn block_counts() {
         let s = crate::ArchiveStats::of(&sample_archive());
         assert_eq!((s.unique_raw + s.unique_lzss, s.dup_blocks), (2, 1));
+    }
+
+    /// `ArchiveStats::of` subtracts a payload's length from its block's: a
+    /// parsed LZSS record at least as long as its block would underflow
+    /// it, and no writer makes one, so reading refuses it.
+    #[test]
+    fn an_lzss_record_not_shorter_than_its_block_is_rejected_on_read() {
+        let cfg = LzssConfig::default();
+        for (orig_len, payload) in [(4u32, vec![0u8; 4]), (3, vec![0; 5]), (0, vec![])] {
+            let mut a = Archive::new(cfg);
+            a.entries.push(BlockEntry::compress_unique(b"abc", &cfg));
+            a.entries.push(BlockEntry::UniqueLzss {
+                orig_len,
+                payload: Stored::from(&payload[..]),
+            });
+            assert_eq!(
+                Archive::from_bytes(&a.to_bytes()),
+                Err(ArchiveError::LzssNotShorter(1)),
+                "orig_len {orig_len}, payload {}",
+                payload.len()
+            );
+        }
+        // One byte shorter is what a writer may store.
+        let mut a = Archive::new(cfg);
+        a.entries.push(BlockEntry::UniqueLzss {
+            orig_len: 4,
+            payload: Stored::from(&[0u8; 3][..]),
+        });
+        let parsed = Archive::from_bytes(&a.to_bytes()).unwrap();
+        assert_eq!(crate::ArchiveStats::of(&parsed).compress_saved, 1);
+    }
+
+    /// A batch's records share one exact-size buffer holding only what
+    /// they store, and equal the records `compress_unique` makes one by
+    /// one.
+    #[test]
+    fn batch_records_share_one_exact_buffer() {
+        let cfg = LzssConfig::default();
+        let squeezable = b"hello hello hello hello hello ".repeat(20);
+        let raw: Vec<u8> = (0..=255u8).collect();
+        let mut records = BatchRecords::new(Vec::new(), 3, squeezable.len() + raw.len());
+        let mut finder = crate::lzss::MatchFinder::default();
+        for block in [&squeezable[..], &raw[..]] {
+            records.unique(block, |out| {
+                crate::lzss::encode_shorter(block, &cfg, &mut finder, out)
+            });
+        }
+        records.dup(0);
+        let (entries, arena) = records.finish();
+        let one_by_one = vec![
+            BlockEntry::compress_unique(&squeezable, &cfg),
+            BlockEntry::compress_unique(&raw, &cfg),
+            BlockEntry::Dup(0),
+        ];
+        assert_eq!(entries, one_by_one);
+        let (BlockEntry::UniqueLzss { payload, .. }, BlockEntry::UniqueRaw(data)) =
+            (&entries[0], &entries[1])
+        else {
+            panic!("one compressed and one raw record: {entries:?}")
+        };
+        assert!(Arc::ptr_eq(&payload.buf, &data.buf));
+        assert_eq!(payload.buf.len(), payload.len() + data.len());
+        assert_eq!(arena.len(), payload.buf.len());
     }
 
     #[test]

@@ -31,16 +31,16 @@
 use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
-use fastflow::{BufPool, PooledBuf};
+use fastflow::{recycler, BufPool, PooledBuf, Recycler};
 use gpusim::{GpuSystem, Offload, OutOfMemory, PinnedSlab};
 use telemetry::Recorder;
 use workload::{Workload, WorkloadFault};
 
-use crate::archive::BlockEntry;
+use crate::archive::{BatchRecords, BlockEntry};
 use crate::batch::Batch;
 use crate::dedupe::BlockClass;
 use crate::kernels::{FindMatchBlockKernel, FindMatchKernel, Sha1BlockKernel, Sha1Kernel};
-use crate::lzss::{encode_block_from_matches, LzssConfig};
+use crate::lzss::{encode_shorter, encode_shorter_from_matches, LzssConfig, MatchFinder};
 use crate::sha1::Digest;
 use crate::sha1mb::sha1_each;
 
@@ -75,6 +75,10 @@ pub struct BackendCtx {
     /// likewise pinned so the match kernel's read-backs are zero-copy,
     /// and likewise one per process.
     pub matches: BufPool<u32>,
+    /// Stage 4's arenas: each batch's stored bytes are built in one taken
+    /// from here and given back once the batch's records hold their
+    /// exact-size copy. One per process, like the pools.
+    pub arenas: Recycler<Vec<u8>>,
 }
 
 /// The process-wide pool behind every context's [`BackendCtx::digests`].
@@ -89,6 +93,16 @@ fn match_pool() -> BufPool<u32> {
     POOL.get_or_init(workload::pinned_pool).clone()
 }
 
+/// Stage-4 arenas a process keeps: one per replica busy encoding.
+const ARENAS: usize = 16;
+
+/// The process-wide recycler behind every context's
+/// [`BackendCtx::arenas`].
+fn arena_pool() -> Recycler<Vec<u8>> {
+    static ARENA_POOL: OnceLock<Recycler<Vec<u8>>> = OnceLock::new();
+    ARENA_POOL.get_or_init(|| recycler(ARENAS)).clone()
+}
+
 impl BackendCtx {
     /// Host-only context: every batch runs on the stages' host rungs.
     pub fn cpu(lzss: LzssConfig) -> Self {
@@ -99,6 +113,7 @@ impl BackendCtx {
             lzss,
             digests: digest_pool(),
             matches: match_pool(),
+            arenas: arena_pool(),
         }
     }
 
@@ -112,6 +127,7 @@ impl BackendCtx {
             lzss,
             digests: digest_pool(),
             matches: match_pool(),
+            arenas: arena_pool(),
         }
     }
 }
@@ -124,7 +140,7 @@ pub type OffloadBackend<O> = O;
 /// Item emitted by stage 2. `gpu: None` means the batch is host-only (a
 /// host-only run, or a batch whose stage 2 fell back or re-split).
 pub struct HashedBatch<O: Offload> {
-    /// The batch (host copy).
+    /// The batch (a view of the run's input).
     pub batch: Batch,
     /// SHA-1 per block, in a pooled buffer that returns to
     /// [`BackendCtx::digests`] when the consumer drops it.
@@ -135,7 +151,7 @@ pub struct HashedBatch<O: Offload> {
 
 /// Item emitted by stage 3: stage 4's [`Workload::Item`].
 pub struct ClassifiedBatch<O: Offload> {
-    /// The batch (host copy).
+    /// The batch (a view of the run's input).
     pub batch: Batch,
     /// Unique/dup class per block.
     pub classes: Vec<BlockClass>,
@@ -149,41 +165,51 @@ fn cpu_digests(batch: &Batch, out: &mut [Digest]) {
     sha1_each(out.len(), |b| batch.block(b), |b, digest| out[b] = digest);
 }
 
-/// Host implementation of stage 4. Byte-identical to the GPU match-kernel
-/// encoding, so a host batch still reproduces the sequential archive
-/// exactly.
-fn cpu_entries(batch: &Batch, classes: &[BlockClass], lzss: &LzssConfig) -> Vec<BlockEntry> {
-    classes
-        .iter()
-        .enumerate()
-        .map(|(b, class)| match class {
-            BlockClass::Unique { .. } => BlockEntry::compress_unique(batch.block(b), lzss),
-            BlockClass::Dup { of } => BlockEntry::Dup(*of),
-        })
-        .collect()
-}
-
-/// Walk the classes and encode unique blocks from per-position matches.
-fn entries_from_matches(
+/// One batch's records, in one arena from `arenas`: a duplicate block by
+/// reference, a unique block `b` as what `encode(b, arena)` appends when
+/// it returns `true` (an LZSS form shorter than the block), raw otherwise.
+pub(crate) fn batch_entries(
     batch: &Batch,
     classes: &[BlockClass],
-    lens: &[u32],
-    offs: &[u32],
-    lzss: &LzssConfig,
+    arenas: &Recycler<Vec<u8>>,
+    mut encode: impl FnMut(usize, &mut Vec<u8>) -> bool,
 ) -> Vec<BlockEntry> {
-    classes
-        .iter()
-        .enumerate()
-        .map(|(b, class)| match class {
-            BlockClass::Unique { .. } => {
-                let r = batch.block_range(b);
-                let block = &batch.data[r.clone()];
-                let encoded = encode_block_from_matches(block, &lens[r.clone()], &offs[r], lzss);
-                BlockEntry::from_encoded(block, encoded)
-            }
-            BlockClass::Dup { of } => BlockEntry::Dup(*of),
-        })
-        .collect()
+    let arena = arenas.take().unwrap_or_default();
+    let mut records = BatchRecords::new(arena, classes.len(), batch.data().len());
+    for (b, class) in classes.iter().enumerate() {
+        match class {
+            BlockClass::Unique { .. } => records.unique(batch.block(b), |out| encode(b, out)),
+            BlockClass::Dup { of } => records.dup(*of),
+        }
+    }
+    let (entries, arena) = records.finish();
+    arenas.give(arena);
+    entries
+}
+
+/// Host implementation of stage 4: one match finder searches every
+/// unique block. Byte-identical to the GPU match-kernel encoding, so a
+/// host batch still reproduces the sequential archive exactly.
+fn cpu_entries(batch: &Batch, classes: &[BlockClass], ctx: &BackendCtx) -> Vec<BlockEntry> {
+    let mut finder = MatchFinder::default();
+    batch_entries(batch, classes, &ctx.arenas, |b, out| {
+        encode_shorter(batch.block(b), &ctx.lzss, &mut finder, out)
+    })
+}
+
+/// Encode a batch's unique blocks from its per-position matches.
+pub(crate) fn entries_from_matches(
+    batch: &Batch,
+    classes: &[BlockClass],
+    (lens, offs): (&[u32], &[u32]),
+    lzss: &LzssConfig,
+    arenas: &Recycler<Vec<u8>>,
+) -> Vec<BlockEntry> {
+    batch_entries(batch, classes, arenas, |b, out| {
+        let r = batch.block_range(b);
+        let block = &batch.data()[r.clone()];
+        encode_shorter_from_matches(block, &lens[r.clone()], &offs[r], lzss, out)
+    })
 }
 
 /// Device-resident batch data produced by stage 2 ([`HashWork`]). Owning
@@ -223,8 +249,9 @@ impl<O: Offload> DedupGpu<O> {
 
 /// Per-device state a [`DedupGpu`] keeps across batches: the offloader
 /// plus the recycled device scratch. There is no host-side staging: the
-/// source/destination memory itself (the batch's vectors, the pooled
-/// digest/match arrays) is pinned and transferred from/into.
+/// source/destination memory itself (the batch's range of the run's
+/// input, the starts scratch, the pooled digest/match arrays) is pinned
+/// and transferred from/into.
 struct Lane<O: Offload> {
     off: O,
     /// Recycled device scratch for stage outputs. Unlike `d_data` /
@@ -327,7 +354,7 @@ impl<O: Offload> HashWork<O> {
         let device = gpu.device;
         let base = batch.block_range(lo).start;
         let end = batch.block_range(hi - 1).end;
-        let data = &batch.data[base..end];
+        let data = &batch.data()[base..end];
         let n = hi - lo;
         gpu.starts_scratch.clear();
         gpu.starts_scratch
@@ -482,7 +509,7 @@ impl<O: Offload> CompressWork<O> {
         classes: &[BlockClass],
         res: &OffloadResident<O>,
     ) -> Result<(PooledBuf<u32>, PooledBuf<u32>), WorkloadFault> {
-        let len = batch.data.len();
+        let len = batch.data().len();
         let mut lens = self.ctx.matches.acquire(len);
         let mut offs = self.ctx.matches.acquire(len);
         // The data lives on whatever device stage 2 used.
@@ -564,12 +591,18 @@ impl<O: Offload> Workload for CompressWork<O> {
             .as_ref()
             .expect("only device-resident batches take the device path");
         let (lens, offs) = self.compress_on_device(gpu, &item.batch, &item.classes, res)?;
-        *out = entries_from_matches(&item.batch, &item.classes, &lens, &offs, &self.ctx.lzss);
+        *out = entries_from_matches(
+            &item.batch,
+            &item.classes,
+            (&lens, &offs),
+            &self.ctx.lzss,
+            &self.ctx.arenas,
+        );
         Ok(())
     }
 
     fn cpu_batch(&self, item: &Self::Item, out: &mut Vec<BlockEntry>) {
-        *out = cpu_entries(&item.batch, &item.classes, &self.ctx.lzss);
+        *out = cpu_entries(&item.batch, &item.classes, &self.ctx);
     }
 
     fn register_telemetry(&self, rec: &Recorder) {

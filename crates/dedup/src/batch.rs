@@ -6,66 +6,92 @@
 //! from the rabin fingerprint ... saved all the indexes where the algorithm
 //! would fragment the data" (§IV-B).
 
+use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
+
 use crate::rabin::{chunk_starts, RabinParams};
 
 /// Default batch size: the paper's 1 MB.
 pub const DEFAULT_BATCH_SIZE: usize = 1 << 20;
 
 /// A fixed-size batch of input data plus its content-defined block starts.
-#[derive(Clone, Debug)]
+///
+/// A batch is a view: it shares the run's input and names its own range
+/// of it, so making and passing batches copies no input bytes.
+#[derive(Clone)]
 pub struct Batch {
     /// Position of this batch in the stream (reorder key for stage 5).
     pub index: usize,
-    /// Raw input bytes (≤ batch size; the tail batch may be shorter).
-    pub data: Vec<u8>,
-    /// Start offset of every block within `data` (Fig. 2's `startPos`);
-    /// `starts[0] == 0`.
+    /// The whole input of the run this batch belongs to.
+    input: Arc<Vec<u8>>,
+    /// This batch's bytes within `input` (≤ batch size; the tail batch
+    /// may be shorter).
+    span: Range<usize>,
+    /// Start offset of every block within [`data`](Self::data) (Fig. 2's
+    /// `startPos`); `starts[0] == 0`.
     pub starts: Vec<usize>,
 }
 
 impl Batch {
+    /// The batch's raw input bytes.
+    pub fn data(&self) -> &[u8] {
+        &self.input[self.span.clone()]
+    }
+
     /// Number of blocks.
     pub fn block_count(&self) -> usize {
         self.starts.len()
     }
 
-    /// Byte range of block `b`.
-    pub fn block_range(&self, b: usize) -> std::ops::Range<usize> {
+    /// Byte range of block `b` within [`data`](Self::data).
+    pub fn block_range(&self, b: usize) -> Range<usize> {
         let start = self.starts[b];
-        let end = self.starts.get(b + 1).copied().unwrap_or(self.data.len());
+        let end = self.starts.get(b + 1).copied().unwrap_or(self.span.len());
         start..end
     }
 
     /// Borrow block `b`'s bytes.
     pub fn block(&self, b: usize) -> &[u8] {
-        &self.data[self.block_range(b)]
+        &self.data()[self.block_range(b)]
+    }
+}
+
+impl fmt::Debug for Batch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Batch")
+            .field("index", &self.index)
+            .field("span", &self.span)
+            .field("blocks", &self.starts.len())
+            .finish()
     }
 }
 
 /// Split `input` into fixed-size batches and fingerprint each as it is
 /// asked for (stage 1 of the Fig. 3 pipeline, minus the file I/O): a
 /// pipeline's source sends batch *i* on while batch *i + 1* is still to
-/// be made, so only the batches in flight are alive.
-pub fn batches<'a>(
-    input: &'a [u8],
+/// be made. Every batch is a range of `input`, which the batches share.
+pub fn batches(
+    input: Arc<Vec<u8>>,
     batch_size: usize,
     rabin: &RabinParams,
-) -> impl Iterator<Item = Batch> + 'a {
+) -> impl Iterator<Item = Batch> {
     assert!(batch_size > 0);
     let rabin = *rabin;
-    input
-        .chunks(batch_size)
-        .enumerate()
-        .map(move |(index, chunk)| Batch {
+    (0..input.len().div_ceil(batch_size)).map(move |index| {
+        let span = index * batch_size..input.len().min((index + 1) * batch_size);
+        Batch {
             index,
-            data: chunk.to_vec(),
-            starts: chunk_starts(chunk, &rabin),
-        })
+            starts: chunk_starts(&input[span.clone()], &rabin),
+            input: Arc::clone(&input),
+            span,
+        }
+    })
 }
 
-/// Every batch of `input` at once ([`batches`], collected).
+/// Every batch of `input` at once ([`batches`] over one copy of it).
 pub fn make_batches(input: &[u8], batch_size: usize, rabin: &RabinParams) -> Vec<Batch> {
-    batches(input, batch_size, rabin).collect()
+    batches(Arc::new(input.to_vec()), batch_size, rabin).collect()
 }
 
 #[cfg(test)]
@@ -80,7 +106,7 @@ mod tests {
     fn batches_cover_input_exactly() {
         let input = data(100_000);
         let batches = make_batches(&input, 1 << 14, &RabinParams::default());
-        let glued: Vec<u8> = batches.iter().flat_map(|b| b.data.clone()).collect();
+        let glued: Vec<u8> = batches.iter().flat_map(|b| b.data().to_vec()).collect();
         assert_eq!(glued, input);
         assert_eq!(batches.len(), 100_000usize.div_ceil(1 << 14));
         for (i, b) in batches.iter().enumerate() {
@@ -98,7 +124,7 @@ mod tests {
                 assert_eq!(r.start, covered);
                 covered = r.end;
             }
-            assert_eq!(covered, b.data.len());
+            assert_eq!(covered, b.data().len());
         }
     }
 
@@ -112,7 +138,7 @@ mod tests {
         let input = data(1000);
         let batches = make_batches(&input, 512, &RabinParams::default());
         assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0].data.len(), 512);
-        assert_eq!(batches[1].data.len(), 488);
+        assert_eq!(batches[0].data().len(), 512);
+        assert_eq!(batches[1].data().len(), 488);
     }
 }

@@ -194,7 +194,14 @@ impl KernelFn for FindMatchKernel {
         // Work per lane: the startPos scan it stands for plus its probes.
         let scan_units = self.n_blocks as u64 / 4 + 1;
         let mut tile = Tile::new(meter);
-        let mut finder = MatchFinder::default();
+        let tail = starts
+            .last()
+            .map_or(0, |&s| self.data_len.saturating_sub(s as usize));
+        let longest = starts
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .fold(tail, usize::max);
+        let mut finder = MatchFinder::with_capacity(longest);
         for (b, &start) in starts.iter().enumerate() {
             let start = start as usize;
             let end = starts.get(b + 1).map_or(self.data_len, |&s| s as usize);
@@ -328,11 +335,11 @@ mod tests {
         let b = sample_batch();
         let sys = GpuSystem::new(1, DeviceProps::titan_xp());
         let dev = sys.device(0);
-        let d_data = dev.alloc::<u8>(b.data.len()).unwrap();
+        let d_data = dev.alloc::<u8>(b.data().len()).unwrap();
         let d_starts = dev.alloc::<u32>(b.block_count()).unwrap();
         let d_out = dev.alloc::<u8>(b.block_count() * 20).unwrap();
         let starts: Vec<u32> = b.starts.iter().map(|&s| s as u32).collect();
-        dev.copy_h2d(StreamId::DEFAULT, &b.data, d_data, 0, false, SimTime::ZERO);
+        dev.copy_h2d(StreamId::DEFAULT, b.data(), d_data, 0, false, SimTime::ZERO);
         dev.copy_h2d(
             StreamId::DEFAULT,
             &starts,
@@ -344,7 +351,7 @@ mod tests {
         let k = Sha1Kernel {
             data: d_data,
             starts: d_starts,
-            data_len: b.data.len(),
+            data_len: b.data().len(),
             n_blocks: b.block_count(),
             out: d_out,
         };
@@ -375,12 +382,12 @@ mod tests {
         };
         let sys = GpuSystem::new(1, DeviceProps::titan_xp());
         let dev = sys.device(0);
-        let d_data = dev.alloc::<u8>(b.data.len()).unwrap();
+        let d_data = dev.alloc::<u8>(b.data().len()).unwrap();
         let d_starts = dev.alloc::<u32>(b.block_count()).unwrap();
-        let d_len = dev.alloc::<u32>(b.data.len()).unwrap();
-        let d_off = dev.alloc::<u32>(b.data.len()).unwrap();
+        let d_len = dev.alloc::<u32>(b.data().len()).unwrap();
+        let d_off = dev.alloc::<u32>(b.data().len()).unwrap();
         let starts: Vec<u32> = b.starts.iter().map(|&s| s as u32).collect();
-        dev.copy_h2d(StreamId::DEFAULT, &b.data, d_data, 0, false, SimTime::ZERO);
+        dev.copy_h2d(StreamId::DEFAULT, b.data(), d_data, 0, false, SimTime::ZERO);
         dev.copy_h2d(
             StreamId::DEFAULT,
             &starts,
@@ -391,7 +398,7 @@ mod tests {
         );
         let k = FindMatchKernel {
             data: d_data,
-            data_len: b.data.len(),
+            data_len: b.data().len(),
             starts: d_starts,
             n_blocks: b.block_count(),
             matches_len: d_len,
@@ -400,19 +407,19 @@ mod tests {
         };
         dev.launch(
             StreamId::DEFAULT,
-            LaunchDims::cover(b.data.len() as u64, 256),
+            LaunchDims::cover(b.data().len() as u64, 256),
             &k,
             SimTime::ZERO,
         );
-        let mut lens = vec![0u32; b.data.len()];
-        let mut offs = vec![0u32; b.data.len()];
+        let mut lens = vec![0u32; b.data().len()];
+        let mut offs = vec![0u32; b.data().len()];
         dev.copy_d2h(StreamId::DEFAULT, d_len, 0, &mut lens, false, SimTime::ZERO);
         dev.copy_d2h(StreamId::DEFAULT, d_off, 0, &mut offs, false, SimTime::ZERO);
         // Spot-check every 37th position against the CPU search.
         for blk in 0..b.block_count() {
             let r = b.block_range(blk);
             for pos in r.clone().step_by(37) {
-                let (m, _) = find_match_scalar(&b.data, r.start, r.end, pos, &cfg);
+                let (m, _) = find_match_scalar(b.data(), r.start, r.end, pos, &cfg);
                 assert_eq!(
                     Match {
                         dist: offs[pos],
@@ -434,10 +441,10 @@ mod tests {
         };
         let sys = GpuSystem::new(1, DeviceProps::titan_xp());
         let dev = sys.device(0);
-        let d_data = dev.alloc::<u8>(b.data.len()).unwrap();
-        dev.copy_h2d(StreamId::DEFAULT, &b.data, d_data, 0, false, SimTime::ZERO);
-        let d_len_a = dev.alloc::<u32>(b.data.len()).unwrap();
-        let d_off_a = dev.alloc::<u32>(b.data.len()).unwrap();
+        let d_data = dev.alloc::<u8>(b.data().len()).unwrap();
+        dev.copy_h2d(StreamId::DEFAULT, b.data(), d_data, 0, false, SimTime::ZERO);
+        let d_len_a = dev.alloc::<u32>(b.data().len()).unwrap();
+        let d_off_a = dev.alloc::<u32>(b.data().len()).unwrap();
         for blk in 0..b.block_count() {
             let r = b.block_range(blk);
             let k = FindMatchBlockKernel {
@@ -455,7 +462,7 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        let mut lens = vec![0u32; b.data.len()];
+        let mut lens = vec![0u32; b.data().len()];
         dev.copy_d2h(
             StreamId::DEFAULT,
             d_len_a,
@@ -468,7 +475,7 @@ mod tests {
         for blk in 0..b.block_count() {
             let r = b.block_range(blk);
             for pos in r.clone().step_by(53) {
-                let (m, _) = find_match_scalar(&b.data, r.start, r.end, pos, &cfg);
+                let (m, _) = find_match_scalar(b.data(), r.start, r.end, pos, &cfg);
                 assert_eq!(lens[pos], m.len, "pos {pos}");
             }
         }

@@ -157,6 +157,16 @@ fn bucket(a: u8, b: u8) -> usize {
 }
 
 impl MatchFinder {
+    /// A finder that indexes blocks of up to `longest` bytes without
+    /// growing its tables.
+    pub fn with_capacity(longest: usize) -> Self {
+        MatchFinder {
+            head: Vec::with_capacity(BUCKETS),
+            next: Vec::with_capacity(longest),
+            ..MatchFinder::default()
+        }
+    }
+
     /// Index the block `data[block_start..block_end]`: its matches stay
     /// inside it, as Dedup requires of independently decodable blocks.
     pub fn index(&mut self, data: &[u8], block_start: usize, block_end: usize) {
@@ -416,32 +426,18 @@ impl std::fmt::Display for LzssError {
 
 impl std::error::Error for LzssError {}
 
-/// Bit-level writer, MSB-first within each byte.
-pub struct BitWriter {
-    out: Vec<u8>,
+/// Bit-level writer, MSB-first within each byte, appending to a byte
+/// vector it borrows.
+pub struct BitWriter<'a> {
+    out: &'a mut Vec<u8>,
     acc: u32,
     n: u32,
 }
 
-impl Default for BitWriter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BitWriter {
-    /// Empty writer.
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Empty writer whose output holds `bytes` bytes before it grows.
-    pub fn with_capacity(bytes: usize) -> Self {
-        BitWriter {
-            out: Vec::with_capacity(bytes),
-            acc: 0,
-            n: 0,
-        }
+impl<'a> BitWriter<'a> {
+    /// Writer appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        BitWriter { out, acc: 0, n: 0 }
     }
 
     /// Append the low `bits` bits of `value`.
@@ -455,13 +451,12 @@ impl BitWriter {
         }
     }
 
-    /// Pad with zeros to a byte boundary and return the buffer.
-    pub fn finish(mut self) -> Vec<u8> {
+    /// Pad with zeros to a byte boundary.
+    pub fn finish(mut self) {
         if self.n > 0 {
             let pad = 8 - self.n;
             self.push(0, pad);
         }
-        self.out
     }
 }
 
@@ -502,41 +497,79 @@ impl<'a> BitReader<'a> {
 }
 
 /// Compress one block, searching it with a [`MatchFinder`]. Returns the
-/// bitstream.
+/// bitstream, however long it is.
 pub fn encode_block(block: &[u8], cfg: &LzssConfig) -> Vec<u8> {
     let mut finder = MatchFinder::default();
     finder.index(block, 0, block.len());
-    encode_with(block, cfg, |pos| finder.find(block, pos, cfg).0)
+    // All literals, 9 bits a byte: what a block that does not compress
+    // costs, and so enough for every block worth storing compressed.
+    let mut out = Vec::with_capacity(block.len() + block.len() / 8 + 1);
+    encode_with(
+        block,
+        cfg,
+        |pos| finder.find(block, pos, cfg).0,
+        &mut out,
+        usize::MAX,
+    );
+    out
 }
 
-/// Compress one block from precomputed per-position matches (the GPU path:
-/// `FindMatchKernel` fills the length and offset arrays, the host walks
-/// them greedily). `lens[i]` and `offs[i]` describe position `i` of
+/// Append `block`'s bitstream to `out` if it is shorter than the block,
+/// searching the block with `finder` (which it re-indexes, so one finder
+/// serves any number of blocks). Returns whether it appended; if not,
+/// `out` is as it was, and no more than `block.len() + 4` bytes past its
+/// old end were ever written.
+pub fn encode_shorter(
+    block: &[u8],
+    cfg: &LzssConfig,
+    finder: &mut MatchFinder,
+    out: &mut Vec<u8>,
+) -> bool {
+    finder.index(block, 0, block.len());
+    encode_with(
+        block,
+        cfg,
+        |pos| finder.find(block, pos, cfg).0,
+        out,
+        block.len(),
+    )
+}
+
+/// [`encode_shorter`] from precomputed per-position matches (the GPU
+/// path: `FindMatchKernel` fills the length and offset arrays, the host
+/// walks them greedily). `lens[i]` and `offs[i]` describe position `i` of
 /// `block`.
-pub fn encode_block_from_matches(
+pub fn encode_shorter_from_matches(
     block: &[u8],
     lens: &[u32],
     offs: &[u32],
     cfg: &LzssConfig,
-) -> Vec<u8> {
+    out: &mut Vec<u8>,
+) -> bool {
     assert!(lens.len() == block.len() && offs.len() == block.len());
-    encode_with(block, cfg, |pos| Match {
+    let match_at = |pos| Match {
         dist: offs[pos],
         len: lens[pos],
-    })
+    };
+    encode_with(block, cfg, match_at, out, block.len())
 }
 
+/// Append `block`'s bitstream to `out`, parsing greedily at the matches
+/// `match_at` gives, and return whether it is shorter than `limit` bytes.
+/// The parse stops as soon as the bitstream reaches `limit`, and a
+/// bitstream that did is taken off `out` again.
 fn encode_with(
     block: &[u8],
     cfg: &LzssConfig,
     mut match_at: impl FnMut(usize) -> Match,
-) -> Vec<u8> {
+    out: &mut Vec<u8>,
+    limit: usize,
+) -> bool {
     let off_bits = cfg.offset_bits();
-    // All literals, 9 bits a byte: what a block that does not compress
-    // costs, and so enough for every block worth storing compressed.
-    let mut w = BitWriter::with_capacity(block.len() + block.len() / 8 + 1);
+    let start = out.len();
+    let mut w = BitWriter::new(out);
     let mut pos = 0usize;
-    while pos < block.len() {
+    while pos < block.len() && w.out.len() - start < limit {
         let m = match_at(pos);
         if m.len as usize >= cfg.min_coded {
             debug_assert!(m.dist as usize <= cfg.window && m.dist >= 1);
@@ -550,7 +583,12 @@ fn encode_with(
             pos += 1;
         }
     }
-    w.finish()
+    w.finish();
+    let shorter = out.len() - start < limit;
+    if !shorter {
+        out.truncate(start);
+    }
+    shorter
 }
 
 /// Decompress one block; `orig_len` is the decoded size. Corrupt streams
@@ -860,19 +898,54 @@ mod tests {
             .into_iter()
             .map(|(m, _)| (m.len, m.dist))
             .unzip();
-        let from_matches = encode_block_from_matches(&data, &lens, &offs, &c);
         let direct = encode_block(&data, &c);
-        assert_eq!(from_matches, direct);
+        assert!(direct.len() < data.len(), "the sample must compress");
+        // Appended after whatever `out` already holds.
+        let mut out = vec![7u8; 3];
+        assert!(encode_shorter_from_matches(
+            &data, &lens, &offs, &c, &mut out
+        ));
+        assert_eq!(out[..3], [7; 3]);
+        assert_eq!(out[3..], direct[..]);
+        let mut searched = vec![7u8; 3];
+        assert!(encode_shorter(
+            &data,
+            &c,
+            &mut MatchFinder::default(),
+            &mut searched
+        ));
+        assert_eq!(searched, out);
+    }
+
+    /// A block whose bitstream is not shorter leaves `out` untouched, and
+    /// the parse stops within four bytes of the block's length.
+    #[test]
+    fn encode_shorter_refuses_what_does_not_shrink() {
+        let c = cfg();
+        let data: Vec<u8> = (0..=255u8).collect();
+        assert!(encode_block(&data, &c).len() >= data.len());
+        let mut out = Vec::with_capacity(1 + data.len() + 4);
+        out.push(9);
+        let cap = out.capacity();
+        assert!(!encode_shorter(
+            &data,
+            &c,
+            &mut MatchFinder::default(),
+            &mut out
+        ));
+        assert_eq!(out, [9]);
+        assert_eq!(out.capacity(), cap, "the parse wrote past its bound");
     }
 
     #[test]
     fn bitio_roundtrips_arbitrary_fields() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
         let fields = [(5u32, 3u32), (0, 1), (1023, 10), (15, 4), (255, 8), (1, 1)];
         for &(v, n) in &fields {
             w.push(v, n);
         }
-        let bytes = w.finish();
+        w.finish();
         let mut r = BitReader::new(&bytes);
         for &(v, n) in &fields {
             assert_eq!(r.read(n), Some(v));
@@ -889,11 +962,12 @@ mod tests {
     #[test]
     fn corrupt_stream_is_reported_not_panicked() {
         // A match token pointing before the start of output.
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
         w.push(1, 1); // match flag
         w.push(50, cfg().offset_bits()); // dist 51 with empty history
         w.push(0, 4);
-        let bytes = w.finish();
+        w.finish();
         assert_eq!(
             decode_block(&bytes, 3, &cfg()),
             Err(LzssError::BadOffset { at: 0, dist: 51 })

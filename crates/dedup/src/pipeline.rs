@@ -17,6 +17,8 @@
 //! version: a GPU context offloads through the front end the pipeline is
 //! instantiated with, a host-only one runs the drivers' host rungs.
 
+use std::sync::Arc;
+
 use gpusim::Offload;
 use workload::WorkloadDriver;
 
@@ -123,10 +125,11 @@ pub fn run_pipeline_rec<O: Offload>(
     spar::ToStream::new()
         .recorder(rec.clone())
         .ordered(true)
-        // S1: read input, build 1 MB batches, rabin-fingerprint each and
-        // send it on before making the next.
+        // S1: cut the input into batches of `cfg.batch_size` bytes (views
+        // of it, no copies), rabin-fingerprint each and send it on before
+        // making the next.
         .source(move |em| {
-            for batch in batches(&input, cfg.batch_size, &cfg.rabin) {
+            for batch in batches(Arc::new(input), cfg.batch_size, &cfg.rabin) {
                 if !em.send(batch) {
                     break;
                 }

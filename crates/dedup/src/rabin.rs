@@ -119,7 +119,11 @@ pub fn chunk_starts(data: &[u8], params: &RabinParams) -> Vec<usize> {
         "window must fit in min chunk"
     );
     assert!(params.max_chunk >= params.min_chunk);
-    let mut starts = vec![0usize];
+    // Earliest in-chunk offset where the fingerprint test may fire.
+    let floor = params.min_chunk.max(params.window).min(params.max_chunk);
+    // Every chunk but the last is at least `floor` long: sized once.
+    let mut starts = Vec::with_capacity(data.len() / floor.max(1) + 1);
+    starts.push(0);
     if data.is_empty() {
         return starts;
     }
@@ -128,8 +132,6 @@ pub fn chunk_starts(data: &[u8], params: &RabinParams) -> Vec<usize> {
     for _ in 0..window - 1 {
         pow_out = pow_out.wrapping_mul(PRIME);
     }
-    // Earliest in-chunk offset where the fingerprint test may fire.
-    let floor = params.min_chunk.max(window).min(params.max_chunk);
     // A cut at index i starts a new chunk at i + 1, recorded only when
     // i + 1 < len — so the last index worth scanning is len - 2.
     let last = data.len().saturating_sub(2);

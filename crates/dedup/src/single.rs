@@ -24,7 +24,10 @@ use gpusim::opencl::{ClBuffer, ClEvent, ClKernel, CommandQueue, Context, Platfor
 use gpusim::GpuSystem;
 use simtime::{SimDuration, SimTime};
 
+use fastflow::{recycler, Recycler};
+
 use crate::archive::Archive;
+use crate::backend::entries_from_matches;
 use crate::batch::{make_batches, Batch};
 use crate::costs::HostCosts;
 use crate::dedupe::{BlockClass, DedupCache};
@@ -51,33 +54,14 @@ fn classify_all(
 fn encode_entries(
     batch: &Batch,
     classes: &[BlockClass],
-    lens: &[u32],
-    offs: &[u32],
+    (lens, offs): (&[u32], &[u32]),
     cfg: &DedupConfig,
+    arenas: &Recycler<Vec<u8>>,
     system: &GpuSystem,
     costs: &HostCosts,
 ) -> Vec<crate::archive::BlockEntry> {
-    system.host_compute(costs.encode(batch.data.len() as u64));
-    classes
-        .iter()
-        .enumerate()
-        .map(|(b, class)| match class {
-            BlockClass::Unique { .. } => {
-                let r = batch.block_range(b);
-                let block = &batch.data[r.clone()];
-                crate::archive::BlockEntry::from_encoded(
-                    block,
-                    crate::lzss::encode_block_from_matches(
-                        block,
-                        &lens[r.clone()],
-                        &offs[r],
-                        &cfg.lzss,
-                    ),
-                )
-            }
-            BlockClass::Dup { of } => crate::archive::BlockEntry::Dup(*of),
-        })
-        .collect()
+    system.host_compute(costs.encode(batch.data().len() as u64));
+    entries_from_matches(batch, classes, (lens, offs), &cfg.lzss, arenas)
 }
 
 struct CudaSpace {
@@ -117,6 +101,7 @@ pub fn run_single_cuda(
     // S1: batching + rabin on the CPU.
     system.host_compute(costs.rabin(input.len() as u64));
     let batches = make_batches(input, cfg.batch_size, &cfg.rabin);
+    let arenas = recycler(1);
 
     let mut cache = DedupCache::new();
     let mut archive = Archive::new(cfg.lzss);
@@ -124,12 +109,12 @@ pub fn run_single_cuda(
         let space = &spaces[batch.index % mem_spaces];
         let n = batch.block_count();
         // Pageable copies: synchronous under CUDA semantics.
-        cuda.memcpy_h2d_pageable(&space.d_data, 0, &batch.data, &space.stream);
+        cuda.memcpy_h2d_pageable(&space.d_data, 0, batch.data(), &space.stream);
         cuda.memcpy_h2d_pageable(&space.d_starts, 0, &starts_u32(batch), &space.stream);
         let k = Sha1Kernel {
             data: space.d_data.ptr(),
             starts: space.d_starts.ptr(),
-            data_len: batch.data.len(),
+            data_len: batch.data().len(),
             n_blocks: n,
             out: space.d_digests.ptr(),
         };
@@ -149,21 +134,29 @@ pub fn run_single_cuda(
 
         let fm = FindMatchKernel {
             data: space.d_data.ptr(),
-            data_len: batch.data.len(),
+            data_len: batch.data().len(),
             starts: space.d_starts.ptr(),
             n_blocks: n,
             matches_len: space.d_len.ptr(),
             matches_off: space.d_off.ptr(),
             cfg: cfg.lzss,
         };
-        let blocks = (batch.data.len() as u64).div_ceil(BLOCK_1D as u64).max(1) as u32;
+        let blocks = (batch.data().len() as u64).div_ceil(BLOCK_1D as u64).max(1) as u32;
         cuda.launch(&fm, blocks, BLOCK_1D, &space.stream);
-        let mut lens = vec![0u32; batch.data.len()];
-        let mut offs = vec![0u32; batch.data.len()];
+        let mut lens = vec![0u32; batch.data().len()];
+        let mut offs = vec![0u32; batch.data().len()];
         cuda.memcpy_d2h_pageable(&mut lens, &space.d_len, 0, &space.stream);
         cuda.memcpy_d2h_pageable(&mut offs, &space.d_off, 0, &space.stream);
         cuda.stream_synchronize(&space.stream);
-        let entries = encode_entries(batch, &classes, &lens, &offs, cfg, system, &costs);
+        let entries = encode_entries(
+            batch,
+            &classes,
+            (&lens, &offs),
+            cfg,
+            &arenas,
+            system,
+            &costs,
+        );
         archive.entries.extend(entries);
     }
     system.host_compute(costs.write(archive.serialized_len() as u64));
@@ -223,14 +216,22 @@ pub fn run_single_ocl(
 
     system.host_compute(costs.rabin(input.len() as u64));
     let batches = make_batches(input, cfg.batch_size, &cfg.rabin);
+    let arenas = recycler(1);
 
     let mut cache = DedupCache::new();
     let mut archive = Archive::new(cfg.lzss);
     let finish_pending = |space: &mut OclSpace, archive: &mut Archive| {
         if let Some(p) = space.pending.take() {
             ctx.wait_for_events(&p.read_evs);
-            let entries =
-                encode_entries(&p.batch, &p.classes, &p.lens, &p.offs, cfg, system, &costs);
+            let entries = encode_entries(
+                &p.batch,
+                &p.classes,
+                (&p.lens, &p.offs),
+                cfg,
+                &arenas,
+                system,
+                &costs,
+            );
             archive.entries.extend(entries);
         }
     };
@@ -247,7 +248,7 @@ pub fn run_single_ocl(
         let n = batch.block_count();
         let w1 = space
             .queue
-            .enqueue_write_buffer(&space.d_data, false, 0, &batch.data, &[]);
+            .enqueue_write_buffer(&space.d_data, false, 0, batch.data(), &[]);
         let w2 =
             space
                 .queue
@@ -255,7 +256,7 @@ pub fn run_single_ocl(
         let sha = ClKernel::create(Sha1Kernel {
             data: space.d_data.ptr(),
             starts: space.d_starts.ptr(),
-            data_len: batch.data.len(),
+            data_len: batch.data().len(),
             n_blocks: n,
             out: space.d_digests.ptr(),
         });
@@ -280,19 +281,19 @@ pub fn run_single_ocl(
 
         let fm = ClKernel::create(FindMatchKernel {
             data: space.d_data.ptr(),
-            data_len: batch.data.len(),
+            data_len: batch.data().len(),
             starts: space.d_starts.ptr(),
             n_blocks: n,
             matches_len: space.d_len.ptr(),
             matches_off: space.d_off.ptr(),
             cfg: cfg.lzss,
         });
-        let global = (batch.data.len() as u64)
+        let global = (batch.data().len() as u64)
             .next_multiple_of(BLOCK_1D as u64)
             .max(BLOCK_1D as u64);
         let k2 = space.queue.enqueue_nd_range(&fm, global, BLOCK_1D, &[]);
-        let mut lens = vec![0u32; batch.data.len()];
-        let mut offs = vec![0u32; batch.data.len()];
+        let mut lens = vec![0u32; batch.data().len()];
+        let mut offs = vec![0u32; batch.data().len()];
         let r2 = space
             .queue
             .enqueue_read_buffer(&space.d_len, false, 0, &mut lens, &[k2]);

@@ -9,10 +9,10 @@
 
 use std::any::{Any, TypeId};
 use std::cell::{Ref, RefCell, RefMut};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use telemetry::{Counters, Pool};
 
@@ -75,8 +75,23 @@ impl<T> DevicePtr<T> {
     }
 }
 
-/// Retired storage blocks kept per (type, size class) for recycling.
+/// Retired storage blocks kept per (type, size class) for recycling, in a
+/// device's free list and in the process-wide [`SPARE`] store alike.
 const CACHE_PER_CLASS: usize = 8;
+
+/// Free-list storage keyed by element type and power-of-two capacity class.
+type FreeList = Vec<Box<dyn Any + Send>>;
+
+/// Storage the free lists of dropped [`DeviceMemory`]s left behind, for
+/// any later device's misses: a program that builds a new `GpuSystem` per
+/// run reuses the previous run's storage instead of allocating it again.
+static SPARE: Mutex<BTreeMap<(TypeId, u32), FreeList>> = Mutex::new(BTreeMap::new());
+
+/// The spare store, locked. Its contents are plain storage, so a panic
+/// elsewhere while it was held leaves nothing half-updated.
+fn spare() -> std::sync::MutexGuard<'static, BTreeMap<(TypeId, u32), FreeList>> {
+    SPARE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One device's global-memory arena.
 ///
@@ -93,13 +108,20 @@ const CACHE_PER_CLASS: usize = 8;
 ///   `Device::alloc` before `DeviceMemory::alloc` runs, so a fault-spec'd
 ///   device still refuses allocations even when the free-list could have
 ///   served them — recovery ladders stay testable with pooling on.
+///
+/// The free list outlives the arena: on drop it moves to a process-wide
+/// spare store, bounded per (type, size class) like the list itself, and
+/// a miss in any later arena takes storage from that store before it
+/// calls the host allocator. The cache counters describe this device
+/// alone: a hit is a hit in its own free list, a miss is any other
+/// allocation, whether the store or the host allocator served it.
 pub struct DeviceMemory {
     device: u32,
     capacity: u64,
     used: u64,
     next_id: u64,
     buffers: HashMap<u64, RefCell<Box<dyn Any + Send>>>,
-    cache: HashMap<(TypeId, u32), Vec<Box<dyn Any + Send>>>,
+    cache: HashMap<(TypeId, u32), FreeList>,
     counters: Arc<Counters<Pool>>,
 }
 
@@ -131,23 +153,30 @@ impl DeviceMemory {
         }
         let id = self.next_id;
         self.next_id += 1;
-        let class = len.max(1).next_power_of_two().trailing_zeros();
-        let storage: Box<dyn Any + Send> = match self
-            .cache
-            .get_mut(&(TypeId::of::<T>(), class))
-            .and_then(Vec::pop)
-        {
-            Some(mut boxed) => {
+        let key = (
+            TypeId::of::<T>(),
+            len.max(1).next_power_of_two().trailing_zeros(),
+        );
+        let recycled = match self.cache.get_mut(&key).and_then(Vec::pop) {
+            Some(boxed) => {
                 self.counters.hit();
+                Some(boxed)
+            }
+            None => {
+                self.counters.miss();
+                spare().get_mut(&key).and_then(Vec::pop)
+            }
+        };
+        let storage: Box<dyn Any + Send> = match recycled {
+            Some(mut boxed) => {
                 let v = boxed
                     .downcast_mut::<Vec<T>>()
-                    .expect("cache entry type matches its key");
+                    .expect("free-list entry type matches its key");
                 v.clear();
                 v.resize(len, T::default()); // same zero-init a fresh alloc gets
                 boxed
             }
             None => {
-                self.counters.miss();
                 // Full class capacity up front, so recycling this block
                 // later never reallocates for any length in the class.
                 let mut v: Vec<T> = Vec::with_capacity(len.max(1).next_power_of_two());
@@ -184,7 +213,10 @@ impl DeviceMemory {
             // Class from *capacity* (floor log2): any future request the
             // class covers fits in this block.
             let class = usize::BITS - 1 - capacity.leading_zeros();
-            let slot = self.cache.entry((TypeId::of::<T>(), class)).or_default();
+            let slot = self
+                .cache
+                .entry((TypeId::of::<T>(), class))
+                .or_insert_with(|| Vec::with_capacity(CACHE_PER_CLASS));
             if slot.len() < CACHE_PER_CLASS {
                 slot.push(boxed);
             } else {
@@ -194,7 +226,8 @@ impl DeviceMemory {
     }
 
     /// Gauges of the allocation cache (hits/misses/outstanding), shareable
-    /// with a `telemetry::Recorder`.
+    /// with a `telemetry::Recorder`. They count this arena's own free
+    /// list: storage taken from the spare store is a miss.
     pub fn cache_counters(&self) -> Arc<Counters<Pool>> {
         Arc::clone(&self.counters)
     }
@@ -252,6 +285,21 @@ impl DeviceMemory {
             "buffer {ptr:?} used on device {} — cross-device access without a copy",
             self.device
         );
+    }
+}
+
+impl Drop for DeviceMemory {
+    /// Hand the free list to the spare store, up to its bound per class.
+    fn drop(&mut self) {
+        if self.cache.values().all(Vec::is_empty) {
+            return;
+        }
+        let mut spare = spare();
+        for (key, list) in self.cache.drain() {
+            let slot = spare.entry(key).or_default();
+            let room = CACHE_PER_CLASS.saturating_sub(slot.len());
+            slot.extend(list.into_iter().take(room));
+        }
     }
 }
 

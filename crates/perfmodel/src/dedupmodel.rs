@@ -76,7 +76,7 @@ pub fn profile(input: &[u8], cfg: &DedupConfig, props: &DeviceProps) -> DedupPro
     let mut output_bytes = 0u64;
     for batch in make_batches(input, cfg.batch_size, &cfg.rabin) {
         let n = batch.block_count();
-        let bytes = batch.data.len() as u64;
+        let bytes = batch.data().len() as u64;
 
         // Classify blocks (duplicates found exactly as stage 3 would).
         let mut unique_bytes = 0u64;
@@ -106,13 +106,13 @@ pub fn profile(input: &[u8], cfg: &DedupConfig, props: &DeviceProps) -> DedupPro
 
         // FindMatch kernel: one lane per byte; probes per position.
         let scan_extra = (n as u64) / 4 + 1; // the startPos linear scan
-        let mut probes = vec![0u64; batch.data.len()];
-        let mut matches = vec![dedup::Match::default(); batch.data.len()];
+        let mut probes = vec![0u64; batch.data().len()];
+        let mut matches = vec![dedup::Match::default(); batch.data().len()];
         let mut finder = MatchFinder::default();
         for b in 0..n {
             let r = batch.block_range(b);
-            finder.index(&batch.data, r.start, r.end);
-            finder.find_each(&batch.data, &cfg.lzss, r.end, |pos, m, p| {
+            finder.index(batch.data(), r.start, r.end);
+            finder.find_each(batch.data(), &cfg.lzss, r.end, |pos, m, p| {
                 probes[pos] = p + scan_extra;
                 matches[pos] = m;
             });

@@ -6,6 +6,9 @@
 //! shared pool, device buffers from the device-side allocation cache, and
 //! kernel launches reuse the device's work meter. The same holds for the
 //! Mandelbrot CPU-fallback rung, which shares the kernels' row routine.
+//! Dedup's whole pipeline is held to a per-batch count instead: each run
+//! spawns its stage threads, but from the second batch on a batch costs
+//! at most [`PIPELINE_ALLOCS_PER_BATCH`] allocations.
 //!
 //! Same harness as `hotpath_no_alloc.rs`: a counting global allocator,
 //! one test per binary (so no concurrent test thread allocates), baseline
@@ -19,7 +22,10 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hetstream::dedup::backend::{BackendCtx, HashWork};
-use hetstream::dedup::{make_batches, Batch, LzssConfig, RabinParams};
+use hetstream::dedup::{
+    datasets, make_batches, run_pipeline, run_sequential, Batch, DedupConfig, LzssConfig,
+    RabinParams,
+};
 use hetstream::gpusim::{CudaOffload, DeviceProps, GpuSystem, OclOffload, Offload};
 use hetstream::mandel::hybrid::MandelWork;
 use hetstream::mandel::FractalParams;
@@ -47,6 +53,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// What one more batch may cost a Dedup pipeline run: its block starts,
+/// its block classes, its record list and the one buffer its records
+/// share, the match kernel's two finder tables, and the amortized growth
+/// of the duplicate cache and of the archive's record list.
+const PIPELINE_ALLOCS_PER_BATCH: usize = 8;
 
 const WARMUP: usize = 3;
 const ATTEMPTS: usize = 5;
@@ -114,6 +126,65 @@ fn mandel_fallback_sweep(label: &str) {
     assert!(pixels > 0, "{label}: the sweep must produce pixels");
 }
 
+/// Allocations one `run_pipeline` call makes over `input`, the system
+/// built and the input copied before counting starts.
+fn pipeline_allocs(input: &[u8], cfg: &DedupConfig) -> usize {
+    let system = GpuSystem::new(2, DeviceProps::titan_xp());
+    let ctx = BackendCtx::gpu(system, 2, true, cfg.lzss);
+    let input = input.to_vec();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let archive = run_pipeline::<CudaOffload>(ctx, input, cfg, 2);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert!(!archive.entries.is_empty());
+    after - before
+}
+
+/// The per-batch cost of a Dedup pipeline run: the runs over `n` and
+/// `2 n` batches differ only in the second `n` batches, so everything a
+/// run sets up (threads, rings, device lanes) cancels out. How many
+/// batches are in flight at once varies from run to run, and with it how
+/// many pooled buffers a run needs, so each size takes the fewest
+/// allocations of [`ATTEMPTS`] runs.
+fn pipeline_per_batch_sweep() {
+    let n = 4;
+    let cfg = DedupConfig {
+        batch_size: 16 * 1024,
+        rabin: RabinParams {
+            window: 16,
+            mask: (1 << 9) - 1,
+            magic: 0x5c,
+            min_chunk: 256,
+            max_chunk: 4096,
+        },
+        lzss: LzssConfig {
+            window: 256,
+            min_coded: 3,
+        },
+    };
+    let long = datasets::parsec_like(2 * n * cfg.batch_size, 5).data;
+    let short = &long[..n * cfg.batch_size];
+    let reference = run_sequential(&long, &cfg);
+    let system = GpuSystem::new(2, DeviceProps::titan_xp());
+    let ctx = BackendCtx::gpu(system, 2, true, cfg.lzss);
+    assert_eq!(
+        run_pipeline::<CudaOffload>(ctx, long.clone(), &cfg, 2),
+        reference
+    );
+    let (mut fewest_short, mut fewest_long) = (usize::MAX, usize::MAX);
+    for _ in 0..ATTEMPTS {
+        fewest_short = fewest_short.min(pipeline_allocs(short, &cfg));
+        fewest_long = fewest_long.min(pipeline_allocs(&long, &cfg));
+    }
+    let extra = fewest_long.saturating_sub(fewest_short);
+    assert!(
+        extra <= n * PIPELINE_ALLOCS_PER_BATCH,
+        "dedup/pipeline: {n} more batches cost {extra} allocations, more than \
+         {PIPELINE_ALLOCS_PER_BATCH} a batch ({fewest_short} for {n} batches, \
+         {fewest_long} for {})",
+        2 * n
+    );
+}
+
 #[test]
 fn steady_state_batches_do_not_allocate() {
     // Fig. 1 shape: Mandelbrot batches through the CUDA front end.
@@ -149,4 +220,7 @@ fn steady_state_batches_do_not_allocate() {
             // cache.
         }
     });
+
+    // Dedup's five stages end to end, on a device system of their own.
+    pipeline_per_batch_sweep();
 }
