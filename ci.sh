@@ -107,6 +107,14 @@ gate service-hashsearch 1 workload.retries '== 0'
 # staged copy.
 gate service-hashsearch 1 gpusim.kernels_per_item '== 1'
 gate service-hashsearch 1 gpusim.copied_bytes_per_item '== 0'
+# And its modeled device time, deterministic: the fleet's compute and
+# D2H time over the smoke's ranges (one search launch of CYCLES_PER_HASH
+# a lane and its digests' copy back per range) and its busiest device's.
+# How fast the host hashes the lanes must not move what the devices are
+# charged.
+gate service-hashsearch 1 gpusim.compute_busy_ms '== 3.403776'
+gate service-hashsearch 1 gpusim.d2h_busy_ms '== 2.70336'
+gate service-hashsearch 1 modeled_busy_ms '== 1.668736'
 # Two more counts: a dedup batch is one SHA-1 launch and one FindMatch
 # launch, and both read the pinned batch without host staging. A faster
 # stage 2 must not come from more launches or a staged copy.

@@ -11,7 +11,7 @@
 //! * [`rabin`] — rolling fingerprint and content-defined chunking;
 //! * [`mod@sha1`] — FIPS 180-1 (test vectors included);
 //! * [`sha1mb`] — eight-lane multi-buffer SHA-1: stage 2's digests on
-//!   both its rungs, and hashsearch's CPU nonce path;
+//!   both its rungs, and both rungs of hashsearch's nonce search;
 //! * [`lzss`] — the block-bounded LZSS codec + its `MatchFinder` search;
 //! * [`batch`] — 1 MB batches with `startPos` block indexes (Fig. 2);
 //! * [`kernels`] — GPU kernels: SHA-1 per block, `FindMatchKernel`

@@ -48,7 +48,8 @@ impl KernelFn for NonceSearchKernel {
     }
     fn run(&self, dims: &LaunchDims, mem: &DeviceMemory, meter: &mut WorkMeter) {
         let mut out = mem.borrow_mut(self.out);
-        // Lanes are consecutive nonces: hash them eight to a SIMD pass.
+        // Lanes are consecutive nonces: hash them eight to a vector pass
+        // whose schedules are built in registers (`sha1mb::nonces8`).
         let n = self.n_nonces.min(dims.total_threads() as usize);
         hash_nonces(
             self.midstate,

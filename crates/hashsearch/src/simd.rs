@@ -1,15 +1,16 @@
 //! Lane-parallel nonce hashing for the CPU path: eight nonces per
-//! [`dedup::sha1mb::compress8`] call.
+//! [`dedup::sha1mb::nonces8`] call.
 //!
 //! Every candidate extends the (block-aligned) header by exactly one
 //! final SHA-1 block — 8 nonce bytes, the 0x80 pad, zeros, and the
 //! 64-bit message length — so the whole suffix hash is one compression
-//! from the shared midstate. Eight of those run in the lanes of a single
-//! AVX2 pass; the remainder (count % 8) and non-x86 targets take the
-//! scalar path with bit-identical output.
+//! from the shared midstate. `nonces8` runs eight consecutive nonces in
+//! the lanes of one vector pass, building their message schedules in
+//! registers rather than from blocks in memory; the remainder
+//! (count % 8) takes the scalar path, with bit-identical output.
 
 use dedup::sha1::Sha1;
-use dedup::sha1mb::compress8;
+use dedup::sha1mb::nonces8;
 
 use crate::DIGEST_BYTES;
 
@@ -18,30 +19,13 @@ use crate::DIGEST_BYTES;
 /// [`Sha1::resume`] reference loop (which also serves as the scalar
 /// remainder path and the benchmark baseline).
 pub fn hash_nonces(midstate: [u32; 5], header_len: u64, start: u64, count: usize, out: &mut [u8]) {
-    // The final block after a block-aligned header: 8 nonce bytes, the
-    // 0x80 pad, zeros, and the message's bit length. Only the nonce
-    // differs between candidates, so the eight blocks are built once and
-    // each pass rewrites their first 8 bytes.
-    let mut block = [0u8; 64];
-    block[8] = 0x80;
-    block[56..].copy_from_slice(&((header_len + 8) * 8).to_be_bytes());
-    let mut blocks = [block; 8];
     let lanes = count / 8 * 8;
     for (pass, digests) in out[..lanes * DIGEST_BYTES]
         .chunks_exact_mut(8 * DIGEST_BYTES)
         .enumerate()
     {
-        let first = start + (pass * 8) as u64;
-        for (l, block) in blocks.iter_mut().enumerate() {
-            block[..8].copy_from_slice(&(first + l as u64).to_be_bytes());
-        }
-        let mut states = [midstate; 8];
-        compress8(&mut states, &blocks);
-        for (state, slot) in states.iter().zip(digests.chunks_exact_mut(DIGEST_BYTES)) {
-            for (w, bytes) in state.iter().zip(slot.chunks_exact_mut(4)) {
-                bytes.copy_from_slice(&w.to_be_bytes());
-            }
-        }
+        let digests = digests.try_into().expect("chunks of eight digests");
+        nonces8(midstate, header_len, start + (pass * 8) as u64, digests);
     }
     hash_nonces_scalar(
         midstate,
@@ -81,12 +65,12 @@ mod tests {
     fn lane_parallel_matches_scalar_including_remainders() {
         let (mid, hlen) = midstate_for(&[0x42u8; 128]);
         // Counts straddling the 8-lane boundary (empty, single, 7, 8, 9,
-        // 20) and a long run. Each pass rewrites only the nonce bytes of
-        // its eight blocks; from 2 000 below `u64::MAX` the six high nonce
-        // bytes are 0xFF, never the template's zeros, and the seventh
-        // carries 0xF8 → 0xFC over 1 021 nonces, so a nonce byte left
-        // from the template or the previous pass shows.
-        for start in [1_000_000, u64::MAX - 2_000] {
+        // 20) and a long run. From `u32::MAX - 3` the low word wraps in
+        // the middle of the first pass, so a lane whose high word misses
+        // its carry shows; from 2 000 below `u64::MAX` the high word is
+        // all ones and the low word's third byte carries 0xF8 → 0xFC over
+        // 1 021 nonces.
+        for start in [1_000_000, u32::MAX as u64 - 3, u64::MAX - 2_000] {
             for count in [0usize, 1, 7, 8, 9, 20, 1_021] {
                 let mut fast = vec![0u8; count * DIGEST_BYTES];
                 let mut slow = vec![0u8; count * DIGEST_BYTES];
