@@ -15,8 +15,9 @@
 //! byte `16 * (seq - base)`.
 //!
 //! Durability contract (fsync-on-ack): [`FileLogSink::send`] buffers;
-//! [`FileLogSink::flush`] fsyncs log + index and only then acks the
-//! pending [`Receipt`]s. A crash between send and flush loses at most
+//! [`FileLogSink::flush`] fsyncs log + index and only then acks every
+//! [`Receipt`] sent so far, by moving the sink's ack count up to its send
+//! count. A crash between send and flush loses at most
 //! the unacked tail, and the producer-side reopen truncates any torn
 //! record so the log always ends on a record boundary. Readers treat a
 //! torn or partially flushed tail as "no data yet", never as an error.
@@ -38,7 +39,8 @@ use std::sync::Arc;
 use fastflow::{BufPool, PooledBuf};
 
 use crate::{
-    IngressError, Message, Payload, Receipt, SeqPos, SequenceNo, ShardId, Sink, Source, StreamKey,
+    AckCount, IngressError, Message, Payload, Receipt, SeqPos, SequenceNo, ShardId, Sink, Source,
+    StreamKey,
 };
 
 /// Byte size a segment may reach before the next record starts a new one.
@@ -363,9 +365,14 @@ impl ShardWriter {
 }
 
 /// Producer into a file-logged stream: batched sends, fsync-on-ack.
+///
+/// The sink keeps nothing per record: a [`Receipt`] is a position in the
+/// sink's ack count, and a flush, which makes everything sent durable,
+/// sets that count to the number of sends. A send between flushes
+/// allocates nothing.
 pub struct FileLogSink {
     writers: Vec<ShardWriter>,
-    pending: Vec<Receipt>,
+    acks: AckCount,
     segment_bytes: u64,
     max_in_flight: usize,
 }
@@ -384,7 +391,7 @@ impl FileLogSink {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(FileLogSink {
             writers,
-            pending: Vec::new(),
+            acks: AckCount::default(),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             max_in_flight: DEFAULT_MAX_IN_FLIGHT,
         })
@@ -420,9 +427,8 @@ impl Sink for FileLogSink {
             .get_mut(shard.0 as usize)
             .ok_or(IngressError::UnknownShard(shard))?;
         let seq = w.append(payload, self.segment_bytes)?;
-        let receipt = Receipt::pending(shard, seq);
-        self.pending.push(receipt.clone());
-        if self.pending.len() >= self.max_in_flight {
+        let receipt = self.acks.issue(shard, seq);
+        if self.acks.in_flight() >= self.max_in_flight as u64 {
             self.flush()?;
         }
         Ok(receipt)
@@ -432,10 +438,8 @@ impl Sink for FileLogSink {
         for w in &mut self.writers {
             w.sync()?;
         }
-        // Everything buffered is now durable: ack in send order.
-        for r in self.pending.drain(..) {
-            r.mark_acked();
-        }
+        // Everything sent is now durable.
+        self.acks.ack_all();
         Ok(())
     }
 }
@@ -951,6 +955,62 @@ mod tests {
                 .expect("n");
             assert_eq!(m.shard.0, i % 2);
         }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_window_of_k_acks_exactly_the_whole_windows_before_the_final_flush() {
+        let root = tmpdir("window");
+        for (n, k) in [(23u64, 5usize), (20, 5), (4, 5), (7, 1)] {
+            let mut sink = FileLogSink::open(&root, &key(), 3)
+                .expect("open sink")
+                .with_max_in_flight(k);
+            let receipts: Vec<Receipt> = (0..n)
+                .map(|i| {
+                    sink.send(ShardId(i as u32 % 3), &i.to_le_bytes())
+                        .expect("send")
+                })
+                .collect();
+            let whole = (n / k as u64 * k as u64) as usize;
+            let acked: Vec<bool> = receipts.iter().map(Receipt::is_acked).collect();
+            let mut want = vec![true; whole];
+            want.resize(n as usize, false);
+            assert_eq!(acked, want, "n {n}, k {k}");
+            sink.flush().expect("flush");
+            assert!(receipts.iter().all(Receipt::is_acked), "n {n}, k {k}");
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_clone_taken_before_the_ack_sees_the_ack() {
+        let root = tmpdir("clone");
+        let mut sink = FileLogSink::open(&root, &key(), 1).expect("open sink");
+        let receipt = sink.send(ShardId(0), b"one").expect("send");
+        let clone = receipt.clone();
+        assert!(!clone.is_acked());
+        sink.flush().expect("flush");
+        assert!(clone.is_acked() && receipt.is_acked());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn receipts_of_two_sinks_never_share_an_ack() {
+        let root = tmpdir("two_sinks");
+        let other = StreamKey::new("u").expect("valid key");
+        let mut a = FileLogSink::open(&root, &key(), 1).expect("open a");
+        let mut b = FileLogSink::open(&root, &other, 1).expect("open b");
+        // Both are their sink's first send: the same position, in two counts.
+        let ra = a.send(ShardId(0), b"a").expect("send a");
+        let rb = b.send(ShardId(0), b"b").expect("send b");
+        a.flush().expect("flush a");
+        assert!(ra.is_acked());
+        assert!(!rb.is_acked(), "a's flush acked b's record");
+        let rb2 = b.send(ShardId(0), b"b2").expect("send b");
+        a.flush().expect("flush a again");
+        assert!(!rb.is_acked() && !rb2.is_acked());
+        b.flush().expect("flush b");
+        assert!(rb.is_acked() && rb2.is_acked());
         let _ = fs::remove_dir_all(&root);
     }
 

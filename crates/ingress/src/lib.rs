@@ -10,7 +10,9 @@
 //! [`Source::next_batch`]; repositioning ([`FileLogSource::seek`],
 //! [`FileLogSource::rewind`]) and offset commits belong to the file log,
 //! the one transport that can replay. Producers batch in-flight sends and
-//! learn durability through acknowledged [`Receipt`]s.
+//! learn durability through acknowledged [`Receipt`]s. A receipt is a
+//! position in its sink's ack count, so a send allocates nothing for it
+//! and the file sink keeps nothing per record in flight.
 //!
 //! Two transports implement the contract:
 //!
@@ -33,7 +35,7 @@
 
 use std::fmt;
 use std::ops::{Deref, Range};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fastflow::PooledBuf;
@@ -217,23 +219,21 @@ pub trait Source: Send {
 /// Producer-side acknowledgement of one sent record. Starts pending;
 /// flips acked exactly when the record is durable (fsynced, or
 /// ack-framed by the TCP peer).
+///
+/// A receipt is a position in its sink's ack count: the sink counts the
+/// sends it has had acked in one shared cell, and the receipt of its
+/// `n`-th send (from 0) is acked once that count passes `n`. Both
+/// transports ack in send order, so that is exact, and a send allocates
+/// nothing for its receipt. Clones read the same cell.
 #[derive(Debug, Clone)]
 pub struct Receipt {
     shard: ShardId,
     seq: SequenceNo,
-    acked: Arc<AtomicBool>,
+    n: u64,
+    acked: Arc<AtomicU64>,
 }
 
 impl Receipt {
-    /// A pending receipt for `(shard, seq)`.
-    pub fn pending(shard: ShardId, seq: SequenceNo) -> Receipt {
-        Receipt {
-            shard,
-            seq,
-            acked: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
     /// The shard the record was sent to.
     pub fn shard(&self) -> ShardId {
         self.shard
@@ -246,11 +246,48 @@ impl Receipt {
 
     /// True once the record is durable.
     pub fn is_acked(&self) -> bool {
-        self.acked.load(Ordering::Acquire)
+        self.acked.load(Ordering::Acquire) > self.n
+    }
+}
+
+/// A sink's side of its receipts: how many sends it has issued receipts
+/// for, and the ack count they read. Only the owning sink writes the
+/// count, and only ever forward, in send order. Its stores are `Release`
+/// and pair with the `Acquire` load in [`Receipt::is_acked`]; the sink's
+/// own reads need no ordering.
+#[derive(Debug, Default)]
+pub(crate) struct AckCount {
+    sent: u64,
+    acked: Arc<AtomicU64>,
+}
+
+impl AckCount {
+    /// The receipt of the next send, `(shard, seq)`.
+    pub(crate) fn issue(&mut self, shard: ShardId, seq: SequenceNo) -> Receipt {
+        let n = self.sent;
+        self.sent += 1;
+        Receipt {
+            shard,
+            seq,
+            n,
+            acked: Arc::clone(&self.acked),
+        }
     }
 
-    pub(crate) fn mark_acked(&self) {
-        self.acked.store(true, Ordering::Release);
+    /// Sends issued and not yet acked.
+    pub(crate) fn in_flight(&self) -> u64 {
+        self.sent - self.acked.load(Ordering::Relaxed)
+    }
+
+    /// Ack the oldest unacked send.
+    pub(crate) fn ack_one(&self) {
+        debug_assert!(self.in_flight() > 0, "ack with nothing in flight");
+        self.acked.fetch_add(1, Ordering::Release);
+    }
+
+    /// Ack every send issued so far.
+    pub(crate) fn ack_all(&self) {
+        self.acked.store(self.sent, Ordering::Release);
     }
 }
 
@@ -288,12 +325,30 @@ mod tests {
 
     #[test]
     fn receipts_start_pending_and_ack_once() {
-        let r = Receipt::pending(ShardId(3), 17);
+        let mut count = AckCount::default();
+        let r = count.issue(ShardId(3), 17);
         assert!(!r.is_acked());
         assert_eq!(r.shard(), ShardId(3));
         assert_eq!(r.seq(), 17);
         let clone = r.clone();
-        r.mark_acked();
-        assert!(clone.is_acked(), "clones share the ack cell");
+        count.ack_one();
+        assert!(clone.is_acked(), "a clone taken before the ack sees it");
+        assert_eq!(count.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_receipt_is_acked_once_the_count_passes_its_position() {
+        let mut count = AckCount::default();
+        let receipts: Vec<Receipt> = (0..5).map(|i| count.issue(ShardId(0), i)).collect();
+        count.ack_one();
+        count.ack_one();
+        let acked: Vec<bool> = receipts.iter().map(Receipt::is_acked).collect();
+        assert_eq!(acked, [true, true, false, false, false]);
+        assert_eq!(count.in_flight(), 3);
+        count.ack_all();
+        assert!(receipts.iter().all(Receipt::is_acked));
+        assert_eq!(count.in_flight(), 0);
+        let later = count.issue(ShardId(0), 5);
+        assert!(!later.is_acked(), "a send after the ack starts pending");
     }
 }

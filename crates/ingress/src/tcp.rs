@@ -39,7 +39,9 @@ use std::time::Duration;
 
 use telemetry::sync::Signal;
 
-use crate::{IngressError, Message, Receipt, SequenceNo, ShardId, Sink, Source, StreamKey};
+use crate::{
+    AckCount, IngressError, Message, Receipt, SequenceNo, ShardId, Sink, Source, StreamKey,
+};
 
 const KIND_HELLO: u8 = 0;
 const KIND_DATA: u8 = 1;
@@ -381,12 +383,21 @@ impl Source for TcpSource {
 
 /// Producer over one TCP connection: batched writes, a bounded in-flight
 /// window, receipts acked by the server's ACK frames (in send order).
+///
+/// A [`Receipt`] is a position in the sink's ack count, which each
+/// accepted ACK frame moves up by one. The window keeps only the
+/// `(shard, seq)` of each unacked send, to check that the next ACK names
+/// the oldest of them: an ACK for anything else is
+/// [`IngressError::Corrupt`]. Once the window has grown to its bound, a
+/// send allocates nothing.
 pub struct TcpSink {
     writer: BufWriter<TcpStream>,
     /// ACKs arrive in bursts; one read takes in the whole burst.
     reader: BufReader<TcpStream>,
     next_seq: Vec<SequenceNo>,
-    pending: VecDeque<Receipt>,
+    /// The unacked sends, oldest first: what the next ACK frame must name.
+    window: VecDeque<(ShardId, SequenceNo)>,
+    acks: AckCount,
     max_in_flight: usize,
 }
 
@@ -415,7 +426,8 @@ impl TcpSink {
             writer,
             reader,
             next_seq: vec![0; shards.max(1) as usize],
-            pending: VecDeque::new(),
+            window: VecDeque::new(),
+            acks: AckCount::default(),
             max_in_flight: DEFAULT_MAX_IN_FLIGHT,
         })
     }
@@ -465,17 +477,16 @@ impl TcpSink {
         }
         let shard = u32::from_le_bytes(frame[5..9].try_into().expect("4 bytes"));
         let seq = u64::from_le_bytes(frame[9..17].try_into().expect("8 bytes"));
-        let Some(front) = self.pending.pop_front() else {
+        let Some(&(want_shard, want_seq)) = self.window.front() else {
             return Err(IngressError::Corrupt("unsolicited ACK".into()));
         };
-        if front.shard().0 != shard || front.seq() != seq {
+        if want_shard.0 != shard || want_seq != seq {
             return Err(IngressError::Corrupt(format!(
-                "ACK out of order: got shard {shard} seq {seq}, expected shard {} seq {}",
-                front.shard(),
-                front.seq()
+                "ACK out of order: got shard {shard} seq {seq}, expected shard {want_shard} seq {want_seq}"
             )));
         }
-        front.mark_acked();
+        self.window.pop_front();
+        self.acks.ack_one();
         Ok(())
     }
 }
@@ -495,13 +506,13 @@ impl Sink for TcpSink {
         self.writer.write_all(&shard.0.to_le_bytes())?;
         self.writer.write_all(&seq.to_le_bytes())?;
         self.writer.write_all(payload)?;
-        let receipt = Receipt::pending(shard, seq);
-        self.pending.push_back(receipt.clone());
-        if self.pending.len() >= self.max_in_flight {
+        self.window.push_back((shard, seq));
+        let receipt = self.acks.issue(shard, seq);
+        if self.window.len() >= self.max_in_flight {
             // Window full: push bytes out and absorb acks until there is
             // room again — this is where server-side backpressure lands.
             self.writer.flush()?;
-            while self.pending.len() >= self.max_in_flight {
+            while self.window.len() >= self.max_in_flight {
                 self.await_one_ack()?;
             }
         }
@@ -510,7 +521,7 @@ impl Sink for TcpSink {
 
     fn flush(&mut self) -> Result<(), IngressError> {
         self.writer.flush()?;
-        while !self.pending.is_empty() {
+        while !self.window.is_empty() {
             self.await_one_ack()?;
         }
         Ok(())
@@ -789,6 +800,51 @@ mod tests {
             let got = drain(&mut src, 1);
             assert_eq!(got[0].seq, 0);
             assert_eq!(src.next_batch(&mut Vec::new(), 8).expect("pop"), 0);
+        });
+    }
+
+    /// A sink connected to a stand-in server that reads its HELLO and
+    /// then writes `acks` whatever the sink sends.
+    fn sink_against_acks(acks: Vec<u8>) -> (TcpSink, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let hello = frame(KIND_HELLO, key().as_str().as_bytes());
+            let mut got = vec![0u8; hello.len()];
+            conn.read_exact(&mut got).expect("hello");
+            assert_eq!(got, hello);
+            conn.write_all(&acks).expect("acks");
+            // Hold the connection open until the sink hangs up.
+            let _ = conn.read_to_end(&mut Vec::new());
+        });
+        let sink = TcpSink::connect(addr, &key(), 2).expect("connect");
+        (sink, server)
+    }
+
+    #[test]
+    fn an_unsolicited_or_out_of_order_ack_is_corrupt() {
+        within_deadline(|| {
+            let ack = |shard, seq| frame(KIND_ACK, &shard_seq(shard, seq));
+            // Records (0, 0) and (1, 0) acked in the wrong order.
+            let swapped = [ack(1, 0), ack(0, 0)].concat();
+            // Record (0, 0) acked twice: the second names nothing in flight.
+            let repeated = [ack(0, 0), ack(0, 0)].concat();
+            for (case, acks, acked_first) in
+                [("swapped", swapped, false), ("repeated", repeated, true)]
+            {
+                let (mut sink, server) = sink_against_acks(acks);
+                let first = sink.send(ShardId(0), b"a").expect("send");
+                let second = sink.send(ShardId(1), b"b").expect("send");
+                match sink.flush() {
+                    Err(IngressError::Corrupt(_)) => {}
+                    other => panic!("{case}: expected Corrupt, got {other:?}"),
+                }
+                assert_eq!(first.is_acked(), acked_first, "{case}");
+                assert!(!second.is_acked(), "{case}: a rejected ACK acked a record");
+                drop(sink);
+                server.join().expect("stand-in server");
+            }
         });
     }
 

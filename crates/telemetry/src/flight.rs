@@ -85,14 +85,11 @@ pub enum FlightKind {
     /// (`a` = record count, `b` = payload bytes). `batch_id` carries the
     /// shard id so replay and lag are traceable per shard.
     IngressBatch = 15,
-    /// An ingress producer receipt was acknowledged durable (`a` = last
-    /// acked sequence number). `batch_id` carries the shard id.
-    IngressAck = 16,
     /// The task-graph scheduler placed a batch onto a device (`a` =
     /// device index, `b` = predicted cost in modeled ns). `batch_id` is
     /// the causal batch key, so the placement log replays in batch
     /// order regardless of worker interleaving.
-    Placement = 17,
+    Placement = 16,
 }
 
 impl FlightKind {
@@ -115,7 +112,6 @@ impl FlightKind {
             FlightKind::PoolShed => "pool_shed",
             FlightKind::Stall => "stall",
             FlightKind::IngressBatch => "ingress_batch",
-            FlightKind::IngressAck => "ingress_ack",
             FlightKind::Placement => "placement",
         }
     }
@@ -138,8 +134,7 @@ impl FlightKind {
             13 => FlightKind::PoolShed,
             14 => FlightKind::Stall,
             15 => FlightKind::IngressBatch,
-            16 => FlightKind::IngressAck,
-            17 => FlightKind::Placement,
+            16 => FlightKind::Placement,
             _ => return None,
         })
     }
@@ -447,11 +442,11 @@ mod tests {
 
     #[test]
     fn kind_roundtrip() {
-        for v in 0..18u8 {
+        for v in 0..17u8 {
             let k = FlightKind::from_u8(v).unwrap();
             assert_eq!(k as u8, v);
             assert!(!k.label().is_empty());
         }
-        assert_eq!(FlightKind::from_u8(18), None);
+        assert_eq!(FlightKind::from_u8(17), None);
     }
 }
